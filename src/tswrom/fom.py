@@ -29,7 +29,7 @@ leans on that for cheap finite-difference Jacobians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres

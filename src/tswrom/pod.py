@@ -98,15 +98,16 @@ class PodBasis:
         """Packed mean state of length 4N."""
         return self.means.reshape(-1)
 
+    def apply_modes(self, z_r: np.ndarray) -> np.ndarray:
+        """Blockwise modes product V z_r, the lift without the means:
+        reduced coefficients (4r,) or (4r, m) to packed arrays (4N, m)."""
+        return (self.modes @ z_r.reshape(4, self.r, -1)).reshape(4 * self.N, -1)
+
     def lift_array(self, z_r: np.ndarray) -> np.ndarray:
         """Map reduced coefficients (4r,) or (4r, m) to packed full states."""
-        r, N = self.r, self.N
-        single = z_r.ndim == 1
-        zr = z_r[:, None] if single else z_r
-        out = np.empty((4 * N, zr.shape[1]))
-        for i in range(4):
-            out[i * N : (i + 1) * N] = self.means[i][:, None] + self.modes[i] @ zr[i * r : (i + 1) * r]
-        return out[:, 0] if single else out
+        out = self.apply_modes(z_r)
+        out += self.mean_z[:, None]
+        return out[:, 0] if z_r.ndim == 1 else out
 
     def restrict_array(self, z: np.ndarray) -> np.ndarray:
         """Map packed full states (4N,) or (4N, m) to reduced coefficients."""

@@ -26,16 +26,21 @@ N; a flop counter can be attached to prove it.
 The AVF analog evaluates the Poisson-side samples at the step midpoint and
 chord-averages the gradient-side samples with the same 2-point Gauss rule as
 the full model. Both reduced models solve the 4r-dimensional implicit system
-with a chord Newton iteration: a dense finite-difference Jacobian built once
-per step, frozen across iterations, and rebuilt only on a stall.
+with a chord Newton iteration. One LU-factored dense finite-difference
+Jacobian is kept across the steps of an integrate_rom run and rebuilt, at
+the current iterate, only when the residual stops halving. The Galerkin
+residual lifts the old state once per step; each evaluation then needs only
+the modes product of the increment.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .deim import NUM_NONLIN, DeimSet, _eval_grad_side, _eval_poisson_side
@@ -470,63 +475,102 @@ def rom_rhs_pod_only(basis: PodBasis, z_r: np.ndarray, physics: Physics,
 # implicit reduced stepping
 # ---------------------------------------------------------------------------
 
-def _step_residual_deim(ops, z_old, z_new_cols, dt):
+def _deim_residual(ops, z_old, dt):
+    """Implicit AVF residual of the tensor model for the step from z_old, as
+    a function of candidate new states (4r, m)."""
     x1, x2 = _GAUSS_NODES
-    dz = z_new_cols - z_old[:, None]
-    m = z_new_cols.shape[1]
-    # one batched sampler pass over [chord(x1) | chord(x2) | midpoint]
-    states = np.empty((z_old.size, 3 * m))
-    states[:, :m] = z_old[:, None] + x1 * dz
-    states[:, m : 2 * m] = z_old[:, None] + x2 * dz
-    states[:, 2 * m :] = z_old[:, None] + 0.5 * dz
-    f = ops.sampler.sample(states, None)
-    fbar = 0.5 * (f[3:, :, :m] + f[3:, :, m : 2 * m])
-    fmid = f[:3, :, 2 * m :]
-    return dz - dt * _assemble_delta(ops, fmid, fbar, None)
+
+    def residual(z_new_cols):
+        dz = z_new_cols - z_old[:, None]
+        m = z_new_cols.shape[1]
+        # one batched sampler pass over [chord(x1) | chord(x2) | midpoint]
+        states = np.empty((z_old.size, 3 * m))
+        states[:, :m] = z_old[:, None] + x1 * dz
+        states[:, m : 2 * m] = z_old[:, None] + x2 * dz
+        states[:, 2 * m :] = z_old[:, None] + 0.5 * dz
+        f = ops.sampler.sample(states, None)
+        fbar = 0.5 * (f[3:, :, :m] + f[3:, :, m : 2 * m])
+        fmid = f[:3, :, 2 * m :]
+        return dz - dt * _assemble_delta(ops, fmid, fbar, None)
+
+    return residual
 
 
-def _step_residual_pod(ops, z_old, z_new_cols, dt):
+def _pod_residual(ops, z_old, dt):
+    """Implicit AVF residual of the Galerkin model for the step from z_old,
+    as a function of candidate new states (4r, m).
+
+    The lift is affine, so the Gauss chord states and the midpoint are
+    lift(z_old) + xi V dz: z_old is lifted once here, and each evaluation
+    needs one modes-only product."""
     x1, x2 = _GAUSS_NODES
     basis, physics, dops = ops.basis, ops.physics, ops.diffops
-    dz = z_new_cols - z_old[:, None]
-    m = z_new_cols.shape[1]
-    chords = np.empty((z_old.size, 2 * m))
-    chords[:, :m] = z_old[:, None] + x1 * dz
-    chords[:, m:] = z_old[:, None] + x2 * dz
-    fg = _eval_grad_side(basis.lift_array(chords), physics)
-    fbar = 0.5 * (fg[:, :, :m] + fg[:, :, m:])
-    fmid = _eval_poisson_side(basis.lift_array(z_old[:, None] + 0.5 * dz), physics, dops)
-    return dz - dt * _pod_galerkin_delta(basis, physics, dops, fmid, fbar)
+    base = basis.lift_array(z_old)[:, None]
+
+    def residual(z_new_cols):
+        dz = z_new_cols - z_old[:, None]
+        m = z_new_cols.shape[1]
+        vdz = basis.apply_modes(dz)
+        chords = np.empty((base.shape[0], 2 * m))
+        chords[:, :m] = base + x1 * vdz
+        chords[:, m:] = base + x2 * vdz
+        fg = _eval_grad_side(chords, physics)
+        fbar = 0.5 * (fg[:, :, :m] + fg[:, :, m:])
+        fmid = _eval_poisson_side(base + 0.5 * vdz, physics, dops)
+        return dz - dt * _pod_galerkin_delta(basis, physics, dops, fmid, fbar)
+
+    return residual
 
 
-def _rom_newton_dense(ops, residual, z_old, dt, tol_eff, max_iter):
+class _ChordJacobian:
+    """LU factors of the dense reduced Newton Jacobian, or None until built.
+
+    integrate_rom creates one per run and hands it to every step, so one
+    factorization serves as many steps as it keeps converging; a stand-alone
+    rom_avf_step call gets a fresh one."""
+
+    def __init__(self) -> None:
+        self.lu = None
+
+    def factor(self, jac: np.ndarray) -> None:
+        # lu_factor only warns on an exactly zero pivot and lu_solve would
+        # then return inf, so the pivots are checked here instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(jac, check_finite=False)
+        pivots = np.abs(np.diag(lu))
+        if not np.all((pivots > 0.0) & np.isfinite(pivots)):
+            raise NumericError(
+                f"singular reduced Newton Jacobian: zero or non-finite pivot "
+                f"(smallest |pivot| {pivots.min():.3e})")
+        self.lu = (lu, piv)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return lu_solve(self.lu, rhs, check_finite=False)
+
+
+def _rom_newton_dense(residual, z_old, tol_eff, max_iter, chord):
     # Chord iteration: one batched residual evaluation builds the whole 4r
-    # Jacobian, which is then frozen for the rest of the step. The residual
-    # is nearly linear over a single implicit step, so the frozen Jacobian
-    # converges in a handful of cheap single-column evaluations; it is
-    # rebuilt at the current iterate only if the residual stops halving.
+    # Jacobian, which is factored and kept in chord. The implicit residual
+    # changes little from one step to the next, so the same factors serve
+    # iteration after iteration and step after step; they are rebuilt at the
+    # current iterate only when the residual stops halving.
     sqrt_eps = math.sqrt(np.finfo(np.float64).eps)
     z = z_old.copy()
-    res = residual(ops, z_old, z[:, None], dt)[:, 0]
+    res = residual(z[:, None])[:, 0]
     rnorm = float(np.max(np.abs(res)))
-    jac = None
     for _ in range(max_iter):
         if rnorm <= tol_eff:
             return z
-        if jac is None:
+        if chord.lu is None:
             eps = sqrt_eps * np.maximum(1.0, np.abs(z))
-            cols = z[:, None] + np.diag(eps)
-            resb = residual(ops, z_old, cols, dt)
-            jac = (resb - res[:, None]) / eps[None, :]
-        try:
-            dz = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"singular reduced Newton Jacobian: {exc}") from exc
-        z = z + dz
-        res = residual(ops, z_old, z[:, None], dt)[:, 0]
+            resb = residual(z[:, None] + np.diag(eps))
+            chord.factor((resb - res[:, None]) / eps[None, :])
+        z = z + chord.solve(-res)
+        res = residual(z[:, None])[:, 0]
         rnorm_new = float(np.max(np.abs(res)))
         if rnorm_new > 0.5 * rnorm:
-            jac = None
+            chord.lu = None
         rnorm = rnorm_new
     if rnorm <= tol_eff:
         return z
@@ -536,13 +580,13 @@ def _rom_newton_dense(ops, residual, z_old, dt, tol_eff, max_iter):
     )
 
 
-def _rom_newton_krylov(ops, residual, z_old, dt, tol_eff, max_iter):
+def _rom_newton_krylov(residual, z_old, tol_eff, max_iter):
     # matrix-free variant for large r, where the O(r) columns of a dense
     # finite-difference Jacobian would dominate everything else
     sqrt_eps = math.sqrt(np.finfo(np.float64).eps)
     scale = max(1.0, float(np.linalg.norm(z_old)))
     z = z_old.copy()
-    res = residual(ops, z_old, z[:, None], dt)[:, 0]
+    res = residual(z[:, None])[:, 0]
     rnorm_prev = None
     for _ in range(max_iter):
         rnorm = float(np.max(np.abs(res)))
@@ -559,13 +603,13 @@ def _rom_newton_krylov(ops, residual, z_old, dt, tol_eff, max_iter):
             if wn == 0.0:
                 return np.zeros_like(w)
             eps = sqrt_eps * scale / wn
-            pert = residual(ops, z_old, (z + eps * w)[:, None], dt)[:, 0]
+            pert = residual((z + eps * w)[:, None])[:, 0]
             return (pert - res) / eps
 
         op = LinearOperator((z.size, z.size), matvec=jacvec, dtype=np.float64)
         dz, _ = gmres(op, -res, rtol=eta, atol=0.0, restart=50, maxiter=40)
         z = z + dz
-        res = residual(ops, z_old, z[:, None], dt)[:, 0]
+        res = residual(z[:, None])[:, 0]
     if float(np.max(np.abs(res))) <= tol_eff:
         return z
     raise NumericError(
@@ -577,24 +621,30 @@ def _rom_newton_krylov(ops, residual, z_old, dt, tol_eff, max_iter):
 def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
                  method: str = "pod-deim", tol: float = _ROM_NEWTON_TOL,
                  max_iter: int = _ROM_NEWTON_MAXITER,
-                 solver: str = "dense") -> np.ndarray:
+                 solver: str = "dense", *, _chord: _ChordJacobian | None = None) -> np.ndarray:
     """One reduced AVF step: Poisson samples at the midpoint, gradient
     samples chord-averaged by 2-point Gauss. The implicit 4r system is
-    solved by chord Newton with a dense finite-difference Jacobian built
-    once per step (default, best for small r) or matrix-free Newton-Krylov
-    (solver="krylov", for large r such as full-basis verification runs)."""
+    solved by chord Newton with a factored dense finite-difference Jacobian
+    (default, best for small r) or matrix-free Newton-Krylov
+    (solver="krylov", for large r such as full-basis verification runs).
+
+    A stand-alone call builds a fresh Jacobian. integrate_rom passes its
+    factorization through the private _chord argument instead, so one
+    factorization is kept across steps and rebuilt only when the residual
+    stops halving. The Galerkin model lifts the old state once per step."""
     if method not in METHODS:
         raise ConfigError(f"unknown reduced model {method!r}, expected one of {METHODS}")
     if method == "pod-deim" and ops.sampler is None:
         raise ConfigError("tensor operators not available; build with precompute_rom")
-    residual = _step_residual_deim if method == "pod-deim" else _step_residual_pod
+    if solver not in ("dense", "krylov"):
+        raise ConfigError(f"unknown reduced Newton solver {solver!r}")
     z_old = np.asarray(z_r, dtype=np.float64)
     tol_eff = tol * max(1.0, float(np.max(np.abs(z_old))))
-    if solver == "dense":
-        return _rom_newton_dense(ops, residual, z_old, dt, tol_eff, max_iter)
+    residual = (_deim_residual if method == "pod-deim" else _pod_residual)(ops, z_old, dt)
     if solver == "krylov":
-        return _rom_newton_krylov(ops, residual, z_old, dt, tol_eff, max_iter)
-    raise ConfigError(f"unknown reduced Newton solver {solver!r}")
+        return _rom_newton_krylov(residual, z_old, tol_eff, max_iter)
+    chord = _ChordJacobian() if _chord is None else _chord
+    return _rom_newton_dense(residual, z_old, tol_eff, max_iter, chord)
 
 
 @dataclass
@@ -622,8 +672,9 @@ def integrate_rom(ops: RomOperators, initial: RomState, dt: float, num_steps: in
     red[:, 0] = z
     lifted = State(z=ops.basis.lift_array(z), t=float(times[0]))
     invs[0] = invariants(lifted, ops.physics, grid, ops.diffops).as_array()
+    chord = _ChordJacobian()
     for k in range(1, num_steps + 1):
-        z = rom_avf_step(ops, z, dt, method=method, solver=solver)
+        z = rom_avf_step(ops, z, dt, method=method, solver=solver, _chord=chord)
         red[:, k] = z
         lifted = State(z=ops.basis.lift_array(z), t=float(times[k]))
         invs[k] = invariants(lifted, ops.physics, grid, ops.diffops).as_array()

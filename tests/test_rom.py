@@ -7,7 +7,7 @@ from helpers import SEED, random_physics, random_state, small_setup
 
 from tswrom import rom as rom_mod
 from tswrom.deim import build_deim, collect_nonlin_snapshots, nonlinearity
-from tswrom.errors import ConfigError
+from tswrom.errors import ConfigError, NumericError
 from tswrom.fom import State, apply_poisson, dense_poisson_matrix, grad_hamiltonian, hamiltonian, rhs
 from tswrom.pod import build_pod_basis, collect_snapshots, restrict
 from tswrom.rom import (FlopCounter, RomState, galerkin_operators,
@@ -198,6 +198,76 @@ def test_reduced_newton_solvers_agree(mini_pipeline):
     krylov = rom_avf_step(ops, z0, dt, method="pod-deim", solver="krylov")
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert np.max(np.abs(dense - krylov)) <= 1e-7 * scale
+
+
+def _count_jacobian_builds(monkeypatch):
+    """Wrap both residual factories; count batched (width > 1) evaluations,
+    each of which builds one finite-difference Jacobian."""
+    counts = {"builds": 0}
+    for name in ("_pod_residual", "_deim_residual"):
+        make = getattr(rom_mod, name)
+
+        def counting(ops, z_old, dt, make=make):
+            residual = make(ops, z_old, dt)
+
+            def wrapped(cols):
+                if cols.shape[1] > 1:
+                    counts["builds"] += 1
+                return residual(cols)
+
+            return wrapped
+
+        monkeypatch.setattr(rom_mod, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("method", ["pod", "pod-deim"])
+def test_carried_jacobian_matches_fresh_steps(mini_pipeline, monkeypatch, method):
+    # integrate_rom keeps one factored Jacobian across steps; stand-alone
+    # steps build a fresh one each time. Both must land on the same states.
+    ops = mini_pipeline.romops
+    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.state(0))
+    dt, steps = mini_pipeline.config.dt, mini_pipeline.config.num_steps
+    counts = _count_jacobian_builds(monkeypatch)
+    carried = integrate_rom(ops, RomState(z_r=z0), dt, steps, method=method).reduced
+    carried_builds = counts["builds"]
+    fresh = [z0]
+    for _ in range(steps):
+        fresh.append(rom_avf_step(ops, fresh[-1], dt, method=method))
+    fresh = np.stack(fresh, axis=1)
+    scale = max(1.0, float(np.max(np.abs(fresh))))
+    assert np.max(np.abs(carried - fresh)) <= 1e-7 * scale
+    assert counts["builds"] - carried_builds >= steps
+    assert 1 <= carried_builds <= steps // 10
+
+
+@pytest.mark.parametrize("method", ["pod", "pod-deim"])
+def test_wrong_carried_jacobian_is_rebuilt_on_stall(mini_pipeline, monkeypatch, method):
+    ops = mini_pipeline.romops
+    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.state(0))
+    dt = mini_pipeline.config.dt
+    fresh = rom_avf_step(ops, z0, dt, method=method)
+    counts = _count_jacobian_builds(monkeypatch)
+    chord = rom_mod._ChordJacobian()
+    chord.factor(-np.eye(z0.size))
+    rebuilt = rom_avf_step(ops, z0, dt, method=method, _chord=chord)
+    assert counts["builds"] == 1
+    scale = max(1.0, float(np.max(np.abs(fresh))))
+    assert np.max(np.abs(rebuilt - fresh)) <= 1e-7 * scale
+
+
+def test_singular_reduced_jacobian_raises(rng):
+    # a zero column keeps the finite-difference Jacobian exactly rank
+    # deficient, so its LU factorization meets an exactly zero pivot
+    a = rng.normal(size=(4, 4))
+    a[:, 2] = 0.0
+
+    def residual(cols):
+        return a @ cols - 1.0
+
+    with pytest.raises(NumericError, match="singular reduced Newton Jacobian"):
+        rom_mod._rom_newton_dense(residual, np.zeros(4), 1e-12, 10,
+                                  rom_mod._ChordJacobian())
 
 
 def test_method_and_solver_validation(mini_pipeline):
