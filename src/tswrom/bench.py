@@ -15,7 +15,10 @@ precompute, both reduced solves, error metrics, and the on-disk artifacts.
 
 from __future__ import annotations
 
+import logging
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -227,6 +230,29 @@ def _say(verbose: bool, msg: str) -> None:
         print(msg, flush=True)
 
 
+@contextmanager
+def progress_to_stdout(enabled: bool):
+    """While enabled, print the INFO records of the tswrom loggers (such as
+    integrate_fom's progress lines) on standard output, and only there: they
+    do not also propagate to the root logger's handlers."""
+    if not enabled:
+        yield
+        return
+    logger = logging.getLogger("tswrom")
+    handler = logging.StreamHandler(sys.stdout)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level, propagate = logger.level, logger.propagate
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    logger.propagate = False
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+        logger.propagate = propagate
+
+
 def run_pipeline(cfg: DoubleVortexConfig, outdir=None, verbose: bool = False) -> PipelineResult:
     """Full-order solve, model reduction, both reduced solves, metrics.
 
@@ -248,11 +274,12 @@ def run_pipeline(cfg: DoubleVortexConfig, outdir=None, verbose: bool = False) ->
 
     _say(verbose, f"full model: n={cfg.n}, {cfg.num_steps} steps, dt={cfg.dt:g} s")
     t0 = time.perf_counter()
-    fom = integrate_fom(
-        z0, cfg.dt, cfg.num_steps, physics, dops,
-        snapshot_path=None if out is None else out / "snapshots.bin",
-        log_every=50 if verbose else 0,
-    )
+    with progress_to_stdout(verbose):
+        fom = integrate_fom(
+            z0, cfg.dt, cfg.num_steps, physics, dops,
+            snapshot_path=None if out is None else out / "snapshots.bin",
+            log_every=50 if verbose else 0,
+        )
     wall_fom = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -200,7 +200,7 @@ def _config_for_artifacts(args, n: int, dt: float, num_steps: int):
 
 def cmd_fom(args) -> int:
     from . import fileio
-    from .bench import _check_initial, double_vortex_initial
+    from .bench import _check_initial, double_vortex_initial, progress_to_stdout
     from .fom import integrate_fom
 
     cfg = _build_config(args)
@@ -212,9 +212,10 @@ def cmd_fom(args) -> int:
 
     print(f"full model: n={cfg.n}, {cfg.num_steps} steps, dt={cfg.dt:g} s", flush=True)
     t0 = time.perf_counter()
-    result = integrate_fom(z0, cfg.dt, cfg.num_steps, physics, dops,
-                           snapshot_path=out / "snapshots.bin",
-                           log_every=50 if args.verbose else 0)
+    with progress_to_stdout(args.verbose):
+        result = integrate_fom(z0, cfg.dt, cfg.num_steps, physics, dops,
+                               snapshot_path=out / "snapshots.bin",
+                               log_every=50 if args.verbose else 0)
     wall = time.perf_counter() - t0
 
     fileio.write_invariants_csv(out / "fom_invariants.csv",

@@ -30,7 +30,7 @@ import scipy.linalg
 
 from .errors import ConfigError, NumericError
 from .fom import Physics, State
-from .grid import DiffOps
+from .grid import DiffOps, apply_dx, apply_dy
 from .pod import PodBasis, SnapshotSet, truncate_rank
 
 __all__ = [
@@ -62,9 +62,9 @@ def _eval_poisson_side(zcols: np.ndarray, physics: Physics, ops: DiffOps) -> np.
     if not hmin > 0.0:
         raise NumericError(f"nonpositive height in nonlinearity evaluation (min {hmin:.6e})")
     out = np.empty((3,) + h.shape)
-    out[0] = (ops.dx_op @ v - ops.dy_op @ u + physics.f) / h
-    out[1] = (ops.dx_op @ s) / h
-    out[2] = (ops.dy_op @ s) / h
+    out[0] = (apply_dx(ops, v) - apply_dy(ops, u) + physics.f) / h
+    out[1] = apply_dx(ops, s) / h
+    out[2] = apply_dy(ops, s) / h
     return out
 
 

@@ -11,6 +11,12 @@ the y derivative acts inside blocks,
 where C_n is the circulant centered-difference stencil (+1 super-, -1
 subdiagonal, wrapped corners). Both operators are exactly skew-symmetric and
 annihilate constants, which the conservation results downstream rely on.
+
+The derivatives themselves are applied as periodic slice differences on the
+(n, n[, m]) view of a field (x along axis 0, y along axis 1), in about half
+the time of a CSR product at n = 100. The CSR matrices in DiffOps hold the
+same stencil; they serve row extraction at interpolation points and are the
+reference the slice stencils are tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Grid", "DiffOps", "build_grid", "build_diff_ops", "apply_dx", "apply_dy"]
+__all__ = ["Grid", "DiffOps", "build_grid", "build_diff_ops", "apply_dx", "apply_dy",
+           "centered_x", "centered_y"]
 
 
 @dataclass(frozen=True)
@@ -71,7 +78,8 @@ class Grid:
 
 @dataclass(frozen=True)
 class DiffOps:
-    """CSR centered-difference operators bound to their grid."""
+    """CSR centered-difference operators bound to their grid (for row
+    extraction; apply_dx and apply_dy use slice stencils)."""
 
     grid: Grid
     dx_op: sp.csr_matrix
@@ -118,11 +126,48 @@ def _checked(ops: DiffOps, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def centered_x(w: np.ndarray, out: np.ndarray, scale: float) -> np.ndarray:
+    """out = scale (w[i+1] - w[i-1]) along axis 0 (x), periodic in i.
+
+    w and out are (n, n[, m]) views of flat fields; out must be C-contiguous
+    and must not overlap w. With scale = 1/(2 dx) this is Dx."""
+    np.subtract(w[2:], w[:-2], out=out[1:-1])
+    np.subtract(w[1], w[-1], out=out[0])
+    np.subtract(w[0], w[-2], out=out[-1])
+    out *= scale
+    return out
+
+
+def centered_y(w: np.ndarray, out: np.ndarray, scale: float) -> np.ndarray:
+    """centered_x along axis 1 (y); with scale = 1/(2 dy) this is Dy."""
+    if not out.flags.c_contiguous:
+        raise ValueError("centered_y writes through a flat view: out must be C-contiguous")
+    n = w.shape[0]
+    flat_w = np.reshape(w, (n * n,) + w.shape[2:])
+    flat_out = out.reshape(flat_w.shape)
+    # one shifted pass over the flat field is right for every interior j;
+    # the two periodic ends of each x row are then overwritten
+    np.subtract(flat_w[2:], flat_w[:-2], out=flat_out[1:-1])
+    np.subtract(w[:, 1], w[:, -1], out=out[:, 0])
+    np.subtract(w[:, 0], w[:, -2], out=out[:, -1])
+    out *= scale
+    return out
+
+
+def _apply(ops: DiffOps, w: np.ndarray, stencil, delta: float) -> np.ndarray:
+    w = _checked(ops, w)
+    n = ops.grid.n
+    shape = (n, n) + w.shape[1:]
+    out = np.empty(w.shape)
+    stencil(np.reshape(w, shape), out.reshape(shape), 0.5 / delta)
+    return out
+
+
 def apply_dx(ops: DiffOps, w: np.ndarray) -> np.ndarray:
-    """Centered periodic x derivative of a flat field (O(N))."""
-    return ops.dx_op @ _checked(ops, w)
+    """Centered periodic x derivative of a flat field (N,) or columns (N, m)."""
+    return _apply(ops, w, centered_x, ops.grid.dx)
 
 
 def apply_dy(ops: DiffOps, w: np.ndarray) -> np.ndarray:
-    """Centered periodic y derivative of a flat field (O(N))."""
-    return ops.dy_op @ _checked(ops, w)
+    """Centered periodic y derivative of a flat field (N,) or columns (N, m)."""
+    return _apply(ops, w, centered_y, ops.grid.dy)

@@ -18,19 +18,20 @@ Two reduced models share one AVF time stepper:
   as (r*p, p) and applied with two small matmuls: O(r p^2) per evaluation,
   no p^2-length temporaries beyond the (r*p,) contraction buffer.
 
-The online nonlinearity samples P_j^T F_j(lifted state) reduce to p-by-r
-matmuls against precomputed rows of the POD modes (and of Dx V, Dy V for the
-derivative-bearing fields), so a pod-deim step does no work proportional to
-N; a flop counter can be attached to prove it.
+The online nonlinearity samples P_j^T F_j(lifted state) come from one
+affine map of z_r: a stacked matrix of precomputed rows of the POD modes (and
+of Dx V, Dy V for the derivative-bearing fields) plus an offset, applied
+with one GEMM, so a pod-deim step does no work proportional to N; a flop
+counter can be attached to prove it.
 
 The AVF analog evaluates the Poisson-side samples at the step midpoint and
-chord-averages the gradient-side samples with the same 2-point Gauss rule as
-the full model. Both reduced models solve the 4r-dimensional implicit system
-with a chord Newton iteration. One LU-factored dense finite-difference
-Jacobian is kept across the steps of an integrate_rom run and rebuilt, at
-the current iterate, only when the residual stops halving. The Galerkin
-residual lifts the old state once per step; each evaluation then needs only
-the modes product of the increment.
+chord-averages the gradient-side samples with a 2-point Gauss rule, exact
+for these quadratic fields. Both reduced models solve the 4r-dimensional
+implicit system with a chord Newton iteration. One LU-factored dense
+finite-difference Jacobian is kept across the steps of an integrate_rom run
+and rebuilt, at the current iterate, only when the residual stops halving.
+The Galerkin residual lifts the old state once per step; each evaluation
+then needs only the modes product of the increment.
 """
 
 from __future__ import annotations
@@ -38,15 +39,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse.linalg import LinearOperator
 
 from .deim import NUM_NONLIN, DeimSet, _eval_grad_side, _eval_poisson_side
 from .errors import ConfigError, NumericError
-from .fom import Physics, State, _GAUSS_NODES, invariants
-from .grid import DiffOps
+from .fom import Physics, State, apply_poisson, gmres, invariants
+from .grid import DiffOps, apply_dx, apply_dy
 from .pod import PodBasis
 
 __all__ = [
@@ -71,6 +73,10 @@ METHODS = ("pod", "pod-deim")
 # 1e-12 below float64 resolution of the unknowns themselves.
 _ROM_NEWTON_TOL = 1e-12
 _ROM_NEWTON_MAXITER = 50
+
+# 2-point Gauss-Legendre nodes on [0, 1]; exact for the quadratic chord
+# integrand of the gradient-side fields.
+_GAUSS_NODES = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 # Streamed row-block budget for tensor assembly (bytes per buffer).
 _STREAM_BYTES = 64 << 20
@@ -131,92 +137,54 @@ def _stream_tensor(V: np.ndarray, psi: np.ndarray, D: np.ndarray) -> np.ndarray:
     return out
 
 
+# Sampled primitives of the lifted state, one block of p rows each, in the
+# order of _Sampler.rows: the point set of each F_j gets what F_j needs.
+_SAMPLED = ("h1", "curl1", "h2", "sx2", "h3", "sy3",
+            "h4", "u4", "v4", "s4", "h5", "u5", "h6", "v6", "h7")
+
+
 @dataclass
 class _Sampler:
-    """Precomputed rows that turn P_j^T F_j(lift(z_r)) into p-by-r matmuls.
+    """P_j^T F_j(lift(z_r)) for all seven j from one affine map of z_r.
 
-    For plain fields the sampled lift is mean[idx] + V[idx, :] z_r; for the
-    derivative-bearing fields the stencil closure is folded in offline:
-    (Dx shat)[idx] = (Dx mean_s)[idx] + (Dx V_s)[idx, :] s_r.
+    Block k of rows/offset (p rows) gives the primitive _SAMPLED[k] at the
+    points of its F_j as offset[k] + rows[k] z_r, so one GEMM yields them
+    all. For the derivative-bearing primitives the stencil is folded in
+    offline, e.g. (Dx s)[idx] = (Dx mean_s)[idx] + (Dx V_s)[idx, :] s_r, and
+    curl1 is (Dx v - Dy u)[idx] at the points of F1.
     """
 
     f: float
-    # j = 1
-    q_dxv: np.ndarray
-    q_dyu: np.ndarray
-    q_cdxv: np.ndarray
-    q_cdyu: np.ndarray
-    q_vh: np.ndarray
-    q_mh: np.ndarray
-    # j = 2, 3
-    g2_dxs: np.ndarray
-    g2_c: np.ndarray
-    g2_vh: np.ndarray
-    g2_mh: np.ndarray
-    g3_dys: np.ndarray
-    g3_c: np.ndarray
-    g3_vh: np.ndarray
-    g3_mh: np.ndarray
-    # j = 4..7 plain rows
-    e4_vh: np.ndarray
-    e4_mh: np.ndarray
-    e4_vu: np.ndarray
-    e4_mu: np.ndarray
-    e4_vv: np.ndarray
-    e4_mv: np.ndarray
-    e4_vs: np.ndarray
-    e4_ms: np.ndarray
-    e4_b: np.ndarray
-    e5_vh: np.ndarray
-    e5_mh: np.ndarray
-    e5_vu: np.ndarray
-    e5_mu: np.ndarray
-    e6_vh: np.ndarray
-    e6_mh: np.ndarray
-    e6_vv: np.ndarray
-    e6_mv: np.ndarray
-    e7_vh: np.ndarray
-    e7_mh: np.ndarray
-    e7_b: np.ndarray
+    rows: np.ndarray    # (len(_SAMPLED) p, 4r)
+    offset: np.ndarray  # (len(_SAMPLED) p, 1)
+    nnz: int            # entries of rows outside its all-zero (p, r) blocks
+    b4: np.ndarray      # bottom at the points of F4 and F7, (p, 1)
+    b7: np.ndarray
 
     def sample(self, z_cols: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
         """All seven sampled nonlinearities for reduced columns (4r, m) -> (7, p, m)."""
-        r = z_cols.shape[0] // 4
-        hr = z_cols[:r]
-        ur = z_cols[r : 2 * r]
-        vr = z_cols[2 * r : 3 * r]
-        sr = z_cols[3 * r :]
         m = z_cols.shape[1]
-        p = self.q_mh.size
-
-        def mm(A, x):
-            if counter is not None:
-                counter.add_sampling(2 * A.shape[0] * A.shape[1] * m)
-            return A @ x
-
-        out = np.empty((NUM_NONLIN, p, m))
-        h1 = self.q_mh[:, None] + mm(self.q_vh, hr)
-        h2 = self.g2_mh[:, None] + mm(self.g2_vh, hr)
-        h3 = self.g3_mh[:, None] + mm(self.g3_vh, hr)
+        p = self.b4.shape[0]
+        prim = self.rows @ z_cols
+        prim += self.offset
+        h1, curl1, h2, sx2, h3, sy3, h4, u4, v4, s4, h5, u5, h6, v6, h7 = (
+            prim.reshape(len(_SAMPLED), p, m))
         hmin = min(h1.min(), h2.min(), h3.min())
         if not hmin > 0.0:
             raise NumericError(f"nonpositive sampled height in reduced model (min {hmin:.6e})")
-        out[0] = (self.q_cdxv[:, None] + mm(self.q_dxv, vr)
-                  - self.q_cdyu[:, None] - mm(self.q_dyu, ur) + self.f) / h1
-        out[1] = (self.g2_c[:, None] + mm(self.g2_dxs, sr)) / h2
-        out[2] = (self.g3_c[:, None] + mm(self.g3_dys, sr)) / h3
-        h4 = self.e4_mh[:, None] + mm(self.e4_vh, hr)
-        u4 = self.e4_mu[:, None] + mm(self.e4_vu, ur)
-        v4 = self.e4_mv[:, None] + mm(self.e4_vv, vr)
-        s4 = self.e4_ms[:, None] + mm(self.e4_vs, sr)
-        out[3] = 0.5 * (u4 * u4 + v4 * v4) + s4 * h4 + self.e4_b[:, None] * s4
-        out[4] = (self.e5_mh[:, None] + mm(self.e5_vh, hr)) * (self.e5_mu[:, None] + mm(self.e5_vu, ur))
-        out[5] = (self.e6_mh[:, None] + mm(self.e6_vh, hr)) * (self.e6_mv[:, None] + mm(self.e6_vv, vr))
-        h7 = self.e7_mh[:, None] + mm(self.e7_vh, hr)
-        out[6] = 0.5 * h7 * h7 + self.e7_b[:, None] * h7
+        out = np.empty((NUM_NONLIN, p, m))
+        np.add(curl1, self.f, out=out[0])
+        out[0] /= h1
+        np.divide(sx2, h2, out=out[1])
+        np.divide(sy3, h3, out=out[2])
+        out[3] = 0.5 * (u4 * u4 + v4 * v4) + s4 * (h4 + self.b4)
+        np.multiply(h5, u5, out=out[4])
+        np.multiply(h6, v6, out=out[5])
+        out[6] = h7 * (0.5 * h7 + self.b7)
         if counter is not None:
-            # pointwise adds/divides/products on (p, m) blocks, ~30 of them
-            counter.add_sampling(30 * p * m)
+            # the GEMM's nonzero blocks (the zero blocks add nothing) and
+            # ~30 pointwise ops on (p, m) blocks: 15 offset adds, 16 field ops
+            counter.add_sampling(2 * self.nnz * m + 30 * p * m)
         return out
 
 
@@ -277,31 +245,28 @@ class RomOperators:
 def _build_sampler(basis: PodBasis, deim: DeimSet, physics: Physics, ops: DiffOps) -> _Sampler:
     vh, vu, vv, vs = basis.modes
     mh, mu, mv, ms = basis.means
-    dx, dy = ops.dx_op, ops.dy_op
-    i1 = deim[1].indices
-    i2 = deim[2].indices
-    i3 = deim[3].indices
-    i4 = deim[4].indices
-    i5 = deim[5].indices
-    i6 = deim[6].indices
-    i7 = deim[7].indices
-    dxvv = dx @ vv
-    dyvu = dy @ vu
-    dxvs = dx @ vs
-    dyvs = dy @ vs
-    return _Sampler(
-        f=physics.f,
-        q_dxv=dxvv[i1], q_dyu=dyvu[i1],
-        q_cdxv=(dx @ mv)[i1], q_cdyu=(dy @ mu)[i1],
-        q_vh=vh[i1], q_mh=mh[i1],
-        g2_dxs=dxvs[i2], g2_c=(dx @ ms)[i2], g2_vh=vh[i2], g2_mh=mh[i2],
-        g3_dys=dyvs[i3], g3_c=(dy @ ms)[i3], g3_vh=vh[i3], g3_mh=mh[i3],
-        e4_vh=vh[i4], e4_mh=mh[i4], e4_vu=vu[i4], e4_mu=mu[i4],
-        e4_vv=vv[i4], e4_mv=mv[i4], e4_vs=vs[i4], e4_ms=ms[i4], e4_b=physics.b[i4],
-        e5_vh=vh[i5], e5_mh=mh[i5], e5_vu=vu[i5], e5_mu=mu[i5],
-        e6_vh=vh[i6], e6_mh=mh[i6], e6_vv=vv[i6], e6_mv=mv[i6],
-        e7_vh=vh[i7], e7_mh=mh[i7], e7_b=physics.b[i7],
-    )
+    dx, dy = partial(apply_dx, ops), partial(apply_dy, ops)
+    r = basis.r
+    # primitive -> {block of z_r: (modes, mean)}, the affine lift of its field
+    fields = {
+        "h": {0: (vh, mh)}, "u": {1: (vu, mu)}, "v": {2: (vv, mv)}, "s": {3: (vs, ms)},
+        "curl": {1: (-dy(vu), -dy(mu)), 2: (dx(vv), dx(mv))},
+        "sx": {3: (dx(vs), dx(ms))}, "sy": {3: (dy(vs), dy(ms))},
+    }
+    rows, offset, nnz = [], [], 0
+    for name in _SAMPLED:
+        idx = deim[int(name[-1])].indices
+        block = np.zeros((idx.size, 4 * r))
+        const = np.zeros(idx.size)
+        for k, (modes, mean) in fields[name[:-1]].items():
+            block[:, k * r : (k + 1) * r] = modes[idx]
+            const += mean[idx]
+            nnz += idx.size * r
+        rows.append(block)
+        offset.append(const)
+    return _Sampler(f=physics.f, rows=np.vstack(rows), offset=np.concatenate(offset)[:, None],
+                    nnz=nnz, b4=physics.b[deim[4].indices][:, None],
+                    b7=physics.b[deim[7].indices][:, None])
 
 
 def galerkin_operators(basis: PodBasis, physics: Physics, ops: DiffOps) -> RomOperators:
@@ -318,13 +283,13 @@ def precompute_rom(basis: PodBasis, deim: DeimSet, physics: Physics, ops: DiffOp
     if deim[1].phi.shape[0] != basis.N:
         raise ConfigError("DEIM operators were built on a different grid")
     vh, vu, vv, vs = basis.modes
-    dx, dy = ops.dx_op, ops.dy_op
+    dx, dy = partial(apply_dx, ops), partial(apply_dy, ops)
     psi = [deim[j].psi for j in range(1, NUM_NONLIN + 1)]
 
-    a1 = vh.T @ (dx @ vu)
-    a2 = vh.T @ (dy @ vv)
-    a3 = vu.T @ (dx @ vh)
-    a4 = vv.T @ (dy @ vh)
+    a1 = vh.T @ dx(vu)
+    a2 = vh.T @ dy(vv)
+    a3 = vu.T @ dx(vh)
+    a4 = vv.T @ dy(vh)
 
     # V_w^T Psi_j projections shared by the linear maps and the D factors.
     bu5 = vu.T @ psi[4]
@@ -445,15 +410,15 @@ def _pod_galerkin_delta(basis: PodBasis, physics: Physics, dops: DiffOps,
 
     fj carries (F1, F2, F3), fg carries (F4..F7); shapes (3|4, N, m)."""
     vh, vu, vv, vs = basis.modes
-    dx, dy = dops.dx_op, dops.dy_op
+    dx, dy = partial(apply_dx, dops), partial(apply_dy, dops)
     f1, f2, f3 = fj[0], fj[1], fj[2]
     t4 = vh @ (vh.T @ fg[0])
     t5 = vu @ (vu.T @ fg[1])
     t6 = vv @ (vv.T @ fg[2])
     t7 = vs @ (vs.T @ fg[3])
-    dh = vh.T @ (dx @ t5 + dy @ t6)
-    du = vu.T @ (dx @ t4 - f1 * t6 - f2 * t7)
-    dv = vv.T @ (dy @ t4 + f1 * t5 - f3 * t7)
+    dh = vh.T @ (dx(t5) + dy(t6))
+    du = vu.T @ (dx(t4) - f1 * t6 - f2 * t7)
+    dv = vv.T @ (dy(t4) + f1 * t5 - f3 * t7)
     ds = vs.T @ (f2 * t5 + f3 * t6)
     return -np.concatenate([dh, du, dv, ds])
 
@@ -607,7 +572,7 @@ def _rom_newton_krylov(residual, z_old, tol_eff, max_iter):
             return (pert - res) / eps
 
         op = LinearOperator((z.size, z.size), matvec=jacvec, dtype=np.float64)
-        dz, _ = gmres(op, -res, rtol=eta, atol=0.0, restart=50, maxiter=40)
+        dz, _ = gmres(op, -res, rtol=eta, restart=50, maxiter=40)
         z = z + dz
         res = residual(z[:, None])[:, 0]
     if float(np.max(np.abs(res))) <= tol_eff:
@@ -688,11 +653,9 @@ def integrate_rom(ops: RomOperators, initial: RomState, dt: float, num_steps: in
 def reduced_poisson_matrix(basis: PodBasis, state: State, physics: Physics,
                            ops: DiffOps) -> np.ndarray:
     """Dense reduced Poisson matrix V^T J(state) V (4r x 4r), for checks."""
-    from .fom import _apply_j
-
     N, r = basis.N, basis.r
     vblk = np.zeros((4 * N, 4 * r))
     for i in range(4):
         vblk[i * N : (i + 1) * N, i * r : (i + 1) * r] = basis.modes[i]
-    jv = _apply_j(state.z, vblk, physics.f, ops.dx_op, ops.dy_op, N)
+    jv = apply_poisson(state, physics, ops, vblk)
     return vblk.T @ jv

@@ -1,6 +1,7 @@
 """Command-line driver: the four-stage chain, config plumbing, exit codes."""
 
 import json
+import logging
 import subprocess
 import sys
 
@@ -56,6 +57,35 @@ def test_compare_builds_report_and_tables(chain_dir, capsys):
     assert report["inv_fom_H"] <= 1e-11
     assert (chain_dir / "errors.csv").is_file()
     assert (chain_dir / "fields_pod_deim_0012.csv").is_file()
+
+
+def test_fom_verbose_logs_progress(tmp_path, capsys):
+    assert main(["fom", "--out", str(tmp_path), "--set", "n=16", "--set", "num_steps=2",
+                 "--verbose"]) == 0
+    assert "step     2/2" in capsys.readouterr().out
+    assert main(["fom", "--out", str(tmp_path), "--set", "n=16", "--set", "num_steps=2"]) == 0
+    assert "step " not in capsys.readouterr().out
+
+
+def test_fom_verbose_prints_each_line_once_under_a_root_handler(tmp_path, capsys):
+    class Collect(logging.Handler):
+        def __init__(self):
+            super().__init__()
+            self.records = []
+
+        def emit(self, record):
+            self.records.append(record)
+
+    root, collect = logging.getLogger(), Collect()
+    root.addHandler(collect)
+    try:
+        assert main(["fom", "--out", str(tmp_path), "--set", "n=16", "--set", "num_steps=2",
+                     "--verbose"]) == 0
+    finally:
+        root.removeHandler(collect)
+    assert capsys.readouterr().out.count("step     2/2") == 1
+    assert not [rec for rec in collect.records if rec.name.startswith("tswrom")]
+    assert logging.getLogger("tswrom").propagate
 
 
 def test_config_precedence(tmp_path, capsys):

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import aslinearoperator
 
-from helpers import random_physics, random_state, small_setup
+from helpers import (gauss_avf_gradient, gauss_avf_residual, random_physics,
+                     random_state, small_setup)
 
+from tswrom import fom as fom_mod
 from tswrom.errors import NumericError
 from tswrom.fileio import read_snapshots
-from tswrom.fom import (NewtonConfig, State, apply_poisson, avf_gradient,
-                        avf_step, dense_poisson_matrix, grad_hamiltonian,
-                        hamiltonian, integrate_fom, invariants,
-                        potential_vorticity, rhs)
+from tswrom.fom import (NewtonConfig, State, _AvfResidual, apply_poisson,
+                        avf_gradient, avf_step, dense_poisson_matrix, gmres,
+                        grad_hamiltonian, hamiltonian, integrate_fom,
+                        invariants, potential_vorticity, rhs)
 from tswrom.grid import apply_dx, apply_dy
 
 
@@ -269,3 +272,117 @@ def test_integrate_fom_rejects_mismatched_state(rng):
     phys = random_physics(grid, rng)
     with pytest.raises(ValueError):
         integrate_fom(state, 0.02, 2, phys, ops)
+
+
+def test_fused_residual_and_gradient_match_gauss_reference(rng):
+    # the closed-form chord mean grad H(m) + Q(dz)/12 on slice stencils
+    # against 2-point Gauss on CSR stencils
+    for n in (5, 8):
+        grid, ops = small_setup(n=n)
+        phys = random_physics(grid, rng)
+        for _ in range(3):
+            z_old = random_state(grid, rng)
+            z_new = random_state(grid, rng)
+            ref = gauss_avf_gradient(z_old.z, z_new.z, phys.b)
+            got = avf_gradient(z_old, z_new, phys)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            for dt in (0.05, 1.3):
+                ref = gauss_avf_residual(z_new.z, z_old.z, dt, phys, ops)
+                got = _AvfResidual(z_old.z, dt, phys, grid)(z_new.z)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_residual_checks_midpoint_height(rng):
+    grid, _ = small_setup(n=5)
+    phys = random_physics(grid, rng)
+    state = random_state(grid, rng)
+    residual = _AvfResidual(state.z, 0.05, phys, grid)
+    bad = state.z.copy()
+    bad[7] = -3.0 * state.z[7]
+    with pytest.raises(NumericError, match="midpoint height.*node 7"):
+        residual(bad)
+
+
+class _CountingOperator:
+    def __init__(self, matrix):
+        self.op = aslinearoperator(matrix)
+        self.calls = 0
+
+    def matvec(self, x):
+        self.calls += 1
+        return self.op.matvec(x)
+
+
+def test_gmres_solves_nonsymmetric_system(rng):
+    matrix = 3.0 * np.eye(40) + rng.normal(size=(40, 40)) / np.sqrt(40.0)
+    b = rng.normal(size=40)
+    for restart in (50, 6):  # one cycle, and several restarted cycles
+        x, info = gmres(aslinearoperator(matrix), b, rtol=1e-10, restart=restart,
+                        maxiter=40)
+        assert info == 0
+        assert np.linalg.norm(b - matrix @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_gmres_zero_rhs_returns_zero():
+    op = _CountingOperator(np.eye(5) + np.diag(np.ones(4), 1))
+    x, info = gmres(op, np.zeros(5), rtol=1e-8, restart=5, maxiter=3)
+    np.testing.assert_array_equal(x, np.zeros(5))
+    assert info == 0 and op.calls == 0
+
+
+def test_gmres_respects_maxiter(rng):
+    # eigenvalues spread over [1, 1000]: six Krylov vectors cannot get 1e-14
+    matrix = np.diag(np.linspace(1.0, 1000.0, 40)) + 0.1 * rng.normal(size=(40, 40))
+    op = _CountingOperator(matrix)
+    b = rng.normal(size=40)
+    x, info = gmres(op, b, rtol=1e-14, restart=3, maxiter=2)
+    # restart Arnoldi matvecs per cycle, one true residual between cycles
+    assert op.calls == 2 * 3 + 1
+    assert info == op.calls
+    assert np.linalg.norm(b - matrix @ x) < np.linalg.norm(b)
+
+
+def _count_newton_iterations(monkeypatch):
+    """Count fom.gmres calls: one per Newton-Krylov iteration."""
+    calls = []
+    real = fom_mod.gmres
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fom_mod, "gmres", counted)
+    return calls
+
+
+def test_extrapolated_guess_matches_plain_start(vortex16, monkeypatch):
+    phys, ops = vortex16.physics, vortex16.diffops
+    steps = 6
+    calls = _count_newton_iterations(monkeypatch)
+    result = integrate_fom(vortex16.initial, vortex16.cfg.dt, steps, phys, ops)
+    extrapolated = len(calls)
+    calls.clear()
+    state = vortex16.initial
+    for _ in range(steps):
+        state = avf_step(state, vortex16.cfg.dt, phys, ops)
+    final = result.trajectory[:, -1]
+    assert np.linalg.norm(final - state.z) <= 1e-9 * np.linalg.norm(state.z)
+    assert extrapolated < len(calls)
+
+
+def test_guess_used_or_rejected(vortex16, monkeypatch):
+    phys, ops, dt = vortex16.physics, vortex16.diffops, vortex16.cfg.dt
+    state = vortex16.initial
+    plain = avf_step(state, dt, phys, ops)
+    # a converged guess is returned as it is, without a Newton iteration
+    calls = _count_newton_iterations(monkeypatch)
+    again = avf_step(state, dt, phys, ops, guess=plain.z)
+    assert not calls
+    np.testing.assert_array_equal(again.z, plain.z)
+    # a guess whose midpoint height is nonpositive falls back to the input
+    bad = plain.z.copy()
+    bad[: state.N] = -2.0 * state.h
+    fallback = avf_step(state, dt, phys, ops, guess=bad)
+    np.testing.assert_array_equal(fallback.z, plain.z)
+    with pytest.raises(ValueError):
+        avf_step(state, dt, phys, ops, guess=plain.z[:-1])

@@ -115,3 +115,17 @@ def test_operators_match_dense_kron_assembly():
     dym = np.kron(np.eye(n), c) / (2.0 * grid.dy)
     np.testing.assert_array_equal(ops.dx_op.toarray(), dxm)
     np.testing.assert_array_equal(ops.dy_op.toarray(), dym)
+
+
+@pytest.mark.parametrize("n", [3, 5, 16])
+def test_slice_stencils_match_csr(n):
+    grid, ops = small_setup(n=n)
+    rng = np.random.default_rng(n)
+    for shape in ((grid.N,), (grid.N, 3)):
+        w = rng.normal(size=shape)
+        tol = 1e-15 * np.max(np.abs(w))
+        assert np.max(np.abs(apply_dx(ops, w) - ops.dx_op @ w)) <= tol
+        assert np.max(np.abs(apply_dy(ops, w) - ops.dy_op @ w)) <= tol
+        const = np.full(shape, 2.7)
+        assert np.max(np.abs(apply_dx(ops, const))) == 0.0
+        assert np.max(np.abs(apply_dy(ops, const))) == 0.0

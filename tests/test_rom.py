@@ -156,6 +156,9 @@ def test_flop_counter_core_formula(rng):
     rom_rhs(ops, np.zeros(4 * r), counter)
     expected_core = 6 * (2 * r * p * p + 2 * r * p) + 4 * (2 * r * p) + 7 * r
     assert counter.core == expected_core
+    # sampling: the 16 nonzero (p, r) blocks of the stacked map (curl reads
+    # two velocity blocks) and ~30 pointwise ops per point
+    assert counter.sampling == 16 * (2 * p * r) + 30 * p
 
 
 def test_reduced_poisson_matrix_projection_and_skewness(rng):
