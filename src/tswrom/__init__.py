@@ -4,9 +4,10 @@ thermal shallow water flow on a doubly periodic grid.
 The full-order model integrates the noncanonical Hamiltonian form of the
 equations with an average vector field method, conserving the discrete
 energy, mass, vorticity, and buoyancy. The reduced models combine a proper
-orthogonal decomposition of the state with a discrete empirical
-interpolation of the nonlinear terms, precomputed into small matricized
-tensors so the online cost is independent of the grid size.
+orthogonal decomposition of the state with an exact reduced energy
+gradient and a discrete empirical interpolation of the Poisson operator's
+coefficients, precomputed into small tensors so the online cost is
+independent of the grid size.
 
 Submodules import lazily so the command-line entry point can pin BLAS
 thread pools before any numerical library loads.
@@ -36,11 +37,11 @@ _EXPORTS = {
     # empirical interpolation
     "DeimOperator": ".deim", "DeimSet": ".deim",
     "nonlinearity": ".deim", "collect_nonlin_snapshots": ".deim",
-    "qdeim_select": ".deim", "build_deim": ".deim", "deim_apply": ".deim",
+    "qdeim_select": ".deim", "build_deim": ".deim",
     # reduced models
     "RomState": ".rom", "RomOperators": ".rom", "RomResult": ".rom",
     "FlopCounter": ".rom", "galerkin_operators": ".rom",
-    "precompute_rom": ".rom", "rom_rhs": ".rom", "rom_rhs_pod_only": ".rom",
+    "precompute_rom": ".rom", "rom_rhs": ".rom",
     "rom_avf_step": ".rom", "integrate_rom": ".rom",
     # benchmark
     "DoubleVortexConfig": ".bench", "PipelineResult": ".bench",

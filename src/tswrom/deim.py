@@ -1,17 +1,16 @@
-"""Discrete empirical interpolation of the shallow water nonlinearities.
+"""Discrete empirical interpolation of the Poisson operator's coefficients.
 
-Seven nonlinear fields appear in the Poisson operator and the energy
-gradient of the reduced model:
+Three nonlinear fields are the state-dependent coefficients of J:
 
     F1 = (v_x - u_y + f) / h        potential vorticity
     F2 = s_x / h                    scaled buoyancy x gradient
     F3 = s_y / h                    scaled buoyancy y gradient
-    F4 = (u^2 + v^2)/2 + s h + b s  energy gradient w.r.t. h
-    F5 = h u                        energy gradient w.r.t. u
-    F6 = h v                        energy gradient w.r.t. v
-    F7 = h^2/2 + b h                energy gradient w.r.t. s
 
-Each gets its own interpolation basis Phi_j from an SVD of its snapshot
+They are rational in the state, so the tensor model interpolates them. The
+energy gradient is a quadratic polynomial of the state and needs no
+interpolation: the reduced models evaluate it exactly (see rom.py).
+
+Each F_j gets its own interpolation basis Phi_j from an SVD of its snapshot
 matrix (evaluated on POD reconstructions by default), a shared number of
 interpolation points p (max of the per-j energy ranks, or an override), and
 point sets chosen by Q-DEIM: the first p column pivots of a pivoted QR of
@@ -29,8 +28,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, NumericError
-from .fom import Physics, State
-from .grid import DiffOps, apply_dx, apply_dy
+from .fom import Physics, State, _coefficients
+from .grid import DiffOps
 from .pod import PodBasis, SnapshotSet, truncate_rank
 
 __all__ = [
@@ -42,57 +41,22 @@ __all__ = [
     "collect_nonlin_snapshots",
     "qdeim_select",
     "build_deim",
-    "deim_apply",
 ]
 
-NUM_NONLIN = 7
+NUM_NONLIN = 3
 
 # Condition number of P^T Phi above which the selection is suspect.
 _COND_WARN = 1e8
 
 
-def _eval_poisson_side(zcols: np.ndarray, physics: Physics, ops: DiffOps) -> np.ndarray:
-    """F1, F2, F3 on packed states (4N,) or (4N, m) -> (3, N[, m])."""
-    N = zcols.shape[0] // 4
-    h = zcols[:N]
-    u = zcols[N : 2 * N]
-    v = zcols[2 * N : 3 * N]
-    s = zcols[3 * N :]
-    hmin = h.min()
-    if not hmin > 0.0:
-        raise NumericError(f"nonpositive height in nonlinearity evaluation (min {hmin:.6e})")
-    out = np.empty((3,) + h.shape)
-    out[0] = (apply_dx(ops, v) - apply_dy(ops, u) + physics.f) / h
-    out[1] = apply_dx(ops, s) / h
-    out[2] = apply_dy(ops, s) / h
-    return out
-
-
-def _eval_grad_side(zcols: np.ndarray, physics: Physics) -> np.ndarray:
-    """F4..F7 (the energy-gradient blocks) -> (4, N[, m]); pointwise only."""
-    N = zcols.shape[0] // 4
-    h = zcols[:N]
-    u = zcols[N : 2 * N]
-    v = zcols[2 * N : 3 * N]
-    s = zcols[3 * N :]
-    b = physics.b if zcols.ndim == 1 else physics.b[:, None]
-    out = np.empty((4,) + h.shape)
-    out[0] = 0.5 * (u * u + v * v) + s * h + b * s
-    out[1] = h * u
-    out[2] = h * v
-    out[3] = 0.5 * h * h + b * h
-    return out
-
-
 def _eval_all(zcols: np.ndarray, physics: Physics, ops: DiffOps) -> np.ndarray:
-    """All seven nonlinearities on packed states (4N,) or (4N, m) -> (7, N[, m])."""
-    return np.concatenate(
-        [_eval_poisson_side(zcols, physics, ops), _eval_grad_side(zcols, physics)]
-    )
+    """F1, F2, F3 on packed states (4N,) or (4N, m) -> (3, N[, m])."""
+    coef = _coefficients(zcols, physics.f, ops.grid)
+    return coef.reshape((NUM_NONLIN, ops.grid.N) + zcols.shape[1:])
 
 
 def nonlinearity(j: int, state: State, physics: Physics, ops: DiffOps) -> np.ndarray:
-    """Evaluate nonlinearity j (1-based, 1..7) on a full state."""
+    """Evaluate nonlinearity j (1-based, 1..3) on a full state."""
     if not 1 <= j <= NUM_NONLIN:
         raise ConfigError(f"nonlinearity index must be 1..{NUM_NONLIN}, got {j}")
     return _eval_all(state.z, physics, ops)[j - 1]
@@ -100,7 +64,7 @@ def nonlinearity(j: int, state: State, physics: Physics, ops: DiffOps) -> np.nda
 
 @dataclass
 class NonlinSnapshots:
-    """Snapshot matrices of the seven nonlinearities, shape (7, N, K)."""
+    """Snapshot matrices of the three nonlinearities, shape (3, N, K)."""
 
     values: np.ndarray
     projected: bool
@@ -117,7 +81,7 @@ class NonlinSnapshots:
 def collect_nonlin_snapshots(snapshots: SnapshotSet, basis: PodBasis,
                              physics: Physics, ops: DiffOps,
                              projected: bool = True) -> NonlinSnapshots:
-    """Evaluate the seven nonlinearities along the stored snapshots.
+    """Evaluate the three nonlinearities along the stored snapshots.
 
     With projected=True (the default) the states are first reconstructed
     through the POD basis, z -> mean + V V^T (z - mean), so the
@@ -152,7 +116,7 @@ class DeimOperator:
 
 @dataclass
 class DeimSet:
-    """The seven DeimOperator with their shared point count p."""
+    """The three DeimOperator with their shared point count p."""
 
     operators: tuple
     singular_values: np.ndarray
@@ -240,38 +204,3 @@ def build_deim(nonlin: NonlinSnapshots, kappa: float,
         ranks=tuple(ranks),
         kappa=float(kappa),
     )
-
-
-def deim_apply(op: DeimOperator, state: State, physics: Physics, ops: DiffOps) -> np.ndarray:
-    """Sampled nonlinearity P_j^T F_j(state), touching only selected nodes.
-
-    The derivative-bearing fields (j = 1, 2, 3) are formed from the sparse
-    stencil rows of the selected nodes, so the cost is O(p), not O(N).
-    """
-    idx = op.indices
-    N = state.N
-    h = state.z[idx]
-    if not h.min() > 0.0:
-        raise NumericError(f"nonpositive sampled height for F{op.j}")
-    j = op.j
-    if j == 1:
-        dxv = ops.dx_op[idx, :] @ state.v
-        dyu = ops.dy_op[idx, :] @ state.u
-        return (dxv - dyu + physics.f) / h
-    if j == 2:
-        return (ops.dx_op[idx, :] @ state.s) / h
-    if j == 3:
-        return (ops.dy_op[idx, :] @ state.s) / h
-    u = state.z[N + idx]
-    v = state.z[2 * N + idx]
-    s = state.z[3 * N + idx]
-    b = physics.b[idx]
-    if j == 4:
-        return 0.5 * (u * u + v * v) + s * h + b * s
-    if j == 5:
-        return h * u
-    if j == 6:
-        return h * v
-    if j == 7:
-        return 0.5 * h * h + b * h
-    raise ConfigError(f"operator carries invalid nonlinearity index {j}")

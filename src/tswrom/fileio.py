@@ -8,10 +8,17 @@ can reject foreign or stale files before touching the payload:
                            states of length 4N in (h, u, v, s) order
     basis.bin      "PODB"  header (n, N, r), then per variable: mean (N)
                            and modes (N x r)
-    deim.bin       "DEIM"  header (N, p), then per nonlinearity j = 1..7:
-                           indices (u64 p), phi (N x p), psi (N x p)
-    romops.bin     "ROMT"  header (r, p), then a1..a4, l_h5, l_h6, l_u4,
-                           l_v4, g1..g6 in that order
+    deim.bin       "DEIM"  header (N, p), then per interpolated coefficient
+                           F_j of J, j = 1..3: indices (u64 p), phi (N x p),
+                           psi (N x p)
+    romops.bin     "ROMT"  header (r, p), then a1, a2 (r x r) and the
+                           tensors K_1..K_3 (p x r^2, row k the r x r block
+                           of interpolation point k) in that order
+
+Version 2 files carry three interpolated fields and the K_j tensors; the
+exact reduced energy gradient and the invariant polynomials are rebuilt from
+the basis and the physics on load, so no file stores them. Readers reject
+any other version with FormatError.
 
 CSV artifacts are plain comma-separated text with a header row.
 """
@@ -46,7 +53,7 @@ __all__ = [
     "write_report_json",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _SNAP_LAYOUT = 1  # packed (h, u, v, s) float64 records
 
 _MAGIC_SNAP = b"RTSW"
@@ -235,20 +242,11 @@ def read_deim(path):
 # reduced operators
 # ---------------------------------------------------------------------------
 
-_ROMOPS_ORDER = ("a1", "a2", "a3", "a4", "l_h5", "l_h6", "l_u4", "l_v4",
-                 "g1", "g2", "g3", "g4", "g5", "g6")
+_ROMOPS_ORDER = ("a1", "a2", "k1", "k2", "k3")
 
 
 def _romops_shapes(r: int, p: int) -> dict[str, tuple[int, int]]:
-    shapes = {}
-    for name in _ROMOPS_ORDER:
-        if name.startswith("a"):
-            shapes[name] = (r, r)
-        elif name.startswith("l"):
-            shapes[name] = (r, p)
-        else:
-            shapes[name] = (r, p * p)
-    return shapes
+    return {name: (r, r) if name.startswith("a") else (p, r * r) for name in _ROMOPS_ORDER}
 
 
 def write_romops(path, romops) -> None:

@@ -31,7 +31,9 @@ integrate_fom starts each Newton solve from the extrapolation
 finite-difference Jacobian path exists for small grids.
 
 The Poisson operator also applies to a batch of gradient-like columns
-(4N, m), which the reduced-order checks use to assemble V^T J V.
+(4N, m), which the reduced-order checks use to assemble V^T J V. Its
+kernels take one J per column as well: the Galerkin reduced model applies
+J at a batch of midpoints with them.
 """
 
 from __future__ import annotations
@@ -181,9 +183,9 @@ def _blocks(z: np.ndarray, n: int) -> np.ndarray:
 def _require_positive(h: np.ndarray, what: str) -> None:
     hmin = h.min()
     if not hmin > 0.0:
-        # the flat index of an (N,) or (n, n) height field is the node number
-        idx = int(np.argmin(h))
-        raise NumericError(f"nonpositive {what} (min {hmin:.6e} at node {idx})")
+        # the first two indices of an (n, n[, m]) height field give the node
+        i, j = np.unravel_index(int(np.argmin(h)), h.shape)[:2]
+        raise NumericError(f"nonpositive {what} (min {hmin:.6e} at node {i * h.shape[1] + j})")
 
 
 def _chord_gradient(mid, dz, b, out, tmp):
@@ -227,9 +229,10 @@ def _chord_gradient(mid, dz, b, out, tmp):
 
 
 def _poisson_coefficients(mid, f, sx, sy, out, tmp, scale=1.0):
-    """out = scale (q, c2, c3) of J(mid) on (n, n) views: q = (v_x - u_y + f)/h,
-    c2 = s_x/h, c3 = s_y/h, with stencil scales sx = 1/(2dx), sy = 1/(2dy).
-    Caller guarantees positive h; tmp is (n, n) scratch."""
+    """out = scale (q, c2, c3) of J(mid) on (n, n[, m]) views:
+    q = (v_x - u_y + f)/h, c2 = s_x/h, c3 = s_y/h, with stencil scales
+    sx = 1/(2dx), sy = 1/(2dy). Caller guarantees positive h; tmp is scratch
+    of one field's shape."""
     h, u, v, s = mid
     q, c2, c3 = out
     centered_x(v, q, sx)
@@ -244,11 +247,12 @@ def _poisson_coefficients(mid, f, sx, sy, out, tmp, scale=1.0):
 
 
 def _apply_j(coef, g, out, sx, sy, tmp):
-    """out = J g on (4, n, n[, m]) blocks, J given by its (n, n) coefficients
-    coef = (q, c2, c3) and the stencil scales sx, sy. Coefficients and
-    scales that carry a common factor give that multiple of J g. tmp is
-    scratch of one block's shape."""
-    if g.ndim == 4:
+    """out = J g on (4, n, n[, m]) blocks, J given by its coefficients
+    coef = (q, c2, c3) and the stencil scales sx, sy. coef is (3, n, n),
+    shared by all m columns, or (3, n, n, m), one J per column.
+    Coefficients and scales that carry a common factor give that multiple
+    of J g. tmp is scratch of one block's shape."""
+    if coef.ndim < g.ndim:
         coef = coef[..., None]
     q, c2, c3 = coef
     gh, gu, gv, gs = g
@@ -272,13 +276,14 @@ def _apply_j(coef, g, out, sx, sy, tmp):
     return out
 
 
-def _coefficients(z: np.ndarray, f: float, grid: Grid, scale: float = 1.0) -> np.ndarray:
-    """scale (q, c2, c3) of J(z) as (3, n, n); raises on nonpositive height."""
-    n = grid.n
-    z4 = _blocks(z, n)
-    _require_positive(z4[0], "height")
+def _coefficients(z: np.ndarray, f: float, grid: Grid, scale: float = 1.0,
+                  what: str = "height") -> np.ndarray:
+    """scale (q, c2, c3) of J(z) as (3, n, n[, m]) for a packed state (4N,)
+    or batch (4N, m); raises on nonpositive height, naming it what."""
+    z4 = _blocks(z, grid.n)
+    _require_positive(z4[0], what)
     return _poisson_coefficients(z4, f, 0.5 / grid.dx, 0.5 / grid.dy,
-                                 np.empty((3, n, n)), np.empty((n, n)), scale)
+                                 np.empty((3,) + z4.shape[1:]), np.empty(z4.shape[1:]), scale)
 
 
 def _poisson(z: np.ndarray, g: np.ndarray, f: float, grid: Grid,

@@ -103,6 +103,11 @@ class PodBasis:
         reduced coefficients (4r,) or (4r, m) to packed arrays (4N, m)."""
         return (self.modes @ z_r.reshape(4, self.r, -1)).reshape(4 * self.N, -1)
 
+    def project_modes(self, w: np.ndarray) -> np.ndarray:
+        """Blockwise V^T w, the adjoint of apply_modes: packed arrays (4N,)
+        or (4N, m) to reduced columns (4r, m)."""
+        return (self.modes.transpose(0, 2, 1) @ w.reshape(4, self.N, -1)).reshape(4 * self.r, -1)
+
     def lift_array(self, z_r: np.ndarray) -> np.ndarray:
         """Map reduced coefficients (4r,) or (4r, m) to packed full states."""
         out = self.apply_modes(z_r)

@@ -9,6 +9,7 @@ geophysical magnitudes, where float64 cancellation would mask real defects.
 
 import numpy as np
 
+from tswrom.errors import NumericError
 from tswrom.fom import Physics, State
 from tswrom.grid import build_diff_ops, build_grid
 
@@ -68,17 +69,48 @@ def gauss_avf_gradient(z_old, z_new, b):
     return 0.5 * (plain_grad_h(z_old + x1 * dz, b) + plain_grad_h(z_old + x2 * dz, b))
 
 
-def gauss_avf_residual(z_new, z_old, dt, physics, ops):
-    """Reference AVF residual z_new - z_old + dt J(mid) gbar, with CSR
-    stencils and the Gauss chord mean."""
-    h, u, v, s = np.split(0.5 * (z_old + z_new), 4)
+def plain_apply_j(mid, g, physics, ops):
+    """Reference J(mid) g for packed (4N,) vectors, with CSR stencils."""
+    h, u, v, s = np.split(mid, 4)
     dx, dy = ops.dx_op, ops.dy_op
     q = (dx @ v - dy @ u + physics.f) / h
     c2 = (dx @ s) / h
     c3 = (dy @ s) / h
-    gh, gu, gv, gs = np.split(gauss_avf_gradient(z_old, z_new, physics.b), 4)
-    jg = np.concatenate([dx @ gu + dy @ gv,
-                         dx @ gh - q * gv - c2 * gs,
-                         dy @ gh + q * gu - c3 * gs,
-                         c2 * gu + c3 * gv])
-    return z_new - z_old + dt * jg
+    gh, gu, gv, gs = np.split(g, 4)
+    return np.concatenate([dx @ gu + dy @ gv,
+                           dx @ gh - q * gv - c2 * gs,
+                           dy @ gh + q * gu - c3 * gs,
+                           c2 * gu + c3 * gv])
+
+
+def gauss_avf_residual(z_new, z_old, dt, physics, ops):
+    """Reference AVF residual z_new - z_old + dt J(mid) gbar, with CSR
+    stencils and the Gauss chord mean."""
+    gbar = gauss_avf_gradient(z_old, z_new, physics.b)
+    return z_new - z_old + dt * plain_apply_j(0.5 * (z_old + z_new), gbar, physics, ops)
+
+
+def rom_rhs_pod_only(basis, z_r, physics, ops):
+    """Reference Galerkin reduced time derivative -V^T J(w) V V^T grad H(w)
+    at the lift w of reduced coefficients z_r (4r,), with CSR stencils."""
+    N = basis.N
+    lifted = basis.lift_array(z_r)
+    g = plain_grad_h(lifted, physics.b)
+    gproj = np.concatenate(
+        [basis.modes[i] @ (basis.modes[i].T @ g[i * N : (i + 1) * N]) for i in range(4)])
+    jg = plain_apply_j(lifted, gproj, physics, ops)
+    return -np.concatenate([basis.modes[i].T @ jg[i * N : (i + 1) * N] for i in range(4)])
+
+
+def deim_apply(op, state, physics, ops):
+    """Reference sampled coefficient P_j^T F_j(state), j = 1..3, from the
+    CSR stencil rows of the selected nodes only."""
+    idx = op.indices
+    h = state.z[idx]
+    if not h.min() > 0.0:
+        raise NumericError(f"nonpositive sampled height for F{op.j}")
+    if op.j == 1:
+        return (ops.dx_op[idx, :] @ state.v - ops.dy_op[idx, :] @ state.u + physics.f) / h
+    if op.j == 2:
+        return (ops.dx_op[idx, :] @ state.s) / h
+    return (ops.dy_op[idx, :] @ state.s) / h

@@ -13,7 +13,6 @@ import pytest
 import conftest
 from helpers import random_physics, random_state, small_setup
 
-from tswrom import rom as rom_mod
 from tswrom.bench import (DoubleVortexConfig, double_vortex_initial,
                           invariant_errors, make_physics, run_pipeline)
 from tswrom.deim import build_deim, collect_nonlin_snapshots
@@ -232,21 +231,26 @@ def test_criterion_6_structural_identities(rng):
         max(float(np.abs(op.psi[op.indices] - eye).max()) for op in sdset),
         1e-10)
 
+    # the K_j tensors against V_a^T diag(psi_j f) V_b, and the gradient
+    # tensors against V_a^T ((V_b x) o (V_c y)), both ways they are read
     vh, vu, vv, vs = sbasis.modes
-    psi = {j: sdset[j].psi for j in range(1, 8)}
-    d5 = vu @ (vu.T @ psi[5])
-    d6 = vv @ (vv.T @ psi[6])
-    d7 = vs @ (vs.T @ psi[7])
-    cases = [(sops.g1, vu, psi[1], d6), (sops.g2, vu, psi[2], d7),
-             (sops.g3, vv, psi[1], d5), (sops.g4, vv, psi[3], d7),
-             (sops.g5, vs, psi[2], d5), (sops.g6, vs, psi[3], d6)]
-    a = rng.normal(size=(sops.p, 1))
-    b = rng.normal(size=(sops.p, 1))
-    checks["tensor vs pointwise products"] = (
-        max(float(np.abs(rom_mod._quad(gmat, a, b, None)
-                         - va.T @ ((px @ a) * (dy @ b))).max())
-            for gmat, va, px, dy in cases),
-        1e-12)
+    r = sbasis.r
+    f = rng.normal(size=sdset.p)
+    x = rng.normal(size=r)
+    y = rng.normal(size=r)
+    deviations = [
+        float(np.abs((f @ kj).reshape(r, r)
+                     - va.T @ ((sdset[j].psi @ f)[:, None] * vb)).max())
+        for kj, j, va, vb in ((sops.k1, 1, vu, vv), (sops.k2, 2, vu, vs),
+                              (sops.k3, 3, vv, vs))]
+    grad = sops.grad
+    for tens, va, vb, vc in ((grad.t_uu, vh, vu, vu), (grad.t_vv, vh, vv, vv),
+                             (grad.t_hs, vh, vh, vs)):
+        deviations.append(float(np.abs(np.einsum("ijk,j,k->i", tens, x, y)
+                                       - va.T @ ((vb @ x) * (vc @ y))).max()))
+        deviations.append(float(np.abs(np.einsum("ijk,i,k->j", tens, x, y)
+                                       - vb.T @ ((va @ x) * (vc @ y))).max()))
+    checks["tensor vs pointwise products"] = (max(deviations), 1e-12)
 
     ok = all(value <= tol for value, tol in checks.values())
     _record(6, "structural identity suite", ok,

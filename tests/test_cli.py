@@ -2,6 +2,7 @@
 
 import json
 import logging
+import struct
 import subprocess
 import sys
 
@@ -137,6 +138,18 @@ def test_corrupted_snapshots_exit_5(tmp_path, capsys):
     snap.write_bytes(b"XXXX" + snap.read_bytes()[4:])
     assert main(["reduce", "--out", str(out)]) == 5
     assert "bad magic" in capsys.readouterr().err
+
+
+def test_version_1_romops_exits_5(tmp_path, capsys):
+    out = tmp_path / "ws"
+    assert main(["fom", "--out", str(out), "--set", "n=8", "--set", "num_steps=3"]) == 0
+    assert main(["reduce", "--out", str(out)]) == 0
+    capsys.readouterr()
+    ops = out / "romops.bin"
+    raw = ops.read_bytes()
+    ops.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    assert main(["rom", "--out", str(out), "--method", "pod-deim"]) == 5
+    assert "unsupported format version 1" in capsys.readouterr().err
 
 
 def test_absurd_time_step_exits_3(tmp_path, capsys):

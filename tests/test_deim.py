@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import random_physics, random_state, small_setup
+from helpers import deim_apply, random_physics, random_state, small_setup
 
 from tswrom.deim import (NUM_NONLIN, build_deim, collect_nonlin_snapshots,
-                         deim_apply, nonlinearity, qdeim_select)
+                         nonlinearity, qdeim_select)
 from tswrom.errors import ConfigError, NumericError
 from tswrom.grid import apply_dx, apply_dy
 from tswrom.pod import build_pod_basis, collect_snapshots
@@ -30,23 +30,20 @@ def test_nonlinearity_formulas(rng):
     grid, ops = small_setup(n=7)
     state = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    h, u, v, s, b = state.h, state.u, state.v, state.s, phys.b
+    h, u, v, s = state.h, state.u, state.v, state.s
     expected = [
         (apply_dx(ops, v) - apply_dy(ops, u) + phys.f) / h,
         apply_dx(ops, s) / h,
         apply_dy(ops, s) / h,
-        0.5 * (u * u + v * v) + s * h + b * s,
-        h * u,
-        h * v,
-        0.5 * h * h + b * h,
     ]
+    assert NUM_NONLIN == 3
     for j in range(1, NUM_NONLIN + 1):
         np.testing.assert_allclose(nonlinearity(j, state, phys, ops), expected[j - 1],
                                    rtol=1e-13, atol=1e-14)
     with pytest.raises(ConfigError):
         nonlinearity(0, state, phys, ops)
     with pytest.raises(ConfigError):
-        nonlinearity(8, state, phys, ops)
+        nonlinearity(4, state, phys, ops)
 
 
 def test_nonlinearity_requires_positive_height(rng):
@@ -134,7 +131,7 @@ def test_interpolation_property(mini_pipeline):
 def test_deim_set_indexing(mini_pipeline):
     dset = mini_pipeline.deim
     assert [op.j for op in dset] == list(range(1, NUM_NONLIN + 1))
-    assert dset[1].j == 1 and dset[7].j == 7
+    assert dset[1].j == 1 and dset[3].j == 3
     assert dset.p == dset[1].p
     assert dset.singular_values.shape[0] == NUM_NONLIN
 
@@ -153,7 +150,7 @@ def test_deim_apply_requires_positive_sampled_height(mini_pipeline):
     phys, ops = mini_pipeline.physics, mini_pipeline.diffops
     state.z[: state.N] = -1.0
     with pytest.raises(NumericError):
-        deim_apply(mini_pipeline.deim[5], state, phys, ops)
+        deim_apply(mini_pipeline.deim[2], state, phys, ops)
 
 
 def test_build_deim_p_override(rng):

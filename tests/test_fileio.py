@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tswrom.errors import FormatError
-from tswrom.fileio import (SnapshotWriter, read_basis, read_deim,
+from tswrom.fileio import (FORMAT_VERSION, SnapshotWriter, read_basis, read_deim,
                            read_invariants_csv, read_matrix_csv, read_romops,
                            read_snapshots, write_basis, write_deim,
                            write_errors_csv, write_fields_csv,
@@ -123,6 +123,28 @@ def test_romops_roundtrip(mini_pipeline, tmp_path):
         fh.write(b"\0" * 8)
     with pytest.raises(FormatError):
         read_romops(path)
+
+
+def test_version_1_files_rejected(mini_pipeline, rng, tmp_path):
+    # version 1 deim.bin and romops.bin carried seven fields and the old
+    # tensors; no reader may take any version-1 file for a current one
+    writers = {
+        "snap.bin": (lambda path: write_snapshots(path, _random_traj(rng), n=4, dt=0.5),
+                     read_snapshots),
+        "basis.bin": (lambda path: write_basis(path, mini_pipeline.basis,
+                                               n=mini_pipeline.grid.n), read_basis),
+        "deim.bin": (lambda path: write_deim(path, mini_pipeline.deim), read_deim),
+        "romops.bin": (lambda path: write_romops(path, mini_pipeline.romops), read_romops),
+    }
+    for name, (write, read) in writers.items():
+        path = tmp_path / name
+        write(path)
+        raw = bytearray(path.read_bytes())
+        assert struct.unpack("<I", bytes(raw[4:8])) == (FORMAT_VERSION,)
+        raw[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unsupported format version 1"):
+            read(path)
 
 
 def test_invariants_csv_roundtrip(rng, tmp_path):

@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from helpers import SEED, random_physics, random_state, small_setup
+from helpers import (SEED, random_physics, random_state, rom_rhs_pod_only,
+                     small_setup)
 
 from tswrom import rom as rom_mod
-from tswrom.deim import build_deim, collect_nonlin_snapshots, nonlinearity
+from tswrom.deim import NUM_NONLIN, build_deim, collect_nonlin_snapshots, nonlinearity
 from tswrom.errors import ConfigError, NumericError
-from tswrom.fom import State, apply_poisson, dense_poisson_matrix, grad_hamiltonian, hamiltonian, rhs
+from tswrom.fom import (State, apply_poisson, dense_poisson_matrix, grad_hamiltonian,
+                        hamiltonian, invariants, rhs)
 from tswrom.pod import build_pod_basis, collect_snapshots, restrict
 from tswrom.rom import (FlopCounter, RomState, galerkin_operators,
                         integrate_rom, precompute_rom, reduced_poisson_matrix,
-                        rom_avf_step, rom_operators_from_parts, rom_rhs,
-                        rom_rhs_pod_only)
+                        rom_avf_step, rom_operators_from_parts, rom_rhs)
 
 
 def _random_reduction(n, num_snaps, r, p, rng, flat=False):
@@ -35,54 +36,119 @@ def _blockwise_project(basis, w):
         [basis.modes[i].T @ w[i * N : (i + 1) * N] for i in range(4)])
 
 
-def test_stream_tensor_matches_dense_einsum(rng, monkeypatch):
-    N, r, p = 25, 3, 4
-    V = rng.normal(size=(N, r))
-    psi = rng.normal(size=(N, p))
-    D = rng.normal(size=(N, p))
-    expected = np.einsum("mr,mp,mq->rpq", V, psi, D).reshape(r, p * p)
-    one_block = rom_mod._stream_tensor(V, psi, D)
-    np.testing.assert_allclose(one_block, expected, rtol=1e-13, atol=1e-13)
-    # a tiny budget forces many row blocks; the accumulation must not care
-    monkeypatch.setattr(rom_mod, "_STREAM_BYTES", 256)
-    multi_block = rom_mod._stream_tensor(V, psi, D)
-    np.testing.assert_allclose(multi_block, expected, rtol=1e-13, atol=1e-13)
-
-
-def test_quad_applies_matricized_tensor(rng):
-    r, p, m = 3, 5, 2
-    gmat = rng.normal(size=(r, p * p))
-    a = rng.normal(size=(p, m))
-    b = rng.normal(size=(p, m))
-    out = rom_mod._quad(gmat, a, b, None)
-    tens = gmat.reshape(r, p, p)
-    for col in range(m):
-        expected = np.einsum("ipq,p,q->i", tens, a[:, col], b[:, col])
-        np.testing.assert_allclose(out[:, col], expected, rtol=1e-13, atol=1e-14)
+def test_three_way_tensor_matches_dense_einsum(rng):
+    N = 25
+    a = rng.normal(size=(N, 4))
+    b = rng.normal(size=(N, 3))
+    c = rng.normal(size=(N, 2))
+    expected = np.einsum("ni,nj,nk->ijk", a, b, c)
+    np.testing.assert_allclose(rom_mod._three_way(a, b, c), expected, rtol=1e-13, atol=1e-13)
 
 
 def test_tensor_identity_against_hadamard_products(rng):
-    # each matricized tensor must reproduce V_a^T ((Psi_x a) o (D_y b))
+    # each K_j applied to samples must give V_a^T diag(psi_j f) V_b, and each
+    # gradient tensor its two pointwise products of lifted modes
     grid, dops, phys, basis, dset, ops = _random_reduction(5, 8, 3, 4, rng)
     vh, vu, vv, vs = basis.modes
-    psi = {j: dset[j].psi for j in range(1, 8)}
-    d5 = vu @ (vu.T @ psi[5])
-    d6 = vv @ (vv.T @ psi[6])
-    d7 = vs @ (vs.T @ psi[7])
-    cases = [
-        (ops.g1, vu, psi[1], d6),
-        (ops.g2, vu, psi[2], d7),
-        (ops.g3, vv, psi[1], d5),
-        (ops.g4, vv, psi[3], d7),
-        (ops.g5, vs, psi[2], d5),
-        (ops.g6, vs, psi[3], d6),
-    ]
-    a = rng.normal(size=(ops.p, 2))
-    b = rng.normal(size=(ops.p, 2))
-    for gmat, va, px, dy in cases:
-        direct = va.T @ ((px @ a) * (dy @ b))
-        tensor = rom_mod._quad(gmat, a, b, None)
-        np.testing.assert_allclose(tensor, direct, rtol=1e-11, atol=1e-12)
+    r, p = basis.r, dset.p
+    f = rng.normal(size=(p, 2))
+    for kj, j, va, vb in ((ops.k1, 1, vu, vv), (ops.k2, 2, vu, vs), (ops.k3, 3, vv, vs)):
+        tensor = (f.T @ kj).reshape(2, r, r)
+        for col in range(2):
+            direct = va.T @ ((dset[j].psi @ f[:, col])[:, None] * vb)
+            np.testing.assert_allclose(tensor[col], direct, rtol=1e-11, atol=1e-12)
+    x = rng.normal(size=(r, 2))
+    y = rng.normal(size=(r, 2))
+    grad = ops.grad
+    cases = [(grad.t_uu, vh, vu, vu), (grad.t_vv, vh, vv, vv), (grad.t_hs, vh, vh, vs)]
+    for tens, va, vb, vc in cases:
+        # contracted over its last two indices, and over its first and last
+        np.testing.assert_allclose(np.einsum("ijk,jm,km->im", tens, x, y),
+                                   va.T @ ((vb @ x) * (vc @ y)), rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(np.einsum("ijk,im,km->jm", tens, x, y),
+                                   vb.T @ ((va @ x) * (vc @ y)), rtol=1e-11, atol=1e-12)
+
+
+def _mini_states(mini_pipeline, rng):
+    """Trajectory states of mini_pipeline and random perturbations of them."""
+    basis = mini_pipeline.basis
+    z = np.stack([restrict(basis, mini_pipeline.fom.state(k)) for k in (0, 17, 40)], axis=1)
+    return z + 1e-2 * np.abs(z).max(axis=0) * rng.normal(size=z.shape)
+
+
+def _operator_sets(mini_pipeline):
+    return {"tensor": mini_pipeline.romops,
+            "galerkin": galerkin_operators(mini_pipeline.basis, mini_pipeline.physics,
+                                           mini_pipeline.diffops)}
+
+
+def test_reduced_gradient_matches_projected_full_gradient(mini_pipeline, rng):
+    basis, phys = mini_pipeline.basis, mini_pipeline.physics
+    z = _mini_states(mini_pipeline, rng)
+    for name, ops in _operator_sets(mini_pipeline).items():
+        g = ops.grad.gradient(z)
+        for k in range(z.shape[1]):
+            lifted = State(z=basis.lift_array(z[:, k]))
+            expected = basis.project_modes(grad_hamiltonian(lifted, phys))[:, 0]
+            err = np.max(np.abs(g[:, k] - expected)) / np.max(np.abs(expected))
+            assert err <= 1e-13, (name, k, err)
+    # the closed-form chord mean against 3-point Gauss-Legendre on the chord
+    grad = mini_pipeline.romops.grad
+    z_old, dz = z[:, :1], z[:, 1:2] - z[:, :1]
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    quad = sum(0.5 * w * grad.gradient(z_old + 0.5 * (x + 1.0) * dz)
+               for x, w in zip(nodes, weights))
+    mean = grad.chord_mean(z_old + 0.5 * dz, dz)
+    assert np.max(np.abs(mean - quad)) <= 1e-13 * np.max(np.abs(quad))
+
+
+def test_polynomial_invariants_match_lifted_invariants(mini_pipeline, rng):
+    basis, phys = mini_pipeline.basis, mini_pipeline.physics
+    grid, dops = mini_pipeline.grid, mini_pipeline.diffops
+    z = _mini_states(mini_pipeline, rng)
+    for name, ops in _operator_sets(mini_pipeline).items():
+        poly = ops.grad.invariants(z)
+        assert poly.shape == (z.shape[1], 4)
+        for k in range(z.shape[1]):
+            lifted = State(z=basis.lift_array(z[:, k]))
+            expected = invariants(lifted, phys, grid, dops).as_array()
+            err = np.abs(poly[k] - expected) / np.abs(expected)
+            assert np.all(err <= 1e-13), (name, k, err)
+
+
+def test_reduced_poisson_is_exactly_skew(mini_pipeline, rng):
+    ops = mini_pipeline.romops
+    f = ops.sampler.sample(_mini_states(mini_pipeline, rng))
+    jr = rom_mod._reduced_poisson(ops, f)
+    assert jr.shape == (3, 4 * ops.r, 4 * ops.r)
+    assert np.all(jr + jr.transpose(0, 2, 1) == 0.0)
+    assert np.max(np.abs(jr)) > 0.0
+
+
+def test_residuals_at_zero_increment_are_scaled_rhs(mini_pipeline, rng):
+    # with z_new = z_old the chord mean is g_r(z_old), so the AVF residual
+    # is dt J_r g_r = -dt rhs: the tensor model's own rhs, and the Galerkin
+    # rhs of the CSR oracle
+    ops = mini_pipeline.romops
+    basis, phys, dops = mini_pipeline.basis, mini_pipeline.physics, mini_pipeline.diffops
+    dt = mini_pipeline.config.dt
+    for z in _mini_states(mini_pipeline, rng).T:
+        cases = [(rom_mod._deim_residual, rom_rhs(ops, z)),
+                 (rom_mod._pod_residual, rom_rhs_pod_only(basis, z, phys, dops))]
+        for make, rhs_value in cases:
+            res = make(ops, z, dt)(z[:, None])[:, 0]
+            scale = np.max(np.abs(dt * rhs_value))
+            assert np.max(np.abs(res + dt * rhs_value)) <= 1e-12 * scale, make.__name__
+
+
+def test_tensor_model_conserves_lifted_energy(mini_pipeline):
+    basis, phys, grid = mini_pipeline.basis, mini_pipeline.physics, mini_pipeline.grid
+    lifted = basis.lift_array(mini_pipeline.rom_deim.reduced)
+    energy = np.array([hamiltonian(State(z=col), phys, grid) for col in lifted.T])
+    drift = np.abs(energy[1:] - energy[0]) / abs(energy[0])
+    assert np.mean(drift) <= 1e-12
+    np.testing.assert_allclose(mini_pipeline.rom_deim.invariants[:, 0], energy,
+                               rtol=1e-13, atol=0.0)
 
 
 def test_full_rank_rom_rhs_matches_projected_full_model():
@@ -131,7 +197,7 @@ def test_sampler_matches_full_nonlinearities(mini_pipeline):
     z_r = restrict(basis, mini_pipeline.fom.state(7))
     sampled = ops.sampler.sample(z_r[:, None])
     lifted = State(z=basis.lift_array(z_r))
-    for j in range(1, 8):
+    for j in range(1, NUM_NONLIN + 1):
         full = nonlinearity(j, lifted, phys, dops)[dset[j].indices]
         np.testing.assert_allclose(sampled[j - 1][:, 0], full, rtol=1e-9, atol=0.0)
 
@@ -149,16 +215,19 @@ def test_flop_counts_independent_of_grid_size():
 
 
 def test_flop_counter_core_formula(rng):
-    # 6 tensor applications + 4 linear maps + the final adds, m = 1
     _, _, _, basis, dset, ops = _random_reduction(5, 8, 3, 4, rng)
     r, p = basis.r, dset.p
     counter = FlopCounter()
     rom_rhs(ops, np.zeros(4 * r), counter)
-    expected_core = 6 * (2 * r * p * p + 2 * r * p) + 4 * (2 * r * p) + 7 * r
+    # m = 1: the 9 nonzero blocks of L and the constant, the quadratic part
+    # (three r^3 contractions, six r^2 contractions, the scalings and adds),
+    # its sum; the three Q_j = K_j f_j, the 10 nonzero blocks of J_r, the sign
+    gradient = (9 * 2 * r * r + 4 * r) + (3 * 2 * r**3 + 6 * 2 * r**2 + 5 * r) + 4 * r
+    expected_core = gradient + 3 * 2 * p * r * r + 10 * 2 * r * r + 4 * r
     assert counter.core == expected_core
-    # sampling: the 16 nonzero (p, r) blocks of the stacked map (curl reads
-    # two velocity blocks) and ~30 pointwise ops per point
-    assert counter.sampling == 16 * (2 * p * r) + 30 * p
+    # sampling: the 7 nonzero (p, r) blocks of the stacked map (curl reads
+    # two velocity blocks), the offset adds, f and the divisions
+    assert counter.sampling == 7 * (2 * p * r) + 10 * p
 
 
 def test_reduced_poisson_matrix_projection_and_skewness(rng):
@@ -319,7 +388,7 @@ def test_rom_operators_from_parts_roundtrip(mini_pipeline):
     np.testing.assert_array_equal(rom_rhs(rebuilt, z_r), rom_rhs(ops, z_r))
 
     incomplete = dict(ops.matrices())
-    incomplete.pop("g4")
+    incomplete.pop("k2")
     with pytest.raises(ConfigError):
         rom_operators_from_parts(incomplete, mini_pipeline.basis, mini_pipeline.deim,
                                  mini_pipeline.physics, mini_pipeline.diffops)
