@@ -45,6 +45,8 @@ __all__ = [
 
 INVARIANT_NAMES = ("H", "M", "Q", "B")
 
+_log = logging.getLogger(__name__)
+
 _METHOD_TAGS = ("pod", "pod_deim")
 
 
@@ -225,11 +227,6 @@ class PipelineResult:
     report: dict
 
 
-def _say(verbose: bool, msg: str) -> None:
-    if verbose:
-        print(msg, flush=True)
-
-
 @contextmanager
 def progress_to_stdout(enabled: bool):
     """While enabled, print the INFO records of the tswrom loggers (such as
@@ -272,87 +269,88 @@ def run_pipeline(cfg: DoubleVortexConfig, outdir=None, verbose: bool = False) ->
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
 
-    _say(verbose, f"full model: n={cfg.n}, {cfg.num_steps} steps, dt={cfg.dt:g} s")
-    t0 = time.perf_counter()
     with progress_to_stdout(verbose):
+        _log.info("full model: n=%d, %d steps, dt=%g s", cfg.n, cfg.num_steps, cfg.dt)
+        t0 = time.perf_counter()
         fom = integrate_fom(
             z0, cfg.dt, cfg.num_steps, physics, dops,
             snapshot_path=None if out is None else out / "snapshots.bin",
             log_every=50 if verbose else 0,
         )
-    wall_fom = time.perf_counter() - t0
+        wall_fom = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    snaps = collect_snapshots(fom.trajectory[:, 1:])
-    basis = build_pod_basis(snaps, kappa=cfg.kappa_pod, r_override=cfg.r_override)
-    wall_pod_off = time.perf_counter() - t0
-    _say(verbose, f"basis: r={basis.r} (per-variable energy ranks {basis.ranks})")
+        t0 = time.perf_counter()
+        snaps = collect_snapshots(fom.trajectory[:, 1:])
+        basis = build_pod_basis(snaps, kappa=cfg.kappa_pod, r_override=cfg.r_override)
+        wall_pod_off = time.perf_counter() - t0
+        _log.info("basis: r=%d (per-variable energy ranks %s)", basis.r, basis.ranks)
 
-    t0 = time.perf_counter()
-    nonlin = collect_nonlin_snapshots(snaps, basis, physics, dops,
-                                      projected=cfg.projected_nonlin)
-    dset = build_deim(nonlin, kappa=cfg.kappa_deim, p_override=cfg.p_override)
-    romops = precompute_rom(basis, dset, physics, dops)
-    wall_deim_off = time.perf_counter() - t0
-    _say(verbose, f"interpolation: p={dset.p} (per-nonlinearity energy ranks {dset.ranks})")
+        t0 = time.perf_counter()
+        nonlin = collect_nonlin_snapshots(snaps, basis, physics, dops,
+                                          projected=cfg.projected_nonlin)
+        dset = build_deim(nonlin, kappa=cfg.kappa_deim, p_override=cfg.p_override)
+        romops = precompute_rom(basis, dset, physics, dops)
+        wall_deim_off = time.perf_counter() - t0
+        _log.info("interpolation: p=%d (per-nonlinearity energy ranks %s)",
+                  dset.p, dset.ranks)
 
-    zr0 = restrict(basis, z0)
-    _say(verbose, "reduced solve (galerkin)")
-    t0 = time.perf_counter()
-    rom_pod = integrate_rom(romops, RomState(z_r=zr0, t=z0.t),
-                            cfg.dt, cfg.num_steps, method="pod")
-    wall_pod_on = time.perf_counter() - t0
-    _say(verbose, "reduced solve (tensor interpolation)")
-    t0 = time.perf_counter()
-    rom_deim = integrate_rom(romops, RomState(z_r=zr0, t=z0.t),
-                             cfg.dt, cfg.num_steps, method="pod-deim")
-    wall_deim_on = time.perf_counter() - t0
+        zr0 = restrict(basis, z0)
+        _log.info("reduced solve (galerkin)")
+        t0 = time.perf_counter()
+        rom_pod = integrate_rom(romops, RomState(z_r=zr0, t=z0.t),
+                                cfg.dt, cfg.num_steps, method="pod")
+        wall_pod_on = time.perf_counter() - t0
+        _log.info("reduced solve (tensor interpolation)")
+        t0 = time.perf_counter()
+        rom_deim = integrate_rom(romops, RomState(z_r=zr0, t=z0.t),
+                                 cfg.dt, cfg.num_steps, method="pod-deim")
+        wall_deim_on = time.perf_counter() - t0
 
-    l2 = {
-        "pod": relative_l2_error(fom.trajectory, basis.lift_array(rom_pod.reduced)),
-        "pod_deim": relative_l2_error(fom.trajectory, basis.lift_array(rom_deim.reduced)),
-    }
-    drift = {
-        "fom": invariant_errors(fom.invariants),
-        "pod": invariant_errors(rom_pod.invariants),
-        "pod_deim": invariant_errors(rom_deim.invariants),
-    }
+        l2 = {
+            "pod": relative_l2_error(fom.trajectory, basis.lift_array(rom_pod.reduced)),
+            "pod_deim": relative_l2_error(fom.trajectory, basis.lift_array(rom_deim.reduced)),
+        }
+        drift = {
+            "fom": invariant_errors(fom.invariants),
+            "pod": invariant_errors(rom_pod.invariants),
+            "pod_deim": invariant_errors(rom_deim.invariants),
+        }
 
-    report: dict = {
-        "n": cfg.n,
-        "num_steps": cfg.num_steps,
-        "dt": cfg.dt,
-        "kappa_pod": cfg.kappa_pod,
-        "kappa_deim": cfg.kappa_deim,
-        "r": basis.r,
-        "p": dset.p,
-        "r_criterion": int(max(basis.ranks)),
-        "p_criterion": int(max(dset.ranks)),
-    }
-    for i, var in enumerate(VARIABLES):
-        report[f"l2_pod_{var}"] = float(l2["pod"][i])
-        report[f"l2_pod_deim_{var}"] = float(l2["pod_deim"][i])
-    for src, (_, mean, peak) in drift.items():
-        for i, name in enumerate(INVARIANT_NAMES):
-            report[f"inv_{src}_{name}"] = float(mean[i])
-            report[f"inv_max_{src}_{name}"] = float(peak[i])
-    report["wall_fom_s"] = wall_fom
-    report["wall_pod_offline_s"] = wall_pod_off
-    report["wall_pod_deim_offline_s"] = wall_pod_off + wall_deim_off
-    report["wall_pod_online_s"] = wall_pod_on
-    report["wall_pod_deim_online_s"] = wall_deim_on
-    report["speedup_pod"] = wall_fom / wall_pod_on
-    report["speedup_pod_deim"] = wall_fom / wall_deim_on
+        report: dict = {
+            "n": cfg.n,
+            "num_steps": cfg.num_steps,
+            "dt": cfg.dt,
+            "kappa_pod": cfg.kappa_pod,
+            "kappa_deim": cfg.kappa_deim,
+            "r": basis.r,
+            "p": dset.p,
+            "r_criterion": int(max(basis.ranks)),
+            "p_criterion": int(max(dset.ranks)),
+        }
+        for i, var in enumerate(VARIABLES):
+            report[f"l2_pod_{var}"] = float(l2["pod"][i])
+            report[f"l2_pod_deim_{var}"] = float(l2["pod_deim"][i])
+        for src, (_, mean, peak) in drift.items():
+            for i, name in enumerate(INVARIANT_NAMES):
+                report[f"inv_{src}_{name}"] = float(mean[i])
+                report[f"inv_max_{src}_{name}"] = float(peak[i])
+        report["wall_fom_s"] = wall_fom
+        report["wall_pod_offline_s"] = wall_pod_off
+        report["wall_pod_deim_offline_s"] = wall_pod_off + wall_deim_off
+        report["wall_pod_online_s"] = wall_pod_on
+        report["wall_pod_deim_online_s"] = wall_deim_on
+        report["speedup_pod"] = wall_fom / wall_pod_on
+        report["speedup_pod_deim"] = wall_fom / wall_deim_on
 
-    result = PipelineResult(
-        config=cfg, grid=grid, physics=physics, diffops=dops, fom=fom,
-        basis=basis, deim=dset, romops=romops,
-        rom_pod=rom_pod, rom_deim=rom_deim, report=report,
-    )
-    if out is not None:
-        _write_artifacts(result, out)
-        _say(verbose, f"artifacts written to {out}")
-    return result
+        result = PipelineResult(
+            config=cfg, grid=grid, physics=physics, diffops=dops, fom=fom,
+            basis=basis, deim=dset, romops=romops,
+            rom_pod=rom_pod, rom_deim=rom_deim, report=report,
+        )
+        if out is not None:
+            _write_artifacts(result, out)
+            _log.info("artifacts written to %s", out)
+        return result
 
 
 def error_table_rows(report: dict):

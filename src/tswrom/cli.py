@@ -15,7 +15,10 @@ Four subcommands share one working directory of artifacts:
 Parameters come from an optional config file of `key = value` lines (keys
 mirror DoubleVortexConfig fields, `#` starts a comment), overridden by
 `--set key=value` and by the explicit flags. Stage timings accumulate in
-DIR/run_meta.json so `compare` can assemble the final report.
+DIR/run_meta.json so `compare` can assemble the final report. The fom stage
+also records the Coriolis parameter and gravity there; reduce, rom and
+compare exit 2 when the physics they build from their own parameters
+differs, so every stage must be given the same physics settings.
 
 Exit codes: 0 success, 2 configuration errors, 3 numerical failures,
 4 I/O errors, 5 malformed artifact files.
@@ -187,6 +190,22 @@ def _setup(cfg):
     return grid, dops, make_physics(cfg, grid.N)
 
 
+def _check_physics(out: Path, physics) -> None:
+    """Refuse a later stage whose physics differs from the one the fom stage
+    recorded in run_meta.json, or that finds none recorded."""
+    from .errors import ConfigError
+
+    meta = _load_meta(out)
+    for key, built in (("coriolis", physics.f), ("gravity", physics.g)):
+        if key not in meta:
+            raise ConfigError(f"run_meta.json in {out} records no {key}; "
+                              f"re-run `tswrom fom` there")
+        if built != meta[key]:
+            raise ConfigError(
+                f"{key}={built!r} differs from {key}={meta[key]!r} of the fom "
+                f"run in {out}; pass every stage the same --set/--config values")
+
+
 def _config_for_artifacts(args, n: int, dt: float, num_steps: int):
     """Config with discretization pinned to what the artifact files carry."""
     import dataclasses
@@ -220,7 +239,8 @@ def cmd_fom(args) -> int:
 
     fileio.write_invariants_csv(out / "fom_invariants.csv",
                                 result.times, result.invariants)
-    _merge_meta(out, wall_fom_s=wall, n=cfg.n, num_steps=cfg.num_steps, dt=cfg.dt)
+    _merge_meta(out, wall_fom_s=wall, n=cfg.n, num_steps=cfg.num_steps, dt=cfg.dt,
+                coriolis=physics.f, gravity=physics.g)
     drift = abs(result.invariants[-1, 0] - result.invariants[0, 0]) / abs(result.invariants[0, 0])
     print(f"done in {wall:.2f} s; final relative energy drift {drift:.3e}")
     return _EXIT_OK
@@ -237,6 +257,7 @@ def cmd_reduce(args) -> int:
     cfg = _config_for_artifacts(args, n, dt, traj.shape[1] - 1)
     cfg.validate()
     grid, dops, physics = _setup(cfg)
+    _check_physics(out, physics)
 
     snaps = collect_snapshots(traj[:, 1:])
     t0 = time.perf_counter()
@@ -287,6 +308,7 @@ def cmd_rom(args) -> int:
     cfg = _config_for_artifacts(args, n, dt, num_steps)
     cfg.validate()
     grid, dops, physics = _setup(cfg)
+    _check_physics(out, physics)
 
     basis = fileio.read_basis(out / "basis.bin")
     if basis.N != grid.N:
@@ -346,6 +368,7 @@ def cmd_compare(args) -> int:
     num_steps = traj.shape[1] - 1
     cfg = _config_for_artifacts(args, n, dt, num_steps)
     grid, dops, physics = _setup(cfg)
+    _check_physics(out, physics)
     basis = fileio.read_basis(out / "basis.bin")
     if basis.N != grid.N:
         raise ConfigError(f"basis N={basis.N} does not match snapshot grid N={grid.N}")

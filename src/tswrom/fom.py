@@ -21,14 +21,14 @@ The chord mean is exact in closed form because grad H is quadratic in z: Q
 is its purely quadratic part, Q(dz) = ((du^2 + dv^2)/2 + dh ds, dh du,
 dh dv, dh^2/2), and the term linear in (xi - 1/2) integrates to zero.
 
-Each implicit step is solved by a Jacobian-free Newton-Krylov iteration:
-restarted GMRES (gmres below: classical Gram-Schmidt, Givens rotations) on a
-finite-difference directional derivative of the residual. One residual
+Each implicit step is solved by a Jacobian-free Newton-Krylov iteration
+(newton_krylov below): restarted GMRES (gmres: classical Gram-Schmidt,
+Givens rotations) on a finite-difference directional derivative of the
+residual. The reduced models' Krylov solver is the same loop. One residual
 object per step holds z^k and evaluates the residual on (4, n, n) views
 with periodic slice-difference stencils, writing into its own buffers.
 integrate_fom starts each Newton solve from the extrapolation
-2 z^k - z^{k-1}. A dense
-finite-difference Jacobian path exists for small grids.
+2 z^k - z^{k-1}.
 
 The Poisson operator also applies to a batch of gradient-like columns
 (4N, m), which the reduced-order checks use to assemble V^T J V. Its
@@ -59,10 +59,10 @@ __all__ = [
     "grad_hamiltonian",
     "hamiltonian",
     "apply_poisson",
-    "dense_poisson_matrix",
     "rhs",
     "avf_gradient",
     "gmres",
+    "newton_krylov",
     "avf_step",
     "invariants",
     "integrate_fom",
@@ -130,18 +130,11 @@ class Physics:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Controls for the implicit AVF solve.
-
-    method "krylov" is the production path (matrix-free GMRES on the
-    finite-difference directional derivative); "dense" assembles the full
-    finite-difference Jacobian and is only meant for small verification grids.
-    """
+    """Tolerance on the max-norm of the AVF residual and the Newton
+    iteration limit of the implicit solve."""
 
     tol: float = 1e-11
     max_iter: int = 50
-    method: str = "krylov"
-    gmres_restart: int = 50
-    gmres_maxiter: int = 40
 
 
 @dataclass(frozen=True)
@@ -382,12 +375,6 @@ def apply_poisson(state: State, physics: Physics, ops: DiffOps, g: np.ndarray) -
     return _poisson(state.z, g, physics.f, ops.grid)
 
 
-def dense_poisson_matrix(state: State, physics: Physics, ops: DiffOps) -> np.ndarray:
-    """Assemble J(z) densely (4N x 4N) as J applied to the identity.
-    Verification tool for small grids."""
-    return _poisson(state.z, np.eye(4 * state.N), physics.f, ops.grid)
-
-
 def rhs(state: State, physics: Physics, ops: DiffOps) -> np.ndarray:
     """Time derivative -J(z) grad H(z), packed (h, u, v, s)."""
     return _poisson(state.z, grad_hamiltonian(state, physics), physics.f, ops.grid, -1.0)
@@ -476,19 +463,30 @@ def gmres(A, b: np.ndarray, *, rtol: float, restart: int, maxiter: int):
     return x, matvecs
 
 
-# ---------------------------------------------------------------------------
-# implicit AVF step
-# ---------------------------------------------------------------------------
+# Every Newton correction is one GMRES(_GMRES_RESTART) solve of at most
+# _GMRES_MAXITER cycles.
+_GMRES_RESTART = 50
+_GMRES_MAXITER = 40
 
-def _solve_newton_krylov(residual: _AvfResidual, z, cfg: NewtonConfig):
+
+def newton_krylov(residual, z: np.ndarray, scale: float, tol: float, max_iter: int,
+                  label: str) -> np.ndarray:
+    """Solve residual(z) = 0 by Jacobian-free Newton-Krylov from z.
+
+    residual maps a flat vector to a new array of the same shape, which the
+    solver may overwrite. Each iteration solves J dz = -R by gmres to an
+    Eisenstat-Walker forcing tolerance, with J w the forward difference of
+    the residual along w at step sqrt(eps) scale / ||w||. The iteration stops
+    once max |R| <= tol; after max_iter corrections without that, it raises
+    NumericError naming label.
+    """
     res = residual(z)
-    scale = max(1.0, float(np.linalg.norm(residual.z_old)))
     sqrt_eps = math.sqrt(np.finfo(np.float64).eps)
     z_pert = np.empty_like(z)
     rnorm_prev = None
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         rnorm = float(np.max(np.abs(res)))
-        if rnorm <= cfg.tol:
+        if rnorm <= tol:
             return z
         # Eisenstat-Walker-style forcing with conservative clamps.
         if rnorm_prev is None:
@@ -510,45 +508,19 @@ def _solve_newton_krylov(residual: _AvfResidual, z, cfg: NewtonConfig):
             return out
 
         op = LinearOperator((z.size, z.size), matvec=jacvec, dtype=np.float64)
-        dz, _ = gmres(op, -res, rtol=eta, restart=cfg.gmres_restart,
-                      maxiter=cfg.gmres_maxiter)
+        dz, _ = gmres(op, -res, rtol=eta, restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER)
         z = z + dz
         res = residual(z)
-    if float(np.max(np.abs(res))) <= cfg.tol:
+    rnorm = float(np.max(np.abs(res)))
+    if rnorm <= tol:
         return z
-    raise NumericError(
-        f"Newton-Krylov stalled after {cfg.max_iter} iterations; "
-        f"last residual {float(np.max(np.abs(res))):.3e} > tol {cfg.tol:g}"
-    )
+    raise NumericError(f"{label} stalled after {max_iter} iterations; "
+                       f"last residual {rnorm:.3e} > tol {tol:.3e}")
 
 
-def _solve_newton_dense(residual: _AvfResidual, z, cfg: NewtonConfig):
-    # Full finite-difference Jacobian; only sensible for small grids (n <= 8).
-    sqrt_eps = math.sqrt(np.finfo(np.float64).eps)
-    for _ in range(cfg.max_iter):
-        res = residual(z)
-        rnorm = float(np.max(np.abs(res)))
-        if rnorm <= cfg.tol:
-            return z
-        eps = sqrt_eps * np.maximum(1.0, np.abs(z))
-        jac = np.empty((z.size, z.size))
-        for i in range(z.size):
-            z_pert = z.copy()
-            z_pert[i] += eps[i]
-            jac[:, i] = (residual(z_pert) - res) / eps[i]
-        try:
-            dz = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"singular dense Newton Jacobian: {exc}") from exc
-        z = z + dz
-    res = residual(z)
-    if float(np.max(np.abs(res))) <= cfg.tol:
-        return z
-    raise NumericError(
-        f"dense Newton stalled after {cfg.max_iter} iterations; "
-        f"last residual {float(np.max(np.abs(res))):.3e} > tol {cfg.tol:g}"
-    )
-
+# ---------------------------------------------------------------------------
+# implicit AVF step
+# ---------------------------------------------------------------------------
 
 def avf_step(state: State, dt: float, physics: Physics, ops: DiffOps,
              newton: NewtonConfig | None = None, *,
@@ -561,8 +533,6 @@ def avf_step(state: State, dt: float, physics: Physics, ops: DiffOps,
     residual vanishes at that start).
     """
     cfg = newton or NewtonConfig()
-    if cfg.method not in ("krylov", "dense"):
-        raise ValueError(f"unknown Newton method {cfg.method!r}")
     z_old = state.z
     z = z_old.copy()
     if guess is not None:
@@ -572,10 +542,8 @@ def avf_step(state: State, dt: float, physics: Physics, ops: DiffOps,
         if np.min(z_old[: state.N] + guess[: state.N]) > 0.0:
             z = guess.copy()
     residual = _AvfResidual(z_old, dt, physics, ops.grid)
-    if cfg.method == "krylov":
-        z_new = _solve_newton_krylov(residual, z, cfg)
-    else:
-        z_new = _solve_newton_dense(residual, z, cfg)
+    scale = max(1.0, float(np.linalg.norm(z_old)))
+    z_new = newton_krylov(residual, z, scale, cfg.tol, cfg.max_iter, "Newton-Krylov")
     return State(z=z_new, t=state.t + dt)
 
 

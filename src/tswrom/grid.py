@@ -1,4 +1,4 @@
-"""Periodic uniform grid and sparse centered-difference operators.
+"""Periodic uniform grid and centered-difference operators.
 
 Scalar fields live on an n-by-n doubly periodic grid and are stored as flat
 vectors of length N = n^2 ordered bottom-to-top within each column of nodes,
@@ -12,11 +12,8 @@ where C_n is the circulant centered-difference stencil (+1 super-, -1
 subdiagonal, wrapped corners). Both operators are exactly skew-symmetric and
 annihilate constants, which the conservation results downstream rely on.
 
-The derivatives themselves are applied as periodic slice differences on the
-(n, n[, m]) view of a field (x along axis 0, y along axis 1), in about half
-the time of a CSR product at n = 100. The CSR matrices in DiffOps hold the
-same stencil; they serve row extraction at interpolation points and are the
-reference the slice stencils are tested against.
+The derivatives are applied as periodic slice differences on the (n, n[, m])
+view of a field (x along axis 0, y along axis 1); no matrix is assembled.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["Grid", "DiffOps", "build_grid", "build_diff_ops", "apply_dx", "apply_dy",
            "centered_x", "centered_y"]
@@ -78,12 +74,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class DiffOps:
-    """CSR centered-difference operators bound to their grid (for row
-    extraction; apply_dx and apply_dy use slice stencils)."""
+    """The centered-difference operators of a grid, applied by apply_dx and
+    apply_dy."""
 
     grid: Grid
-    dx_op: sp.csr_matrix
-    dy_op: sp.csr_matrix
 
 
 def build_grid(n: int, extent: tuple[float, float, float, float]) -> Grid:
@@ -95,28 +89,9 @@ def build_grid(n: int, extent: tuple[float, float, float, float]) -> Grid:
     return Grid(n=int(n), extent=(float(a), float(b), float(c), float(d)))
 
 
-def _circulant_stencil(n: int) -> sp.csr_matrix:
-    # +1 at (i, i+1 mod n), -1 at (i, i-1 mod n): exactly skew-symmetric.
-    idx = np.arange(n)
-    rows = np.repeat(idx, 2)
-    cols = np.empty(2 * n, dtype=np.int64)
-    vals = np.empty(2 * n)
-    cols[0::2] = (idx + 1) % n
-    vals[0::2] = 1.0
-    cols[1::2] = (idx - 1) % n
-    vals[1::2] = -1.0
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
 def build_diff_ops(grid: Grid) -> DiffOps:
-    """Assemble the sparse x/y derivative operators for a grid."""
-    stencil = _circulant_stencil(grid.n)
-    eye = sp.identity(grid.n, format="csr")
-    dx_op = (sp.kron(stencil, eye) / (2.0 * grid.dx)).tocsr()
-    dy_op = (sp.kron(eye, stencil) / (2.0 * grid.dy)).tocsr()
-    dx_op.sort_indices()
-    dy_op.sort_indices()
-    return DiffOps(grid=grid, dx_op=dx_op, dy_op=dy_op)
+    """The x/y derivative operators of a grid."""
+    return DiffOps(grid=grid)
 
 
 def _checked(ops: DiffOps, w: np.ndarray) -> np.ndarray:

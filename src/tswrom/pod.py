@@ -6,9 +6,9 @@ all four share a single reduced dimension r so the packed reduced state keeps
 the (h, u, v, s) block layout of the full model. The shared r is the maximum
 of the per-variable energy-criterion ranks (or an explicit override).
 
-By default each basis is led by the variable's normalized mean field, with
-the singular vectors filling the remaining columns. The reduced dynamics
-sees the flux fields only through the projector V Vᵀ, and the flux means are
+Each basis is led by the variable's normalized mean field, with the
+singular vectors filling the remaining columns. The reduced dynamics sees
+the flux fields only through the projector V Vᵀ, and the flux means are
 by far their largest components: a span built purely from mean-subtracted
 snapshots is (nearly) orthogonal to the mean direction, so it filters
 leading-order forces out of the reduced vector field at any rank. Keeping
@@ -210,9 +210,13 @@ def _mean_led_modes(mean: np.ndarray, umat: np.ndarray, r: int) -> np.ndarray:
 
 
 def build_pod_basis(snapshots: SnapshotSet, kappa: float,
-                    r_override: int | None = None,
-                    mean_mode: bool = True) -> PodBasis:
-    """Thin SVD per variable; common r = max of the per-variable ranks.
+                    r_override: int | None = None) -> PodBasis:
+    """Mean-led bases from a thin SVD per variable; common r = max of the
+    per-variable ranks.
+
+    Each variable's basis starts with its normalized mean field and the
+    leading singular vectors fill the remaining r - 1 columns (the module
+    docstring says why the mean direction must be in the span).
 
     Parameters
     ----------
@@ -222,18 +226,6 @@ def build_pod_basis(snapshots: SnapshotSet, kappa: float,
     r_override : int, optional
         Pin the common reduced dimension instead of using the criterion
         (the criterion ranks are still computed and stored for reporting).
-    mean_mode : bool
-        When True (the default), each variable's basis starts with its
-        normalized mean field and the leading singular vectors fill the
-        remaining r - 1 columns. The reduced vector field evaluates the
-        flux fields through V Vᵀ, and the flux means dominate those
-        fields; a span orthogonal to the mean direction drops
-        leading-order forces regardless of rank, so reduced runs track
-        the full model only with the mean direction included. When
-        False, the bases are the plain leading left singular vectors —
-        the optimal compression of the deviations — which is the right
-        tool for analyzing snapshot compressibility but not for reduced
-        dynamics.
     """
     svals = []
     umats = []
@@ -244,15 +236,11 @@ def build_pod_basis(snapshots: SnapshotSet, kappa: float,
         svals.append(sig)
         ranks.append(truncate_rank(sig, kappa) if sig[0] > 0 else 1)
     avail = umats[0].shape[1]
-    limit = min(snapshots.N, avail + 1) if mean_mode else avail
+    limit = min(snapshots.N, avail + 1)
     r = max(ranks) if r_override is None else int(r_override)
     if not 1 <= r <= limit:
         raise ConfigError(f"reduced dimension r={r} outside [1, {limit}]")
-    if mean_mode:
-        modes = np.stack(
-            [_mean_led_modes(snapshots.means[i], umats[i], r) for i in range(4)])
-    else:
-        modes = np.stack([u[:, :r] for u in umats])
+    modes = np.stack([_mean_led_modes(snapshots.means[i], umats[i], r) for i in range(4)])
     return PodBasis(
         means=snapshots.means.copy(),
         modes=modes,

@@ -55,13 +55,12 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.sparse.linalg import LinearOperator
 
 from .deim import NUM_NONLIN, DeimSet
 from .errors import ConfigError, NumericError
 # perfbench/spans.py wraps rom.invariants by name, so it must stay bound here
-from .fom import (Physics, State, _apply_j, _blocks, _coefficients, apply_poisson,
-                  gmres, grad_hamiltonian, invariants)
+from .fom import (Physics, State, _apply_j, _blocks, _coefficients, grad_hamiltonian,
+                  invariants, newton_krylov)
 from .grid import DiffOps, apply_dx, apply_dy
 from .pod import PodBasis
 
@@ -76,7 +75,6 @@ __all__ = [
     "rom_rhs",
     "rom_avf_step",
     "integrate_rom",
-    "reduced_poisson_matrix",
 ]
 
 METHODS = ("pod", "pod-deim")
@@ -593,44 +591,6 @@ def _rom_newton_dense(residual, z_old, tol_eff, max_iter, chord):
     )
 
 
-def _rom_newton_krylov(residual, z_old, tol_eff, max_iter):
-    # matrix-free variant for large r, where the O(r) columns of a dense
-    # finite-difference Jacobian would dominate everything else
-    sqrt_eps = math.sqrt(np.finfo(np.float64).eps)
-    scale = max(1.0, float(np.linalg.norm(z_old)))
-    z = z_old.copy()
-    res = residual(z[:, None])[:, 0]
-    rnorm_prev = None
-    for _ in range(max_iter):
-        rnorm = float(np.max(np.abs(res)))
-        if rnorm <= tol_eff:
-            return z
-        if rnorm_prev is None:
-            eta = 1e-3
-        else:
-            eta = min(1e-2, max(1e-8, 0.9 * (rnorm / rnorm_prev) ** 2))
-        rnorm_prev = rnorm
-
-        def jacvec(w, z=z, res=res):
-            wn = float(np.linalg.norm(w))
-            if wn == 0.0:
-                return np.zeros_like(w)
-            eps = sqrt_eps * scale / wn
-            pert = residual((z + eps * w)[:, None])[:, 0]
-            return (pert - res) / eps
-
-        op = LinearOperator((z.size, z.size), matvec=jacvec, dtype=np.float64)
-        dz, _ = gmres(op, -res, rtol=eta, restart=50, maxiter=40)
-        z = z + dz
-        res = residual(z[:, None])[:, 0]
-    if float(np.max(np.abs(res))) <= tol_eff:
-        return z
-    raise NumericError(
-        f"reduced Newton-Krylov stalled after {max_iter} iterations; "
-        f"last residual {float(np.max(np.abs(res))):.3e} > tol {tol_eff:.3e}"
-    )
-
-
 def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
                  method: str = "pod-deim", tol: float = _ROM_NEWTON_TOL,
                  max_iter: int = _ROM_NEWTON_MAXITER,
@@ -638,8 +598,9 @@ def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
     """One reduced AVF step: J_r at the midpoint applied to the closed-form
     chord mean of the exact reduced gradient. The implicit 4r system is
     solved by chord Newton with a factored dense finite-difference Jacobian
-    (default, best for small r) or matrix-free Newton-Krylov
-    (solver="krylov", for large r such as full-basis verification runs).
+    (default, best for small r) or by the full model's Jacobian-free
+    Newton-Krylov loop, fom.newton_krylov (solver="krylov", for large r such
+    as full-basis verification runs).
 
     A stand-alone call builds a fresh Jacobian. integrate_rom passes its
     factorization through the private _chord argument instead, so one
@@ -655,7 +616,9 @@ def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
     tol_eff = tol * max(1.0, float(np.max(np.abs(z_old))))
     residual = (_deim_residual if method == "pod-deim" else _pod_residual)(ops, z_old, dt)
     if solver == "krylov":
-        return _rom_newton_krylov(residual, z_old, tol_eff, max_iter)
+        scale = max(1.0, float(np.linalg.norm(z_old)))
+        return newton_krylov(lambda z: residual(z[:, None])[:, 0], z_old.copy(), scale,
+                             tol_eff, max_iter, "reduced Newton-Krylov")
     chord = _ChordJacobian() if _chord is None else _chord
     return _rom_newton_dense(residual, z_old, tol_eff, max_iter, chord)
 
@@ -688,17 +651,3 @@ def integrate_rom(ops: RomOperators, initial: RomState, dt: float, num_steps: in
     return RomResult(reduced=red, invariants=ops.grad.invariants(red), times=times,
                      method=method)
 
-
-# ---------------------------------------------------------------------------
-# verification helpers
-# ---------------------------------------------------------------------------
-
-def reduced_poisson_matrix(basis: PodBasis, state: State, physics: Physics,
-                           ops: DiffOps) -> np.ndarray:
-    """Dense reduced Poisson matrix V^T J(state) V (4r x 4r), for checks."""
-    N, r = basis.N, basis.r
-    vblk = np.zeros((4 * N, 4 * r))
-    for i in range(4):
-        vblk[i * N : (i + 1) * N, i * r : (i + 1) * r] = basis.modes[i]
-    jv = apply_poisson(state, physics, ops, vblk)
-    return vblk.T @ jv

@@ -5,12 +5,20 @@ periodic on the grid and smooth enough that finite-difference cross-checks
 are meaningful. Everything O(1)-scaled: structural identities (skewness,
 gradient consistency, dual evaluation routes) are checked away from the
 geophysical magnitudes, where float64 cancellation would mask real defects.
+
+The module also holds the reference implementations the tests compare the
+program against: CSR difference matrices, dense full and reduced Poisson
+matrices, a 2-point Gauss AVF residual, a dense-Jacobian Newton step and
+the plain Galerkin and sampled right-hand sides.
 """
 
+import math
+
 import numpy as np
+import scipy.sparse as sp
 
 from tswrom.errors import NumericError
-from tswrom.fom import Physics, State
+from tswrom.fom import NewtonConfig, Physics, State, _AvfResidual, apply_poisson
 from tswrom.grid import build_diff_ops, build_grid
 
 SEED = 20260815
@@ -69,10 +77,24 @@ def gauss_avf_gradient(z_old, z_new, b):
     return 0.5 * (plain_grad_h(z_old + x1 * dz, b) + plain_grad_h(z_old + x2 * dz, b))
 
 
+def csr_diff_ops(grid):
+    """Reference CSR matrices (Dx, Dy) of the centered periodic differences,
+    assembled as (1/2dx) C kron I and (1/2dy) I kron C from the circulant
+    stencil C (+1 at (i, i+1 mod n), -1 at (i, i-1 mod n))."""
+    n = grid.n
+    idx = np.arange(n)
+    stencil = sp.csr_matrix((np.r_[np.ones(n), -np.ones(n)],
+                             (np.r_[idx, idx], np.r_[(idx + 1) % n, (idx - 1) % n])),
+                            shape=(n, n))
+    eye = sp.identity(n, format="csr")
+    return ((sp.kron(stencil, eye) / (2.0 * grid.dx)).tocsr(),
+            (sp.kron(eye, stencil) / (2.0 * grid.dy)).tocsr())
+
+
 def plain_apply_j(mid, g, physics, ops):
     """Reference J(mid) g for packed (4N,) vectors, with CSR stencils."""
     h, u, v, s = np.split(mid, 4)
-    dx, dy = ops.dx_op, ops.dy_op
+    dx, dy = csr_diff_ops(ops.grid)
     q = (dx @ v - dy @ u + physics.f) / h
     c2 = (dx @ s) / h
     c3 = (dy @ s) / h
@@ -109,8 +131,47 @@ def deim_apply(op, state, physics, ops):
     h = state.z[idx]
     if not h.min() > 0.0:
         raise NumericError(f"nonpositive sampled height for F{op.j}")
+    dx, dy = csr_diff_ops(ops.grid)
     if op.j == 1:
-        return (ops.dx_op[idx, :] @ state.v - ops.dy_op[idx, :] @ state.u + physics.f) / h
+        return (dx[idx, :] @ state.v - dy[idx, :] @ state.u + physics.f) / h
     if op.j == 2:
-        return (ops.dx_op[idx, :] @ state.s) / h
-    return (ops.dy_op[idx, :] @ state.s) / h
+        return (dx[idx, :] @ state.s) / h
+    return (dy[idx, :] @ state.s) / h
+
+
+def dense_poisson_matrix(state, physics, ops):
+    """J(state) assembled densely (4N x 4N) as J applied to the identity."""
+    return apply_poisson(state, physics, ops, np.eye(4 * state.N))
+
+
+def reduced_poisson_matrix(basis, state, physics, ops):
+    """Dense reduced Poisson matrix V^T J(state) V (4r x 4r)."""
+    N, r = basis.N, basis.r
+    vblk = np.zeros((4 * N, 4 * r))
+    for i in range(4):
+        vblk[i * N : (i + 1) * N, i * r : (i + 1) * r] = basis.modes[i]
+    return vblk.T @ apply_poisson(state, physics, ops, vblk)
+
+
+def dense_newton_avf_step(state, dt, physics, ops):
+    """Reference AVF step: Newton on the full finite-difference Jacobian of
+    the fused residual, one column per unknown, to the default NewtonConfig
+    tolerance. Only sensible for n <= 8."""
+    cfg = NewtonConfig()
+    residual = _AvfResidual(state.z, dt, physics, ops.grid)
+    sqrt_eps = math.sqrt(np.finfo(np.float64).eps)
+    z = state.z.copy()
+    for _ in range(cfg.max_iter):
+        res = residual(z)
+        if float(np.max(np.abs(res))) <= cfg.tol:
+            return State(z=z, t=state.t + dt)
+        eps = sqrt_eps * np.maximum(1.0, np.abs(z))
+        jac = np.empty((z.size, z.size))
+        for i in range(z.size):
+            z_pert = z.copy()
+            z_pert[i] += eps[i]
+            jac[:, i] = (residual(z_pert) - res) / eps[i]
+        z = z + np.linalg.solve(jac, -res)
+    if float(np.max(np.abs(residual(z)))) <= cfg.tol:
+        return State(z=z, t=state.t + dt)
+    raise NumericError(f"dense Newton stalled after {cfg.max_iter} iterations")

@@ -5,7 +5,8 @@ import pytest
 
 from tswrom.bench import (DoubleVortexConfig, INVARIANT_NAMES,
                           double_vortex_initial, error_table_rows,
-                          invariant_errors, make_physics, relative_l2_error)
+                          invariant_errors, make_physics, relative_l2_error,
+                          run_pipeline)
 from tswrom.errors import ConfigError, NumericError
 from tswrom.grid import apply_dx, apply_dy, build_diff_ops
 from tswrom.pod import VARIABLES
@@ -182,3 +183,13 @@ def test_error_table_rows(mini_pipeline):
     assert ("invariant_mean", "fom", "H", mini_pipeline.report["inv_fom_H"]) in rows
     metrics = {row[0] for row in rows}
     assert metrics == {"l2", "invariant_mean", "invariant_max"}
+
+
+def test_pipeline_stage_lines_only_when_verbose(capsys):
+    cfg = DoubleVortexConfig(n=12, num_steps=8, r_override=3, p_override=5)
+    run_pipeline(cfg, verbose=True)
+    printed = capsys.readouterr().out
+    assert printed.count("basis: r=3 ") == 1
+    assert "reduced solve (galerkin)" in printed
+    run_pipeline(cfg, verbose=False)
+    assert capsys.readouterr().out == ""

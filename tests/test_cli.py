@@ -89,6 +89,35 @@ def test_fom_verbose_prints_each_line_once_under_a_root_handler(tmp_path, capsys
     assert logging.getLogger("tswrom").propagate
 
 
+def test_stages_refuse_physics_other_than_the_fom_run(tmp_path, capsys):
+    out = tmp_path / "ws"
+    ws = ["--out", str(out)]
+    same = ["--set", "coriolis=1e-3"]
+    assert main(["fom", *ws, "--n", "16", "--num-steps", "20", *same]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["coriolis"] == 1e-3 and meta["gravity"] == 9.80616
+    capsys.readouterr()
+    # a stage without the flag would silently run with the default f
+    assert main(["reduce", *ws, "--r", "3", "--p", "8"]) == 2
+    assert "coriolis" in capsys.readouterr().err
+    assert main(["reduce", *ws, "--r", "3", "--p", "8", "--set", "gravity=9.8", *same]) == 2
+    assert "gravity" in capsys.readouterr().err
+    # repeating the fom stage's values on every stage runs the chain
+    assert main(["reduce", *ws, "--r", "3", "--p", "8", *same]) == 0
+    for method in ("pod", "pod-deim"):
+        assert main(["rom", *ws, "--method", method]) == 2
+        assert main(["rom", *ws, "--method", method, *same]) == 0
+    assert main(["compare", *ws]) == 2
+    assert main(["compare", *ws, *same]) == 0
+    # a workspace whose fom run recorded no physics is refused as well
+    meta = json.loads((out / "run_meta.json").read_text())
+    del meta["coriolis"]
+    (out / "run_meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["compare", *ws, *same]) == 2
+    assert "records no coriolis" in capsys.readouterr().err
+
+
 def test_config_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import aslinearoperator
 
-from helpers import (gauss_avf_gradient, gauss_avf_residual, random_physics,
-                     random_state, small_setup)
+from helpers import (dense_newton_avf_step, dense_poisson_matrix, gauss_avf_gradient,
+                     gauss_avf_residual, random_physics, random_state, small_setup)
 
 from tswrom import fom as fom_mod
 from tswrom.errors import NumericError
 from tswrom.fileio import read_snapshots
 from tswrom.fom import (NewtonConfig, State, _AvfResidual, apply_poisson,
-                        avf_gradient, avf_step, dense_poisson_matrix, gmres,
+                        avf_gradient, avf_step, gmres,
                         grad_hamiltonian, hamiltonian, integrate_fom,
                         invariants, potential_vorticity, rhs)
 from tswrom.grid import apply_dx, apply_dy
@@ -182,8 +182,8 @@ def test_newton_variants_agree(rng):
     grid, ops = small_setup(n=6)
     state = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    zk = avf_step(state, 0.05, phys, ops, NewtonConfig(method="krylov"))
-    zd = avf_step(state, 0.05, phys, ops, NewtonConfig(method="dense"))
+    zk = avf_step(state, 0.05, phys, ops)
+    zd = dense_newton_avf_step(state, 0.05, phys, ops)
     np.testing.assert_allclose(zk.z, zd.z, rtol=0.0, atol=1e-8)
 
 
@@ -232,19 +232,8 @@ def test_newton_stall_raises(rng):
     grid, ops = small_setup(n=5)
     state = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    strict = NewtonConfig(tol=1e-30, max_iter=1, method="krylov")
-    with pytest.raises(NumericError):
-        avf_step(state, 0.05, phys, ops, strict)
-    with pytest.raises(NumericError):
-        avf_step(state, 0.05, phys, ops, NewtonConfig(tol=1e-30, max_iter=1, method="dense"))
-
-
-def test_unknown_newton_method_rejected(rng):
-    grid, ops = small_setup(n=5)
-    state = random_state(grid, rng)
-    phys = random_physics(grid, rng)
-    with pytest.raises(ValueError):
-        avf_step(state, 0.05, phys, ops, NewtonConfig(method="bogus"))
+    with pytest.raises(NumericError, match="Newton-Krylov stalled after 1 iterations"):
+        avf_step(state, 0.05, phys, ops, NewtonConfig(tol=1e-30, max_iter=1))
 
 
 def test_integrate_fom_shapes_and_snapshot_stream(rng, tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import small_setup
+from helpers import csr_diff_ops, small_setup
 
 from tswrom.grid import apply_dx, apply_dy, build_diff_ops, build_grid
 
@@ -43,8 +43,8 @@ def test_build_grid_rejects_bad_input():
 
 
 def test_stencil_rows():
-    grid, ops = small_setup(n=7)
-    for op, delta in ((ops.dx_op, grid.dx), (ops.dy_op, grid.dy)):
+    grid, _ = small_setup(n=7)
+    for op, delta in zip(csr_diff_ops(grid), (grid.dx, grid.dy)):
         dense = op.toarray()
         assert np.all(np.count_nonzero(dense, axis=1) == 2)
         vals = np.unique(dense[dense != 0.0])
@@ -54,9 +54,9 @@ def test_stencil_rows():
 
 
 def test_operators_exactly_skew_symmetric():
-    _, ops = small_setup(n=9)
-    assert (ops.dx_op + ops.dx_op.T).count_nonzero() == 0
-    assert (ops.dy_op + ops.dy_op.T).count_nonzero() == 0
+    grid, _ = small_setup(n=9)
+    for op in csr_diff_ops(grid):
+        assert (op + op.T).count_nonzero() == 0
 
 
 def test_kron_orientation():
@@ -113,19 +113,25 @@ def test_operators_match_dense_kron_assembly():
         c[i, (i - 1) % n] = -1.0
     dxm = np.kron(c, np.eye(n)) / (2.0 * grid.dx)
     dym = np.kron(np.eye(n), c) / (2.0 * grid.dy)
-    np.testing.assert_array_equal(ops.dx_op.toarray(), dxm)
-    np.testing.assert_array_equal(ops.dy_op.toarray(), dym)
+    eye = np.eye(grid.N)
+    np.testing.assert_array_equal(apply_dx(ops, eye), dxm)
+    np.testing.assert_array_equal(apply_dy(ops, eye), dym)
+    # and the CSR reference the other tests use
+    dx, dy = csr_diff_ops(grid)
+    np.testing.assert_array_equal(dx.toarray(), dxm)
+    np.testing.assert_array_equal(dy.toarray(), dym)
 
 
 @pytest.mark.parametrize("n", [3, 5, 16])
 def test_slice_stencils_match_csr(n):
     grid, ops = small_setup(n=n)
+    dx, dy = csr_diff_ops(grid)
     rng = np.random.default_rng(n)
     for shape in ((grid.N,), (grid.N, 3)):
         w = rng.normal(size=shape)
         tol = 1e-15 * np.max(np.abs(w))
-        assert np.max(np.abs(apply_dx(ops, w) - ops.dx_op @ w)) <= tol
-        assert np.max(np.abs(apply_dy(ops, w) - ops.dy_op @ w)) <= tol
+        assert np.max(np.abs(apply_dx(ops, w) - dx @ w)) <= tol
+        assert np.max(np.abs(apply_dy(ops, w) - dy @ w)) <= tol
         const = np.full(shape, 2.7)
         assert np.max(np.abs(apply_dx(ops, const))) == 0.0
         assert np.max(np.abs(apply_dy(ops, const))) == 0.0

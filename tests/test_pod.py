@@ -109,8 +109,6 @@ def test_r_override(rng):
     # six snapshots offer six singular directions; the mean adds a seventh
     with pytest.raises(ConfigError):
         build_pod_basis(snaps, kappa=1e-3, r_override=8)
-    with pytest.raises(ConfigError):
-        build_pod_basis(snaps, kappa=1e-3, r_override=7, mean_mode=False)
 
 
 def test_full_rank_basis_reproduces_snapshots(rng):
@@ -147,28 +145,31 @@ def test_restrict_lift_state_interface(rng):
 def test_mean_direction_lies_in_default_span(rng):
     grid, _ = small_setup(n=4)
     traj = np.stack([random_state(grid, rng).z for _ in range(6)], axis=1)
-    basis = build_pod_basis(collect_snapshots(traj), kappa=1e-3, r_override=3)
-    plain = build_pod_basis(collect_snapshots(traj), kappa=1e-3, r_override=3,
-                            mean_mode=False)
+    snaps = collect_snapshots(traj)
+    basis = build_pod_basis(snaps, kappa=1e-3, r_override=3)
     for i in range(4):
         mean = basis.means[i]
         kept = basis.modes[i] @ (basis.modes[i].T @ mean)
         assert np.linalg.norm(kept - mean) <= 1e-10 * np.linalg.norm(mean)
         # whereas the plain SVD span is (generically) far from the mean
-        dropped = mean - plain.modes[i] @ (plain.modes[i].T @ mean)
+        plain = np.linalg.svd(snaps.deviations[i], full_matrices=False)[0][:, :3]
+        dropped = mean - plain @ (plain.T @ mean)
         assert np.linalg.norm(dropped) > 0.1 * np.linalg.norm(mean)
 
 
 def test_plain_svd_projection_is_least_squares_optimal(rng):
-    # || S - V_r V_r^T S ||_F^2 equals the tail energy sum_{j>r} sigma_j^2
+    # the stored spectra are those of the deviations: projecting onto the
+    # leading r plain singular vectors leaves || S - U_r U_r^T S ||_F^2 equal
+    # to the tail energy sum_{j>r} sigma_j^2 of the stored singular values
     grid, _ = small_setup(n=4)
     traj = np.stack([random_state(grid, rng).z for _ in range(8)], axis=1)
     snaps = collect_snapshots(traj)
     r = 3
-    basis = build_pod_basis(snaps, kappa=1e-3, r_override=r, mean_mode=False)
+    basis = build_pod_basis(snaps, kappa=1e-3, r_override=r)
     for i in range(4):
         s = snaps.deviations[i]
-        err2 = np.linalg.norm(s - basis.modes[i] @ (basis.modes[i].T @ s)) ** 2
+        u = np.linalg.svd(s, full_matrices=False)[0][:, :r]
+        err2 = np.linalg.norm(s - u @ (u.T @ s)) ** 2
         tail = (basis.singular_values[i][r:] ** 2).sum()
         np.testing.assert_allclose(err2, tail, rtol=1e-10)
 

@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from helpers import (SEED, random_physics, random_state, rom_rhs_pod_only,
-                     small_setup)
+from helpers import (SEED, dense_poisson_matrix, random_physics, random_state,
+                     reduced_poisson_matrix, rom_rhs_pod_only, small_setup)
 
 from tswrom import rom as rom_mod
 from tswrom.deim import NUM_NONLIN, build_deim, collect_nonlin_snapshots, nonlinearity
 from tswrom.errors import ConfigError, NumericError
-from tswrom.fom import (State, apply_poisson, dense_poisson_matrix, grad_hamiltonian,
-                        hamiltonian, invariants, rhs)
+from tswrom.fom import (State, apply_poisson, grad_hamiltonian, hamiltonian,
+                        invariants, rhs)
 from tswrom.pod import build_pod_basis, collect_snapshots, restrict
 from tswrom.rom import (FlopCounter, RomState, galerkin_operators,
-                        integrate_rom, precompute_rom, reduced_poisson_matrix,
-                        rom_avf_step, rom_operators_from_parts, rom_rhs)
+                        integrate_rom, precompute_rom, rom_avf_step,
+                        rom_operators_from_parts, rom_rhs)
 
 
 def _random_reduction(n, num_snaps, r, p, rng, flat=False):
@@ -270,6 +270,14 @@ def test_reduced_newton_solvers_agree(mini_pipeline):
     krylov = rom_avf_step(ops, z0, dt, method="pod-deim", solver="krylov")
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert np.max(np.abs(dense - krylov)) <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("solver", ["dense", "krylov"])
+def test_reduced_newton_stall_raises(mini_pipeline, solver):
+    ops = mini_pipeline.romops
+    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.state(0))
+    with pytest.raises(NumericError, match="stalled after 1 iterations"):
+        rom_avf_step(ops, z0, mini_pipeline.config.dt, solver=solver, tol=1e-30, max_iter=1)
 
 
 def _count_jacobian_builds(monkeypatch):
