@@ -8,13 +8,19 @@ depressions, and the buoyancy is a gentle zonal modulation of gravity. All
 profile functions are built from sin() of the periodic coordinate, so the
 fields are exactly periodic on the grid.
 
-run_pipeline drives the full sequence measured by the acceptance suite:
-full-order solve, proper-orthogonal basis, interpolation training, tensor
-precompute, both reduced solves, error metrics, and the on-disk artifacts.
+The pipeline is four stage functions, each written once: stage_fom (the
+full-order solve), stage_reduce (basis, interpolation training and tensor
+precompute), stage_rom (one reduced solve) and stage_report (error and
+drift metrics). Each takes its inputs in memory and, given an output
+directory, writes its artifacts and its run_meta.json entries there.
+run_pipeline chains them in memory; the command-line stages read a stage's
+inputs from the directory and call the same function, so a run_pipeline
+output directory is a valid command-line workspace.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import sys
 import time
@@ -24,22 +30,31 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio
-from .deim import NUM_NONLIN, DeimSet, build_deim, collect_nonlin_snapshots
-from .errors import ConfigError, NumericError
-from .fom import (FomResult, Physics, State, integrate_fom, potential_vorticity)
-from .grid import DiffOps, Grid, build_diff_ops, build_grid
-from .pod import VARIABLES, PodBasis, build_pod_basis, collect_snapshots, restrict
-from .rom import (RomOperators, RomResult, RomState, integrate_rom, precompute_rom)
+# Stage code calls the functions of these modules through the module, so a
+# name rebound on the module after import (a tracer's wrapper) is the one
+# that runs.
+from . import deim, fileio, fom, grid, pod, rom
+from .deim import NUM_NONLIN, DeimSet
+from .errors import ConfigError, FormatError, NumericError
+from .fom import FomResult, Physics, State, potential_vorticity
+from .grid import DiffOps, Grid, build_grid
+from .pod import VARIABLES, PodBasis
+from .rom import RomOperators, RomResult, RomState
 
 __all__ = [
     "DoubleVortexConfig",
+    "Case",
     "PipelineResult",
     "INVARIANT_NAMES",
     "double_vortex_initial",
     "make_physics",
     "relative_l2_error",
     "invariant_errors",
+    "read_run_meta",
+    "stage_fom",
+    "stage_reduce",
+    "stage_rom",
+    "stage_report",
     "run_pipeline",
 ]
 
@@ -207,6 +222,266 @@ def invariant_errors(invariants: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# stages
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Case:
+    """A validated config with the grid, difference operators and physics it
+    builds; every stage runs on one."""
+
+    config: DoubleVortexConfig
+    grid: Grid
+    diffops: DiffOps
+    physics: Physics
+
+    @classmethod
+    def build(cls, cfg: DoubleVortexConfig) -> Case:
+        cfg.validate()
+        mesh = cfg.make_grid()
+        return cls(cfg, mesh, grid.build_diff_ops(mesh), make_physics(cfg, mesh.N))
+
+
+@contextmanager
+def progress_to_stdout(enabled: bool):
+    """While enabled, print the INFO records of the tswrom loggers (the stage
+    lines and integrate_fom's progress lines) on standard output, and only
+    there: they do not also propagate to the root logger's handlers."""
+    if not enabled:
+        yield
+        return
+    logger = logging.getLogger("tswrom")
+    handler = logging.StreamHandler(sys.stdout)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level, propagate = logger.level, logger.propagate
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    logger.propagate = False
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+        logger.propagate = propagate
+
+
+# The run_meta.json entries each stage writes. A stage needs every entry of
+# the stages before it: fom starts a fresh file and reduce drops the online
+# entries, so an artifact left over from an earlier run is refused rather
+# than mixed in.
+_FOM_ENTRIES = ("n", "num_steps", "dt", "wall_fom_s")
+_REDUCE_ENTRIES = ("r", "p", "r_criterion", "p_criterion", "kappa_pod", "kappa_deim",
+                   "wall_pod_offline_s", "wall_pod_deim_offline_s")
+_ONLINE_ENTRIES = tuple(f"wall_{tag}_online_s" for tag in _METHOD_TAGS)
+_REPORT_ENTRIES = (*_FOM_ENTRIES, *_REDUCE_ENTRIES, *_ONLINE_ENTRIES)
+
+_FROM_FOM = {key: "run `tswrom fom` there" for key in ("coriolis", "gravity", *_FOM_ENTRIES)}
+_FROM_REDUCE = {key: "run `tswrom reduce` there" for key in _REDUCE_ENTRIES}
+_FROM_ROM = {f"wall_{tag}_online_s": f"run `tswrom rom --method {tag.replace('_', '-')}` "
+                                      f"there to write a rom_state_{tag}.csv of the current basis"
+             for tag in _METHOD_TAGS}
+_NEEDS = {"reduce": _FROM_FOM,
+          "rom": {**_FROM_FOM, **_FROM_REDUCE},
+          "compare": {**_FROM_FOM, **_FROM_REDUCE, **_FROM_ROM}}
+
+
+def read_run_meta(out: Path, case: Case, stage: str) -> dict:
+    """The run_meta.json entries in out, checked before `stage` (reduce, rom
+    or compare) reads its inputs there: the physics must be the fom run's,
+    and every entry of the earlier stages must be present."""
+    path = out / "run_meta.json"
+    try:
+        meta = json.loads(path.read_text()) if path.exists() else {}
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    for key, built in (("coriolis", case.physics.f), ("gravity", case.physics.g)):
+        if key in meta and built != meta[key]:
+            raise ConfigError(
+                f"{key}={built!r} differs from {key}={meta[key]!r} of the fom "
+                f"run in {out}; pass every stage the same --set/--config values")
+    for key, remedy in _NEEDS[stage].items():
+        if key not in meta:
+            raise ConfigError(f"run_meta.json in {out} records no {key}; {remedy}")
+    return meta
+
+
+def _write_meta(out: Path, meta: dict) -> None:
+    (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+def _energy_drift(invariants: np.ndarray) -> float:
+    """Relative energy change from the first to the last stored state."""
+    return abs(invariants[-1, 0] - invariants[0, 0]) / abs(invariants[0, 0])
+
+
+def stage_fom(case: Case, meta: dict, out: Path | None = None,
+              log_every: int = 0) -> FomResult:
+    """Full-order solve from the double-vortex initial state.
+
+    Replaces meta with a fresh set of run_meta entries (discretization,
+    physics, wall_fom_s). With out, streams snapshots.bin and writes
+    fom_invariants.csv and run_meta.json there.
+    """
+    cfg, physics = case.config, case.physics
+    z0 = double_vortex_initial(case.grid, cfg)
+    _check_initial(z0, cfg)
+    meta.clear()
+    if out is not None:
+        # snapshots.bin is overwritten from the first step on
+        (out / "run_meta.json").unlink(missing_ok=True)
+
+    _log.info("full model: n=%d, %d steps, dt=%g s", cfg.n, cfg.num_steps, cfg.dt)
+    t0 = time.perf_counter()
+    full = fom.integrate_fom(z0, cfg.dt, cfg.num_steps, physics, case.diffops,
+                             snapshot_path=None if out is None else out / "snapshots.bin",
+                             log_every=log_every)
+    wall = time.perf_counter() - t0
+
+    meta.update(n=cfg.n, num_steps=cfg.num_steps, dt=cfg.dt,
+                coriolis=physics.f, gravity=physics.g, wall_fom_s=wall)
+    if out is not None:
+        fileio.write_invariants_csv(out / "fom_invariants.csv", full.times, full.invariants)
+        _write_meta(out, meta)
+    _log.info("done in %.2f s; final relative energy drift %.3e",
+              wall, _energy_drift(full.invariants))
+    return full
+
+
+def stage_reduce(case: Case, trajectory: np.ndarray, meta: dict,
+                 out: Path | None = None) -> tuple[PodBasis, DeimSet, RomOperators]:
+    """Offline phase on a full-order trajectory (4N, K+1): basis,
+    interpolation training and tensor precompute.
+
+    Adds the ranks, the thresholds and the offline timings to meta and drops
+    the online timings of an earlier basis. With out, writes basis.bin,
+    deim.bin, romops.bin, the spectra CSVs and run_meta.json there.
+    """
+    cfg, physics, dops = case.config, case.physics, case.diffops
+    t0 = time.perf_counter()
+    snaps = pod.collect_snapshots(trajectory[:, 1:])
+    basis = pod.build_pod_basis(snaps, kappa=cfg.kappa_pod, r_override=cfg.r_override)
+    wall_pod = time.perf_counter() - t0
+    _log.info("basis: r=%d (per-variable energy ranks %s)", basis.r, basis.ranks)
+
+    t0 = time.perf_counter()
+    nonlin = deim.collect_nonlin_snapshots(snaps, basis, physics, dops,
+                                           projected=cfg.projected_nonlin)
+    dset = deim.build_deim(nonlin, kappa=cfg.kappa_deim, p_override=cfg.p_override)
+    romops = rom.precompute_rom(basis, dset, physics, dops)
+    wall_deim = time.perf_counter() - t0
+    _log.info("interpolation: p=%d (per-nonlinearity energy ranks %s)", dset.p, dset.ranks)
+
+    for key in _ONLINE_ENTRIES:
+        meta.pop(key, None)
+    meta.update(r=basis.r, p=dset.p,
+                r_criterion=int(max(basis.ranks)), p_criterion=int(max(dset.ranks)),
+                kappa_pod=cfg.kappa_pod, kappa_deim=cfg.kappa_deim,
+                wall_pod_offline_s=wall_pod, wall_pod_deim_offline_s=wall_pod + wall_deim)
+    if out is not None:
+        fileio.write_basis(out / "basis.bin", basis, case.grid.n)
+        fileio.write_deim(out / "deim.bin", dset)
+        fileio.write_romops(out / "romops.bin", romops)
+        fileio.write_spectra_csv(out / "pod_spectra.csv", VARIABLES, basis.singular_values)
+        fileio.write_spectra_csv(out / "deim_spectra.csv",
+                                 [f"F{j}" for j in range(1, NUM_NONLIN + 1)],
+                                 dset.singular_values)
+        _write_meta(out, meta)
+    _log.info("done in %.2f s; r = %d (energy rank %d), p = %d (energy rank %d)",
+              wall_pod + wall_deim, basis.r, meta["r_criterion"], dset.p, meta["p_criterion"])
+    return basis, dset, romops
+
+
+_SOLVE_NAMES = {"pod": "galerkin", "pod-deim": "tensor interpolation"}
+
+
+def stage_rom(case: Case, ops: RomOperators, z0: np.ndarray, method: str, meta: dict,
+              out: Path | None = None) -> RomResult:
+    """One reduced solve from the packed full state z0, for the case's step
+    count and size.
+
+    Adds wall_{tag}_online_s to meta. With out, writes
+    rom_invariants_{tag}.csv, rom_state_{tag}.csv and run_meta.json there.
+    """
+    basis, cfg = ops.basis, case.config
+    zr0 = basis.restrict_array(z0)
+    _log.info("reduced solve (%s): r=%d, %d steps", _SOLVE_NAMES.get(method, method),
+              basis.r, cfg.num_steps)
+    t0 = time.perf_counter()
+    result = rom.integrate_rom(ops, RomState(z_r=zr0, t=0.0), cfg.dt, cfg.num_steps,
+                               method=method)
+    wall = time.perf_counter() - t0
+
+    tag = method.replace("-", "_")
+    meta[f"wall_{tag}_online_s"] = wall
+    if out is not None:
+        fileio.write_invariants_csv(out / f"rom_invariants_{tag}.csv",
+                                    result.times, result.invariants)
+        fileio.write_matrix_csv(out / f"rom_state_{tag}.csv",
+                                "# rows are stored states, columns the 4r reduced coefficients",
+                                result.reduced.T)
+        _write_meta(out, meta)
+    _log.info("done in %.2f s; final relative energy drift %.3e",
+              wall, _energy_drift(result.invariants))
+    return result
+
+
+def stage_report(case: Case, meta: dict, full: FomResult, basis: PodBasis,
+                 roms: dict[str, RomResult], out: Path | None = None) -> dict:
+    """The report: discretization, ranks and timings from meta, then the
+    time-averaged relative L2 error of each lifted reduced trajectory and the
+    invariant drifts of every trajectory, keyed by method tag (pod, pod_deim).
+
+    With out, writes errors.csv, report.json and field dumps at the first,
+    middle and last step there.
+    """
+    report = {key: meta[key] for key in _REPORT_ENTRIES}
+    drifts = {"fom": full.invariants}
+    for tag, res in roms.items():
+        l2 = relative_l2_error(full.trajectory, basis.lift_array(res.reduced))
+        for i, var in enumerate(VARIABLES):
+            report[f"l2_{tag}_{var}"] = float(l2[i])
+        drifts[tag] = res.invariants
+    for src, invs in drifts.items():
+        _, mean, peak = invariant_errors(invs)
+        for i, name in enumerate(INVARIANT_NAMES):
+            report[f"inv_{src}_{name}"] = float(mean[i])
+            report[f"inv_max_{src}_{name}"] = float(peak[i])
+    for tag in roms:
+        report[f"speedup_{tag}"] = report["wall_fom_s"] / report[f"wall_{tag}_online_s"]
+
+    if out is not None:
+        fileio.write_errors_csv(out / "errors.csv", error_table_rows(report))
+        fileio.write_report_json(out / "report.json", report)
+        steps = sorted({0, case.config.num_steps // 2, case.config.num_steps})
+        _dump_fields(out, case, "fom", full.trajectory[:, steps], steps)
+        for tag, res in roms.items():
+            _dump_fields(out, case, tag, basis.lift_array(res.reduced[:, steps]), steps)
+    return report
+
+
+def error_table_rows(report: dict):
+    """errors.csv rows (metric, method, name, value) from a report dict."""
+    rows = []
+    for tag in _METHOD_TAGS:
+        for var in VARIABLES:
+            rows.append(("l2", tag, var, report[f"l2_{tag}_{var}"]))
+    for src in ("fom", *_METHOD_TAGS):
+        for name in INVARIANT_NAMES:
+            rows.append(("invariant_mean", src, name, report[f"inv_{src}_{name}"]))
+            rows.append(("invariant_max", src, name, report[f"inv_max_{src}_{name}"]))
+    return rows
+
+
+def _dump_fields(out: Path, case: Case, tag: str, states: np.ndarray, steps) -> None:
+    """fields_{tag}_{step}.csv for each packed state column and its step."""
+    for k, z in zip(steps, states.T):
+        st = State(z=z)
+        fields = {"h": st.h, "u": st.u, "v": st.v, "s": st.s,
+                  "q": potential_vorticity(st, case.physics, case.diffops)}
+        fileio.write_fields_csv(out / f"fields_{tag}_{k:04d}.csv", case.grid, fields)
+
+
+# ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------
 
@@ -227,178 +502,31 @@ class PipelineResult:
     report: dict
 
 
-@contextmanager
-def progress_to_stdout(enabled: bool):
-    """While enabled, print the INFO records of the tswrom loggers (such as
-    integrate_fom's progress lines) on standard output, and only there: they
-    do not also propagate to the root logger's handlers."""
-    if not enabled:
-        yield
-        return
-    logger = logging.getLogger("tswrom")
-    handler = logging.StreamHandler(sys.stdout)
-    handler.setFormatter(logging.Formatter("%(message)s"))
-    level, propagate = logger.level, logger.propagate
-    logger.addHandler(handler)
-    logger.setLevel(logging.INFO)
-    logger.propagate = False
-    try:
-        yield
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
-        logger.propagate = propagate
-
-
 def run_pipeline(cfg: DoubleVortexConfig, outdir=None, verbose: bool = False) -> PipelineResult:
-    """Full-order solve, model reduction, both reduced solves, metrics.
+    """Full-order solve, model reduction, both reduced solves, metrics: the
+    four stages chained in memory.
 
-    When outdir is given, all binary and text artifacts are written there
-    (snapshots, basis, interpolation data, reduced operators, invariant and
-    error tables, field dumps, report.json).
+    When outdir is given, every stage writes its artifacts there, so the
+    directory is the workspace the command-line stages would have left.
     """
-    cfg.validate()
-    grid = cfg.make_grid()
-    dops = build_diff_ops(grid)
-    physics = make_physics(cfg, grid.N)
-    z0 = double_vortex_initial(grid, cfg)
-    _check_initial(z0, cfg)
-
+    case = Case.build(cfg)
     out = None
     if outdir is not None:
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
 
+    meta: dict = {}
     with progress_to_stdout(verbose):
-        _log.info("full model: n=%d, %d steps, dt=%g s", cfg.n, cfg.num_steps, cfg.dt)
-        t0 = time.perf_counter()
-        fom = integrate_fom(
-            z0, cfg.dt, cfg.num_steps, physics, dops,
-            snapshot_path=None if out is None else out / "snapshots.bin",
-            log_every=50 if verbose else 0,
-        )
-        wall_fom = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        snaps = collect_snapshots(fom.trajectory[:, 1:])
-        basis = build_pod_basis(snaps, kappa=cfg.kappa_pod, r_override=cfg.r_override)
-        wall_pod_off = time.perf_counter() - t0
-        _log.info("basis: r=%d (per-variable energy ranks %s)", basis.r, basis.ranks)
-
-        t0 = time.perf_counter()
-        nonlin = collect_nonlin_snapshots(snaps, basis, physics, dops,
-                                          projected=cfg.projected_nonlin)
-        dset = build_deim(nonlin, kappa=cfg.kappa_deim, p_override=cfg.p_override)
-        romops = precompute_rom(basis, dset, physics, dops)
-        wall_deim_off = time.perf_counter() - t0
-        _log.info("interpolation: p=%d (per-nonlinearity energy ranks %s)",
-                  dset.p, dset.ranks)
-
-        zr0 = restrict(basis, z0)
-        _log.info("reduced solve (galerkin)")
-        t0 = time.perf_counter()
-        rom_pod = integrate_rom(romops, RomState(z_r=zr0, t=z0.t),
-                                cfg.dt, cfg.num_steps, method="pod")
-        wall_pod_on = time.perf_counter() - t0
-        _log.info("reduced solve (tensor interpolation)")
-        t0 = time.perf_counter()
-        rom_deim = integrate_rom(romops, RomState(z_r=zr0, t=z0.t),
-                                 cfg.dt, cfg.num_steps, method="pod-deim")
-        wall_deim_on = time.perf_counter() - t0
-
-        l2 = {
-            "pod": relative_l2_error(fom.trajectory, basis.lift_array(rom_pod.reduced)),
-            "pod_deim": relative_l2_error(fom.trajectory, basis.lift_array(rom_deim.reduced)),
-        }
-        drift = {
-            "fom": invariant_errors(fom.invariants),
-            "pod": invariant_errors(rom_pod.invariants),
-            "pod_deim": invariant_errors(rom_deim.invariants),
-        }
-
-        report: dict = {
-            "n": cfg.n,
-            "num_steps": cfg.num_steps,
-            "dt": cfg.dt,
-            "kappa_pod": cfg.kappa_pod,
-            "kappa_deim": cfg.kappa_deim,
-            "r": basis.r,
-            "p": dset.p,
-            "r_criterion": int(max(basis.ranks)),
-            "p_criterion": int(max(dset.ranks)),
-        }
-        for i, var in enumerate(VARIABLES):
-            report[f"l2_pod_{var}"] = float(l2["pod"][i])
-            report[f"l2_pod_deim_{var}"] = float(l2["pod_deim"][i])
-        for src, (_, mean, peak) in drift.items():
-            for i, name in enumerate(INVARIANT_NAMES):
-                report[f"inv_{src}_{name}"] = float(mean[i])
-                report[f"inv_max_{src}_{name}"] = float(peak[i])
-        report["wall_fom_s"] = wall_fom
-        report["wall_pod_offline_s"] = wall_pod_off
-        report["wall_pod_deim_offline_s"] = wall_pod_off + wall_deim_off
-        report["wall_pod_online_s"] = wall_pod_on
-        report["wall_pod_deim_online_s"] = wall_deim_on
-        report["speedup_pod"] = wall_fom / wall_pod_on
-        report["speedup_pod_deim"] = wall_fom / wall_deim_on
-
-        result = PipelineResult(
-            config=cfg, grid=grid, physics=physics, diffops=dops, fom=fom,
-            basis=basis, deim=dset, romops=romops,
-            rom_pod=rom_pod, rom_deim=rom_deim, report=report,
-        )
+        full = stage_fom(case, meta, out, log_every=50 if verbose else 0)
+        basis, dset, romops = stage_reduce(case, full.trajectory, meta, out)
+        roms = {method.replace("-", "_"): stage_rom(case, romops, full.trajectory[:, 0],
+                                                    method, meta, out)
+                for method in rom.METHODS}
+        report = stage_report(case, meta, full, basis, roms, out)
         if out is not None:
-            _write_artifacts(result, out)
             _log.info("artifacts written to %s", out)
-        return result
-
-
-def error_table_rows(report: dict):
-    """errors.csv rows (metric, method, name, value) from a report dict."""
-    rows = []
-    for tag in _METHOD_TAGS:
-        for var in VARIABLES:
-            rows.append(("l2", tag, var, report[f"l2_{tag}_{var}"]))
-    for src in ("fom", *_METHOD_TAGS):
-        for name in INVARIANT_NAMES:
-            rows.append(("invariant_mean", src, name, report[f"inv_{src}_{name}"]))
-            rows.append(("invariant_max", src, name, report[f"inv_max_{src}_{name}"]))
-    return rows
-
-
-def _dump_fields(out: Path, tag: str, grid: Grid, physics: Physics, dops: DiffOps,
-                 traj: np.ndarray, times: np.ndarray, steps, labels=None) -> None:
-    labels = list(steps) if labels is None else list(labels)
-    for k, label in zip(steps, labels):
-        st = State(z=traj[:, k].copy(), t=float(times[k]))
-        fields = {"h": st.h, "u": st.u, "v": st.v, "s": st.s,
-                  "q": potential_vorticity(st, physics, dops)}
-        fileio.write_fields_csv(out / f"fields_{tag}_{label:04d}.csv", grid, fields)
-
-
-def _write_artifacts(res: PipelineResult, out: Path) -> None:
-    cfg = res.config
-    fileio.write_invariants_csv(out / "fom_invariants.csv",
-                                res.fom.times, res.fom.invariants)
-    fileio.write_invariants_csv(out / "rom_invariants_pod.csv",
-                                res.rom_pod.times, res.rom_pod.invariants)
-    fileio.write_invariants_csv(out / "rom_invariants_pod_deim.csv",
-                                res.rom_deim.times, res.rom_deim.invariants)
-    fileio.write_basis(out / "basis.bin", res.basis, res.grid.n)
-    fileio.write_deim(out / "deim.bin", res.deim)
-    fileio.write_romops(out / "romops.bin", res.romops)
-    fileio.write_spectra_csv(out / "pod_spectra.csv", VARIABLES,
-                             res.basis.singular_values)
-    fileio.write_spectra_csv(out / "deim_spectra.csv",
-                             [f"F{j}" for j in range(1, NUM_NONLIN + 1)],
-                             res.deim.singular_values)
-    fileio.write_errors_csv(out / "errors.csv", error_table_rows(res.report))
-    fileio.write_report_json(out / "report.json", res.report)
-
-    steps = sorted({0, cfg.num_steps // 2, cfg.num_steps})
-    _dump_fields(out, "fom", res.grid, res.physics, res.diffops,
-                 res.fom.trajectory, res.fom.times, steps)
-    for tag, rom in (("pod", res.rom_pod), ("pod_deim", res.rom_deim)):
-        lifted = res.basis.lift_array(rom.reduced[:, steps])
-        _dump_fields(out, tag, res.grid, res.physics, res.diffops,
-                     lifted, rom.times[steps], range(len(steps)), labels=steps)
+    return PipelineResult(
+        config=cfg, grid=case.grid, physics=case.physics, diffops=case.diffops, fom=full,
+        basis=basis, deim=dset, romops=romops,
+        rom_pod=roms["pod"], rom_deim=roms["pod_deim"], report=report,
+    )

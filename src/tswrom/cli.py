@@ -12,13 +12,23 @@ Four subcommands share one working directory of artifacts:
     tswrom compare --out DIR    errors.csv, report.json, field dumps, and
                                 printed accuracy/conservation/timing tables
 
+Each subcommand reads its stage's inputs from DIR and calls the stage
+function of tswrom.bench that run_pipeline chains in memory, so both write
+the same artifacts, time the same work and build the same report; a
+run_pipeline output directory can be continued here. Stage lines go to
+standard output through logging; --verbose adds the full model's per-step
+lines.
+
 Parameters come from an optional config file of `key = value` lines (keys
 mirror DoubleVortexConfig fields, `#` starts a comment), overridden by
-`--set key=value` and by the explicit flags. Stage timings accumulate in
-DIR/run_meta.json so `compare` can assemble the final report. The fom stage
-also records the Coriolis parameter and gravity there; reduce, rom and
-compare exit 2 when the physics they build from their own parameters
-differs, so every stage must be given the same physics settings.
+`--set key=value` and by the explicit flags. DIR/run_meta.json holds each
+stage's entries (discretization, physics, ranks, timings), from which
+`compare` takes the report's metadata. Stages must run in order: fom starts
+a fresh run_meta.json, reduce needs fom's entries and drops the online ones,
+rom needs reduce's, and compare needs both rom methods' entries; a missing
+entry exits 2 and names the command to run. reduce, rom and compare also
+exit 2 when the physics they build from their own parameters differs from
+the fom run's, so every stage must be given the same physics settings.
 
 Exit codes: 0 success, 2 configuration errors, 3 numerical failures,
 4 I/O errors, 5 malformed artifact files.
@@ -30,10 +40,8 @@ linear-algebra thread pools before they spin up.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import time
 from pathlib import Path
 
 __all__ = ["main", "build_parser"]
@@ -167,154 +175,56 @@ def _workspace(args) -> Path:
     return out
 
 
-def _merge_meta(out: Path, **entries) -> dict:
-    path = out / "run_meta.json"
-    meta = json.loads(path.read_text()) if path.exists() else {}
-    meta.update(entries)
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return meta
-
-
-def _load_meta(out: Path) -> dict:
-    path = out / "run_meta.json"
-    return json.loads(path.read_text()) if path.exists() else {}
-
-
-def _setup(cfg):
-    """Grid, difference operators, physics for a config."""
-    from .bench import make_physics
-    from .grid import build_diff_ops
-
-    grid = cfg.make_grid()
-    dops = build_diff_ops(grid)
-    return grid, dops, make_physics(cfg, grid.N)
-
-
-def _check_physics(out: Path, physics) -> None:
-    """Refuse a later stage whose physics differs from the one the fom stage
-    recorded in run_meta.json, or that finds none recorded."""
-    from .errors import ConfigError
-
-    meta = _load_meta(out)
-    for key, built in (("coriolis", physics.f), ("gravity", physics.g)):
-        if key not in meta:
-            raise ConfigError(f"run_meta.json in {out} records no {key}; "
-                              f"re-run `tswrom fom` there")
-        if built != meta[key]:
-            raise ConfigError(
-                f"{key}={built!r} differs from {key}={meta[key]!r} of the fom "
-                f"run in {out}; pass every stage the same --set/--config values")
-
-
-def _config_for_artifacts(args, n: int, dt: float, num_steps: int):
-    """Config with discretization pinned to what the artifact files carry."""
+def _inputs(args, stage: str):
+    """The working directory, its snapshot trajectory, the case built from the
+    arguments with the discretization pinned to the snapshots, and the
+    run_meta.json entries, checked before the stage reads anything else."""
     import dataclasses
 
-    return dataclasses.replace(_build_config(args), n=n, dt=dt, num_steps=num_steps)
+    from . import fileio
+    from .bench import Case, read_run_meta
+
+    out = _workspace(args)
+    traj, n, dt = fileio.read_snapshots(out / "snapshots.bin")
+    cfg = dataclasses.replace(_build_config(args), n=n, dt=dt, num_steps=traj.shape[1] - 1)
+    case = Case.build(cfg)
+    return out, traj, case, read_run_meta(out, case, stage)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads its stage's inputs from --out and runs the bench
+# stage function that run_pipeline runs
 # ---------------------------------------------------------------------------
 
 def cmd_fom(args) -> int:
-    from . import fileio
-    from .bench import _check_initial, double_vortex_initial, progress_to_stdout
-    from .fom import integrate_fom
+    from .bench import Case, progress_to_stdout, stage_fom
 
-    cfg = _build_config(args)
-    cfg.validate()
+    case = Case.build(_build_config(args))
     out = _workspace(args)
-    grid, dops, physics = _setup(cfg)
-    z0 = double_vortex_initial(grid, cfg)
-    _check_initial(z0, cfg)
-
-    print(f"full model: n={cfg.n}, {cfg.num_steps} steps, dt={cfg.dt:g} s", flush=True)
-    t0 = time.perf_counter()
-    with progress_to_stdout(args.verbose):
-        result = integrate_fom(z0, cfg.dt, cfg.num_steps, physics, dops,
-                               snapshot_path=out / "snapshots.bin",
-                               log_every=50 if args.verbose else 0)
-    wall = time.perf_counter() - t0
-
-    fileio.write_invariants_csv(out / "fom_invariants.csv",
-                                result.times, result.invariants)
-    _merge_meta(out, wall_fom_s=wall, n=cfg.n, num_steps=cfg.num_steps, dt=cfg.dt,
-                coriolis=physics.f, gravity=physics.g)
-    drift = abs(result.invariants[-1, 0] - result.invariants[0, 0]) / abs(result.invariants[0, 0])
-    print(f"done in {wall:.2f} s; final relative energy drift {drift:.3e}")
+    with progress_to_stdout(True):
+        stage_fom(case, {}, out, log_every=50 if args.verbose else 0)
     return _EXIT_OK
 
 
 def cmd_reduce(args) -> int:
-    from . import fileio
-    from .deim import NUM_NONLIN, build_deim, collect_nonlin_snapshots
-    from .pod import VARIABLES, build_pod_basis, collect_snapshots
-    from .rom import precompute_rom
+    from .bench import progress_to_stdout, stage_reduce
 
-    out = _workspace(args)
-    traj, n, dt = fileio.read_snapshots(out / "snapshots.bin")
-    cfg = _config_for_artifacts(args, n, dt, traj.shape[1] - 1)
-    cfg.validate()
-    grid, dops, physics = _setup(cfg)
-    _check_physics(out, physics)
-
-    snaps = collect_snapshots(traj[:, 1:])
-    t0 = time.perf_counter()
-    basis = build_pod_basis(snaps, kappa=cfg.kappa_pod, r_override=cfg.r_override)
-    wall_pod = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    nonlin = collect_nonlin_snapshots(snaps, basis, physics, dops,
-                                      projected=cfg.projected_nonlin)
-    dset = build_deim(nonlin, kappa=cfg.kappa_deim, p_override=cfg.p_override)
-    romops = precompute_rom(basis, dset, physics, dops)
-    wall_deim = time.perf_counter() - t0
-
-    fileio.write_basis(out / "basis.bin", basis, grid.n)
-    fileio.write_deim(out / "deim.bin", dset)
-    fileio.write_romops(out / "romops.bin", romops)
-    fileio.write_spectra_csv(out / "pod_spectra.csv", VARIABLES, basis.singular_values)
-    fileio.write_spectra_csv(out / "deim_spectra.csv",
-                             [f"F{j}" for j in range(1, NUM_NONLIN + 1)],
-                             dset.singular_values)
-    _merge_meta(out,
-                wall_pod_offline_s=wall_pod,
-                wall_pod_deim_offline_s=wall_pod + wall_deim,
-                r=basis.r, p=dset.p,
-                r_criterion=int(max(basis.ranks)),
-                p_criterion=int(max(dset.ranks)),
-                kappa_pod=cfg.kappa_pod, kappa_deim=cfg.kappa_deim)
-    print(f"r = {basis.r} (energy rank {max(basis.ranks)}), "
-          f"p = {dset.p} (energy rank {max(dset.ranks)})")
+    out, traj, case, meta = _inputs(args, "reduce")
+    with progress_to_stdout(True):
+        stage_reduce(case, traj, meta, out)
     return _EXIT_OK
-
-
-def _method_tag(method: str) -> str:
-    return method.replace("-", "_")
 
 
 def cmd_rom(args) -> int:
     from . import fileio
+    from .bench import progress_to_stdout, stage_rom
     from .errors import ConfigError
-    from .fom import State
-    from .pod import restrict
-    from .rom import (RomState, galerkin_operators, integrate_rom,
-                      rom_operators_from_parts)
+    from .rom import galerkin_operators, rom_operators_from_parts
 
-    out = _workspace(args)
-    traj, n, dt = fileio.read_snapshots(out / "snapshots.bin")
-    num_steps = traj.shape[1] - 1
-    cfg = _config_for_artifacts(args, n, dt, num_steps)
-    cfg.validate()
-    grid, dops, physics = _setup(cfg)
-    _check_physics(out, physics)
-
+    out, traj, case, meta = _inputs(args, "rom")
     basis = fileio.read_basis(out / "basis.bin")
-    if basis.N != grid.N:
-        raise ConfigError(f"basis N={basis.N} does not match snapshot grid N={grid.N}")
     if args.method == "pod":
-        ops = galerkin_operators(basis, physics, dops)
+        ops = galerkin_operators(basis, case.physics, case.diffops)
     else:
         dset = fileio.read_deim(out / "deim.bin")
         mats, r, p = fileio.read_romops(out / "romops.bin")
@@ -322,25 +232,9 @@ def cmd_rom(args) -> int:
             raise ConfigError(
                 f"reduced operators carry (r={r}, p={p}) but basis/interpolation "
                 f"give (r={basis.r}, p={dset.p})")
-        ops = rom_operators_from_parts(mats, basis, dset, physics, dops)
-
-    z0 = State(z=traj[:, 0].copy(), t=0.0)
-    zr0 = restrict(basis, z0)
-    print(f"reduced solve ({args.method}): r={basis.r}, {num_steps} steps", flush=True)
-    t0 = time.perf_counter()
-    result = integrate_rom(ops, RomState(z_r=zr0, t=0.0), dt, num_steps,
-                           method=args.method)
-    wall = time.perf_counter() - t0
-
-    tag = _method_tag(args.method)
-    fileio.write_invariants_csv(out / f"rom_invariants_{tag}.csv",
-                                result.times, result.invariants)
-    fileio.write_matrix_csv(out / f"rom_state_{tag}.csv",
-                            "# rows are stored states, columns the 4r reduced coefficients",
-                            result.reduced.T)
-    _merge_meta(out, **{f"wall_{tag}_online_s": wall})
-    drift = abs(result.invariants[-1, 0] - result.invariants[0, 0]) / abs(result.invariants[0, 0])
-    print(f"done in {wall:.2f} s; final relative energy drift {drift:.3e}")
+        ops = rom_operators_from_parts(mats, basis, dset, case.physics, case.diffops)
+    with progress_to_stdout(True):
+        stage_rom(case, ops, traj[:, 0], args.method, meta, out)
     return _EXIT_OK
 
 
@@ -355,75 +249,28 @@ def _print_table(title: str, col_names, row_names, rows) -> None:
 
 
 def cmd_compare(args) -> int:
-    import numpy as np
-
     from . import fileio
-    from .bench import (INVARIANT_NAMES, _dump_fields, error_table_rows,
-                        invariant_errors, relative_l2_error)
+    from .bench import INVARIANT_NAMES, stage_report
     from .errors import ConfigError
+    from .fom import FomResult
     from .pod import VARIABLES
+    from .rom import METHODS, RomResult
 
-    out = _workspace(args)
-    traj, n, dt = fileio.read_snapshots(out / "snapshots.bin")
-    num_steps = traj.shape[1] - 1
-    cfg = _config_for_artifacts(args, n, dt, num_steps)
-    grid, dops, physics = _setup(cfg)
-    _check_physics(out, physics)
+    out, traj, case, meta = _inputs(args, "compare")
     basis = fileio.read_basis(out / "basis.bin")
-    if basis.N != grid.N:
-        raise ConfigError(f"basis N={basis.N} does not match snapshot grid N={grid.N}")
-
-    report: dict = {"n": n, "num_steps": num_steps, "dt": dt,
-                    "r": basis.r, "p": None}
-    meta = _load_meta(out)
-    for key in ("p", "r_criterion", "p_criterion", "kappa_pod", "kappa_deim",
-                "wall_fom_s", "wall_pod_offline_s", "wall_pod_deim_offline_s",
-                "wall_pod_online_s", "wall_pod_deim_online_s"):
-        if key in meta:
-            report[key] = meta[key]
-
-    _, fom_invs = fileio.read_invariants_csv(out / "fom_invariants.csv")
-    _, fom_mean, fom_peak = invariant_errors(fom_invs)
-    for i, name in enumerate(INVARIANT_NAMES):
-        report[f"inv_fom_{name}"] = float(fom_mean[i])
-        report[f"inv_max_fom_{name}"] = float(fom_peak[i])
-
-    lifted_all = {}
-    for tag in ("pod", "pod_deim"):
+    times, invs = fileio.read_invariants_csv(out / "fom_invariants.csv")
+    full = FomResult(trajectory=traj, invariants=invs, times=times)
+    roms = {}
+    for method in METHODS:
+        tag = method.replace("-", "_")
         state_path = out / f"rom_state_{tag}.csv"
-        if not state_path.exists():
-            raise ConfigError(
-                f"missing {state_path.name}; run `tswrom rom --method "
-                f"{tag.replace('_', '-')}` first")
         reduced = fileio.read_matrix_csv(state_path).T
-        if reduced.shape != (4 * basis.r, num_steps + 1):
-            raise ConfigError(
-                f"{state_path.name} has shape {reduced.shape}, expected "
-                f"{(4 * basis.r, num_steps + 1)}")
-        lifted = basis.lift_array(reduced)
-        lifted_all[tag] = lifted
-        l2 = relative_l2_error(traj, lifted)
-        for i, var in enumerate(VARIABLES):
-            report[f"l2_{tag}_{var}"] = float(l2[i])
-        _, rom_invs = fileio.read_invariants_csv(out / f"rom_invariants_{tag}.csv")
-        _, mean, peak = invariant_errors(rom_invs)
-        for i, name in enumerate(INVARIANT_NAMES):
-            report[f"inv_{tag}_{name}"] = float(mean[i])
-            report[f"inv_max_{tag}_{name}"] = float(peak[i])
-
-    if "wall_fom_s" in report:
-        for tag in ("pod", "pod_deim"):
-            if f"wall_{tag}_online_s" in report:
-                report[f"speedup_{tag}"] = report["wall_fom_s"] / report[f"wall_{tag}_online_s"]
-
-    fileio.write_errors_csv(out / "errors.csv", error_table_rows(report))
-    fileio.write_report_json(out / "report.json", report)
-
-    steps = sorted({0, num_steps // 2, num_steps})
-    times = dt * np.arange(num_steps + 1)
-    _dump_fields(out, "fom", grid, physics, dops, traj, times, steps)
-    for tag, lifted in lifted_all.items():
-        _dump_fields(out, tag, grid, physics, dops, lifted, times, steps)
+        if reduced.shape != (4 * basis.r, traj.shape[1]):
+            raise ConfigError(f"{state_path.name} has shape {reduced.shape}, expected "
+                              f"{(4 * basis.r, traj.shape[1])}")
+        times, invs = fileio.read_invariants_csv(out / f"rom_invariants_{tag}.csv")
+        roms[tag] = RomResult(reduced=reduced, invariants=invs, times=times, method=method)
+    report = stage_report(case, meta, full, basis, roms, out)
 
     _print_table("time-averaged relative l2 error",
                  ("pod", "pod-deim"), VARIABLES,
@@ -435,11 +282,11 @@ def cmd_compare(args) -> int:
     _print_table("wall clock [s] (offline / online / speedup)",
                  ("offline", "online", "speedup"),
                  ("full", "pod", "p-deim"),
-                 [(None, report.get("wall_fom_s"), None),
-                  (report.get("wall_pod_offline_s"), report.get("wall_pod_online_s"),
-                   report.get("speedup_pod")),
-                  (report.get("wall_pod_deim_offline_s"), report.get("wall_pod_deim_online_s"),
-                   report.get("speedup_pod_deim"))])
+                 [(None, report["wall_fom_s"], None),
+                  (report["wall_pod_offline_s"], report["wall_pod_online_s"],
+                   report["speedup_pod"]),
+                  (report["wall_pod_deim_offline_s"], report["wall_pod_deim_online_s"],
+                   report["speedup_pod_deim"])])
     print(f"\nreport written to {out / 'report.json'}")
     return _EXIT_OK
 

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import shutil
 import struct
 import subprocess
 import sys
@@ -82,9 +83,12 @@ def test_fom_verbose_prints_each_line_once_under_a_root_handler(tmp_path, capsys
     try:
         assert main(["fom", "--out", str(tmp_path), "--set", "n=16", "--set", "num_steps=2",
                      "--verbose"]) == 0
+        assert main(["reduce", "--out", str(tmp_path), "--r", "2", "--p", "2"]) == 0
     finally:
         root.removeHandler(collect)
-    assert capsys.readouterr().out.count("step     2/2") == 1
+    printed = capsys.readouterr().out
+    assert printed.count("step     2/2") == 1
+    assert printed.count("r = 2 ") == 1
     assert not [rec for rec in collect.records if rec.name.startswith("tswrom")]
     assert logging.getLogger("tswrom").propagate
 
@@ -116,6 +120,45 @@ def test_stages_refuse_physics_other_than_the_fom_run(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", *ws, *same]) == 2
     assert "records no coriolis" in capsys.readouterr().err
+
+
+def test_rom_refuses_a_basis_of_an_earlier_fom_run(tmp_path, capsys):
+    ws = ["--out", str(tmp_path)]
+    assert main(["fom", *ws, *_SMALL]) == 0
+    assert main(["reduce", *ws, "--r", "3", "--p", "6"]) == 0
+    assert main(["fom", *ws, *_SMALL, "--dt", "300"]) == 0
+    capsys.readouterr()
+    # basis.bin and romops.bin were trained on the dt=486 run
+    for method in ("pod", "pod-deim"):
+        assert main(["rom", *ws, "--method", method]) == 2
+        assert "`tswrom reduce`" in capsys.readouterr().err
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["dt"] == 300.0 and "r" not in meta and "wall_pod_offline_s" not in meta
+
+
+def test_compare_refuses_reduced_states_of_an_earlier_basis(tmp_path, capsys):
+    ws = ["--out", str(tmp_path)]
+    assert main(["fom", *ws, *_SMALL]) == 0
+    assert main(["reduce", *ws, "--r", "3", "--p", "6"]) == 0
+    for method in ("pod", "pod-deim"):
+        assert main(["rom", *ws, "--method", method]) == 0
+    assert main(["reduce", *ws, "--r", "3", "--p", "5"]) == 0
+    capsys.readouterr()
+    # both rom_state files were marched on the p=6 model
+    assert main(["compare", *ws]) == 2
+    assert "rom_state_pod" in capsys.readouterr().err
+
+
+def test_compare_continues_a_run_pipeline_directory(mini_pipeline, tmp_path, capsys):
+    out = tmp_path / "ws"
+    shutil.copytree(mini_pipeline.outdir, out)
+    assert main(["compare", "--out", str(out)]) == 0
+    assert "report written to" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    expected = mini_pipeline.report
+    assert set(report) == set(expected)
+    for key, value in expected.items():
+        np.testing.assert_allclose(report[key], value, rtol=1e-12, atol=0.0, err_msg=key)
 
 
 def test_config_precedence(tmp_path, capsys):
@@ -167,6 +210,16 @@ def test_corrupted_snapshots_exit_5(tmp_path, capsys):
     snap.write_bytes(b"XXXX" + snap.read_bytes()[4:])
     assert main(["reduce", "--out", str(out)]) == 5
     assert "bad magic" in capsys.readouterr().err
+
+
+def test_truncated_run_meta_exits_5(tmp_path, capsys):
+    out = tmp_path / "ws"
+    assert main(["fom", "--out", str(out), "--set", "n=8", "--set", "num_steps=3"]) == 0
+    meta = out / "run_meta.json"
+    meta.write_text(meta.read_text()[:20])
+    capsys.readouterr()
+    assert main(["reduce", "--out", str(out)]) == 5
+    assert "run_meta.json: not valid JSON" in capsys.readouterr().err
 
 
 def test_version_1_romops_exits_5(tmp_path, capsys):
