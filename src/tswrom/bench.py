@@ -193,13 +193,12 @@ def relative_l2_error(reference: np.ndarray, trial: np.ndarray,
         raise ConfigError(
             f"trajectory shapes differ: {reference.shape} vs {trial.shape}")
     N = reference.shape[0] // 4
-    cols = list(range(start, reference.shape[1]))
-    if not cols:
+    if start >= reference.shape[1]:
         raise ConfigError("no columns to average over")
     out = np.zeros(4)
     for i in range(4):
-        ref = reference[i * N : (i + 1) * N, cols]
-        diff = ref - trial[i * N : (i + 1) * N, cols]
+        ref = reference[i * N : (i + 1) * N, start:]
+        diff = ref - trial[i * N : (i + 1) * N, start:]
         norms = np.linalg.norm(ref, axis=0)
         if not norms.min() > 0.0:
             raise NumericError(f"zero reference norm for variable {VARIABLES[i]}")

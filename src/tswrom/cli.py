@@ -218,7 +218,6 @@ def cmd_reduce(args) -> int:
 def cmd_rom(args) -> int:
     from . import fileio
     from .bench import progress_to_stdout, stage_rom
-    from .errors import ConfigError
     from .rom import galerkin_operators, rom_operators_from_parts
 
     out, traj, case, meta = _inputs(args, "rom")
@@ -227,11 +226,7 @@ def cmd_rom(args) -> int:
         ops = galerkin_operators(basis, case.physics, case.diffops)
     else:
         dset = fileio.read_deim(out / "deim.bin")
-        mats, r, p = fileio.read_romops(out / "romops.bin")
-        if r != basis.r or p != dset.p:
-            raise ConfigError(
-                f"reduced operators carry (r={r}, p={p}) but basis/interpolation "
-                f"give (r={basis.r}, p={dset.p})")
+        mats, _, _ = fileio.read_romops(out / "romops.bin")
         ops = rom_operators_from_parts(mats, basis, dset, case.physics, case.diffops)
     with progress_to_stdout(True):
         stage_rom(case, ops, traj[:, 0], args.method, meta, out)

@@ -313,13 +313,9 @@ def write_errors_csv(path, rows) -> None:
 def write_fields_csv(path, grid, fields: dict[str, np.ndarray]) -> None:
     """Point cloud dump: x, y then one column per named field (N rows)."""
     xx, yy = grid.meshcoords()
-    names = list(fields)
-    cols = [fields[k] for k in names]
     with open(path, "w") as fh:
-        fh.write("x,y," + ",".join(names) + "\n")
-        for m in range(grid.N):
-            vals = ",".join(f"{c[m]:.17g}" for c in cols)
-            fh.write(f"{xx[m]:.17g},{yy[m]:.17g},{vals}\n")
+        fh.write("x,y," + ",".join(fields) + "\n")
+        np.savetxt(fh, np.column_stack([xx, yy, *fields.values()]), delimiter=",", fmt="%.17g")
 
 
 def write_matrix_csv(path, header: str, mat: np.ndarray) -> None:

@@ -32,8 +32,8 @@ integrate_fom starts each Newton solve from the extrapolation
 
 The Poisson operator also applies to a batch of gradient-like columns
 (4N, m), which the reduced-order checks use to assemble V^T J V. Its
-kernels take one J per column as well: the Galerkin reduced model applies
-J at a batch of midpoints with them.
+coefficients evaluate at a batch of states as well: the Galerkin reduced
+model and the DEIM snapshots take F1..F3 from them.
 """
 
 from __future__ import annotations
@@ -241,10 +241,9 @@ def _poisson_coefficients(mid, f, sx, sy, out, tmp, scale=1.0):
 
 def _apply_j(coef, g, out, sx, sy, tmp):
     """out = J g on (4, n, n[, m]) blocks, J given by its coefficients
-    coef = (q, c2, c3) and the stencil scales sx, sy. coef is (3, n, n),
-    shared by all m columns, or (3, n, n, m), one J per column.
-    Coefficients and scales that carry a common factor give that multiple
-    of J g. tmp is scratch of one block's shape."""
+    coef = (q, c2, c3), (3, n, n) and shared by all m columns, and the
+    stencil scales sx, sy. Coefficients and scales that carry a common
+    factor give that multiple of J g. tmp is scratch of one block's shape."""
     if coef.ndim < g.ndim:
         coef = coef[..., None]
     q, c2, c3 = coef

@@ -115,14 +115,10 @@ class PodBasis:
         return out[:, 0] if z_r.ndim == 1 else out
 
     def restrict_array(self, z: np.ndarray) -> np.ndarray:
-        """Map packed full states (4N,) or (4N, m) to reduced coefficients."""
-        r, N = self.r, self.N
-        single = z.ndim == 1
-        zf = z[:, None] if single else z
-        out = np.empty((4 * r, zf.shape[1]))
-        for i in range(4):
-            out[i * r : (i + 1) * r] = self.modes[i].T @ (zf[i * N : (i + 1) * N] - self.means[i][:, None])
-        return out[:, 0] if single else out
+        """Map packed full states (4N,) or (4N, m) to reduced coefficients
+        (4r,) or (4r, m), V^T (z - mean)."""
+        dev = z.reshape(z.shape[0], -1) - self.mean_z[:, None]
+        return self.project_modes(dev).reshape((4 * self.r,) + z.shape[1:])
 
 
 def collect_snapshots(states) -> SnapshotSet:

@@ -14,19 +14,23 @@ The constant c, the 4r-by-4r linear part L (from the means and the bottom)
 and three r-by-r-by-r tensors sum_n V_h x V_u x V_u, sum_n V_h x V_v x V_v
 and sum_n V_h x V_h x V_s, each serving two gradient blocks, are
 precomputed. The chord mean gbar_r = g_r(m) + Q(dz)/12 is exact in closed
-form, as in the full model. The two models differ in J_r:
+form, as in the full model.
 
-* pod: the Galerkin model applies V^T J(lift m) V with the full model's
-  kernels, so each evaluation costs O(N r) and needs no interpolation.
-* pod-deim: the tensor model interpolates only J's rational coefficients
-  F1..F3 (deim.py) by DEIM. With the r-by-p-by-r tensors
-  K_1 = sum_n V_u x psi_1 x V_v, K_2 = sum_n V_u x psi_2 x V_s and
-  K_3 = sum_n V_v x psi_3 x V_s, the samples f_j give the r-by-r blocks
-  Q_j = K_j f_j, placed as -Q_j and +Q_j^T in their skew pairs next to the
-  projected derivative blocks a1 = V_h^T Dx V_u, a2 = V_h^T Dy V_v and
-  -a1^T, -a2^T. J_r is skew by construction, so the AVF step conserves the
-  lifted energy up to the Newton tolerance, and an evaluation costs
-  O(r^2 p + r^3), independent of the grid size N.
+Both models also share one reduced Poisson operator J_r = V^T J(lift m) V
+and one AVF residual. J_r holds the projected derivative blocks
+a1 = V_h^T Dx V_u, a2 = V_h^T Dy V_v and -a1^T, -a2^T, and three r-by-r
+blocks Q_j that weight J's rational coefficients F1..F3 (deim.py) between
+the modes of (u, v), (u, s) and (v, s), placed as -Q_j and +Q_j^T. J_r is
+skew by construction, so the AVF step conserves the lifted energy up to the
+Newton tolerance. The models differ only in how the Q_j are obtained:
+
+* pod: the Galerkin model evaluates F_j at all N nodes of the lifted
+  midpoint and applies Q_j = V_a^T diag(F_j) V_b without forming it: O(N r)
+  per column, no interpolation.
+* pod-deim: the tensor model interpolates F_j by DEIM. With the r-by-p-by-r
+  tensors K_1 = sum_n V_u x psi_1 x V_v, K_2 = sum_n V_u x psi_2 x V_s and
+  K_3 = sum_n V_v x psi_3 x V_s, the samples f_j give Q_j = K_j f_j, and an
+  evaluation costs O(r^2 p + r^3), independent of the grid size N.
 
 The samples P_j^T F_j(lift m) come from one affine map of m: a stacked
 matrix of precomputed rows of the POD modes (and of Dx V, Dy V) plus an
@@ -36,8 +40,7 @@ to prove that the online cost does not grow with N.
 Both models solve the implicit 4r system with a chord Newton iteration. One
 LU-factored dense finite-difference Jacobian is kept across the steps of an
 integrate_rom run and rebuilt, at the current iterate, only when the
-residual stops halving. The Galerkin residual lifts the old state once per
-step; each evaluation then needs only the modes product of the increment.
+residual stops halving.
 
 The invariants of lift z_r are polynomials of z_r built from the same data:
 mass and vorticity are affine, buoyancy is quadratic through V_h^T V_s, and
@@ -59,8 +62,8 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from .deim import NUM_NONLIN, DeimSet
 from .errors import ConfigError, NumericError
 # perfbench/spans.py wraps rom.invariants by name, so it must stay bound here
-from .fom import (Physics, State, _apply_j, _blocks, _coefficients, grad_hamiltonian,
-                  invariants, newton_krylov)
+from .fom import (Physics, State, _coefficients, grad_hamiltonian, invariants,
+                  newton_krylov)
 from .grid import DiffOps, apply_dx, apply_dy
 from .pod import PodBasis
 
@@ -84,6 +87,10 @@ METHODS = ("pod", "pod-deim")
 # 1e-12 below float64 resolution of the unknowns themselves.
 _ROM_NEWTON_TOL = 1e-12
 _ROM_NEWTON_MAXITER = 50
+
+# (row block, column block) of -Q_j in J_r; +Q_j^T sits at the mirror place.
+# Q_j weights F_j between the modes of these two blocks.
+_SKEW_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 @dataclass
@@ -305,13 +312,13 @@ class _Sampler:
 class RomOperators:
     """Everything the online phase needs, all independent of N except refs.
 
-    grad is the exact reduced gradient both models use. a1, a2 are the
-    projected derivative blocks (r x r) and k1..k3 the K_j tensors, stored
-    (p, r*r) with row k the (r, r) block of sample k; with the sampler they
-    make the tensor model's J_r. The basis/deim/physics/diffops references
-    serve the Galerkin model, rebuilding and serialization. A DEIM-free
-    instance (from galerkin_operators) leaves a1..sampler unset and can only
-    drive the pod method.
+    Both models use grad, the exact reduced gradient, and a1, a2, the
+    projected derivative blocks (r x r) of J_r. k1..k3 are the K_j tensors,
+    stored (p, r*r) with row k the (r, r) block of sample k; with the
+    sampler they give the tensor model's Q_j. The basis/deim/physics/diffops
+    references serve the Galerkin model, rebuilding and serialization. A
+    DEIM-free instance (from galerkin_operators) leaves k1..sampler unset and
+    can only drive the pod method.
     """
 
     basis: PodBasis
@@ -319,8 +326,8 @@ class RomOperators:
     physics: Physics
     diffops: DiffOps
     grad: _Gradient = field(repr=False)
-    a1: np.ndarray = None
-    a2: np.ndarray = None
+    a1: np.ndarray
+    a2: np.ndarray
     k1: np.ndarray = None
     k2: np.ndarray = None
     k3: np.ndarray = None
@@ -338,7 +345,7 @@ class RomOperators:
 
     def matrices(self) -> dict[str, np.ndarray]:
         """The serialized operator set in declared order."""
-        if self.a1 is None:
+        if self.k1 is None:
             raise ConfigError("operator matrices were never precomputed (pod-only set)")
         return {"a1": self.a1, "a2": self.a2, "k1": self.k1, "k2": self.k2, "k3": self.k3}
 
@@ -374,11 +381,18 @@ def _check_grid(basis: PodBasis, ops: DiffOps) -> None:
         raise ConfigError(f"basis N={basis.N} does not match grid N={ops.grid.N}")
 
 
+def _derivative_blocks(basis: PodBasis, ops: DiffOps) -> dict[str, np.ndarray]:
+    """a1 = V_h^T Dx V_u and a2 = V_h^T Dy V_v, the state-independent blocks of J_r."""
+    vh, vu, vv, _ = basis.modes
+    return {"a1": vh.T @ apply_dx(ops, vu), "a2": vh.T @ apply_dy(ops, vv)}
+
+
 def galerkin_operators(basis: PodBasis, physics: Physics, ops: DiffOps) -> RomOperators:
     """Operator container for the DEIM-free Galerkin model (pod method only)."""
     _check_grid(basis, ops)
     return RomOperators(basis=basis, deim=None, physics=physics, diffops=ops,
-                        grad=_gradient_data(basis, physics, ops))
+                        grad=_gradient_data(basis, physics, ops),
+                        **_derivative_blocks(basis, ops))
 
 
 def precompute_rom(basis: PodBasis, deim: DeimSet, physics: Physics, ops: DiffOps) -> RomOperators:
@@ -386,14 +400,11 @@ def precompute_rom(basis: PodBasis, deim: DeimSet, physics: Physics, ops: DiffOp
     _check_grid(basis, ops)
     if deim[1].phi.shape[0] != basis.N:
         raise ConfigError("DEIM operators were built on a different grid")
-    vh, vu, vv, vs = basis.modes
     r, p = basis.r, deim.p
-    matrices = {
-        "a1": vh.T @ apply_dx(ops, vu),
-        "a2": vh.T @ apply_dy(ops, vv),
-    }
-    for j, (va, vb) in enumerate(((vu, vv), (vu, vs), (vv, vs)), start=1):
-        matrices[f"k{j}"] = _three_way(deim[j].psi, va, vb).reshape(p, r * r)
+    matrices = _derivative_blocks(basis, ops)
+    for j, (a, b) in enumerate(_SKEW_PAIRS, start=1):
+        matrices[f"k{j}"] = _three_way(deim[j].psi, basis.modes[a],
+                                       basis.modes[b]).reshape(p, r * r)
     return rom_operators_from_parts(matrices, basis, deim, physics, ops)
 
 
@@ -427,38 +438,68 @@ def rom_operators_from_parts(matrices: dict[str, np.ndarray], basis: PodBasis,
 # online evaluation
 # ---------------------------------------------------------------------------
 
-# (row block, column block) of -Q_j in J_r; +Q_j^T sits at the mirror place
-_SKEW_PAIRS = ((1, 2), (1, 3), (2, 3))
-
-
-def _reduced_poisson(ops: RomOperators, f: np.ndarray,
-                     counter: FlopCounter | None = None) -> np.ndarray:
-    """J_r(f) for sampled coefficients f (3, p, m) as (m, 4r, 4r): skew by
-    construction, each block set next to its negated transpose."""
+def _reduced_poisson(ops: RomOperators, q) -> np.ndarray:
+    """J_r for coefficient blocks q, Q_1..Q_3 each (m, r, r), as (m, 4r, 4r):
+    skew by construction, each block set next to its negated transpose."""
     r = ops.r
-    m = f.shape[2]
+    m = q[0].shape[0]
     jr = np.zeros((m, 4, r, 4, r))
     jr[:, 0, :, 1] = ops.a1
     jr[:, 0, :, 2] = ops.a2
     jr[:, 1, :, 0] = -ops.a1.T
     jr[:, 2, :, 0] = -ops.a2.T
-    for fj, kj, (a, b) in zip(f, (ops.k1, ops.k2, ops.k3), _SKEW_PAIRS):
-        q = (fj.T @ kj).reshape(m, r, r)
-        jr[:, a, :, b] = -q
-        jr[:, b, :, a] = q.transpose(0, 2, 1)
-    if counter is not None:
-        counter.add_core(3 * 2 * ops.k1.size * m)
+    for qj, (a, b) in zip(q, _SKEW_PAIRS):
+        jr[:, a, :, b] = -qj
+        jr[:, b, :, a] = qj.transpose(0, 2, 1)
     return jr.reshape(m, 4 * r, 4 * r)
 
 
-def _apply_reduced_poisson(ops: RomOperators, f: np.ndarray, g: np.ndarray,
+def _apply_reduced_poisson(ops: RomOperators, mid: np.ndarray, g: np.ndarray,
                            counter: FlopCounter | None = None) -> np.ndarray:
-    """J_r(f) g for reduced columns g (4r, m)."""
-    out = np.matmul(_reduced_poisson(ops, f, counter), g.T[:, :, None])[:, :, 0].T
+    """Tensor model: J_r(mid) g for reduced columns mid, g (4r, m), with
+    Q_j = K_j f_j from the DEIM samples f_j of F1..F3 at mid."""
+    if ops.sampler is None:
+        raise ConfigError("tensor operators not available; build with precompute_rom")
+    r, m = ops.r, mid.shape[1]
+    f = ops.sampler.sample(mid, counter)
+    q = [(fj.T @ kj).reshape(m, r, r) for fj, kj in zip(f, (ops.k1, ops.k2, ops.k3))]
+    out = np.matmul(_reduced_poisson(ops, q), g.T[:, :, None])[:, :, 0].T
     if counter is not None:
-        # the 10 nonzero (r, r) blocks of J_r
-        counter.add_core(10 * 2 * ops.r**2 * g.shape[1])
+        # the Q_j and the 10 nonzero (r, r) blocks of J_r
+        counter.add_core((3 * 2 * ops.k1.size + 10 * 2 * r**2) * m)
     return out
+
+
+def _galerkin_poisson(ops: RomOperators, z_old: np.ndarray):
+    """Galerkin model: J_r(m) g = V^T J(lift m) V g for steps from z_old, as a
+    function of reduced midpoints mid, increments dz and columns g (4r, m).
+    The derivative blocks are J_r with all Q_j = 0; Q_j = V_a^T diag(F_j) V_b,
+    F_j exact at all N nodes of lift m, is applied unformed as V_a^T (F_j V_b
+    g_b) and V_b^T (F_j V_a g_a): O(N r) per column. lift m = lift(z_old) +
+    V dz / 2, so z_old is lifted once and each call needs V dz only."""
+    basis, grid, f = ops.basis, ops.diffops.grid, ops.physics.f
+    N, r = basis.N, basis.r
+    base = basis.lift_array(z_old)[:, None]
+    derivative = _reduced_poisson(ops, [np.zeros((1, r, r))] * 3)[0]
+    modes_t = basis.modes[1:].transpose(0, 2, 1)
+
+    def apply(mid: np.ndarray, dz: np.ndarray, g: np.ndarray) -> np.ndarray:
+        m = g.shape[1]
+        lifted = basis.apply_modes(dz)
+        lifted *= 0.5
+        lifted += base
+        coef = _coefficients(lifted, f, grid, 1.0, "midpoint height").reshape(3, N, m)
+        # blocks 1..3 (u, v, s) of V g, and of J's coupling terms on the grid
+        vg = basis.modes[1:] @ g.reshape(4, r, m)[1:]
+        w = np.zeros((3, N, m))
+        for fj, (a, b) in zip(coef, _SKEW_PAIRS):
+            w[a - 1] -= fj * vg[b - 1]
+            w[b - 1] += fj * vg[a - 1]
+        out = derivative @ g
+        out[r:] += (modes_t @ w).reshape(3 * r, m)
+        return out
+
+    return apply
 
 
 def rom_rhs(ops: RomOperators, z_r: np.ndarray,
@@ -469,13 +510,10 @@ def rom_rhs(ops: RomOperators, z_r: np.ndarray,
     Everything is sampled or precomputed: the cost is O(r^2 p + r^3),
     independent of the grid size N.
     """
-    if ops.sampler is None:
-        raise ConfigError("tensor operators not available; build with precompute_rom")
     z_r = np.asarray(z_r, dtype=np.float64)
     single = z_r.ndim == 1
     zc = z_r[:, None] if single else z_r
-    f = ops.sampler.sample(zc, counter)
-    out = _apply_reduced_poisson(ops, f, ops.grad.gradient(zc, counter), counter)
+    out = _apply_reduced_poisson(ops, zc, ops.grad.gradient(zc, counter), counter)
     out *= -1.0
     if counter is not None:
         counter.add_core(out.size)
@@ -486,47 +524,19 @@ def rom_rhs(ops: RomOperators, z_r: np.ndarray,
 # implicit reduced stepping
 # ---------------------------------------------------------------------------
 
-def _deim_residual(ops, z_old, dt):
-    """Implicit AVF residual dz + dt J_r(f(m)) gbar_r of the tensor model
-    for the step from z_old, as a function of candidate new states (4r, m)."""
+def _avf_residual(ops: RomOperators, z_old: np.ndarray, dt: float, method: str):
+    """Implicit AVF residual dz + dt J_r(m) gbar_r of either reduced model for
+    the step from z_old, as a function of candidate new states (4r, m). The
+    method chooses only how J_r's coefficient blocks Q_j are obtained."""
+    poisson = (_galerkin_poisson(ops, z_old) if method == "pod"
+               else lambda mid, dz, g: _apply_reduced_poisson(ops, mid, g))
 
     def residual(z_new_cols):
         dz = z_new_cols - z_old[:, None]
         mid = 0.5 * dz
         mid += z_old[:, None]
-        out = _apply_reduced_poisson(ops, ops.sampler.sample(mid),
-                                     ops.grad.chord_mean(mid, dz))
+        out = poisson(mid, dz, ops.grad.chord_mean(mid, dz))
         out *= dt
-        out += dz
-        return out
-
-    return residual
-
-
-def _pod_residual(ops, z_old, dt):
-    """Implicit AVF residual dz + dt V^T J(lift m) V gbar_r of the Galerkin
-    model for the step from z_old, as a function of candidate new states
-    (4r, m). J runs on the full model's kernels, one J per column.
-
-    The lift is affine, so the midpoint is lift(z_old) + V dz / 2: z_old is
-    lifted once here, and each evaluation needs one modes-only product."""
-    basis, grid = ops.basis, ops.diffops.grid
-    f, n = ops.physics.f, grid.n
-    sx, sy = dt * 0.5 / grid.dx, dt * 0.5 / grid.dy
-    base = basis.lift_array(z_old)[:, None]
-
-    def residual(z_new_cols):
-        dz = z_new_cols - z_old[:, None]
-        mid_r = 0.5 * dz
-        mid_r += z_old[:, None]
-        mid = basis.apply_modes(dz)
-        mid *= 0.5
-        mid += base
-        coef = _coefficients(mid, f, grid, dt, "midpoint height")
-        g = _blocks(basis.apply_modes(ops.grad.chord_mean(mid_r, dz)), n)
-        jg = np.empty(g.shape)
-        _apply_j(coef, g, jg, sx, sy, np.empty(g.shape[1:]))
-        out = basis.project_modes(jg.reshape(mid.shape))
         out += dz
         return out
 
@@ -605,16 +615,14 @@ def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
     A stand-alone call builds a fresh Jacobian. integrate_rom passes its
     factorization through the private _chord argument instead, so one
     factorization is kept across steps and rebuilt only when the residual
-    stops halving. The Galerkin model lifts the old state once per step."""
+    stops halving."""
     if method not in METHODS:
         raise ConfigError(f"unknown reduced model {method!r}, expected one of {METHODS}")
-    if method == "pod-deim" and ops.sampler is None:
-        raise ConfigError("tensor operators not available; build with precompute_rom")
     if solver not in ("dense", "krylov"):
         raise ConfigError(f"unknown reduced Newton solver {solver!r}")
     z_old = np.asarray(z_r, dtype=np.float64)
     tol_eff = tol * max(1.0, float(np.max(np.abs(z_old))))
-    residual = (_deim_residual if method == "pod-deim" else _pod_residual)(ops, z_old, dt)
+    residual = _avf_residual(ops, z_old, dt, method)
     if solver == "krylov":
         scale = max(1.0, float(np.linalg.norm(z_old)))
         return newton_krylov(lambda z: residual(z[:, None])[:, 0], z_old.copy(), scale,

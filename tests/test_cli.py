@@ -234,6 +234,17 @@ def test_version_1_romops_exits_5(tmp_path, capsys):
     assert "unsupported format version 1" in capsys.readouterr().err
 
 
+def test_romops_of_another_basis_size_exits_2(tmp_path, capsys):
+    small, large = tmp_path / "r2", tmp_path / "r3"
+    for out, r in ((small, "2"), (large, "3")):
+        assert main(["fom", "--out", str(out), "--set", "n=8", "--set", "num_steps=3"]) == 0
+        assert main(["reduce", "--out", str(out), "--r", r, "--p", "2"]) == 0
+    shutil.copyfile(small / "romops.bin", large / "romops.bin")
+    capsys.readouterr()
+    assert main(["rom", "--out", str(large), "--method", "pod-deim"]) == 2
+    assert "reduced operator a1 has shape (2, 2), expected (3, 3)" in capsys.readouterr().err
+
+
 def test_absurd_time_step_exits_3(tmp_path, capsys):
     rc = main(["fom", "--out", str(tmp_path), "--set", "n=8",
                "--set", "num_steps=1", "--set", "dt=1e9"])

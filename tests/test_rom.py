@@ -119,10 +119,30 @@ def test_polynomial_invariants_match_lifted_invariants(mini_pipeline, rng):
 def test_reduced_poisson_is_exactly_skew(mini_pipeline, rng):
     ops = mini_pipeline.romops
     f = ops.sampler.sample(_mini_states(mini_pipeline, rng))
-    jr = rom_mod._reduced_poisson(ops, f)
+    q = [(fj.T @ kj).reshape(-1, ops.r, ops.r) for fj, kj in zip(f, (ops.k1, ops.k2, ops.k3))]
+    jr = rom_mod._reduced_poisson(ops, q)
     assert jr.shape == (3, 4 * ops.r, 4 * ops.r)
     assert np.all(jr + jr.transpose(0, 2, 1) == 0.0)
     assert np.max(np.abs(jr)) > 0.0
+
+
+def test_galerkin_poisson_is_projected_full_operator(mini_pipeline, rng):
+    # the matrix-free Galerkin J_r applied to the identity is V^T J(lift m) V,
+    # skew to round-off
+    basis, phys, dops = mini_pipeline.basis, mini_pipeline.physics, mini_pipeline.diffops
+    ops = galerkin_operators(basis, phys, dops)
+    z = _mini_states(mini_pipeline, rng)
+    z_old = z[:, 0]
+    eye = np.eye(4 * basis.r)
+    poisson = rom_mod._galerkin_poisson(ops, z_old)
+    for mid in z.T:
+        # increments whose midpoints z_old + dz/2 are mid
+        dz = np.repeat(2.0 * (mid - z_old)[:, None], eye.shape[1], axis=1)
+        jr = poisson(z_old[:, None] + 0.5 * dz, dz, eye)
+        expected = reduced_poisson_matrix(basis, State(z=basis.lift_array(mid)), phys, dops)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(jr - expected)) <= 1e-12 * scale
+        assert np.max(np.abs(jr + jr.T)) <= 1e-13 * scale
 
 
 def test_residuals_at_zero_increment_are_scaled_rhs(mini_pipeline, rng):
@@ -133,12 +153,12 @@ def test_residuals_at_zero_increment_are_scaled_rhs(mini_pipeline, rng):
     basis, phys, dops = mini_pipeline.basis, mini_pipeline.physics, mini_pipeline.diffops
     dt = mini_pipeline.config.dt
     for z in _mini_states(mini_pipeline, rng).T:
-        cases = [(rom_mod._deim_residual, rom_rhs(ops, z)),
-                 (rom_mod._pod_residual, rom_rhs_pod_only(basis, z, phys, dops))]
-        for make, rhs_value in cases:
-            res = make(ops, z, dt)(z[:, None])[:, 0]
+        cases = [("pod-deim", rom_rhs(ops, z)),
+                 ("pod", rom_rhs_pod_only(basis, z, phys, dops))]
+        for method, rhs_value in cases:
+            res = rom_mod._avf_residual(ops, z, dt, method)(z[:, None])[:, 0]
             scale = np.max(np.abs(dt * rhs_value))
-            assert np.max(np.abs(res + dt * rhs_value)) <= 1e-12 * scale, make.__name__
+            assert np.max(np.abs(res + dt * rhs_value)) <= 1e-12 * scale, method
 
 
 def test_tensor_model_conserves_lifted_energy(mini_pipeline):
@@ -281,23 +301,22 @@ def test_reduced_newton_stall_raises(mini_pipeline, solver):
 
 
 def _count_jacobian_builds(monkeypatch):
-    """Wrap both residual factories; count batched (width > 1) evaluations,
+    """Wrap the residual factory; count batched (width > 1) evaluations,
     each of which builds one finite-difference Jacobian."""
     counts = {"builds": 0}
-    for name in ("_pod_residual", "_deim_residual"):
-        make = getattr(rom_mod, name)
+    make = rom_mod._avf_residual
 
-        def counting(ops, z_old, dt, make=make):
-            residual = make(ops, z_old, dt)
+    def counting(ops, z_old, dt, method):
+        residual = make(ops, z_old, dt, method)
 
-            def wrapped(cols):
-                if cols.shape[1] > 1:
-                    counts["builds"] += 1
-                return residual(cols)
+        def wrapped(cols):
+            if cols.shape[1] > 1:
+                counts["builds"] += 1
+            return residual(cols)
 
-            return wrapped
+        return wrapped
 
-        monkeypatch.setattr(rom_mod, name, counting)
+    monkeypatch.setattr(rom_mod, "_avf_residual", counting)
     return counts
 
 
@@ -372,8 +391,10 @@ def test_galerkin_operators_drive_pod_only(mini_pipeline):
     assert res.reduced.shape == (4 * basis.r, 3)
     assert res.invariants.shape == (3, 4)
     np.testing.assert_array_equal(res.reduced[:, 0], z0)
-    # identical trajectory to the full operator set on the same method
+    # the same derivative blocks and trajectory as the full operator set
     full_ops = mini_pipeline.romops
+    np.testing.assert_array_equal(ops.a1, full_ops.a1)
+    np.testing.assert_array_equal(ops.a2, full_ops.a2)
     res_full = integrate_rom(full_ops, RomState(z_r=z0), dt, 2, method="pod")
     np.testing.assert_allclose(res.reduced, res_full.reduced, rtol=0.0, atol=1e-10)
 
