@@ -175,20 +175,26 @@ def _workspace(args) -> Path:
     return out
 
 
-def _inputs(args, stage: str):
-    """The working directory, its snapshot trajectory, the case built from the
-    arguments with the discretization pinned to the snapshots, and the
-    run_meta.json entries, checked before the stage reads anything else."""
+def _inputs(args, stage: str, initial_only: bool = False):
+    """The working directory, its snapshot trajectory (only the initial state
+    when initial_only), the case built from the arguments with the
+    discretization pinned to the snapshots, and the run_meta.json entries,
+    checked before the stage reads anything else."""
     import dataclasses
 
     from . import fileio
     from .bench import Case, read_run_meta
 
     out = _workspace(args)
-    traj, n, dt = fileio.read_snapshots(out / "snapshots.bin")
-    cfg = dataclasses.replace(_build_config(args), n=n, dt=dt, num_steps=traj.shape[1] - 1)
+    path = out / "snapshots.bin"
+    if initial_only:
+        snaps, n, dt, num_steps = fileio.read_initial_snapshot(path)
+    else:
+        snaps, n, dt = fileio.read_snapshots(path)
+        num_steps = snaps.shape[1] - 1
+    cfg = dataclasses.replace(_build_config(args), n=n, dt=dt, num_steps=num_steps)
     case = Case.build(cfg)
-    return out, traj, case, read_run_meta(out, case, stage)
+    return out, snaps, case, read_run_meta(out, case, stage)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +226,7 @@ def cmd_rom(args) -> int:
     from .bench import progress_to_stdout, stage_rom
     from .rom import galerkin_operators, rom_operators_from_parts
 
-    out, traj, case, meta = _inputs(args, "rom")
+    out, z0, case, meta = _inputs(args, "rom", initial_only=True)
     basis = fileio.read_basis(out / "basis.bin")
     if args.method == "pod":
         ops = galerkin_operators(basis, case.physics, case.diffops)
@@ -229,7 +235,7 @@ def cmd_rom(args) -> int:
         mats, _, _ = fileio.read_romops(out / "romops.bin")
         ops = rom_operators_from_parts(mats, basis, dset, case.physics, case.diffops)
     with progress_to_stdout(True):
-        stage_rom(case, ops, traj[:, 0], args.method, meta, out)
+        stage_rom(case, ops, z0, args.method, meta, out)
     return _EXIT_OK
 
 

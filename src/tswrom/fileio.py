@@ -26,6 +26,7 @@ CSV artifacts are plain comma-separated text with a header row.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -37,6 +38,7 @@ __all__ = [
     "SnapshotWriter",
     "write_snapshots",
     "read_snapshots",
+    "read_initial_snapshot",
     "write_basis",
     "read_basis",
     "write_deim",
@@ -145,8 +147,9 @@ def write_snapshots(path, trajectory: np.ndarray, n: int, dt: float) -> None:
             w.append(trajectory[:, k])
 
 
-def read_snapshots(path):
-    """Read a snapshot file -> (trajectory (4N, K+1), n, dt)."""
+def _read_snapshot_records(path, count: int | None):
+    """Check a snapshot file's header and size, then read its first count
+    records (all K+1 when count is None) -> (records (count, 4N), n, dt, K)."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic, version, n, N, K, dt, layout = _SNAP_HEADER.unpack(
@@ -156,11 +159,26 @@ def read_snapshots(path):
             raise FormatError(f"{path}: unknown record layout {layout}")
         if N != n * n:
             raise FormatError(f"{path}: header N={N} inconsistent with n={n}")
-        data = np.fromfile(fh, dtype="<f8")
-    if data.size != 4 * N * (K + 1):
-        raise FormatError(
-            f"{path}: expected {K + 1} records of length {4 * N}, found {data.size} values")
-    return data.reshape(K + 1, 4 * N).T.copy(), n, dt
+        payload = os.fstat(fh.fileno()).st_size - _SNAP_HEADER.size
+        if payload != 8 * 4 * N * (K + 1):
+            raise FormatError(f"{path}: expected {K + 1} records of {32 * N} bytes, "
+                              f"found {payload} bytes after the header")
+        count = K + 1 if count is None else count
+        data = np.fromfile(fh, dtype="<f8", count=4 * N * count)
+    return data.reshape(count, 4 * N), n, dt, K
+
+
+def read_snapshots(path):
+    """Read a snapshot file -> (trajectory (4N, K+1), n, dt)."""
+    records, n, dt, _ = _read_snapshot_records(path, None)
+    return records.T.copy(), n, dt
+
+
+def read_initial_snapshot(path):
+    """Read only the first state of a snapshot file -> (z0 (4N,), n, dt, K),
+    after the same header and length checks as read_snapshots."""
+    records, n, dt, K = _read_snapshot_records(path, 1)
+    return records[0], n, dt, K
 
 
 # ---------------------------------------------------------------------------

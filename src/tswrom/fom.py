@@ -24,10 +24,13 @@ dh dv, dh^2/2), and the term linear in (xi - 1/2) integrates to zero.
 Each implicit step is solved by a Jacobian-free Newton-Krylov iteration
 (newton_krylov below): restarted GMRES (gmres: classical Gram-Schmidt,
 Givens rotations) on a finite-difference directional derivative of the
-residual. The reduced models' Krylov solver is the same loop. One residual
-object per step holds z^k and evaluates the residual on (4, n, n) views
-with periodic slice-difference stencils, writing into its own buffers.
-integrate_fom starts each Newton solve from the extrapolation
+residual. Each correction is solved to the Eisenstat-Walker forcing term,
+clamped to [1e-8, 1e-2] and floored at min(0.5, 0.5 tol / ||R||_max), so
+the last correction is not solved far past the Newton tolerance tol. The
+reduced models' Krylov solver is the same loop. One residual object per
+step holds z^k and evaluates the residual on (4, n, n) views with periodic
+slice-difference stencils, writing into its own buffers. integrate_fom
+starts each Newton solve from the extrapolation
 2 z^k - z^{k-1}.
 
 The Poisson operator also applies to a batch of gradient-like columns
@@ -473,11 +476,14 @@ def newton_krylov(residual, z: np.ndarray, scale: float, tol: float, max_iter: i
     """Solve residual(z) = 0 by Jacobian-free Newton-Krylov from z.
 
     residual maps a flat vector to a new array of the same shape, which the
-    solver may overwrite. Each iteration solves J dz = -R by gmres to an
-    Eisenstat-Walker forcing tolerance, with J w the forward difference of
-    the residual along w at step sqrt(eps) scale / ||w||. The iteration stops
-    once max |R| <= tol; after max_iter corrections without that, it raises
-    NumericError naming label.
+    solver may overwrite. Iteration k solves J dz = -R by gmres to the
+    relative tolerance eta_k: the Eisenstat-Walker term
+    0.9 (||R_k|| / ||R_{k-1}||)^2 (1e-3 for k = 0), clamped to [1e-8, 1e-2],
+    then raised to at least min(0.5, 0.5 tol / ||R_k||), all in the max-norm,
+    so that a residual already near tol is not oversolved. J w is the
+    forward difference of the residual along w at step sqrt(eps) scale /
+    ||w||_2. The iteration stops once max |R| <= tol; after max_iter
+    corrections without that, it raises NumericError naming label.
     """
     res = residual(z)
     sqrt_eps = math.sqrt(np.finfo(np.float64).eps)
@@ -487,11 +493,12 @@ def newton_krylov(residual, z: np.ndarray, scale: float, tol: float, max_iter: i
         rnorm = float(np.max(np.abs(res)))
         if rnorm <= tol:
             return z
-        # Eisenstat-Walker-style forcing with conservative clamps.
+        # Eisenstat-Walker forcing, clamped, then floored (Kelley 1995, 6.3)
         if rnorm_prev is None:
             eta = 1e-3
         else:
             eta = min(1e-2, max(1e-8, 0.9 * (rnorm / rnorm_prev) ** 2))
+        eta = max(eta, min(0.5, 0.5 * tol / rnorm))
         rnorm_prev = rnorm
 
         def jacvec(w, z=z, res=res):

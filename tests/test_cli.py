@@ -10,8 +10,11 @@ import sys
 import numpy as np
 import pytest
 
+from tswrom import fileio
+from tswrom.bench import Case, DoubleVortexConfig, stage_rom
 from tswrom.cli import main
 from tswrom.fileio import read_snapshots
+from tswrom.rom import galerkin_operators, rom_operators_from_parts
 
 _SMALL = ["--set", "n=16", "--set", "num_steps=12"]
 
@@ -210,6 +213,36 @@ def test_corrupted_snapshots_exit_5(tmp_path, capsys):
     snap.write_bytes(b"XXXX" + snap.read_bytes()[4:])
     assert main(["reduce", "--out", str(out)]) == 5
     assert "bad magic" in capsys.readouterr().err
+
+
+def test_rom_output_matches_a_solve_from_the_whole_trajectory(chain_dir, tmp_path):
+    # rom reads only the first snapshot record; its states and invariants
+    # are bit for bit those of a solve started from the fully read trajectory
+    traj, n, dt = read_snapshots(chain_dir / "snapshots.bin")
+    case = Case.build(DoubleVortexConfig(n=n, dt=dt, num_steps=traj.shape[1] - 1))
+    basis = fileio.read_basis(chain_dir / "basis.bin")
+    dset = fileio.read_deim(chain_dir / "deim.bin")
+    mats, _, _ = fileio.read_romops(chain_dir / "romops.bin")
+    for method, ops in (
+            ("pod", galerkin_operators(basis, case.physics, case.diffops)),
+            ("pod-deim", rom_operators_from_parts(mats, basis, dset, case.physics,
+                                                  case.diffops))):
+        stage_rom(case, ops, traj[:, 0], method, {}, tmp_path)
+        tag = method.replace("-", "_")
+        for name in (f"rom_state_{tag}.csv", f"rom_invariants_{tag}.csv"):
+            assert (tmp_path / name).read_bytes() == (chain_dir / name).read_bytes(), name
+
+
+def test_snapshots_short_by_one_record_make_rom_exit_5(tmp_path, capsys):
+    out = tmp_path / "ws"
+    assert main(["fom", "--out", str(out), "--set", "n=8", "--set", "num_steps=3"]) == 0
+    assert main(["reduce", "--out", str(out)]) == 0
+    snap = out / "snapshots.bin"
+    snap.write_bytes(snap.read_bytes()[:-4 * 64 * 8])
+    capsys.readouterr()
+    for method in ("pod", "pod-deim"):
+        assert main(["rom", "--out", str(out), "--method", method]) == 5
+        assert "expected 4 records" in capsys.readouterr().err
 
 
 def test_truncated_run_meta_exits_5(tmp_path, capsys):

@@ -375,3 +375,49 @@ def test_guess_used_or_rejected(vortex16, monkeypatch):
     np.testing.assert_array_equal(fallback.z, plain.z)
     with pytest.raises(ValueError):
         avf_step(state, dt, phys, ops, guess=plain.z[:-1])
+
+
+def _record_gmres_calls(monkeypatch):
+    """Record (rtol, max |b|, matvecs) of every fom.gmres call."""
+    calls = []
+    real = fom_mod.gmres
+
+    def recorded(A, b, *, rtol, restart, maxiter):
+        matvecs = []
+
+        def matvec(w):
+            matvecs.append(1)
+            return A.matvec(w)
+
+        counted = fom_mod.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype)
+        result = real(counted, b, rtol=rtol, restart=restart, maxiter=maxiter)
+        calls.append((rtol, float(np.max(np.abs(b))), len(matvecs)))
+        return result
+
+    monkeypatch.setattr(fom_mod, "gmres", recorded)
+    return calls
+
+
+def test_forcing_floor_keeps_the_last_correction_from_oversolving(vortex16, monkeypatch):
+    # every correction is asked for no more than half of the way from max|R|
+    # down to tol, however small the Eisenstat-Walker term gets
+    cfg = NewtonConfig()
+    calls = _record_gmres_calls(monkeypatch)
+    integrate_fom(vortex16.initial, vortex16.cfg.dt, 3, vortex16.physics, vortex16.diffops)
+    assert calls
+    for rtol, bmax, _ in calls:
+        assert rtol >= min(0.5, 0.5 * cfg.tol / bmax)
+
+
+def test_krylov_matvecs_per_step_at_n32(monkeypatch):
+    # regression guard on the full-order Krylov work; without the forcing
+    # floor this run spends 19 matvecs per step
+    from tswrom.bench import DoubleVortexConfig, double_vortex_initial, make_physics
+    from tswrom.grid import build_diff_ops
+
+    cfg = DoubleVortexConfig(n=32, num_steps=40)
+    grid = cfg.make_grid()
+    calls = _record_gmres_calls(monkeypatch)
+    integrate_fom(double_vortex_initial(grid, cfg), cfg.dt, cfg.num_steps,
+                  make_physics(cfg, grid.N), build_diff_ops(grid))
+    assert sum(m for _, _, m in calls) / cfg.num_steps <= 15.0
