@@ -40,7 +40,12 @@ to prove that the online cost does not grow with N.
 Both models solve the implicit 4r system with a chord Newton iteration. One
 LU-factored dense finite-difference Jacobian is kept across the steps of an
 integrate_rom run and rebuilt, at the current iterate, only when the
-residual stops halving.
+residual stops halving. The chord iteration converges linearly, so a close
+start saves iterations: integrate_rom starts the second step from
+2 z^1 - z^0 and every later one from 3 z^k - 3 z^{k-1} + z^{k-2}. A start
+whose midpoint with z^k fails the model's own height check (at all N nodes
+for pod, at the DEIM points for pod-deim) is replaced by z^k, as in the
+full model. A NaN or infinite residual stops the iteration at once.
 
 The invariants of lift z_r are polynomials of z_r built from the same data:
 mass and vorticity are affine, buoyancy is quadratic through V_h^T V_s, and
@@ -57,7 +62,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from .deim import NUM_NONLIN, DeimSet
 from .errors import ConfigError, NumericError
@@ -140,6 +146,10 @@ def _three_way(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
+# weights of the u, v and s blocks in Q(x)'s h block
+_HALF_HALF_ONE = np.array([0.5, 0.5, 1.0])[:, None]
+
+
 @dataclass
 class _Gradient:
     """The exact reduced energy gradient g_r(z) = c + L z + Q(z) =
@@ -166,23 +176,26 @@ class _Gradient:
         """Q(x) for reduced columns x (4r, m), reading each tensor once."""
         r = self.t_uu.shape[0]
         m = x.shape[1]
-        a, u, v, s = x.reshape(4, r, m)
-        # tu[i, j] = t_uu[i, j, k] u_k, tv likewise; by the symmetry of t_hs
-        # in (i, j), w[j, k] = a_i t_hs[i, j, k] serves both of its blocks
-        tu = (self.t_uu.reshape(r * r, r) @ u).reshape(r, r, m)
-        tv = (self.t_vv.reshape(r * r, r) @ v).reshape(r, r, m)
-        w = (a.T @ self.t_hs.reshape(r, r * r)).reshape(m, r, r)
-        out = np.empty((4, r, m))
-        out[0] = np.einsum("ijm,jm->im", tu, 0.5 * u)
-        out[0] += np.einsum("ijm,jm->im", tv, 0.5 * v)
-        out[0] += np.einsum("mik,km->im", w, s)
-        out[1] = np.einsum("ijm,im->jm", tu, a)
-        out[2] = np.einsum("ijm,im->jm", tv, a)
-        out[3] = np.einsum("mjk,jm->km", w, a)
-        out[3] *= 0.5
+        a, u, v, _ = x.reshape(4, r, m)
+        # per column, t[0, i, j] = t_uu[i, j, k] u_k and t[1] likewise for v;
+        # by the symmetry of t_hs in (i, j), t[2, j, k] = a_i t_hs[i, j, k]
+        # serves both of its blocks
+        t = np.empty((m, 3, r * r))
+        np.matmul(u.T, self.t_uu.reshape(r * r, r).T, out=t[:, 0])
+        np.matmul(v.T, self.t_vv.reshape(r * r, r).T, out=t[:, 1])
+        np.matmul(a.T, self.t_hs.reshape(r, r * r), out=t[:, 2])
+        t = t.reshape(m, 3, r, r)
+        # rows (m, 4, r): the u, v and s blocks are a^T t, the h block is
+        # t_0 u / 2 + t_1 v / 2 + t_2 s
+        out = np.empty((m, 4, r))
+        np.matmul(a.T[:, None, None, :], t, out=out[:, 1:, None, :])
+        out[:, 3] *= 0.5
+        uvs = x[r:].T.reshape(m, 3, r) * _HALF_HALF_ONE
+        np.matmul(t.transpose(0, 2, 1, 3).reshape(m, r, 3 * r), uvs.reshape(m, 3 * r, 1),
+                  out=out[:, 0, :, None])
         if counter is not None:
             counter.add_core((3 * 2 * r**3 + 6 * 2 * r**2 + 5 * r) * m)
-        return out.reshape(4 * r, m)
+        return out.reshape(m, 4 * r).T
 
     def _affine(self, x: np.ndarray, counter: FlopCounter | None) -> np.ndarray:
         out = self.lin @ x
@@ -290,6 +303,11 @@ class _Sampler:
     offset: np.ndarray  # (len(_SAMPLED) p, 1)
     nnz: int            # entries of rows outside its all-zero (p, r) blocks
 
+    def min_height(self, z_cols: np.ndarray) -> float:
+        """The smallest sampled height of F1..F3 for reduced columns (4r, m)."""
+        k = NUM_NONLIN * (self.rows.shape[0] // len(_SAMPLED))
+        return float(np.min(self.rows[:k] @ z_cols + self.offset[:k]))
+
     def sample(self, z_cols: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
         """The sampled F1, F2, F3 for reduced columns (4r, m) -> (3, p, m)."""
         m = z_cols.shape[1]
@@ -318,7 +336,8 @@ class RomOperators:
     sampler they give the tensor model's Q_j. The basis/deim/physics/diffops
     references serve the Galerkin model, rebuilding and serialization. A
     DEIM-free instance (from galerkin_operators) leaves k1..sampler unset and
-    can only drive the pod method.
+    can only drive the pod method. j0 is the constant part of J_r, a1, a2,
+    -a1^T and -a2^T placed in a (4r, 4r) array, built once per operator set.
     """
 
     basis: PodBasis
@@ -332,6 +351,16 @@ class RomOperators:
     k2: np.ndarray = None
     k3: np.ndarray = None
     sampler: _Sampler = field(repr=False, default=None)
+    j0: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        r = self.r
+        j0 = np.zeros((4, r, 4, r))
+        j0[0, :, 1] = self.a1
+        j0[0, :, 2] = self.a2
+        j0[1, :, 0] = -self.a1.T
+        j0[2, :, 0] = -self.a2.T
+        self.j0 = j0.reshape(4 * r, 4 * r)
 
     @property
     def r(self) -> int:
@@ -440,18 +469,17 @@ def rom_operators_from_parts(matrices: dict[str, np.ndarray], basis: PodBasis,
 
 def _reduced_poisson(ops: RomOperators, q) -> np.ndarray:
     """J_r for coefficient blocks q, Q_1..Q_3 each (m, r, r), as (m, 4r, 4r):
-    skew by construction, each block set next to its negated transpose."""
+    the constant part j0 with each Q_j set next to its negated transpose,
+    skew by construction."""
     r = ops.r
     m = q[0].shape[0]
-    jr = np.zeros((m, 4, r, 4, r))
-    jr[:, 0, :, 1] = ops.a1
-    jr[:, 0, :, 2] = ops.a2
-    jr[:, 1, :, 0] = -ops.a1.T
-    jr[:, 2, :, 0] = -ops.a2.T
+    jr = np.empty((m, 4 * r, 4 * r))
+    jr[:] = ops.j0
+    blocks = jr.reshape(m, 4, r, 4, r)
     for qj, (a, b) in zip(q, _SKEW_PAIRS):
-        jr[:, a, :, b] = -qj
-        jr[:, b, :, a] = qj.transpose(0, 2, 1)
-    return jr.reshape(m, 4 * r, 4 * r)
+        np.negative(qj, out=blocks[:, a, :, b])
+        blocks[:, b, :, a] = qj.transpose(0, 2, 1)
+    return jr
 
 
 def _apply_reduced_poisson(ops: RomOperators, mid: np.ndarray, g: np.ndarray,
@@ -473,14 +501,14 @@ def _apply_reduced_poisson(ops: RomOperators, mid: np.ndarray, g: np.ndarray,
 def _galerkin_poisson(ops: RomOperators, z_old: np.ndarray):
     """Galerkin model: J_r(m) g = V^T J(lift m) V g for steps from z_old, as a
     function of reduced midpoints mid, increments dz and columns g (4r, m).
-    The derivative blocks are J_r with all Q_j = 0; Q_j = V_a^T diag(F_j) V_b,
-    F_j exact at all N nodes of lift m, is applied unformed as V_a^T (F_j V_b
-    g_b) and V_b^T (F_j V_a g_a): O(N r) per column. lift m = lift(z_old) +
-    V dz / 2, so z_old is lifted once and each call needs V dz only."""
+    The derivative blocks are J_r's constant part j0; Q_j = V_a^T diag(F_j)
+    V_b, F_j exact at all N nodes of lift m, is applied unformed as V_a^T
+    (F_j V_b g_b) and V_b^T (F_j V_a g_a): O(N r) per column. lift m =
+    lift(z_old) + V dz / 2, so z_old is lifted once and each call needs V dz
+    only."""
     basis, grid, f = ops.basis, ops.diffops.grid, ops.physics.f
     N, r = basis.N, basis.r
     base = basis.lift_array(z_old)[:, None]
-    derivative = _reduced_poisson(ops, [np.zeros((1, r, r))] * 3)[0]
     modes_t = basis.modes[1:].transpose(0, 2, 1)
 
     def apply(mid: np.ndarray, dz: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -495,7 +523,7 @@ def _galerkin_poisson(ops: RomOperators, z_old: np.ndarray):
         for fj, (a, b) in zip(coef, _SKEW_PAIRS):
             w[a - 1] -= fj * vg[b - 1]
             w[b - 1] += fj * vg[a - 1]
-        out = derivative @ g
+        out = ops.j0 @ g
         out[r:] += (modes_t @ w).reshape(3 * r, m)
         return out
 
@@ -523,6 +551,15 @@ def rom_rhs(ops: RomOperators, z_r: np.ndarray,
 # ---------------------------------------------------------------------------
 # implicit reduced stepping
 # ---------------------------------------------------------------------------
+
+def _midpoint_height(ops: RomOperators, method: str, mid: np.ndarray) -> float:
+    """The smallest height that the residual of the method checks at the
+    reduced midpoint mid (4r,): at all N nodes of its lift for pod, at the
+    DEIM points for pod-deim."""
+    if method == "pod":
+        return float(np.min(ops.basis.modes[0] @ mid[: ops.r] + ops.basis.means[0]))
+    return ops.sampler.min_height(mid[:, None])
+
 
 def _avf_residual(ops: RomOperators, z_old: np.ndarray, dt: float, method: str):
     """Implicit AVF residual dz + dt J_r(m) gbar_r of either reduced model for
@@ -554,8 +591,8 @@ class _ChordJacobian:
         self.lu = None
 
     def factor(self, jac: np.ndarray) -> None:
-        # lu_factor only warns on an exactly zero pivot and lu_solve would
-        # then return inf, so the pivots are checked here instead
+        # lu_factor only warns on an exactly zero pivot and getrs would then
+        # return inf, so the pivots are checked here instead
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)
             lu, piv = lu_factor(jac, check_finite=False)
@@ -567,34 +604,42 @@ class _ChordJacobian:
         self.lu = (lu, piv)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self.lu, rhs, check_finite=False)
+        # LAPACK's getrs directly: scipy's lu_solve wrapper costs ten times
+        # the solve of a 4r system
+        x, info = dgetrs(*self.lu, rhs)
+        if info != 0:
+            raise NumericError(f"reduced Newton solve failed: getrs info {info}")
+        return x
 
 
-def _rom_newton_dense(residual, z_old, tol_eff, max_iter, chord):
+def _rom_newton_dense(residual, z_start, tol_eff, max_iter, chord):
     # Chord iteration: one batched residual evaluation builds the whole 4r
     # Jacobian, which is factored and kept in chord. The implicit residual
     # changes little from one step to the next, so the same factors serve
     # iteration after iteration and step after step; they are rebuilt at the
-    # current iterate only when the residual stops halving.
+    # current iterate only when the residual stops halving. A non-finite
+    # residual stops the loop at once: a NaN would neither pass the tolerance
+    # nor fail the halving test.
     sqrt_eps = math.sqrt(np.finfo(np.float64).eps)
-    z = z_old.copy()
-    res = residual(z[:, None])[:, 0]
-    rnorm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
+    z = z_start.copy()
+    rnorm = math.inf
+    for it in range(max_iter + 1):
+        res = residual(z[:, None])[:, 0]
+        rnorm_new = float(np.max(np.abs(res)))
+        if not math.isfinite(rnorm_new):
+            raise NumericError(f"non-finite reduced residual (max |R| = {rnorm_new})")
+        if rnorm_new > 0.5 * rnorm:
+            chord.lu = None
+        rnorm = rnorm_new
         if rnorm <= tol_eff:
             return z
+        if it == max_iter:
+            break
         if chord.lu is None:
             eps = sqrt_eps * np.maximum(1.0, np.abs(z))
             resb = residual(z[:, None] + np.diag(eps))
             chord.factor((resb - res[:, None]) / eps[None, :])
         z = z + chord.solve(-res)
-        res = residual(z[:, None])[:, 0]
-        rnorm_new = float(np.max(np.abs(res)))
-        if rnorm_new > 0.5 * rnorm:
-            chord.lu = None
-        rnorm = rnorm_new
-    if rnorm <= tol_eff:
-        return z
     raise NumericError(
         f"reduced Newton stalled after {max_iter} iterations; "
         f"last residual {rnorm:.3e} > tol {tol_eff:.3e}"
@@ -604,7 +649,8 @@ def _rom_newton_dense(residual, z_old, tol_eff, max_iter, chord):
 def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
                  method: str = "pod-deim", tol: float = _ROM_NEWTON_TOL,
                  max_iter: int = _ROM_NEWTON_MAXITER,
-                 solver: str = "dense", *, _chord: _ChordJacobian | None = None) -> np.ndarray:
+                 solver: str = "dense", *, _chord: _ChordJacobian | None = None,
+                 _start: np.ndarray | None = None) -> np.ndarray:
     """One reduced AVF step: J_r at the midpoint applied to the closed-form
     chord mean of the exact reduced gradient. The implicit 4r system is
     solved by chord Newton with a factored dense finite-difference Jacobian
@@ -612,10 +658,12 @@ def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
     Newton-Krylov loop, fom.newton_krylov (solver="krylov", for large r such
     as full-basis verification runs).
 
-    A stand-alone call builds a fresh Jacobian. integrate_rom passes its
-    factorization through the private _chord argument instead, so one
-    factorization is kept across steps and rebuilt only when the residual
-    stops halving."""
+    A stand-alone call builds a fresh Jacobian and starts Newton from z_r.
+    integrate_rom passes its factorization through the private _chord
+    argument instead, so one factorization is kept across steps and rebuilt
+    only when the residual stops halving, and an extrapolated start through
+    _start. Newton starts from _start only if the model's own height check
+    passes at its midpoint with z_r, and from z_r otherwise."""
     if method not in METHODS:
         raise ConfigError(f"unknown reduced model {method!r}, expected one of {METHODS}")
     if solver not in ("dense", "krylov"):
@@ -623,12 +671,15 @@ def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
     z_old = np.asarray(z_r, dtype=np.float64)
     tol_eff = tol * max(1.0, float(np.max(np.abs(z_old))))
     residual = _avf_residual(ops, z_old, dt, method)
+    start = z_old
+    if _start is not None and _midpoint_height(ops, method, 0.5 * (z_old + _start)) > 0.0:
+        start = _start
     if solver == "krylov":
         scale = max(1.0, float(np.linalg.norm(z_old)))
-        return newton_krylov(lambda z: residual(z[:, None])[:, 0], z_old.copy(), scale,
+        return newton_krylov(lambda z: residual(z[:, None])[:, 0], start.copy(), scale,
                              tol_eff, max_iter, "reduced Newton-Krylov")
     chord = _ChordJacobian() if _chord is None else _chord
-    return _rom_newton_dense(residual, z_old, tol_eff, max_iter, chord)
+    return _rom_newton_dense(residual, start, tol_eff, max_iter, chord)
 
 
 @dataclass
@@ -644,7 +695,12 @@ class RomResult:
 def integrate_rom(ops: RomOperators, initial: RomState, dt: float, num_steps: int,
                   method: str = "pod-deim", solver: str = "dense") -> RomResult:
     """March the reduced model and record the invariants of the lifted
-    states, evaluated as polynomials of the reduced coefficients."""
+    states, evaluated as polynomials of the reduced coefficients.
+
+    Newton starts the first step from z^0, the second from the linear
+    extrapolation 2 z^1 - z^0 and every later one from the quadratic
+    extrapolation 3 z^k - 3 z^{k-1} + z^{k-2}, with rom_avf_step's
+    fallback to z^k."""
     if method not in METHODS:
         raise ConfigError(f"unknown reduced model {method!r}, expected one of {METHODS}")
     red = np.empty((initial.z_r.size, num_steps + 1))
@@ -653,8 +709,14 @@ def integrate_rom(ops: RomOperators, initial: RomState, dt: float, num_steps: in
     z = np.asarray(initial.z_r, dtype=np.float64).copy()
     red[:, 0] = z
     chord = _ChordJacobian()
+    start = None
     for k in range(1, num_steps + 1):
-        z = rom_avf_step(ops, z, dt, method=method, solver=solver, _chord=chord)
+        if k == 2:
+            start = 2.0 * z - red[:, 0]
+        elif k > 2:
+            start = 3.0 * (z - red[:, k - 2]) + red[:, k - 3]
+        z = rom_avf_step(ops, z, dt, method=method, solver=solver, _chord=chord,
+                         _start=start)
         red[:, k] = z
     return RomResult(reduced=red, invariants=ops.grad.invariants(red), times=times,
                      method=method)

@@ -8,8 +8,9 @@ geophysical magnitudes, where float64 cancellation would mask real defects.
 
 The module also holds the reference implementations the tests compare the
 program against: CSR difference matrices, dense full and reduced Poisson
-matrices, a 2-point Gauss AVF residual, a dense-Jacobian Newton step and
-the plain Galerkin and sampled right-hand sides.
+matrices, a 2-point Gauss AVF residual, a dense-Jacobian Newton step, the
+plain Galerkin and sampled right-hand sides and the einsum form of the
+reduced gradient's quadratic part.
 """
 
 import math
@@ -122,6 +123,22 @@ def rom_rhs_pod_only(basis, z_r, physics, ops):
         [basis.modes[i] @ (basis.modes[i].T @ g[i * N : (i + 1) * N]) for i in range(4)])
     jg = plain_apply_j(lifted, gproj, physics, ops)
     return -np.concatenate([basis.modes[i].T @ jg[i * N : (i + 1) * N] for i in range(4)])
+
+
+def einsum_quadratic(grad, x):
+    """Reference quadratic part Q(x) of a reduced gradient for columns x
+    (4r, m), one einsum over the tensors per term: V_h^T ((u u + v v)/2 + h s),
+    V_u^T (h u), V_v^T (h v) and V_s^T (h h)/2 in reduced form."""
+    r = grad.t_uu.shape[0]
+    a, u, v, s = x.reshape(4, r, -1)
+    return np.concatenate([
+        0.5 * np.einsum("ijk,jm,km->im", grad.t_uu, u, u)
+        + 0.5 * np.einsum("ijk,jm,km->im", grad.t_vv, v, v)
+        + np.einsum("ijk,jm,km->im", grad.t_hs, a, s),
+        np.einsum("ijk,im,km->jm", grad.t_uu, a, u),
+        np.einsum("ijk,im,km->jm", grad.t_vv, a, v),
+        0.5 * np.einsum("ijk,im,jm->km", grad.t_hs, a, a),
+    ])
 
 
 def deim_apply(op, state, physics, ops):

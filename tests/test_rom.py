@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
-from helpers import (SEED, dense_poisson_matrix, random_physics, random_state,
-                     reduced_poisson_matrix, rom_rhs_pod_only, small_setup)
+from helpers import (SEED, dense_poisson_matrix, einsum_quadratic, random_physics,
+                     random_state, reduced_poisson_matrix, rom_rhs_pod_only, small_setup)
 
 from tswrom import rom as rom_mod
 from tswrom.deim import NUM_NONLIN, build_deim, collect_nonlin_snapshots, nonlinearity
@@ -67,6 +68,16 @@ def test_tensor_identity_against_hadamard_products(rng):
                                    va.T @ ((vb @ x) * (vc @ y)), rtol=1e-11, atol=1e-12)
         np.testing.assert_allclose(np.einsum("ijk,im,km->jm", tens, x, y),
                                    vb.T @ ((va @ x) * (vc @ y)), rtol=1e-11, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 40])
+def test_quadratic_matches_einsum_oracle(mini_pipeline, rng, m):
+    # one state, a chord mean's [mid | dz] pair, and the width of a
+    # Jacobian-build chord mean at r=5 (2 x 4r columns)
+    grad = mini_pipeline.romops.grad
+    x = rng.normal(size=(4 * mini_pipeline.basis.r, m))
+    expected = einsum_quadratic(grad, x)
+    assert np.max(np.abs(grad.quadratic(x) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def _mini_states(mini_pipeline, rng):
@@ -300,16 +311,17 @@ def test_reduced_newton_stall_raises(mini_pipeline, solver):
         rom_avf_step(ops, z0, mini_pipeline.config.dt, solver=solver, tol=1e-30, max_iter=1)
 
 
-def _count_jacobian_builds(monkeypatch):
-    """Wrap the residual factory; count batched (width > 1) evaluations,
-    each of which builds one finite-difference Jacobian."""
-    counts = {"builds": 0}
+def _count_residuals(monkeypatch):
+    """Wrap the residual factory; count all evaluations, and the batched
+    (width > 1) ones, each of which builds one finite-difference Jacobian."""
+    counts = {"calls": 0, "builds": 0}
     make = rom_mod._avf_residual
 
     def counting(ops, z_old, dt, method):
         residual = make(ops, z_old, dt, method)
 
         def wrapped(cols):
+            counts["calls"] += 1
             if cols.shape[1] > 1:
                 counts["builds"] += 1
             return residual(cols)
@@ -327,7 +339,7 @@ def test_carried_jacobian_matches_fresh_steps(mini_pipeline, monkeypatch, method
     ops = mini_pipeline.romops
     z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.state(0))
     dt, steps = mini_pipeline.config.dt, mini_pipeline.config.num_steps
-    counts = _count_jacobian_builds(monkeypatch)
+    counts = _count_residuals(monkeypatch)
     carried = integrate_rom(ops, RomState(z_r=z0), dt, steps, method=method).reduced
     carried_builds = counts["builds"]
     fresh = [z0]
@@ -346,13 +358,71 @@ def test_wrong_carried_jacobian_is_rebuilt_on_stall(mini_pipeline, monkeypatch, 
     z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.state(0))
     dt = mini_pipeline.config.dt
     fresh = rom_avf_step(ops, z0, dt, method=method)
-    counts = _count_jacobian_builds(monkeypatch)
+    counts = _count_residuals(monkeypatch)
     chord = rom_mod._ChordJacobian()
     chord.factor(-np.eye(z0.size))
     rebuilt = rom_avf_step(ops, z0, dt, method=method, _chord=chord)
     assert counts["builds"] == 1
     scale = max(1.0, float(np.max(np.abs(fresh))))
     assert np.max(np.abs(rebuilt - fresh)) <= 1e-7 * scale
+
+
+def test_chord_solve_matches_lu_solve(rng):
+    a = rng.normal(size=(20, 20))
+    b = rng.normal(size=20)
+    chord = rom_mod._ChordJacobian()
+    chord.factor(a)
+    np.testing.assert_array_equal(chord.solve(b), lu_solve(lu_factor(a), b))
+
+
+@pytest.mark.parametrize("method, message", [
+    ("pod", "non-finite reduced residual"),
+    # the sampling GEMM carries the NaN into the sampled heights (0 * NaN),
+    # which the tensor model's own height check refuses first
+    ("pod-deim", "nonpositive sampled height"),
+])
+def test_non_finite_reduced_state_stops_at_once(mini_pipeline, monkeypatch, method, message):
+    ops = mini_pipeline.romops
+    r = mini_pipeline.basis.r
+    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.state(0))
+    z0[3 * r] = np.nan
+    # with a carried Jacobian no factorization meets the NaN: the loop used
+    # to spend all its iterations on a NaN max |R| and then report a stall
+    chord = rom_mod._ChordJacobian()
+    chord.factor(np.eye(z0.size))
+    counts = _count_residuals(monkeypatch)
+    with pytest.raises(NumericError, match=message):
+        rom_avf_step(ops, z0, mini_pipeline.config.dt, method=method, _chord=chord)
+    assert counts["calls"] <= 2
+
+
+@pytest.mark.parametrize("method", ["pod", "pod-deim"])
+def test_start_with_nonpositive_midpoint_height_falls_back(mini_pipeline, method):
+    # mode 0 of the height is its normalized mean, so moving the start far
+    # down along it puts the midpoint height below zero everywhere
+    ops, basis = mini_pipeline.romops, mini_pipeline.basis
+    z0 = restrict(basis, mini_pipeline.fom.state(5))
+    start = z0.copy()
+    start[0] -= 4.0 * np.linalg.norm(basis.means[0])
+    mid = 0.5 * (z0 + start)
+    assert ops.sampler.min_height(mid[:, None]) <= 0.0
+    dt = mini_pipeline.config.dt
+    np.testing.assert_array_equal(rom_avf_step(ops, z0, dt, method=method, _start=start),
+                                  rom_avf_step(ops, z0, dt, method=method))
+
+
+def test_tensor_residuals_per_step_at_n32(monkeypatch):
+    # regression guard on the reduced Newton work of the extrapolated start;
+    # starting every step from z^k this run spends 4.94 residuals per step
+    from tswrom.bench import Case, DoubleVortexConfig, stage_fom, stage_reduce
+
+    cfg = DoubleVortexConfig(n=32, num_steps=250, dt=486.0, r_override=5, p_override=35)
+    case = Case.build(cfg)
+    full = stage_fom(case, {})
+    basis, _, ops = stage_reduce(case, full.trajectory, {})
+    counts = _count_residuals(monkeypatch)
+    integrate_rom(ops, RomState(z_r=restrict(basis, full.state(0))), cfg.dt, cfg.num_steps)
+    assert counts["calls"] / cfg.num_steps <= 4.5
 
 
 def test_singular_reduced_jacobian_raises(rng):
