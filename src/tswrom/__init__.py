@@ -33,10 +33,10 @@ _EXPORTS = {
     # proper orthogonal decomposition
     "SnapshotSet": ".pod", "PodBasis": ".pod",
     "collect_snapshots": ".pod", "build_pod_basis": ".pod",
-    "restrict": ".pod", "lift": ".pod",
+    "restrict": ".pod",
     # empirical interpolation
     "DeimOperator": ".deim", "DeimSet": ".deim",
-    "nonlinearity": ".deim", "collect_nonlin_snapshots": ".deim",
+    "collect_nonlin_snapshots": ".deim",
     "qdeim_select": ".deim", "build_deim": ".deim",
     # reduced models
     "RomState": ".rom", "RomOperators": ".rom", "RomResult": ".rom",

@@ -10,13 +10,14 @@ They are rational in the state, so the tensor model interpolates them. The
 energy gradient is a quadratic polynomial of the state and needs no
 interpolation: the reduced models evaluate it exactly (see rom.py).
 
-Each F_j gets its own interpolation basis Phi_j from an SVD of its snapshot
-matrix (evaluated on POD reconstructions by default), a shared number of
-interpolation points p (max of the per-j energy ranks, or an override), and
-point sets chosen by Q-DEIM: the first p column pivots of a pivoted QR of
-Phi_j^T. The oblique reconstruction factor Psi_j = Phi_j (P_j^T Phi_j)^{-1}
-is formed with an LU solve, never an explicit inverse, and satisfies the
-interpolation property P_j^T Psi_j = I.
+Each F_j gets its own interpolation basis Phi_j, the p leading left singular
+vectors of its snapshot matrix (evaluated on POD reconstructions by default),
+from the QR-based thin SVD of pod.py, which forms only those p vectors. The
+three share the number of interpolation points p (max of the per-j energy
+ranks, or an override). Point sets are chosen by Q-DEIM: the first p column
+pivots of a pivoted QR of Phi_j^T. The oblique reconstruction factor
+Psi_j = Phi_j (P_j^T Phi_j)^{-1} is formed with an LU solve, never an
+explicit inverse, and satisfies the interpolation property P_j^T Psi_j = I.
 """
 
 from __future__ import annotations
@@ -28,16 +29,15 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, NumericError
-from .fom import Physics, State, _coefficients
+from .fom import Physics, _coefficients
 from .grid import DiffOps
-from .pod import PodBasis, SnapshotSet, truncate_rank
+from .pod import PodBasis, SnapshotSet, _thin_svd, truncate_rank
 
 __all__ = [
     "NUM_NONLIN",
     "NonlinSnapshots",
     "DeimOperator",
     "DeimSet",
-    "nonlinearity",
     "collect_nonlin_snapshots",
     "qdeim_select",
     "build_deim",
@@ -53,13 +53,6 @@ def _eval_all(zcols: np.ndarray, physics: Physics, ops: DiffOps) -> np.ndarray:
     """F1, F2, F3 on packed states (4N,) or (4N, m) -> (3, N[, m])."""
     coef = _coefficients(zcols, physics.f, ops.grid)
     return coef.reshape((NUM_NONLIN, ops.grid.N) + zcols.shape[1:])
-
-
-def nonlinearity(j: int, state: State, physics: Physics, ops: DiffOps) -> np.ndarray:
-    """Evaluate nonlinearity j (1-based, 1..3) on a full state."""
-    if not 1 <= j <= NUM_NONLIN:
-        raise ConfigError(f"nonlinearity index must be 1..{NUM_NONLIN}, got {j}")
-    return _eval_all(state.z, physics, ops)[j - 1]
 
 
 @dataclass
@@ -87,11 +80,20 @@ def collect_nonlin_snapshots(snapshots: SnapshotSet, basis: PodBasis,
     through the POD basis, z -> mean + V V^T (z - mean), so the
     interpolation bases are trained on exactly the states the reduced model
     will visit. projected=False evaluates on the raw snapshots instead.
+
+    The projected states are lifted from V^T of the deviations directly, so
+    the full snapshots are never formed; V^T of the mean difference is added
+    only for a basis built on other means than these snapshots'.
     """
-    full = snapshots.deviations + snapshots.means[:, :, None]
-    zcols = full.reshape(4 * snapshots.N, snapshots.num_snapshots)
+    dev = snapshots.deviations.reshape(4 * snapshots.N, snapshots.num_snapshots)
     if projected:
-        zcols = basis.lift_array(basis.restrict_array(zcols))
+        coef = basis.project_modes(dev)
+        offset = (snapshots.means - basis.means).reshape(-1)
+        if np.any(offset):
+            coef += basis.project_modes(offset)
+        zcols = basis.lift_array(coef)
+    else:
+        zcols = dev + snapshots.means.reshape(-1, 1)
     return NonlinSnapshots(values=_eval_all(zcols, physics, ops), projected=projected)
 
 
@@ -162,6 +164,9 @@ def build_deim(nonlin: NonlinSnapshots, kappa: float,
                p_override: int | None = None) -> DeimSet:
     """SVD each nonlinearity, share p = max of the energy ranks, select points.
 
+    All three spectra are computed first, since p depends on all of them;
+    then only the p leading singular vectors of each are formed.
+
     Parameters
     ----------
     nonlin : NonlinSnapshots
@@ -170,22 +175,17 @@ def build_deim(nonlin: NonlinSnapshots, kappa: float,
     p_override : int, optional
         Pin the shared number of interpolation points.
     """
-    svals = []
-    umats = []
-    ranks = []
-    for jm1 in range(NUM_NONLIN):
-        u, sig, _ = np.linalg.svd(nonlin.values[jm1], full_matrices=False)
-        umats.append(u)
-        svals.append(sig)
-        ranks.append(truncate_rank(sig, kappa) if sig[0] > 0 else 1)
-    avail = umats[0].shape[1]
+    svds = [_thin_svd(nonlin.values[jm1]) for jm1 in range(NUM_NONLIN)]
+    svals = np.stack([sig for sig, _ in svds])
+    ranks = [truncate_rank(sig, kappa) if sig[0] > 0 else 1 for sig in svals]
+    avail = svals.shape[1]
     p = max(ranks) if p_override is None else int(p_override)
     if not 1 <= p <= avail:
         raise ConfigError(f"interpolation count p={p} outside [1, {avail}]")
 
     operators = []
-    for jm1 in range(NUM_NONLIN):
-        phi = umats[jm1][:, :p]
+    for jm1, (_, leading) in enumerate(svds):
+        phi = leading(p)
         idx = qdeim_select(phi, p)
         square = phi[idx, :]
         cond = np.linalg.cond(square)
@@ -200,7 +200,7 @@ def build_deim(nonlin: NonlinSnapshots, kappa: float,
         operators.append(DeimOperator(j=jm1 + 1, indices=idx, phi=phi, psi=np.ascontiguousarray(psi)))
     return DeimSet(
         operators=tuple(operators),
-        singular_values=np.stack(svals),
+        singular_values=svals,
         ranks=tuple(ranks),
         kappa=float(kappa),
     )

@@ -6,6 +6,11 @@ all four share a single reduced dimension r so the packed reduced state keeps
 the (h, u, v, s) block layout of the full model. The shared r is the maximum
 of the per-variable energy-criterion ranks (or an explicit override).
 
+The thin SVD is QR based (Chan's R-SVD, as LAPACK's gesdd does for tall
+matrices): all singular values come from the small triangular factor, and
+only the left singular vectors the basis keeps are ever formed. The
+interpolation bases of deim.py come from the same routine.
+
 Each basis is led by the variable's normalized mean field, with the
 singular vectors filling the remaining columns. The reduced dynamics sees
 the flux fields only through the projector V Vᵀ, and the flux means are
@@ -21,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .fom import State
 
 __all__ = [
@@ -31,7 +37,6 @@ __all__ = [
     "collect_snapshots",
     "truncate_rank",
     "build_pod_basis",
-    "lift",
     "restrict",
 ]
 
@@ -176,6 +181,36 @@ def truncate_rank(singular_values: np.ndarray, kappa: float) -> int:
     return int(keep[0]) + 1
 
 
+def _thin_svd(a: np.ndarray):
+    """All singular values of a (m, n), and a function forming its k
+    leading left singular vectors as an (m, k) array.
+
+    Householder QR a = Q R, then the SVD R = U_R S W^T of the small factor,
+    so the left singular vectors are Q U_R. The spectrum needs only R; the k
+    leading vectors are the stored reflectors applied to k columns of U_R,
+    so neither Q nor the other min(m, n) - k vectors are formed. For tall a
+    (m >= 11n/6) np.linalg.svd takes this same path inside LAPACK and gives
+    the same values and vectors, signs included, to rounding. A non-finite
+    entry raises LinAlgError from the SVD of R, as from np.linalg.svd.
+    """
+    m = a.shape[0]
+    (qr, tau), rfac = scipy.linalg.qr(a, mode="raw", check_finite=False)
+    u_r, sig, _ = np.linalg.svd(rfac, full_matrices=False)
+    reflectors = qr[:, : tau.size]
+
+    def leading(k: int) -> np.ndarray:
+        c = np.zeros((m, k), order="F")
+        c[: u_r.shape[0]] = u_r[:, :k]
+        dormqr = scipy.linalg.lapack.dormqr
+        lwork = int(dormqr("L", "N", reflectors, tau, c, -1)[1][0])
+        out, _, info = dormqr("L", "N", reflectors, tau, c, lwork, overwrite_c=1)
+        if info:
+            raise NumericError(f"applying the QR reflectors failed (dormqr info={info})")
+        return out
+
+    return sig, leading
+
+
 def _mean_led_modes(mean: np.ndarray, umat: np.ndarray, r: int) -> np.ndarray:
     """Orthonormal columns led by the mean direction, completed by SVD modes.
 
@@ -212,7 +247,9 @@ def build_pod_basis(snapshots: SnapshotSet, kappa: float,
 
     Each variable's basis starts with its normalized mean field and the
     leading singular vectors fill the remaining r - 1 columns (the module
-    docstring says why the mean direction must be in the span).
+    docstring says why the mean direction must be in the span). All four
+    spectra are computed first, since r depends on all of them; then only
+    the r leading singular vectors of each variable are formed.
 
     Parameters
     ----------
@@ -223,24 +260,24 @@ def build_pod_basis(snapshots: SnapshotSet, kappa: float,
         Pin the common reduced dimension instead of using the criterion
         (the criterion ranks are still computed and stored for reporting).
     """
-    svals = []
-    umats = []
-    ranks = []
-    for i in range(4):
-        u, sig, _ = np.linalg.svd(snapshots.deviations[i], full_matrices=False)
-        umats.append(u)
-        svals.append(sig)
-        ranks.append(truncate_rank(sig, kappa) if sig[0] > 0 else 1)
-    avail = umats[0].shape[1]
+    svds = [_thin_svd(snapshots.deviations[i]) for i in range(4)]
+    svals = np.stack([sig for sig, _ in svds])
+    ranks = [truncate_rank(sig, kappa) if sig[0] > 0 else 1 for sig in svals]
+    avail = svals.shape[1]
     limit = min(snapshots.N, avail + 1)
     r = max(ranks) if r_override is None else int(r_override)
     if not 1 <= r <= limit:
         raise ConfigError(f"reduced dimension r={r} outside [1, {limit}]")
-    modes = np.stack([_mean_led_modes(snapshots.means[i], umats[i], r) for i in range(4)])
+    # r singular vectors always suffice: the unit mean's squared overlaps with
+    # orthonormal vectors sum to at most 1, so the Gram-Schmidt drops at most
+    # one of them, and only when it keeps the mean.
+    k = min(r, avail)
+    modes = np.stack([_mean_led_modes(snapshots.means[i], leading(k), r)
+                      for i, (_, leading) in enumerate(svds)])
     return PodBasis(
         means=snapshots.means.copy(),
         modes=modes,
-        singular_values=np.stack(svals),
+        singular_values=svals,
         ranks=tuple(ranks),
         kappa=float(kappa),
     )
@@ -252,10 +289,3 @@ def restrict(basis: PodBasis, state: State) -> np.ndarray:
         raise ConfigError(f"state N={state.N} does not match basis N={basis.N}")
     return basis.restrict_array(state.z)
 
-
-def lift(basis: PodBasis, z_r: np.ndarray, t: float = 0.0) -> State:
-    """Reconstruct a full State from reduced coefficients: w = mean + V w_r."""
-    z_r = np.asarray(z_r, dtype=np.float64)
-    if z_r.shape != (4 * basis.r,):
-        raise ConfigError(f"reduced state must have shape ({4 * basis.r},), got {z_r.shape}")
-    return State(z=basis.lift_array(z_r), t=t)

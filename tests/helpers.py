@@ -7,10 +7,11 @@ gradient consistency, dual evaluation routes) are checked away from the
 geophysical magnitudes, where float64 cancellation would mask real defects.
 
 The module also holds the reference implementations the tests compare the
-program against: CSR difference matrices, dense full and reduced Poisson
-matrices, a 2-point Gauss AVF residual, a dense-Jacobian Newton step, the
-plain Galerkin and sampled right-hand sides and the einsum form of the
-reduced gradient's quadratic part.
+program against: CSR difference matrices, J's coefficient fields, the POD
+lift of reduced coefficients, POD and DEIM bases from full SVDs, dense full
+and reduced Poisson matrices, a 2-point Gauss AVF residual, a dense-Jacobian
+Newton step, the plain Galerkin and sampled right-hand sides and the einsum
+form of the reduced gradient's quadratic part.
 """
 
 import math
@@ -18,9 +19,11 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from tswrom.deim import qdeim_select
 from tswrom.errors import NumericError
 from tswrom.fom import NewtonConfig, Physics, State, _AvfResidual, apply_poisson
 from tswrom.grid import build_diff_ops, build_grid
+from tswrom.pod import PodBasis, _mean_led_modes, truncate_rank
 
 SEED = 20260815
 
@@ -92,13 +95,58 @@ def csr_diff_ops(grid):
             (sp.kron(eye, stencil) / (2.0 * grid.dy)).tocsr())
 
 
+def plain_coefficients(z, physics, ops):
+    """Reference coefficients (F1, F2, F3) = ((v_x - u_y + f)/h, s_x/h, s_y/h)
+    of J at a packed state (4N,), with CSR stencils."""
+    h, u, v, s = np.split(z, 4)
+    dx, dy = csr_diff_ops(ops.grid)
+    return (dx @ v - dy @ u + physics.f) / h, (dx @ s) / h, (dy @ s) / h
+
+
+def nonlinearity(j, state, physics, ops):
+    """Reference nonlinearity F_j (j = 1..3) at a full state."""
+    return plain_coefficients(state.z, physics, ops)[j - 1]
+
+
+def lift(basis, z_r, t=0.0):
+    """Reference full State mean + V z_r of reduced coefficients (4r,),
+    block by block."""
+    r = basis.r
+    return State(z=np.concatenate([basis.means[i] + basis.modes[i] @ z_r[i * r : (i + 1) * r]
+                                   for i in range(4)]), t=t)
+
+
+def svd_pod_basis(snapshots, kappa, r_override=None):
+    """Reference build_pod_basis from full np.linalg.svd factors."""
+    usv = [np.linalg.svd(dev, full_matrices=False) for dev in snapshots.deviations]
+    ranks = tuple(truncate_rank(sig, kappa) for _, sig, _ in usv)
+    r = max(ranks) if r_override is None else r_override
+    modes = np.stack([_mean_led_modes(mean, u, r)
+                      for mean, (u, _, _) in zip(snapshots.means, usv)])
+    return PodBasis(means=snapshots.means.copy(), modes=modes,
+                    singular_values=np.stack([sig for _, sig, _ in usv]),
+                    ranks=ranks, kappa=kappa)
+
+
+def svd_deim(nonlin, kappa, p_override=None):
+    """Reference build_deim from full np.linalg.svd factors: the spectra
+    (3, K) and (indices, phi, psi) per F_j, psi = phi (P^T phi)^{-1} by a
+    dense solve."""
+    usv = [np.linalg.svd(values, full_matrices=False) for values in nonlin.values]
+    spectra = np.stack([sig for _, sig, _ in usv])
+    p = max(truncate_rank(sig, kappa) for sig in spectra) if p_override is None else p_override
+    operators = []
+    for u, _, _ in usv:
+        phi = u[:, :p]
+        idx = qdeim_select(phi, p)
+        operators.append((idx, phi, np.linalg.solve(phi[idx].T, phi.T).T))
+    return spectra, operators
+
+
 def plain_apply_j(mid, g, physics, ops):
     """Reference J(mid) g for packed (4N,) vectors, with CSR stencils."""
-    h, u, v, s = np.split(mid, 4)
     dx, dy = csr_diff_ops(ops.grid)
-    q = (dx @ v - dy @ u + physics.f) / h
-    c2 = (dx @ s) / h
-    c3 = (dy @ s) / h
+    q, c2, c3 = plain_coefficients(mid, physics, ops)
     gh, gu, gv, gs = np.split(g, 4)
     return np.concatenate([dx @ gu + dy @ gv,
                            dx @ gh - q * gv - c2 * gs,

@@ -1,15 +1,17 @@
 """Nonlinearity evaluation, Q-DEIM point selection, interpolation operators."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import deim_apply, random_physics, random_state, small_setup
+from helpers import (deim_apply, nonlinearity, random_physics, random_state, small_setup,
+                     svd_deim)
 
-from tswrom.deim import (NUM_NONLIN, build_deim, collect_nonlin_snapshots,
-                         nonlinearity, qdeim_select)
+from tswrom.deim import NUM_NONLIN, build_deim, collect_nonlin_snapshots, qdeim_select
 from tswrom.errors import ConfigError, NumericError
+from tswrom.fom import State
 from tswrom.grid import apply_dx, apply_dy
 from tswrom.pod import build_pod_basis, collect_snapshots
 
@@ -26,6 +28,12 @@ def _crafted_phi():
     return phi
 
 
+def _raw_nonlinearities(states, phys, ops):
+    """The program's F1..F3 on states, as unprojected nonlinear snapshots."""
+    snaps = collect_snapshots(states)
+    return collect_nonlin_snapshots(snaps, None, phys, ops, projected=False).values
+
+
 def test_nonlinearity_formulas(rng):
     grid, ops = small_setup(n=7)
     state = random_state(grid, rng)
@@ -37,13 +45,12 @@ def test_nonlinearity_formulas(rng):
         apply_dy(ops, s) / h,
     ]
     assert NUM_NONLIN == 3
+    values = _raw_nonlinearities([state], phys, ops)
     for j in range(1, NUM_NONLIN + 1):
+        np.testing.assert_allclose(values[j - 1][:, 0], expected[j - 1], rtol=1e-13, atol=1e-14)
+        # the CSR oracle the other tests use agrees with the same formulas
         np.testing.assert_allclose(nonlinearity(j, state, phys, ops), expected[j - 1],
                                    rtol=1e-13, atol=1e-14)
-    with pytest.raises(ConfigError):
-        nonlinearity(0, state, phys, ops)
-    with pytest.raises(ConfigError):
-        nonlinearity(4, state, phys, ops)
 
 
 def test_nonlinearity_requires_positive_height(rng):
@@ -52,7 +59,7 @@ def test_nonlinearity_requires_positive_height(rng):
     phys = random_physics(grid, rng)
     state.z[2] = -0.5
     with pytest.raises(NumericError):
-        nonlinearity(1, state, phys, ops)
+        _raw_nonlinearities([state], phys, ops)
 
 
 def test_collect_nonlin_snapshots_projection_switch(rng):
@@ -70,8 +77,6 @@ def test_collect_nonlin_snapshots_projection_switch(rng):
 
     # raw trains on the snapshots themselves ...
     k = 3
-    from tswrom.fom import State
-
     st = State(z=traj[:, k])
     for j in range(1, NUM_NONLIN + 1):
         np.testing.assert_allclose(raw.values[j - 1][:, k],
@@ -82,6 +87,15 @@ def test_collect_nonlin_snapshots_projection_switch(rng):
         np.testing.assert_allclose(proj.values[j - 1][:, k],
                                    nonlinearity(j, rec, phys, ops), rtol=1e-13, atol=1e-14)
     assert np.max(np.abs(raw.values - proj.values)) > 1e-8  # the switch matters
+
+    # a basis built on other snapshots has other means; the projection is
+    # still z -> mean + V V^T (z - mean) with the basis' own mean
+    other = build_pod_basis(collect_snapshots(traj[:, :4]), kappa=1e-2, r_override=2)
+    shifted = collect_nonlin_snapshots(snaps, other, phys, ops, projected=True)
+    rec = State(z=other.lift_array(other.restrict_array(traj[:, k])))
+    for j in range(1, NUM_NONLIN + 1):
+        np.testing.assert_allclose(shifted.values[j - 1][:, k],
+                                   nonlinearity(j, rec, phys, ops), rtol=1e-12, atol=1e-13)
 
 
 def test_qdeim_matches_brute_force_and_greedy():
@@ -166,7 +180,39 @@ def test_build_deim_p_override(rng):
     assert all(op.p == 4 for op in dset)
     default = build_deim(nonlin, kappa=1e-8)
     assert default.p == max(default.ranks)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^interpolation count p=0 outside \[1, 6\]$"):
         build_deim(nonlin, kappa=1e-8, p_override=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^interpolation count p=7 outside \[1, 6\]$"):
         build_deim(nonlin, kappa=1e-8, p_override=7)
+
+
+def test_build_deim_matches_full_svd_oracle(mini_pipeline):
+    cfg = mini_pipeline.config
+    snaps = collect_snapshots(mini_pipeline.fom.trajectory[:, 1:])
+    nonlin = collect_nonlin_snapshots(snaps, mini_pipeline.basis, mini_pipeline.physics,
+                                      mini_pipeline.diffops)
+    dset = build_deim(nonlin, kappa=cfg.kappa_deim, p_override=cfg.p_override)
+    spectra, ref = svd_deim(nonlin, kappa=cfg.kappa_deim, p_override=cfg.p_override)
+    assert np.all(np.abs(dset.singular_values - spectra) <= 1e-14 * spectra[:, :1])
+    for op, (idx, phi, psi) in zip(dset, ref):
+        np.testing.assert_array_equal(op.indices, idx)
+        assert np.max(np.abs(op.phi - phi)) <= 1e-12
+        # psi carries cond(P^T phi), which amplifies the rounding in phi
+        assert np.max(np.abs(op.psi - psi)) <= 1e-12 * np.linalg.cond(phi[idx]) * np.abs(psi).max()
+
+
+def test_projected_nonlin_snapshots_memory(mini_pipeline):
+    # Peak allocation of the projected evaluation: the lifted states (4NK),
+    # the three coefficient fields (3NK) and one scratch field (NK). Forming
+    # the full snapshots first would add another 4NK.
+    snaps = collect_snapshots(mini_pipeline.fom.trajectory[:, 1:])
+    basis = mini_pipeline.basis
+    args = (snaps, basis, mini_pipeline.physics, mini_pipeline.diffops)
+    tracemalloc.start()
+    try:
+        nonlin = collect_nonlin_snapshots(*args, projected=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nonlin.values.shape == (NUM_NONLIN, snaps.N, snaps.num_snapshots)
+    assert peak <= 9 * snaps.N * snaps.num_snapshots * 8

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from helpers import random_state, small_setup
+from helpers import SEED, lift, random_state, small_setup, svd_pod_basis
 
 from tswrom.errors import ConfigError
 from tswrom.fom import State
-from tswrom.pod import (build_pod_basis, collect_snapshots, lift, restrict,
-                        truncate_rank)
+from tswrom.pod import _thin_svd, build_pod_basis, collect_snapshots, restrict, truncate_rank
 
 
 def _tiny_snapshots():
@@ -45,6 +44,55 @@ def test_build_pod_basis_worked_example():
     traj = _tiny_snapshots()
     rebuilt = basis.lift_array(basis.restrict_array(traj))
     np.testing.assert_allclose(rebuilt, traj, rtol=0.0, atol=1e-13)
+    # two snapshots offer two singular directions and the mean a third, but
+    # the h mean is parallel to the h mode, so h spans only two
+    with pytest.raises(ConfigError, match=r"^snapshots support only 2 independent "
+                                          r"directions, need r=3$"):
+        build_pod_basis(collect_snapshots(traj), kappa=0.0, r_override=3)
+
+
+def _graded(m, n, rng):
+    """An (m, n) matrix with log-spaced singular values 1 .. 1e-14, and
+    those values."""
+    q = min(m, n)
+    left = np.linalg.qr(rng.standard_normal((m, q)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, q)))[0]
+    sig = np.logspace(0.0, -14.0, q)
+    return (left * sig) @ right.T, sig
+
+
+@pytest.mark.parametrize("shape", [(400, 30), (60, 30), (30, 30), (30, 60), (12, 200)])
+def test_thin_svd_matches_numpy(shape):
+    a, exact = _graded(*shape, np.random.default_rng(SEED))
+    u, sig, _ = np.linalg.svd(a, full_matrices=False)
+    values, leading = _thin_svd(a)
+    assert np.max(np.abs(values - sig)) <= 1e-14 * sig[0]
+    # vectors of singular values >= 1e-3 are determined to about 1e-13
+    k = int(np.sum(exact >= 1e-3))
+    vecs = leading(k)
+    assert vecs.shape == (shape[0], k)
+    ref = u[:, :k]
+    if shape[0] < 11 * shape[1] / 6:
+        # np.linalg.svd bidiagonalizes these directly, not by QR first, so
+        # its sign choice per vector differs; the vectors agree up to sign
+        ref = ref * np.sign(np.sum(ref * vecs, axis=0))
+    assert np.max(np.abs(vecs - ref)) <= 1e-12
+    # all min(m, n) vectors are formed orthonormal when asked for
+    full = leading(min(shape))
+    np.testing.assert_allclose(full.T @ full, np.eye(min(shape)), rtol=0.0, atol=1e-13)
+
+
+def test_build_pod_basis_matches_full_svd_oracle(mini_pipeline):
+    cfg = mini_pipeline.config
+    snaps = collect_snapshots(mini_pipeline.fom.trajectory[:, 1:])
+    basis = build_pod_basis(snaps, kappa=cfg.kappa_pod, r_override=cfg.r_override)
+    ref = svd_pod_basis(snaps, kappa=cfg.kappa_pod, r_override=cfg.r_override)
+    assert basis.ranks == ref.ranks
+    assert basis.r == ref.r
+    sig = ref.singular_values
+    assert np.all(np.abs(basis.singular_values - sig) <= 1e-14 * sig[:, :1])
+    assert np.max(np.abs(basis.modes - ref.modes)) <= 1e-12
+    np.testing.assert_array_equal(basis.means, ref.means)
 
 
 def test_collect_snapshots_accepts_states(rng):
@@ -104,10 +152,10 @@ def test_r_override(rng):
     assert basis.r == 3
     # criterion ranks are still reported
     assert all(1 <= rk <= 6 for rk in basis.ranks)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^reduced dimension r=0 outside \[1, 7\]$"):
         build_pod_basis(snaps, kappa=1e-3, r_override=0)
     # six snapshots offer six singular directions; the mean adds a seventh
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^reduced dimension r=8 outside \[1, 7\]$"):
         build_pod_basis(snaps, kappa=1e-3, r_override=8)
 
 
@@ -130,16 +178,16 @@ def test_restrict_lift_state_interface(rng):
     z_r = restrict(basis, state)
     assert z_r.shape == (4 * basis.r,)
     lifted = lift(basis, z_r, t=7.0)
-    assert lifted.t == 7.0
     np.testing.assert_allclose(lifted.z, state.z, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(basis.lift_array(z_r), lifted.z, rtol=0.0, atol=1e-14)
     # batched and single-column maps agree
     np.testing.assert_allclose(basis.restrict_array(traj)[:, 2], z_r, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(basis.lift_array(basis.restrict_array(traj))[:, 2], lifted.z,
+                               rtol=0.0, atol=1e-14)
 
     other = random_state(small_setup(n=5)[0], rng)
     with pytest.raises(ConfigError):
         restrict(basis, other)
-    with pytest.raises(ConfigError):
-        lift(basis, np.zeros(4 * basis.r + 1))
 
 
 def test_mean_direction_lies_in_default_span(rng):

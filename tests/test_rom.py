@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from helpers import (SEED, dense_poisson_matrix, einsum_quadratic, random_physics,
-                     random_state, reduced_poisson_matrix, rom_rhs_pod_only, small_setup)
+from helpers import (SEED, dense_poisson_matrix, einsum_quadratic, nonlinearity,
+                     random_physics, random_state, reduced_poisson_matrix,
+                     rom_rhs_pod_only, small_setup)
 
 from tswrom import rom as rom_mod
-from tswrom.deim import NUM_NONLIN, build_deim, collect_nonlin_snapshots, nonlinearity
+from tswrom.deim import NUM_NONLIN, build_deim, collect_nonlin_snapshots
 from tswrom.errors import ConfigError, NumericError
 from tswrom.fom import (State, apply_poisson, grad_hamiltonian, hamiltonian,
                         invariants, rhs)
