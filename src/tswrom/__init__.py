@@ -25,10 +25,8 @@ _EXPORTS = {
     "build_grid": ".grid", "build_diff_ops": ".grid",
     "apply_dx": ".grid", "apply_dy": ".grid",
     # full-order model
-    "State": ".fom", "Physics": ".fom", "NewtonConfig": ".fom",
-    "InvariantValues": ".fom", "FomResult": ".fom",
-    "potential_vorticity": ".fom", "grad_hamiltonian": ".fom",
-    "hamiltonian": ".fom", "apply_poisson": ".fom", "rhs": ".fom",
+    "State": ".fom", "Physics": ".fom", "NewtonConfig": ".fom", "FomResult": ".fom",
+    "potential_vorticity": ".fom", "grad_hamiltonian": ".fom", "hamiltonian": ".fom",
     "avf_step": ".fom", "invariants": ".fom", "integrate_fom": ".fom",
     # proper orthogonal decomposition
     "SnapshotSet": ".pod", "PodBasis": ".pod",

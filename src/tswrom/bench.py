@@ -274,7 +274,11 @@ _REDUCE_ENTRIES = ("r", "p", "r_criterion", "p_criterion", "kappa_pod", "kappa_d
 _ONLINE_ENTRIES = tuple(f"wall_{tag}_online_s" for tag in _METHOD_TAGS)
 _REPORT_ENTRIES = (*_FOM_ENTRIES, *_REDUCE_ENTRIES, *_ONLINE_ENTRIES)
 
-_FROM_FOM = {key: "run `tswrom fom` there" for key in ("coriolis", "gravity", *_FOM_ENTRIES)}
+# the fields besides n, dt and num_steps that the grid and the physics of a
+# Case are built from
+_CASE_FIELDS = ("length", "coriolis", "gravity")
+
+_FROM_FOM = {key: "run `tswrom fom` there" for key in (*_CASE_FIELDS, *_FOM_ENTRIES)}
 _FROM_REDUCE = {key: "run `tswrom reduce` there" for key in _REDUCE_ENTRIES}
 _FROM_ROM = {f"wall_{tag}_online_s": f"run `tswrom rom --method {tag.replace('_', '-')}` "
                                       f"there to write a rom_state_{tag}.csv of the current basis"
@@ -286,14 +290,16 @@ _NEEDS = {"reduce": _FROM_FOM,
 
 def read_run_meta(out: Path, case: Case, stage: str) -> dict:
     """The run_meta.json entries in out, checked before `stage` (reduce, rom
-    or compare) reads its inputs there: the physics must be the fom run's,
-    and every entry of the earlier stages must be present."""
+    or compare) reads its inputs there: the domain length and the physics
+    must be the fom run's, and every entry of the earlier stages must be
+    present."""
     path = out / "run_meta.json"
     try:
         meta = json.loads(path.read_text()) if path.exists() else {}
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    for key, built in (("coriolis", case.physics.f), ("gravity", case.physics.g)):
+    for key in _CASE_FIELDS:
+        built = getattr(case.config, key)
         if key in meta and built != meta[key]:
             raise ConfigError(
                 f"{key}={built!r} differs from {key}={meta[key]!r} of the fom "
@@ -318,15 +324,16 @@ def stage_fom(case: Case, meta: dict, out: Path | None = None,
     """Full-order solve from the double-vortex initial state.
 
     Replaces meta with a fresh set of run_meta entries (discretization,
-    physics, wall_fom_s). With out, streams snapshots.bin and writes
-    fom_invariants.csv and run_meta.json there.
+    domain length, physics, wall_fom_s). With out, streams snapshots.bin and
+    writes fom_invariants.csv and run_meta.json there.
     """
     cfg, physics = case.config, case.physics
     z0 = double_vortex_initial(case.grid, cfg)
     _check_initial(z0, cfg)
     meta.clear()
     if out is not None:
-        # snapshots.bin is overwritten from the first step on
+        # the artifacts of an earlier run stay until this run replaces them,
+        # and without run_meta.json no later stage reads them
         (out / "run_meta.json").unlink(missing_ok=True)
 
     _log.info("full model: n=%d, %d steps, dt=%g s", cfg.n, cfg.num_steps, cfg.dt)
@@ -336,8 +343,8 @@ def stage_fom(case: Case, meta: dict, out: Path | None = None,
                              log_every=log_every)
     wall = time.perf_counter() - t0
 
-    meta.update(n=cfg.n, num_steps=cfg.num_steps, dt=cfg.dt,
-                coriolis=physics.f, gravity=physics.g, wall_fom_s=wall)
+    meta.update(n=cfg.n, num_steps=cfg.num_steps, dt=cfg.dt, wall_fom_s=wall,
+                **{key: getattr(cfg, key) for key in _CASE_FIELDS})
     if out is not None:
         fileio.write_invariants_csv(out / "fom_invariants.csv", full.times, full.invariants)
         _write_meta(out, meta)
@@ -377,7 +384,7 @@ def stage_reduce(case: Case, trajectory: np.ndarray, meta: dict,
                 kappa_pod=cfg.kappa_pod, kappa_deim=cfg.kappa_deim,
                 wall_pod_offline_s=wall_pod, wall_pod_deim_offline_s=wall_pod + wall_deim)
     if out is not None:
-        fileio.write_basis(out / "basis.bin", basis, case.grid.n)
+        fileio.write_basis(out / "basis.bin", basis)
         fileio.write_deim(out / "deim.bin", dset)
         fileio.write_romops(out / "romops.bin", romops)
         fileio.write_spectra_csv(out / "pod_spectra.csv", VARIABLES, basis.singular_values)

@@ -27,8 +27,15 @@ stage's entries (discretization, physics, ranks, timings), from which
 a fresh run_meta.json, reduce needs fom's entries and drops the online ones,
 rom needs reduce's, and compare needs both rom methods' entries; a missing
 entry exits 2 and names the command to run. reduce, rom and compare also
-exit 2 when the physics they build from their own parameters differs from
-the fom run's, so every stage must be given the same physics settings.
+exit 2 when the domain length or the physics they build from their own
+parameters differs from the fom run's, so every stage must be given the
+same settings. The interpolation training set is chosen by the
+projected_nonlin key (`--set projected_nonlin=false` trains on the raw
+snapshots).
+
+The binary artifacts are checksummed containers (see tswrom.fileio), each
+written under a temporary name and renamed into place once complete. A
+corrupted, truncated, foreign or older-version artifact exits 5.
 
 Exit codes: 0 success, 2 configuration errors, 3 numerical failures,
 4 I/O errors, 5 malformed artifact files.
@@ -162,8 +169,6 @@ def _build_config(args):
         value = getattr(args, dest, None)
         if value is not None:
             overrides[name] = value
-    if getattr(args, "raw_nonlin", False):
-        overrides["projected_nonlin"] = False
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg
@@ -326,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="energy threshold for the interpolation bases")
     p_red.add_argument("--r", type=int, help="pin the basis size")
     p_red.add_argument("--p", type=int, help="pin the interpolation point count")
-    p_red.add_argument("--raw-nonlin", dest="raw_nonlin", action="store_true",
-                       help="train interpolation on raw snapshots instead of "
-                            "their basis reconstructions")
     p_red.set_defaults(func=cmd_reduce)
 
     p_rom = sub.add_parser("rom", parents=[common], help="run a reduced model")

@@ -1,24 +1,20 @@
 """Binary and text artifacts exchanged between pipeline stages.
 
-All binary files are little-endian, float64 payloads, column-major matrix
-storage, and start with a 4-byte magic plus a u32 format version so readers
-can reject foreign or stale files before touching the payload:
+Each binary artifact is an uncompressed zip of .npy members as np.savez
+writes it, its arrays stored bit for bit. Its `meta` member is a JSON object
+with the kind, FORMAT_VERSION = 3 (1 and 2 were raw formats) and scalars:
 
-    snapshots.bin  "RTSW"  header (n, N, K, dt, layout), then K+1 packed
-                           states of length 4N in (h, u, v, s) order
-    basis.bin      "PODB"  header (n, N, r), then per variable: mean (N)
-                           and modes (N x r)
-    deim.bin       "DEIM"  header (N, p), then per interpolated coefficient
-                           F_j of J, j = 1..3: indices (u64 p), phi (N x p),
-                           psi (N x p)
-    romops.bin     "ROMT"  header (r, p), then a1, a2 (r x r) and the
-                           tensors K_1..K_3 (p x r^2, row k the r x r block
-                           of interpolation point k) in that order
+    snapshots.bin  trajectory (K+1, 4N), the packed (h, u, v, s) states in
+                   time order; z0 (4N,); meta n, dt, num_steps
+    basis.bin      means (4, N), modes (4, N, r), singular_values (4, K); meta ranks, kappa
+    deim.bin       indices (3, p), phi and psi (3, N, p) of F1..F3;
+                   singular_values (3, K); meta ranks, kappa
+    romops.bin     a1, a2 (r, r); k1..k3 (p, r^2), row k the r x r block
+                   of interpolation point k
 
-Version 2 files carry three interpolated fields and the K_j tensors; the
-exact reduced energy gradient and the invariant polynomials are rebuilt from
-the basis and the physics on load, so no file stores them. Readers reject
-any other version with FormatError.
+A read fails with FormatError on a bad member CRC-32, a missing member or
+meta entry, bytes after the zip's end record, or another kind or version.
+Each file is written as <name>.part and renamed into place when complete.
 
 CSV artifacts are plain comma-separated text with a header row.
 """
@@ -27,272 +23,175 @@ from __future__ import annotations
 
 import json
 import os
-import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
+from .deim import DeimOperator, DeimSet
 from .errors import FormatError
+from .pod import PodBasis
 
-__all__ = [
-    "SnapshotWriter",
-    "write_snapshots",
-    "read_snapshots",
-    "read_initial_snapshot",
-    "write_basis",
-    "read_basis",
-    "write_deim",
-    "read_deim",
-    "write_romops",
-    "read_romops",
-    "write_invariants_csv",
-    "read_invariants_csv",
-    "write_spectra_csv",
-    "write_errors_csv",
-    "write_fields_csv",
-    "write_matrix_csv",
-    "read_matrix_csv",
-    "write_report_json",
-]
+__all__ = ["SnapshotWriter", "read_snapshots", "read_initial_snapshot", "write_basis",
+           "read_basis", "write_deim", "read_deim", "write_romops", "read_romops",
+           "write_invariants_csv", "read_invariants_csv", "write_spectra_csv",
+           "write_errors_csv", "write_fields_csv", "write_matrix_csv", "read_matrix_csv",
+           "write_report_json"]
 
-FORMAT_VERSION = 2
-_SNAP_LAYOUT = 1  # packed (h, u, v, s) float64 records
-
-_MAGIC_SNAP = b"RTSW"
-_MAGIC_BASIS = b"PODB"
-_MAGIC_DEIM = b"DEIM"
-_MAGIC_ROMOPS = b"ROMT"
-
-_SNAP_HEADER = struct.Struct("<4sIIIIdI")  # magic, version, n, N, K, dt, layout
-_BASIS_HEADER = struct.Struct("<4sIIII")   # magic, version, n, N, r
-_DEIM_HEADER = struct.Struct("<4sIII")     # magic, version, N, p
-_ROMOPS_HEADER = struct.Struct("<4sIII")   # magic, version, r, p
+FORMAT_VERSION = 3
+# the meta entries each kind must carry besides kind and version
+_META_KEYS = {"snapshots": ("n", "dt", "num_steps"), "basis": ("ranks", "kappa"),
+              "deim": ("ranks", "kappa"), "romops": ()}
 
 
-def _read_exact(fh, nbytes: int, what: str) -> bytes:
-    buf = fh.read(nbytes)
-    if len(buf) != nbytes:
-        raise FormatError(f"truncated file while reading {what}")
-    return buf
+def _meta_member(kind: str, meta: dict) -> np.ndarray:
+    return np.array(json.dumps({"kind": kind, "version": FORMAT_VERSION, **meta}))
 
 
-def _check_header(magic: bytes, expect: bytes, version: int, path) -> None:
-    if magic != expect:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {expect!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported format version {version}")
+def _save(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write a container of this kind to path through path.part."""
+    part = Path(f"{path}.part")
+    try:
+        with open(part, "wb") as fh:
+            np.savez(fh, meta=_meta_member(kind, meta), **arrays)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
-def _write_fortran(fh, mat: np.ndarray) -> None:
-    # column-major on disk == C-order bytes of the transpose
-    np.ascontiguousarray(mat.T, dtype="<f8").tofile(fh)
+def _load(path, kind: str, names) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta object and the named arrays of a container of this kind."""
+    try:
+        with open(path, "rb") as fh:
+            # no zip comment is written, so the 22-byte end record ends the file
+            fh.seek(max(fh.seek(0, os.SEEK_END) - 22, 0))
+            if fh.read(4) != b"PK\x05\x06":
+                raise zipfile.BadZipFile("the file does not end with a zip end record")
+            # np.load's reader for zip files, which takes no other kind of file
+            with np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
+                meta = json.loads(str(npz["meta"]))
+                if not isinstance(meta, dict):
+                    raise FormatError(f"{path}: its meta member is not a JSON object")
+                if meta.get("kind") != kind:
+                    raise FormatError(f"{path}: a {meta.get('kind')} file, not a {kind} file")
+                if meta.get("version") != FORMAT_VERSION:
+                    raise FormatError(f"{path}: unsupported format version {meta.get('version')}")
+                if not meta.keys() >= set(_META_KEYS[kind]):
+                    raise FormatError(f"{path}: meta lacks one of {', '.join(_META_KEYS[kind])}")
+                return meta, {name: npz[name] for name in names}
+    except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
+        raise FormatError(f"{path}: not a readable {kind} file ({exc})") from exc
 
-
-def _read_fortran(fh, rows: int, cols: int, path, what: str) -> np.ndarray:
-    arr = np.fromfile(fh, dtype="<f8", count=rows * cols)
-    if arr.size != rows * cols:
-        raise FormatError(f"{path}: truncated {what} ({arr.size} of {rows * cols} values)")
-    return np.ascontiguousarray(arr.reshape(cols, rows).T)
-
-
-def _read_vector(fh, count: int, path, what: str) -> np.ndarray:
-    arr = np.fromfile(fh, dtype="<f8", count=count)
-    if arr.size != count:
-        raise FormatError(f"{path}: truncated {what}")
-    return arr
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-# ---------------------------------------------------------------------------
 
 class SnapshotWriter:
-    """Streams packed states to a snapshot file as they are produced."""
+    """Streams packed states to a snapshot file as they are produced.
+
+    The file appears only when all num_steps + 1 records were appended and the
+    writer closes without an exception; otherwise close deletes what was written.
+    """
 
     def __init__(self, path, n: int, num_steps: int, dt: float):
         self.path = Path(path)
-        self.n = int(n)
-        self.N = self.n * self.n
-        self.expected = num_steps + 1
+        self.shape = (int(num_steps) + 1, 4 * int(n) ** 2)
+        self.meta = {"n": int(n), "dt": float(dt), "num_steps": int(num_steps)}
         self.count = 0
-        self._fh = open(self.path, "wb")
-        self._fh.write(_SNAP_HEADER.pack(
-            _MAGIC_SNAP, FORMAT_VERSION, self.n, self.N, int(num_steps),
-            float(dt), _SNAP_LAYOUT,
-        ))
+        self._z0 = None
+        self._zip = zipfile.ZipFile(self.path.with_name(self.path.name + ".part"), "w")
+        self._records = self._zip.open("trajectory.npy", "w", force_zip64=True)
+        np.lib.format.write_array_header_1_0(
+            self._records, {"descr": "<f8", "fortran_order": False, "shape": self.shape})
 
     def append(self, z: np.ndarray) -> None:
-        z = np.asarray(z)
-        if z.shape != (4 * self.N,):
-            raise ValueError(f"snapshot record must have shape ({4 * self.N},), got {z.shape}")
-        np.ascontiguousarray(z, dtype="<f8").tofile(self._fh)
+        z = np.ascontiguousarray(z, dtype="<f8")
+        if z.shape != self.shape[1:]:
+            raise ValueError(f"snapshot record must have shape ({self.shape[1]},), got {z.shape}")
+        if self.count == self.shape[0]:
+            raise ValueError(f"all {self.shape[0]} snapshot records were already appended")
+        self._records.write(z)
+        if self.count == 0:
+            self._z0 = z.copy()
         self.count += 1
 
+    def _finish(self, complete: bool) -> None:
+        if self._zip is None:
+            return
+        zf, self._zip = self._zip, None
+        try:
+            self._records.close()
+            if complete:
+                for key, arr in (("z0", self._z0), ("meta", _meta_member("snapshots", self.meta))):
+                    with zf.open(f"{key}.npy", "w") as fh:
+                        np.lib.format.write_array(fh, arr, allow_pickle=False)
+                zf.close()
+                os.replace(zf.filename, self.path)
+        finally:
+            zf.close()
+            Path(zf.filename).unlink(missing_ok=True)
+
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._finish(self.count == self.shape[0])
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
-
-
-def write_snapshots(path, trajectory: np.ndarray, n: int, dt: float) -> None:
-    """Write a full trajectory (4N, K+1) in one call."""
-    with SnapshotWriter(path, n=n, num_steps=trajectory.shape[1] - 1, dt=dt) as w:
-        for k in range(trajectory.shape[1]):
-            w.append(trajectory[:, k])
-
-
-def _read_snapshot_records(path, count: int | None):
-    """Check a snapshot file's header and size, then read its first count
-    records (all K+1 when count is None) -> (records (count, 4N), n, dt, K)."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic, version, n, N, K, dt, layout = _SNAP_HEADER.unpack(
-            _read_exact(fh, _SNAP_HEADER.size, "snapshot header"))
-        _check_header(magic, _MAGIC_SNAP, version, path)
-        if layout != _SNAP_LAYOUT:
-            raise FormatError(f"{path}: unknown record layout {layout}")
-        if N != n * n:
-            raise FormatError(f"{path}: header N={N} inconsistent with n={n}")
-        payload = os.fstat(fh.fileno()).st_size - _SNAP_HEADER.size
-        if payload != 8 * 4 * N * (K + 1):
-            raise FormatError(f"{path}: expected {K + 1} records of {32 * N} bytes, "
-                              f"found {payload} bytes after the header")
-        count = K + 1 if count is None else count
-        data = np.fromfile(fh, dtype="<f8", count=4 * N * count)
-    return data.reshape(count, 4 * N), n, dt, K
+    def __exit__(self, exc_type, *exc):
+        self._finish(exc_type is None and self.count == self.shape[0])
 
 
 def read_snapshots(path):
-    """Read a snapshot file -> (trajectory (4N, K+1), n, dt)."""
-    records, n, dt, _ = _read_snapshot_records(path, None)
-    return records.T.copy(), n, dt
+    """Read a snapshot file -> (C-ordered trajectory (4N, K+1), n, dt)."""
+    meta, arrays = _load(path, "snapshots", ("trajectory",))
+    traj = arrays["trajectory"]
+    if traj.shape != (meta["num_steps"] + 1, 4 * meta["n"] ** 2):
+        raise FormatError(f"{path}: a {traj.shape} trajectory disagrees with meta n and num_steps")
+    return np.ascontiguousarray(traj.T), meta["n"], meta["dt"]
 
 
 def read_initial_snapshot(path):
-    """Read only the first state of a snapshot file -> (z0 (4N,), n, dt, K),
-    after the same header and length checks as read_snapshots."""
-    records, n, dt, K = _read_snapshot_records(path, 1)
-    return records[0], n, dt, K
+    """Read only the first state of a snapshot file -> (z0 (4N,), n, dt, K)."""
+    meta, arrays = _load(path, "snapshots", ("z0",))
+    return arrays["z0"], meta["n"], meta["dt"], meta["num_steps"]
 
 
-# ---------------------------------------------------------------------------
-# POD basis
-# ---------------------------------------------------------------------------
-
-def write_basis(path, basis, n: int) -> None:
-    from .pod import PodBasis  # noqa: F401  (type only)
-
-    with open(path, "wb") as fh:
-        fh.write(_BASIS_HEADER.pack(_MAGIC_BASIS, FORMAT_VERSION, int(n), basis.N, basis.r))
-        for i in range(4):
-            np.ascontiguousarray(basis.means[i], dtype="<f8").tofile(fh)
-            _write_fortran(fh, basis.modes[i])
+def write_basis(path, basis) -> None:
+    _save(path, "basis", {"ranks": basis.ranks, "kappa": basis.kappa},
+          {"means": basis.means, "modes": basis.modes,
+           "singular_values": basis.singular_values})
 
 
 def read_basis(path):
-    from .pod import PodBasis
+    meta, arrays = _load(path, "basis", ("means", "modes", "singular_values"))
+    return PodBasis(**arrays, ranks=tuple(meta["ranks"]), kappa=meta["kappa"])
 
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic, version, n, N, r = _BASIS_HEADER.unpack(
-            _read_exact(fh, _BASIS_HEADER.size, "basis header"))
-        _check_header(magic, _MAGIC_BASIS, version, path)
-        if N != n * n:
-            raise FormatError(f"{path}: header N={N} inconsistent with n={n}")
-        means = np.empty((4, N))
-        modes = np.empty((4, N, r))
-        for i in range(4):
-            means[i] = _read_vector(fh, N, path, "basis mean")
-            modes[i] = _read_fortran(fh, N, r, path, "basis modes")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after basis payload")
-    # spectra/ranks live in the CSV sidecars, not the binary
-    return PodBasis(means=means, modes=modes, singular_values=None,
-                    ranks=None, kappa=float("nan"))
-
-
-# ---------------------------------------------------------------------------
-# DEIM operators
-# ---------------------------------------------------------------------------
 
 def write_deim(path, deim) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_DEIM_HEADER.pack(_MAGIC_DEIM, FORMAT_VERSION,
-                                   deim[1].phi.shape[0], deim.p))
-        for op in deim:
-            np.ascontiguousarray(op.indices, dtype="<u8").tofile(fh)
-            _write_fortran(fh, op.phi)
-            _write_fortran(fh, op.psi)
+    ops = {key: np.stack([getattr(op, key) for op in deim]) for key in ("indices", "phi", "psi")}
+    _save(path, "deim", {"ranks": deim.ranks, "kappa": deim.kappa},
+          {**ops, "singular_values": deim.singular_values})
 
 
 def read_deim(path):
-    from .deim import NUM_NONLIN, DeimOperator, DeimSet
-
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic, version, N, p = _DEIM_HEADER.unpack(
-            _read_exact(fh, _DEIM_HEADER.size, "deim header"))
-        _check_header(magic, _MAGIC_DEIM, version, path)
-        operators = []
-        for j in range(1, NUM_NONLIN + 1):
-            idx = np.fromfile(fh, dtype="<u8", count=p)
-            if idx.size != p:
-                raise FormatError(f"{path}: truncated index set for F{j}")
-            if idx.max(initial=0) >= N:
-                raise FormatError(f"{path}: interpolation index out of range for F{j}")
-            phi = _read_fortran(fh, N, p, path, f"phi for F{j}")
-            psi = _read_fortran(fh, N, p, path, f"psi for F{j}")
-            operators.append(DeimOperator(j=j, indices=idx.astype(np.int64),
-                                          phi=phi, psi=psi))
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after deim payload")
-    return DeimSet(operators=tuple(operators), singular_values=None,
-                   ranks=None, kappa=float("nan"))
-
-
-# ---------------------------------------------------------------------------
-# reduced operators
-# ---------------------------------------------------------------------------
-
-_ROMOPS_ORDER = ("a1", "a2", "k1", "k2", "k3")
-
-
-def _romops_shapes(r: int, p: int) -> dict[str, tuple[int, int]]:
-    return {name: (r, r) if name.startswith("a") else (p, r * r) for name in _ROMOPS_ORDER}
+    meta, arrays = _load(path, "deim", ("indices", "phi", "psi", "singular_values"))
+    indices, phi, psi = arrays["indices"], arrays["phi"], arrays["psi"]
+    if indices.size and not 0 <= indices.min() <= indices.max() < phi.shape[1]:
+        raise FormatError(f"{path}: interpolation index out of range")
+    operators = tuple(DeimOperator(j=j, indices=indices[j - 1], phi=phi[j - 1],
+                                   psi=psi[j - 1]) for j in range(1, len(indices) + 1))
+    return DeimSet(operators=operators, singular_values=arrays["singular_values"],
+                   ranks=tuple(meta["ranks"]), kappa=meta["kappa"])
 
 
 def write_romops(path, romops) -> None:
-    mats = romops.matrices()
-    with open(path, "wb") as fh:
-        fh.write(_ROMOPS_HEADER.pack(_MAGIC_ROMOPS, FORMAT_VERSION, romops.r, romops.p))
-        for name in _ROMOPS_ORDER:
-            _write_fortran(fh, mats[name])
+    _save(path, "romops", {}, romops.matrices())
 
 
 def read_romops(path):
     """Read the precomputed operator matrices -> (dict name->matrix, r, p)."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic, version, r, p = _ROMOPS_HEADER.unpack(
-            _read_exact(fh, _ROMOPS_HEADER.size, "romops header"))
-        _check_header(magic, _MAGIC_ROMOPS, version, path)
-        mats = {}
-        for name, shape in _romops_shapes(r, p).items():
-            mats[name] = _read_fortran(fh, shape[0], shape[1], path, name)
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after romops payload")
-    return mats, r, p
+    _, mats = _load(path, "romops", ("a1", "a2", "k1", "k2", "k3"))
+    return mats, mats["a1"].shape[0], mats["k1"].shape[0]
 
 
-# ---------------------------------------------------------------------------
 # CSV / JSON artifacts
-# ---------------------------------------------------------------------------
 
 def write_invariants_csv(path, times: np.ndarray, invariants: np.ndarray) -> None:
     """Columns step, time, H, M, Q, B; one row per stored state."""
@@ -304,8 +203,7 @@ def write_invariants_csv(path, times: np.ndarray, invariants: np.ndarray) -> Non
 
 
 def read_invariants_csv(path):
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    data = np.atleast_2d(data)
+    data = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
     if data.shape[1] != 6:
         raise FormatError(f"{path}: expected 6 columns (step,time,H,M,Q,B)")
     return data[:, 1], data[:, 2:]

@@ -33,10 +33,8 @@ slice-difference stencils, writing into its own buffers. integrate_fom
 starts each Newton solve from the extrapolation
 2 z^k - z^{k-1}.
 
-The Poisson operator also applies to a batch of gradient-like columns
-(4N, m), which the reduced-order checks use to assemble V^T J V. Its
-coefficients evaluate at a batch of states as well: the Galerkin reduced
-model and the DEIM snapshots take F1..F3 from them.
+J's coefficients also evaluate at a batch of states (4N, m): the Galerkin
+reduced model and the DEIM snapshots take F1..F3 from them.
 """
 
 from __future__ import annotations
@@ -56,14 +54,10 @@ __all__ = [
     "State",
     "Physics",
     "NewtonConfig",
-    "InvariantValues",
     "FomResult",
     "potential_vorticity",
     "grad_hamiltonian",
     "hamiltonian",
-    "apply_poisson",
-    "rhs",
-    "avf_gradient",
     "gmres",
     "newton_krylov",
     "avf_step",
@@ -138,17 +132,6 @@ class NewtonConfig:
 
     tol: float = 1e-11
     max_iter: int = 50
-
-
-@dataclass(frozen=True)
-class InvariantValues:
-    energy: float
-    mass: float
-    vorticity: float
-    buoyancy: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.energy, self.mass, self.vorticity, self.buoyancy])
 
 
 @dataclass
@@ -281,27 +264,6 @@ def _coefficients(z: np.ndarray, f: float, grid: Grid, scale: float = 1.0,
                                  np.empty((3,) + z4.shape[1:]), np.empty(z4.shape[1:]), scale)
 
 
-def _poisson(z: np.ndarray, g: np.ndarray, f: float, grid: Grid,
-             scale: float = 1.0) -> np.ndarray:
-    """scale J(z) g for a packed state z and g of shape (4N,) or (4N, m)."""
-    n = grid.n
-    coef = _coefficients(z, f, grid, scale)
-    g4 = _blocks(np.ascontiguousarray(g, dtype=np.float64), n)
-    out = np.empty(g.shape)
-    _apply_j(coef, g4, _blocks(out, n), scale * 0.5 / grid.dx, scale * 0.5 / grid.dy,
-             np.empty(g4.shape[1:]))
-    return out
-
-
-def _gradient(mid: np.ndarray, dz, b: np.ndarray) -> np.ndarray:
-    """_chord_gradient on flat packed states (4N,)."""
-    N = b.size
-    out = np.empty(mid.shape)
-    _chord_gradient(mid.reshape(4, N), None if dz is None else dz.reshape(4, N), b,
-                    out.reshape(4, N), np.empty((2, N)))
-    return out
-
-
 class _AvfResidual:
     """AVF residual of one step from z_old,
 
@@ -360,7 +322,11 @@ def grad_hamiltonian(state: State, physics: Physics) -> np.ndarray:
     The energy itself carries a factor dx dy per cell; the gradient returned
     here is of the plain nodal sum, matching how J consumes it.
     """
-    return _gradient(state.z, None, physics.b)
+    N = state.N
+    out = np.empty(state.z.shape)
+    _chord_gradient(state.z.reshape(4, N), None, physics.b, out.reshape(4, N),
+                    np.empty((2, N)))
+    return out
 
 
 def hamiltonian(state: State, physics: Physics, grid: Grid) -> float:
@@ -369,35 +335,16 @@ def hamiltonian(state: State, physics: Physics, grid: Grid) -> float:
     return float(np.sum(density) * grid.cell_area)
 
 
-def apply_poisson(state: State, physics: Physics, ops: DiffOps, g: np.ndarray) -> np.ndarray:
-    """Matrix-free J(z) @ g for a packed gradient-like g, (4N,) or (4N, m)."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape[0] != state.z.shape[0]:
-        raise ValueError(f"gradient length {g.shape[0]} != state length {state.z.shape[0]}")
-    return _poisson(state.z, g, physics.f, ops.grid)
-
-
-def rhs(state: State, physics: Physics, ops: DiffOps) -> np.ndarray:
-    """Time derivative -J(z) grad H(z), packed (h, u, v, s)."""
-    return _poisson(state.z, grad_hamiltonian(state, physics), physics.f, ops.grid, -1.0)
-
-
-def avf_gradient(z_old: State, z_new: State, physics: Physics) -> np.ndarray:
-    """Chord-averaged energy gradient int_0^1 grad H(z_old + xi dz) dxi,
-    in closed form grad H(m) + Q(dz)/12 (exact: grad H is quadratic in z)."""
-    dz = z_new.z - z_old.z
-    return _gradient(z_old.z + 0.5 * dz, dz, physics.b)
-
-
-def invariants(state: State, physics: Physics, grid: Grid, ops: DiffOps) -> InvariantValues:
-    """Discrete energy, mass, total vorticity, and total buoyancy."""
+def invariants(state: State, physics: Physics, ops: DiffOps) -> np.ndarray:
+    """Discrete energy, mass, total vorticity and total buoyancy, as (4,)."""
     h, u, v, s = state.h, state.u, state.v, state.s
+    grid = ops.grid
     area = grid.cell_area
     energy = hamiltonian(state, physics, grid)
     mass = np.sum(h) * area
     vort = (np.sum(apply_dx(ops, v)) - np.sum(apply_dy(ops, u)) + physics.f * grid.N) * area
     buoy = np.sum(h * s) * area
-    return InvariantValues(float(energy), float(mass), float(vort), float(buoy))
+    return np.array([energy, mass, vort, buoy])
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +506,9 @@ def integrate_fom(initial: State, dt: float, num_steps: int, physics: Physics,
     """March num_steps AVF steps, recording the trajectory and invariants.
 
     Each step after the first starts Newton from the extrapolation
-    2 z^k - z^{k-1}. When
-    snapshot_path is given the K+1 states are streamed to disk in the packed
-    binary snapshot format as they are produced. With log_every > 0, every
+    2 z^k - z^{k-1}. When snapshot_path is given, fileio.SnapshotWriter
+    streams the K+1 states there as they are produced; the file appears only
+    once all of them are written. With log_every > 0, every
     log_every-th step and the last are logged at INFO level to the
     tswrom.fom logger; they are shown only where a handler takes INFO
     records, such as logging.basicConfig(level=logging.INFO) or
@@ -584,7 +531,7 @@ def integrate_fom(initial: State, dt: float, num_steps: int, physics: Physics,
     try:
         state = initial.copy()
         traj[:, 0] = state.z
-        invs[0] = invariants(state, physics, grid, ops).as_array()
+        invs[0] = invariants(state, physics, ops)
         times[0] = state.t
         if writer is not None:
             writer.append(state.z)
@@ -592,7 +539,7 @@ def integrate_fom(initial: State, dt: float, num_steps: int, physics: Physics,
             guess = None if k == 1 else 2.0 * state.z - traj[:, k - 2]
             state = avf_step(state, dt, physics, ops, cfg, guess=guess)
             traj[:, k] = state.z
-            invs[k] = invariants(state, physics, grid, ops).as_array()
+            invs[k] = invariants(state, physics, ops)
             times[k] = state.t
             if writer is not None:
                 writer.append(state.z)

@@ -274,7 +274,7 @@ def _gradient_data(basis: PodBasis, physics: Physics, ops: DiffOps) -> _Gradient
         t_uu=_three_way(vh, vu, vu),
         t_vv=_three_way(vh, vv, vv),
         t_hs=_three_way(vh, vh, vs),
-        inv0=invariants(mean, physics, ops.grid, ops).as_array()[:, None],
+        inv0=invariants(mean, physics, ops)[:, None],
         inv_lin=area * inv_lin.reshape(3, 4 * r),
         b_hs=area * (vh.T @ vs),
         area=area,

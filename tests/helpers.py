@@ -11,17 +11,24 @@ program against: CSR difference matrices, J's coefficient fields, the POD
 lift of reduced coefficients, POD and DEIM bases from full SVDs, dense full
 and reduced Poisson matrices, a 2-point Gauss AVF residual, a dense-Jacobian
 Newton step, the plain Galerkin and sampled right-hand sides and the einsum
-form of the reduced gradient's quadratic part.
+form of the reduced gradient's quadratic part. apply_poisson, rhs and
+avf_gradient evaluate J g, -J grad H and the chord-mean gradient on whole
+states through the program's own kernels, for the checks that compare
+those kernels with dense matrices and quadratures.
 """
 
+import json
 import math
+import struct
+import zipfile
 
 import numpy as np
 import scipy.sparse as sp
 
 from tswrom.deim import qdeim_select
 from tswrom.errors import NumericError
-from tswrom.fom import NewtonConfig, Physics, State, _AvfResidual, apply_poisson
+from tswrom.fom import (NewtonConfig, Physics, State, _apply_j, _AvfResidual, _blocks,
+                        _chord_gradient, _coefficients, grad_hamiltonian)
 from tswrom.grid import build_diff_ops, build_grid
 from tswrom.pod import PodBasis, _mean_led_modes, truncate_rank
 
@@ -204,6 +211,34 @@ def deim_apply(op, state, physics, ops):
     return (dy[idx, :] @ state.s) / h
 
 
+def apply_poisson(state, physics, ops, g, scale=1.0):
+    """scale J(state) g for a packed g of shape (4N,) or (4N, m), through the
+    program's coefficient and stencil kernels."""
+    grid, n = ops.grid, ops.grid.n
+    coef = _coefficients(state.z, physics.f, grid, scale)
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    out = np.empty(g.shape)
+    _apply_j(coef, _blocks(g, n), _blocks(out, n), scale * 0.5 / grid.dx,
+             scale * 0.5 / grid.dy, np.empty((n, n) + g.shape[1:]))
+    return out
+
+
+def rhs(state, physics, ops):
+    """Time derivative -J(z) grad H(z), packed (h, u, v, s)."""
+    return apply_poisson(state, physics, ops, grad_hamiltonian(state, physics), -1.0)
+
+
+def avf_gradient(z_old, z_new, physics):
+    """Chord-averaged energy gradient int_0^1 grad H(z_old + xi dz) dxi of two
+    States, in the program's closed form grad H(m) + Q(dz)/12."""
+    N = z_old.N
+    dz = z_new.z - z_old.z
+    out = np.empty(dz.shape)
+    _chord_gradient((z_old.z + 0.5 * dz).reshape(4, N), dz.reshape(4, N), physics.b,
+                    out.reshape(4, N), np.empty((2, N)))
+    return out
+
+
 def dense_poisson_matrix(state, physics, ops):
     """J(state) assembled densely (4N x 4N) as J applied to the identity."""
     return apply_poisson(state, physics, ops, np.eye(4 * state.N))
@@ -240,3 +275,28 @@ def dense_newton_avf_step(state, dt, physics, ops):
     if float(np.max(np.abs(residual(z)))) <= cfg.tol:
         return State(z=z, t=state.t + dt)
     raise NumericError(f"dense Newton stalled after {cfg.max_iter} iterations")
+
+
+def flip_member_byte(path, member):
+    """Flip one bit in the middle of the stored bytes of a container member."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(f"{member}.npy")
+    raw = bytearray(path.read_bytes())
+    at = info.header_offset
+    name_len, extra_len = struct.unpack("<HH", raw[at + 26 : at + 30])
+    raw[at + 30 + name_len + extra_len + info.file_size // 2] ^= 0x10
+    path.write_bytes(bytes(raw))
+
+
+def rewrite_container(path, meta=None, drop=(), meta_member=None, **arrays):
+    """Write a container again with some meta entries replaced or dropped,
+    or the whole meta member replaced, and some members replaced."""
+    with np.load(path) as npz:
+        members = {name: npz[name] for name in npz.files}
+    entries = {**json.loads(str(members["meta"])), **(meta or {})}
+    for key in drop:
+        del entries[key]
+    members["meta"] = np.array(meta_member or json.dumps(entries))
+    members.update(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)

@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 import conftest
-from helpers import (dense_poisson_matrix, random_physics, random_state,
-                     reduced_poisson_matrix, small_setup)
+from helpers import (apply_poisson, avf_gradient, dense_poisson_matrix, random_physics,
+                     random_state, reduced_poisson_matrix, small_setup)
 
 from tswrom.bench import (DoubleVortexConfig, double_vortex_initial,
                           invariant_errors, make_physics, run_pipeline)
 from tswrom.deim import build_deim, collect_nonlin_snapshots
-from tswrom.fom import (State, apply_poisson, avf_gradient, grad_hamiltonian,
-                        hamiltonian, integrate_fom)
+from tswrom.fom import State, grad_hamiltonian, hamiltonian, integrate_fom
 from tswrom.grid import apply_dx, apply_dy, build_diff_ops
 from tswrom.pod import build_pod_basis, collect_snapshots, restrict
 from tswrom.rom import (FlopCounter, RomState, integrate_rom, precompute_rom,

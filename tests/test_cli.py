@@ -10,6 +10,8 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import flip_member_byte, rewrite_container
+
 from tswrom import fileio
 from tswrom.bench import Case, DoubleVortexConfig, stage_rom
 from tswrom.cli import main
@@ -125,6 +127,18 @@ def test_stages_refuse_physics_other_than_the_fom_run(tmp_path, capsys):
     assert "records no coriolis" in capsys.readouterr().err
 
 
+def test_stages_refuse_a_domain_length_other_than_the_fom_run(tmp_path, capsys):
+    ws = ["--out", str(tmp_path)]
+    length = ["--set", "length=4e6"]
+    assert main(["fom", *ws, "--n", "16", "--num-steps", "20", *length]) == 0
+    assert json.loads((tmp_path / "run_meta.json").read_text())["length"] == 4e6
+    capsys.readouterr()
+    # the default length would build a grid spacing 25% too large
+    assert main(["reduce", *ws]) == 2
+    assert "length=5000000.0 differs from length=4000000.0" in capsys.readouterr().err
+    assert main(["reduce", *ws, *length]) == 0
+
+
 def test_rom_refuses_a_basis_of_an_earlier_fom_run(tmp_path, capsys):
     ws = ["--out", str(tmp_path)]
     assert main(["fom", *ws, *_SMALL]) == 0
@@ -212,7 +226,7 @@ def test_corrupted_snapshots_exit_5(tmp_path, capsys):
     snap = out / "snapshots.bin"
     snap.write_bytes(b"XXXX" + snap.read_bytes()[4:])
     assert main(["reduce", "--out", str(out)]) == 5
-    assert "bad magic" in capsys.readouterr().err
+    assert "not a readable snapshots file" in capsys.readouterr().err
 
 
 def test_rom_output_matches_a_solve_from_the_whole_trajectory(chain_dir, tmp_path):
@@ -242,7 +256,54 @@ def test_snapshots_short_by_one_record_make_rom_exit_5(tmp_path, capsys):
     capsys.readouterr()
     for method in ("pod", "pod-deim"):
         assert main(["rom", "--out", str(out), "--method", method]) == 5
-        assert "expected 4 records" in capsys.readouterr().err
+        assert "not a readable snapshots file" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def reduced_dir(tmp_path_factory):
+    """Workspace after fom and reduce at n=8, 3 steps."""
+    out = tmp_path_factory.mktemp("reduced")
+    assert main(["fom", "--out", str(out), "--set", "n=8", "--set", "num_steps=3"]) == 0
+    assert main(["reduce", "--out", str(out)]) == 0
+    return out
+
+
+# each binary artifact, a member of it, and the first stage that reads it
+_READERS = {"snapshots.bin": ("trajectory", ["reduce"]),
+            "basis.bin": ("modes", ["rom", "--method", "pod"]),
+            "deim.bin": ("psi", ["rom", "--method", "pod-deim"]),
+            "romops.bin": ("k1", ["rom", "--method", "pod-deim"])}
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+def test_flipped_or_truncated_artifacts_exit_5(reduced_dir, tmp_path, capsys, name):
+    member, stage = _READERS[name]
+    for damage in ("flip", "truncate"):
+        out = tmp_path / damage
+        shutil.copytree(reduced_dir, out)
+        path = out / name
+        if damage == "flip":
+            flip_member_byte(path, member)
+        else:
+            path.write_bytes(path.read_bytes()[:-100])
+        capsys.readouterr()
+        assert main([*stage, "--out", str(out)]) == 5, damage
+        assert f"{name}: not a readable" in capsys.readouterr().err
+
+
+def test_foreign_or_raw_artifacts_exit_5(reduced_dir, tmp_path, capsys):
+    out = tmp_path / "ws"
+    shutil.copytree(reduced_dir, out)
+    shutil.copyfile(out / "basis.bin", out / "deim.bin")
+    assert main(["rom", "--out", str(out), "--method", "pod-deim"]) == 5
+    assert "a basis file, not a deim file" in capsys.readouterr().err
+    # files in the raw format of version 2
+    for name, magic in (("snapshots.bin", b"RTSW"), ("basis.bin", b"PODB"),
+                        ("deim.bin", b"DEIM"), ("romops.bin", b"ROMT")):
+        shutil.copytree(reduced_dir, out, dirs_exist_ok=True)
+        (out / name).write_bytes(magic + struct.pack("<III", 2, 8, 64) + bytes(512))
+        assert main([*_READERS[name][1], "--out", str(out)]) == 5, name
+        assert f"{name}: not a readable" in capsys.readouterr().err
 
 
 def test_truncated_run_meta_exits_5(tmp_path, capsys):
@@ -260,9 +321,7 @@ def test_version_1_romops_exits_5(tmp_path, capsys):
     assert main(["fom", "--out", str(out), "--set", "n=8", "--set", "num_steps=3"]) == 0
     assert main(["reduce", "--out", str(out)]) == 0
     capsys.readouterr()
-    ops = out / "romops.bin"
-    raw = ops.read_bytes()
-    ops.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    rewrite_container(out / "romops.bin", meta={"version": 1})
     assert main(["rom", "--out", str(out), "--method", "pod-deim"]) == 5
     assert "unsupported format version 1" in capsys.readouterr().err
 
@@ -283,6 +342,8 @@ def test_absurd_time_step_exits_3(tmp_path, capsys):
                "--set", "num_steps=1", "--set", "dt=1e9"])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+    # the failed run leaves no snapshot file, partial or complete
+    assert not list(tmp_path.glob("snapshots.bin*"))
 
 
 def test_oversized_basis_request_exits_2(tmp_path, capsys):

@@ -1,91 +1,167 @@
-"""Binary artifact round-trips, corruption detection, CSV/JSON tables."""
+"""Binary container round-trips, corruption detection, CSV/JSON tables."""
 
 import json
 import struct
+import zipfile
 
 import numpy as np
 import pytest
 
+from helpers import flip_member_byte, rewrite_container
+
 from tswrom.errors import FormatError
-from tswrom.fileio import (FORMAT_VERSION, SnapshotWriter, read_basis, read_deim,
+from tswrom.fileio import (SnapshotWriter, read_basis, read_deim, read_initial_snapshot,
                            read_invariants_csv, read_matrix_csv, read_romops,
                            read_snapshots, write_basis, write_deim,
                            write_errors_csv, write_fields_csv,
                            write_invariants_csv, write_matrix_csv,
-                           write_report_json, write_romops, write_snapshots,
-                           write_spectra_csv)
+                           write_report_json, write_romops, write_spectra_csv)
 
 
 def _random_traj(rng, n=4, cols=5):
     return rng.normal(size=(4 * n * n, cols))
 
 
+def _append_bytes(path, extra=b"\0" * 8):
+    with open(path, "ab") as fh:
+        fh.write(extra)
+
+
+def _write_snapshots(path, traj, n, dt):
+    with SnapshotWriter(path, n=n, num_steps=traj.shape[1] - 1, dt=dt) as w:
+        for k in range(traj.shape[1]):
+            w.append(traj[:, k])
+
+
 def test_snapshot_roundtrip(rng, tmp_path):
     traj = _random_traj(rng)
     path = tmp_path / "snap.bin"
-    write_snapshots(path, traj, n=4, dt=0.5)
+    _write_snapshots(path, traj, n=4, dt=0.5)
     back, n, dt = read_snapshots(path)
     assert n == 4 and dt == 0.5
     np.testing.assert_array_equal(back, traj)
+    z0, n, dt, num_steps = read_initial_snapshot(path)
+    assert (n, dt, num_steps) == (4, 0.5, traj.shape[1] - 1)
+    np.testing.assert_array_equal(z0, traj[:, 0])
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.bin"]
 
 
 def test_snapshot_writer_streams_identically(rng, tmp_path):
+    # the streamed trajectory member is byte for byte np.save of the records
     traj = _random_traj(rng)
-    bulk = tmp_path / "bulk.bin"
-    streamed = tmp_path / "streamed.bin"
-    write_snapshots(bulk, traj, n=4, dt=2.0)
-    with SnapshotWriter(streamed, n=4, num_steps=traj.shape[1] - 1, dt=2.0) as w:
-        for k in range(traj.shape[1]):
-            w.append(traj[:, k])
-    assert bulk.read_bytes() == streamed.read_bytes()
+    path = tmp_path / "snap.bin"
+    _write_snapshots(path, traj, n=4, dt=2.0)
+    bulk = tmp_path / "bulk.npy"
+    np.save(bulk, np.ascontiguousarray(traj.T))
+    with zipfile.ZipFile(path) as zf:
+        assert zf.read("trajectory.npy") == bulk.read_bytes()
 
 
 def test_snapshot_writer_rejects_wrong_record(tmp_path):
-    with SnapshotWriter(tmp_path / "x.bin", n=4, num_steps=1, dt=1.0) as w:
+    path = tmp_path / "x.bin"
+    with SnapshotWriter(path, n=4, num_steps=1, dt=1.0) as w:
         with pytest.raises(ValueError):
             w.append(np.zeros(63))
+        w.append(np.zeros(64))
+        w.append(np.zeros(64))
+        with pytest.raises(ValueError):
+            w.append(np.zeros(64))
+    assert read_snapshots(path)[0].shape == (64, 2)
+
+
+def test_snapshot_writer_keeps_only_complete_files(rng, tmp_path):
+    traj = _random_traj(rng)
+    path = tmp_path / "snap.bin"
+    # closed one record short
+    w = SnapshotWriter(path, n=4, num_steps=traj.shape[1] - 1, dt=0.5)
+    for k in range(traj.shape[1] - 1):
+        w.append(traj[:, k])
+    w.close()
+    assert list(tmp_path.iterdir()) == []
+    # left by an exception after every record was appended
+    with pytest.raises(RuntimeError):
+        with SnapshotWriter(path, n=4, num_steps=traj.shape[1] - 1, dt=0.5) as w:
+            for k in range(traj.shape[1]):
+                w.append(traj[:, k])
+            raise RuntimeError("solver failed")
+    assert list(tmp_path.iterdir()) == []
+    # a failed rewrite leaves the earlier complete file as it was
+    _write_snapshots(path, traj, n=4, dt=0.5)
+    before = path.read_bytes()
+    with SnapshotWriter(path, n=4, num_steps=traj.shape[1] - 1, dt=0.5) as w:
+        w.append(traj[:, 0])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.bin"]
 
 
 def test_snapshot_corruption_detected(rng, tmp_path):
     traj = _random_traj(rng)
     path = tmp_path / "snap.bin"
-    write_snapshots(path, traj, n=4, dt=0.5)
-    raw = bytearray(path.read_bytes())
+    _write_snapshots(path, traj, n=4, dt=0.5)
+    raw = path.read_bytes()
 
     bad_magic = tmp_path / "bad_magic.bin"
-    bad_magic.write_bytes(b"XXXX" + bytes(raw[4:]))
-    with pytest.raises(FormatError):
-        read_snapshots(bad_magic)
-
+    bad_magic.write_bytes(b"XXXX" + raw[4:])
     bad_version = tmp_path / "bad_version.bin"
-    bad_version.write_bytes(bytes(raw[:4]) + struct.pack("<I", 99) + bytes(raw[8:]))
-    with pytest.raises(FormatError):
-        read_snapshots(bad_version)
-
+    bad_version.write_bytes(raw)
+    rewrite_container(bad_version, meta={"version": 99})
     truncated = tmp_path / "truncated.bin"
-    truncated.write_bytes(bytes(raw[:-16]))
-    with pytest.raises(FormatError):
-        read_snapshots(truncated)
-
+    truncated.write_bytes(raw[:-16])
     header_only = tmp_path / "header.bin"
-    header_only.write_bytes(bytes(raw[:10]))
-    with pytest.raises(FormatError):
-        read_snapshots(header_only)
+    header_only.write_bytes(raw[:10])
+    flipped = tmp_path / "flipped.bin"
+    flipped.write_bytes(raw)
+    flip_member_byte(flipped, "trajectory")
+    appended = tmp_path / "appended.bin"
+    appended.write_bytes(raw)
+    _append_bytes(appended)
+    for bad in (bad_magic, bad_version, truncated, header_only, flipped, appended):
+        with pytest.raises(FormatError):
+            read_snapshots(bad)
+
+    # a meta that is not an object, lacks an entry or disagrees with the records
+    not_object = tmp_path / "not_object.bin"
+    not_object.write_bytes(raw)
+    rewrite_container(not_object, meta_member='["snapshots", 3]')
+    with pytest.raises(FormatError, match="not a JSON object"):
+        read_snapshots(not_object)
+    for key in ("n", "dt", "num_steps"):
+        missing = tmp_path / f"no_{key}.bin"
+        missing.write_bytes(raw)
+        rewrite_container(missing, drop=(key,))
+        with pytest.raises(FormatError, match="meta lacks"):
+            read_snapshots(missing)
+        with pytest.raises(FormatError, match="meta lacks"):
+            read_initial_snapshot(missing)
+    for meta in ({"n": 2}, {"num_steps": traj.shape[1]}):
+        mismatch = tmp_path / "mismatch.bin"
+        mismatch.write_bytes(raw)
+        rewrite_container(mismatch, meta=meta)
+        with pytest.raises(FormatError, match="trajectory disagrees"):
+            read_snapshots(mismatch)
+
+    flip_member_byte(path, "z0")
+    with pytest.raises(FormatError, match="Bad CRC-32"):
+        read_initial_snapshot(path)
 
 
 def test_basis_roundtrip(mini_pipeline, tmp_path):
     basis = mini_pipeline.basis
     path = tmp_path / "basis.bin"
-    write_basis(path, basis, n=mini_pipeline.grid.n)
+    write_basis(path, basis)
     loaded = read_basis(path)
     np.testing.assert_array_equal(loaded.means, basis.means)
     np.testing.assert_array_equal(loaded.modes, basis.modes)
-    assert loaded.singular_values is None  # spectra live in the CSV sidecar
-    assert np.isnan(loaded.kappa)
+    np.testing.assert_array_equal(loaded.singular_values, basis.singular_values)
+    assert loaded.ranks == basis.ranks and loaded.kappa == basis.kappa
 
-    with open(path, "ab") as fh:
-        fh.write(b"\0")
-    with pytest.raises(FormatError):
+    raw = path.read_bytes()
+    flip_member_byte(path, "modes")
+    with pytest.raises(FormatError, match="Bad CRC-32"):
+        read_basis(path)
+    path.write_bytes(raw)
+    _append_bytes(path)
+    with pytest.raises(FormatError, match="zip end record"):
         read_basis(path)
 
 
@@ -100,13 +176,24 @@ def test_deim_roundtrip(mini_pipeline, tmp_path):
         np.testing.assert_array_equal(back.indices, orig.indices)
         np.testing.assert_array_equal(back.phi, orig.phi)
         np.testing.assert_array_equal(back.psi, orig.psi)
+    np.testing.assert_array_equal(loaded.singular_values, dset.singular_values)
+    assert loaded.ranks == dset.ranks and loaded.kappa == dset.kappa
+
+    raw = path.read_bytes()
+    flip_member_byte(path, "phi")
+    with pytest.raises(FormatError, match="Bad CRC-32"):
+        read_deim(path)
+    path.write_bytes(raw)
+    _append_bytes(path)
+    with pytest.raises(FormatError, match="zip end record"):
+        read_deim(path)
+    path.write_bytes(raw)
 
     # an out-of-range interpolation index must be rejected up front
-    raw = bytearray(path.read_bytes())
-    header = struct.calcsize("<4sIII")
-    raw[header : header + 8] = struct.pack("<Q", 10**9)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
+    indices = np.stack([op.indices for op in dset])
+    indices[0, 0] = 10**9
+    rewrite_container(path, indices=indices)
+    with pytest.raises(FormatError, match="index out of range"):
         read_deim(path)
 
 
@@ -119,32 +206,39 @@ def test_romops_roundtrip(mini_pipeline, tmp_path):
     for name, mat in romops.matrices().items():
         np.testing.assert_array_equal(mats[name], mat)
 
-    with open(path, "ab") as fh:
-        fh.write(b"\0" * 8)
-    with pytest.raises(FormatError):
+    raw = path.read_bytes()
+    flip_member_byte(path, "k2")
+    with pytest.raises(FormatError, match="Bad CRC-32"):
+        read_romops(path)
+    path.write_bytes(raw)
+    _append_bytes(path)
+    with pytest.raises(FormatError, match="zip end record"):
         read_romops(path)
 
 
 def test_version_1_files_rejected(mini_pipeline, rng, tmp_path):
-    # version 1 deim.bin and romops.bin carried seven fields and the old
-    # tensors; no reader may take any version-1 file for a current one
+    # versions 1 and 2 were raw formats; neither, nor a container that
+    # declares an older version or another kind, may pass for a current file
     writers = {
-        "snap.bin": (lambda path: write_snapshots(path, _random_traj(rng), n=4, dt=0.5),
-                     read_snapshots),
-        "basis.bin": (lambda path: write_basis(path, mini_pipeline.basis,
-                                               n=mini_pipeline.grid.n), read_basis),
-        "deim.bin": (lambda path: write_deim(path, mini_pipeline.deim), read_deim),
-        "romops.bin": (lambda path: write_romops(path, mini_pipeline.romops), read_romops),
+        "snap.bin": (lambda path: _write_snapshots(path, _random_traj(rng), n=4, dt=0.5),
+                     read_snapshots, b"RTSW"),
+        "basis.bin": (lambda path: write_basis(path, mini_pipeline.basis), read_basis, b"PODB"),
+        "deim.bin": (lambda path: write_deim(path, mini_pipeline.deim), read_deim, b"DEIM"),
+        "romops.bin": (lambda path: write_romops(path, mini_pipeline.romops), read_romops,
+                       b"ROMT"),
     }
-    for name, (write, read) in writers.items():
+    for name, (write, read, magic) in writers.items():
         path = tmp_path / name
         write(path)
-        raw = bytearray(path.read_bytes())
-        assert struct.unpack("<I", bytes(raw[4:8])) == (FORMAT_VERSION,)
-        raw[4:8] = struct.pack("<I", 1)
-        path.write_bytes(bytes(raw))
+        rewrite_container(path, meta={"version": 1})
         with pytest.raises(FormatError, match="unsupported format version 1"):
             read(path)
+        path.write_bytes(magic + struct.pack("<III", 2, 4, 16) + bytes(256))
+        with pytest.raises(FormatError):
+            read(path)
+    write_basis(tmp_path / "deim.bin", mini_pipeline.basis)
+    with pytest.raises(FormatError, match="a basis file, not a deim file"):
+        read_deim(tmp_path / "deim.bin")
 
 
 def test_invariants_csv_roundtrip(rng, tmp_path):

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from helpers import (SEED, dense_poisson_matrix, einsum_quadratic, nonlinearity,
-                     random_physics, random_state, reduced_poisson_matrix,
-                     rom_rhs_pod_only, small_setup)
+from helpers import (SEED, apply_poisson, dense_poisson_matrix, einsum_quadratic,
+                     nonlinearity, random_physics, random_state, reduced_poisson_matrix,
+                     rhs, rom_rhs_pod_only, small_setup)
 
 from tswrom import rom as rom_mod
 from tswrom.deim import NUM_NONLIN, build_deim, collect_nonlin_snapshots
 from tswrom.errors import ConfigError, NumericError
-from tswrom.fom import (State, apply_poisson, grad_hamiltonian, hamiltonian,
-                        invariants, rhs)
+from tswrom.fom import State, grad_hamiltonian, hamiltonian, invariants
 from tswrom.pod import build_pod_basis, collect_snapshots, restrict
 from tswrom.rom import (FlopCounter, RomState, galerkin_operators,
                         integrate_rom, precompute_rom, rom_avf_step,
@@ -116,14 +115,14 @@ def test_reduced_gradient_matches_projected_full_gradient(mini_pipeline, rng):
 
 def test_polynomial_invariants_match_lifted_invariants(mini_pipeline, rng):
     basis, phys = mini_pipeline.basis, mini_pipeline.physics
-    grid, dops = mini_pipeline.grid, mini_pipeline.diffops
+    dops = mini_pipeline.diffops
     z = _mini_states(mini_pipeline, rng)
     for name, ops in _operator_sets(mini_pipeline).items():
         poly = ops.grad.invariants(z)
         assert poly.shape == (z.shape[1], 4)
         for k in range(z.shape[1]):
             lifted = State(z=basis.lift_array(z[:, k]))
-            expected = invariants(lifted, phys, grid, dops).as_array()
+            expected = invariants(lifted, phys, dops)
             err = np.abs(poly[k] - expected) / np.abs(expected)
             assert np.all(err <= 1e-13), (name, k, err)
 
