@@ -13,9 +13,9 @@ full-order solve), stage_reduce (basis, interpolation training and tensor
 precompute), stage_rom (one reduced solve) and stage_report (error and
 drift metrics). Each takes its inputs in memory and, given an output
 directory, writes its artifacts and its run_meta.json entries there.
-run_pipeline chains them in memory; the command-line stages read a stage's
-inputs from the directory and call the same function, so a run_pipeline
-output directory is a valid command-line workspace.
+run_pipeline chains them in memory; the command-line stages check and read
+a stage's inputs from the directory and call the same function, so a
+run_pipeline output directory is a valid command-line workspace.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import logging
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,8 @@ __all__ = [
     "make_physics",
     "relative_l2_error",
     "invariant_errors",
+    "check_lineage",
+    "fom_case",
     "read_run_meta",
     "stage_fom",
     "stage_reduce",
@@ -264,50 +266,73 @@ def progress_to_stdout(enabled: bool):
         logger.propagate = propagate
 
 
-# The run_meta.json entries each stage writes. A stage needs every entry of
-# the stages before it: fom starts a fresh file and reduce drops the online
-# entries, so an artifact left over from an earlier run is refused rather
-# than mixed in.
-_FOM_ENTRIES = ("n", "num_steps", "dt", "wall_fom_s")
-_REDUCE_ENTRIES = ("r", "p", "r_criterion", "p_criterion", "kappa_pod", "kappa_deim",
-                   "wall_pod_offline_s", "wall_pod_deim_offline_s")
-_ONLINE_ENTRIES = tuple(f"wall_{tag}_online_s" for tag in _METHOD_TAGS)
-_REPORT_ENTRIES = (*_FOM_ENTRIES, *_REDUCE_ENTRIES, *_ONLINE_ENTRIES)
+# Each binary artifact, the artifacts it is derived from (listed before it),
+# whose fingerprints it records (fileio.lineage), and the command writing it.
+_DERIVATION = {
+    "snapshots.bin": ((), "fom"),
+    "basis.bin": (("snapshots.bin",), "reduce"),
+    "deim.bin": (("snapshots.bin", "basis.bin"), "reduce"),
+    "romops.bin": (("basis.bin", "deim.bin"), "reduce"),
+    "rom_pod.bin": (("snapshots.bin", "basis.bin"), "rom --method pod"),
+    "rom_pod_deim.bin": (("snapshots.bin", "basis.bin", "deim.bin", "romops.bin"),
+                         "rom --method pod-deim"),
+}
 
 # the fields besides n, dt and num_steps that the grid and the physics of a
 # Case are built from
 _CASE_FIELDS = ("length", "coriolis", "gravity")
 
-_FROM_FOM = {key: "run `tswrom fom` there" for key in (*_CASE_FIELDS, *_FOM_ENTRIES)}
-_FROM_REDUCE = {key: "run `tswrom reduce` there" for key in _REDUCE_ENTRIES}
-_FROM_ROM = {f"wall_{tag}_online_s": f"run `tswrom rom --method {tag.replace('_', '-')}` "
-                                      f"there to write a rom_state_{tag}.csv of the current basis"
-             for tag in _METHOD_TAGS}
-_NEEDS = {"reduce": _FROM_FOM,
-          "rom": {**_FROM_FOM, **_FROM_REDUCE},
-          "compare": {**_FROM_FOM, **_FROM_REDUCE, **_FROM_ROM}}
+# the run_meta.json entries the report copies
+_REPORT_ENTRIES = ("n", "num_steps", "dt", "wall_fom_s", "r", "p", "r_criterion",
+                   "p_criterion", "kappa_pod", "kappa_deim", "wall_pod_offline_s",
+                   "wall_pod_deim_offline_s", *(f"wall_{tag}_online_s" for tag in _METHOD_TAGS))
 
 
-def read_run_meta(out: Path, case: Case, stage: str) -> dict:
-    """The run_meta.json entries in out, checked before `stage` (reduce, rom
-    or compare) reads its inputs there: the domain length and the physics
-    must be the fom run's, and every entry of the earlier stages must be
-    present."""
+def check_lineage(out: Path, needs) -> None:
+    """ConfigError unless the artifacts named in needs and those they derive
+    from are in out, each derived from the very files there."""
+    needed = set(needs)
+    for name in reversed(_DERIVATION):
+        if name in needed:
+            needed.update(_DERIVATION[name][0])
+    prints = {}
+    for name, (inputs, command) in _DERIVATION.items():
+        if name not in needed:
+            continue
+        remedy = f"run `tswrom {command}` there"
+        if not (out / name).exists():
+            raise ConfigError(f"{out} holds no {name}; {remedy}")
+        prints[name], recorded = fileio.lineage(out / name, name.removesuffix(".bin"))
+        for source in inputs:
+            if recorded.get(source) != prints[source]:
+                raise ConfigError(f"{name} in {out} was derived from another {source}; {remedy}")
+
+
+def _input_prints(out: Path, name: str) -> dict[str, str]:
+    """The fingerprints of the artifacts in out that name is derived from."""
+    return {source: fileio.lineage(out / source, source.removesuffix(".bin"))[0]
+            for source in _DERIVATION[name][0]}
+
+
+def fom_case(cfg: DoubleVortexConfig, snapshot_meta: dict, out: Path) -> Case:
+    """cfg with the discretization pinned to the fom run in out, given its
+    snapshots.bin meta; the domain length and the physics must be the run's."""
+    for key in _CASE_FIELDS:
+        if getattr(cfg, key) != snapshot_meta[key]:
+            raise ConfigError(
+                f"{key}={getattr(cfg, key)!r} differs from {key}={snapshot_meta[key]!r} of "
+                f"the fom run in {out}; pass every stage the same --set/--config values")
+    return Case.build(replace(cfg, n=snapshot_meta["n"], dt=snapshot_meta["dt"],
+                              num_steps=snapshot_meta["num_steps"]))
+
+
+def read_run_meta(out: Path) -> dict:
+    """The timing and rank log run_meta.json in out, {} before the first stage."""
     path = out / "run_meta.json"
     try:
-        meta = json.loads(path.read_text()) if path.exists() else {}
+        return json.loads(path.read_text()) if path.exists() else {}
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    for key in _CASE_FIELDS:
-        built = getattr(case.config, key)
-        if key in meta and built != meta[key]:
-            raise ConfigError(
-                f"{key}={built!r} differs from {key}={meta[key]!r} of the fom "
-                f"run in {out}; pass every stage the same --set/--config values")
-    for key, remedy in _NEEDS[stage].items():
-        if key not in meta:
-            raise ConfigError(f"run_meta.json in {out} records no {key}; {remedy}")
-    return meta
 
 
 def _write_meta(out: Path, meta: dict) -> None:
@@ -323,18 +348,12 @@ def stage_fom(case: Case, meta: dict, out: Path | None = None,
               log_every: int = 0) -> FomResult:
     """Full-order solve from the double-vortex initial state.
 
-    Replaces meta with a fresh set of run_meta entries (discretization,
-    domain length, physics, wall_fom_s). With out, streams snapshots.bin and
-    writes fom_invariants.csv and run_meta.json there.
+    Adds the discretization and wall_fom_s to meta. With out, streams
+    snapshots.bin and writes fom_invariants.csv and run_meta.json there.
     """
     cfg, physics = case.config, case.physics
     z0 = double_vortex_initial(case.grid, cfg)
     _check_initial(z0, cfg)
-    meta.clear()
-    if out is not None:
-        # the artifacts of an earlier run stay until this run replaces them,
-        # and without run_meta.json no later stage reads them
-        (out / "run_meta.json").unlink(missing_ok=True)
 
     _log.info("full model: n=%d, %d steps, dt=%g s", cfg.n, cfg.num_steps, cfg.dt)
     t0 = time.perf_counter()
@@ -343,8 +362,7 @@ def stage_fom(case: Case, meta: dict, out: Path | None = None,
                              log_every=log_every)
     wall = time.perf_counter() - t0
 
-    meta.update(n=cfg.n, num_steps=cfg.num_steps, dt=cfg.dt, wall_fom_s=wall,
-                **{key: getattr(cfg, key) for key in _CASE_FIELDS})
+    meta.update(n=cfg.n, num_steps=cfg.num_steps, dt=cfg.dt, wall_fom_s=wall)
     if out is not None:
         fileio.write_invariants_csv(out / "fom_invariants.csv", full.times, full.invariants)
         _write_meta(out, meta)
@@ -358,9 +376,9 @@ def stage_reduce(case: Case, trajectory: np.ndarray, meta: dict,
     """Offline phase on a full-order trajectory (4N, K+1): basis,
     interpolation training and tensor precompute.
 
-    Adds the ranks, the thresholds and the offline timings to meta and drops
-    the online timings of an earlier basis. With out, writes basis.bin,
-    deim.bin, romops.bin, the spectra CSVs and run_meta.json there.
+    Adds the ranks, the thresholds and the offline timings to meta. With
+    out, writes basis.bin, deim.bin, romops.bin, the spectra CSVs and
+    run_meta.json there.
     """
     cfg, physics, dops = case.config, case.physics, case.diffops
     t0 = time.perf_counter()
@@ -377,16 +395,14 @@ def stage_reduce(case: Case, trajectory: np.ndarray, meta: dict,
     wall_deim = time.perf_counter() - t0
     _log.info("interpolation: p=%d (per-nonlinearity energy ranks %s)", dset.p, dset.ranks)
 
-    for key in _ONLINE_ENTRIES:
-        meta.pop(key, None)
     meta.update(r=basis.r, p=dset.p,
                 r_criterion=int(max(basis.ranks)), p_criterion=int(max(dset.ranks)),
                 kappa_pod=cfg.kappa_pod, kappa_deim=cfg.kappa_deim,
                 wall_pod_offline_s=wall_pod, wall_pod_deim_offline_s=wall_pod + wall_deim)
     if out is not None:
-        fileio.write_basis(out / "basis.bin", basis)
-        fileio.write_deim(out / "deim.bin", dset)
-        fileio.write_romops(out / "romops.bin", romops)
+        fileio.write_basis(out / "basis.bin", basis, _input_prints(out, "basis.bin"))
+        fileio.write_deim(out / "deim.bin", dset, _input_prints(out, "deim.bin"))
+        fileio.write_romops(out / "romops.bin", romops, _input_prints(out, "romops.bin"))
         fileio.write_spectra_csv(out / "pod_spectra.csv", VARIABLES, basis.singular_values)
         fileio.write_spectra_csv(out / "deim_spectra.csv",
                                  [f"F{j}" for j in range(1, NUM_NONLIN + 1)],
@@ -406,7 +422,7 @@ def stage_rom(case: Case, ops: RomOperators, z0: np.ndarray, method: str, meta: 
     count and size.
 
     Adds wall_{tag}_online_s to meta. With out, writes
-    rom_invariants_{tag}.csv, rom_state_{tag}.csv and run_meta.json there.
+    rom_invariants_{tag}.csv, rom_{tag}.bin and run_meta.json there.
     """
     basis, cfg = ops.basis, case.config
     zr0 = basis.restrict_array(z0)
@@ -422,9 +438,7 @@ def stage_rom(case: Case, ops: RomOperators, z0: np.ndarray, method: str, meta: 
     if out is not None:
         fileio.write_invariants_csv(out / f"rom_invariants_{tag}.csv",
                                     result.times, result.invariants)
-        fileio.write_matrix_csv(out / f"rom_state_{tag}.csv",
-                                "# rows are stored states, columns the 4r reduced coefficients",
-                                result.reduced.T)
+        fileio.write_rom(out / f"rom_{tag}.bin", result, _input_prints(out, f"rom_{tag}.bin"))
         _write_meta(out, meta)
     _log.info("done in %.2f s; final relative energy drift %.3e",
               wall, _energy_drift(result.invariants))
@@ -440,6 +454,9 @@ def stage_report(case: Case, meta: dict, full: FomResult, basis: PodBasis,
     With out, writes errors.csv, report.json and field dumps at the first,
     middle and last step there.
     """
+    missing = [key for key in _REPORT_ENTRIES if key not in meta]
+    if missing:
+        raise FormatError(f"run_meta.json records no {', '.join(missing)}")
     report = {key: meta[key] for key in _REPORT_ENTRIES}
     drifts = {"fom": full.invariants}
     for tag, res in roms.items():

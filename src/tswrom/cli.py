@@ -7,8 +7,8 @@ Four subcommands share one working directory of artifacts:
     tswrom reduce  --out DIR    basis + interpolation training ->
                                 basis.bin, deim.bin, romops.bin, spectra CSVs
     tswrom rom     --out DIR --method {pod,pod-deim}
-                                reduced solve -> rom_invariants_*.csv,
-                                rom_state_*.csv
+                                reduced solve -> rom_pod.bin or
+                                rom_pod_deim.bin, rom_invariants_*.csv
     tswrom compare --out DIR    errors.csv, report.json, field dumps, and
                                 printed accuracy/conservation/timing tables
 
@@ -21,20 +21,16 @@ lines.
 
 Parameters come from an optional config file of `key = value` lines (keys
 mirror DoubleVortexConfig fields, `#` starts a comment), overridden by
-`--set key=value` and by the explicit flags. DIR/run_meta.json holds each
-stage's entries (discretization, physics, ranks, timings), from which
-`compare` takes the report's metadata. Stages must run in order: fom starts
-a fresh run_meta.json, reduce needs fom's entries and drops the online ones,
-rom needs reduce's, and compare needs both rom methods' entries; a missing
-entry exits 2 and names the command to run. reduce, rom and compare also
-exit 2 when the domain length or the physics they build from their own
-parameters differs from the fom run's, so every stage must be given the
-same settings. The interpolation training set is chosen by the
-projected_nonlin key (`--set projected_nonlin=false` trains on the raw
-snapshots).
+`--set key=value` and by the explicit flags. A stage reads an artifact only
+while the fingerprints it records of the artifacts it was derived from match
+the files in DIR (tswrom.bench.check_lineage); a missing or stale input
+exits 2 and names the command that rebuilds it. Later stages take the
+discretization from snapshots.bin and exit 2 when the domain length or the
+physics they build from their own parameters differs from the fom run's.
+DIR/run_meta.json logs each stage's timings and ranks for compare's report.
+`--set projected_nonlin=false` trains the interpolation on raw snapshots.
 
-The binary artifacts are checksummed containers (see tswrom.fileio), each
-written under a temporary name and renamed into place once complete. A
+The binary artifacts are checksummed containers (see tswrom.fileio). A
 corrupted, truncated, foreign or older-version artifact exits 5.
 
 Exit codes: 0 success, 2 configuration errors, 3 numerical failures,
@@ -174,32 +170,18 @@ def _build_config(args):
     return cfg
 
 
-def _workspace(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _inputs(args, stage: str, initial_only: bool = False):
-    """The working directory, its snapshot trajectory (only the initial state
-    when initial_only), the case built from the arguments with the
-    discretization pinned to the snapshots, and the run_meta.json entries,
-    checked before the stage reads anything else."""
-    import dataclasses
-
+def _inputs(args, needs, initial_only: bool = False):
+    """The working directory, its fom run (only the initial state when
+    initial_only), the case of the arguments pinned to that run and the
+    run log, once bench.check_lineage(needs) passed there."""
     from . import fileio
-    from .bench import Case, read_run_meta
+    from .bench import check_lineage, fom_case, read_run_meta
 
-    out = _workspace(args)
-    path = out / "snapshots.bin"
-    if initial_only:
-        snaps, n, dt, num_steps = fileio.read_initial_snapshot(path)
-    else:
-        snaps, n, dt = fileio.read_snapshots(path)
-        num_steps = snaps.shape[1] - 1
-    cfg = dataclasses.replace(_build_config(args), n=n, dt=dt, num_steps=num_steps)
-    case = Case.build(cfg)
-    return out, snaps, case, read_run_meta(out, case, stage)
+    out = Path(args.out)
+    check_lineage(out, needs)
+    read = fileio.read_initial_snapshot if initial_only else fileio.read_snapshots
+    snaps, snapshot_meta = read(out / "snapshots.bin")
+    return out, snaps, fom_case(_build_config(args), snapshot_meta, out), read_run_meta(out)
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +190,22 @@ def _inputs(args, stage: str, initial_only: bool = False):
 # ---------------------------------------------------------------------------
 
 def cmd_fom(args) -> int:
-    from .bench import Case, progress_to_stdout, stage_fom
+    from .bench import Case, progress_to_stdout, read_run_meta, stage_fom
 
     case = Case.build(_build_config(args))
-    out = _workspace(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     with progress_to_stdout(True):
-        stage_fom(case, {}, out, log_every=50 if args.verbose else 0)
+        stage_fom(case, read_run_meta(out), out, log_every=50 if args.verbose else 0)
     return _EXIT_OK
 
 
 def cmd_reduce(args) -> int:
     from .bench import progress_to_stdout, stage_reduce
 
-    out, traj, case, meta = _inputs(args, "reduce")
+    out, full, case, meta = _inputs(args, ("snapshots.bin",))
     with progress_to_stdout(True):
-        stage_reduce(case, traj, meta, out)
+        stage_reduce(case, full.trajectory, meta, out)
     return _EXIT_OK
 
 
@@ -231,7 +214,8 @@ def cmd_rom(args) -> int:
     from .bench import progress_to_stdout, stage_rom
     from .rom import galerkin_operators, rom_operators_from_parts
 
-    out, z0, case, meta = _inputs(args, "rom", initial_only=True)
+    needs = "basis.bin" if args.method == "pod" else "romops.bin"
+    out, z0, case, meta = _inputs(args, (needs,), initial_only=True)
     basis = fileio.read_basis(out / "basis.bin")
     if args.method == "pod":
         ops = galerkin_operators(basis, case.physics, case.diffops)
@@ -257,25 +241,13 @@ def _print_table(title: str, col_names, row_names, rows) -> None:
 def cmd_compare(args) -> int:
     from . import fileio
     from .bench import INVARIANT_NAMES, stage_report
-    from .errors import ConfigError
-    from .fom import FomResult
     from .pod import VARIABLES
-    from .rom import METHODS, RomResult
+    from .rom import METHODS
 
-    out, traj, case, meta = _inputs(args, "compare")
+    tags = {method: method.replace("-", "_") for method in METHODS}
+    out, full, case, meta = _inputs(args, [f"rom_{tag}.bin" for tag in tags.values()])
     basis = fileio.read_basis(out / "basis.bin")
-    times, invs = fileio.read_invariants_csv(out / "fom_invariants.csv")
-    full = FomResult(trajectory=traj, invariants=invs, times=times)
-    roms = {}
-    for method in METHODS:
-        tag = method.replace("-", "_")
-        state_path = out / f"rom_state_{tag}.csv"
-        reduced = fileio.read_matrix_csv(state_path).T
-        if reduced.shape != (4 * basis.r, traj.shape[1]):
-            raise ConfigError(f"{state_path.name} has shape {reduced.shape}, expected "
-                              f"{(4 * basis.r, traj.shape[1])}")
-        times, invs = fileio.read_invariants_csv(out / f"rom_invariants_{tag}.csv")
-        roms[tag] = RomResult(reduced=reduced, invariants=invs, times=times, method=method)
+    roms = {tag: fileio.read_rom(out / f"rom_{tag}.bin", method) for method, tag in tags.items()}
     report = stage_report(case, meta, full, basis, roms, out)
 
     _print_table("time-averaged relative l2 error",

@@ -31,7 +31,7 @@ import scipy.linalg
 from .errors import ConfigError, NumericError
 from .fom import Physics, _coefficients
 from .grid import DiffOps
-from .pod import PodBasis, SnapshotSet, _thin_svd, truncate_rank
+from .pod import PodBasis, SnapshotSet, _shared_rank
 
 __all__ = [
     "NUM_NONLIN",
@@ -164,9 +164,6 @@ def build_deim(nonlin: NonlinSnapshots, kappa: float,
                p_override: int | None = None) -> DeimSet:
     """SVD each nonlinearity, share p = max of the energy ranks, select points.
 
-    All three spectra are computed first, since p depends on all of them;
-    then only the p leading singular vectors of each are formed.
-
     Parameters
     ----------
     nonlin : NonlinSnapshots
@@ -175,17 +172,11 @@ def build_deim(nonlin: NonlinSnapshots, kappa: float,
     p_override : int, optional
         Pin the shared number of interpolation points.
     """
-    svds = [_thin_svd(nonlin.values[jm1]) for jm1 in range(NUM_NONLIN)]
-    svals = np.stack([sig for sig, _ in svds])
-    ranks = [truncate_rank(sig, kappa) if sig[0] > 0 else 1 for sig in svals]
-    avail = svals.shape[1]
-    p = max(ranks) if p_override is None else int(p_override)
-    if not 1 <= p <= avail:
-        raise ConfigError(f"interpolation count p={p} outside [1, {avail}]")
-
+    leading, svals, ranks, p = _shared_rank(nonlin.values, kappa, p_override,
+                                            "interpolation count p")
     operators = []
-    for jm1, (_, leading) in enumerate(svds):
-        phi = leading(p)
+    for jm1, lead in enumerate(leading):
+        phi = lead(p)
         idx = qdeim_select(phi, p)
         square = phi[idx, :]
         cond = np.linalg.cond(square)
@@ -201,6 +192,6 @@ def build_deim(nonlin: NonlinSnapshots, kappa: float,
     return DeimSet(
         operators=tuple(operators),
         singular_values=svals,
-        ranks=tuple(ranks),
+        ranks=ranks,
         kappa=float(kappa),
     )

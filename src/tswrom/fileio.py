@@ -2,15 +2,20 @@
 
 Each binary artifact is an uncompressed zip of .npy members as np.savez
 writes it, its arrays stored bit for bit. Its `meta` member is a JSON object
-with the kind, FORMAT_VERSION = 3 (1 and 2 were raw formats) and scalars:
+with the kind, FORMAT_VERSION = 4 (1 and 2 were raw formats), scalars and
+`inputs`, the fingerprints of the artifacts the file was derived from.
 
     snapshots.bin  trajectory (K+1, 4N), the packed (h, u, v, s) states in
-                   time order; z0 (4N,); meta n, dt, num_steps
+                   time order; z0 (4N,); invariants (K+1, 4); meta n, dt,
+                   num_steps and the length, coriolis and gravity of the run
     basis.bin      means (4, N), modes (4, N, r), singular_values (4, K); meta ranks, kappa
     deim.bin       indices (3, p), phi and psi (3, N, p) of F1..F3;
                    singular_values (3, K); meta ranks, kappa
     romops.bin     a1, a2 (r, r); k1..k3 (p, r^2), row k the r x r block
                    of interpolation point k
+    rom_pod.bin, rom_pod_deim.bin
+                   reduced (4r, K+1), invariants (K+1, 4) and times (K+1,)
+                   of one reduced solve; kind rom_pod or rom_pod_deim
 
 A read fails with FormatError on a bad member CRC-32, a missing member or
 meta entry, bytes after the zip's end record, or another kind or version.
@@ -30,18 +35,19 @@ import numpy as np
 
 from .deim import DeimOperator, DeimSet
 from .errors import FormatError
+from .fom import FomResult
 from .pod import PodBasis
+from .rom import RomResult
 
 __all__ = ["SnapshotWriter", "read_snapshots", "read_initial_snapshot", "write_basis",
            "read_basis", "write_deim", "read_deim", "write_romops", "read_romops",
-           "write_invariants_csv", "read_invariants_csv", "write_spectra_csv",
-           "write_errors_csv", "write_fields_csv", "write_matrix_csv", "read_matrix_csv",
-           "write_report_json"]
+           "write_rom", "read_rom", "write_invariants_csv", "write_spectra_csv",
+           "write_errors_csv", "write_fields_csv", "write_report_json"]
 
-FORMAT_VERSION = 3
-# the meta entries each kind must carry besides kind and version
-_META_KEYS = {"snapshots": ("n", "dt", "num_steps"), "basis": ("ranks", "kappa"),
-              "deim": ("ranks", "kappa"), "romops": ()}
+FORMAT_VERSION = 4
+# the meta entries each kind must carry besides kind, version and inputs
+_META_KEYS = {"snapshots": ("n", "dt", "num_steps", "length", "coriolis", "gravity"),
+              "basis": ("ranks", "kappa"), "deim": ("ranks", "kappa")}
 
 
 def _meta_member(kind: str, meta: dict) -> np.ndarray:
@@ -76,38 +82,53 @@ def _load(path, kind: str, names) -> tuple[dict, dict[str, np.ndarray]]:
                     raise FormatError(f"{path}: a {meta.get('kind')} file, not a {kind} file")
                 if meta.get("version") != FORMAT_VERSION:
                     raise FormatError(f"{path}: unsupported format version {meta.get('version')}")
-                if not meta.keys() >= set(_META_KEYS[kind]):
-                    raise FormatError(f"{path}: meta lacks one of {', '.join(_META_KEYS[kind])}")
+                keys = ("inputs", *_META_KEYS.get(kind, ()))
+                if not meta.keys() >= set(keys):
+                    raise FormatError(f"{path}: meta lacks one of {', '.join(keys)}")
                 return meta, {name: npz[name] for name in names}
     except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
         raise FormatError(f"{path}: not a readable {kind} file ({exc})") from exc
 
 
+def lineage(path, kind: str) -> tuple[str, dict[str, str]]:
+    """A container's fingerprint, the member CRC-32s its zip's central
+    directory lists (read without the payload; equal for identical runs),
+    and the fingerprints of the inputs its meta records."""
+    meta, _ = _load(path, kind, ())
+    with zipfile.ZipFile(path) as zf:
+        return "-".join(f"{info.CRC:08x}" for info in zf.infolist()), meta["inputs"]
+
+
 class SnapshotWriter:
-    """Streams packed states to a snapshot file as they are produced.
+    """Streams packed states and invariants to a snapshot file as produced.
 
     The file appears only when all num_steps + 1 records were appended and the
     writer closes without an exception; otherwise close deletes what was written.
     """
 
-    def __init__(self, path, n: int, num_steps: int, dt: float):
+    def __init__(self, path, n: int, num_steps: int, dt: float, length: float,
+                 coriolis: float, gravity: float):
         self.path = Path(path)
         self.shape = (int(num_steps) + 1, 4 * int(n) ** 2)
-        self.meta = {"n": int(n), "dt": float(dt), "num_steps": int(num_steps)}
+        self.meta = {"n": int(n), "dt": float(dt), "num_steps": int(num_steps),
+                     "length": float(length), "coriolis": float(coriolis),
+                     "gravity": float(gravity), "inputs": {}}
         self.count = 0
         self._z0 = None
+        self._invariants = np.empty((self.shape[0], 4))
         self._zip = zipfile.ZipFile(self.path.with_name(self.path.name + ".part"), "w")
         self._records = self._zip.open("trajectory.npy", "w", force_zip64=True)
         np.lib.format.write_array_header_1_0(
             self._records, {"descr": "<f8", "fortran_order": False, "shape": self.shape})
 
-    def append(self, z: np.ndarray) -> None:
+    def append(self, z: np.ndarray, invariants: np.ndarray) -> None:
         z = np.ascontiguousarray(z, dtype="<f8")
         if z.shape != self.shape[1:]:
             raise ValueError(f"snapshot record must have shape ({self.shape[1]},), got {z.shape}")
         if self.count == self.shape[0]:
             raise ValueError(f"all {self.shape[0]} snapshot records were already appended")
         self._records.write(z)
+        self._invariants[self.count] = invariants
         if self.count == 0:
             self._z0 = z.copy()
         self.count += 1
@@ -119,7 +140,8 @@ class SnapshotWriter:
         try:
             self._records.close()
             if complete:
-                for key, arr in (("z0", self._z0), ("meta", _meta_member("snapshots", self.meta))):
+                for key, arr in (("z0", self._z0), ("invariants", self._invariants),
+                                 ("meta", _meta_member("snapshots", self.meta))):
                     with zf.open(f"{key}.npy", "w") as fh:
                         np.lib.format.write_array(fh, arr, allow_pickle=False)
                 zf.close()
@@ -139,22 +161,24 @@ class SnapshotWriter:
 
 
 def read_snapshots(path):
-    """Read a snapshot file -> (C-ordered trajectory (4N, K+1), n, dt)."""
-    meta, arrays = _load(path, "snapshots", ("trajectory",))
+    """Read a snapshot file -> (FomResult with the C-ordered trajectory
+    (4N, K+1) and times k dt, meta)."""
+    meta, arrays = _load(path, "snapshots", ("trajectory", "invariants"))
     traj = arrays["trajectory"]
     if traj.shape != (meta["num_steps"] + 1, 4 * meta["n"] ** 2):
         raise FormatError(f"{path}: a {traj.shape} trajectory disagrees with meta n and num_steps")
-    return np.ascontiguousarray(traj.T), meta["n"], meta["dt"]
+    times = meta["dt"] * np.arange(traj.shape[0])
+    return FomResult(np.ascontiguousarray(traj.T), arrays["invariants"], times), meta
 
 
 def read_initial_snapshot(path):
-    """Read only the first state of a snapshot file -> (z0 (4N,), n, dt, K)."""
+    """Read only the first state of a snapshot file -> (z0 (4N,), meta)."""
     meta, arrays = _load(path, "snapshots", ("z0",))
-    return arrays["z0"], meta["n"], meta["dt"], meta["num_steps"]
+    return arrays["z0"], meta
 
 
-def write_basis(path, basis) -> None:
-    _save(path, "basis", {"ranks": basis.ranks, "kappa": basis.kappa},
+def write_basis(path, basis, inputs: dict[str, str]) -> None:
+    _save(path, "basis", {"ranks": basis.ranks, "kappa": basis.kappa, "inputs": inputs},
           {"means": basis.means, "modes": basis.modes,
            "singular_values": basis.singular_values})
 
@@ -164,9 +188,9 @@ def read_basis(path):
     return PodBasis(**arrays, ranks=tuple(meta["ranks"]), kappa=meta["kappa"])
 
 
-def write_deim(path, deim) -> None:
+def write_deim(path, deim, inputs: dict[str, str]) -> None:
     ops = {key: np.stack([getattr(op, key) for op in deim]) for key in ("indices", "phi", "psi")}
-    _save(path, "deim", {"ranks": deim.ranks, "kappa": deim.kappa},
+    _save(path, "deim", {"ranks": deim.ranks, "kappa": deim.kappa, "inputs": inputs},
           {**ops, "singular_values": deim.singular_values})
 
 
@@ -181,14 +205,26 @@ def read_deim(path):
                    ranks=tuple(meta["ranks"]), kappa=meta["kappa"])
 
 
-def write_romops(path, romops) -> None:
-    _save(path, "romops", {}, romops.matrices())
+def write_romops(path, romops, inputs: dict[str, str]) -> None:
+    _save(path, "romops", {"inputs": inputs}, romops.matrices())
 
 
 def read_romops(path):
     """Read the precomputed operator matrices -> (dict name->matrix, r, p)."""
     _, mats = _load(path, "romops", ("a1", "a2", "k1", "k2", "k3"))
     return mats, mats["a1"].shape[0], mats["k1"].shape[0]
+
+
+def write_rom(path, result, inputs: dict[str, str]) -> None:
+    """Write one reduced solve, a RomResult, as kind rom_{pod,pod_deim}."""
+    _save(path, "rom_" + result.method.replace("-", "_"), {"inputs": inputs},
+          {"reduced": result.reduced, "invariants": result.invariants, "times": result.times})
+
+
+def read_rom(path, method: str):
+    """Read the reduced solve of this method (pod or pod-deim) -> RomResult."""
+    _, arrays = _load(path, "rom_" + method.replace("-", "_"), ("reduced", "invariants", "times"))
+    return RomResult(**arrays, method=method)
 
 
 # CSV / JSON artifacts
@@ -200,13 +236,6 @@ def write_invariants_csv(path, times: np.ndarray, invariants: np.ndarray) -> Non
         for k in range(len(times)):
             H, M, Q, B = invariants[k]
             fh.write(f"{k},{times[k]:.17g},{H:.17g},{M:.17g},{Q:.17g},{B:.17g}\n")
-
-
-def read_invariants_csv(path):
-    data = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
-    if data.shape[1] != 6:
-        raise FormatError(f"{path}: expected 6 columns (step,time,H,M,Q,B)")
-    return data[:, 1], data[:, 2:]
 
 
 def write_spectra_csv(path, names, spectra) -> None:
@@ -232,16 +261,6 @@ def write_fields_csv(path, grid, fields: dict[str, np.ndarray]) -> None:
     with open(path, "w") as fh:
         fh.write("x,y," + ",".join(fields) + "\n")
         np.savetxt(fh, np.column_stack([xx, yy, *fields.values()]), delimiter=",", fmt="%.17g")
-
-
-def write_matrix_csv(path, header: str, mat: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        np.savetxt(fh, mat, delimiter=",", fmt="%.17g")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
 
 
 def write_report_json(path, values: dict) -> None:

@@ -53,7 +53,6 @@ from .grid import DiffOps, Grid, apply_dx, apply_dy, centered_x, centered_y
 __all__ = [
     "State",
     "Physics",
-    "NewtonConfig",
     "FomResult",
     "potential_vorticity",
     "grad_hamiltonian",
@@ -66,6 +65,10 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
+
+# max-norm tolerance on the AVF residual and iteration limit of the implicit solve
+_NEWTON_TOL = 1e-11
+_NEWTON_MAXITER = 50
 
 
 @dataclass
@@ -123,15 +126,6 @@ class Physics:
     @classmethod
     def flat_bottom(cls, f: float, g: float, N: int) -> "Physics":
         return cls(f=float(f), g=float(g), b=np.zeros(N))
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Tolerance on the max-norm of the AVF residual and the Newton
-    iteration limit of the implicit solve."""
-
-    tol: float = 1e-11
-    max_iter: int = 50
 
 
 @dataclass
@@ -475,8 +469,7 @@ def newton_krylov(residual, z: np.ndarray, scale: float, tol: float, max_iter: i
 # implicit AVF step
 # ---------------------------------------------------------------------------
 
-def avf_step(state: State, dt: float, physics: Physics, ops: DiffOps,
-             newton: NewtonConfig | None = None, *,
+def avf_step(state: State, dt: float, physics: Physics, ops: DiffOps, *,
              guess: np.ndarray | None = None) -> State:
     """One implicit AVF step of size dt; conserves the discrete energy.
 
@@ -485,7 +478,6 @@ def avf_step(state: State, dt: float, physics: Physics, ops: DiffOps,
     the input state. A dt of exactly zero returns a copy of the input (the
     residual vanishes at that start).
     """
-    cfg = newton or NewtonConfig()
     z_old = state.z
     z = z_old.copy()
     if guess is not None:
@@ -496,19 +488,19 @@ def avf_step(state: State, dt: float, physics: Physics, ops: DiffOps,
             z = guess.copy()
     residual = _AvfResidual(z_old, dt, physics, ops.grid)
     scale = max(1.0, float(np.linalg.norm(z_old)))
-    z_new = newton_krylov(residual, z, scale, cfg.tol, cfg.max_iter, "Newton-Krylov")
+    z_new = newton_krylov(residual, z, scale, _NEWTON_TOL, _NEWTON_MAXITER, "Newton-Krylov")
     return State(z=z_new, t=state.t + dt)
 
 
 def integrate_fom(initial: State, dt: float, num_steps: int, physics: Physics,
-                  ops: DiffOps, newton: NewtonConfig | None = None,
-                  snapshot_path=None, log_every: int = 0) -> FomResult:
+                  ops: DiffOps, snapshot_path=None, log_every: int = 0) -> FomResult:
     """March num_steps AVF steps, recording the trajectory and invariants.
 
     Each step after the first starts Newton from the extrapolation
     2 z^k - z^{k-1}. When snapshot_path is given, fileio.SnapshotWriter
-    streams the K+1 states there as they are produced; the file appears only
-    once all of them are written. With log_every > 0, every
+    streams the K+1 states and invariants there, with the run's grid size,
+    dt, step count, domain length, f and g; the file appears only once all
+    of them are written. With log_every > 0, every
     log_every-th step and the last are logged at INFO level to the
     tswrom.fom logger; they are shown only where a handler takes INFO
     records, such as logging.basicConfig(level=logging.INFO) or
@@ -517,7 +509,6 @@ def integrate_fom(initial: State, dt: float, num_steps: int, physics: Physics,
     grid = ops.grid
     if initial.N != grid.N:
         raise ValueError(f"state N={initial.N} does not match grid N={grid.N}")
-    cfg = newton or NewtonConfig()
     traj = np.empty((4 * grid.N, num_steps + 1))
     invs = np.empty((num_steps + 1, 4))
     times = np.empty(num_steps + 1)
@@ -526,7 +517,8 @@ def integrate_fom(initial: State, dt: float, num_steps: int, physics: Physics,
     if snapshot_path is not None:
         from .fileio import SnapshotWriter
 
-        writer = SnapshotWriter(snapshot_path, n=grid.n, num_steps=num_steps, dt=dt)
+        writer = SnapshotWriter(snapshot_path, n=grid.n, num_steps=num_steps, dt=dt,
+                                length=grid.lx, coriolis=physics.f, gravity=physics.g)
 
     try:
         state = initial.copy()
@@ -534,15 +526,15 @@ def integrate_fom(initial: State, dt: float, num_steps: int, physics: Physics,
         invs[0] = invariants(state, physics, ops)
         times[0] = state.t
         if writer is not None:
-            writer.append(state.z)
+            writer.append(state.z, invs[0])
         for k in range(1, num_steps + 1):
             guess = None if k == 1 else 2.0 * state.z - traj[:, k - 2]
-            state = avf_step(state, dt, physics, ops, cfg, guess=guess)
+            state = avf_step(state, dt, physics, ops, guess=guess)
             traj[:, k] = state.z
             invs[k] = invariants(state, physics, ops)
             times[k] = state.t
             if writer is not None:
-                writer.append(state.z)
+                writer.append(state.z, invs[k])
             if log_every and (k % log_every == 0 or k == num_steps):
                 drift = abs(invs[k, 0] - invs[0, 0]) / abs(invs[0, 0])
                 _log.info("  step %5d/%d  t=%12.1f  |dH|/H = %.3e",

@@ -126,12 +126,12 @@ class PodBasis:
         return self.project_modes(dev).reshape((4 * self.r,) + z.shape[1:])
 
 
-def collect_snapshots(states) -> SnapshotSet:
+def collect_snapshots(states: np.ndarray) -> SnapshotSet:
     """Build mean-subtracted snapshot matrices from stored states.
 
     Parameters
     ----------
-    states : ndarray of shape (4N, K) or sequence of State
+    states : ndarray of shape (4N, K)
         The K stored snapshots z^1..z^K (the initial state is not a
         snapshot and must not be included).
 
@@ -140,13 +140,7 @@ def collect_snapshots(states) -> SnapshotSet:
     SnapshotSet
         Means over the K columns (divided by K) and the deviations.
     """
-    if isinstance(states, np.ndarray):
-        z = np.asarray(states, dtype=np.float64)
-    else:
-        cols = [st.z if isinstance(st, State) else np.asarray(st) for st in states]
-        if not cols:
-            raise ConfigError("empty trajectory: no snapshots to collect")
-        z = np.stack(cols, axis=1)
+    z = np.asarray(states, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] == 0:
         raise ConfigError(f"snapshot array must be (4N, K) with K >= 1, got shape {z.shape}")
     if z.shape[0] % 4:
@@ -211,6 +205,22 @@ def _thin_svd(a: np.ndarray):
     return sig, leading
 
 
+def _shared_rank(blocks, kappa: float, override: int | None, what: str, spare: int = 0):
+    """The leading-vector functions (see _thin_svd) and spectra of the
+    (N, K) blocks, their energy ranks (1 for an all-zero block) and the rank
+    they share: the largest, or override, in [1, min(N, min(N, K) + spare)].
+    The shared rank needs every spectrum, so no singular vector is formed
+    here; the caller forms only the leading ones it keeps."""
+    svds = [_thin_svd(block) for block in blocks]
+    svals = np.stack([sig for sig, _ in svds])
+    ranks = tuple(truncate_rank(sig, kappa) if sig[0] > 0 else 1 for sig in svals)
+    rank = max(ranks) if override is None else int(override)
+    limit = min(blocks[0].shape[0], svals.shape[1] + spare)
+    if not 1 <= rank <= limit:
+        raise ConfigError(f"{what}={rank} outside [1, {limit}]")
+    return [leading for _, leading in svds], svals, ranks, rank
+
+
 def _mean_led_modes(mean: np.ndarray, umat: np.ndarray, r: int) -> np.ndarray:
     """Orthonormal columns led by the mean direction, completed by SVD modes.
 
@@ -247,9 +257,7 @@ def build_pod_basis(snapshots: SnapshotSet, kappa: float,
 
     Each variable's basis starts with its normalized mean field and the
     leading singular vectors fill the remaining r - 1 columns (the module
-    docstring says why the mean direction must be in the span). All four
-    spectra are computed first, since r depends on all of them; then only
-    the r leading singular vectors of each variable are formed.
+    docstring says why the mean direction must be in the span).
 
     Parameters
     ----------
@@ -260,25 +268,20 @@ def build_pod_basis(snapshots: SnapshotSet, kappa: float,
         Pin the common reduced dimension instead of using the criterion
         (the criterion ranks are still computed and stored for reporting).
     """
-    svds = [_thin_svd(snapshots.deviations[i]) for i in range(4)]
-    svals = np.stack([sig for sig, _ in svds])
-    ranks = [truncate_rank(sig, kappa) if sig[0] > 0 else 1 for sig in svals]
-    avail = svals.shape[1]
-    limit = min(snapshots.N, avail + 1)
-    r = max(ranks) if r_override is None else int(r_override)
-    if not 1 <= r <= limit:
-        raise ConfigError(f"reduced dimension r={r} outside [1, {limit}]")
+    # the mean direction is the one spare column
+    leading, svals, ranks, r = _shared_rank(snapshots.deviations, kappa, r_override,
+                                            "reduced dimension r", spare=1)
     # r singular vectors always suffice: the unit mean's squared overlaps with
     # orthonormal vectors sum to at most 1, so the Gram-Schmidt drops at most
     # one of them, and only when it keeps the mean.
-    k = min(r, avail)
-    modes = np.stack([_mean_led_modes(snapshots.means[i], leading(k), r)
-                      for i, (_, leading) in enumerate(svds)])
+    k = min(r, svals.shape[1])
+    modes = np.stack([_mean_led_modes(mean, lead(k), r)
+                      for mean, lead in zip(snapshots.means, leading)])
     return PodBasis(
         means=snapshots.means.copy(),
         modes=modes,
         singular_values=svals,
-        ranks=tuple(ranks),
+        ranks=ranks,
         kappa=float(kappa),
     )
 

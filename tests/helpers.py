@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from tswrom.deim import qdeim_select
 from tswrom.errors import NumericError
-from tswrom.fom import (NewtonConfig, Physics, State, _apply_j, _AvfResidual, _blocks,
+from tswrom.fom import (_NEWTON_MAXITER, _NEWTON_TOL, Physics, State, _apply_j, _AvfResidual, _blocks,
                         _chord_gradient, _coefficients, grad_hamiltonian)
 from tswrom.grid import build_diff_ops, build_grid
 from tswrom.pod import PodBasis, _mean_led_modes, truncate_rank
@@ -255,15 +255,14 @@ def reduced_poisson_matrix(basis, state, physics, ops):
 
 def dense_newton_avf_step(state, dt, physics, ops):
     """Reference AVF step: Newton on the full finite-difference Jacobian of
-    the fused residual, one column per unknown, to the default NewtonConfig
+    the fused residual, one column per unknown, to the full model's Newton
     tolerance. Only sensible for n <= 8."""
-    cfg = NewtonConfig()
     residual = _AvfResidual(state.z, dt, physics, ops.grid)
     sqrt_eps = math.sqrt(np.finfo(np.float64).eps)
     z = state.z.copy()
-    for _ in range(cfg.max_iter):
+    for _ in range(_NEWTON_MAXITER):
         res = residual(z)
-        if float(np.max(np.abs(res))) <= cfg.tol:
+        if float(np.max(np.abs(res))) <= _NEWTON_TOL:
             return State(z=z, t=state.t + dt)
         eps = sqrt_eps * np.maximum(1.0, np.abs(z))
         jac = np.empty((z.size, z.size))
@@ -272,9 +271,9 @@ def dense_newton_avf_step(state, dt, physics, ops):
             z_pert[i] += eps[i]
             jac[:, i] = (residual(z_pert) - res) / eps[i]
         z = z + np.linalg.solve(jac, -res)
-    if float(np.max(np.abs(residual(z)))) <= cfg.tol:
+    if float(np.max(np.abs(residual(z)))) <= _NEWTON_TOL:
         return State(z=z, t=state.t + dt)
-    raise NumericError(f"dense Newton stalled after {cfg.max_iter} iterations")
+    raise NumericError(f"dense Newton stalled after {_NEWTON_MAXITER} iterations")
 
 
 def flip_member_byte(path, member):

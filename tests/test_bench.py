@@ -166,7 +166,7 @@ def test_pipeline_artifacts_on_disk(mini_pipeline):
         "snapshots.bin", "basis.bin", "deim.bin", "romops.bin",
         "fom_invariants.csv", "rom_invariants_pod.csv", "rom_invariants_pod_deim.csv",
         "pod_spectra.csv", "deim_spectra.csv", "errors.csv", "report.json",
-        "rom_state_pod.csv", "rom_state_pod_deim.csv", "run_meta.json",
+        "rom_pod.bin", "rom_pod_deim.bin", "run_meta.json",
     ]
     half, last = mini_pipeline.config.num_steps // 2, mini_pipeline.config.num_steps
     for tag in ("fom", "pod", "pod_deim"):

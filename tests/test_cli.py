@@ -7,7 +7,6 @@ import struct
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from helpers import flip_member_byte, rewrite_container
@@ -15,7 +14,8 @@ from helpers import flip_member_byte, rewrite_container
 from tswrom import fileio
 from tswrom.bench import Case, DoubleVortexConfig, stage_rom
 from tswrom.cli import main
-from tswrom.fileio import read_snapshots
+from tswrom.errors import ConfigError
+from tswrom.fileio import read_initial_snapshot, read_snapshots
 from tswrom.rom import galerkin_operators, rom_operators_from_parts
 
 _SMALL = ["--set", "n=16", "--set", "num_steps=12"]
@@ -36,8 +36,8 @@ def chain_dir(tmp_path_factory):
 def test_chain_artifacts_and_meta(chain_dir):
     for name in ("snapshots.bin", "fom_invariants.csv", "basis.bin", "deim.bin",
                  "romops.bin", "pod_spectra.csv", "deim_spectra.csv",
-                 "rom_invariants_pod.csv", "rom_state_pod.csv",
-                 "rom_invariants_pod_deim.csv", "rom_state_pod_deim.csv",
+                 "rom_invariants_pod.csv", "rom_pod.bin",
+                 "rom_invariants_pod_deim.csv", "rom_pod_deim.bin",
                  "run_meta.json"):
         assert (chain_dir / name).is_file(), name
     meta = json.loads((chain_dir / "run_meta.json").read_text())
@@ -103,7 +103,7 @@ def test_stages_refuse_physics_other_than_the_fom_run(tmp_path, capsys):
     ws = ["--out", str(out)]
     same = ["--set", "coriolis=1e-3"]
     assert main(["fom", *ws, "--n", "16", "--num-steps", "20", *same]) == 0
-    meta = json.loads((out / "run_meta.json").read_text())
+    _, meta = read_initial_snapshot(out / "snapshots.bin")
     assert meta["coriolis"] == 1e-3 and meta["gravity"] == 9.80616
     capsys.readouterr()
     # a stage without the flag would silently run with the default f
@@ -118,20 +118,18 @@ def test_stages_refuse_physics_other_than_the_fom_run(tmp_path, capsys):
         assert main(["rom", *ws, "--method", method, *same]) == 0
     assert main(["compare", *ws]) == 2
     assert main(["compare", *ws, *same]) == 0
-    # a workspace whose fom run recorded no physics is refused as well
-    meta = json.loads((out / "run_meta.json").read_text())
-    del meta["coriolis"]
-    (out / "run_meta.json").write_text(json.dumps(meta))
+    # a snapshot file that records no physics is malformed
+    rewrite_container(out / "snapshots.bin", drop=("coriolis",))
     capsys.readouterr()
-    assert main(["compare", *ws, *same]) == 2
-    assert "records no coriolis" in capsys.readouterr().err
+    assert main(["compare", *ws, *same]) == 5
+    assert "meta lacks one of" in capsys.readouterr().err
 
 
 def test_stages_refuse_a_domain_length_other_than_the_fom_run(tmp_path, capsys):
     ws = ["--out", str(tmp_path)]
     length = ["--set", "length=4e6"]
     assert main(["fom", *ws, "--n", "16", "--num-steps", "20", *length]) == 0
-    assert json.loads((tmp_path / "run_meta.json").read_text())["length"] == 4e6
+    assert read_initial_snapshot(tmp_path / "snapshots.bin")[1]["length"] == 4e6
     capsys.readouterr()
     # the default length would build a grid spacing 25% too large
     assert main(["reduce", *ws]) == 2
@@ -148,9 +146,24 @@ def test_rom_refuses_a_basis_of_an_earlier_fom_run(tmp_path, capsys):
     # basis.bin and romops.bin were trained on the dt=486 run
     for method in ("pod", "pod-deim"):
         assert main(["rom", *ws, "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert "basis.bin in" in err and "another snapshots.bin" in err
+        assert "`tswrom reduce`" in err
+
+
+def test_rom_refuses_offline_artifacts_copied_from_another_run(tmp_path, capsys):
+    trained, other = tmp_path / "dt486", tmp_path / "dt300"
+    small = ["--n", "8", "--num-steps", "3"]
+    assert main(["fom", "--out", str(trained), *small, "--dt", "486"]) == 0
+    assert main(["reduce", "--out", str(trained), "--r", "2", "--p", "2"]) == 0
+    assert main(["fom", "--out", str(other), *small, "--dt", "300"]) == 0
+    for name in ("basis.bin", "deim.bin", "romops.bin"):
+        shutil.copyfile(trained / name, other / name)
+    capsys.readouterr()
+    for method in ("pod", "pod-deim"):
+        assert main(["rom", "--out", str(other), "--method", method]) == 2
         assert "`tswrom reduce`" in capsys.readouterr().err
-    meta = json.loads((tmp_path / "run_meta.json").read_text())
-    assert meta["dt"] == 300.0 and "r" not in meta and "wall_pod_offline_s" not in meta
+    assert not list(other.glob("rom_*"))
 
 
 def test_compare_refuses_reduced_states_of_an_earlier_basis(tmp_path, capsys):
@@ -159,11 +172,32 @@ def test_compare_refuses_reduced_states_of_an_earlier_basis(tmp_path, capsys):
     assert main(["reduce", *ws, "--r", "3", "--p", "6"]) == 0
     for method in ("pod", "pod-deim"):
         assert main(["rom", *ws, "--method", method]) == 0
+    basis = (tmp_path / "basis.bin").read_bytes()
     assert main(["reduce", *ws, "--r", "3", "--p", "5"]) == 0
+    assert (tmp_path / "basis.bin").read_bytes() == basis
     capsys.readouterr()
-    # both rom_state files were marched on the p=6 model
+    # the r=3 basis is the same, but rom_pod_deim.bin was marched on p=6
     assert main(["compare", *ws]) == 2
-    assert "rom_state_pod" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "rom_pod_deim.bin in" in err and "another deim.bin" in err
+    assert "`tswrom rom --method pod-deim`" in err
+    # rerunning that one solve is enough
+    assert main(["rom", *ws, "--method", "pod-deim"]) == 0
+    assert main(["compare", *ws]) == 0
+
+
+def test_compare_refuses_a_reduced_solve_of_another_workspace(chain_dir, tmp_path, capsys):
+    other = tmp_path / "other"
+    assert main(["fom", "--out", str(other), *_SMALL, "--dt", "300"]) == 0
+    assert main(["reduce", "--out", str(other), "--r", "3", "--p", "6"]) == 0
+    assert main(["rom", "--out", str(other), "--method", "pod-deim"]) == 0
+    ws = tmp_path / "ws"
+    shutil.copytree(chain_dir, ws)
+    shutil.copyfile(other / "rom_pod_deim.bin", ws / "rom_pod_deim.bin")
+    capsys.readouterr()
+    assert main(["compare", "--out", str(ws)]) == 2
+    err = capsys.readouterr().err
+    assert "rom_pod_deim.bin in" in err and "`tswrom rom --method pod-deim`" in err
 
 
 def test_compare_continues_a_run_pipeline_directory(mini_pipeline, tmp_path, capsys):
@@ -171,11 +205,8 @@ def test_compare_continues_a_run_pipeline_directory(mini_pipeline, tmp_path, cap
     shutil.copytree(mini_pipeline.outdir, out)
     assert main(["compare", "--out", str(out)]) == 0
     assert "report written to" in capsys.readouterr().out
-    report = json.loads((out / "report.json").read_text())
-    expected = mini_pipeline.report
-    assert set(report) == set(expected)
-    for key, value in expected.items():
-        np.testing.assert_allclose(report[key], value, rtol=1e-12, atol=0.0, err_msg=key)
+    # the same arrays in the same memory layout give the same report, bit for bit
+    assert json.loads((out / "report.json").read_text()) == mini_pipeline.report
 
 
 def test_config_precedence(tmp_path, capsys):
@@ -194,8 +225,8 @@ def test_config_precedence(tmp_path, capsys):
     assert meta["n"] == 12          # file value
     assert meta["num_steps"] == 4   # --set beats the file
     assert meta["dt"] == 300.0      # explicit flag beats --set
-    _, n, dt = read_snapshots(out / "snapshots.bin")
-    assert n == 12 and dt == 300.0
+    _, meta = read_snapshots(out / "snapshots.bin")
+    assert meta["n"] == 12 and meta["dt"] == 300.0
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -232,8 +263,11 @@ def test_corrupted_snapshots_exit_5(tmp_path, capsys):
 def test_rom_output_matches_a_solve_from_the_whole_trajectory(chain_dir, tmp_path):
     # rom reads only the first snapshot record; its states and invariants
     # are bit for bit those of a solve started from the fully read trajectory
-    traj, n, dt = read_snapshots(chain_dir / "snapshots.bin")
-    case = Case.build(DoubleVortexConfig(n=n, dt=dt, num_steps=traj.shape[1] - 1))
+    full, meta = read_snapshots(chain_dir / "snapshots.bin")
+    traj = full.trajectory
+    case = Case.build(DoubleVortexConfig(n=meta["n"], dt=meta["dt"], num_steps=meta["num_steps"]))
+    for name in ("snapshots.bin", "basis.bin", "deim.bin", "romops.bin"):
+        shutil.copyfile(chain_dir / name, tmp_path / name)
     basis = fileio.read_basis(chain_dir / "basis.bin")
     dset = fileio.read_deim(chain_dir / "deim.bin")
     mats, _, _ = fileio.read_romops(chain_dir / "romops.bin")
@@ -243,7 +277,7 @@ def test_rom_output_matches_a_solve_from_the_whole_trajectory(chain_dir, tmp_pat
                                                   case.diffops))):
         stage_rom(case, ops, traj[:, 0], method, {}, tmp_path)
         tag = method.replace("-", "_")
-        for name in (f"rom_state_{tag}.csv", f"rom_invariants_{tag}.csv"):
+        for name in (f"rom_{tag}.bin", f"rom_invariants_{tag}.csv"):
             assert (tmp_path / name).read_bytes() == (chain_dir / name).read_bytes(), name
 
 
@@ -261,10 +295,12 @@ def test_snapshots_short_by_one_record_make_rom_exit_5(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def reduced_dir(tmp_path_factory):
-    """Workspace after fom and reduce at n=8, 3 steps."""
+    """Workspace after fom, reduce and both rom methods at n=8, 3 steps."""
     out = tmp_path_factory.mktemp("reduced")
     assert main(["fom", "--out", str(out), "--set", "n=8", "--set", "num_steps=3"]) == 0
     assert main(["reduce", "--out", str(out)]) == 0
+    for method in ("pod", "pod-deim"):
+        assert main(["rom", "--out", str(out), "--method", method]) == 0
     return out
 
 
@@ -272,7 +308,9 @@ def reduced_dir(tmp_path_factory):
 _READERS = {"snapshots.bin": ("trajectory", ["reduce"]),
             "basis.bin": ("modes", ["rom", "--method", "pod"]),
             "deim.bin": ("psi", ["rom", "--method", "pod-deim"]),
-            "romops.bin": ("k1", ["rom", "--method", "pod-deim"])}
+            "romops.bin": ("k1", ["rom", "--method", "pod-deim"]),
+            "rom_pod.bin": ("reduced", ["compare"]),
+            "rom_pod_deim.bin": ("invariants", ["compare"])}
 
 
 @pytest.mark.parametrize("name", sorted(_READERS))
@@ -334,7 +372,15 @@ def test_romops_of_another_basis_size_exits_2(tmp_path, capsys):
     shutil.copyfile(small / "romops.bin", large / "romops.bin")
     capsys.readouterr()
     assert main(["rom", "--out", str(large), "--method", "pod-deim"]) == 2
-    assert "reduced operator a1 has shape (2, 2), expected (3, 3)" in capsys.readouterr().err
+    assert "romops.bin in" in capsys.readouterr().err
+    # the operator shapes are checked against the basis as well
+    case = Case.build(DoubleVortexConfig(n=8, num_steps=3))
+    mats, _, _ = fileio.read_romops(small / "romops.bin")
+    with pytest.raises(ConfigError, match=r"reduced operator a1 has shape \(2, 2\), "
+                                          r"expected \(3, 3\)"):
+        rom_operators_from_parts(mats, fileio.read_basis(large / "basis.bin"),
+                                 fileio.read_deim(large / "deim.bin"), case.physics,
+                                 case.diffops)
 
 
 def test_absurd_time_step_exits_3(tmp_path, capsys):
@@ -355,10 +401,14 @@ def test_oversized_basis_request_exits_2(tmp_path, capsys):
 
 def test_compare_without_rom_exits_2(tmp_path, capsys):
     out = tmp_path / "ws"
+    # a stage whose input is missing names the command that writes it
+    assert main(["reduce", "--out", str(out)]) == 2
+    assert "holds no snapshots.bin; run `tswrom fom` there" in capsys.readouterr().err
+    assert not out.exists()
     assert main(["fom", "--out", str(out), "--set", "n=8", "--set", "num_steps=3"]) == 0
     assert main(["reduce", "--out", str(out), "--set", "projected_nonlin=false"]) == 0
     assert main(["compare", "--out", str(out)]) == 2
-    assert "rom_state_pod" in capsys.readouterr().err
+    assert "holds no rom_pod.bin; run `tswrom rom --method pod`" in capsys.readouterr().err
 
 
 def test_single_threaded_reruns_are_bit_identical(tmp_path):
@@ -380,6 +430,6 @@ def test_single_threaded_reruns_are_bit_identical(tmp_path):
     second = tmp_path / "b"
     run_chain(first)
     run_chain(second)
-    for name in ("snapshots.bin", "fom_invariants.csv", "rom_state_pod.csv",
-                 "rom_state_pod_deim.csv", "errors.csv"):
+    for name in ("snapshots.bin", "fom_invariants.csv", "basis.bin", "deim.bin", "romops.bin",
+                 "rom_pod.bin", "rom_pod_deim.bin", "errors.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name

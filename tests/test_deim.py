@@ -30,7 +30,7 @@ def _crafted_phi():
 
 def _raw_nonlinearities(states, phys, ops):
     """The program's F1..F3 on states, as unprojected nonlinear snapshots."""
-    snaps = collect_snapshots(states)
+    snaps = collect_snapshots(np.stack([st.z for st in states], axis=1))
     return collect_nonlin_snapshots(snaps, None, phys, ops, projected=False).values
 
 

@@ -10,12 +10,14 @@ import pytest
 from helpers import flip_member_byte, rewrite_container
 
 from tswrom.errors import FormatError
-from tswrom.fileio import (SnapshotWriter, read_basis, read_deim, read_initial_snapshot,
-                           read_invariants_csv, read_matrix_csv, read_romops,
-                           read_snapshots, write_basis, write_deim,
-                           write_errors_csv, write_fields_csv,
-                           write_invariants_csv, write_matrix_csv,
-                           write_report_json, write_romops, write_spectra_csv)
+from tswrom.fileio import (SnapshotWriter, lineage, read_basis, read_deim,
+                           read_initial_snapshot, read_rom, read_romops, read_snapshots,
+                           write_basis, write_deim, write_errors_csv, write_fields_csv,
+                           write_invariants_csv, write_report_json, write_rom,
+                           write_romops, write_spectra_csv)
+
+# the domain length and physics a snapshot file records
+_CASE = {"length": 5.0e6, "coriolis": 6.147e-5, "gravity": 9.80616}
 
 
 def _random_traj(rng, n=4, cols=5):
@@ -27,21 +29,30 @@ def _append_bytes(path, extra=b"\0" * 8):
         fh.write(extra)
 
 
+def _invariants(traj):
+    return np.arange(4.0 * traj.shape[1]).reshape(-1, 4) / 3.0
+
+
 def _write_snapshots(path, traj, n, dt):
-    with SnapshotWriter(path, n=n, num_steps=traj.shape[1] - 1, dt=dt) as w:
+    invs = _invariants(traj)
+    with SnapshotWriter(path, n=n, num_steps=traj.shape[1] - 1, dt=dt, **_CASE) as w:
         for k in range(traj.shape[1]):
-            w.append(traj[:, k])
+            w.append(traj[:, k], invs[k])
 
 
 def test_snapshot_roundtrip(rng, tmp_path):
     traj = _random_traj(rng)
     path = tmp_path / "snap.bin"
     _write_snapshots(path, traj, n=4, dt=0.5)
-    back, n, dt = read_snapshots(path)
-    assert n == 4 and dt == 0.5
-    np.testing.assert_array_equal(back, traj)
-    z0, n, dt, num_steps = read_initial_snapshot(path)
-    assert (n, dt, num_steps) == (4, 0.5, traj.shape[1] - 1)
+    full, meta = read_snapshots(path)
+    assert {key: meta[key] for key in ("n", "dt", "num_steps", *_CASE)} == {
+        "n": 4, "dt": 0.5, "num_steps": traj.shape[1] - 1, **_CASE}
+    assert meta["inputs"] == {}
+    np.testing.assert_array_equal(full.trajectory, traj)
+    np.testing.assert_array_equal(full.invariants, _invariants(traj))
+    np.testing.assert_array_equal(full.times, 0.5 * np.arange(traj.shape[1]))
+    z0, meta_z0 = read_initial_snapshot(path)
+    assert meta_z0 == meta
     np.testing.assert_array_equal(z0, traj[:, 0])
     assert [p.name for p in tmp_path.iterdir()] == ["snap.bin"]
 
@@ -59,37 +70,37 @@ def test_snapshot_writer_streams_identically(rng, tmp_path):
 
 def test_snapshot_writer_rejects_wrong_record(tmp_path):
     path = tmp_path / "x.bin"
-    with SnapshotWriter(path, n=4, num_steps=1, dt=1.0) as w:
+    with SnapshotWriter(path, n=4, num_steps=1, dt=1.0, **_CASE) as w:
         with pytest.raises(ValueError):
-            w.append(np.zeros(63))
-        w.append(np.zeros(64))
-        w.append(np.zeros(64))
+            w.append(np.zeros(63), np.ones(4))
+        w.append(np.zeros(64), np.ones(4))
+        w.append(np.zeros(64), np.ones(4))
         with pytest.raises(ValueError):
-            w.append(np.zeros(64))
-    assert read_snapshots(path)[0].shape == (64, 2)
+            w.append(np.zeros(64), np.ones(4))
+    assert read_snapshots(path)[0].trajectory.shape == (64, 2)
 
 
 def test_snapshot_writer_keeps_only_complete_files(rng, tmp_path):
     traj = _random_traj(rng)
     path = tmp_path / "snap.bin"
     # closed one record short
-    w = SnapshotWriter(path, n=4, num_steps=traj.shape[1] - 1, dt=0.5)
+    w = SnapshotWriter(path, n=4, num_steps=traj.shape[1] - 1, dt=0.5, **_CASE)
     for k in range(traj.shape[1] - 1):
-        w.append(traj[:, k])
+        w.append(traj[:, k], np.ones(4))
     w.close()
     assert list(tmp_path.iterdir()) == []
     # left by an exception after every record was appended
     with pytest.raises(RuntimeError):
-        with SnapshotWriter(path, n=4, num_steps=traj.shape[1] - 1, dt=0.5) as w:
+        with SnapshotWriter(path, n=4, num_steps=traj.shape[1] - 1, dt=0.5, **_CASE) as w:
             for k in range(traj.shape[1]):
-                w.append(traj[:, k])
+                w.append(traj[:, k], np.ones(4))
             raise RuntimeError("solver failed")
     assert list(tmp_path.iterdir()) == []
     # a failed rewrite leaves the earlier complete file as it was
     _write_snapshots(path, traj, n=4, dt=0.5)
     before = path.read_bytes()
-    with SnapshotWriter(path, n=4, num_steps=traj.shape[1] - 1, dt=0.5) as w:
-        w.append(traj[:, 0])
+    with SnapshotWriter(path, n=4, num_steps=traj.shape[1] - 1, dt=0.5, **_CASE) as w:
+        w.append(traj[:, 0], np.ones(4))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["snap.bin"]
 
@@ -125,7 +136,7 @@ def test_snapshot_corruption_detected(rng, tmp_path):
     rewrite_container(not_object, meta_member='["snapshots", 3]')
     with pytest.raises(FormatError, match="not a JSON object"):
         read_snapshots(not_object)
-    for key in ("n", "dt", "num_steps"):
+    for key in ("n", "dt", "num_steps", *_CASE, "inputs"):
         missing = tmp_path / f"no_{key}.bin"
         missing.write_bytes(raw)
         rewrite_container(missing, drop=(key,))
@@ -148,8 +159,10 @@ def test_snapshot_corruption_detected(rng, tmp_path):
 def test_basis_roundtrip(mini_pipeline, tmp_path):
     basis = mini_pipeline.basis
     path = tmp_path / "basis.bin"
-    write_basis(path, basis)
+    inputs = {"snapshots.bin": "0a1b2c3d"}
+    write_basis(path, basis, inputs)
     loaded = read_basis(path)
+    assert lineage(path, "basis")[1] == inputs
     np.testing.assert_array_equal(loaded.means, basis.means)
     np.testing.assert_array_equal(loaded.modes, basis.modes)
     np.testing.assert_array_equal(loaded.singular_values, basis.singular_values)
@@ -168,7 +181,7 @@ def test_basis_roundtrip(mini_pipeline, tmp_path):
 def test_deim_roundtrip(mini_pipeline, tmp_path):
     dset = mini_pipeline.deim
     path = tmp_path / "deim.bin"
-    write_deim(path, dset)
+    write_deim(path, dset, {})
     loaded = read_deim(path)
     assert loaded.p == dset.p
     for orig, back in zip(dset, loaded):
@@ -200,7 +213,7 @@ def test_deim_roundtrip(mini_pipeline, tmp_path):
 def test_romops_roundtrip(mini_pipeline, tmp_path):
     romops = mini_pipeline.romops
     path = tmp_path / "romops.bin"
-    write_romops(path, romops)
+    write_romops(path, romops, {})
     mats, r, p = read_romops(path)
     assert r == romops.r and p == romops.p
     for name, mat in romops.matrices().items():
@@ -222,9 +235,10 @@ def test_version_1_files_rejected(mini_pipeline, rng, tmp_path):
     writers = {
         "snap.bin": (lambda path: _write_snapshots(path, _random_traj(rng), n=4, dt=0.5),
                      read_snapshots, b"RTSW"),
-        "basis.bin": (lambda path: write_basis(path, mini_pipeline.basis), read_basis, b"PODB"),
-        "deim.bin": (lambda path: write_deim(path, mini_pipeline.deim), read_deim, b"DEIM"),
-        "romops.bin": (lambda path: write_romops(path, mini_pipeline.romops), read_romops,
+        "basis.bin": (lambda path: write_basis(path, mini_pipeline.basis, {}), read_basis,
+                      b"PODB"),
+        "deim.bin": (lambda path: write_deim(path, mini_pipeline.deim, {}), read_deim, b"DEIM"),
+        "romops.bin": (lambda path: write_romops(path, mini_pipeline.romops, {}), read_romops,
                        b"ROMT"),
     }
     for name, (write, read, magic) in writers.items():
@@ -236,7 +250,7 @@ def test_version_1_files_rejected(mini_pipeline, rng, tmp_path):
         path.write_bytes(magic + struct.pack("<III", 2, 4, 16) + bytes(256))
         with pytest.raises(FormatError):
             read(path)
-    write_basis(tmp_path / "deim.bin", mini_pipeline.basis)
+    write_basis(tmp_path / "deim.bin", mini_pipeline.basis, {})
     with pytest.raises(FormatError, match="a basis file, not a deim file"):
         read_deim(tmp_path / "deim.bin")
 
@@ -246,18 +260,54 @@ def test_invariants_csv_roundtrip(rng, tmp_path):
     invs = rng.normal(size=(5, 4)) * np.array([1e10, 1e9, 1e9, 1e10])
     path = tmp_path / "invariants.csv"
     write_invariants_csv(path, times, invs)
-    times_back, invs_back = read_invariants_csv(path)
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     # %.17g is a lossless float64 round trip
-    np.testing.assert_array_equal(times_back, times)
-    np.testing.assert_array_equal(invs_back, invs)
+    np.testing.assert_array_equal(back[:, 0], np.arange(5))
+    np.testing.assert_array_equal(back[:, 1], times)
+    np.testing.assert_array_equal(back[:, 2:], invs)
     assert path.read_text().splitlines()[0] == "step,time,H,M,Q,B"
 
 
-def test_matrix_csv_roundtrip(rng, tmp_path):
-    mat = rng.normal(size=(3, 7))
-    path = tmp_path / "mat.csv"
-    write_matrix_csv(path, "c0,c1,c2,c3,c4,c5,c6", mat)
-    np.testing.assert_array_equal(read_matrix_csv(path), mat)
+def test_rom_roundtrip(mini_pipeline, tmp_path):
+    for result in (mini_pipeline.rom_pod, mini_pipeline.rom_deim):
+        path = tmp_path / "rom.bin"
+        inputs = {"basis.bin": "0a1b2c3d-4e5f6071"}
+        write_rom(path, result, inputs)
+        loaded = read_rom(path, result.method)
+        assert loaded.method == result.method
+        for key in ("reduced", "invariants", "times"):
+            np.testing.assert_array_equal(getattr(loaded, key), getattr(result, key))
+        tag = result.method.replace("-", "_")
+        assert lineage(path, f"rom_{tag}")[1] == inputs
+        other = "pod" if result.method == "pod-deim" else "pod-deim"
+        with pytest.raises(FormatError, match=f"a rom_{tag} file, not a rom_"):
+            read_rom(path, other)
+        flip_member_byte(path, "reduced")
+        with pytest.raises(FormatError, match="Bad CRC-32"):
+            read_rom(path, result.method)
+
+
+def test_lineage_fingerprint_is_the_member_crcs(mini_pipeline, tmp_path):
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+    write_basis(first, mini_pipeline.basis, {})
+    write_basis(second, mini_pipeline.basis, {})
+    fingerprint = lineage(first, "basis")[0]
+    # identical writes give identical files and fingerprints
+    assert first.read_bytes() == second.read_bytes()
+    assert lineage(second, "basis")[0] == fingerprint
+    with zipfile.ZipFile(first) as zf:
+        assert fingerprint == "-".join(f"{info.CRC:08x}" for info in zf.infolist())
+    # the fingerprint is read from the zip directory, not from the payload
+    flip_member_byte(second, "modes")
+    assert lineage(second, "basis")[0] == fingerprint
+    # other contents or other recorded inputs give another fingerprint
+    write_basis(second, mini_pipeline.basis, {"snapshots.bin": "0a1b2c3d"})
+    assert lineage(second, "basis")[0] != fingerprint
+    with pytest.raises(FormatError, match="a basis file, not a deim file"):
+        lineage(first, "deim")
+    first.write_bytes(first.read_bytes()[:-100])
+    with pytest.raises(FormatError, match="not a readable basis file"):
+        lineage(first, "basis")
 
 
 def test_report_json_roundtrip(tmp_path):

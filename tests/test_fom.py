@@ -11,7 +11,7 @@ from helpers import (apply_poisson, avf_gradient, dense_newton_avf_step,
 from tswrom import fom as fom_mod
 from tswrom.errors import NumericError
 from tswrom.fileio import read_snapshots
-from tswrom.fom import (NewtonConfig, State, _AvfResidual, avf_step, gmres,
+from tswrom.fom import (State, _AvfResidual, avf_step, gmres,
                         grad_hamiltonian, hamiltonian, integrate_fom,
                         invariants, potential_vorticity)
 from tswrom.grid import apply_dx, apply_dy
@@ -228,12 +228,14 @@ def test_nonpositive_height_rejected(rng):
         apply_poisson(bad, phys, ops, np.ones(4 * grid.N))
 
 
-def test_newton_stall_raises(rng):
+def test_newton_stall_raises(rng, monkeypatch):
     grid, ops = small_setup(n=5)
     state = random_state(grid, rng)
     phys = random_physics(grid, rng)
+    monkeypatch.setattr(fom_mod, "_NEWTON_TOL", 1e-30)
+    monkeypatch.setattr(fom_mod, "_NEWTON_MAXITER", 1)
     with pytest.raises(NumericError, match="Newton-Krylov stalled after 1 iterations"):
-        avf_step(state, 0.05, phys, ops, NewtonConfig(tol=1e-30, max_iter=1))
+        avf_step(state, 0.05, phys, ops)
 
 
 def test_integrate_fom_shapes_and_snapshot_stream(rng, tmp_path):
@@ -248,10 +250,11 @@ def test_integrate_fom_shapes_and_snapshot_stream(rng, tmp_path):
     assert res.num_steps == 3
     np.testing.assert_array_equal(res.state(2).z, res.trajectory[:, 2])
 
-    traj, n_read, dt_read = read_snapshots(path)
-    assert n_read == grid.n
-    assert dt_read == 0.02
-    np.testing.assert_array_equal(traj, res.trajectory)
+    full, meta = read_snapshots(path)
+    assert (meta["n"], meta["dt"], meta["num_steps"]) == (grid.n, 0.02, 3)
+    assert (meta["length"], meta["coriolis"], meta["gravity"]) == (grid.lx, phys.f, phys.g)
+    np.testing.assert_array_equal(full.trajectory, res.trajectory)
+    np.testing.assert_array_equal(full.invariants, res.invariants)
 
 
 def test_integrate_fom_rejects_mismatched_state(rng):
@@ -401,12 +404,11 @@ def _record_gmres_calls(monkeypatch):
 def test_forcing_floor_keeps_the_last_correction_from_oversolving(vortex16, monkeypatch):
     # every correction is asked for no more than half of the way from max|R|
     # down to tol, however small the Eisenstat-Walker term gets
-    cfg = NewtonConfig()
     calls = _record_gmres_calls(monkeypatch)
     integrate_fom(vortex16.initial, vortex16.cfg.dt, 3, vortex16.physics, vortex16.diffops)
     assert calls
     for rtol, bmax, _ in calls:
-        assert rtol >= min(0.5, 0.5 * cfg.tol / bmax)
+        assert rtol >= min(0.5, 0.5 * fom_mod._NEWTON_TOL / bmax)
 
 
 def test_krylov_matvecs_per_step_at_n32(monkeypatch):
