@@ -33,7 +33,7 @@ _EXPORTS = {
     "collect_snapshots": ".pod", "build_pod_basis": ".pod",
     "restrict": ".pod",
     # empirical interpolation
-    "DeimOperator": ".deim", "DeimSet": ".deim",
+    "DeimSet": ".deim",
     "collect_nonlin_snapshots": ".deim",
     "qdeim_select": ".deim", "build_deim": ".deim",
     # reduced models

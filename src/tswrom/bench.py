@@ -183,24 +183,23 @@ def _check_initial(state: State, cfg: DoubleVortexConfig) -> None:
 # error metrics
 # ---------------------------------------------------------------------------
 
-def relative_l2_error(reference: np.ndarray, trial: np.ndarray,
-                      start: int = 1) -> np.ndarray:
+def relative_l2_error(reference: np.ndarray, trial: np.ndarray) -> np.ndarray:
     """Time-averaged relative l2 error per variable.
 
     Both trajectories are packed (4N, K+1); the average runs over columns
-    start..K (the initial state is not a training snapshot, so it is skipped
-    by default). Returns four values ordered (h, u, v, s).
+    1..K (the initial state is not a training snapshot, so it is skipped).
+    Returns four values ordered (h, u, v, s).
     """
     if reference.shape != trial.shape:
         raise ConfigError(
             f"trajectory shapes differ: {reference.shape} vs {trial.shape}")
     N = reference.shape[0] // 4
-    if start >= reference.shape[1]:
+    if reference.shape[1] < 2:
         raise ConfigError("no columns to average over")
     out = np.zeros(4)
     for i in range(4):
-        ref = reference[i * N : (i + 1) * N, start:]
-        diff = ref - trial[i * N : (i + 1) * N, start:]
+        ref = reference[i * N : (i + 1) * N, 1:]
+        diff = ref - trial[i * N : (i + 1) * N, 1:]
         norms = np.linalg.norm(ref, axis=0)
         if not norms.min() > 0.0:
             raise NumericError(f"zero reference norm for variable {VARIABLES[i]}")

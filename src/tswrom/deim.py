@@ -18,6 +18,8 @@ ranks, or an override). Point sets are chosen by Q-DEIM: the first p column
 pivots of a pivoted QR of Phi_j^T. The oblique reconstruction factor
 Psi_j = Phi_j (P_j^T Phi_j)^{-1} is formed with an LU solve, never an
 explicit inverse, and satisfies the interpolation property P_j^T Psi_j = I.
+Phi_j is not kept: DeimSet stacks the points and the Psi_j of F1..F3, like
+the POD basis stacks its four variables.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from .pod import PodBasis, SnapshotSet, _shared_rank
 
 __all__ = [
     "NUM_NONLIN",
-    "NonlinSnapshots",
-    "DeimOperator",
     "DeimSet",
     "collect_nonlin_snapshots",
     "qdeim_select",
@@ -55,26 +55,11 @@ def _eval_all(zcols: np.ndarray, physics: Physics, ops: DiffOps) -> np.ndarray:
     return coef.reshape((NUM_NONLIN, ops.grid.N) + zcols.shape[1:])
 
 
-@dataclass
-class NonlinSnapshots:
-    """Snapshot matrices of the three nonlinearities, shape (3, N, K)."""
-
-    values: np.ndarray
-    projected: bool
-
-    @property
-    def N(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def num_snapshots(self) -> int:
-        return self.values.shape[2]
-
-
 def collect_nonlin_snapshots(snapshots: SnapshotSet, basis: PodBasis,
                              physics: Physics, ops: DiffOps,
-                             projected: bool = True) -> NonlinSnapshots:
-    """Evaluate the three nonlinearities along the stored snapshots.
+                             projected: bool = True) -> np.ndarray:
+    """Evaluate the three nonlinearities along the stored snapshots ->
+    (3, N, K), row j - 1 for F_j.
 
     With projected=True (the default) the states are first reconstructed
     through the POD basis, z -> mean + V V^T (z - mean), so the
@@ -94,47 +79,24 @@ def collect_nonlin_snapshots(snapshots: SnapshotSet, basis: PodBasis,
         zcols = basis.lift_array(coef)
     else:
         zcols = dev + snapshots.means.reshape(-1, 1)
-    return NonlinSnapshots(values=_eval_all(zcols, physics, ops), projected=projected)
-
-
-@dataclass
-class DeimOperator:
-    """Interpolation data for one nonlinearity.
-
-    indices are the p selected grid nodes in pivot order; phi is the
-    interpolation basis (N, p); psi = phi (phi[indices])^{-1} the oblique
-    factor, so that F ~= psi @ F[indices].
-    """
-
-    j: int
-    indices: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.indices.size
+    return _eval_all(zcols, physics, ops)
 
 
 @dataclass
 class DeimSet:
-    """The three DeimOperator with their shared point count p."""
+    """Interpolation data of F1..F3, row j - 1 for F_j: indices (3, p) are
+    the selected grid nodes in pivot order and psi (3, N, p) the oblique
+    factors, so that F_j ~= psi[j - 1] @ F_j[indices[j - 1]]."""
 
-    operators: tuple
+    indices: np.ndarray
+    psi: np.ndarray
     singular_values: np.ndarray
     ranks: tuple
     kappa: float
 
     @property
     def p(self) -> int:
-        return self.operators[0].p
-
-    def __iter__(self):
-        return iter(self.operators)
-
-    def __getitem__(self, j: int) -> DeimOperator:
-        """1-based access matching the F_j numbering."""
-        return self.operators[j - 1]
+        return self.indices.shape[1]
 
 
 def qdeim_select(phi: np.ndarray, p: int | None = None) -> np.ndarray:
@@ -160,25 +122,27 @@ def qdeim_select(phi: np.ndarray, p: int | None = None) -> np.ndarray:
     return np.asarray(piv[:p], dtype=np.int64)
 
 
-def build_deim(nonlin: NonlinSnapshots, kappa: float,
+def build_deim(nonlin: np.ndarray, kappa: float,
                p_override: int | None = None) -> DeimSet:
     """SVD each nonlinearity, share p = max of the energy ranks, select points.
 
     Parameters
     ----------
-    nonlin : NonlinSnapshots
+    nonlin : (3, N, K) array
+        The snapshots of collect_nonlin_snapshots.
     kappa : float
         Energy threshold fed to truncate_rank per nonlinearity.
     p_override : int, optional
         Pin the shared number of interpolation points.
     """
-    leading, svals, ranks, p = _shared_rank(nonlin.values, kappa, p_override,
+    leading, svals, ranks, p = _shared_rank(nonlin, kappa, p_override,
                                             "interpolation count p")
-    operators = []
+    indices = np.empty((NUM_NONLIN, p), dtype=np.int64)
+    psi = np.empty((NUM_NONLIN, nonlin.shape[1], p))
     for jm1, lead in enumerate(leading):
         phi = lead(p)
-        idx = qdeim_select(phi, p)
-        square = phi[idx, :]
+        indices[jm1] = qdeim_select(phi, p)
+        square = phi[indices[jm1], :]
         cond = np.linalg.cond(square)
         if cond > _COND_WARN:
             warnings.warn(
@@ -187,11 +151,6 @@ def build_deim(nonlin: NonlinSnapshots, kappa: float,
                 stacklevel=2,
             )
         # psi = phi (P^T phi)^{-1} via LU solve on the transposed system.
-        psi = scipy.linalg.lu_solve(scipy.linalg.lu_factor(square.T), phi.T).T
-        operators.append(DeimOperator(j=jm1 + 1, indices=idx, phi=phi, psi=np.ascontiguousarray(psi)))
-    return DeimSet(
-        operators=tuple(operators),
-        singular_values=svals,
-        ranks=ranks,
-        kappa=float(kappa),
-    )
+        psi[jm1] = scipy.linalg.lu_solve(scipy.linalg.lu_factor(square.T), phi.T).T
+    return DeimSet(indices=indices, psi=psi, singular_values=svals, ranks=ranks,
+                   kappa=float(kappa))

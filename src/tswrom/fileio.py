@@ -2,17 +2,17 @@
 
 Each binary artifact is an uncompressed zip of .npy members as np.savez
 writes it, its arrays stored bit for bit. Its `meta` member is a JSON object
-with the kind, FORMAT_VERSION = 4 (1 and 2 were raw formats), scalars and
+with the kind, FORMAT_VERSION = 5 (1 and 2 were raw formats), scalars and
 `inputs`, the fingerprints of the artifacts the file was derived from.
 
     snapshots.bin  trajectory (K+1, 4N), the packed (h, u, v, s) states in
                    time order; z0 (4N,); invariants (K+1, 4); meta n, dt,
                    num_steps and the length, coriolis and gravity of the run
     basis.bin      means (4, N), modes (4, N, r), singular_values (4, K); meta ranks, kappa
-    deim.bin       indices (3, p), phi and psi (3, N, p) of F1..F3;
+    deim.bin       indices (3, p) and psi (3, N, p), row j - 1 for F_j;
                    singular_values (3, K); meta ranks, kappa
-    romops.bin     a1, a2 (r, r); k1..k3 (p, r^2), row k the r x r block
-                   of interpolation point k
+    romops.bin     a1, a2 (r, r); k (3, p, r^2), k[j - 1, i] the r x r
+                   block of interpolation point i of F_j
     rom_pod.bin, rom_pod_deim.bin
                    reduced (4r, K+1), invariants (K+1, 4) and times (K+1,)
                    of one reduced solve; kind rom_pod or rom_pod_deim
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .deim import DeimOperator, DeimSet
+from .deim import NUM_NONLIN, DeimSet
 from .errors import FormatError
 from .fom import FomResult
 from .pod import PodBasis
@@ -44,7 +44,7 @@ __all__ = ["SnapshotWriter", "read_snapshots", "read_initial_snapshot", "write_b
            "write_rom", "read_rom", "write_invariants_csv", "write_spectra_csv",
            "write_errors_csv", "write_fields_csv", "write_report_json"]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 # the meta entries each kind must carry besides kind, version and inputs
 _META_KEYS = {"snapshots": ("n", "dt", "num_steps", "length", "coriolis", "gravity"),
               "basis": ("ranks", "kappa"), "deim": ("ranks", "kappa")}
@@ -189,20 +189,20 @@ def read_basis(path):
 
 
 def write_deim(path, deim, inputs: dict[str, str]) -> None:
-    ops = {key: np.stack([getattr(op, key) for op in deim]) for key in ("indices", "phi", "psi")}
     _save(path, "deim", {"ranks": deim.ranks, "kappa": deim.kappa, "inputs": inputs},
-          {**ops, "singular_values": deim.singular_values})
+          {"indices": deim.indices, "psi": deim.psi, "singular_values": deim.singular_values})
 
 
 def read_deim(path):
-    meta, arrays = _load(path, "deim", ("indices", "phi", "psi", "singular_values"))
-    indices, phi, psi = arrays["indices"], arrays["phi"], arrays["psi"]
-    if indices.size and not 0 <= indices.min() <= indices.max() < phi.shape[1]:
+    meta, arrays = _load(path, "deim", ("indices", "psi", "singular_values"))
+    indices, psi = arrays["indices"], arrays["psi"]
+    if not (indices.ndim == 2 == psi.ndim - 1 and len(indices) == NUM_NONLIN
+            and psi.shape[::2] == indices.shape):
+        raise FormatError(f"{path}: psi {psi.shape} and indices {indices.shape} are not "
+                          f"(3, N, p) and (3, p) for one p")
+    if indices.size and not 0 <= indices.min() <= indices.max() < psi.shape[1]:
         raise FormatError(f"{path}: interpolation index out of range")
-    operators = tuple(DeimOperator(j=j, indices=indices[j - 1], phi=phi[j - 1],
-                                   psi=psi[j - 1]) for j in range(1, len(indices) + 1))
-    return DeimSet(operators=operators, singular_values=arrays["singular_values"],
-                   ranks=tuple(meta["ranks"]), kappa=meta["kappa"])
+    return DeimSet(**arrays, ranks=tuple(meta["ranks"]), kappa=meta["kappa"])
 
 
 def write_romops(path, romops, inputs: dict[str, str]) -> None:
@@ -211,8 +211,8 @@ def write_romops(path, romops, inputs: dict[str, str]) -> None:
 
 def read_romops(path):
     """Read the precomputed operator matrices -> (dict name->matrix, r, p)."""
-    _, mats = _load(path, "romops", ("a1", "a2", "k1", "k2", "k3"))
-    return mats, mats["a1"].shape[0], mats["k1"].shape[0]
+    _, mats = _load(path, "romops", ("a1", "a2", "k"))
+    return mats, mats["a1"].shape[0], mats["k"].shape[1]
 
 
 def write_rom(path, result, inputs: dict[str, str]) -> None:

@@ -27,10 +27,11 @@ Newton tolerance. The models differ only in how the Q_j are obtained:
 * pod: the Galerkin model evaluates F_j at all N nodes of the lifted
   midpoint and applies Q_j = V_a^T diag(F_j) V_b without forming it: O(N r)
   per column, no interpolation.
-* pod-deim: the tensor model interpolates F_j by DEIM. With the r-by-p-by-r
-  tensors K_1 = sum_n V_u x psi_1 x V_v, K_2 = sum_n V_u x psi_2 x V_s and
-  K_3 = sum_n V_v x psi_3 x V_s, the samples f_j give Q_j = K_j f_j, and an
-  evaluation costs O(r^2 p + r^3), independent of the grid size N.
+* pod-deim: the tensor model interpolates F_j by DEIM. With the p-by-r-by-r
+  tensors K_1 = sum_n psi_1 x V_u x V_v, K_2 = sum_n psi_2 x V_u x V_s and
+  K_3 = sum_n psi_3 x V_v x V_s, stacked as one (3, p, r^2) array, the
+  samples f_j give Q_j = K_j f_j, and an evaluation costs O(r^2 p + r^3),
+  independent of the grid size N.
 
 The samples P_j^T F_j(lift m) come from one affine map of m: a stacked
 matrix of precomputed rows of the POD modes (and of Dx V, Dy V) plus an
@@ -331,11 +332,11 @@ class RomOperators:
     """Everything the online phase needs, all independent of N except refs.
 
     Both models use grad, the exact reduced gradient, and a1, a2, the
-    projected derivative blocks (r x r) of J_r. k1..k3 are the K_j tensors,
-    stored (p, r*r) with row k the (r, r) block of sample k; with the
-    sampler they give the tensor model's Q_j. The basis/deim/physics/diffops
+    projected derivative blocks (r x r) of J_r. k holds the K_j tensors,
+    (3, p, r*r) with k[j - 1, i] the (r, r) block of sample i of F_j; with
+    the sampler they give the tensor model's Q_j. The basis/deim/physics/diffops
     references serve the Galerkin model, rebuilding and serialization. A
-    DEIM-free instance (from galerkin_operators) leaves k1..sampler unset and
+    DEIM-free instance (from galerkin_operators) leaves k and sampler unset and
     can only drive the pod method. j0 is the constant part of J_r, a1, a2,
     -a1^T and -a2^T placed in a (4r, 4r) array, built once per operator set.
     """
@@ -347,9 +348,7 @@ class RomOperators:
     grad: _Gradient = field(repr=False)
     a1: np.ndarray
     a2: np.ndarray
-    k1: np.ndarray = None
-    k2: np.ndarray = None
-    k3: np.ndarray = None
+    k: np.ndarray = None
     sampler: _Sampler = field(repr=False, default=None)
     j0: np.ndarray = field(init=False, repr=False)
 
@@ -374,9 +373,9 @@ class RomOperators:
 
     def matrices(self) -> dict[str, np.ndarray]:
         """The serialized operator set in declared order."""
-        if self.k1 is None:
+        if self.k is None:
             raise ConfigError("operator matrices were never precomputed (pod-only set)")
-        return {"a1": self.a1, "a2": self.a2, "k1": self.k1, "k2": self.k2, "k3": self.k3}
+        return {"a1": self.a1, "a2": self.a2, "k": self.k}
 
 
 def _build_sampler(basis: PodBasis, deim: DeimSet, physics: Physics, ops: DiffOps) -> _Sampler:
@@ -392,7 +391,7 @@ def _build_sampler(basis: PodBasis, deim: DeimSet, physics: Physics, ops: DiffOp
     }
     rows, offset, nnz = [], [], 0
     for name in _SAMPLED:
-        idx = deim[int(name[-1])].indices
+        idx = deim.indices[int(name[-1]) - 1]
         block = np.zeros((idx.size, 4 * r))
         const = np.zeros(idx.size)
         for k, (modes, mean) in fields[name[:-1]].items():
@@ -427,13 +426,12 @@ def galerkin_operators(basis: PodBasis, physics: Physics, ops: DiffOps) -> RomOp
 def precompute_rom(basis: PodBasis, deim: DeimSet, physics: Physics, ops: DiffOps) -> RomOperators:
     """Assemble all N-independent reduced operators (offline, O(N r^2 (r + p)) work)."""
     _check_grid(basis, ops)
-    if deim[1].phi.shape[0] != basis.N:
+    if deim.psi.shape[1] != basis.N:
         raise ConfigError("DEIM operators were built on a different grid")
-    r, p = basis.r, deim.p
     matrices = _derivative_blocks(basis, ops)
-    for j, (a, b) in enumerate(_SKEW_PAIRS, start=1):
-        matrices[f"k{j}"] = _three_way(deim[j].psi, basis.modes[a],
-                                       basis.modes[b]).reshape(p, r * r)
+    matrices["k"] = np.stack([_three_way(psi, basis.modes[a], basis.modes[b])
+                              for psi, (a, b) in zip(deim.psi, _SKEW_PAIRS)]
+                             ).reshape(NUM_NONLIN, deim.p, basis.r**2)
     return rom_operators_from_parts(matrices, basis, deim, physics, ops)
 
 
@@ -442,12 +440,11 @@ def rom_operators_from_parts(matrices: dict[str, np.ndarray], basis: PodBasis,
     """Rebuild a RomOperators from deserialized matrices plus its ingredients.
 
     The sampler and the gradient data are rebuilt from the basis, the
-    interpolation points and the physics, so only a1, a2 and the K_j
-    tensors come from the file; shapes are validated against the basis size
-    r and sample count p."""
+    interpolation points and the physics, so only a1, a2 and the stacked
+    K_j tensors k come from the file; shapes are validated against the basis
+    size r and sample count p."""
     r, p = basis.r, deim.p
-    expected = {"a1": (r, r), "a2": (r, r), "k1": (p, r * r), "k2": (p, r * r),
-                "k3": (p, r * r)}
+    expected = {"a1": (r, r), "a2": (r, r), "k": (NUM_NONLIN, p, r * r)}
     for name, shape in expected.items():
         if name not in matrices:
             raise ConfigError(f"missing reduced operator {name}")
@@ -468,7 +465,7 @@ def rom_operators_from_parts(matrices: dict[str, np.ndarray], basis: PodBasis,
 # ---------------------------------------------------------------------------
 
 def _reduced_poisson(ops: RomOperators, q) -> np.ndarray:
-    """J_r for coefficient blocks q, Q_1..Q_3 each (m, r, r), as (m, 4r, 4r):
+    """J_r for coefficient blocks q (3, m, r, r), Q_1..Q_3, as (m, 4r, 4r):
     the constant part j0 with each Q_j set next to its negated transpose,
     skew by construction."""
     r = ops.r
@@ -490,11 +487,11 @@ def _apply_reduced_poisson(ops: RomOperators, mid: np.ndarray, g: np.ndarray,
         raise ConfigError("tensor operators not available; build with precompute_rom")
     r, m = ops.r, mid.shape[1]
     f = ops.sampler.sample(mid, counter)
-    q = [(fj.T @ kj).reshape(m, r, r) for fj, kj in zip(f, (ops.k1, ops.k2, ops.k3))]
+    q = np.matmul(f.transpose(0, 2, 1), ops.k).reshape(NUM_NONLIN, m, r, r)
     out = np.matmul(_reduced_poisson(ops, q), g.T[:, :, None])[:, :, 0].T
     if counter is not None:
         # the Q_j and the 10 nonzero (r, r) blocks of J_r
-        counter.add_core((3 * 2 * ops.k1.size + 10 * 2 * r**2) * m)
+        counter.add_core((2 * ops.k.size + 10 * 2 * r**2) * m)
     return out
 
 
@@ -647,9 +644,8 @@ def _rom_newton_dense(residual, z_start, tol_eff, max_iter, chord):
 
 
 def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
-                 method: str = "pod-deim", tol: float = _ROM_NEWTON_TOL,
-                 max_iter: int = _ROM_NEWTON_MAXITER,
-                 solver: str = "dense", *, _chord: _ChordJacobian | None = None,
+                 method: str = "pod-deim", solver: str = "dense", *,
+                 _chord: _ChordJacobian | None = None,
                  _start: np.ndarray | None = None) -> np.ndarray:
     """One reduced AVF step: J_r at the midpoint applied to the closed-form
     chord mean of the exact reduced gradient. The implicit 4r system is
@@ -669,7 +665,7 @@ def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
     if solver not in ("dense", "krylov"):
         raise ConfigError(f"unknown reduced Newton solver {solver!r}")
     z_old = np.asarray(z_r, dtype=np.float64)
-    tol_eff = tol * max(1.0, float(np.max(np.abs(z_old))))
+    tol_eff = _ROM_NEWTON_TOL * max(1.0, float(np.max(np.abs(z_old))))
     residual = _avf_residual(ops, z_old, dt, method)
     start = z_old
     if _start is not None and _midpoint_height(ops, method, 0.5 * (z_old + _start)) > 0.0:
@@ -677,9 +673,9 @@ def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
     if solver == "krylov":
         scale = max(1.0, float(np.linalg.norm(z_old)))
         return newton_krylov(lambda z: residual(z[:, None])[:, 0], start.copy(), scale,
-                             tol_eff, max_iter, "reduced Newton-Krylov")
+                             tol_eff, _ROM_NEWTON_MAXITER, "reduced Newton-Krylov")
     chord = _ChordJacobian() if _chord is None else _chord
-    return _rom_newton_dense(residual, start, tol_eff, max_iter, chord)
+    return _rom_newton_dense(residual, start, tol_eff, _ROM_NEWTON_MAXITER, chord)
 
 
 @dataclass

@@ -136,18 +136,16 @@ def svd_pod_basis(snapshots, kappa, r_override=None):
 
 
 def svd_deim(nonlin, kappa, p_override=None):
-    """Reference build_deim from full np.linalg.svd factors: the spectra
-    (3, K) and (indices, phi, psi) per F_j, psi = phi (P^T phi)^{-1} by a
-    dense solve."""
-    usv = [np.linalg.svd(values, full_matrices=False) for values in nonlin.values]
+    """Reference build_deim from full np.linalg.svd factors of the (3, N, K)
+    snapshots: the spectra (3, K), indices (3, p), phi and psi (3, N, p),
+    psi = phi (P^T phi)^{-1} by a dense solve."""
+    usv = [np.linalg.svd(values, full_matrices=False) for values in nonlin]
     spectra = np.stack([sig for _, sig, _ in usv])
     p = max(truncate_rank(sig, kappa) for sig in spectra) if p_override is None else p_override
-    operators = []
-    for u, _, _ in usv:
-        phi = u[:, :p]
-        idx = qdeim_select(phi, p)
-        operators.append((idx, phi, np.linalg.solve(phi[idx].T, phi.T).T))
-    return spectra, operators
+    phi = np.stack([u[:, :p] for u, _, _ in usv])
+    indices = np.stack([qdeim_select(phi_j, p) for phi_j in phi])
+    psi = np.stack([np.linalg.solve(phi_j[idx].T, phi_j.T).T for phi_j, idx in zip(phi, indices)])
+    return spectra, indices, phi, psi
 
 
 def plain_apply_j(mid, g, physics, ops):
@@ -196,17 +194,18 @@ def einsum_quadratic(grad, x):
     ])
 
 
-def deim_apply(op, state, physics, ops):
-    """Reference sampled coefficient P_j^T F_j(state), j = 1..3, from the
-    CSR stencil rows of the selected nodes only."""
-    idx = op.indices
+def deim_apply(dset, j, state, physics, ops):
+    """Reference sampled coefficient P_j^T F_j(state), j = 1..3, at the
+    points of F_j in a DeimSet, from the CSR stencil rows of the selected
+    nodes only."""
+    idx = dset.indices[j - 1]
     h = state.z[idx]
     if not h.min() > 0.0:
-        raise NumericError(f"nonpositive sampled height for F{op.j}")
+        raise NumericError(f"nonpositive sampled height for F{j}")
     dx, dy = csr_diff_ops(ops.grid)
-    if op.j == 1:
+    if j == 1:
         return (dx[idx, :] @ state.v - dy[idx, :] @ state.u + physics.f) / h
-    if op.j == 2:
+    if j == 2:
         return (dx[idx, :] @ state.s) / h
     return (dy[idx, :] @ state.s) / h
 

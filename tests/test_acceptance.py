@@ -143,7 +143,8 @@ def test_criterion_5_full_rank_reduction_recovers_full_order():
 
     eye = np.eye(N)
     projector_err = max(float(np.abs(v @ v.T - eye).max()) for v in basis.modes)
-    interp_err = max(float(np.abs(op.psi[op.indices] - eye).max()) for op in dset)
+    interp_err = max(float(np.abs(psi[idx] - eye).max())
+                     for idx, psi in zip(dset.indices, dset.psi))
 
     steps = 10
     reference = basis.restrict_array(fom.trajectory[:, : steps + 1])
@@ -228,7 +229,7 @@ def test_criterion_6_structural_identities(rng):
 
     eye = np.eye(sdset.p)
     checks["interpolation projector"] = (
-        max(float(np.abs(op.psi[op.indices] - eye).max()) for op in sdset),
+        max(float(np.abs(psi[idx] - eye).max()) for idx, psi in zip(sdset.indices, sdset.psi)),
         1e-10)
 
     # the K_j tensors against V_a^T diag(psi_j f) V_b, and the gradient
@@ -240,9 +241,8 @@ def test_criterion_6_structural_identities(rng):
     y = rng.normal(size=r)
     deviations = [
         float(np.abs((f @ kj).reshape(r, r)
-                     - va.T @ ((sdset[j].psi @ f)[:, None] * vb)).max())
-        for kj, j, va, vb in ((sops.k1, 1, vu, vv), (sops.k2, 2, vu, vs),
-                              (sops.k3, 3, vv, vs))]
+                     - va.T @ ((psi @ f)[:, None] * vb)).max())
+        for kj, psi, va, vb in zip(sops.k, sdset.psi, (vu, vu, vv), (vv, vs, vs))]
     grad = sops.grad
     for tens, va, vb, vc in ((grad.t_uu, vh, vu, vu), (grad.t_vv, vh, vv, vv),
                              (grad.t_hs, vh, vh, vs)):

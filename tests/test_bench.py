@@ -84,19 +84,18 @@ def test_relative_l2_error_worked_example():
     ])
     trial = reference.copy()
     trial[0, 1] += 0.2  # h differs by 10% in column 1 only
+    trial[0, 0] += 1.0  # column 0, the initial state, is not averaged
+    # the average runs over columns 1..K = 1, 2
     err = relative_l2_error(reference, trial)
     np.testing.assert_allclose(err, [0.05, 0.0, 0.0, 0.0], atol=1e-15)
-    # start=0 averages over all three columns
-    err_all = relative_l2_error(reference, trial, start=0)
-    np.testing.assert_allclose(err_all, [0.1 / 3.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_relative_l2_error_validation():
     ref = np.ones((8, 3))
     with pytest.raises(ConfigError):
         relative_l2_error(ref, np.ones((8, 4)))
-    with pytest.raises(ConfigError):
-        relative_l2_error(ref, ref, start=3)
+    with pytest.raises(ConfigError, match="no columns to average over"):
+        relative_l2_error(ref[:, :1], ref[:, :1])
     zero_ref = ref.copy()
     zero_ref[2:4] = 0.0  # u block vanishes
     with pytest.raises(NumericError):

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from helpers import flip_member_byte, rewrite_container
@@ -308,7 +309,7 @@ def reduced_dir(tmp_path_factory):
 _READERS = {"snapshots.bin": ("trajectory", ["reduce"]),
             "basis.bin": ("modes", ["rom", "--method", "pod"]),
             "deim.bin": ("psi", ["rom", "--method", "pod-deim"]),
-            "romops.bin": ("k1", ["rom", "--method", "pod-deim"]),
+            "romops.bin": ("k", ["rom", "--method", "pod-deim"]),
             "rom_pod.bin": ("reduced", ["compare"]),
             "rom_pod_deim.bin": ("invariants", ["compare"])}
 
@@ -362,6 +363,18 @@ def test_version_1_romops_exits_5(tmp_path, capsys):
     rewrite_container(out / "romops.bin", meta={"version": 1})
     assert main(["rom", "--out", str(out), "--method", "pod-deim"]) == 5
     assert "unsupported format version 1" in capsys.readouterr().err
+
+
+def test_deim_of_format_version_4_exits_5(reduced_dir, tmp_path, capsys):
+    # version 4 stored the interpolation bases phi next to psi
+    out = tmp_path / "ws"
+    shutil.copytree(reduced_dir, out)
+    with np.load(out / "deim.bin") as npz:
+        psi = npz["psi"]
+    rewrite_container(out / "deim.bin", meta={"version": 4}, phi=psi)
+    capsys.readouterr()
+    assert main(["rom", "--out", str(out), "--method", "pod-deim"]) == 5
+    assert "unsupported format version 4" in capsys.readouterr().err
 
 
 def test_romops_of_another_basis_size_exits_2(tmp_path, capsys):

@@ -31,7 +31,7 @@ def _crafted_phi():
 def _raw_nonlinearities(states, phys, ops):
     """The program's F1..F3 on states, as unprojected nonlinear snapshots."""
     snaps = collect_snapshots(np.stack([st.z for st in states], axis=1))
-    return collect_nonlin_snapshots(snaps, None, phys, ops, projected=False).values
+    return collect_nonlin_snapshots(snaps, None, phys, ops, projected=False)
 
 
 def test_nonlinearity_formulas(rng):
@@ -72,21 +72,20 @@ def test_collect_nonlin_snapshots_projection_switch(rng):
 
     raw = collect_nonlin_snapshots(snaps, basis, phys, ops, projected=False)
     proj = collect_nonlin_snapshots(snaps, basis, phys, ops, projected=True)
-    assert raw.values.shape == (NUM_NONLIN, grid.N, 6)
-    assert not raw.projected and proj.projected
+    assert raw.shape == proj.shape == (NUM_NONLIN, grid.N, 6)
 
     # raw trains on the snapshots themselves ...
     k = 3
     st = State(z=traj[:, k])
     for j in range(1, NUM_NONLIN + 1):
-        np.testing.assert_allclose(raw.values[j - 1][:, k],
+        np.testing.assert_allclose(raw[j - 1][:, k],
                                    nonlinearity(j, st, phys, ops), rtol=1e-13, atol=1e-14)
     # ... projected trains on their POD reconstructions
     rec = State(z=basis.lift_array(basis.restrict_array(traj[:, k])))
     for j in range(1, NUM_NONLIN + 1):
-        np.testing.assert_allclose(proj.values[j - 1][:, k],
+        np.testing.assert_allclose(proj[j - 1][:, k],
                                    nonlinearity(j, rec, phys, ops), rtol=1e-13, atol=1e-14)
-    assert np.max(np.abs(raw.values - proj.values)) > 1e-8  # the switch matters
+    assert np.max(np.abs(raw - proj)) > 1e-8  # the switch matters
 
     # a basis built on other snapshots has other means; the projection is
     # still z -> mean + V V^T (z - mean) with the basis' own mean
@@ -94,7 +93,7 @@ def test_collect_nonlin_snapshots_projection_switch(rng):
     shifted = collect_nonlin_snapshots(snaps, other, phys, ops, projected=True)
     rec = State(z=other.lift_array(other.restrict_array(traj[:, k])))
     for j in range(1, NUM_NONLIN + 1):
-        np.testing.assert_allclose(shifted.values[j - 1][:, k],
+        np.testing.assert_allclose(shifted[j - 1][:, k],
                                    nonlinearity(j, rec, phys, ops), rtol=1e-12, atol=1e-13)
 
 
@@ -135,27 +134,26 @@ def test_qdeim_validation():
 
 def test_interpolation_property(mini_pipeline):
     dset = mini_pipeline.deim
-    for op in dset:
-        square = op.psi[op.indices, :]
-        np.testing.assert_allclose(square, np.eye(op.p), rtol=0.0, atol=1e-10)
-        assert op.phi.shape == op.psi.shape
-        assert len(np.unique(op.indices)) == op.p
+    for idx, psi in zip(dset.indices, dset.psi):
+        np.testing.assert_allclose(psi[idx, :], np.eye(dset.p), rtol=0.0, atol=1e-10)
+        assert len(np.unique(idx)) == dset.p
 
 
 def test_deim_set_indexing(mini_pipeline):
+    # one row per F_j in each stacked array
     dset = mini_pipeline.deim
-    assert [op.j for op in dset] == list(range(1, NUM_NONLIN + 1))
-    assert dset[1].j == 1 and dset[3].j == 3
-    assert dset.p == dset[1].p
+    N, p = mini_pipeline.grid.N, dset.p
+    assert dset.indices.shape == (NUM_NONLIN, p) and dset.indices.dtype == np.int64
+    assert dset.psi.shape == (NUM_NONLIN, N, p)
     assert dset.singular_values.shape[0] == NUM_NONLIN
 
 
 def test_deim_apply_matches_full_evaluation(mini_pipeline):
     state = mini_pipeline.fom.state(5)
-    phys, ops = mini_pipeline.physics, mini_pipeline.diffops
-    for op in mini_pipeline.deim:
-        sampled = deim_apply(op, state, phys, ops)
-        full = nonlinearity(op.j, state, phys, ops)[op.indices]
+    phys, ops, dset = mini_pipeline.physics, mini_pipeline.diffops, mini_pipeline.deim
+    for j in range(1, NUM_NONLIN + 1):
+        sampled = deim_apply(dset, j, state, phys, ops)
+        full = nonlinearity(j, state, phys, ops)[dset.indices[j - 1]]
         np.testing.assert_allclose(sampled, full, rtol=1e-11, atol=0.0)
 
 
@@ -164,7 +162,7 @@ def test_deim_apply_requires_positive_sampled_height(mini_pipeline):
     phys, ops = mini_pipeline.physics, mini_pipeline.diffops
     state.z[: state.N] = -1.0
     with pytest.raises(NumericError):
-        deim_apply(mini_pipeline.deim[2], state, phys, ops)
+        deim_apply(mini_pipeline.deim, 2, state, phys, ops)
 
 
 def test_build_deim_p_override(rng):
@@ -177,7 +175,7 @@ def test_build_deim_p_override(rng):
 
     dset = build_deim(nonlin, kappa=1e-8, p_override=4)
     assert dset.p == 4
-    assert all(op.p == 4 for op in dset)
+    assert dset.indices.shape == (NUM_NONLIN, 4) and dset.psi.shape == (NUM_NONLIN, grid.N, 4)
     default = build_deim(nonlin, kappa=1e-8)
     assert default.p == max(default.ranks)
     with pytest.raises(ConfigError, match=r"^interpolation count p=0 outside \[1, 6\]$"):
@@ -192,13 +190,13 @@ def test_build_deim_matches_full_svd_oracle(mini_pipeline):
     nonlin = collect_nonlin_snapshots(snaps, mini_pipeline.basis, mini_pipeline.physics,
                                       mini_pipeline.diffops)
     dset = build_deim(nonlin, kappa=cfg.kappa_deim, p_override=cfg.p_override)
-    spectra, ref = svd_deim(nonlin, kappa=cfg.kappa_deim, p_override=cfg.p_override)
+    spectra, indices, phi, psi = svd_deim(nonlin, kappa=cfg.kappa_deim,
+                                          p_override=cfg.p_override)
     assert np.all(np.abs(dset.singular_values - spectra) <= 1e-14 * spectra[:, :1])
-    for op, (idx, phi, psi) in zip(dset, ref):
-        np.testing.assert_array_equal(op.indices, idx)
-        assert np.max(np.abs(op.phi - phi)) <= 1e-12
+    np.testing.assert_array_equal(dset.indices, indices)
+    for got, phi_j, psi_j, idx in zip(dset.psi, phi, psi, indices):
         # psi carries cond(P^T phi), which amplifies the rounding in phi
-        assert np.max(np.abs(op.psi - psi)) <= 1e-12 * np.linalg.cond(phi[idx]) * np.abs(psi).max()
+        assert np.max(np.abs(got - psi_j)) <= 1e-12 * np.linalg.cond(phi_j[idx]) * np.abs(psi_j).max()
 
 
 def test_projected_nonlin_snapshots_memory(mini_pipeline):
@@ -214,5 +212,5 @@ def test_projected_nonlin_snapshots_memory(mini_pipeline):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert nonlin.values.shape == (NUM_NONLIN, snaps.N, snaps.num_snapshots)
+    assert nonlin.shape == (NUM_NONLIN, snaps.N, snaps.num_snapshots)
     assert peak <= 9 * snaps.N * snaps.num_snapshots * 8

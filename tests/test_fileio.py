@@ -184,16 +184,13 @@ def test_deim_roundtrip(mini_pipeline, tmp_path):
     write_deim(path, dset, {})
     loaded = read_deim(path)
     assert loaded.p == dset.p
-    for orig, back in zip(dset, loaded):
-        assert back.j == orig.j
-        np.testing.assert_array_equal(back.indices, orig.indices)
-        np.testing.assert_array_equal(back.phi, orig.phi)
-        np.testing.assert_array_equal(back.psi, orig.psi)
+    np.testing.assert_array_equal(loaded.indices, dset.indices)
+    np.testing.assert_array_equal(loaded.psi, dset.psi)
     np.testing.assert_array_equal(loaded.singular_values, dset.singular_values)
     assert loaded.ranks == dset.ranks and loaded.kappa == dset.kappa
 
     raw = path.read_bytes()
-    flip_member_byte(path, "phi")
+    flip_member_byte(path, "psi")
     with pytest.raises(FormatError, match="Bad CRC-32"):
         read_deim(path)
     path.write_bytes(raw)
@@ -203,11 +200,22 @@ def test_deim_roundtrip(mini_pipeline, tmp_path):
     path.write_bytes(raw)
 
     # an out-of-range interpolation index must be rejected up front
-    indices = np.stack([op.indices for op in dset])
+    indices = dset.indices.copy()
     indices[0, 0] = 10**9
     rewrite_container(path, indices=indices)
     with pytest.raises(FormatError, match="index out of range"):
         read_deim(path)
+
+
+def test_deim_psi_of_another_point_count_rejected(mini_pipeline, tmp_path):
+    dset = mini_pipeline.deim
+    path = tmp_path / "deim.bin"
+    for arrays in ({"psi": dset.psi[:, :, :-1]}, {"indices": dset.indices[:, :-1]},
+                   {"indices": dset.indices[:2], "psi": dset.psi[:2]}):
+        write_deim(path, dset, {})
+        rewrite_container(path, **arrays)
+        with pytest.raises(FormatError, match=r"are not \(3, N, p\) and \(3, p\)"):
+            read_deim(path)
 
 
 def test_romops_roundtrip(mini_pipeline, tmp_path):
@@ -220,7 +228,7 @@ def test_romops_roundtrip(mini_pipeline, tmp_path):
         np.testing.assert_array_equal(mats[name], mat)
 
     raw = path.read_bytes()
-    flip_member_byte(path, "k2")
+    flip_member_byte(path, "k")
     with pytest.raises(FormatError, match="Bad CRC-32"):
         read_romops(path)
     path.write_bytes(raw)

@@ -53,10 +53,11 @@ def test_tensor_identity_against_hadamard_products(rng):
     vh, vu, vv, vs = basis.modes
     r, p = basis.r, dset.p
     f = rng.normal(size=(p, 2))
-    for kj, j, va, vb in ((ops.k1, 1, vu, vv), (ops.k2, 2, vu, vs), (ops.k3, 3, vv, vs)):
+    assert ops.k.shape == (NUM_NONLIN, p, r * r)
+    for kj, psi, va, vb in zip(ops.k, dset.psi, (vu, vu, vv), (vv, vs, vs)):
         tensor = (f.T @ kj).reshape(2, r, r)
         for col in range(2):
-            direct = va.T @ ((dset[j].psi @ f[:, col])[:, None] * vb)
+            direct = va.T @ ((psi @ f[:, col])[:, None] * vb)
             np.testing.assert_allclose(tensor[col], direct, rtol=1e-11, atol=1e-12)
     x = rng.normal(size=(r, 2))
     y = rng.normal(size=(r, 2))
@@ -130,7 +131,7 @@ def test_polynomial_invariants_match_lifted_invariants(mini_pipeline, rng):
 def test_reduced_poisson_is_exactly_skew(mini_pipeline, rng):
     ops = mini_pipeline.romops
     f = ops.sampler.sample(_mini_states(mini_pipeline, rng))
-    q = [(fj.T @ kj).reshape(-1, ops.r, ops.r) for fj, kj in zip(f, (ops.k1, ops.k2, ops.k3))]
+    q = [(fj.T @ kj).reshape(-1, ops.r, ops.r) for fj, kj in zip(f, ops.k)]
     jr = rom_mod._reduced_poisson(ops, q)
     assert jr.shape == (3, 4 * ops.r, 4 * ops.r)
     assert np.all(jr + jr.transpose(0, 2, 1) == 0.0)
@@ -229,7 +230,7 @@ def test_sampler_matches_full_nonlinearities(mini_pipeline):
     sampled = ops.sampler.sample(z_r[:, None])
     lifted = State(z=basis.lift_array(z_r))
     for j in range(1, NUM_NONLIN + 1):
-        full = nonlinearity(j, lifted, phys, dops)[dset[j].indices]
+        full = nonlinearity(j, lifted, phys, dops)[dset.indices[j - 1]]
         np.testing.assert_allclose(sampled[j - 1][:, 0], full, rtol=1e-9, atol=0.0)
 
 
@@ -304,11 +305,13 @@ def test_reduced_newton_solvers_agree(mini_pipeline):
 
 
 @pytest.mark.parametrize("solver", ["dense", "krylov"])
-def test_reduced_newton_stall_raises(mini_pipeline, solver):
+def test_reduced_newton_stall_raises(mini_pipeline, solver, monkeypatch):
     ops = mini_pipeline.romops
     z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.state(0))
+    monkeypatch.setattr(rom_mod, "_ROM_NEWTON_TOL", 1e-30)
+    monkeypatch.setattr(rom_mod, "_ROM_NEWTON_MAXITER", 1)
     with pytest.raises(NumericError, match="stalled after 1 iterations"):
-        rom_avf_step(ops, z0, mini_pipeline.config.dt, solver=solver, tol=1e-30, max_iter=1)
+        rom_avf_step(ops, z0, mini_pipeline.config.dt, solver=solver)
 
 
 def _count_residuals(monkeypatch):
@@ -487,7 +490,7 @@ def test_rom_operators_from_parts_roundtrip(mini_pipeline):
     np.testing.assert_array_equal(rom_rhs(rebuilt, z_r), rom_rhs(ops, z_r))
 
     incomplete = dict(ops.matrices())
-    incomplete.pop("k2")
+    incomplete.pop("k")
     with pytest.raises(ConfigError):
         rom_operators_from_parts(incomplete, mini_pipeline.basis, mini_pipeline.deim,
                                  mini_pipeline.physics, mini_pipeline.diffops)

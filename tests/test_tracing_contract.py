@@ -1,21 +1,29 @@
 """The traced benchmark run wraps tswrom's names from outside: every name it
 patches must exist, and every public fileio function must take the
-artifact path first, since the tracer records os.path.getsize(args[0])."""
+artifact path first, since the tracer records os.path.getsize(args[0]).
+It also reloads the cli-disk model from the workspace files and counts the
+flops of one reduced right-hand side."""
 
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
 
 from tswrom import fileio, fom, rom
+from tswrom.cli import main
 
-_SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.Tracer()
+    return _load("spans").Tracer()
 
 
 def test_tracer_installs_and_fileio_takes_paths_first():
@@ -40,3 +48,15 @@ def test_tracer_installs_and_fileio_takes_paths_first():
     for name in fileio.__all__:
         params = list(inspect.signature(getattr(fileio, name)).parameters)
         assert params[:1] == ["path"], name
+
+
+def test_traced_run_reloads_the_cli_model(tmp_path, monkeypatch):
+    # workloads.py imports its sibling checks.py
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    workloads = _load("workloads")
+    work = tmp_path / "cli"
+    assert main(["fom", "--out", str(work), "--set", "n=8", "--set", "num_steps=3"]) == 0
+    assert main(["reduce", "--out", str(work)]) == 0
+    cfg = dataclasses.replace(workloads.make_config("cli-disk", 0), n=8, num_steps=3)
+    flops, _ = workloads.rhs_cost(*workloads._load_cli_model(work, cfg))
+    assert flops > 0
