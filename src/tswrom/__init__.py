@@ -25,7 +25,7 @@ _EXPORTS = {
     "build_grid": ".grid", "build_diff_ops": ".grid",
     "apply_dx": ".grid", "apply_dy": ".grid",
     # full-order model
-    "State": ".fom", "Physics": ".fom", "FomResult": ".fom",
+    "Physics": ".fom", "FomResult": ".fom",
     "potential_vorticity": ".fom", "grad_hamiltonian": ".fom", "hamiltonian": ".fom",
     "avf_step": ".fom", "invariants": ".fom", "integrate_fom": ".fom",
     # proper orthogonal decomposition

@@ -1,6 +1,8 @@
 """Full-order rotating thermal shallow water dynamics.
 
-State and operators follow the noncanonical Hamiltonian form
+A full-order state is one packed float64 array z of shape (4N,), the blocks
+h, u, v and s of N nodes each. The dynamics take the noncanonical
+Hamiltonian form
 
     dz/dt = -J(z) grad H(z),      z = (h, u, v, s),
 
@@ -51,7 +53,6 @@ from .errors import NumericError
 from .grid import DiffOps, Grid, apply_dx, apply_dy, centered_x, centered_y
 
 __all__ = [
-    "State",
     "Physics",
     "FomResult",
     "potential_vorticity",
@@ -69,50 +70,6 @@ _log = logging.getLogger(__name__)
 # max-norm tolerance on the AVF residual and iteration limit of the implicit solve
 _NEWTON_TOL = 1e-11
 _NEWTON_MAXITER = 50
-
-
-@dataclass
-class State:
-    """Packed prognostic state (h, u, v, s) at a time t.
-
-    The four fields are views into one contiguous vector of length 4N so the
-    implicit solver can treat the state as a single unknown.
-    """
-
-    z: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.z = np.ascontiguousarray(self.z, dtype=np.float64)
-        if self.z.ndim != 1 or self.z.size % 4:
-            raise ValueError(f"state vector must be flat with length 4N, got shape {self.z.shape}")
-
-    @property
-    def N(self) -> int:
-        return self.z.size // 4
-
-    @property
-    def h(self) -> np.ndarray:
-        return self.z[: self.N]
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.z[self.N : 2 * self.N]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.z[2 * self.N : 3 * self.N]
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.z[3 * self.N :]
-
-    @classmethod
-    def from_fields(cls, h, u, v, s, t: float = 0.0) -> "State":
-        return cls(z=np.concatenate([h, u, v, s]), t=t)
-
-    def copy(self) -> "State":
-        return State(z=self.z.copy(), t=self.t)
 
 
 @dataclass(frozen=True)
@@ -136,13 +93,6 @@ class FomResult:
     invariants: np.ndarray
     times: np.ndarray
 
-    @property
-    def num_steps(self) -> int:
-        return self.trajectory.shape[1] - 1
-
-    def state(self, k: int) -> State:
-        return State(z=self.trajectory[:, k].copy(), t=float(self.times[k]))
-
 
 # ---------------------------------------------------------------------------
 # array-level core on (4, ...) block views of packed states
@@ -158,7 +108,8 @@ def _require_positive(h: np.ndarray, what: str) -> None:
     if not hmin > 0.0:
         # the first two indices of an (n, n[, m]) height field give the node
         i, j = np.unravel_index(int(np.argmin(h)), h.shape)[:2]
-        raise NumericError(f"nonpositive {what} (min {hmin:.6e} at node {i * h.shape[1] + j})")
+        kind = "nonpositive" if hmin <= 0.0 else "non-finite"
+        raise NumericError(f"{kind} {what} (min {hmin:.6e} at node {i * h.shape[1] + j})")
 
 
 def _chord_gradient(mid, dz, b, out, tmp):
@@ -305,36 +256,37 @@ class _AvfResidual:
 # public operators
 # ---------------------------------------------------------------------------
 
-def potential_vorticity(state: State, physics: Physics, ops: DiffOps) -> np.ndarray:
-    """q = (v_x - u_y + f) / h; raises NumericError on nonpositive h."""
-    return _coefficients(state.z, physics.f, ops.grid)[0].reshape(state.N)
+def potential_vorticity(z: np.ndarray, physics: Physics, ops: DiffOps) -> np.ndarray:
+    """q = (v_x - u_y + f) / h of a packed state (4N,); raises NumericError
+    on nonpositive h."""
+    return _coefficients(z, physics.f, ops.grid)[0].reshape(-1)
 
 
-def grad_hamiltonian(state: State, physics: Physics) -> np.ndarray:
-    """Gradient of the discrete energy w.r.t. z, blocks (h, u, v, s).
+def grad_hamiltonian(z: np.ndarray, physics: Physics) -> np.ndarray:
+    """Gradient of the discrete energy w.r.t. a packed state z, blocks (h, u, v, s).
 
     The energy itself carries a factor dx dy per cell; the gradient returned
     here is of the plain nodal sum, matching how J consumes it.
     """
-    N = state.N
-    out = np.empty(state.z.shape)
-    _chord_gradient(state.z.reshape(4, N), None, physics.b, out.reshape(4, N),
-                    np.empty((2, N)))
+    N = z.size // 4
+    out = np.empty(z.shape)
+    _chord_gradient(z.reshape(4, N), None, physics.b, out.reshape(4, N), np.empty((2, N)))
     return out
 
 
-def hamiltonian(state: State, physics: Physics, grid: Grid) -> float:
-    h, u, v, s = state.h, state.u, state.v, state.s
+def hamiltonian(z: np.ndarray, physics: Physics, grid: Grid) -> float:
+    h, u, v, s = z.reshape(4, -1)
     density = 0.5 * h * h * s + h * s * physics.b + 0.5 * h * (u * u + v * v)
     return float(np.sum(density) * grid.cell_area)
 
 
-def invariants(state: State, physics: Physics, ops: DiffOps) -> np.ndarray:
-    """Discrete energy, mass, total vorticity and total buoyancy, as (4,)."""
-    h, u, v, s = state.h, state.u, state.v, state.s
+def invariants(z: np.ndarray, physics: Physics, ops: DiffOps) -> np.ndarray:
+    """Discrete energy, mass, total vorticity and total buoyancy of a packed
+    state, as (4,)."""
+    h, u, v, s = z.reshape(4, -1)
     grid = ops.grid
     area = grid.cell_area
-    energy = hamiltonian(state, physics, grid)
+    energy = hamiltonian(z, physics, grid)
     mass = np.sum(h) * area
     vort = (np.sum(apply_dx(ops, v)) - np.sum(apply_dy(ops, u)) + physics.f * grid.N) * area
     buoy = np.sum(h * s) * area
@@ -423,24 +375,31 @@ def newton_krylov(residual, z: np.ndarray, scale: float, tol: float, max_iter: i
     then raised to at least min(0.5, 0.5 tol / ||R_k||), all in the max-norm,
     so that a residual already near tol is not oversolved. J w is the
     forward difference of the residual along w at step sqrt(eps) scale /
-    ||w||_2. The iteration stops once max |R| <= tol; after max_iter
-    corrections without that, it raises NumericError naming label.
+    ||w||_2. The iteration stops once max |R| <= tol. It raises
+    NumericError naming label at once on a non-finite max |R|, when a
+    correction whose GMRES solve did not converge leaves max |R| at or above
+    0.9 times its value before (a stall: Kelley 2003, nsoli's failure exits),
+    and after max_iter corrections without convergence.
     """
     res = residual(z)
+    rnorm = float(np.max(np.abs(res)))
     sqrt_eps = math.sqrt(np.finfo(np.float64).eps)
     z_pert = np.empty_like(z)
     rnorm_prev = None
-    for _ in range(max_iter):
-        rnorm = float(np.max(np.abs(res)))
+    for it in range(max_iter + 1):
+        if not math.isfinite(rnorm):
+            raise NumericError(f"{label}: non-finite residual (max |R| = {rnorm}) "
+                               f"after {it} iterations")
         if rnorm <= tol:
             return z
+        if it == max_iter:
+            break
         # Eisenstat-Walker forcing, clamped, then floored (Kelley 1995, 6.3)
         if rnorm_prev is None:
             eta = 1e-3
         else:
             eta = min(1e-2, max(1e-8, 0.9 * (rnorm / rnorm_prev) ** 2))
         eta = max(eta, min(0.5, 0.5 * tol / rnorm))
-        rnorm_prev = rnorm
 
         def jacvec(w, z=z, res=res):
             wn = float(np.linalg.norm(w))
@@ -455,12 +414,14 @@ def newton_krylov(residual, z: np.ndarray, scale: float, tol: float, max_iter: i
             return out
 
         op = LinearOperator((z.size, z.size), matvec=jacvec, dtype=np.float64)
-        dz, _ = gmres(op, -res, rtol=eta, restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER)
+        dz, info = gmres(op, -res, rtol=eta, restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER)
         z = z + dz
         res = residual(z)
-    rnorm = float(np.max(np.abs(res)))
-    if rnorm <= tol:
-        return z
+        rnorm_prev, rnorm = rnorm, float(np.max(np.abs(res)))
+        if info and not rnorm < 0.9 * rnorm_prev:
+            raise NumericError(
+                f"{label} stalled at iteration {it + 1}: GMRES did not converge in "
+                f"{info} matvecs and max |R| went {rnorm_prev:.3e} -> {rnorm:.3e}")
     raise NumericError(f"{label} stalled after {max_iter} iterations; "
                        f"last residual {rnorm:.3e} > tol {tol:.3e}")
 
@@ -469,49 +430,57 @@ def newton_krylov(residual, z: np.ndarray, scale: float, tol: float, max_iter: i
 # implicit AVF step
 # ---------------------------------------------------------------------------
 
-def avf_step(state: State, dt: float, physics: Physics, ops: DiffOps, *,
-             guess: np.ndarray | None = None) -> State:
-    """One implicit AVF step of size dt; conserves the discrete energy.
+def avf_step(z: np.ndarray, dt: float, physics: Physics, ops: DiffOps, *,
+             guess: np.ndarray | None = None) -> np.ndarray:
+    """One implicit AVF step of size dt from the packed state z (4N,);
+    returns the new packed state and conserves the discrete energy.
 
     Newton starts from guess, a packed state, when given and its midpoint
-    height with the input is positive everywhere; otherwise it starts from
-    the input state. A dt of exactly zero returns a copy of the input (the
-    residual vanishes at that start).
+    height with z is positive everywhere; otherwise it starts from z. A dt
+    of exactly zero returns a copy of z (the residual vanishes at that
+    start).
     """
-    z_old = state.z
-    z = z_old.copy()
+    N = z.size // 4
+    start = z.copy()
     if guess is not None:
         guess = np.asarray(guess, dtype=np.float64)
-        if guess.shape != z_old.shape:
-            raise ValueError(f"guess shape {guess.shape} != state shape {z_old.shape}")
-        if np.min(z_old[: state.N] + guess[: state.N]) > 0.0:
-            z = guess.copy()
-    residual = _AvfResidual(z_old, dt, physics, ops.grid)
-    scale = max(1.0, float(np.linalg.norm(z_old)))
-    z_new = newton_krylov(residual, z, scale, _NEWTON_TOL, _NEWTON_MAXITER, "Newton-Krylov")
-    return State(z=z_new, t=state.t + dt)
+        if guess.shape != z.shape:
+            raise ValueError(f"guess shape {guess.shape} != state shape {z.shape}")
+        if np.min(z[:N] + guess[:N]) > 0.0:
+            start = guess.copy()
+    residual = _AvfResidual(z, dt, physics, ops.grid)
+    scale = max(1.0, float(np.linalg.norm(z)))
+    return newton_krylov(residual, start, scale, _NEWTON_TOL, _NEWTON_MAXITER, "Newton-Krylov")
 
 
-def integrate_fom(initial: State, dt: float, num_steps: int, physics: Physics,
+def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
                   ops: DiffOps, snapshot_path=None, log_every: int = 0) -> FomResult:
-    """March num_steps AVF steps, recording the trajectory and invariants.
+    """March num_steps AVF steps from the packed state z0 (4N,), recording
+    the trajectory, the invariants and the times k dt.
 
-    Each step after the first starts Newton from the extrapolation
-    2 z^k - z^{k-1}. When snapshot_path is given, fileio.SnapshotWriter
-    streams the K+1 states and invariants there, with the run's grid size,
-    dt, step count, domain length, f and g; the file appears only once all
-    of them are written. With log_every > 0, every
-    log_every-th step and the last are logged at INFO level to the
-    tswrom.fom logger; they are shown only where a handler takes INFO
-    records, such as logging.basicConfig(level=logging.INFO) or
-    bench.progress_to_stdout.
+    A non-finite entry of z0 or a nonpositive height raises NumericError
+    naming its field and node, and a NumericError of step k is raised again
+    as "step k: ...". Each step after the first starts Newton from the
+    extrapolation 2 z^k - z^{k-1}. When snapshot_path is given, fileio.SnapshotWriter streams the K+1
+    states and invariants there, with the run's grid size, dt, step count,
+    domain length, f and g; the file appears only once all of them are
+    written. With log_every > 0, every log_every-th step and the last are
+    logged at INFO level to the tswrom.fom logger; they are shown only where
+    a handler takes INFO records, such as
+    logging.basicConfig(level=logging.INFO) or bench.progress_to_stdout.
     """
     grid = ops.grid
-    if initial.N != grid.N:
-        raise ValueError(f"state N={initial.N} does not match grid N={grid.N}")
+    z = np.array(z0, dtype=np.float64)
+    if z.shape != (4 * grid.N,):
+        raise ValueError(f"state shape {z.shape} does not fit grid N={grid.N}")
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        block, node = divmod(int(bad[0]), grid.N)
+        raise NumericError(f"non-finite initial {'huvs'[block]} ({z[bad[0]]}) at node {node}")
+    _require_positive(_blocks(z, grid.n)[0], "initial height")
     traj = np.empty((4 * grid.N, num_steps + 1))
     invs = np.empty((num_steps + 1, 4))
-    times = np.empty(num_steps + 1)
+    times = dt * np.arange(num_steps + 1)
 
     writer = None
     if snapshot_path is not None:
@@ -521,24 +490,21 @@ def integrate_fom(initial: State, dt: float, num_steps: int, physics: Physics,
                                 length=grid.lx, coriolis=physics.f, gravity=physics.g)
 
     try:
-        state = initial.copy()
-        traj[:, 0] = state.z
-        invs[0] = invariants(state, physics, ops)
-        times[0] = state.t
-        if writer is not None:
-            writer.append(state.z, invs[0])
-        for k in range(1, num_steps + 1):
-            guess = None if k == 1 else 2.0 * state.z - traj[:, k - 2]
-            state = avf_step(state, dt, physics, ops, guess=guess)
-            traj[:, k] = state.z
-            invs[k] = invariants(state, physics, ops)
-            times[k] = state.t
+        for k in range(num_steps + 1):
+            if k:
+                guess = None if k == 1 else 2.0 * z - traj[:, k - 2]
+                try:
+                    z = avf_step(z, dt, physics, ops, guess=guess)
+                except NumericError as exc:
+                    raise NumericError(f"step {k}: {exc}") from exc
+            traj[:, k] = z
+            invs[k] = invariants(z, physics, ops)
             if writer is not None:
-                writer.append(state.z, invs[k])
-            if log_every and (k % log_every == 0 or k == num_steps):
+                writer.append(z, invs[k])
+            if log_every and k and (k % log_every == 0 or k == num_steps):
                 drift = abs(invs[k, 0] - invs[0, 0]) / abs(invs[0, 0])
                 _log.info("  step %5d/%d  t=%12.1f  |dH|/H = %.3e",
-                          k, num_steps, state.t, drift)
+                          k, num_steps, times[k], drift)
     finally:
         if writer is not None:
             writer.close()

@@ -29,7 +29,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, NumericError
-from .fom import State
 
 __all__ = [
     "SnapshotSet",
@@ -118,12 +117,6 @@ class PodBasis:
         out = self.apply_modes(z_r)
         out += self.mean_z[:, None]
         return out[:, 0] if z_r.ndim == 1 else out
-
-    def restrict_array(self, z: np.ndarray) -> np.ndarray:
-        """Map packed full states (4N,) or (4N, m) to reduced coefficients
-        (4r,) or (4r, m), V^T (z - mean)."""
-        dev = z.reshape(z.shape[0], -1) - self.mean_z[:, None]
-        return self.project_modes(dev).reshape((4 * self.r,) + z.shape[1:])
 
 
 def collect_snapshots(states: np.ndarray) -> SnapshotSet:
@@ -286,9 +279,11 @@ def build_pod_basis(snapshots: SnapshotSet, kappa: float,
     )
 
 
-def restrict(basis: PodBasis, state: State) -> np.ndarray:
-    """Project a full state onto the reduced coordinates, blocks (h, u, v, s)."""
-    if state.N != basis.N:
-        raise ConfigError(f"state N={state.N} does not match basis N={basis.N}")
-    return basis.restrict_array(state.z)
+def restrict(basis: PodBasis, z: np.ndarray) -> np.ndarray:
+    """Map packed full states (4N,) or (4N, m) to reduced coefficients
+    (4r,) or (4r, m), V^T (z - mean), blocks (h, u, v, s)."""
+    if z.shape[0] != 4 * basis.N:
+        raise ConfigError(f"state N={z.shape[0] // 4} does not match basis N={basis.N}")
+    dev = z.reshape(z.shape[0], -1) - basis.mean_z[:, None]
+    return basis.project_modes(dev).reshape((4 * basis.r,) + z.shape[1:])
 

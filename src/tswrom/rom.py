@@ -69,8 +69,7 @@ from scipy.linalg.lapack import dgetrs
 from .deim import NUM_NONLIN, DeimSet
 from .errors import ConfigError, NumericError
 # perfbench/spans.py wraps rom.invariants by name, so it must stay bound here
-from .fom import (Physics, State, _coefficients, grad_hamiltonian, invariants,
-                  newton_krylov)
+from .fom import Physics, _coefficients, grad_hamiltonian, invariants, newton_krylov
 from .grid import DiffOps, apply_dx, apply_dy
 from .pod import PodBasis
 
@@ -106,10 +105,6 @@ class RomState:
 
     z_r: np.ndarray
     t: float = 0.0
-
-    @property
-    def r(self) -> int:
-        return self.z_r.size // 4
 
 
 @dataclass
@@ -251,7 +246,6 @@ def _gradient_data(basis: PodBasis, physics: Physics, ops: DiffOps) -> _Gradient
     r = basis.r
     area = ops.grid.cell_area
     hb = (mh + physics.b)[:, None]
-    mean = State(z=basis.mean_z)
 
     lin = np.zeros((4, r, 4, r))
     lin[0, :, 0] = vh.T @ (ms[:, None] * vh)
@@ -270,12 +264,12 @@ def _gradient_data(basis: PodBasis, physics: Physics, ops: DiffOps) -> _Gradient
     inv_lin[2, 0] = vh.T @ ms
     inv_lin[2, 3] = vs.T @ mh
     return _Gradient(
-        c=basis.project_modes(grad_hamiltonian(mean, physics)),
+        c=basis.project_modes(grad_hamiltonian(basis.mean_z, physics)),
         lin=lin.reshape(4 * r, 4 * r),
         t_uu=_three_way(vh, vu, vu),
         t_vv=_three_way(vh, vv, vv),
         t_hs=_three_way(vh, vh, vs),
-        inv0=invariants(mean, physics, ops)[:, None],
+        inv0=invariants(basis.mean_z, physics, ops)[:, None],
         inv_lin=area * inv_lin.reshape(3, 4 * r),
         b_hs=area * (vh.T @ vs),
         area=area,
@@ -696,7 +690,8 @@ def integrate_rom(ops: RomOperators, initial: RomState, dt: float, num_steps: in
     Newton starts the first step from z^0, the second from the linear
     extrapolation 2 z^1 - z^0 and every later one from the quadratic
     extrapolation 3 z^k - 3 z^{k-1} + z^{k-2}, with rom_avf_step's
-    fallback to z^k."""
+    fallback to z^k. A NumericError of step k is raised again as
+    "step k: ..."."""
     if method not in METHODS:
         raise ConfigError(f"unknown reduced model {method!r}, expected one of {METHODS}")
     red = np.empty((initial.z_r.size, num_steps + 1))
@@ -711,8 +706,11 @@ def integrate_rom(ops: RomOperators, initial: RomState, dt: float, num_steps: in
             start = 2.0 * z - red[:, 0]
         elif k > 2:
             start = 3.0 * (z - red[:, k - 2]) + red[:, k - 3]
-        z = rom_avf_step(ops, z, dt, method=method, solver=solver, _chord=chord,
-                         _start=start)
+        try:
+            z = rom_avf_step(ops, z, dt, method=method, solver=solver, _chord=chord,
+                             _start=start)
+        except NumericError as exc:
+            raise NumericError(f"step {k}: {exc}") from exc
         red[:, k] = z
     return RomResult(reduced=red, invariants=ops.grad.invariants(red), times=times,
                      method=method)

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from tswrom.deim import qdeim_select
 from tswrom.errors import NumericError
-from tswrom.fom import (_NEWTON_MAXITER, _NEWTON_TOL, Physics, State, _apply_j, _AvfResidual, _blocks,
+from tswrom.fom import (_NEWTON_MAXITER, _NEWTON_TOL, Physics, _apply_j, _AvfResidual, _blocks,
                         _chord_gradient, _coefficients, grad_hamiltonian)
 from tswrom.grid import build_diff_ops, build_grid
 from tswrom.pod import PodBasis, _mean_led_modes, truncate_rank
@@ -55,12 +55,12 @@ def smooth_field(grid, rng, amplitude=1.0, modes=3):
 
 
 def random_state(grid, rng, depth=2.0):
-    """Positive-depth O(1) state with smooth random fields."""
+    """Positive-depth O(1) packed state (4N,) with smooth random fields."""
     h = depth + smooth_field(grid, rng, 0.6)
     u = smooth_field(grid, rng, 1.0)
     v = smooth_field(grid, rng, 1.0)
     s = 3.0 + smooth_field(grid, rng, 0.8)
-    return State.from_fields(h, u, v, s)
+    return np.concatenate([h, u, v, s])
 
 
 def random_physics(grid, rng, flat=False):
@@ -110,17 +110,17 @@ def plain_coefficients(z, physics, ops):
     return (dx @ v - dy @ u + physics.f) / h, (dx @ s) / h, (dy @ s) / h
 
 
-def nonlinearity(j, state, physics, ops):
-    """Reference nonlinearity F_j (j = 1..3) at a full state."""
-    return plain_coefficients(state.z, physics, ops)[j - 1]
+def nonlinearity(j, z, physics, ops):
+    """Reference nonlinearity F_j (j = 1..3) at a packed full state."""
+    return plain_coefficients(z, physics, ops)[j - 1]
 
 
-def lift(basis, z_r, t=0.0):
-    """Reference full State mean + V z_r of reduced coefficients (4r,),
-    block by block."""
+def lift(basis, z_r):
+    """Reference packed full state mean + V z_r of reduced coefficients
+    (4r,), block by block."""
     r = basis.r
-    return State(z=np.concatenate([basis.means[i] + basis.modes[i] @ z_r[i * r : (i + 1) * r]
-                                   for i in range(4)]), t=t)
+    return np.concatenate([basis.means[i] + basis.modes[i] @ z_r[i * r : (i + 1) * r]
+                           for i in range(4)])
 
 
 def svd_pod_basis(snapshots, kappa, r_override=None):
@@ -194,27 +194,28 @@ def einsum_quadratic(grad, x):
     ])
 
 
-def deim_apply(dset, j, state, physics, ops):
-    """Reference sampled coefficient P_j^T F_j(state), j = 1..3, at the
-    points of F_j in a DeimSet, from the CSR stencil rows of the selected
-    nodes only."""
+def deim_apply(dset, j, z, physics, ops):
+    """Reference sampled coefficient P_j^T F_j(z), j = 1..3, of a packed
+    state at the points of F_j in a DeimSet, from the CSR stencil rows of
+    the selected nodes only."""
     idx = dset.indices[j - 1]
-    h = state.z[idx]
+    h, u, v, s = np.split(z, 4)
+    h = h[idx]
     if not h.min() > 0.0:
         raise NumericError(f"nonpositive sampled height for F{j}")
     dx, dy = csr_diff_ops(ops.grid)
     if j == 1:
-        return (dx[idx, :] @ state.v - dy[idx, :] @ state.u + physics.f) / h
+        return (dx[idx, :] @ v - dy[idx, :] @ u + physics.f) / h
     if j == 2:
-        return (dx[idx, :] @ state.s) / h
-    return (dy[idx, :] @ state.s) / h
+        return (dx[idx, :] @ s) / h
+    return (dy[idx, :] @ s) / h
 
 
-def apply_poisson(state, physics, ops, g, scale=1.0):
-    """scale J(state) g for a packed g of shape (4N,) or (4N, m), through the
-    program's coefficient and stencil kernels."""
+def apply_poisson(z, physics, ops, g, scale=1.0):
+    """scale J(z) g for a packed state z and a packed g of shape (4N,) or
+    (4N, m), through the program's coefficient and stencil kernels."""
     grid, n = ops.grid, ops.grid.n
-    coef = _coefficients(state.z, physics.f, grid, scale)
+    coef = _coefficients(z, physics.f, grid, scale)
     g = np.ascontiguousarray(g, dtype=np.float64)
     out = np.empty(g.shape)
     _apply_j(coef, _blocks(g, n), _blocks(out, n), scale * 0.5 / grid.dx,
@@ -222,47 +223,47 @@ def apply_poisson(state, physics, ops, g, scale=1.0):
     return out
 
 
-def rhs(state, physics, ops):
+def rhs(z, physics, ops):
     """Time derivative -J(z) grad H(z), packed (h, u, v, s)."""
-    return apply_poisson(state, physics, ops, grad_hamiltonian(state, physics), -1.0)
+    return apply_poisson(z, physics, ops, grad_hamiltonian(z, physics), -1.0)
 
 
 def avf_gradient(z_old, z_new, physics):
     """Chord-averaged energy gradient int_0^1 grad H(z_old + xi dz) dxi of two
-    States, in the program's closed form grad H(m) + Q(dz)/12."""
-    N = z_old.N
-    dz = z_new.z - z_old.z
+    packed states, in the program's closed form grad H(m) + Q(dz)/12."""
+    N = z_old.size // 4
+    dz = z_new - z_old
     out = np.empty(dz.shape)
-    _chord_gradient((z_old.z + 0.5 * dz).reshape(4, N), dz.reshape(4, N), physics.b,
+    _chord_gradient((z_old + 0.5 * dz).reshape(4, N), dz.reshape(4, N), physics.b,
                     out.reshape(4, N), np.empty((2, N)))
     return out
 
 
-def dense_poisson_matrix(state, physics, ops):
-    """J(state) assembled densely (4N x 4N) as J applied to the identity."""
-    return apply_poisson(state, physics, ops, np.eye(4 * state.N))
+def dense_poisson_matrix(z, physics, ops):
+    """J(z) assembled densely (4N x 4N) as J applied to the identity."""
+    return apply_poisson(z, physics, ops, np.eye(z.size))
 
 
-def reduced_poisson_matrix(basis, state, physics, ops):
-    """Dense reduced Poisson matrix V^T J(state) V (4r x 4r)."""
+def reduced_poisson_matrix(basis, z, physics, ops):
+    """Dense reduced Poisson matrix V^T J(z) V (4r x 4r)."""
     N, r = basis.N, basis.r
     vblk = np.zeros((4 * N, 4 * r))
     for i in range(4):
         vblk[i * N : (i + 1) * N, i * r : (i + 1) * r] = basis.modes[i]
-    return vblk.T @ apply_poisson(state, physics, ops, vblk)
+    return vblk.T @ apply_poisson(z, physics, ops, vblk)
 
 
-def dense_newton_avf_step(state, dt, physics, ops):
+def dense_newton_avf_step(z_old, dt, physics, ops):
     """Reference AVF step: Newton on the full finite-difference Jacobian of
     the fused residual, one column per unknown, to the full model's Newton
     tolerance. Only sensible for n <= 8."""
-    residual = _AvfResidual(state.z, dt, physics, ops.grid)
+    residual = _AvfResidual(z_old, dt, physics, ops.grid)
     sqrt_eps = math.sqrt(np.finfo(np.float64).eps)
-    z = state.z.copy()
+    z = z_old.copy()
     for _ in range(_NEWTON_MAXITER):
         res = residual(z)
         if float(np.max(np.abs(res))) <= _NEWTON_TOL:
-            return State(z=z, t=state.t + dt)
+            return z
         eps = sqrt_eps * np.maximum(1.0, np.abs(z))
         jac = np.empty((z.size, z.size))
         for i in range(z.size):
@@ -271,7 +272,7 @@ def dense_newton_avf_step(state, dt, physics, ops):
             jac[:, i] = (residual(z_pert) - res) / eps[i]
         z = z + np.linalg.solve(jac, -res)
     if float(np.max(np.abs(residual(z)))) <= _NEWTON_TOL:
-        return State(z=z, t=state.t + dt)
+        return z
     raise NumericError(f"dense Newton stalled after {_NEWTON_MAXITER} iterations")
 
 

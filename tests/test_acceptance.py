@@ -17,7 +17,7 @@ from helpers import (apply_poisson, avf_gradient, dense_poisson_matrix, random_p
 from tswrom.bench import (DoubleVortexConfig, double_vortex_initial,
                           invariant_errors, make_physics, run_pipeline)
 from tswrom.deim import build_deim, collect_nonlin_snapshots
-from tswrom.fom import State, grad_hamiltonian, hamiltonian, integrate_fom
+from tswrom.fom import grad_hamiltonian, hamiltonian, integrate_fom
 from tswrom.grid import apply_dx, apply_dy, build_diff_ops
 from tswrom.pod import build_pod_basis, collect_snapshots, restrict
 from tswrom.rom import (FlopCounter, RomState, integrate_rom, precompute_rom,
@@ -147,11 +147,11 @@ def test_criterion_5_full_rank_reduction_recovers_full_order():
                      for idx, psi in zip(dset.indices, dset.psi))
 
     steps = 10
-    reference = basis.restrict_array(fom.trajectory[:, : steps + 1])
+    reference = restrict(basis, fom.trajectory[:, : steps + 1])
     zr0 = restrict(basis, z0)
     coeff_err = {}
     for method in ("pod", "pod-deim"):
-        run = integrate_rom(ops, RomState(z_r=zr0, t=z0.t), cfg.dt, steps,
+        run = integrate_rom(ops, RomState(z_r=zr0), cfg.dt, steps,
                             method=method, solver="krylov")
         coeff_err[method] = float(np.abs(run.reduced - reference).max())
     wall = time.perf_counter() - start
@@ -173,7 +173,7 @@ def _small_reduction(rng):
     """Random smooth states through the whole offline path, n=5, r=3, p=4."""
     grid, dops = small_setup(n=5)
     phys = random_physics(grid, rng)
-    traj = np.stack([random_state(grid, rng).z for _ in range(8)], axis=1)
+    traj = np.stack([random_state(grid, rng) for _ in range(8)], axis=1)
     snaps = collect_snapshots(traj)
     basis = build_pod_basis(snaps, kappa=0.0, r_override=3)
     nonlin = collect_nonlin_snapshots(snaps, basis, phys, dops)
@@ -193,32 +193,32 @@ def test_criterion_6_structural_identities(rng):
         1e-12)
 
     phys = random_physics(grid, rng)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     g = rng.normal(size=4 * grid.N)
-    dense = dense_poisson_matrix(state, phys, dops)
+    dense = dense_poisson_matrix(z, phys, dops)
     checks["dense vs matrix-free"] = (
-        float(np.abs(dense @ g - apply_poisson(state, phys, dops, g)).max()),
+        float(np.abs(dense @ g - apply_poisson(z, phys, dops, g)).max()),
         1e-12)
 
     # the averaged gradient equals a 10-point quadrature along the chord
     other = random_state(grid, rng)
     nodes, weights = np.polynomial.legendre.leggauss(10)
-    dz = other.z - state.z
-    quad = sum(0.5 * w * grad_hamiltonian(State(z=state.z + 0.5 * (x + 1.0) * dz), phys)
+    dz = other - z
+    quad = sum(0.5 * w * grad_hamiltonian(z + 0.5 * (x + 1.0) * dz, phys)
                for x, w in zip(nodes, weights))
     checks["averaged gradient vs 10-point"] = (
-        float(np.abs(avf_gradient(state, other, phys) - quad).max()), 1e-13)
+        float(np.abs(avf_gradient(z, other, phys) - quad).max()), 1e-13)
 
     # the energy gradient against central differences of the energy itself
-    grad = grad_hamiltonian(state, phys)
+    grad = grad_hamiltonian(z, phys)
     eps = 1e-5
     fd = np.empty_like(grad)
     for i in range(fd.size):
-        zp, zm = state.z.copy(), state.z.copy()
+        zp, zm = z.copy(), z.copy()
         zp[i] += eps
         zm[i] -= eps
-        fd[i] = (hamiltonian(State(z=zp), phys, grid)
-                 - hamiltonian(State(z=zm), phys, grid)) / (2.0 * eps * grid.cell_area)
+        fd[i] = (hamiltonian(zp, phys, grid)
+                 - hamiltonian(zm, phys, grid)) / (2.0 * eps * grid.cell_area)
     checks["gradient vs finite differences (rel)"] = (
         float(np.abs(grad - fd).max() / np.abs(grad).max()), 1e-6)
 

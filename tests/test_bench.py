@@ -16,30 +16,30 @@ def test_initial_buoyancy_extremes_exact():
     # the buoyancy modulation hits its quarter-period extrema on any grid
     # whose size is a multiple of 4, so min/max are exactly (1 -/+ wobble) g
     cfg = DoubleVortexConfig(n=100)
-    state = double_vortex_initial(cfg.make_grid(), cfg)
-    np.testing.assert_allclose(state.s.min(), 0.95 * cfg.gravity, rtol=1e-14)
-    np.testing.assert_allclose(state.s.max(), 1.05 * cfg.gravity, rtol=1e-14)
+    s = np.split(double_vortex_initial(cfg.make_grid(), cfg), 4)[3]
+    np.testing.assert_allclose(s.min(), 0.95 * cfg.gravity, rtol=1e-14)
+    np.testing.assert_allclose(s.max(), 1.05 * cfg.gravity, rtol=1e-14)
 
 
 def test_initial_height_window():
     cfg = DoubleVortexConfig(n=100)
-    state = double_vortex_initial(cfg.make_grid(), cfg)
-    assert state.h.min() > 600.0
+    h = np.split(double_vortex_initial(cfg.make_grid(), cfg), 4)[0]
+    assert h.min() > 600.0
     # the constant shift recenters the mass at the reference depth
-    assert abs(state.h.mean() - cfg.mean_depth) < 0.5
-    assert state.h.max() <= cfg.mean_depth + cfg.depth_drop
+    assert abs(h.mean() - cfg.mean_depth) < 0.5
+    assert h.max() <= cfg.mean_depth + cfg.depth_drop
 
 
 def test_initial_velocities_in_discrete_geostrophic_balance():
     cfg = DoubleVortexConfig(n=64)
     grid = cfg.make_grid()
     ops = build_diff_ops(grid)
-    state = double_vortex_initial(grid, cfg)
+    h, u, v, _ = np.split(double_vortex_initial(grid, cfg), 4)
     f, g = cfg.coriolis, cfg.gravity
-    res_u = f * state.u + g * apply_dy(ops, state.h)
-    res_v = f * state.v - g * apply_dx(ops, state.h)
-    rel_u = np.linalg.norm(res_u) / np.linalg.norm(f * state.u)
-    rel_v = np.linalg.norm(res_v) / np.linalg.norm(f * state.v)
+    res_u = f * u + g * apply_dy(ops, h)
+    res_v = f * v - g * apply_dx(ops, h)
+    rel_u = np.linalg.norm(res_u) / np.linalg.norm(f * u)
+    rel_v = np.linalg.norm(res_v) / np.linalg.norm(f * v)
     assert rel_u < 0.05 and rel_v < 0.05, (rel_u, rel_v)
 
 

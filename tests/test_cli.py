@@ -400,7 +400,8 @@ def test_absurd_time_step_exits_3(tmp_path, capsys):
     rc = main(["fom", "--out", str(tmp_path), "--set", "n=8",
                "--set", "num_steps=1", "--set", "dt=1e9"])
     assert rc == 3
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: step 1:" in err
     # the failed run leaves no snapshot file, partial or complete
     assert not list(tmp_path.glob("snapshots.bin*"))
 

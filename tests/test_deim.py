@@ -11,9 +11,8 @@ from helpers import (deim_apply, nonlinearity, random_physics, random_state, sma
 
 from tswrom.deim import NUM_NONLIN, build_deim, collect_nonlin_snapshots, qdeim_select
 from tswrom.errors import ConfigError, NumericError
-from tswrom.fom import State
 from tswrom.grid import apply_dx, apply_dy
-from tswrom.pod import build_pod_basis, collect_snapshots
+from tswrom.pod import build_pod_basis, collect_snapshots, restrict
 
 # Frozen oracle for the crafted 6x2 selection problem below: the pivoted-QR
 # choice, the greedy interpolation choice, and the brute-force maximum-volume
@@ -30,42 +29,42 @@ def _crafted_phi():
 
 def _raw_nonlinearities(states, phys, ops):
     """The program's F1..F3 on states, as unprojected nonlinear snapshots."""
-    snaps = collect_snapshots(np.stack([st.z for st in states], axis=1))
+    snaps = collect_snapshots(np.stack(states, axis=1))
     return collect_nonlin_snapshots(snaps, None, phys, ops, projected=False)
 
 
 def test_nonlinearity_formulas(rng):
     grid, ops = small_setup(n=7)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    h, u, v, s = state.h, state.u, state.v, state.s
+    h, u, v, s = np.split(z, 4)
     expected = [
         (apply_dx(ops, v) - apply_dy(ops, u) + phys.f) / h,
         apply_dx(ops, s) / h,
         apply_dy(ops, s) / h,
     ]
     assert NUM_NONLIN == 3
-    values = _raw_nonlinearities([state], phys, ops)
+    values = _raw_nonlinearities([z], phys, ops)
     for j in range(1, NUM_NONLIN + 1):
         np.testing.assert_allclose(values[j - 1][:, 0], expected[j - 1], rtol=1e-13, atol=1e-14)
         # the CSR oracle the other tests use agrees with the same formulas
-        np.testing.assert_allclose(nonlinearity(j, state, phys, ops), expected[j - 1],
+        np.testing.assert_allclose(nonlinearity(j, z, phys, ops), expected[j - 1],
                                    rtol=1e-13, atol=1e-14)
 
 
 def test_nonlinearity_requires_positive_height(rng):
     grid, ops = small_setup(n=5)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    state.z[2] = -0.5
+    z[2] = -0.5
     with pytest.raises(NumericError):
-        _raw_nonlinearities([state], phys, ops)
+        _raw_nonlinearities([z], phys, ops)
 
 
 def test_collect_nonlin_snapshots_projection_switch(rng):
     grid, ops = small_setup(n=5)
     phys = random_physics(grid, rng)
-    traj = np.stack([random_state(grid, rng).z for _ in range(6)], axis=1)
+    traj = np.stack([random_state(grid, rng) for _ in range(6)], axis=1)
     snaps = collect_snapshots(traj)
     # a genuinely truncated basis, so reconstruction differs from the raw data
     basis = build_pod_basis(snaps, kappa=1e-2, r_override=2)
@@ -76,12 +75,12 @@ def test_collect_nonlin_snapshots_projection_switch(rng):
 
     # raw trains on the snapshots themselves ...
     k = 3
-    st = State(z=traj[:, k])
+    st = traj[:, k]
     for j in range(1, NUM_NONLIN + 1):
         np.testing.assert_allclose(raw[j - 1][:, k],
                                    nonlinearity(j, st, phys, ops), rtol=1e-13, atol=1e-14)
     # ... projected trains on their POD reconstructions
-    rec = State(z=basis.lift_array(basis.restrict_array(traj[:, k])))
+    rec = basis.lift_array(restrict(basis, traj[:, k]))
     for j in range(1, NUM_NONLIN + 1):
         np.testing.assert_allclose(proj[j - 1][:, k],
                                    nonlinearity(j, rec, phys, ops), rtol=1e-13, atol=1e-14)
@@ -91,7 +90,7 @@ def test_collect_nonlin_snapshots_projection_switch(rng):
     # still z -> mean + V V^T (z - mean) with the basis' own mean
     other = build_pod_basis(collect_snapshots(traj[:, :4]), kappa=1e-2, r_override=2)
     shifted = collect_nonlin_snapshots(snaps, other, phys, ops, projected=True)
-    rec = State(z=other.lift_array(other.restrict_array(traj[:, k])))
+    rec = other.lift_array(restrict(other, traj[:, k]))
     for j in range(1, NUM_NONLIN + 1):
         np.testing.assert_allclose(shifted[j - 1][:, k],
                                    nonlinearity(j, rec, phys, ops), rtol=1e-12, atol=1e-13)
@@ -149,26 +148,26 @@ def test_deim_set_indexing(mini_pipeline):
 
 
 def test_deim_apply_matches_full_evaluation(mini_pipeline):
-    state = mini_pipeline.fom.state(5)
+    z = mini_pipeline.fom.trajectory[:, 5]
     phys, ops, dset = mini_pipeline.physics, mini_pipeline.diffops, mini_pipeline.deim
     for j in range(1, NUM_NONLIN + 1):
-        sampled = deim_apply(dset, j, state, phys, ops)
-        full = nonlinearity(j, state, phys, ops)[dset.indices[j - 1]]
+        sampled = deim_apply(dset, j, z, phys, ops)
+        full = nonlinearity(j, z, phys, ops)[dset.indices[j - 1]]
         np.testing.assert_allclose(sampled, full, rtol=1e-11, atol=0.0)
 
 
 def test_deim_apply_requires_positive_sampled_height(mini_pipeline):
-    state = mini_pipeline.fom.state(0).copy()
+    z = mini_pipeline.fom.trajectory[:, 0].copy()
     phys, ops = mini_pipeline.physics, mini_pipeline.diffops
-    state.z[: state.N] = -1.0
+    z[: mini_pipeline.grid.N] = -1.0
     with pytest.raises(NumericError):
-        deim_apply(mini_pipeline.deim, 2, state, phys, ops)
+        deim_apply(mini_pipeline.deim, 2, z, phys, ops)
 
 
 def test_build_deim_p_override(rng):
     grid, ops = small_setup(n=5)
     phys = random_physics(grid, rng)
-    traj = np.stack([random_state(grid, rng).z for _ in range(6)], axis=1)
+    traj = np.stack([random_state(grid, rng) for _ in range(6)], axis=1)
     snaps = collect_snapshots(traj)
     basis = build_pod_basis(snaps, kappa=1e-6)
     nonlin = collect_nonlin_snapshots(snaps, basis, phys, ops)

@@ -11,7 +11,7 @@ from helpers import (apply_poisson, avf_gradient, dense_newton_avf_step,
 from tswrom import fom as fom_mod
 from tswrom.errors import NumericError
 from tswrom.fileio import read_snapshots
-from tswrom.fom import (State, _AvfResidual, avf_step, gmres,
+from tswrom.fom import (_AvfResidual, avf_step, gmres,
                         grad_hamiltonian, hamiltonian, integrate_fom,
                         invariants, potential_vorticity)
 from tswrom.grid import apply_dx, apply_dy
@@ -25,14 +25,15 @@ def _dense_stencil(n):
     return c
 
 
-def _dense_j(state, physics, grid):
+def _dense_j(z, physics, grid):
     """Independent dense Poisson assembly straight from the block formula."""
     n = grid.n
     dxm = np.kron(_dense_stencil(n), np.eye(n)) / (2.0 * grid.dx)
     dym = np.kron(np.eye(n), _dense_stencil(n)) / (2.0 * grid.dy)
-    q = np.diag((dxm @ state.v - dym @ state.u + physics.f) / state.h)
-    c2 = np.diag((dxm @ state.s) / state.h)
-    c3 = np.diag((dym @ state.s) / state.h)
+    h, u, v, s = np.split(z, 4)
+    q = np.diag((dxm @ v - dym @ u + physics.f) / h)
+    c2 = np.diag((dxm @ s) / h)
+    c3 = np.diag((dym @ s) / h)
     zero = np.zeros((grid.N, grid.N))
     return np.block([
         [zero, dxm, dym, zero],
@@ -45,12 +46,12 @@ def _dense_j(state, physics, grid):
 def test_hamiltonian_uniform_state_by_hand():
     grid, _ = small_setup(n=6)
     N = grid.N
-    state = State.from_fields(np.full(N, 2.0), np.zeros(N), np.zeros(N), np.full(N, 3.0))
+    z = np.concatenate([np.full(N, 2.0), np.zeros(N), np.zeros(N), np.full(N, 3.0)])
     phys = random_physics(grid, np.random.default_rng(0), flat=True)
     # density 0.5 h^2 s = 6 at rest over a flat bottom
-    np.testing.assert_allclose(hamiltonian(state, phys, grid), 6.0 * grid.lx * grid.ly,
+    np.testing.assert_allclose(hamiltonian(z, phys, grid), 6.0 * grid.lx * grid.ly,
                                rtol=1e-14)
-    _, mass, _, buoyancy = invariants(state, phys, _make_ops(grid))
+    _, mass, _, buoyancy = invariants(z, phys, _make_ops(grid))
     np.testing.assert_allclose(mass, 2.0 * grid.lx * grid.ly, rtol=1e-14)
     np.testing.assert_allclose(buoyancy, 6.0 * grid.lx * grid.ly, rtol=1e-14)
 
@@ -63,18 +64,18 @@ def _make_ops(grid):
 
 def test_grad_hamiltonian_matches_finite_differences(rng):
     grid, _ = small_setup(n=6)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    grad = grad_hamiltonian(state, phys)
+    grad = grad_hamiltonian(z, phys)
     eps = 1e-5
     fd = np.empty_like(grad)
-    for i in range(state.z.size):
-        zp = state.z.copy()
+    for i in range(z.size):
+        zp = z.copy()
         zp[i] += eps
-        zm = state.z.copy()
+        zm = z.copy()
         zm[i] -= eps
-        hp = hamiltonian(State(z=zp), phys, grid)
-        hm = hamiltonian(State(z=zm), phys, grid)
+        hp = hamiltonian(zp, phys, grid)
+        hm = hamiltonian(zm, phys, grid)
         # the gradient is of the plain nodal sum; the energy carries dx dy
         fd[i] = (hp - hm) / (2.0 * eps * grid.cell_area)
     np.testing.assert_allclose(fd, grad, rtol=1e-6, atol=1e-8)
@@ -82,35 +83,35 @@ def test_grad_hamiltonian_matches_finite_differences(rng):
 
 def test_apply_poisson_matches_dense(rng):
     grid, ops = small_setup(n=6)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    jdense = dense_poisson_matrix(state, phys, ops)
+    jdense = dense_poisson_matrix(z, phys, ops)
     for _ in range(3):
         g = rng.normal(size=4 * grid.N)
-        np.testing.assert_allclose(apply_poisson(state, phys, ops, g), jdense @ g,
+        np.testing.assert_allclose(apply_poisson(z, phys, ops, g), jdense @ g,
                                    rtol=1e-12, atol=1e-13)
 
 
 def test_dense_poisson_matches_independent_assembly(rng):
     grid, ops = small_setup(n=5)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    np.testing.assert_allclose(dense_poisson_matrix(state, phys, ops),
-                               _dense_j(state, phys, grid), rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(dense_poisson_matrix(z, phys, ops),
+                               _dense_j(z, phys, grid), rtol=0.0, atol=1e-14)
 
 
 def test_poisson_operator_skew_symmetric(rng):
     grid, ops = small_setup(n=6)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    jdense = dense_poisson_matrix(state, phys, ops)
+    jdense = dense_poisson_matrix(z, phys, ops)
     assert np.max(np.abs(jdense + jdense.T)) <= 1e-13
     # same fact through the matrix-free route: a.(J b) = -b.(J a)
     for _ in range(3):
         a = rng.normal(size=4 * grid.N)
         b = rng.normal(size=4 * grid.N)
-        left = a @ apply_poisson(state, phys, ops, b)
-        right = -b @ apply_poisson(state, phys, ops, a)
+        left = a @ apply_poisson(z, phys, ops, b)
+        right = -b @ apply_poisson(z, phys, ops, a)
         np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-12)
 
 
@@ -118,11 +119,11 @@ def test_rhs_primitive_identities(rng):
     # row 1 of -J grad H is the mass flux divergence, row 4 the buoyancy
     # advection; both must come out of the packed evaluation verbatim
     grid, ops = small_setup(n=8)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    f = rhs(state, phys, ops)
+    f = rhs(z, phys, ops)
     N = grid.N
-    h, u, v, s = state.h, state.u, state.v, state.s
+    h, u, v, s = np.split(z, 4)
     np.testing.assert_allclose(
         f[:N], -(apply_dx(ops, h * u) + apply_dy(ops, h * v)), rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(
@@ -131,18 +132,19 @@ def test_rhs_primitive_identities(rng):
 
 def test_rhs_equals_negated_dense_product(rng):
     grid, ops = small_setup(n=6)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    expected = -(_dense_j(state, phys, grid) @ grad_hamiltonian(state, phys))
-    np.testing.assert_allclose(rhs(state, phys, ops), expected, rtol=1e-12, atol=1e-12)
+    expected = -(_dense_j(z, phys, grid) @ grad_hamiltonian(z, phys))
+    np.testing.assert_allclose(rhs(z, phys, ops), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_potential_vorticity_formula(rng):
     grid, ops = small_setup(n=7)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    expected = (apply_dx(ops, state.v) - apply_dy(ops, state.u) + phys.f) / state.h
-    np.testing.assert_allclose(potential_vorticity(state, phys, ops), expected,
+    h, u, v, _ = np.split(z, 4)
+    expected = (apply_dx(ops, v) - apply_dy(ops, u) + phys.f) / h
+    np.testing.assert_allclose(potential_vorticity(z, phys, ops), expected,
                                rtol=1e-14, atol=0.0)
 
 
@@ -156,51 +158,50 @@ def test_avf_gradient_matches_high_order_quadrature(rng):
     nodes, weights = np.polynomial.legendre.leggauss(10)
     xi = 0.5 * (nodes + 1.0)
     wi = 0.5 * weights
-    dz = z_new.z - z_old.z
+    dz = z_new - z_old
     acc = np.zeros_like(avf)
     for x, w in zip(xi, wi):
-        acc += w * grad_hamiltonian(State(z=z_old.z + x * dz), phys)
+        acc += w * grad_hamiltonian(z_old + x * dz, phys)
     np.testing.assert_allclose(avf, acc, rtol=0.0, atol=1e-13)
 
     # Simpson's rule is also exact for a quadratic integrand
     simpson = (grad_hamiltonian(z_old, phys)
-               + 4.0 * grad_hamiltonian(State(z=z_old.z + 0.5 * dz), phys)
+               + 4.0 * grad_hamiltonian(z_old + 0.5 * dz, phys)
                + grad_hamiltonian(z_new, phys)) / 6.0
     np.testing.assert_allclose(avf, simpson, rtol=0.0, atol=1e-13)
 
 
 def test_avf_step_zero_dt_is_identity(rng):
     grid, ops = small_setup(n=6)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    out = avf_step(state, 0.0, phys, ops)
-    np.testing.assert_array_equal(out.z, state.z)
-    assert out.t == state.t
+    out = avf_step(z, 0.0, phys, ops)
+    np.testing.assert_array_equal(out, z)
 
 
 def test_newton_variants_agree(rng):
     grid, ops = small_setup(n=6)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    zk = avf_step(state, 0.05, phys, ops)
-    zd = dense_newton_avf_step(state, 0.05, phys, ops)
-    np.testing.assert_allclose(zk.z, zd.z, rtol=0.0, atol=1e-8)
+    zk = avf_step(z, 0.05, phys, ops)
+    zd = dense_newton_avf_step(z, 0.05, phys, ops)
+    np.testing.assert_allclose(zk, zd, rtol=0.0, atol=1e-8)
 
 
 def test_avf_step_time_reversible(rng):
     grid, ops = small_setup(n=8)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    fwd = avf_step(state, 0.05, phys, ops)
+    fwd = avf_step(z, 0.05, phys, ops)
     back = avf_step(fwd, -0.05, phys, ops)
-    np.testing.assert_allclose(back.z, state.z, rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(back, z, rtol=0.0, atol=1e-8)
 
 
 def test_single_step_conserves_invariants_production_scale(vortex16):
-    state = vortex16.initial
+    z = vortex16.initial
     phys, ops = vortex16.physics, vortex16.diffops
-    before = invariants(state, phys, ops)
-    after = invariants(avf_step(state, vortex16.cfg.dt, phys, ops), phys, ops)
+    before = invariants(z, phys, ops)
+    after = invariants(avf_step(z, vortex16.cfg.dt, phys, ops), phys, ops)
     rel = np.abs(after - before) / np.abs(before)
     assert np.all(rel <= 1e-12), rel
 
@@ -210,8 +211,8 @@ def test_total_vorticity_telescopes(rng):
     grid, ops = small_setup(n=8)
     phys = random_physics(grid, rng)
     for _ in range(3):
-        state = random_state(grid, rng)
-        vort = invariants(state, phys, ops)[2]
+        z = random_state(grid, rng)
+        vort = invariants(z, phys, ops)[2]
         np.testing.assert_allclose(vort, phys.f * grid.lx * grid.ly, rtol=1e-13)
 
 
@@ -219,36 +220,36 @@ def test_nonpositive_height_rejected(rng):
     grid, ops = small_setup(n=5)
     phys = random_physics(grid, rng)
     bad = random_state(grid, rng)
-    bad.z[3] = -0.1
+    bad[3] = -0.1
     with pytest.raises(NumericError):
         rhs(bad, phys, ops)
     with pytest.raises(NumericError):
         potential_vorticity(bad, phys, ops)
     with pytest.raises(NumericError):
         apply_poisson(bad, phys, ops, np.ones(4 * grid.N))
+    with pytest.raises(NumericError, match=r"nonpositive initial height \(min .* at node 3\)"):
+        integrate_fom(bad, 0.05, 1, phys, ops)
 
 
 def test_newton_stall_raises(rng, monkeypatch):
     grid, ops = small_setup(n=5)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     phys = random_physics(grid, rng)
     monkeypatch.setattr(fom_mod, "_NEWTON_TOL", 1e-30)
     monkeypatch.setattr(fom_mod, "_NEWTON_MAXITER", 1)
     with pytest.raises(NumericError, match="Newton-Krylov stalled after 1 iterations"):
-        avf_step(state, 0.05, phys, ops)
+        avf_step(z, 0.05, phys, ops)
 
 
 def test_integrate_fom_shapes_and_snapshot_stream(rng, tmp_path):
     grid, ops = small_setup(n=6)
-    state = random_state(grid, rng)
+    z = random_state(grid, rng)
     phys = random_physics(grid, rng)
     path = tmp_path / "snapshots.bin"
-    res = integrate_fom(state, 0.02, 3, phys, ops, snapshot_path=path)
+    res = integrate_fom(z, 0.02, 3, phys, ops, snapshot_path=path)
     assert res.trajectory.shape == (4 * grid.N, 4)
     assert res.invariants.shape == (4, 4)
-    np.testing.assert_allclose(res.times, 0.02 * np.arange(4), atol=1e-15)
-    assert res.num_steps == 3
-    np.testing.assert_array_equal(res.state(2).z, res.trajectory[:, 2])
+    np.testing.assert_array_equal(res.times, 0.02 * np.arange(4))
 
     full, meta = read_snapshots(path)
     assert (meta["n"], meta["dt"], meta["num_steps"]) == (grid.n, 0.02, 3)
@@ -257,13 +258,28 @@ def test_integrate_fom_shapes_and_snapshot_stream(rng, tmp_path):
     np.testing.assert_array_equal(full.invariants, res.invariants)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", range(4))
+def test_non_finite_input_names_field_and_node(vortex16, monkeypatch, field, value):
+    phys, ops, dt = vortex16.physics, vortex16.diffops, vortex16.cfg.dt
+    z = vortex16.initial.copy()
+    z[field * vortex16.grid.N + 37] = value
+    with pytest.raises(NumericError, match=f"non-finite initial {'huvs'[field]} .* at node 37$"):
+        integrate_fom(z, dt, 1, phys, ops)
+    # a single step stops at its first residual instead of iterating on it
+    calls = _count_newton_iterations(monkeypatch)
+    with pytest.raises(NumericError, match="non-finite"), np.errstate(invalid="ignore"):
+        avf_step(z, dt, phys, ops)
+    assert not calls
+
+
 def test_integrate_fom_rejects_mismatched_state(rng):
     grid, ops = small_setup(n=6)
     other_grid, _ = small_setup(n=5)
-    state = random_state(other_grid, rng)
+    z = random_state(other_grid, rng)
     phys = random_physics(grid, rng)
     with pytest.raises(ValueError):
-        integrate_fom(state, 0.02, 2, phys, ops)
+        integrate_fom(z, 0.02, 2, phys, ops)
 
 
 def test_fused_residual_and_gradient_match_gauss_reference(rng):
@@ -275,22 +291,22 @@ def test_fused_residual_and_gradient_match_gauss_reference(rng):
         for _ in range(3):
             z_old = random_state(grid, rng)
             z_new = random_state(grid, rng)
-            ref = gauss_avf_gradient(z_old.z, z_new.z, phys.b)
+            ref = gauss_avf_gradient(z_old, z_new, phys.b)
             got = avf_gradient(z_old, z_new, phys)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
             for dt in (0.05, 1.3):
-                ref = gauss_avf_residual(z_new.z, z_old.z, dt, phys, ops)
-                got = _AvfResidual(z_old.z, dt, phys, grid)(z_new.z)
+                ref = gauss_avf_residual(z_new, z_old, dt, phys, ops)
+                got = _AvfResidual(z_old, dt, phys, grid)(z_new)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_residual_checks_midpoint_height(rng):
     grid, _ = small_setup(n=5)
     phys = random_physics(grid, rng)
-    state = random_state(grid, rng)
-    residual = _AvfResidual(state.z, 0.05, phys, grid)
-    bad = state.z.copy()
-    bad[7] = -3.0 * state.z[7]
+    z = random_state(grid, rng)
+    residual = _AvfResidual(z, 0.05, phys, grid)
+    bad = z.copy()
+    bad[7] = -3.0 * z[7]
     with pytest.raises(NumericError, match="midpoint height.*node 7"):
         residual(bad)
 
@@ -354,30 +370,47 @@ def test_extrapolated_guess_matches_plain_start(vortex16, monkeypatch):
     result = integrate_fom(vortex16.initial, vortex16.cfg.dt, steps, phys, ops)
     extrapolated = len(calls)
     calls.clear()
-    state = vortex16.initial
+    z = vortex16.initial
     for _ in range(steps):
-        state = avf_step(state, vortex16.cfg.dt, phys, ops)
+        z = avf_step(z, vortex16.cfg.dt, phys, ops)
     final = result.trajectory[:, -1]
-    assert np.linalg.norm(final - state.z) <= 1e-9 * np.linalg.norm(state.z)
+    assert np.linalg.norm(final - z) <= 1e-9 * np.linalg.norm(z)
     assert extrapolated < len(calls)
 
 
 def test_guess_used_or_rejected(vortex16, monkeypatch):
     phys, ops, dt = vortex16.physics, vortex16.diffops, vortex16.cfg.dt
-    state = vortex16.initial
-    plain = avf_step(state, dt, phys, ops)
+    z = vortex16.initial
+    plain = avf_step(z, dt, phys, ops)
     # a converged guess is returned as it is, without a Newton iteration
     calls = _count_newton_iterations(monkeypatch)
-    again = avf_step(state, dt, phys, ops, guess=plain.z)
+    again = avf_step(z, dt, phys, ops, guess=plain)
     assert not calls
-    np.testing.assert_array_equal(again.z, plain.z)
+    np.testing.assert_array_equal(again, plain)
     # a guess whose midpoint height is nonpositive falls back to the input
-    bad = plain.z.copy()
-    bad[: state.N] = -2.0 * state.h
-    fallback = avf_step(state, dt, phys, ops, guess=bad)
-    np.testing.assert_array_equal(fallback.z, plain.z)
+    bad = plain.copy()
+    N = z.size // 4
+    bad[:N] = -2.0 * z[:N]
+    fallback = avf_step(z, dt, phys, ops, guess=bad)
+    np.testing.assert_array_equal(fallback, plain)
     with pytest.raises(ValueError):
-        avf_step(state, dt, phys, ops, guess=plain.z[:-1])
+        avf_step(z, dt, phys, ops, guess=plain[:-1])
+
+
+def test_stalled_step_fails_fast_and_names_it(monkeypatch):
+    # at dt=1e9 no GMRES solve converges and max |R| levels off near 1.6e4
+    # after four corrections; the step stops there, not after max_iter
+    from tswrom.bench import DoubleVortexConfig, double_vortex_initial, make_physics
+    from tswrom.grid import build_diff_ops
+
+    cfg = DoubleVortexConfig(n=8, num_steps=1, dt=1e9)
+    grid = cfg.make_grid()
+    calls = _count_newton_iterations(monkeypatch)
+    with pytest.raises(NumericError, match=r"^step 1: Newton-Krylov stalled at iteration \d+: "
+                                           r"GMRES did not converge in \d+ matvecs"):
+        integrate_fom(double_vortex_initial(grid, cfg), cfg.dt, cfg.num_steps,
+                      make_physics(cfg, grid.N), build_diff_ops(grid))
+    assert len(calls) <= 5
 
 
 def _record_gmres_calls(monkeypatch):

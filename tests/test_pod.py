@@ -6,7 +6,6 @@ import pytest
 from helpers import SEED, lift, random_state, small_setup, svd_pod_basis
 
 from tswrom.errors import ConfigError
-from tswrom.fom import State
 from tswrom.pod import _thin_svd, build_pod_basis, collect_snapshots, restrict, truncate_rank
 
 
@@ -42,7 +41,7 @@ def test_build_pod_basis_worked_example():
     np.testing.assert_allclose(np.abs(basis.modes[0][:, 0]), [1.0, 0, 0, 0], atol=1e-14)
     # lift(restrict(.)) reproduces both snapshots: deviations lie in the basis
     traj = _tiny_snapshots()
-    rebuilt = basis.lift_array(basis.restrict_array(traj))
+    rebuilt = basis.lift_array(restrict(basis, traj))
     np.testing.assert_allclose(rebuilt, traj, rtol=0.0, atol=1e-13)
     # two snapshots offer two singular directions and the mean a third, but
     # the h mean is parallel to the h mode, so h spans only two
@@ -136,7 +135,7 @@ def test_modes_orthonormal(mini_pipeline):
 
 def test_r_override(rng):
     grid, _ = small_setup(n=4)
-    traj = np.stack([random_state(grid, rng).z for _ in range(6)], axis=1)
+    traj = np.stack([random_state(grid, rng) for _ in range(6)], axis=1)
     snaps = collect_snapshots(traj)
     basis = build_pod_basis(snaps, kappa=1e-3, r_override=3)
     assert basis.r == 3
@@ -151,28 +150,28 @@ def test_r_override(rng):
 
 def test_full_rank_basis_reproduces_snapshots(rng):
     grid, _ = small_setup(n=4)
-    traj = np.stack([random_state(grid, rng).z for _ in range(5)], axis=1)
+    traj = np.stack([random_state(grid, rng) for _ in range(5)], axis=1)
     snaps = collect_snapshots(traj)
     basis = build_pod_basis(snaps, kappa=0.0, r_override=5)
-    rebuilt = basis.lift_array(basis.restrict_array(traj))
+    rebuilt = basis.lift_array(restrict(basis, traj))
     np.testing.assert_allclose(rebuilt, traj, rtol=0.0, atol=1e-10)
 
 
 def test_restrict_lift_state_interface(rng):
     grid, _ = small_setup(n=4)
-    traj = np.stack([random_state(grid, rng).z for _ in range(5)], axis=1)
+    traj = np.stack([random_state(grid, rng) for _ in range(5)], axis=1)
     # five columns hold the mean direction plus the full rank-4 deviation
     # span of five snapshots, so reconstruction of the snapshots is exact
     basis = build_pod_basis(collect_snapshots(traj), kappa=1e-8, r_override=5)
-    state = State(z=traj[:, 2], t=7.0)
-    z_r = restrict(basis, state)
+    z = traj[:, 2]
+    z_r = restrict(basis, z)
     assert z_r.shape == (4 * basis.r,)
-    lifted = lift(basis, z_r, t=7.0)
-    np.testing.assert_allclose(lifted.z, state.z, rtol=0.0, atol=1e-10)
-    np.testing.assert_allclose(basis.lift_array(z_r), lifted.z, rtol=0.0, atol=1e-14)
+    lifted = lift(basis, z_r)
+    np.testing.assert_allclose(lifted, z, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(basis.lift_array(z_r), lifted, rtol=0.0, atol=1e-14)
     # batched and single-column maps agree
-    np.testing.assert_allclose(basis.restrict_array(traj)[:, 2], z_r, rtol=0.0, atol=1e-14)
-    np.testing.assert_allclose(basis.lift_array(basis.restrict_array(traj))[:, 2], lifted.z,
+    np.testing.assert_allclose(restrict(basis, traj)[:, 2], z_r, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(basis.lift_array(restrict(basis, traj))[:, 2], lifted,
                                rtol=0.0, atol=1e-14)
 
     other = random_state(small_setup(n=5)[0], rng)
@@ -182,7 +181,7 @@ def test_restrict_lift_state_interface(rng):
 
 def test_mean_direction_lies_in_default_span(rng):
     grid, _ = small_setup(n=4)
-    traj = np.stack([random_state(grid, rng).z for _ in range(6)], axis=1)
+    traj = np.stack([random_state(grid, rng) for _ in range(6)], axis=1)
     snaps = collect_snapshots(traj)
     basis = build_pod_basis(snaps, kappa=1e-3, r_override=3)
     for i in range(4):
@@ -200,7 +199,7 @@ def test_plain_svd_projection_is_least_squares_optimal(rng):
     # leading r plain singular vectors leaves || S - U_r U_r^T S ||_F^2 equal
     # to the tail energy sum_{j>r} sigma_j^2 of the stored singular values
     grid, _ = small_setup(n=4)
-    traj = np.stack([random_state(grid, rng).z for _ in range(8)], axis=1)
+    traj = np.stack([random_state(grid, rng) for _ in range(8)], axis=1)
     snaps = collect_snapshots(traj)
     r = 3
     basis = build_pod_basis(snaps, kappa=1e-3, r_override=r)
@@ -216,7 +215,7 @@ def test_mean_led_projection_error_sandwich(rng):
     # Spending one of r columns on the mean costs at most one mode of energy:
     # the optimal rank-r and rank-(r-1) tails bracket the projection error.
     grid, _ = small_setup(n=4)
-    traj = np.stack([random_state(grid, rng).z for _ in range(8)], axis=1)
+    traj = np.stack([random_state(grid, rng) for _ in range(8)], axis=1)
     snaps = collect_snapshots(traj)
     r = 4
     basis = build_pod_basis(snaps, kappa=1e-3, r_override=r)
@@ -233,7 +232,7 @@ def test_constant_trajectory_mean_led_basis():
     traj = np.tile(np.arange(1.0, 17.0)[:, None], (1, 3))
     basis = build_pod_basis(collect_snapshots(traj), kappa=0.0)
     assert basis.r == 1
-    rebuilt = basis.lift_array(basis.restrict_array(traj))
+    rebuilt = basis.lift_array(restrict(basis, traj))
     np.testing.assert_allclose(rebuilt, traj, rtol=1e-14)
 
 

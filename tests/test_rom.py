@@ -11,7 +11,7 @@ from helpers import (SEED, apply_poisson, dense_poisson_matrix, einsum_quadratic
 from tswrom import rom as rom_mod
 from tswrom.deim import NUM_NONLIN, build_deim, collect_nonlin_snapshots
 from tswrom.errors import ConfigError, NumericError
-from tswrom.fom import State, grad_hamiltonian, hamiltonian, invariants
+from tswrom.fom import grad_hamiltonian, hamiltonian, invariants
 from tswrom.pod import build_pod_basis, collect_snapshots, restrict
 from tswrom.rom import (FlopCounter, RomState, galerkin_operators,
                         integrate_rom, precompute_rom, rom_avf_step,
@@ -22,7 +22,7 @@ def _random_reduction(n, num_snaps, r, p, rng, flat=False):
     """Basis, interpolation, and tensor operators from random smooth states."""
     grid, dops = small_setup(n=n)
     phys = random_physics(grid, rng, flat=flat)
-    traj = np.stack([random_state(grid, rng).z for _ in range(num_snaps)], axis=1)
+    traj = np.stack([random_state(grid, rng) for _ in range(num_snaps)], axis=1)
     snaps = collect_snapshots(traj)
     basis = build_pod_basis(snaps, kappa=0.0, r_override=r)
     nonlin = collect_nonlin_snapshots(snaps, basis, phys, dops)
@@ -84,7 +84,7 @@ def test_quadratic_matches_einsum_oracle(mini_pipeline, rng, m):
 def _mini_states(mini_pipeline, rng):
     """Trajectory states of mini_pipeline and random perturbations of them."""
     basis = mini_pipeline.basis
-    z = np.stack([restrict(basis, mini_pipeline.fom.state(k)) for k in (0, 17, 40)], axis=1)
+    z = np.stack([restrict(basis, mini_pipeline.fom.trajectory[:, k]) for k in (0, 17, 40)], axis=1)
     return z + 1e-2 * np.abs(z).max(axis=0) * rng.normal(size=z.shape)
 
 
@@ -100,7 +100,7 @@ def test_reduced_gradient_matches_projected_full_gradient(mini_pipeline, rng):
     for name, ops in _operator_sets(mini_pipeline).items():
         g = ops.grad.gradient(z)
         for k in range(z.shape[1]):
-            lifted = State(z=basis.lift_array(z[:, k]))
+            lifted = basis.lift_array(z[:, k])
             expected = basis.project_modes(grad_hamiltonian(lifted, phys))[:, 0]
             err = np.max(np.abs(g[:, k] - expected)) / np.max(np.abs(expected))
             assert err <= 1e-13, (name, k, err)
@@ -122,7 +122,7 @@ def test_polynomial_invariants_match_lifted_invariants(mini_pipeline, rng):
         poly = ops.grad.invariants(z)
         assert poly.shape == (z.shape[1], 4)
         for k in range(z.shape[1]):
-            lifted = State(z=basis.lift_array(z[:, k]))
+            lifted = basis.lift_array(z[:, k])
             expected = invariants(lifted, phys, dops)
             err = np.abs(poly[k] - expected) / np.abs(expected)
             assert np.all(err <= 1e-13), (name, k, err)
@@ -151,7 +151,7 @@ def test_galerkin_poisson_is_projected_full_operator(mini_pipeline, rng):
         # increments whose midpoints z_old + dz/2 are mid
         dz = np.repeat(2.0 * (mid - z_old)[:, None], eye.shape[1], axis=1)
         jr = poisson(z_old[:, None] + 0.5 * dz, dz, eye)
-        expected = reduced_poisson_matrix(basis, State(z=basis.lift_array(mid)), phys, dops)
+        expected = reduced_poisson_matrix(basis, basis.lift_array(mid), phys, dops)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(jr - expected)) <= 1e-12 * scale
         assert np.max(np.abs(jr + jr.T)) <= 1e-13 * scale
@@ -176,7 +176,7 @@ def test_residuals_at_zero_increment_are_scaled_rhs(mini_pipeline, rng):
 def test_tensor_model_conserves_lifted_energy(mini_pipeline):
     basis, phys, grid = mini_pipeline.basis, mini_pipeline.physics, mini_pipeline.grid
     lifted = basis.lift_array(mini_pipeline.rom_deim.reduced)
-    energy = np.array([hamiltonian(State(z=col), phys, grid) for col in lifted.T])
+    energy = np.array([hamiltonian(col, phys, grid) for col in lifted.T])
     drift = np.abs(energy[1:] - energy[0]) / abs(energy[0])
     assert np.mean(drift) <= 1e-12
     np.testing.assert_allclose(mini_pipeline.rom_deim.invariants[:, 0], energy,
@@ -196,7 +196,7 @@ def test_full_rank_rom_rhs_matches_projected_full_model():
         np.testing.assert_allclose(basis.modes[i] @ basis.modes[i].T,
                                    np.eye(grid.N), atol=1e-12)
     z_r = restrict(basis, random_state(grid, rng))
-    lifted = State(z=basis.lift_array(z_r))
+    lifted = basis.lift_array(z_r)
     expected = _blockwise_project(basis, rhs(lifted, phys, dops))
 
     tensor_route = rom_rhs(ops, z_r)
@@ -211,8 +211,8 @@ def test_rom_rhs_pod_only_matches_projected_poisson_oracle(mini_pipeline):
     basis = mini_pipeline.basis
     phys, dops = mini_pipeline.physics, mini_pipeline.diffops
     N = basis.N
-    z_r = restrict(basis, mini_pipeline.fom.state(9))
-    lifted = State(z=basis.lift_array(z_r))
+    z_r = restrict(basis, mini_pipeline.fom.trajectory[:, 9])
+    lifted = basis.lift_array(z_r)
     g = grad_hamiltonian(lifted, phys)
     gproj = np.concatenate(
         [basis.modes[i] @ (basis.modes[i].T @ g[i * N : (i + 1) * N]) for i in range(4)])
@@ -226,9 +226,9 @@ def test_sampler_matches_full_nonlinearities(mini_pipeline):
     ops = mini_pipeline.romops
     basis, dset = mini_pipeline.basis, mini_pipeline.deim
     phys, dops = mini_pipeline.physics, mini_pipeline.diffops
-    z_r = restrict(basis, mini_pipeline.fom.state(7))
+    z_r = restrict(basis, mini_pipeline.fom.trajectory[:, 7])
     sampled = ops.sampler.sample(z_r[:, None])
-    lifted = State(z=basis.lift_array(z_r))
+    lifted = basis.lift_array(z_r)
     for j in range(1, NUM_NONLIN + 1):
         full = nonlinearity(j, lifted, phys, dops)[dset.indices[j - 1]]
         np.testing.assert_allclose(sampled[j - 1][:, 0], full, rtol=1e-9, atol=0.0)
@@ -264,20 +264,20 @@ def test_flop_counter_core_formula(rng):
 
 def test_reduced_poisson_matrix_projection_and_skewness(rng):
     grid, dops, phys, basis, _, _ = _random_reduction(5, 8, 3, 4, rng)
-    state = random_state(grid, rng)
-    jr = reduced_poisson_matrix(basis, state, phys, dops)
+    z = random_state(grid, rng)
+    jr = reduced_poisson_matrix(basis, z, phys, dops)
     N, r = grid.N, basis.r
     vblk = np.zeros((4 * N, 4 * r))
     for i in range(4):
         vblk[i * N : (i + 1) * N, i * r : (i + 1) * r] = basis.modes[i]
-    expected = vblk.T @ dense_poisson_matrix(state, phys, dops) @ vblk
+    expected = vblk.T @ dense_poisson_matrix(z, phys, dops) @ vblk
     np.testing.assert_allclose(jr, expected, rtol=1e-11, atol=1e-12)
     assert np.max(np.abs(jr + jr.T)) <= 1e-12 * max(1.0, float(np.max(np.abs(jr))))
 
 
 def test_rom_avf_step_zero_dt_identity(mini_pipeline):
     ops = mini_pipeline.romops
-    z_r = restrict(mini_pipeline.basis, mini_pipeline.fom.state(0))
+    z_r = restrict(mini_pipeline.basis, mini_pipeline.fom.trajectory[:, 0])
     for method in ("pod", "pod-deim"):
         out = rom_avf_step(ops, z_r, 0.0, method=method)
         np.testing.assert_array_equal(out, z_r)
@@ -287,16 +287,16 @@ def test_pod_step_conserves_lifted_energy(mini_pipeline):
     ops = mini_pipeline.romops
     basis, phys = mini_pipeline.basis, mini_pipeline.physics
     grid = mini_pipeline.grid
-    z0 = restrict(basis, mini_pipeline.fom.state(0))
+    z0 = restrict(basis, mini_pipeline.fom.trajectory[:, 0])
     z1 = rom_avf_step(ops, z0, mini_pipeline.config.dt, method="pod")
-    h0 = hamiltonian(State(z=basis.lift_array(z0)), phys, grid)
-    h1 = hamiltonian(State(z=basis.lift_array(z1)), phys, grid)
+    h0 = hamiltonian(basis.lift_array(z0), phys, grid)
+    h1 = hamiltonian(basis.lift_array(z1), phys, grid)
     assert abs(h1 - h0) / abs(h0) <= 1e-12
 
 
 def test_reduced_newton_solvers_agree(mini_pipeline):
     ops = mini_pipeline.romops
-    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.state(0))
+    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.trajectory[:, 0])
     dt = mini_pipeline.config.dt
     dense = rom_avf_step(ops, z0, dt, method="pod-deim", solver="dense")
     krylov = rom_avf_step(ops, z0, dt, method="pod-deim", solver="krylov")
@@ -307,7 +307,7 @@ def test_reduced_newton_solvers_agree(mini_pipeline):
 @pytest.mark.parametrize("solver", ["dense", "krylov"])
 def test_reduced_newton_stall_raises(mini_pipeline, solver, monkeypatch):
     ops = mini_pipeline.romops
-    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.state(0))
+    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.trajectory[:, 0])
     monkeypatch.setattr(rom_mod, "_ROM_NEWTON_TOL", 1e-30)
     monkeypatch.setattr(rom_mod, "_ROM_NEWTON_MAXITER", 1)
     with pytest.raises(NumericError, match="stalled after 1 iterations"):
@@ -340,7 +340,7 @@ def test_carried_jacobian_matches_fresh_steps(mini_pipeline, monkeypatch, method
     # integrate_rom keeps one factored Jacobian across steps; stand-alone
     # steps build a fresh one each time. Both must land on the same states.
     ops = mini_pipeline.romops
-    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.state(0))
+    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.trajectory[:, 0])
     dt, steps = mini_pipeline.config.dt, mini_pipeline.config.num_steps
     counts = _count_residuals(monkeypatch)
     carried = integrate_rom(ops, RomState(z_r=z0), dt, steps, method=method).reduced
@@ -358,7 +358,7 @@ def test_carried_jacobian_matches_fresh_steps(mini_pipeline, monkeypatch, method
 @pytest.mark.parametrize("method", ["pod", "pod-deim"])
 def test_wrong_carried_jacobian_is_rebuilt_on_stall(mini_pipeline, monkeypatch, method):
     ops = mini_pipeline.romops
-    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.state(0))
+    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.trajectory[:, 0])
     dt = mini_pipeline.config.dt
     fresh = rom_avf_step(ops, z0, dt, method=method)
     counts = _count_residuals(monkeypatch)
@@ -387,7 +387,7 @@ def test_chord_solve_matches_lu_solve(rng):
 def test_non_finite_reduced_state_stops_at_once(mini_pipeline, monkeypatch, method, message):
     ops = mini_pipeline.romops
     r = mini_pipeline.basis.r
-    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.state(0))
+    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.trajectory[:, 0])
     z0[3 * r] = np.nan
     # with a carried Jacobian no factorization meets the NaN: the loop used
     # to spend all its iterations on a NaN max |R| and then report a stall
@@ -397,6 +397,9 @@ def test_non_finite_reduced_state_stops_at_once(mini_pipeline, monkeypatch, meth
     with pytest.raises(NumericError, match=message):
         rom_avf_step(ops, z0, mini_pipeline.config.dt, method=method, _chord=chord)
     assert counts["calls"] <= 2
+    # integrate_rom names the step that failed
+    with pytest.raises(NumericError, match=f"^step 1: .*{message}"):
+        integrate_rom(ops, RomState(z_r=z0), mini_pipeline.config.dt, 3, method=method)
 
 
 @pytest.mark.parametrize("method", ["pod", "pod-deim"])
@@ -404,7 +407,7 @@ def test_start_with_nonpositive_midpoint_height_falls_back(mini_pipeline, method
     # mode 0 of the height is its normalized mean, so moving the start far
     # down along it puts the midpoint height below zero everywhere
     ops, basis = mini_pipeline.romops, mini_pipeline.basis
-    z0 = restrict(basis, mini_pipeline.fom.state(5))
+    z0 = restrict(basis, mini_pipeline.fom.trajectory[:, 5])
     start = z0.copy()
     start[0] -= 4.0 * np.linalg.norm(basis.means[0])
     mid = 0.5 * (z0 + start)
@@ -424,7 +427,8 @@ def test_tensor_residuals_per_step_at_n32(monkeypatch):
     full = stage_fom(case, {})
     basis, _, ops = stage_reduce(case, full.trajectory, {})
     counts = _count_residuals(monkeypatch)
-    integrate_rom(ops, RomState(z_r=restrict(basis, full.state(0))), cfg.dt, cfg.num_steps)
+    integrate_rom(ops, RomState(z_r=restrict(basis, full.trajectory[:, 0])), cfg.dt,
+                  cfg.num_steps)
     assert counts["calls"] / cfg.num_steps <= 4.5
 
 
@@ -444,7 +448,7 @@ def test_singular_reduced_jacobian_raises(rng):
 
 def test_method_and_solver_validation(mini_pipeline):
     ops = mini_pipeline.romops
-    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.state(0))
+    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.trajectory[:, 0])
     with pytest.raises(ConfigError):
         rom_avf_step(ops, z0, 1.0, method="bogus")
     with pytest.raises(ConfigError):
@@ -457,7 +461,7 @@ def test_galerkin_operators_drive_pod_only(mini_pipeline):
     basis = mini_pipeline.basis
     phys, dops = mini_pipeline.physics, mini_pipeline.diffops
     ops = galerkin_operators(basis, phys, dops)
-    z0 = restrict(basis, mini_pipeline.fom.state(0))
+    z0 = restrict(basis, mini_pipeline.fom.trajectory[:, 0])
     dt = mini_pipeline.config.dt
 
     res = integrate_rom(ops, RomState(z_r=z0), dt, 2, method="pod")
@@ -486,7 +490,7 @@ def test_rom_operators_from_parts_roundtrip(mini_pipeline):
     rebuilt = rom_operators_from_parts(ops.matrices(), mini_pipeline.basis,
                                        mini_pipeline.deim, mini_pipeline.physics,
                                        mini_pipeline.diffops)
-    z_r = restrict(mini_pipeline.basis, mini_pipeline.fom.state(4))
+    z_r = restrict(mini_pipeline.basis, mini_pipeline.fom.trajectory[:, 4])
     np.testing.assert_array_equal(rom_rhs(rebuilt, z_r), rom_rhs(ops, z_r))
 
     incomplete = dict(ops.matrices())

@@ -60,3 +60,19 @@ def test_traced_run_reloads_the_cli_model(tmp_path, monkeypatch):
     cfg = dataclasses.replace(workloads.make_config("cli-disk", 0), n=8, num_steps=3)
     flops, _ = workloads.rhs_cost(*workloads._load_cli_model(work, cfg))
     assert flops > 0
+
+
+def test_production_pass_runs_in_memory(tmp_path, monkeypatch):
+    # the in-memory pass calls the stage functions with the program's own
+    # state type; at n=8 the tensor errors miss criterion 3's references,
+    # which are for n=100, and every other check passes
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    workloads = _load("workloads")
+    run = workloads.Run(tmp_path)
+    cfg = dataclasses.replace(workloads.make_config("production", 0), n=8, num_steps=40)
+    workloads.production(run, cfg, 0)
+    assert run.attempted > 0
+    for failure in run.failures:
+        operation, _, problems = failure.partition(": ")
+        assert operation == "rom pod-deim", failure
+        assert all(p.startswith("tensor l2_") for p in problems.split("; ")), failure
