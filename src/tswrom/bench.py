@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -98,6 +99,9 @@ class DoubleVortexConfig:
         return self.sigma_y_frac * self.length
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.n < 3:
             raise ConfigError(f"grid size n must be >= 3, got {self.n}")
         if self.num_steps < 1:

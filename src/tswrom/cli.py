@@ -61,7 +61,7 @@ _THREAD_LIMITER = None
 
 def _pin_threads(threads: int | None) -> None:
     global _THREAD_LIMITER
-    if not threads:
+    if threads is None:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
@@ -273,13 +273,19 @@ def cmd_compare(args) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", required=True, help="working directory for artifacts")
     common.add_argument("--config", help="config file of `key = value` lines")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a single config key (repeatable)")
-    common.add_argument("--threads", type=int,
+    common.add_argument("--threads", type=_positive_int,
                         help="pin linear-algebra thread pools to this many threads")
 
     parser = argparse.ArgumentParser(

@@ -23,17 +23,16 @@ The chord mean is exact in closed form because grad H is quadratic in z: Q
 is its purely quadratic part, Q(dz) = ((du^2 + dv^2)/2 + dh ds, dh du,
 dh dv, dh^2/2), and the term linear in (xi - 1/2) integrates to zero.
 
-Each implicit step is solved by a Jacobian-free Newton-Krylov iteration
-(newton_krylov below): restarted GMRES (gmres: classical Gram-Schmidt,
-Givens rotations) on a finite-difference directional derivative of the
-residual. Each correction is solved to the Eisenstat-Walker forcing term,
-clamped to [1e-8, 1e-2] and floored at min(0.5, 0.5 tol / ||R||_max), so
-the last correction is not solved far past the Newton tolerance tol. The
-reduced models' Krylov solver is the same loop. One residual object per
-step holds z^k and evaluates the residual on (4, n, n) views with periodic
-slice-difference stencils, writing into its own buffers. integrate_fom
-starts each Newton solve from the extrapolation
-2 z^k - z^{k-1}.
+Each implicit step is solved by newton below, the package's one Newton
+loop, which starts from z^k when the residual's midpoint height check
+refuses the extrapolated start 2 z^k - z^{k-1}. The full model's correction
+rule, krylov_correction, runs restarted GMRES (gmres: classical
+Gram-Schmidt, Givens rotations) on a finite-difference directional
+derivative of the residual to the Eisenstat-Walker forcing term, clamped to
+[1e-8, 1e-2] and floored at min(0.5, 0.5 tol / ||R||_max), so the last
+correction is not solved far past the Newton tolerance tol. One residual
+object per step holds z^k and evaluates the residual on (4, n, n) views
+with periodic slice-difference stencils, writing into its own buffers.
 
 J's coefficients also evaluate at a batch of states (4N, m): the Galerkin
 reduced model and the DEIM snapshots take F1..F3 from them.
@@ -59,7 +58,8 @@ __all__ = [
     "grad_hamiltonian",
     "hamiltonian",
     "gmres",
-    "newton_krylov",
+    "krylov_correction",
+    "newton",
     "avf_step",
     "invariants",
     "integrate_fom",
@@ -110,6 +110,14 @@ def _require_positive(h: np.ndarray, what: str) -> None:
         i, j = np.unravel_index(int(np.argmin(h)), h.shape)[:2]
         kind = "nonpositive" if hmin <= 0.0 else "non-finite"
         raise NumericError(f"{kind} {what} (min {hmin:.6e} at node {i * h.shape[1] + j})")
+
+
+def _require_finite(z: np.ndarray, what: str) -> None:
+    """Name the field and node of a packed state's first non-finite entry."""
+    if not np.isfinite(z).all():
+        i = int(np.argmin(np.isfinite(z)))
+        block, node = divmod(i, z.size // 4)
+        raise NumericError(f"non-finite {what} {'huvs'[block]} ({z[i]}) at node {node}")
 
 
 def _chord_gradient(mid, dz, b, out, tmp):
@@ -358,50 +366,31 @@ def gmres(A, b: np.ndarray, *, rtol: float, restart: int, maxiter: int):
     return x, matvecs
 
 
-# Every Newton correction is one GMRES(_GMRES_RESTART) solve of at most
+# Every Krylov correction is one GMRES(_GMRES_RESTART) solve of at most
 # _GMRES_MAXITER cycles.
 _GMRES_RESTART = 50
 _GMRES_MAXITER = 40
 
 
-def newton_krylov(residual, z: np.ndarray, scale: float, tol: float, max_iter: int,
-                  label: str) -> np.ndarray:
-    """Solve residual(z) = 0 by Jacobian-free Newton-Krylov from z.
-
-    residual maps a flat vector to a new array of the same shape, which the
-    solver may overwrite. Iteration k solves J dz = -R by gmres to the
-    relative tolerance eta_k: the Eisenstat-Walker term
-    0.9 (||R_k|| / ||R_{k-1}||)^2 (1e-3 for k = 0), clamped to [1e-8, 1e-2],
-    then raised to at least min(0.5, 0.5 tol / ||R_k||), all in the max-norm,
-    so that a residual already near tol is not oversolved. J w is the
-    forward difference of the residual along w at step sqrt(eps) scale /
-    ||w||_2. The iteration stops once max |R| <= tol. It raises
-    NumericError naming label at once on a non-finite max |R|, when a
-    correction whose GMRES solve did not converge leaves max |R| at or above
-    0.9 times its value before (a stall: Kelley 2003, nsoli's failure exits),
-    and after max_iter corrections without convergence.
+def krylov_correction(residual, scale: float, tol: float):
+    """Jacobian-free Newton-Krylov correction rule for newton: gmres on
+    J dz = -R to the relative tolerance eta, the Eisenstat-Walker term
+    0.9 (||R_k|| / ||R_{k-1}||)^2 (1e-3 at first) clamped to [1e-8, 1e-2],
+    then raised to min(0.5, 0.5 tol / ||R_k||), all in the max-norm (Kelley
+    1995, 6.3). J w is the forward difference of residual along w at step
+    sqrt(eps) scale / ||w||_2. info is gmres's: 0, or the matvecs spent.
     """
-    res = residual(z)
-    rnorm = float(np.max(np.abs(res)))
     sqrt_eps = math.sqrt(np.finfo(np.float64).eps)
-    z_pert = np.empty_like(z)
-    rnorm_prev = None
-    for it in range(max_iter + 1):
-        if not math.isfinite(rnorm):
-            raise NumericError(f"{label}: non-finite residual (max |R| = {rnorm}) "
-                               f"after {it} iterations")
-        if rnorm <= tol:
-            return z
-        if it == max_iter:
-            break
-        # Eisenstat-Walker forcing, clamped, then floored (Kelley 1995, 6.3)
+
+    def correct(z, res, rnorm, rnorm_prev):
         if rnorm_prev is None:
             eta = 1e-3
         else:
             eta = min(1e-2, max(1e-8, 0.9 * (rnorm / rnorm_prev) ** 2))
         eta = max(eta, min(0.5, 0.5 * tol / rnorm))
+        z_pert = np.empty_like(z)
 
-        def jacvec(w, z=z, res=res):
+        def jacvec(w):
             wn = float(np.linalg.norm(w))
             if wn == 0.0:
                 return np.zeros_like(w)
@@ -414,7 +403,45 @@ def newton_krylov(residual, z: np.ndarray, scale: float, tol: float, max_iter: i
             return out
 
         op = LinearOperator((z.size, z.size), matvec=jacvec, dtype=np.float64)
-        dz, info = gmres(op, -res, rtol=eta, restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER)
+        return gmres(op, -res, rtol=eta, restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER)
+
+    return correct
+
+
+def newton(residual, z: np.ndarray, tol: float, max_iter: int, label: str, correct,
+           fallback: np.ndarray | None = None) -> np.ndarray:
+    """Solve residual(z) = 0 by Newton corrections from z; returns a new array.
+
+    residual maps a flat vector to a new array, which the loop and correct
+    may overwrite. correct(z, res, rnorm, rnorm_prev) returns (dz, info) at
+    z, with res = residual(z), rnorm = max |res| and rnorm_prev the max |R|
+    before the last correction (None before the first); info is 0 unless an
+    inner solve did not converge. When residual refuses z with NumericError,
+    the loop starts from fallback, and a refused fallback raises. It stops
+    once max |R| <= tol, and raises NumericError naming label at once on a
+    non-finite max |R|, when a correction with nonzero info leaves max |R|
+    at or above 0.9 times its value before (Kelley 2003, nsoli's failure
+    exits), and after max_iter corrections without convergence.
+    """
+    try:
+        res = residual(z)
+    except NumericError:
+        if fallback is None:
+            raise
+        z = fallback
+        res = residual(z)
+    z = z.copy()
+    rnorm = float(np.max(np.abs(res)))
+    rnorm_prev = None
+    for it in range(max_iter + 1):
+        if not math.isfinite(rnorm):
+            raise NumericError(f"{label}: non-finite residual (max |R| = {rnorm}) "
+                               f"after {it} iterations")
+        if rnorm <= tol:
+            return z
+        if it == max_iter:
+            break
+        dz, info = correct(z, res, rnorm, rnorm_prev)
         z = z + dz
         res = residual(z)
         rnorm_prev, rnorm = rnorm, float(np.max(np.abs(res)))
@@ -435,22 +462,21 @@ def avf_step(z: np.ndarray, dt: float, physics: Physics, ops: DiffOps, *,
     """One implicit AVF step of size dt from the packed state z (4N,);
     returns the new packed state and conserves the discrete energy.
 
-    Newton starts from guess, a packed state, when given and its midpoint
-    height with z is positive everywhere; otherwise it starts from z. A dt
-    of exactly zero returns a copy of z (the residual vanishes at that
-    start).
+    A non-finite entry of z raises NumericError naming its field and node.
+    Newton starts from guess, a packed state, when given and the residual's
+    midpoint height check passes there; otherwise it starts from z. A dt of
+    exactly zero returns a copy of z (the residual vanishes at that start).
     """
-    N = z.size // 4
-    start = z.copy()
+    _require_finite(z, "state")
+    start, fallback = z, None
     if guess is not None:
-        guess = np.asarray(guess, dtype=np.float64)
-        if guess.shape != z.shape:
-            raise ValueError(f"guess shape {guess.shape} != state shape {z.shape}")
-        if np.min(z[:N] + guess[:N]) > 0.0:
-            start = guess.copy()
+        start, fallback = np.asarray(guess, dtype=np.float64), z
+        if start.shape != z.shape:
+            raise ValueError(f"guess shape {start.shape} != state shape {z.shape}")
     residual = _AvfResidual(z, dt, physics, ops.grid)
-    scale = max(1.0, float(np.linalg.norm(z)))
-    return newton_krylov(residual, start, scale, _NEWTON_TOL, _NEWTON_MAXITER, "Newton-Krylov")
+    correct = krylov_correction(residual, max(1.0, float(np.linalg.norm(z))), _NEWTON_TOL)
+    return newton(residual, start, _NEWTON_TOL, _NEWTON_MAXITER, "Newton-Krylov", correct,
+                  fallback)
 
 
 def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
@@ -473,10 +499,7 @@ def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
     z = np.array(z0, dtype=np.float64)
     if z.shape != (4 * grid.N,):
         raise ValueError(f"state shape {z.shape} does not fit grid N={grid.N}")
-    bad = np.flatnonzero(~np.isfinite(z))
-    if bad.size:
-        block, node = divmod(int(bad[0]), grid.N)
-        raise NumericError(f"non-finite initial {'huvs'[block]} ({z[bad[0]]}) at node {node}")
+    _require_finite(z, "initial")
     _require_positive(_blocks(z, grid.n)[0], "initial height")
     traj = np.empty((4 * grid.N, num_steps + 1))
     invs = np.empty((num_steps + 1, 4))

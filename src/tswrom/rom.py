@@ -38,15 +38,15 @@ matrix of precomputed rows of the POD modes (and of Dx V, Dy V) plus an
 offset, applied with one GEMM. A flop counter can be attached to rom_rhs
 to prove that the online cost does not grow with N.
 
-Both models solve the implicit 4r system with a chord Newton iteration. One
-LU-factored dense finite-difference Jacobian is kept across the steps of an
-integrate_rom run and rebuilt, at the current iterate, only when the
+Both models solve the implicit 4r system with fom.newton and a chord rule:
+one LU-factored dense finite-difference Jacobian is kept across the steps
+of an integrate_rom run and rebuilt, at the current iterate, only when the
 residual stops halving. The chord iteration converges linearly, so a close
 start saves iterations: integrate_rom starts the second step from
-2 z^1 - z^0 and every later one from 3 z^k - 3 z^{k-1} + z^{k-2}. A start
-whose midpoint with z^k fails the model's own height check (at all N nodes
-for pod, at the DEIM points for pod-deim) is replaced by z^k, as in the
-full model. A NaN or infinite residual stops the iteration at once.
+2 z^1 - z^0 and every later one from 3 z^k - 3 z^{k-1} + z^{k-2}, or from
+z^k when the residual's own height check (at all N nodes for pod, at the
+DEIM points for pod-deim) refuses that start. A NaN or infinite residual
+stops the iteration at once.
 
 The invariants of lift z_r are polynomials of z_r built from the same data:
 mass and vorticity are affine, buoyancy is quadratic through V_h^T V_s, and
@@ -69,7 +69,8 @@ from scipy.linalg.lapack import dgetrs
 from .deim import NUM_NONLIN, DeimSet
 from .errors import ConfigError, NumericError
 # perfbench/spans.py wraps rom.invariants by name, so it must stay bound here
-from .fom import Physics, _coefficients, grad_hamiltonian, invariants, newton_krylov
+from .fom import (Physics, _coefficients, grad_hamiltonian, invariants, krylov_correction,
+                  newton)
 from .grid import DiffOps, apply_dx, apply_dy
 from .pod import PodBasis
 
@@ -297,11 +298,6 @@ class _Sampler:
     rows: np.ndarray    # (len(_SAMPLED) p, 4r)
     offset: np.ndarray  # (len(_SAMPLED) p, 1)
     nnz: int            # entries of rows outside its all-zero (p, r) blocks
-
-    def min_height(self, z_cols: np.ndarray) -> float:
-        """The smallest sampled height of F1..F3 for reduced columns (4r, m)."""
-        k = NUM_NONLIN * (self.rows.shape[0] // len(_SAMPLED))
-        return float(np.min(self.rows[:k] @ z_cols + self.offset[:k]))
 
     def sample(self, z_cols: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
         """The sampled F1, F2, F3 for reduced columns (4r, m) -> (3, p, m)."""
@@ -543,15 +539,6 @@ def rom_rhs(ops: RomOperators, z_r: np.ndarray,
 # implicit reduced stepping
 # ---------------------------------------------------------------------------
 
-def _midpoint_height(ops: RomOperators, method: str, mid: np.ndarray) -> float:
-    """The smallest height that the residual of the method checks at the
-    reduced midpoint mid (4r,): at all N nodes of its lift for pod, at the
-    DEIM points for pod-deim."""
-    if method == "pod":
-        return float(np.min(ops.basis.modes[0] @ mid[: ops.r] + ops.basis.means[0]))
-    return ops.sampler.min_height(mid[:, None])
-
-
 def _avf_residual(ops: RomOperators, z_old: np.ndarray, dt: float, method: str):
     """Implicit AVF residual dz + dt J_r(m) gbar_r of either reduced model for
     the step from z_old, as a function of candidate new states (4r, m). The
@@ -572,7 +559,8 @@ def _avf_residual(ops: RomOperators, z_old: np.ndarray, dt: float, method: str):
 
 
 class _ChordJacobian:
-    """LU factors of the dense reduced Newton Jacobian, or None until built.
+    """LU factors of the dense reduced Newton Jacobian, or None until built,
+    and the chord correction rule of fom.newton that uses them.
 
     integrate_rom creates one per run and hands it to every step, so one
     factorization serves as many steps as it keeps converging; a stand-alone
@@ -580,6 +568,17 @@ class _ChordJacobian:
 
     def __init__(self) -> None:
         self.lu = None
+
+    def correct(self, residual, z, res, rnorm, rnorm_prev):
+        """The correction -J^{-1} R(z), info 0, with the held factors,
+        rebuilt first at z from one batched call of residual on columns
+        (4r, m) when none are held or the last correction did not halve
+        max |R|."""
+        if self.lu is None or (rnorm_prev is not None and rnorm > 0.5 * rnorm_prev):
+            eps = math.sqrt(np.finfo(np.float64).eps) * np.maximum(1.0, np.abs(z))
+            resb = residual(z[:, None] + np.diag(eps))
+            self.factor((resb - res[:, None]) / eps[None, :])
+        return self.solve(-res), 0
 
     def factor(self, jac: np.ndarray) -> None:
         # lu_factor only warns on an exactly zero pivot and getrs would then
@@ -603,57 +602,22 @@ class _ChordJacobian:
         return x
 
 
-def _rom_newton_dense(residual, z_start, tol_eff, max_iter, chord):
-    # Chord iteration: one batched residual evaluation builds the whole 4r
-    # Jacobian, which is factored and kept in chord. The implicit residual
-    # changes little from one step to the next, so the same factors serve
-    # iteration after iteration and step after step; they are rebuilt at the
-    # current iterate only when the residual stops halving. A non-finite
-    # residual stops the loop at once: a NaN would neither pass the tolerance
-    # nor fail the halving test.
-    sqrt_eps = math.sqrt(np.finfo(np.float64).eps)
-    z = z_start.copy()
-    rnorm = math.inf
-    for it in range(max_iter + 1):
-        res = residual(z[:, None])[:, 0]
-        rnorm_new = float(np.max(np.abs(res)))
-        if not math.isfinite(rnorm_new):
-            raise NumericError(f"non-finite reduced residual (max |R| = {rnorm_new})")
-        if rnorm_new > 0.5 * rnorm:
-            chord.lu = None
-        rnorm = rnorm_new
-        if rnorm <= tol_eff:
-            return z
-        if it == max_iter:
-            break
-        if chord.lu is None:
-            eps = sqrt_eps * np.maximum(1.0, np.abs(z))
-            resb = residual(z[:, None] + np.diag(eps))
-            chord.factor((resb - res[:, None]) / eps[None, :])
-        z = z + chord.solve(-res)
-    raise NumericError(
-        f"reduced Newton stalled after {max_iter} iterations; "
-        f"last residual {rnorm:.3e} > tol {tol_eff:.3e}"
-    )
-
-
 def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
                  method: str = "pod-deim", solver: str = "dense", *,
                  _chord: _ChordJacobian | None = None,
                  _start: np.ndarray | None = None) -> np.ndarray:
     """One reduced AVF step: J_r at the midpoint applied to the closed-form
-    chord mean of the exact reduced gradient. The implicit 4r system is
-    solved by chord Newton with a factored dense finite-difference Jacobian
-    (default, best for small r) or by the full model's Jacobian-free
-    Newton-Krylov loop, fom.newton_krylov (solver="krylov", for large r such
-    as full-basis verification runs).
+    chord mean of the exact reduced gradient, solved by fom.newton with the
+    chord rule of a factored dense finite-difference Jacobian (default, best
+    for small r) or with fom.krylov_correction (solver="krylov", for large r
+    such as full-basis verification runs).
 
     A stand-alone call builds a fresh Jacobian and starts Newton from z_r.
     integrate_rom passes its factorization through the private _chord
     argument instead, so one factorization is kept across steps and rebuilt
     only when the residual stops halving, and an extrapolated start through
-    _start. Newton starts from _start only if the model's own height check
-    passes at its midpoint with z_r, and from z_r otherwise."""
+    _start. Newton starts from z_r instead when the model's own height check
+    refuses _start."""
     if method not in METHODS:
         raise ConfigError(f"unknown reduced model {method!r}, expected one of {METHODS}")
     if solver not in ("dense", "krylov"):
@@ -661,15 +625,17 @@ def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
     z_old = np.asarray(z_r, dtype=np.float64)
     tol_eff = _ROM_NEWTON_TOL * max(1.0, float(np.max(np.abs(z_old))))
     residual = _avf_residual(ops, z_old, dt, method)
-    start = z_old
-    if _start is not None and _midpoint_height(ops, method, 0.5 * (z_old + _start)) > 0.0:
-        start = _start
+
+    def flat(z):
+        return residual(z[:, None])[:, 0]
+
     if solver == "krylov":
-        scale = max(1.0, float(np.linalg.norm(z_old)))
-        return newton_krylov(lambda z: residual(z[:, None])[:, 0], start.copy(), scale,
-                             tol_eff, _ROM_NEWTON_MAXITER, "reduced Newton-Krylov")
-    chord = _ChordJacobian() if _chord is None else _chord
-    return _rom_newton_dense(residual, start, tol_eff, _ROM_NEWTON_MAXITER, chord)
+        correct = krylov_correction(flat, max(1.0, float(np.linalg.norm(z_old))), tol_eff)
+    else:
+        correct = partial((_ChordJacobian() if _chord is None else _chord).correct, residual)
+    start, fallback = (z_old, None) if _start is None else (_start, z_old)
+    return newton(flat, start, tol_eff, _ROM_NEWTON_MAXITER, "reduced Newton", correct,
+                  fallback)
 
 
 @dataclass

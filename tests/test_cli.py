@@ -245,6 +245,24 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["coriolis", "dt", "length", "gravity", "mean_depth"])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
+    assert main(["fom", "--out", str(tmp_path), "--set", "n=4",
+                 "--set", f"{key}={value}"]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("snapshots.bin*"))
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "x"])
+def test_threads_below_one_exits_2(tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["fom", "--out", str(tmp_path), "--set", "n=4", "--threads", threads])
+    assert exc.value.code == 2
+    assert f"--threads: must be an integer of at least 1, got '{threads}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_missing_config_file_exits_4(tmp_path, capsys):
     rc = main(["fom", "--out", str(tmp_path), "--config", str(tmp_path / "nope.cfg")])
     assert rc == 4

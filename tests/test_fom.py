@@ -1,5 +1,7 @@
 """Full-order solver: Hamiltonian structure, Poisson operator, AVF stepping."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import aslinearoperator
@@ -13,8 +15,9 @@ from tswrom.errors import NumericError
 from tswrom.fileio import read_snapshots
 from tswrom.fom import (_AvfResidual, avf_step, gmres,
                         grad_hamiltonian, hamiltonian, integrate_fom,
-                        invariants, potential_vorticity)
+                        invariants, krylov_correction, newton, potential_vorticity)
 from tswrom.grid import apply_dx, apply_dy
+from tswrom.rom import _ChordJacobian
 
 
 def _dense_stencil(n):
@@ -266,9 +269,9 @@ def test_non_finite_input_names_field_and_node(vortex16, monkeypatch, field, val
     z[field * vortex16.grid.N + 37] = value
     with pytest.raises(NumericError, match=f"non-finite initial {'huvs'[field]} .* at node 37$"):
         integrate_fom(z, dt, 1, phys, ops)
-    # a single step stops at its first residual instead of iterating on it
+    # a single step stops before its first residual instead of iterating on it
     calls = _count_newton_iterations(monkeypatch)
-    with pytest.raises(NumericError, match="non-finite"), np.errstate(invalid="ignore"):
+    with pytest.raises(NumericError, match=f"^non-finite state {'huvs'[field]} .* at node 37$"):
         avf_step(z, dt, phys, ops)
     assert not calls
 
@@ -456,3 +459,81 @@ def test_krylov_matvecs_per_step_at_n32(monkeypatch):
     integrate_fom(double_vortex_initial(grid, cfg), cfg.dt, cfg.num_steps,
                   make_physics(cfg, grid.N), build_diff_ops(grid))
     assert sum(m for _, _, m in calls) / cfg.num_steps <= 15.0
+
+
+def _toy_residual(calls, c):
+    """R(z) = z - c + z^3 / 10, which refuses any z with z[0] <= 0 as an AVF
+    residual refuses a nonpositive midpoint height; calls records each z."""
+    def residual(z):
+        calls.append(z.copy())
+        if not z[0] > 0.0:
+            raise NumericError(f"nonpositive toy height {z[0]}")
+        return z - c + 0.1 * z**3
+
+    return residual
+
+
+def _toy_corrections(residual):
+    """The two correction rules of newton on a flat toy residual."""
+    def batched(cols):
+        return np.stack([residual(col) for col in cols.T], axis=1)
+
+    return {"krylov": krylov_correction(residual, 1.0, 1e-12),
+            "chord": partial(_ChordJacobian().correct, batched)}
+
+
+@pytest.mark.parametrize("rule", ["krylov", "chord"])
+def test_newton_falls_back_only_when_the_residual_refuses_the_start(rule):
+    c = np.array([1.0, 0.5, -0.3])
+    calls = []
+    residual = _toy_residual(calls, c)
+    correct = _toy_corrections(residual)[rule]
+    good, fallback = np.array([0.9, 0.4, -0.2]), np.array([1.0, 0.0, 0.0])
+    root = newton(residual, good, 1e-12, 20, "toy", correct, fallback=fallback)
+    assert np.max(np.abs(residual(root))) <= 1e-12
+    np.testing.assert_array_equal(calls[0], good)
+    assert not any(np.array_equal(z, fallback) for z in calls)
+    # a refused start is evaluated once, then the loop runs from the fallback
+    calls.clear()
+    bad = np.array([-1.0, 0.4, -0.2])
+    again = newton(residual, bad, 1e-12, 20, "toy", correct, fallback=fallback)
+    np.testing.assert_array_equal(calls[0], bad)
+    np.testing.assert_array_equal(calls[1], fallback)
+    assert all(z[0] > 0.0 for z in calls[1:])
+    np.testing.assert_allclose(again, root, atol=1e-10)
+    # the loop returns new arrays and leaves its inputs alone
+    assert newton(residual, root, 1e-12, 20, "toy", correct) is not root
+    np.testing.assert_array_equal(fallback, [1.0, 0.0, 0.0])
+
+
+def test_newton_refused_fallback_or_start_propagates():
+    calls = []
+    residual = _toy_residual(calls, np.ones(2))
+    correct = krylov_correction(residual, 1.0, 1e-12)
+    with pytest.raises(NumericError, match="^nonpositive toy height -2.0$"):
+        newton(residual, np.array([-1.0, 0.0]), 1e-12, 5, "toy", correct,
+               fallback=np.array([-2.0, 0.0]))
+    assert len(calls) == 2
+    with pytest.raises(NumericError, match="^nonpositive toy height -1.0$"):
+        newton(residual, np.array([-1.0, 0.0]), 1e-12, 5, "toy", correct)
+
+
+@pytest.mark.parametrize("rule", ["krylov", "chord"])
+def test_newton_rules_share_non_finite_and_max_iter_exits(rule):
+    c = np.array([1.0, 0.5])
+    residual = _toy_residual([], c)
+    correct = _toy_corrections(residual)[rule]
+    # one correction does not reach 1e-30, so the loop gives up after it
+    with pytest.raises(NumericError, match=r"^toy stalled after 1 iterations; "
+                                           r"last residual .* > tol 1\.000e-30$"):
+        newton(residual, np.array([0.9, 0.4]), 1e-30, 1, "toy", correct)
+
+    # a residual that turns NaN away from the start (its finite-difference
+    # probes stay near it) stops at the first NaN, after one correction
+    def poisoned(z):
+        return residual(z) if abs(z[1] - 0.4) < 0.01 else np.full_like(z, np.nan)
+
+    with pytest.raises(NumericError, match=r"^toy: non-finite residual \(max \|R\| = nan\) "
+                                           r"after 1 iterations$"):
+        newton(poisoned, np.array([0.9, 0.4]), 1e-12, 20, "toy",
+               _toy_corrections(poisoned)[rule])
