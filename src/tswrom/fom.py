@@ -24,15 +24,16 @@ is its purely quadratic part, Q(dz) = ((du^2 + dv^2)/2 + dh ds, dh du,
 dh dv, dh^2/2), and the term linear in (xi - 1/2) integrates to zero.
 
 Each implicit step is solved by newton below, the package's one Newton
-loop, which starts from z^k when the residual's midpoint height check
-refuses the extrapolated start 2 z^k - z^{k-1}. The full model's correction
-rule, krylov_correction, runs restarted GMRES (gmres: classical
-Gram-Schmidt, Givens rotations) on a finite-difference directional
-derivative of the residual to the Eisenstat-Walker forcing term, clamped to
-[1e-8, 1e-2] and floored at min(0.5, 0.5 tol / ||R||_max), so the last
-correction is not solved far past the Newton tolerance tol. One residual
-object per step holds z^k and evaluates the residual on (4, n, n) views
-with periodic slice-difference stencils, writing into its own buffers.
+loop, from the start that march, the package's one time loop, extrapolates
+from the last steps, or from z^k when the residual's midpoint height check
+refuses that start. The full model's correction rule, krylov_correction,
+runs restarted GMRES (gmres: classical Gram-Schmidt, Givens rotations) on a
+finite-difference directional derivative of the residual to the
+Eisenstat-Walker forcing term, clamped to [1e-8, 1e-2] and floored at
+min(0.5, 0.5 tol / ||R||_max), so the last correction is not solved far
+past the Newton tolerance tol. One residual object per step holds z^k and
+evaluates the residual on (4, n, n) views with periodic slice-difference
+stencils, writing into its own buffers.
 
 J's coefficients also evaluate at a batch of states (4N, m): the Galerkin
 reduced model and the DEIM snapshots take F1..F3 from them.
@@ -60,6 +61,7 @@ __all__ = [
     "gmres",
     "krylov_correction",
     "newton",
+    "march",
     "avf_step",
     "invariants",
     "integrate_fom",
@@ -112,12 +114,13 @@ def _require_positive(h: np.ndarray, what: str) -> None:
         raise NumericError(f"{kind} {what} (min {hmin:.6e} at node {i * h.shape[1] + j})")
 
 
-def _require_finite(z: np.ndarray, what: str) -> None:
-    """Name the field and node of a packed state's first non-finite entry."""
+def _require_finite(z: np.ndarray, what: str, index: str = "node") -> None:
+    """Name the block (h, u, v or s) and the index within it of the first
+    non-finite entry of a packed state, full (index "node") or reduced."""
     if not np.isfinite(z).all():
         i = int(np.argmin(np.isfinite(z)))
-        block, node = divmod(i, z.size // 4)
-        raise NumericError(f"non-finite {what} {'huvs'[block]} ({z[i]}) at node {node}")
+        block, j = divmod(i, z.size // 4)
+        raise NumericError(f"non-finite {what} {'huvs'[block]} ({z[i]}) at {index} {j}")
 
 
 def _chord_gradient(mid, dz, b, out, tmp):
@@ -454,25 +457,56 @@ def newton(residual, z: np.ndarray, tol: float, max_iter: int, label: str, corre
 
 
 # ---------------------------------------------------------------------------
+# time loop
+# ---------------------------------------------------------------------------
+
+def march(step, z0: np.ndarray, num_steps: int):
+    """Yield z^0 = z0 and then z^{k+1} = step(z^k, start) for num_steps steps.
+
+    start is the Newton start of the step: None on the first step, where the
+    step starts from its input, the linear extrapolation 2 z^1 - z^0 on the
+    second, and the quadratic extrapolation 3 z^k - 3 z^{k-1} + z^{k-2} on
+    every later one (Hairer & Wanner, Solving ODEs II, IV.8). A step starts
+    from z^k instead when its residual's own height check refuses start.
+    A NumericError of step k is raised again as "step k: ...". The states
+    yielded are z0 and step's results themselves, not copies.
+    """
+    z = prev = prev2 = z0
+    yield z
+    for k in range(1, num_steps + 1):
+        if k == 1:
+            start = None
+        elif k == 2:
+            start = 2.0 * z - prev
+        else:
+            start = 3.0 * (z - prev) + prev2
+        try:
+            z_new = step(z, start)
+        except NumericError as exc:
+            raise NumericError(f"step {k}: {exc}") from exc
+        prev2, prev, z = prev, z, z_new
+        yield z
+
+
+# ---------------------------------------------------------------------------
 # implicit AVF step
 # ---------------------------------------------------------------------------
 
 def avf_step(z: np.ndarray, dt: float, physics: Physics, ops: DiffOps, *,
-             guess: np.ndarray | None = None) -> np.ndarray:
+             start: np.ndarray | None = None) -> np.ndarray:
     """One implicit AVF step of size dt from the packed state z (4N,);
     returns the new packed state and conserves the discrete energy.
 
     A non-finite entry of z raises NumericError naming its field and node.
-    Newton starts from guess, a packed state, when given and the residual's
-    midpoint height check passes there; otherwise it starts from z. A dt of
-    exactly zero returns a copy of z (the residual vanishes at that start).
+    Newton starts from start, a packed state such as march's, when given and
+    the residual's midpoint height check passes there; otherwise it starts
+    from z. A dt of exactly zero returns a copy of z (the residual vanishes
+    at that start).
     """
     _require_finite(z, "state")
-    start, fallback = z, None
-    if guess is not None:
-        start, fallback = np.asarray(guess, dtype=np.float64), z
-        if start.shape != z.shape:
-            raise ValueError(f"guess shape {start.shape} != state shape {z.shape}")
+    start, fallback = (z, None) if start is None else (np.asarray(start, dtype=np.float64), z)
+    if start.shape != z.shape:
+        raise ValueError(f"start shape {start.shape} != state shape {z.shape}")
     residual = _AvfResidual(z, dt, physics, ops.grid)
     correct = krylov_correction(residual, max(1.0, float(np.linalg.norm(z))), _NEWTON_TOL)
     return newton(residual, start, _NEWTON_TOL, _NEWTON_MAXITER, "Newton-Krylov", correct,
@@ -481,19 +515,18 @@ def avf_step(z: np.ndarray, dt: float, physics: Physics, ops: DiffOps, *,
 
 def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
                   ops: DiffOps, snapshot_path=None, log_every: int = 0) -> FomResult:
-    """March num_steps AVF steps from the packed state z0 (4N,), recording
-    the trajectory, the invariants and the times k dt.
+    """March num_steps AVF steps from the packed state z0 (4N,) with march,
+    recording the trajectory, the invariants and the times k dt.
 
     A non-finite entry of z0 or a nonpositive height raises NumericError
-    naming its field and node, and a NumericError of step k is raised again
-    as "step k: ...". Each step after the first starts Newton from the
-    extrapolation 2 z^k - z^{k-1}. When snapshot_path is given, fileio.SnapshotWriter streams the K+1
-    states and invariants there, with the run's grid size, dt, step count,
-    domain length, f and g; the file appears only once all of them are
-    written. With log_every > 0, every log_every-th step and the last are
-    logged at INFO level to the tswrom.fom logger; they are shown only where
-    a handler takes INFO records, such as
-    logging.basicConfig(level=logging.INFO) or bench.progress_to_stdout.
+    naming its field and node. When snapshot_path is given,
+    fileio.SnapshotWriter streams the K+1 states and invariants there, with
+    the run's grid size, dt, step count, domain length, f and g; the file
+    appears only once all of them are written. With log_every > 0, every
+    log_every-th step and the last are logged at INFO level to the
+    tswrom.fom logger; they are shown only where a handler takes INFO
+    records, such as logging.basicConfig(level=logging.INFO) or
+    bench.progress_to_stdout.
     """
     grid = ops.grid
     z = np.array(z0, dtype=np.float64)
@@ -512,14 +545,11 @@ def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
         writer = SnapshotWriter(snapshot_path, n=grid.n, num_steps=num_steps, dt=dt,
                                 length=grid.lx, coriolis=physics.f, gravity=physics.g)
 
+    def step(z, start):
+        return avf_step(z, dt, physics, ops, start=start)
+
     try:
-        for k in range(num_steps + 1):
-            if k:
-                guess = None if k == 1 else 2.0 * z - traj[:, k - 2]
-                try:
-                    z = avf_step(z, dt, physics, ops, guess=guess)
-                except NumericError as exc:
-                    raise NumericError(f"step {k}: {exc}") from exc
+        for k, z in enumerate(march(step, z, num_steps)):
             traj[:, k] = z
             invs[k] = invariants(z, physics, ops)
             if writer is not None:

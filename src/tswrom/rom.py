@@ -42,11 +42,10 @@ Both models solve the implicit 4r system with fom.newton and a chord rule:
 one LU-factored dense finite-difference Jacobian is kept across the steps
 of an integrate_rom run and rebuilt, at the current iterate, only when the
 residual stops halving. The chord iteration converges linearly, so a close
-start saves iterations: integrate_rom starts the second step from
-2 z^1 - z^0 and every later one from 3 z^k - 3 z^{k-1} + z^{k-2}, or from
-z^k when the residual's own height check (at all N nodes for pod, at the
-DEIM points for pod-deim) refuses that start. A NaN or infinite residual
-stops the iteration at once.
+start saves iterations: integrate_rom marches with fom.march, whose
+extrapolated start each step takes unless the residual's own height check
+(at all N nodes for pod, at the DEIM points for pod-deim) refuses it. A
+non-finite state or residual stops the iteration at once.
 
 The invariants of lift z_r are polynomials of z_r built from the same data:
 mass and vorticity are affine, buoyancy is quadratic through V_h^T V_s, and
@@ -69,8 +68,8 @@ from scipy.linalg.lapack import dgetrs
 from .deim import NUM_NONLIN, DeimSet
 from .errors import ConfigError, NumericError
 # perfbench/spans.py wraps rom.invariants by name, so it must stay bound here
-from .fom import (Physics, _coefficients, grad_hamiltonian, invariants, krylov_correction,
-                  newton)
+from .fom import (Physics, _coefficients, _require_finite, grad_hamiltonian, invariants,
+                  krylov_correction, march, newton)
 from .grid import DiffOps, apply_dx, apply_dy
 from .pod import PodBasis
 
@@ -308,7 +307,8 @@ class _Sampler:
         height, num = prim.reshape(2, NUM_NONLIN, p, m)
         hmin = height.min()
         if not hmin > 0.0:
-            raise NumericError(f"nonpositive sampled height in reduced model (min {hmin:.6e})")
+            kind = "nonpositive" if hmin <= 0.0 else "non-finite"
+            raise NumericError(f"{kind} sampled height in reduced model (min {hmin:.6e})")
         num[0] += self.f
         if counter is not None:
             # the GEMM's nonzero blocks (the zero blocks add nothing), the 6p
@@ -604,25 +604,27 @@ class _ChordJacobian:
 
 def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
                  method: str = "pod-deim", solver: str = "dense", *,
-                 _chord: _ChordJacobian | None = None,
-                 _start: np.ndarray | None = None) -> np.ndarray:
+                 start: np.ndarray | None = None,
+                 _chord: _ChordJacobian | None = None) -> np.ndarray:
     """One reduced AVF step: J_r at the midpoint applied to the closed-form
     chord mean of the exact reduced gradient, solved by fom.newton with the
     chord rule of a factored dense finite-difference Jacobian (default, best
     for small r) or with fom.krylov_correction (solver="krylov", for large r
     such as full-basis verification runs).
 
-    A stand-alone call builds a fresh Jacobian and starts Newton from z_r.
-    integrate_rom passes its factorization through the private _chord
-    argument instead, so one factorization is kept across steps and rebuilt
-    only when the residual stops halving, and an extrapolated start through
-    _start. Newton starts from z_r instead when the model's own height check
-    refuses _start."""
+    A non-finite entry of z_r raises NumericError naming its block and
+    coefficient. Newton starts from start, such as fom.march's, when given
+    and the model's own height check passes there; otherwise from z_r. A
+    stand-alone call builds a fresh Jacobian; integrate_rom passes its
+    factorization through the private _chord argument instead, so one
+    factorization is kept across steps and rebuilt only when the residual
+    stops halving."""
     if method not in METHODS:
         raise ConfigError(f"unknown reduced model {method!r}, expected one of {METHODS}")
     if solver not in ("dense", "krylov"):
         raise ConfigError(f"unknown reduced Newton solver {solver!r}")
     z_old = np.asarray(z_r, dtype=np.float64)
+    _require_finite(z_old, "reduced state", "coefficient")
     tol_eff = _ROM_NEWTON_TOL * max(1.0, float(np.max(np.abs(z_old))))
     residual = _avf_residual(ops, z_old, dt, method)
 
@@ -633,7 +635,7 @@ def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
         correct = krylov_correction(flat, max(1.0, float(np.linalg.norm(z_old))), tol_eff)
     else:
         correct = partial((_ChordJacobian() if _chord is None else _chord).correct, residual)
-    start, fallback = (z_old, None) if _start is None else (_start, z_old)
+    start, fallback = (z_old, None) if start is None else (start, z_old)
     return newton(flat, start, tol_eff, _ROM_NEWTON_MAXITER, "reduced Newton", correct,
                   fallback)
 
@@ -650,34 +652,20 @@ class RomResult:
 
 def integrate_rom(ops: RomOperators, initial: RomState, dt: float, num_steps: int,
                   method: str = "pod-deim", solver: str = "dense") -> RomResult:
-    """March the reduced model and record the invariants of the lifted
-    states, evaluated as polynomials of the reduced coefficients.
-
-    Newton starts the first step from z^0, the second from the linear
-    extrapolation 2 z^1 - z^0 and every later one from the quadratic
-    extrapolation 3 z^k - 3 z^{k-1} + z^{k-2}, with rom_avf_step's
-    fallback to z^k. A NumericError of step k is raised again as
-    "step k: ..."."""
+    """March the reduced model with fom.march and record the invariants of
+    the lifted states, evaluated as polynomials of the reduced coefficients.
+    One chord Jacobian serves all steps of the run."""
     if method not in METHODS:
         raise ConfigError(f"unknown reduced model {method!r}, expected one of {METHODS}")
-    red = np.empty((initial.z_r.size, num_steps + 1))
     times = initial.t + dt * np.arange(num_steps + 1)
-
-    z = np.asarray(initial.z_r, dtype=np.float64).copy()
-    red[:, 0] = z
     chord = _ChordJacobian()
-    start = None
-    for k in range(1, num_steps + 1):
-        if k == 2:
-            start = 2.0 * z - red[:, 0]
-        elif k > 2:
-            start = 3.0 * (z - red[:, k - 2]) + red[:, k - 3]
-        try:
-            z = rom_avf_step(ops, z, dt, method=method, solver=solver, _chord=chord,
-                             _start=start)
-        except NumericError as exc:
-            raise NumericError(f"step {k}: {exc}") from exc
-        red[:, k] = z
+
+    def step(z, start):
+        return rom_avf_step(ops, z, dt, method=method, solver=solver, start=start,
+                            _chord=chord)
+
+    z0 = np.asarray(initial.z_r, dtype=np.float64)
+    red = np.stack(list(march(step, z0, num_steps)), axis=1)
     return RomResult(reduced=red, invariants=ops.grad.invariants(red), times=times,
                      method=method)
 

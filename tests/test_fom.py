@@ -15,7 +15,7 @@ from tswrom.errors import NumericError
 from tswrom.fileio import read_snapshots
 from tswrom.fom import (_AvfResidual, avf_step, gmres,
                         grad_hamiltonian, hamiltonian, integrate_fom,
-                        invariants, krylov_correction, newton, potential_vorticity)
+                        invariants, krylov_correction, march, newton, potential_vorticity)
 from tswrom.grid import apply_dx, apply_dy
 from tswrom.rom import _ChordJacobian
 
@@ -385,19 +385,19 @@ def test_guess_used_or_rejected(vortex16, monkeypatch):
     phys, ops, dt = vortex16.physics, vortex16.diffops, vortex16.cfg.dt
     z = vortex16.initial
     plain = avf_step(z, dt, phys, ops)
-    # a converged guess is returned as it is, without a Newton iteration
+    # a converged start is returned as it is, without a Newton iteration
     calls = _count_newton_iterations(monkeypatch)
-    again = avf_step(z, dt, phys, ops, guess=plain)
+    again = avf_step(z, dt, phys, ops, start=plain)
     assert not calls
     np.testing.assert_array_equal(again, plain)
-    # a guess whose midpoint height is nonpositive falls back to the input
+    # a start whose midpoint height is nonpositive falls back to the input
     bad = plain.copy()
     N = z.size // 4
     bad[:N] = -2.0 * z[:N]
-    fallback = avf_step(z, dt, phys, ops, guess=bad)
+    fallback = avf_step(z, dt, phys, ops, start=bad)
     np.testing.assert_array_equal(fallback, plain)
     with pytest.raises(ValueError):
-        avf_step(z, dt, phys, ops, guess=plain[:-1])
+        avf_step(z, dt, phys, ops, start=plain[:-1])
 
 
 def test_stalled_step_fails_fast_and_names_it(monkeypatch):
@@ -459,6 +459,54 @@ def test_krylov_matvecs_per_step_at_n32(monkeypatch):
     integrate_fom(double_vortex_initial(grid, cfg), cfg.dt, cfg.num_steps,
                   make_physics(cfg, grid.N), build_diff_ops(grid))
     assert sum(m for _, _, m in calls) / cfg.num_steps <= 15.0
+
+
+def test_residuals_per_step_at_n32(monkeypatch):
+    # regression guard on the full-order Newton work of march's quadratic
+    # start; with the linear start 2 z^k - z^{k-1} on every step this run
+    # spends 16.05 residual evaluations per step, with march's 14.72
+    from tswrom.bench import DoubleVortexConfig, double_vortex_initial, make_physics
+    from tswrom.grid import build_diff_ops
+
+    calls = []
+    real = _AvfResidual.__call__
+
+    def counted(self, z):
+        calls.append(1)
+        return real(self, z)
+
+    monkeypatch.setattr(_AvfResidual, "__call__", counted)
+    cfg = DoubleVortexConfig(n=32, num_steps=100, dt=486.0)
+    grid = cfg.make_grid()
+    integrate_fom(double_vortex_initial(grid, cfg), cfg.dt, cfg.num_steps,
+                  make_physics(cfg, grid.N), build_diff_ops(grid))
+    assert len(calls) / cfg.num_steps <= 15.5
+
+
+def test_march_starts_and_names_the_failing_step():
+    # a toy step that records its starts and returns z + 1, then z + 2, ...
+    starts = []
+
+    def step(z, start):
+        starts.append(None if start is None else start.copy())
+        if len(starts) == 4:
+            raise NumericError("toy failure")
+        return z + float(len(starts))
+
+    z0 = np.array([1.0, -2.0])
+    assert [z.tolist() for z in march(step, z0, 0)] == [[1.0, -2.0]]
+    assert not starts
+    states = list(march(step, z0, 3))
+    assert len(states) == 4
+    z = np.array(states)
+    np.testing.assert_array_equal(z[1:] - z[:-1], [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    assert starts[0] is None
+    np.testing.assert_array_equal(starts[1], 2.0 * z[1] - z[0])
+    np.testing.assert_array_equal(starts[2], 3.0 * z[2] - 3.0 * z[1] + z[0])
+    starts.clear()
+    with pytest.raises(NumericError, match="^step 4: toy failure$"):
+        for _ in march(step, z0, 5):
+            pass
 
 
 def _toy_residual(calls, c):

@@ -2,7 +2,8 @@
 patches must exist, and every public fileio function must take the
 artifact path first, since the tracer records os.path.getsize(args[0]).
 It also reloads the cli-disk model from the workspace files and counts the
-flops of one reduced right-hand side."""
+flops of one reduced right-hand side, and sees every step of both
+integrators."""
 
 import dataclasses
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 
 from tswrom import fileio, fom, rom
 from tswrom.cli import main
+from tswrom.pod import restrict
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -76,3 +78,32 @@ def test_production_pass_runs_in_memory(tmp_path, monkeypatch):
         operation, _, problems = failure.partition(": ")
         assert operation == "rom pod-deim", failure
         assert all(p.startswith("tensor l2_") for p in problems.split("; ")), failure
+
+
+def test_traced_steps_are_recorded_through_the_time_loop(vortex16, mini_pipeline):
+    # the integrators call avf_step and rom_avf_step from the step closures
+    # they hand to fom.march; the tracer's by-name wrappers must still see
+    # each step, nested in its integrator's span
+    spans_module = _load("spans")
+    tracer = spans_module.Tracer()
+    z_r0 = restrict(mini_pipeline.basis, mini_pipeline.fom.trajectory[:, 0])
+    tracer.install()
+    try:
+        fom.integrate_fom(vortex16.initial, vortex16.cfg.dt, 2, vortex16.physics,
+                          vortex16.diffops)
+        for method in rom.METHODS:
+            rom.integrate_rom(mini_pipeline.romops, rom.RomState(z_r=z_r0),
+                              mini_pipeline.config.dt, 2, method=method)
+    finally:
+        tracer.uninstall()
+    name, parent, attrs = spans_module.NAME, spans_module.PARENT, spans_module.ATTRS
+    spans = tracer.spans
+
+    def children(label, of):
+        return [s for s in spans if s[name] == label and spans[s[parent]][name] == of]
+
+    assert len(children("fom.avf_step", "fom.integrate_fom")) == 2
+    steps = children("rom.step", "rom.integrate")
+    assert [s[attrs]["method"] for s in steps] == ["pod", "pod", "pod-deim", "pod-deim"]
+    assert [spans[s[parent]][attrs]["method"] for s in steps] == [s[attrs]["method"]
+                                                                  for s in steps]
