@@ -38,7 +38,7 @@ _EXPORTS = {
     "qdeim_select": ".deim", "build_deim": ".deim",
     # reduced models
     "RomState": ".rom", "RomOperators": ".rom", "RomResult": ".rom",
-    "FlopCounter": ".rom", "galerkin_operators": ".rom",
+    "FlopCounter": ".rom",
     "precompute_rom": ".rom", "rom_rhs": ".rom",
     "rom_avf_step": ".rom", "integrate_rom": ".rom",
     # benchmark

@@ -328,12 +328,16 @@ def fom_case(cfg: DoubleVortexConfig, snapshot_meta: dict, out: Path) -> Case:
 
 
 def read_run_meta(out: Path) -> dict:
-    """The timing and rank log run_meta.json in out, {} before the first stage."""
+    """The timing and rank log run_meta.json in out, {} before the first
+    stage; a FormatError unless it is a JSON object of numbers."""
     path = out / "run_meta.json"
     try:
-        return json.loads(path.read_text()) if path.exists() else {}
+        meta = json.loads(path.read_text()) if path.exists() else {}
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not (isinstance(meta, dict) and all(type(v) in (int, float) for v in meta.values())):
+        raise FormatError(f"{path}: not a JSON object of numbers")
+    return meta
 
 
 def _write_meta(out: Path, meta: dict) -> None:

@@ -212,13 +212,13 @@ def cmd_reduce(args) -> int:
 def cmd_rom(args) -> int:
     from . import fileio
     from .bench import progress_to_stdout, stage_rom
-    from .rom import galerkin_operators, rom_operators_from_parts
+    from .rom import RomOperators, rom_operators_from_parts
 
     needs = "basis.bin" if args.method == "pod" else "romops.bin"
     out, z0, case, meta = _inputs(args, (needs,), initial_only=True)
     basis = fileio.read_basis(out / "basis.bin")
     if args.method == "pod":
-        ops = galerkin_operators(basis, case.physics, case.diffops)
+        ops = RomOperators(basis, case.physics, case.diffops)
     else:
         dset = fileio.read_deim(out / "deim.bin")
         mats, _, _ = fileio.read_romops(out / "romops.bin")
@@ -327,20 +327,13 @@ def main(argv=None) -> int:
 
     from .errors import ConfigError, FormatError, NumericError
 
+    exit_codes = {ConfigError: _EXIT_CONFIG, NumericError: _EXIT_NUMERIC,
+                  FormatError: _EXIT_FORMAT, OSError: _EXIT_OS}
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(exit_codes) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERIC
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_FORMAT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_OS
+        return next(code for cls, code in exit_codes.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -11,8 +11,10 @@ with the kind, FORMAT_VERSION = 5 (1 and 2 were raw formats), scalars and
     basis.bin      means (4, N), modes (4, N, r), singular_values (4, K); meta ranks, kappa
     deim.bin       indices (3, p) and psi (3, N, p), row j - 1 for F_j;
                    singular_values (3, K); meta ranks, kappa
-    romops.bin     a1, a2 (r, r); k (3, p, r^2), k[j - 1, i] the r x r
-                   block of interpolation point i of F_j
+    romops.bin     k (3, p, r^2), k[j - 1, i] the r x r block of
+                   interpolation point i of F_j; the rest of the operator
+                   set is rebuilt from basis.bin and deim.bin on load, and
+                   the a1 and a2 members of older files are ignored
     rom_pod.bin, rom_pod_deim.bin
                    reduced (4r, K+1), invariants (K+1, 4) and times (K+1,)
                    of one reduced solve; kind rom_pod or rom_pod_deim
@@ -27,6 +29,7 @@ CSV artifacts are plain comma-separated text with a header row.
 from __future__ import annotations
 
 import json
+import math
 import os
 import zipfile
 from pathlib import Path
@@ -34,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .deim import NUM_NONLIN, DeimSet
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .fom import FomResult
 from .pod import PodBasis
 from .rom import RomResult
@@ -206,13 +209,18 @@ def read_deim(path):
 
 
 def write_romops(path, romops, inputs: dict[str, str]) -> None:
-    _save(path, "romops", {"inputs": inputs}, romops.matrices())
+    if romops.k is None:
+        raise ConfigError("a DEIM-free operator set has no tensors k to write")
+    _save(path, "romops", {"inputs": inputs}, {"k": romops.k})
 
 
 def read_romops(path):
-    """Read the precomputed operator matrices -> (dict name->matrix, r, p)."""
-    _, mats = _load(path, "romops", ("a1", "a2", "k"))
-    return mats, mats["a1"].shape[0], mats["k"].shape[1]
+    """Read the precomputed operator matrices -> ({"k": k}, r, p)."""
+    _, mats = _load(path, "romops", ("k",))
+    k = mats["k"]
+    if k.ndim != 3:
+        raise FormatError(f"{path}: k {k.shape} is not (3, p, r^2)")
+    return mats, math.isqrt(k.shape[2]), k.shape[1]
 
 
 def write_rom(path, result, inputs: dict[str, str]) -> None:

@@ -35,8 +35,11 @@ Newton tolerance. The models differ only in how the Q_j are obtained:
 
 The samples P_j^T F_j(lift m) come from one affine map of m: a stacked
 matrix of precomputed rows of the POD modes (and of Dx V, Dy V) plus an
-offset, applied with one GEMM. A flop counter can be attached to rom_rhs
-to prove that the online cost does not grow with N.
+offset, applied with one GEMM. RomOperators derives the gradient data, J_r's
+constant part and the sampler from the basis, the physics, the grid and the
+DEIM points whenever a set is built; only the K_j tensors are precomputed by
+precompute_rom and stored in romops.bin. A flop counter passed to rom_rhs is
+charged the call's flops, which depend on r and p only.
 
 Both models solve the implicit 4r system with fom.newton and a chord rule:
 one LU-factored dense finite-difference Jacobian is kept across the steps
@@ -78,7 +81,6 @@ __all__ = [
     "RomOperators",
     "RomResult",
     "FlopCounter",
-    "galerkin_operators",
     "precompute_rom",
     "rom_operators_from_parts",
     "rom_rhs",
@@ -112,21 +114,17 @@ class FlopCounter:
     """Tallies floating-point work of the online pod-deim path.
 
     core counts the reduced algebra (gradient polynomial, the Q_j blocks,
-    the J_r product); sampling counts the P^T F evaluations. Both are
-    derived from operand shapes at the call sites, counting only the
-    nonzero blocks of the block-sparse operands, so any stray N-sized
-    operation in the online path would show up here. One rom_rhs call at
-    r=5, p=35 counts 7,335 core and 2,800 sampling flops.
+    the J_r product); sampling counts the P^T F evaluations. rom_rhs adds
+    both in one place, from r, p, k.size and the sampler's nonzero count,
+    counting only the nonzero blocks of the block-sparse operands. One
+    rom_rhs call at r=5, p=35 counts 7,335 core and 2,800 sampling flops.
+    The formula reads no N-sized operand; that the whole online loop stays
+    independent of N is checked by the allocation peaks of acceptance
+    criterion 8.
     """
 
     core: int = 0
     sampling: int = 0
-
-    def add_core(self, n: int) -> None:
-        self.core += int(n)
-
-    def add_sampling(self, n: int) -> None:
-        self.sampling += int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +166,7 @@ class _Gradient:
     b_hs: np.ndarray    # (r, r) area V_h^T V_s, buoyancy's quadratic part
     area: float
 
-    def quadratic(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+    def quadratic(self, x: np.ndarray) -> np.ndarray:
         """Q(x) for reduced columns x (4r, m), reading each tensor once."""
         r = self.t_uu.shape[0]
         m = x.shape[1]
@@ -189,25 +187,17 @@ class _Gradient:
         uvs = x[r:].T.reshape(m, 3, r) * _HALF_HALF_ONE
         np.matmul(t.transpose(0, 2, 1, 3).reshape(m, r, 3 * r), uvs.reshape(m, 3 * r, 1),
                   out=out[:, 0, :, None])
-        if counter is not None:
-            counter.add_core((3 * 2 * r**3 + 6 * 2 * r**2 + 5 * r) * m)
         return out.reshape(m, 4 * r).T
 
-    def _affine(self, x: np.ndarray, counter: FlopCounter | None) -> np.ndarray:
+    def _affine(self, x: np.ndarray) -> np.ndarray:
         out = self.lin @ x
         out += self.c
-        if counter is not None:
-            # the 9 nonzero (r, r) blocks of L and the constant
-            r = self.t_uu.shape[0]
-            counter.add_core((9 * 2 * r * r + 4 * r) * x.shape[1])
         return out
 
-    def gradient(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+    def gradient(self, x: np.ndarray) -> np.ndarray:
         """g_r(x) for reduced columns x (4r, m)."""
-        out = self._affine(x, counter)
-        out += self.quadratic(x, counter)
-        if counter is not None:
-            counter.add_core(x.size)
+        out = self._affine(x)
+        out += self.quadratic(x)
         return out
 
     def chord_mean(self, mid: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -216,7 +206,7 @@ class _Gradient:
         quadratic evaluation serve both."""
         m = mid.shape[1]
         q = self.quadratic(np.concatenate([mid, dz * (1.0 / math.sqrt(12.0))], axis=1))
-        out = self._affine(mid, None)
+        out = self._affine(mid)
         out += q[:, :m]
         out += q[:, m:]
         return out
@@ -298,7 +288,7 @@ class _Sampler:
     offset: np.ndarray  # (len(_SAMPLED) p, 1)
     nnz: int            # entries of rows outside its all-zero (p, r) blocks
 
-    def sample(self, z_cols: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+    def sample(self, z_cols: np.ndarray) -> np.ndarray:
         """The sampled F1, F2, F3 for reduced columns (4r, m) -> (3, p, m)."""
         m = z_cols.shape[1]
         p = self.rows.shape[0] // len(_SAMPLED)
@@ -310,62 +300,58 @@ class _Sampler:
             kind = "nonpositive" if hmin <= 0.0 else "non-finite"
             raise NumericError(f"{kind} sampled height in reduced model (min {hmin:.6e})")
         num[0] += self.f
-        if counter is not None:
-            # the GEMM's nonzero blocks (the zero blocks add nothing), the 6p
-            # offset adds, f and the 3p divisions
-            counter.add_sampling(2 * self.nnz * m + 10 * p * m)
         return num / height
 
 
 @dataclass
 class RomOperators:
-    """Everything the online phase needs, all independent of N except refs.
+    """Everything the online phase needs, all independent of N except the
+    references it is built from.
 
-    Both models use grad, the exact reduced gradient, and a1, a2, the
-    projected derivative blocks (r x r) of J_r. k holds the K_j tensors,
-    (3, p, r*r) with k[j - 1, i] the (r, r) block of sample i of F_j; with
-    the sampler they give the tensor model's Q_j. The basis/deim/physics/diffops
-    references serve the Galerkin model, rebuilding and serialization. A
-    DEIM-free instance (from galerkin_operators) leaves k and sampler unset and
-    can only drive the pod method. j0 is the constant part of J_r, a1, a2,
-    -a1^T and -a2^T placed in a (4r, 4r) array, built once per operator set.
+    Only k is computed elsewhere (by precompute_rom, or read back from
+    romops.bin): the K_j tensors, (3, p, r*r) with k[j - 1, i] the (r, r)
+    block of sample i of F_j. The rest is derived here from the basis, the
+    physics, the grid and the DEIM points: grad, the exact reduced gradient
+    of both models; j0, the constant part of J_r, that is a1 = V_h^T Dx V_u,
+    a2 = V_h^T Dy V_v, -a1^T and -a2^T placed in a (4r, 4r) array; and, with
+    deim, the sampler that gives the tensor model's Q_j with k. A set
+    without deim and k drives only the Galerkin (pod) model, which also
+    reads the basis, physics and grid online.
     """
 
     basis: PodBasis
-    deim: DeimSet | None
     physics: Physics
     diffops: DiffOps
-    grad: _Gradient = field(repr=False)
-    a1: np.ndarray
-    a2: np.ndarray
-    k: np.ndarray = None
-    sampler: _Sampler = field(repr=False, default=None)
+    deim: DeimSet | None = None
+    k: np.ndarray | None = None
+    grad: _Gradient = field(init=False, repr=False)
     j0: np.ndarray = field(init=False, repr=False)
+    sampler: _Sampler | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        r = self.r
+        basis, ops, r = self.basis, self.diffops, self.basis.r
+        if basis.N != ops.grid.N:
+            raise ConfigError(f"basis N={basis.N} does not match grid N={ops.grid.N}")
+        shape = None if self.k is None else self.k.shape
+        expected = None if self.deim is None else (NUM_NONLIN, self.deim.p, r * r)
+        if shape != expected:
+            raise ConfigError(f"reduced operator k has shape {shape}, expected {expected} "
+                              f"for r={r}")
+        vh, vu, vv, _ = basis.modes
+        a1, a2 = vh.T @ apply_dx(ops, vu), vh.T @ apply_dy(ops, vv)
         j0 = np.zeros((4, r, 4, r))
-        j0[0, :, 1] = self.a1
-        j0[0, :, 2] = self.a2
-        j0[1, :, 0] = -self.a1.T
-        j0[2, :, 0] = -self.a2.T
+        j0[0, :, 1] = a1
+        j0[0, :, 2] = a2
+        j0[1, :, 0] = -a1.T
+        j0[2, :, 0] = -a2.T
         self.j0 = j0.reshape(4 * r, 4 * r)
+        self.grad = _gradient_data(basis, self.physics, ops)
+        self.sampler = (None if self.deim is None
+                        else _build_sampler(basis, self.deim, self.physics, ops))
 
     @property
     def r(self) -> int:
         return self.basis.r
-
-    @property
-    def p(self) -> int:
-        if self.deim is None:
-            raise ConfigError("DEIM-free operator set has no sample count p")
-        return self.deim.p
-
-    def matrices(self) -> dict[str, np.ndarray]:
-        """The serialized operator set in declared order."""
-        if self.k is None:
-            raise ConfigError("operator matrices were never precomputed (pod-only set)")
-        return {"a1": self.a1, "a2": self.a2, "k": self.k}
 
 
 def _build_sampler(basis: PodBasis, deim: DeimSet, physics: Physics, ops: DiffOps) -> _Sampler:
@@ -394,60 +380,27 @@ def _build_sampler(basis: PodBasis, deim: DeimSet, physics: Physics, ops: DiffOp
                     nnz=nnz)
 
 
-def _check_grid(basis: PodBasis, ops: DiffOps) -> None:
-    if basis.N != ops.grid.N:
-        raise ConfigError(f"basis N={basis.N} does not match grid N={ops.grid.N}")
-
-
-def _derivative_blocks(basis: PodBasis, ops: DiffOps) -> dict[str, np.ndarray]:
-    """a1 = V_h^T Dx V_u and a2 = V_h^T Dy V_v, the state-independent blocks of J_r."""
-    vh, vu, vv, _ = basis.modes
-    return {"a1": vh.T @ apply_dx(ops, vu), "a2": vh.T @ apply_dy(ops, vv)}
-
-
-def galerkin_operators(basis: PodBasis, physics: Physics, ops: DiffOps) -> RomOperators:
-    """Operator container for the DEIM-free Galerkin model (pod method only)."""
-    _check_grid(basis, ops)
-    return RomOperators(basis=basis, deim=None, physics=physics, diffops=ops,
-                        grad=_gradient_data(basis, physics, ops),
-                        **_derivative_blocks(basis, ops))
-
-
 def precompute_rom(basis: PodBasis, deim: DeimSet, physics: Physics, ops: DiffOps) -> RomOperators:
-    """Assemble all N-independent reduced operators (offline, O(N r^2 (r + p)) work)."""
-    _check_grid(basis, ops)
+    """The tensor model's operator set: the K_j tensors k (offline,
+    O(N p r^2) work), with everything else derived by RomOperators."""
     if deim.psi.shape[1] != basis.N:
         raise ConfigError("DEIM operators were built on a different grid")
-    matrices = _derivative_blocks(basis, ops)
-    matrices["k"] = np.stack([_three_way(psi, basis.modes[a], basis.modes[b])
-                              for psi, (a, b) in zip(deim.psi, _SKEW_PAIRS)]
-                             ).reshape(NUM_NONLIN, deim.p, basis.r**2)
-    return rom_operators_from_parts(matrices, basis, deim, physics, ops)
+    k = np.stack([_three_way(psi, basis.modes[a], basis.modes[b])
+                  for psi, (a, b) in zip(deim.psi, _SKEW_PAIRS)]
+                 ).reshape(NUM_NONLIN, deim.p, basis.r**2)
+    return RomOperators(basis, physics, ops, deim, k)
 
 
 def rom_operators_from_parts(matrices: dict[str, np.ndarray], basis: PodBasis,
                              deim: DeimSet, physics: Physics, ops: DiffOps) -> RomOperators:
     """Rebuild a RomOperators from deserialized matrices plus its ingredients.
 
-    The sampler and the gradient data are rebuilt from the basis, the
-    interpolation points and the physics, so only a1, a2 and the stacked
-    K_j tensors k come from the file; shapes are validated against the basis
-    size r and sample count p."""
-    r, p = basis.r, deim.p
-    expected = {"a1": (r, r), "a2": (r, r), "k": (NUM_NONLIN, p, r * r)}
-    for name, shape in expected.items():
-        if name not in matrices:
-            raise ConfigError(f"missing reduced operator {name}")
-        if matrices[name].shape != shape:
-            raise ConfigError(
-                f"reduced operator {name} has shape {matrices[name].shape}, "
-                f"expected {shape} for r={r}, p={p}")
-    return RomOperators(
-        basis=basis, deim=deim, physics=physics, diffops=ops,
-        grad=_gradient_data(basis, physics, ops),
-        **{name: matrices[name] for name in expected},
-        sampler=_build_sampler(basis, deim, physics, ops),
-    )
+    Only matrices["k"] is read, and RomOperators checks its shape against
+    the basis size r and the sample count p; other members, such as the a1
+    and a2 that older romops.bin files hold, are ignored."""
+    if "k" not in matrices:
+        raise ConfigError("missing reduced operator k")
+    return RomOperators(basis, physics, ops, deim, matrices["k"])
 
 
 # ---------------------------------------------------------------------------
@@ -469,20 +422,15 @@ def _reduced_poisson(ops: RomOperators, q) -> np.ndarray:
     return jr
 
 
-def _apply_reduced_poisson(ops: RomOperators, mid: np.ndarray, g: np.ndarray,
-                           counter: FlopCounter | None = None) -> np.ndarray:
+def _apply_reduced_poisson(ops: RomOperators, mid: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Tensor model: J_r(mid) g for reduced columns mid, g (4r, m), with
     Q_j = K_j f_j from the DEIM samples f_j of F1..F3 at mid."""
     if ops.sampler is None:
         raise ConfigError("tensor operators not available; build with precompute_rom")
     r, m = ops.r, mid.shape[1]
-    f = ops.sampler.sample(mid, counter)
+    f = ops.sampler.sample(mid)
     q = np.matmul(f.transpose(0, 2, 1), ops.k).reshape(NUM_NONLIN, m, r, r)
-    out = np.matmul(_reduced_poisson(ops, q), g.T[:, :, None])[:, :, 0].T
-    if counter is not None:
-        # the Q_j and the 10 nonzero (r, r) blocks of J_r
-        counter.add_core((2 * ops.k.size + 10 * 2 * r**2) * m)
-    return out
+    return np.matmul(_reduced_poisson(ops, q), g.T[:, :, None])[:, :, 0].T
 
 
 def _galerkin_poisson(ops: RomOperators, z_old: np.ndarray):
@@ -523,15 +471,24 @@ def rom_rhs(ops: RomOperators, z_r: np.ndarray,
     or columns (4r, m).
 
     Everything is sampled or precomputed: the cost is O(r^2 p + r^3),
-    independent of the grid size N.
+    independent of the grid size N. A counter is charged the flops.
     """
     z_r = np.asarray(z_r, dtype=np.float64)
     single = z_r.ndim == 1
     zc = z_r[:, None] if single else z_r
-    out = _apply_reduced_poisson(ops, zc, ops.grad.gradient(zc, counter), counter)
+    out = _apply_reduced_poisson(ops, zc, ops.grad.gradient(zc))
     out *= -1.0
     if counter is not None:
-        counter.add_core(out.size)
+        r, m = ops.r, zc.shape[1]
+        # per column: c + L z (the 9 nonzero (r, r) blocks of L and the
+        # constant), Q(z) (three r^3 and six r^2 contractions, the scalings
+        # and adds) and their sum; the Q_j = K_j f_j, the 10 nonzero (r, r)
+        # blocks of J_r and the sign
+        counter.core += (9 * 2 * r * r + 4 * r + 3 * 2 * r**3 + 6 * 2 * r**2 + 5 * r + 4 * r
+                         + 2 * ops.k.size + 10 * 2 * r * r + 4 * r) * m
+        # the sampling GEMM's nonzero blocks, the 6p offset adds, f and the
+        # 3p divisions
+        counter.sampling += (2 * ops.sampler.nnz + 10 * ops.deim.p) * m
     return out[:, 0] if single else out
 
 

@@ -6,6 +6,7 @@ reports every criterion it reached.  All tolerances are pinned here.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ import conftest
 from helpers import (apply_poisson, avf_gradient, dense_poisson_matrix, random_physics,
                      random_state, reduced_poisson_matrix, small_setup)
 
+from tswrom import rom
 from tswrom.bench import (DoubleVortexConfig, double_vortex_initial,
                           invariant_errors, make_physics, run_pipeline)
 from tswrom.deim import build_deim, collect_nonlin_snapshots
-from tswrom.fom import grad_hamiltonian, hamiltonian, integrate_fom
+from tswrom.fom import grad_hamiltonian, hamiltonian, integrate_fom, march
 from tswrom.grid import apply_dx, apply_dy, build_diff_ops
 from tswrom.pod import build_pod_basis, collect_snapshots, restrict
 from tswrom.rom import (FlopCounter, RomState, integrate_rom, precompute_rom,
@@ -275,8 +277,10 @@ def test_criterion_7_runtime_ordering(production_pipeline):
     assert speedup >= 20.0
 
 
-def _tensor_counts(n):
-    """Train a reduced model at grid size n and count one rhs evaluation."""
+def _online_cost(n):
+    """Train a reduced model at grid size n, count one tensor rhs evaluation
+    and trace the allocation peaks of a 40-step integrate_rom run of each
+    method: over its time loop, and over the whole call."""
     cfg = DoubleVortexConfig(n=n, num_steps=40, dt=486.0,
                              r_override=5, p_override=35)
     grid = cfg.make_grid()
@@ -289,18 +293,50 @@ def _tensor_counts(n):
     nonlin = collect_nonlin_snapshots(snaps, basis, physics, dops)
     dset = build_deim(nonlin, kappa=cfg.kappa_deim, p_override=35)
     ops = precompute_rom(basis, dset, physics, dops)
+    zr0 = restrict(basis, z0)
     counter = FlopCounter()
-    rom_rhs(ops, restrict(basis, z0), counter)
-    return counter
+    rom_rhs(ops, zr0, counter)
+    # integrate_rom looks march up at call time; this one reads the peak
+    # when the time loop ends, before the invariants of all states, whose
+    # evaluation would otherwise hide a transient N-sized array per step
+    loop_peaks = []
+
+    def traced_march(*args):
+        yield from march(*args)
+        loop_peaks.append(tracemalloc.get_traced_memory()[1])
+
+    peaks = {}
+    for method in ("pod", "pod-deim"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rom, "march", traced_march)
+            tracemalloc.start()
+            try:
+                integrate_rom(ops, RomState(z_r=zr0), cfg.dt, cfg.num_steps, method=method)
+                peaks[method] = (loop_peaks[-1], tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    return counter, peaks
 
 
 def test_criterion_8_online_cost_independent_of_grid():
-    c32 = _tensor_counts(32)
-    c64 = _tensor_counts(64)
-    ok = c32.core > 0 and c32.core == c64.core and c32.sampling == c64.sampling
-    _record(8, "online flop count independent of grid size", ok,
+    # one rhs evaluation's flops, and the allocation peaks of the online
+    # loop: the tensor model's must not grow from n=32 to n=64, while the
+    # Galerkin model's growing at least 3x shows that the probe sees
+    # N-sized arrays
+    (c32, p32), (c64, p64) = _online_cost(32), _online_cost(64)
+    tensor_ratios = [b / a for a, b in zip(p32["pod-deim"], p64["pod-deim"])]
+    galerkin_ratio = p64["pod"][1] / p32["pod"][1]
+    ok = (c32.core > 0 and c32.core == c64.core and c32.sampling == c64.sampling
+          and all(abs(x - 1.0) <= 0.1 for x in tensor_ratios) and galerkin_ratio >= 3.0)
+    _record(8, "online cost independent of grid size", ok,
             f"core {c32.core} (n=32) vs {c64.core} (n=64), "
-            f"sampling {c32.sampling} vs {c64.sampling}")
+            f"sampling {c32.sampling} vs {c64.sampling}; allocation peak of 40 steps "
+            f"(time loop, whole call): tensor {p32['pod-deim']} B vs {p64['pod-deim']} B "
+            f"(x{tensor_ratios[0]:.3f}, x{tensor_ratios[1]:.3f}, tol 10%), "
+            f"galerkin {p32['pod'][1]} B vs {p64['pod'][1]} B "
+            f"(x{galerkin_ratio:.2f}, need >= 3)")
     assert c32.core > 0
     assert c32.core == c64.core
     assert c32.sampling == c64.sampling
+    assert all(abs(x - 1.0) <= 0.1 for x in tensor_ratios)
+    assert galerkin_ratio >= 3.0

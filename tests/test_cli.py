@@ -2,6 +2,7 @@
 
 import json
 import logging
+import os
 import shutil
 import struct
 import subprocess
@@ -17,7 +18,7 @@ from tswrom.bench import Case, DoubleVortexConfig, stage_rom
 from tswrom.cli import main
 from tswrom.errors import ConfigError
 from tswrom.fileio import read_initial_snapshot, read_snapshots
-from tswrom.rom import galerkin_operators, rom_operators_from_parts
+from tswrom.rom import RomOperators, rom_operators_from_parts
 
 _SMALL = ["--set", "n=16", "--set", "num_steps=12"]
 
@@ -291,7 +292,7 @@ def test_rom_output_matches_a_solve_from_the_whole_trajectory(chain_dir, tmp_pat
     dset = fileio.read_deim(chain_dir / "deim.bin")
     mats, _, _ = fileio.read_romops(chain_dir / "romops.bin")
     for method, ops in (
-            ("pod", galerkin_operators(basis, case.physics, case.diffops)),
+            ("pod", RomOperators(basis, case.physics, case.diffops)),
             ("pod-deim", rom_operators_from_parts(mats, basis, dset, case.physics,
                                                   case.diffops))):
         stage_rom(case, ops, traj[:, 0], method, {}, tmp_path)
@@ -373,6 +374,24 @@ def test_truncated_run_meta_exits_5(tmp_path, capsys):
     assert "run_meta.json: not valid JSON" in capsys.readouterr().err
 
 
+def test_run_meta_that_is_not_an_object_exits_5_before_the_solve(tmp_path, capsys):
+    (tmp_path / "run_meta.json").write_text("[]")
+    assert main(["fom", "--out", str(tmp_path), "--set", "n=8", "--set", "num_steps=2"]) == 5
+    assert "run_meta.json: not a JSON object of numbers" in capsys.readouterr().err
+    assert not (tmp_path / "snapshots.bin").exists()
+
+
+def test_run_meta_with_a_string_timing_exits_5(reduced_dir, tmp_path, capsys):
+    out = tmp_path / "ws"
+    shutil.copytree(reduced_dir, out)
+    path = out / "run_meta.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "wall_fom_s": "fast"}))
+    capsys.readouterr()
+    assert main(["compare", "--out", str(out)]) == 5
+    assert "run_meta.json: not a JSON object of numbers" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_version_1_romops_exits_5(tmp_path, capsys):
     out = tmp_path / "ws"
     assert main(["fom", "--out", str(out), "--set", "n=8", "--set", "num_steps=3"]) == 0
@@ -407,8 +426,8 @@ def test_romops_of_another_basis_size_exits_2(tmp_path, capsys):
     # the operator shapes are checked against the basis as well
     case = Case.build(DoubleVortexConfig(n=8, num_steps=3))
     mats, _, _ = fileio.read_romops(small / "romops.bin")
-    with pytest.raises(ConfigError, match=r"reduced operator a1 has shape \(2, 2\), "
-                                          r"expected \(3, 3\)"):
+    with pytest.raises(ConfigError, match=r"reduced operator k has shape \(3, 2, 4\), "
+                                          r"expected \(3, 2, 9\)"):
         rom_operators_from_parts(mats, fileio.read_basis(large / "basis.bin"),
                                  fileio.read_deim(large / "deim.bin"), case.physics,
                                  case.diffops)
@@ -453,9 +472,11 @@ def test_single_threaded_reruns_are_bit_identical(tmp_path):
             ["rom", "--out", str(out), "--threads", "1", "--method", "pod-deim"],
             ["compare", "--out", str(out), "--threads", "1"],
         ]
+        # the children import tswrom from where this process does
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         for cmd in commands:
             proc = subprocess.run([sys.executable, "-m", "tswrom.cli", *cmd],
-                                  capture_output=True, text=True)
+                                  capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
 
     first = tmp_path / "a"

@@ -15,6 +15,9 @@ from tswrom.fileio import (SnapshotWriter, lineage, read_basis, read_deim,
                            write_basis, write_deim, write_errors_csv, write_fields_csv,
                            write_invariants_csv, write_report_json, write_rom,
                            write_romops, write_spectra_csv)
+from tswrom.grid import apply_dx, apply_dy
+from tswrom.pod import restrict
+from tswrom.rom import rom_operators_from_parts, rom_rhs
 
 # the domain length and physics a snapshot file records
 _CASE = {"length": 5.0e6, "coriolis": 6.147e-5, "gravity": 9.80616}
@@ -223,9 +226,9 @@ def test_romops_roundtrip(mini_pipeline, tmp_path):
     path = tmp_path / "romops.bin"
     write_romops(path, romops, {})
     mats, r, p = read_romops(path)
-    assert r == romops.r and p == romops.p
-    for name, mat in romops.matrices().items():
-        np.testing.assert_array_equal(mats[name], mat)
+    assert r == romops.r and p == romops.deim.p
+    assert list(mats) == ["k"]
+    np.testing.assert_array_equal(mats["k"], romops.k)
 
     raw = path.read_bytes()
     flip_member_byte(path, "k")
@@ -235,6 +238,26 @@ def test_romops_roundtrip(mini_pipeline, tmp_path):
     _append_bytes(path)
     with pytest.raises(FormatError, match="zip end record"):
         read_romops(path)
+    path.write_bytes(raw)
+    rewrite_container(path, k=np.zeros((3, 4)))
+    with pytest.raises(FormatError, match=r"k \(3, 4\) is not \(3, p, r\^2\)"):
+        read_romops(path)
+
+
+def test_romops_with_stored_derivative_blocks_still_loads(mini_pipeline, tmp_path):
+    # romops.bin once held a1 = V_h^T Dx V_u and a2 = V_h^T Dy V_v next to
+    # k; such a file still loads, a1 and a2 unread, to the fresh set's rhs
+    romops, basis, dset = mini_pipeline.romops, mini_pipeline.basis, mini_pipeline.deim
+    dops = mini_pipeline.diffops
+    vh, vu, vv, _ = basis.modes
+    path = tmp_path / "romops.bin"
+    write_romops(path, romops, {})
+    rewrite_container(path, a1=vh.T @ apply_dx(dops, vu), a2=vh.T @ apply_dy(dops, vv))
+    mats, r, p = read_romops(path)
+    assert (r, p) == (basis.r, dset.p)
+    ops = rom_operators_from_parts(mats, basis, dset, mini_pipeline.physics, dops)
+    z_r = restrict(basis, mini_pipeline.fom.trajectory[:, 4])
+    np.testing.assert_array_equal(rom_rhs(ops, z_r), rom_rhs(romops, z_r))
 
 
 def test_version_1_files_rejected(mini_pipeline, rng, tmp_path):

@@ -15,9 +15,10 @@ from tswrom.deim import NUM_NONLIN, build_deim, collect_nonlin_snapshots
 from tswrom.errors import ConfigError, NumericError
 from tswrom.fom import grad_hamiltonian, hamiltonian, invariants, newton
 from tswrom.pod import build_pod_basis, collect_snapshots, restrict
-from tswrom.rom import (FlopCounter, RomState, galerkin_operators,
-                        integrate_rom, precompute_rom, rom_avf_step,
-                        rom_operators_from_parts, rom_rhs)
+from tswrom.fileio import write_romops
+from tswrom.rom import (FlopCounter, RomOperators, RomState, integrate_rom,
+                        precompute_rom, rom_avf_step, rom_operators_from_parts,
+                        rom_rhs)
 
 
 def _random_reduction(n, num_snaps, r, p, rng, flat=False):
@@ -92,8 +93,8 @@ def _mini_states(mini_pipeline, rng):
 
 def _operator_sets(mini_pipeline):
     return {"tensor": mini_pipeline.romops,
-            "galerkin": galerkin_operators(mini_pipeline.basis, mini_pipeline.physics,
-                                           mini_pipeline.diffops)}
+            "galerkin": RomOperators(mini_pipeline.basis, mini_pipeline.physics,
+                                     mini_pipeline.diffops)}
 
 
 def test_reduced_gradient_matches_projected_full_gradient(mini_pipeline, rng):
@@ -144,7 +145,7 @@ def test_galerkin_poisson_is_projected_full_operator(mini_pipeline, rng):
     # the matrix-free Galerkin J_r applied to the identity is V^T J(lift m) V,
     # skew to round-off
     basis, phys, dops = mini_pipeline.basis, mini_pipeline.physics, mini_pipeline.diffops
-    ops = galerkin_operators(basis, phys, dops)
+    ops = RomOperators(basis, phys, dops)
     z = _mini_states(mini_pipeline, rng)
     z_old = z[:, 0]
     eye = np.eye(4 * basis.r)
@@ -469,10 +470,10 @@ def test_method_and_solver_validation(mini_pipeline):
         integrate_rom(ops, RomState(z_r=z0), 1.0, 1, method="bogus")
 
 
-def test_galerkin_operators_drive_pod_only(mini_pipeline):
+def test_galerkin_operators_drive_pod_only(mini_pipeline, tmp_path):
     basis = mini_pipeline.basis
     phys, dops = mini_pipeline.physics, mini_pipeline.diffops
-    ops = galerkin_operators(basis, phys, dops)
+    ops = RomOperators(basis, phys, dops)
     z0 = restrict(basis, mini_pipeline.fom.trajectory[:, 0])
     dt = mini_pipeline.config.dt
 
@@ -482,8 +483,7 @@ def test_galerkin_operators_drive_pod_only(mini_pipeline):
     np.testing.assert_array_equal(res.reduced[:, 0], z0)
     # the same derivative blocks and trajectory as the full operator set
     full_ops = mini_pipeline.romops
-    np.testing.assert_array_equal(ops.a1, full_ops.a1)
-    np.testing.assert_array_equal(ops.a2, full_ops.a2)
+    np.testing.assert_array_equal(ops.j0, full_ops.j0)
     res_full = integrate_rom(full_ops, RomState(z_r=z0), dt, 2, method="pod")
     np.testing.assert_allclose(res.reduced, res_full.reduced, rtol=0.0, atol=1e-10)
 
@@ -492,27 +492,26 @@ def test_galerkin_operators_drive_pod_only(mini_pipeline):
     with pytest.raises(ConfigError):
         rom_rhs(ops, z0)
     with pytest.raises(ConfigError):
-        ops.p
-    with pytest.raises(ConfigError):
-        ops.matrices()
+        write_romops(tmp_path / "romops.bin", ops, {})
+    with pytest.raises(ConfigError, match="reduced operator k has shape"):
+        RomOperators(basis, phys, dops, k=full_ops.k)
 
 
 def test_rom_operators_from_parts_roundtrip(mini_pipeline):
     ops = mini_pipeline.romops
-    rebuilt = rom_operators_from_parts(ops.matrices(), mini_pipeline.basis,
+    rebuilt = rom_operators_from_parts({"k": ops.k}, mini_pipeline.basis,
                                        mini_pipeline.deim, mini_pipeline.physics,
                                        mini_pipeline.diffops)
+    np.testing.assert_array_equal(rebuilt.k, ops.k)
+    np.testing.assert_array_equal(rebuilt.j0, ops.j0)
     z_r = restrict(mini_pipeline.basis, mini_pipeline.fom.trajectory[:, 4])
     np.testing.assert_array_equal(rom_rhs(rebuilt, z_r), rom_rhs(ops, z_r))
 
-    incomplete = dict(ops.matrices())
-    incomplete.pop("k")
-    with pytest.raises(ConfigError):
-        rom_operators_from_parts(incomplete, mini_pipeline.basis, mini_pipeline.deim,
+    with pytest.raises(ConfigError, match="missing reduced operator k"):
+        rom_operators_from_parts({}, mini_pipeline.basis, mini_pipeline.deim,
                                  mini_pipeline.physics, mini_pipeline.diffops)
-    wrong = dict(ops.matrices())
-    wrong["a1"] = np.zeros((2, 2))
-    with pytest.raises(ConfigError):
+    wrong = {"k": ops.k[:, :, :-1]}
+    with pytest.raises(ConfigError, match="reduced operator k has shape"):
         rom_operators_from_parts(wrong, mini_pipeline.basis, mini_pipeline.deim,
                                  mini_pipeline.physics, mini_pipeline.diffops)
 
@@ -522,6 +521,6 @@ def test_precompute_rejects_mismatched_grid(rng, mini_pipeline):
     with pytest.raises(ConfigError):
         precompute_rom(basis, dset, phys, mini_pipeline.diffops)
     with pytest.raises(ConfigError):
-        galerkin_operators(basis, phys, mini_pipeline.diffops)
+        RomOperators(basis, phys, mini_pipeline.diffops)
     with pytest.raises(ConfigError):
         precompute_rom(mini_pipeline.basis, dset, phys, dops)
