@@ -54,6 +54,7 @@ __all__ = [
     "check_lineage",
     "fom_case",
     "read_run_meta",
+    "snapshot_set",
     "stage_fom",
     "stage_reduce",
     "stage_rom",
@@ -376,20 +377,30 @@ def stage_fom(case: Case, meta: dict, out: Path | None = None,
     return full
 
 
-def stage_reduce(case: Case, trajectory: np.ndarray, meta: dict,
-                 out: Path | None = None) -> tuple[PodBasis, DeimSet, RomOperators]:
-    """Offline phase on a full-order trajectory (4N, K+1): basis,
-    interpolation training and tensor precompute.
+def snapshot_set(trajectory: np.ndarray) -> tuple[pod.SnapshotSet, float]:
+    """The snapshot set of a full-order trajectory (4N, K+1), every state
+    but the initial one, and the seconds it took, for stage_reduce. The
+    set holds no reference to the trajectory, so a caller done with the
+    trajectory can release it before the offline phase."""
+    t0 = time.perf_counter()
+    snaps = pod.collect_snapshots(trajectory[:, 1:])
+    return snaps, time.perf_counter() - t0
 
-    Adds the ranks, the thresholds and the offline timings to meta. With
-    out, writes basis.bin, deim.bin, romops.bin, the spectra CSVs and
-    run_meta.json there.
+
+def stage_reduce(case: Case, snaps: pod.SnapshotSet, collect_s: float, meta: dict,
+                 out: Path | None = None) -> tuple[PodBasis, DeimSet, RomOperators]:
+    """Offline phase on the snapshot set of a full-order trajectory that
+    snapshot_set made in collect_s seconds: basis, interpolation training
+    and tensor precompute.
+
+    Adds the ranks, the thresholds and the offline timings to meta, with
+    collect_s counted in both. With out, writes basis.bin, deim.bin,
+    romops.bin, the spectra CSVs and run_meta.json there.
     """
     cfg, physics, dops = case.config, case.physics, case.diffops
     t0 = time.perf_counter()
-    snaps = pod.collect_snapshots(trajectory[:, 1:])
     basis = pod.build_pod_basis(snaps, kappa=cfg.kappa_pod, r_override=cfg.r_override)
-    wall_pod = time.perf_counter() - t0
+    wall_pod = collect_s + time.perf_counter() - t0
     _log.info("basis: r=%d (per-variable energy ranks %s)", basis.r, basis.ranks)
 
     t0 = time.perf_counter()
@@ -456,13 +467,18 @@ def stage_report(case: Case, meta: dict, full: FomResult, basis: PodBasis,
     time-averaged relative L2 error of each lifted reduced trajectory and the
     invariant drifts of every trajectory, keyed by method tag (pod, pod_deim).
 
-    With out, writes errors.csv, report.json and field dumps at the first,
-    middle and last step there.
+    A wall time of the speedups that is not positive and finite raises
+    FormatError naming its key. With out, writes errors.csv, report.json
+    and field dumps at the first, middle and last step there.
     """
     missing = [key for key in _REPORT_ENTRIES if key not in meta]
     if missing:
         raise FormatError(f"run_meta.json records no {', '.join(missing)}")
     report = {key: meta[key] for key in _REPORT_ENTRIES}
+    for key in ("wall_fom_s", *(f"wall_{tag}_online_s" for tag in roms)):
+        if not (math.isfinite(report[key]) and report[key] > 0.0):
+            raise FormatError(f"run_meta.json records {key}={report[key]}; a speedup needs "
+                              "a positive finite wall time")
     drifts = {"fom": full.invariants}
     for tag, res in roms.items():
         l2 = relative_l2_error(full.trajectory, basis.lift_array(res.reduced))
@@ -546,7 +562,7 @@ def run_pipeline(cfg: DoubleVortexConfig, outdir=None, verbose: bool = False) ->
     meta: dict = {}
     with progress_to_stdout(verbose):
         full = stage_fom(case, meta, out, log_every=50 if verbose else 0)
-        basis, dset, romops = stage_reduce(case, full.trajectory, meta, out)
+        basis, dset, romops = stage_reduce(case, *snapshot_set(full.trajectory), meta, out)
         roms = {method.replace("-", "_"): stage_rom(case, romops, full.trajectory[:, 0],
                                                     method, meta, out)
                 for method in rom.METHODS}

@@ -201,11 +201,13 @@ def cmd_fom(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from .bench import progress_to_stdout, stage_reduce
+    from .bench import progress_to_stdout, snapshot_set, stage_reduce
 
     out, full, case, meta = _inputs(args, ("snapshots.bin",))
+    snaps = snapshot_set(full.trajectory)
+    del full  # the trajectory is not needed past its snapshot set
     with progress_to_stdout(True):
-        stage_reduce(case, full.trajectory, meta, out)
+        stage_reduce(case, *snaps, meta, out)
     return _EXIT_OK
 
 

@@ -8,7 +8,9 @@ with the kind, FORMAT_VERSION = 5 (1 and 2 were raw formats), scalars and
     snapshots.bin  trajectory (K+1, 4N), the packed (h, u, v, s) states in
                    time order; z0 (4N,); invariants (K+1, 4); meta n, dt,
                    num_steps and the length, coriolis and gravity of the run
-    basis.bin      means (4, N), modes (4, N, r), singular_values (4, K); meta ranks, kappa
+    basis.bin      means (4, N), modes (4, N, r) in C order (PodBasis holds
+                   them mode-major in memory and copies on read),
+                   singular_values (4, K); meta ranks, kappa
     deim.bin       indices (3, p) and psi (3, N, p), row j - 1 for F_j;
                    singular_values (3, K); meta ranks, kappa
     romops.bin     k (3, p, r^2), k[j - 1, i] the r x r block of

@@ -74,7 +74,12 @@ class PodBasis:
     ----------
     means : ndarray of shape (4, N)
     modes : ndarray of shape (4, N, r)
-        Orthonormal columns, variable order (h, u, v, s).
+        Orthonormal columns, variable order (h, u, v, s). In memory the
+        modes are stored mode-major, as a C-order (4, r, N) array of which
+        modes is the transposed view, so every lift V z and projection
+        V^T w reads one contiguous row per mode. __post_init__ copies the
+        modes into that layout when they arrive in another one (as from
+        np.load); np.save still writes them in C order of (4, N, r).
     singular_values : ndarray of shape (4, min(N, K))
         Full spectra, kept for decay diagnostics.
     ranks : tuple of int
@@ -88,6 +93,11 @@ class PodBasis:
     singular_values: np.ndarray
     ranks: tuple[int, int, int, int]
     kappa: float
+
+    def __post_init__(self) -> None:
+        rows = self.modes.transpose(0, 2, 1)
+        if not rows.flags.c_contiguous:
+            self.modes = np.ascontiguousarray(rows).transpose(0, 2, 1)
 
     @property
     def N(self) -> int:

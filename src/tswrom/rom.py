@@ -440,26 +440,36 @@ def _galerkin_poisson(ops: RomOperators, z_old: np.ndarray):
     V_b, F_j exact at all N nodes of lift m, is applied unformed as V_a^T
     (F_j V_b g_b) and V_b^T (F_j V_a g_a): O(N r) per column. lift m =
     lift(z_old) + V dz / 2, so z_old is lifted once and each call needs V dz
-    only."""
+    only. The grid-sized products go into buffers kept per column count, so
+    a step allocates them once for its single columns and once for its
+    batched Jacobian columns."""
     basis, grid, f = ops.basis, ops.diffops.grid, ops.physics.f
     N, r = basis.N, basis.r
     base = basis.lift_array(z_old)[:, None]
     modes_t = basis.modes[1:].transpose(0, 2, 1)
+    buffers = {}
 
     def apply(mid: np.ndarray, dz: np.ndarray, g: np.ndarray) -> np.ndarray:
         m = g.shape[1]
-        lifted = basis.apply_modes(dz)
-        lifted *= 0.5
+        if m not in buffers:
+            buffers[m] = np.empty((3, N, m)), np.empty((N, m))
+        w, prod = buffers[m]
+        lifted = basis.apply_modes(0.5 * dz)
         lifted += base
-        coef = _coefficients(lifted, f, grid, 1.0, "midpoint height").reshape(3, N, m)
-        # blocks 1..3 (u, v, s) of V g, and of J's coupling terms on the grid
-        vg = basis.modes[1:] @ g.reshape(4, r, m)[1:]
-        w = np.zeros((3, N, m))
-        for fj, (a, b) in zip(coef, _SKEW_PAIRS):
-            w[a - 1] -= fj * vg[b - 1]
-            w[b - 1] += fj * vg[a - 1]
+        f1, f2, f3 = _coefficients(lifted, f, grid, 1.0, "midpoint height").reshape(3, N, m)
+        # blocks u, v, s of V g, and J's coupling terms on the grid, the u
+        # block with its sign flipped: -w_u = F1 V_v g_v + F2 V_s g_s
+        vu, vv, vs = basis.modes[1:] @ g.reshape(4, r, m)[1:]
+        np.multiply(f1, vv, out=w[0])
+        w[0] += np.multiply(f2, vs, out=prod)
+        np.multiply(f1, vu, out=w[1])
+        w[1] -= np.multiply(f3, vs, out=prod)
+        np.multiply(f2, vu, out=w[2])
+        w[2] += np.multiply(f3, vv, out=prod)
+        proj = modes_t @ w
         out = ops.j0 @ g
-        out[r:] += (modes_t @ w).reshape(3 * r, m)
+        out[r : 2 * r] -= proj[0]
+        out[2 * r :] += proj[1:].reshape(2 * r, m)
         return out
 
     return apply

@@ -392,6 +392,23 @@ def test_run_meta_with_a_string_timing_exits_5(reduced_dir, tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("key, value", [("wall_pod_online_s", 0.0),
+                                        ("wall_pod_deim_online_s", float("nan"))])
+def test_run_meta_with_a_zero_or_nan_wall_time_makes_compare_exit_5(chain_dir, tmp_path,
+                                                                     capsys, key, value):
+    # json.loads takes the NaN that json.dumps writes; neither a division by
+    # zero nor a NaN speedup may come out of compare
+    out = tmp_path / "ws"
+    shutil.copytree(chain_dir, out)
+    (out / "report.json").unlink(missing_ok=True)
+    path = out / "run_meta.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    capsys.readouterr()
+    assert main(["compare", "--out", str(out)]) == 5
+    assert f"run_meta.json records {key}={value}" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_version_1_romops_exits_5(tmp_path, capsys):
     out = tmp_path / "ws"
     assert main(["fom", "--out", str(out), "--set", "n=8", "--set", "num_steps=3"]) == 0

@@ -1,5 +1,6 @@
 """Binary container round-trips, corruption detection, CSV/JSON tables."""
 
+import dataclasses
 import json
 import struct
 import zipfile
@@ -16,7 +17,7 @@ from tswrom.fileio import (SnapshotWriter, lineage, read_basis, read_deim,
                            write_invariants_csv, write_report_json, write_rom,
                            write_romops, write_spectra_csv)
 from tswrom.grid import apply_dx, apply_dy
-from tswrom.pod import restrict
+from tswrom.pod import PodBasis, restrict
 from tswrom.rom import rom_operators_from_parts, rom_rhs
 
 # the domain length and physics a snapshot file records
@@ -179,6 +180,32 @@ def test_basis_roundtrip(mini_pipeline, tmp_path):
     _append_bytes(path)
     with pytest.raises(FormatError, match="zip end record"):
         read_basis(path)
+
+
+def _mode_major(basis):
+    return basis.modes.transpose(0, 2, 1).flags.c_contiguous
+
+
+def test_basis_modes_are_mode_major_in_memory_and_c_order_on_disk(mini_pipeline, tmp_path):
+    # every way to get a basis stores the modes as a C-order (4, r, N) array
+    basis = mini_pipeline.basis
+    assert _mode_major(basis)
+    copy = dataclasses.replace(basis)
+    assert _mode_major(copy) and np.shares_memory(copy.modes, basis.modes)
+    path = tmp_path / "basis.bin"
+    write_basis(path, basis, {})
+    assert _mode_major(read_basis(path))
+    # the container holds the C-order (4, N, r) bytes: fixed values give the
+    # member CRC-32s of that byte order, whatever the layout in memory
+    fixed = PodBasis(means=np.arange(24.0).reshape(4, 6) / 8,
+                     modes=np.arange(48.0).reshape(4, 6, 2) / 16,
+                     singular_values=np.arange(12.0)[::-1].reshape(4, 3),
+                     ranks=(1, 2, 2, 1), kappa=1e-3)
+    assert _mode_major(fixed)
+    write_basis(path, fixed, {"snapshots.bin": "0a1b2c3d"})
+    assert lineage(path, "basis")[0] == "6250393d-0831dcda-1646ed88-fab6e096"
+    np.testing.assert_array_equal(read_basis(path).modes,
+                                  np.arange(48.0).reshape(4, 6, 2) / 16)
 
 
 def test_deim_roundtrip(mini_pipeline, tmp_path):

@@ -143,7 +143,8 @@ def test_reduced_poisson_is_exactly_skew(mini_pipeline, rng):
 
 def test_galerkin_poisson_is_projected_full_operator(mini_pipeline, rng):
     # the matrix-free Galerkin J_r applied to the identity is V^T J(lift m) V,
-    # skew to round-off
+    # skew to round-off, both in one batched call (the chord Jacobian's) and
+    # one column at a time (every chord Newton iteration's)
     basis, phys, dops = mini_pipeline.basis, mini_pipeline.physics, mini_pipeline.diffops
     ops = RomOperators(basis, phys, dops)
     z = _mini_states(mini_pipeline, rng)
@@ -158,6 +159,11 @@ def test_galerkin_poisson_is_projected_full_operator(mini_pipeline, rng):
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(jr - expected)) <= 1e-12 * scale
         assert np.max(np.abs(jr + jr.T)) <= 1e-13 * scale
+        for j in range(eye.shape[1]):
+            col = poisson(mid[:, None], dz[:, :1], eye[:, j : j + 1])
+            assert col.shape == (eye.shape[0], 1)
+            assert np.max(np.abs(col[:, 0] - jr[:, j])) <= 1e-12 * scale, j
+            assert np.max(np.abs(col[:, 0] - expected[:, j])) <= 1e-12 * scale, j
 
 
 def test_residuals_at_zero_increment_are_scaled_rhs(mini_pipeline, rng):
@@ -433,12 +439,12 @@ def test_start_with_nonpositive_midpoint_height_falls_back(mini_pipeline, method
 def test_tensor_residuals_per_step_at_n32(monkeypatch):
     # regression guard on the reduced Newton work of the extrapolated start;
     # starting every step from z^k this run spends 4.94 residuals per step
-    from tswrom.bench import Case, DoubleVortexConfig, stage_fom, stage_reduce
+    from tswrom.bench import Case, DoubleVortexConfig, snapshot_set, stage_fom, stage_reduce
 
     cfg = DoubleVortexConfig(n=32, num_steps=250, dt=486.0, r_override=5, p_override=35)
     case = Case.build(cfg)
     full = stage_fom(case, {})
-    basis, _, ops = stage_reduce(case, full.trajectory, {})
+    basis, _, ops = stage_reduce(case, *snapshot_set(full.trajectory), {})
     counts = _count_residuals(monkeypatch)
     integrate_rom(ops, RomState(z_r=restrict(basis, full.trajectory[:, 0])), cfg.dt,
                   cfg.num_steps)
