@@ -48,6 +48,10 @@ NUM_NONLIN = 3
 # Condition number of P^T Phi above which the selection is suspect.
 _COND_WARN = 1e8
 
+# Snapshot columns collect_nonlin_snapshots forms and evaluates at a time:
+# one field of a chunk at N = 10^4 is 1.3 MB, about a core's L2 cache.
+_CHUNK = 16
+
 
 def _eval_all(zcols: np.ndarray, physics: Physics, ops: DiffOps) -> np.ndarray:
     """F1, F2, F3 on packed states (4N,) or (4N, m) -> (3, N[, m])."""
@@ -68,7 +72,9 @@ def collect_nonlin_snapshots(snapshots: SnapshotSet, basis: PodBasis,
 
     The projected states are lifted from V^T of the deviations directly, so
     the full snapshots are never formed; V^T of the mean difference is added
-    only for a basis built on other means than these snapshots'.
+    only for a basis built on other means than these snapshots'. States are
+    formed and evaluated _CHUNK columns at a time, so besides the result
+    only one chunk of states and of fields is held.
     """
     dev = snapshots.deviations.reshape(4 * snapshots.N, snapshots.num_snapshots)
     if projected:
@@ -76,10 +82,13 @@ def collect_nonlin_snapshots(snapshots: SnapshotSet, basis: PodBasis,
         offset = (snapshots.means - basis.means).reshape(-1)
         if np.any(offset):
             coef += basis.project_modes(offset)
-        zcols = basis.lift_array(coef)
-    else:
-        zcols = dev + snapshots.means.reshape(-1, 1)
-    return _eval_all(zcols, physics, ops)
+    out = np.empty((NUM_NONLIN, snapshots.N, snapshots.num_snapshots))
+    for c in range(0, snapshots.num_snapshots, _CHUNK):
+        cols = slice(c, c + _CHUNK)
+        zcols = (basis.lift_array(coef[:, cols]) if projected
+                 else dev[:, cols] + snapshots.means.reshape(-1, 1))
+        out[:, :, cols] = _eval_all(zcols, physics, ops)
+    return out
 
 
 @dataclass

@@ -268,9 +268,13 @@ def write_errors_csv(path, rows) -> None:
 def write_fields_csv(path, grid, fields: dict[str, np.ndarray]) -> None:
     """Point cloud dump: x, y then one column per named field (N rows)."""
     xx, yy = grid.meshcoords()
+    table = np.column_stack([xx, yy, *fields.values()])
+    # np.savetxt's bytes (fmt "%.17g", delimiter ","), formatted in one
+    # operation instead of one per row
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write("x,y," + ",".join(fields) + "\n")
-        np.savetxt(fh, np.column_stack([xx, yy, *fields.values()]), delimiter=",", fmt="%.17g")
+        fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
 
 
 def write_report_json(path, values: dict) -> None:

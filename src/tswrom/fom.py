@@ -343,7 +343,9 @@ def gmres(A, b: np.ndarray, *, rtol: float, restart: int, maxiter: int):
             w = A.matvec(V[j])
             matvecs += 1
             h = V[: j + 1] @ w
-            w -= h @ V[: j + 1]
+            # h @ V[:1] takes numpy's slow matmul path; the scalar product
+            # gives the same bits
+            w -= h[0] * V[0] if j == 0 else h @ V[: j + 1]
             hn = float(np.linalg.norm(w))
             col = h.tolist()
             for i in range(j):

@@ -75,11 +75,14 @@ class PodBasis:
     means : ndarray of shape (4, N)
     modes : ndarray of shape (4, N, r)
         Orthonormal columns, variable order (h, u, v, s). In memory the
-        modes are stored mode-major, as a C-order (4, r, N) array of which
-        modes is the transposed view, so every lift V z and projection
-        V^T w reads one contiguous row per mode. __post_init__ copies the
-        modes into that layout when they arrive in another one (as from
-        np.load); np.save still writes them in C order of (4, N, r).
+        modes and the means are stored mode-major, as one C-order
+        (4, r + 1, N) array [V | mean]^T: modes is the transposed view of
+        its first r rows and means the view of its last row. Every
+        projection V^T w reads one contiguous row per mode, and a lift
+        mean + V z is the one product [V | mean] [z; 1]. __post_init__
+        copies the arrays into that layout when they arrive in another one
+        (as from np.load); np.save still writes them in C order of (4, N)
+        and (4, N, r).
     singular_values : ndarray of shape (4, min(N, K))
         Full spectra, kept for decay diagnostics.
     ranks : tuple of int
@@ -95,9 +98,17 @@ class PodBasis:
     kappa: float
 
     def __post_init__(self) -> None:
-        rows = self.modes.transpose(0, 2, 1)
-        if not rows.flags.c_contiguous:
-            self.modes = np.ascontiguousarray(rows).transpose(0, 2, 1)
+        N, r = self.modes.shape[1:]
+        stack = self.modes.base
+        if not (isinstance(stack, np.ndarray) and stack.shape == (4, r + 1, N)
+                and stack.flags.c_contiguous
+                and all(a.__array_interface__ == b.__array_interface__
+                        for a, b in zip((self.modes, self.means), _views(stack)))):
+            stack = np.empty((4, r + 1, N))
+            stack[:, :r] = self.modes.transpose(0, 2, 1)
+            stack[:, r] = self.means
+        self._stack = stack
+        self.modes, self.means = _views(stack)
 
     @property
     def N(self) -> int:
@@ -123,10 +134,19 @@ class PodBasis:
         return (self.modes.transpose(0, 2, 1) @ w.reshape(4, self.N, -1)).reshape(4 * self.r, -1)
 
     def lift_array(self, z_r: np.ndarray) -> np.ndarray:
-        """Map reduced coefficients (4r,) or (4r, m) to packed full states."""
-        out = self.apply_modes(z_r)
-        out += self.mean_z[:, None]
+        """Map reduced coefficients (4r,) or (4r, m) to packed full states
+        mean + V z_r, one GEMM [V | mean] [z_r; 1] per variable."""
+        cols = z_r.reshape(4, self.r, -1)
+        aug = np.ones((4, self.r + 1, cols.shape[2]))
+        aug[:, : self.r] = cols
+        out = (self._stack.transpose(0, 2, 1) @ aug).reshape(4 * self.N, -1)
         return out[:, 0] if z_r.ndim == 1 else out
+
+
+def _views(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The modes (4, N, r) and means (4, N) views of a mode-major
+    (4, r + 1, N) stack [V | mean]^T."""
+    return stack[:, :-1].transpose(0, 2, 1), stack[:, -1]
 
 
 def collect_snapshots(states: np.ndarray) -> SnapshotSet:

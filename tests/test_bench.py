@@ -1,9 +1,11 @@
 """Double-vortex initial data, error metrics, and the end-to-end pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tswrom.bench import (DoubleVortexConfig, INVARIANT_NAMES,
+from tswrom.bench import (_L2_ROWS, DoubleVortexConfig, INVARIANT_NAMES,
                           double_vortex_initial, error_table_rows,
                           invariant_errors, make_physics, relative_l2_error,
                           run_pipeline)
@@ -100,6 +102,52 @@ def test_relative_l2_error_validation():
     zero_ref[2:4] = 0.0  # u block vanishes
     with pytest.raises(NumericError):
         relative_l2_error(zero_ref, zero_ref)
+
+
+def _norm_formula(reference, trial):
+    """The plain per-variable formula: mean over columns 1..K of the column
+    norms of the difference over those of the reference."""
+    ref, diff = (np.split(a[:, 1:], 4) for a in (reference, reference - trial))
+    return np.array([np.mean(np.linalg.norm(d, axis=0) / np.linalg.norm(r, axis=0))
+                     for r, d in zip(ref, diff)])
+
+
+def test_relative_l2_error_streams_to_the_norm_formula(rng):
+    # N is not a multiple of the row blocks, so the last block is partial
+    N, K = 2 * _L2_ROWS + 37, 9
+    reference = rng.normal(size=(4 * N, K + 1)) + 3.0
+    trial = reference + 1e-3 * rng.normal(size=reference.shape)
+    expected = _norm_formula(reference, trial)
+    got = relative_l2_error(reference, trial)
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+    # a Fortran-ordered view (as of stored snapshot records) gives the same bits
+    fortran = relative_l2_error(np.asfortranarray(reference), np.asfortranarray(trial))
+    np.testing.assert_array_equal(fortran, got)
+    # a zero or NaN reference column still raises, naming the variable
+    for bad, var in ((0.0, "v"), (np.nan, "s")):
+        broken = reference.copy()
+        broken[VARIABLES.index(var) * N : (VARIABLES.index(var) + 1) * N, 4] = bad
+        with pytest.raises(NumericError, match=f"variable {var}"):
+            relative_l2_error(broken, trial)
+    broken = reference.copy()
+    broken[N + 5, 3] = np.nan
+    with pytest.raises(NumericError, match="variable u"):
+        relative_l2_error(broken, trial)
+
+
+def test_relative_l2_error_holds_no_full_size_temporary(rng):
+    # n = 32: the sweep's buffer is one block of rows, far below a quarter
+    # of one input; a full difference or a full square would exceed it
+    N, K = 32 * 32, 250
+    reference = rng.normal(size=(4 * N, K + 1)) + 3.0
+    trial = reference + 1e-3 * rng.normal(size=reference.shape)
+    tracemalloc.start()
+    try:
+        relative_l2_error(reference, trial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * reference.nbytes
 
 
 def test_invariant_errors_worked_example():

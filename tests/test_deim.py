@@ -9,7 +9,8 @@ import pytest
 from helpers import (deim_apply, nonlinearity, random_physics, random_state, small_setup,
                      svd_deim)
 
-from tswrom.deim import NUM_NONLIN, build_deim, collect_nonlin_snapshots, qdeim_select
+from tswrom.deim import (_CHUNK, NUM_NONLIN, _eval_all, build_deim, collect_nonlin_snapshots,
+                         qdeim_select)
 from tswrom.errors import ConfigError, NumericError
 from tswrom.grid import apply_dx, apply_dy
 from tswrom.pod import build_pod_basis, collect_snapshots, restrict
@@ -94,6 +95,49 @@ def test_collect_nonlin_snapshots_projection_switch(rng):
     for j in range(1, NUM_NONLIN + 1):
         np.testing.assert_allclose(shifted[j - 1][:, k],
                                    nonlinearity(j, rec, phys, ops), rtol=1e-12, atol=1e-13)
+
+
+def _mixed_states(grid, rng, count):
+    """count convex combinations of six random states (4N, count), so every
+    column keeps a positive height."""
+    states = np.stack([random_state(grid, rng) for _ in range(6)], axis=1)
+    return states @ rng.dirichlet(np.ones(6), size=count).T
+
+
+@pytest.mark.parametrize("projected", [True, False])
+def test_collect_nonlin_snapshots_chunks_match_one_shot(rng, projected):
+    # K is not a multiple of the chunk, so the last chunk is partial
+    grid, ops = small_setup(n=6)
+    phys = random_physics(grid, rng)
+    traj = _mixed_states(grid, rng, 2 * _CHUNK + 5)
+    snaps = collect_snapshots(traj)
+    own = build_pod_basis(snaps, kappa=1e-2, r_override=3)
+    # a basis on other snapshots has other means: the offset branch
+    other = build_pod_basis(collect_snapshots(traj[:, :_CHUNK]), kappa=1e-2, r_override=3)
+    for basis in (own, other):
+        states = basis.lift_array(restrict(basis, traj)) if projected else traj
+        expected = _eval_all(states, phys, ops)
+        got = collect_nonlin_snapshots(snaps, basis, phys, ops, projected=projected)
+        for got_j, expected_j in zip(got, expected):
+            np.testing.assert_allclose(got_j, expected_j, rtol=0.0,
+                                       atol=1e-13 * np.abs(expected_j).max())
+
+
+def test_collect_nonlin_snapshots_holds_one_chunk_besides_the_result(rng):
+    # n = 32: besides the (3, N, K) result only one chunk of states and of
+    # fields is allocated; lifting every snapshot at once would add 4NK
+    grid, ops = small_setup(n=32)
+    phys = random_physics(grid, rng)
+    snaps = collect_snapshots(_mixed_states(grid, rng, 300))
+    basis = build_pod_basis(snaps, kappa=1e-2, r_override=3)
+    for projected in (True, False):
+        tracemalloc.start()
+        try:
+            nonlin = collect_nonlin_snapshots(snaps, basis, phys, ops, projected=projected)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * nonlin.nbytes
 
 
 def test_qdeim_matches_brute_force_and_greedy():

@@ -16,7 +16,7 @@ from tswrom.fileio import (SnapshotWriter, lineage, read_basis, read_deim,
                            write_basis, write_deim, write_errors_csv, write_fields_csv,
                            write_invariants_csv, write_report_json, write_rom,
                            write_romops, write_spectra_csv)
-from tswrom.grid import apply_dx, apply_dy
+from tswrom.grid import apply_dx, apply_dy, build_grid
 from tswrom.pod import PodBasis, restrict
 from tswrom.rom import rom_operators_from_parts, rom_rhs
 
@@ -183,15 +183,23 @@ def test_basis_roundtrip(mini_pipeline, tmp_path):
 
 
 def _mode_major(basis):
-    return basis.modes.transpose(0, 2, 1).flags.c_contiguous
+    """modes and means are the views [:r] and [r] of one C-order
+    (4, r + 1, N) array, so each mode and each mean is one contiguous row."""
+    stack = basis.modes.base
+    return (stack.shape == (4, basis.r + 1, basis.N) and stack.flags.c_contiguous
+            and basis.modes.__array_interface__
+            == stack[:, : basis.r].transpose(0, 2, 1).__array_interface__
+            and basis.means.__array_interface__ == stack[:, basis.r].__array_interface__)
 
 
 def test_basis_modes_are_mode_major_in_memory_and_c_order_on_disk(mini_pipeline, tmp_path):
-    # every way to get a basis stores the modes as a C-order (4, r, N) array
+    # every way to get a basis stores the modes and the means as one C-order
+    # (4, r + 1, N) array
     basis = mini_pipeline.basis
     assert _mode_major(basis)
     copy = dataclasses.replace(basis)
     assert _mode_major(copy) and np.shares_memory(copy.modes, basis.modes)
+    assert np.shares_memory(copy.means, basis.means)
     path = tmp_path / "basis.bin"
     write_basis(path, basis, {})
     assert _mode_major(read_basis(path))
@@ -206,6 +214,7 @@ def test_basis_modes_are_mode_major_in_memory_and_c_order_on_disk(mini_pipeline,
     assert lineage(path, "basis")[0] == "6250393d-0831dcda-1646ed88-fab6e096"
     np.testing.assert_array_equal(read_basis(path).modes,
                                   np.arange(48.0).reshape(4, 6, 2) / 16)
+    np.testing.assert_array_equal(read_basis(path).means, np.arange(24.0).reshape(4, 6) / 8)
 
 
 def test_deim_roundtrip(mini_pipeline, tmp_path):
@@ -383,6 +392,23 @@ def test_fields_csv_structure(mini_pipeline):
     assert len(lines) == 1 + mini_pipeline.grid.N
     first = [float(tok) for tok in lines[1].split(",")]
     assert len(first) == 7
+
+
+def test_fields_csv_bytes_equal_savetxt(tmp_path):
+    # the one-operation table format writes np.savetxt's exact bytes,
+    # negative, huge, tiny, subnormal, signed-zero and non-finite values too
+    grid = build_grid(3, (0.0, 1.0, 0.0, 2.0))
+    values = np.array([-1.5, 1e300, -2.5e-310, 0.1, -0.0, 123456789.12345679,
+                       5e-324, -1e-300, np.nan])
+    fields = {"h": values, "q": -values[::-1] * 3.0, "s": np.full(9, -np.inf)}
+    path = tmp_path / "fields.csv"
+    write_fields_csv(path, grid, fields)
+    expected = tmp_path / "savetxt.csv"
+    with open(expected, "w") as fh:
+        fh.write("x,y,h,q,s\n")
+        np.savetxt(fh, np.column_stack([*grid.meshcoords(), *fields.values()]),
+                   delimiter=",", fmt="%.17g")
+    assert path.read_bytes() == expected.read_bytes()
 
 
 def test_spectra_and_errors_csv(rng, tmp_path):
