@@ -421,13 +421,17 @@ def newton(residual, z: np.ndarray, tol: float, max_iter: int, label: str, corre
     may overwrite. correct(z, res, rnorm, rnorm_prev) returns (dz, info) at
     z, with res = residual(z), rnorm = max |res| and rnorm_prev the max |R|
     before the last correction (None before the first); info is 0 unless an
-    inner solve did not converge. When residual refuses z with NumericError,
-    the loop starts from fallback, and a refused fallback raises. It stops
-    once max |R| <= tol, and raises NumericError naming label at once on a
-    non-finite max |R|, when a correction with nonzero info leaves max |R|
-    at or above 0.9 times its value before (Kelley 2003, nsoli's failure
-    exits), and after max_iter corrections without convergence.
+    inner solve did not converge. A z whose shape differs from fallback's
+    raises ValueError before any residual. When residual refuses z with
+    NumericError, the loop starts from fallback, and a refused fallback
+    raises. It stops once max |R| <= tol, and raises NumericError naming
+    label at once on a non-finite max |R|, when a correction with nonzero
+    info leaves max |R| at or above 0.9 times its value before (Kelley 2003,
+    nsoli's failure exits), and after max_iter corrections without
+    convergence.
     """
+    if fallback is not None and np.shape(z) != fallback.shape:
+        raise ValueError(f"start shape {np.shape(z)} != state shape {fallback.shape}")
     try:
         res = residual(z)
     except NumericError:
@@ -507,8 +511,6 @@ def avf_step(z: np.ndarray, dt: float, physics: Physics, ops: DiffOps, *,
     """
     _require_finite(z, "state")
     start, fallback = (z, None) if start is None else (np.asarray(start, dtype=np.float64), z)
-    if start.shape != z.shape:
-        raise ValueError(f"start shape {start.shape} != state shape {z.shape}")
     residual = _AvfResidual(z, dt, physics, ops.grid)
     correct = krylov_correction(residual, max(1.0, float(np.linalg.norm(z))), _NEWTON_TOL)
     return newton(residual, start, _NEWTON_TOL, _NEWTON_MAXITER, "Newton-Krylov", correct,

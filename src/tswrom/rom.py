@@ -41,8 +41,9 @@ DEIM points whenever a set is built; only the K_j tensors are precomputed by
 precompute_rom and stored in romops.bin. A flop counter passed to rom_rhs is
 charged the call's flops, which depend on r and p only.
 
-Both models solve the implicit 4r system with fom.newton and a chord rule:
-one LU-factored dense finite-difference Jacobian is kept across the steps
+Both models solve the implicit 4r system with fom.newton and one chord
+rule (Kelley 1995): the exact Jacobian of the AVF residual, in closed form
+from the same data (_avf_residual), is LU-factored, kept across the steps
 of an integrate_rom run and rebuilt, at the current iterate, only when the
 residual stops halving. The chord iteration converges linearly, so a close
 start saves iterations: integrate_rom marches with fom.march, whose
@@ -72,7 +73,7 @@ from .deim import NUM_NONLIN, DeimSet
 from .errors import ConfigError, NumericError
 # perfbench/spans.py wraps rom.invariants by name, so it must stay bound here
 from .fom import (Physics, _coefficients, _require_finite, grad_hamiltonian, invariants,
-                  krylov_correction, march, newton)
+                  march, newton)
 from .grid import DiffOps, apply_dx, apply_dy
 from .pod import PodBasis
 
@@ -189,6 +190,22 @@ class _Gradient:
                   out=out[:, 0, :, None])
         return out.reshape(m, 4 * r).T
 
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        """H(x) = dQ/dx at a reduced state x (4r,): the symmetric (4r, 4r)
+        matrix with H(x) x = 2 Q(x), from six contractions of the tensors
+        with one block of x each."""
+        r = self.t_uu.shape[0]
+        a, u, v, s = x.reshape(4, r)
+        out = np.zeros((4, r, 4, r))
+        out[0, :, 0] = (self.t_hs.reshape(r * r, r) @ s).reshape(r, r)
+        out[0, :, 1] = (self.t_uu.reshape(r * r, r) @ u).reshape(r, r)
+        out[0, :, 2] = (self.t_vv.reshape(r * r, r) @ v).reshape(r, r)
+        for i, k, t in ((0, 3, self.t_hs), (1, 1, self.t_uu), (2, 2, self.t_vv)):
+            out[i, :, k] = (a @ t.reshape(r, r * r)).reshape(r, r)
+        for k in (1, 2, 3):
+            out[k, :, 0] = out[0, :, k].T
+        return out.reshape(4 * r, 4 * r)
+
     def _affine(self, x: np.ndarray) -> np.ndarray:
         out = self.lin @ x
         out += self.c
@@ -302,6 +319,15 @@ class _Sampler:
         num[0] += self.f
         return num / height
 
+    def derivative(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sampled F1, F2, F3 at a reduced state z (4r,), (3, p), and
+        their derivative in z, (3, p, 4r): F = num / height with num and
+        height affine in z, so dF/dz = (num' - F height') / height."""
+        f = self.sample(z[:, None])[:, :, 0]
+        height_rows, num_rows = self.rows.reshape(2, NUM_NONLIN, f.shape[1], -1)
+        height = height_rows @ z + self.offset[: f.size, 0].reshape(f.shape)
+        return f, (num_rows - f[:, :, None] * height_rows) / height[:, :, None]
+
 
 @dataclass
 class RomOperators:
@@ -347,14 +373,16 @@ class RomOperators:
         self.j0 = j0.reshape(4 * r, 4 * r)
         self.grad = _gradient_data(basis, self.physics, ops)
         self.sampler = (None if self.deim is None
-                        else _build_sampler(basis, self.deim, self.physics, ops))
+                        else _build_sampler(basis, self.deim.indices, self.physics, ops))
 
     @property
     def r(self) -> int:
         return self.basis.r
 
 
-def _build_sampler(basis: PodBasis, deim: DeimSet, physics: Physics, ops: DiffOps) -> _Sampler:
+def _build_sampler(basis: PodBasis, indices: np.ndarray, physics: Physics,
+                   ops: DiffOps) -> _Sampler:
+    """The sampler of F1..F3 at the nodes indices[j - 1] of each F_j, (3, p)."""
     vh, vu, vv, vs = basis.modes
     mh, mu, mv, ms = basis.means
     dx, dy = partial(apply_dx, ops), partial(apply_dy, ops)
@@ -367,7 +395,7 @@ def _build_sampler(basis: PodBasis, deim: DeimSet, physics: Physics, ops: DiffOp
     }
     rows, offset, nnz = [], [], 0
     for name in _SAMPLED:
-        idx = deim.indices[int(name[-1]) - 1]
+        idx = indices[int(name[-1]) - 1]
         block = np.zeros((idx.size, 4 * r))
         const = np.zeros(idx.size)
         for k, (modes, mean) in fields[name[:-1]].items():
@@ -423,26 +451,29 @@ def _reduced_poisson(ops: RomOperators, q) -> np.ndarray:
 
 
 def _apply_reduced_poisson(ops: RomOperators, mid: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Tensor model: J_r(mid) g for reduced columns mid, g (4r, m), with
-    Q_j = K_j f_j from the DEIM samples f_j of F1..F3 at mid."""
+    """Tensor model: J_r(mid) g for reduced columns g (4r, m) and midpoints
+    mid, one column for all of g or one per column, with Q_j = K_j f_j from
+    the DEIM samples f_j of F1..F3 at mid."""
     if ops.sampler is None:
         raise ConfigError("tensor operators not available; build with precompute_rom")
     r, m = ops.r, mid.shape[1]
     f = ops.sampler.sample(mid)
     q = np.matmul(f.transpose(0, 2, 1), ops.k).reshape(NUM_NONLIN, m, r, r)
-    return np.matmul(_reduced_poisson(ops, q), g.T[:, :, None])[:, :, 0].T
+    jr = _reduced_poisson(ops, q)
+    return jr[0] @ g if m == 1 else np.matmul(jr, g.T[:, :, None])[:, :, 0].T
 
 
 def _galerkin_poisson(ops: RomOperators, z_old: np.ndarray):
     """Galerkin model: J_r(m) g = V^T J(lift m) V g for steps from z_old, as a
-    function of reduced midpoints mid, increments dz and columns g (4r, m).
-    The derivative blocks are J_r's constant part j0; Q_j = V_a^T diag(F_j)
-    V_b, F_j exact at all N nodes of lift m, is applied unformed as V_a^T
-    (F_j V_b g_b) and V_b^T (F_j V_a g_a): O(N r) per column. lift m =
-    lift(z_old) + V dz / 2, so z_old is lifted once and each call needs V dz
-    only. The grid-sized products go into buffers kept per column count, so
-    a step allocates them once for its single columns and once for its
-    batched Jacobian columns."""
+    function of reduced midpoints mid, increments dz and columns g (4r, m),
+    with one midpoint for all of g or one per column. The derivative blocks
+    are J_r's constant part j0; Q_j = V_a^T diag(F_j) V_b, F_j exact at all
+    N nodes of lift m, is applied unformed as V_a^T (F_j V_b g_b) and
+    V_b^T (F_j V_a g_a): O(N r) per column. lift m = lift(z_old) + V dz / 2,
+    so z_old is lifted once and each call needs V dz only. The grid-sized
+    products go into buffers kept per column count, so a step allocates them
+    once for the residual's single column and once for the Jacobian's 4r
+    columns."""
     basis, grid, f = ops.basis, ops.diffops.grid, ops.physics.f
     N, r = basis.N, basis.r
     base = basis.lift_array(z_old)[:, None]
@@ -456,7 +487,7 @@ def _galerkin_poisson(ops: RomOperators, z_old: np.ndarray):
         w, prod = buffers[m]
         lifted = basis.apply_modes(0.5 * dz)
         lifted += base
-        f1, f2, f3 = _coefficients(lifted, f, grid, 1.0, "midpoint height").reshape(3, N, m)
+        f1, f2, f3 = _coefficients(lifted, f, grid, 1.0, "midpoint height").reshape(3, N, -1)
         # blocks u, v, s of V g, and J's coupling terms on the grid, the u
         # block with its sign flipped: -w_u = F1 V_v g_v + F2 V_s g_s
         vu, vv, vs = basis.modes[1:] @ g.reshape(4, r, m)[1:]
@@ -507,26 +538,63 @@ def rom_rhs(ops: RomOperators, z_r: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _avf_residual(ops: RomOperators, z_old: np.ndarray, dt: float, method: str):
-    """Implicit AVF residual dz + dt J_r(m) gbar_r of either reduced model for
-    the step from z_old, as a function of candidate new states (4r, m). The
-    method chooses only how J_r's coefficient blocks Q_j are obtained."""
+    """Implicit AVF residual R(z) = dz + dt J_r(m) gbar_r of either reduced
+    model for the step from z_old, and its exact Jacobian, as functions of a
+    candidate new state z (4r,):
+
+        dR/dz = I + dt (J_r(m) G + D / 2),    G = (L + H(m + dz/6)) / 2.
+
+    G is d gbar_r / dz, with H = dQ/dx. D = d(J_r(m) gbar_r)/dm at fixed
+    gbar_r: for each pair (a, b) of _SKEW_PAIRS, D_a -= (K_j gbar_b) dF_j and
+    D_b += (K_j^T gbar_a) dF_j, with dF_j the derivative of the samples of
+    F_j. The Galerkin model is the tensor model with every node sampled and
+    K_j[n] = V_a[n] x V_b[n], so its Jacobian builds that all-node sampler,
+    (6N, 4r). The method chooses only how J_r's coefficient blocks Q_j are
+    obtained."""
+    grad, r = ops.grad, ops.r
     poisson = (_galerkin_poisson(ops, z_old) if method == "pod"
                else lambda mid, dz, g: _apply_reduced_poisson(ops, mid, g))
 
-    def residual(z_new_cols):
-        dz = z_new_cols - z_old[:, None]
-        mid = 0.5 * dz
-        mid += z_old[:, None]
-        out = poisson(mid, dz, ops.grad.chord_mean(mid, dz))
+    def split(z):
+        dz = (z - z_old)[:, None]
+        return dz, z_old[:, None] + 0.5 * dz
+
+    def residual(z):
+        dz, mid = split(z)
+        out = poisson(mid, dz, grad.chord_mean(mid, dz))[:, 0]
         out *= dt
-        out += dz
+        out += dz[:, 0]
         return out
 
-    return residual
+    def jacobian(z):
+        dz, mid = split(z)
+        gbar = grad.chord_mean(mid, dz).reshape(4, r)
+        jac = poisson(mid, dz, 0.5 * (grad.lin + grad.hessian((mid + dz / 6.0)[:, 0])))
+        # rows i of K_j gbar_b and K_j^T gbar_a for each pair
+        if method == "pod":
+            basis, modes = ops.basis, ops.basis.modes
+            nodes = np.broadcast_to(np.arange(basis.N), (NUM_NONLIN, basis.N))
+            sampler = _build_sampler(basis, nodes, ops.physics, ops.diffops)
+            weights = [(modes[a] * (modes[b] @ gbar[b])[:, None],
+                        modes[b] * (modes[a] @ gbar[a])[:, None]) for a, b in _SKEW_PAIRS]
+        else:
+            sampler, p = ops.sampler, ops.deim.p
+            weights = [((kj.reshape(p * r, r) @ gbar[b]).reshape(p, r),
+                        gbar[a] @ kj.reshape(p, r, r)) for kj, (a, b) in zip(ops.k, _SKEW_PAIRS)]
+        d = np.zeros((4, r, 4 * r))
+        for (kb, ka), dfj, (a, b) in zip(weights, sampler.derivative(mid[:, 0])[1], _SKEW_PAIRS):
+            d[a] -= kb.T @ dfj
+            d[b] += ka.T @ dfj
+        jac += 0.5 * d.reshape(4 * r, 4 * r)
+        jac *= dt
+        jac += np.eye(4 * r)
+        return jac
+
+    return residual, jacobian
 
 
 class _ChordJacobian:
-    """LU factors of the dense reduced Newton Jacobian, or None until built,
+    """LU factors of the exact reduced Newton Jacobian, or None until built,
     and the chord correction rule of fom.newton that uses them.
 
     integrate_rom creates one per run and hands it to every step, so one
@@ -536,15 +604,12 @@ class _ChordJacobian:
     def __init__(self) -> None:
         self.lu = None
 
-    def correct(self, residual, z, res, rnorm, rnorm_prev):
+    def correct(self, jacobian, z, res, rnorm, rnorm_prev):
         """The correction -J^{-1} R(z), info 0, with the held factors,
-        rebuilt first at z from one batched call of residual on columns
-        (4r, m) when none are held or the last correction did not halve
-        max |R|."""
+        rebuilt first from jacobian(z) when none are held or the last
+        correction did not halve max |R|."""
         if self.lu is None or (rnorm_prev is not None and rnorm > 0.5 * rnorm_prev):
-            eps = math.sqrt(np.finfo(np.float64).eps) * np.maximum(1.0, np.abs(z))
-            resb = residual(z[:, None] + np.diag(eps))
-            self.factor((resb - res[:, None]) / eps[None, :])
+            self.factor(jacobian(z))
         return self.solve(-res), 0
 
     def factor(self, jac: np.ndarray) -> None:
@@ -570,14 +635,11 @@ class _ChordJacobian:
 
 
 def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
-                 method: str = "pod-deim", solver: str = "dense", *,
-                 start: np.ndarray | None = None,
+                 method: str = "pod-deim", *, start: np.ndarray | None = None,
                  _chord: _ChordJacobian | None = None) -> np.ndarray:
     """One reduced AVF step: J_r at the midpoint applied to the closed-form
     chord mean of the exact reduced gradient, solved by fom.newton with the
-    chord rule of a factored dense finite-difference Jacobian (default, best
-    for small r) or with fom.krylov_correction (solver="krylov", for large r
-    such as full-basis verification runs).
+    chord rule of the residual's exact Jacobian, LU-factored.
 
     A non-finite entry of z_r raises NumericError naming its block and
     coefficient. Newton starts from start, such as fom.march's, when given
@@ -588,22 +650,13 @@ def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
     stops halving."""
     if method not in METHODS:
         raise ConfigError(f"unknown reduced model {method!r}, expected one of {METHODS}")
-    if solver not in ("dense", "krylov"):
-        raise ConfigError(f"unknown reduced Newton solver {solver!r}")
     z_old = np.asarray(z_r, dtype=np.float64)
     _require_finite(z_old, "reduced state", "coefficient")
     tol_eff = _ROM_NEWTON_TOL * max(1.0, float(np.max(np.abs(z_old))))
-    residual = _avf_residual(ops, z_old, dt, method)
-
-    def flat(z):
-        return residual(z[:, None])[:, 0]
-
-    if solver == "krylov":
-        correct = krylov_correction(flat, max(1.0, float(np.linalg.norm(z_old))), tol_eff)
-    else:
-        correct = partial((_ChordJacobian() if _chord is None else _chord).correct, residual)
+    residual, jacobian = _avf_residual(ops, z_old, dt, method)
+    correct = partial((_ChordJacobian() if _chord is None else _chord).correct, jacobian)
     start, fallback = (z_old, None) if start is None else (start, z_old)
-    return newton(flat, start, tol_eff, _ROM_NEWTON_MAXITER, "reduced Newton", correct,
+    return newton(residual, start, tol_eff, _ROM_NEWTON_MAXITER, "reduced Newton", correct,
                   fallback)
 
 
@@ -618,7 +671,7 @@ class RomResult:
 
 
 def integrate_rom(ops: RomOperators, initial: RomState, dt: float, num_steps: int,
-                  method: str = "pod-deim", solver: str = "dense") -> RomResult:
+                  method: str = "pod-deim") -> RomResult:
     """March the reduced model with fom.march and record the invariants of
     the lifted states, evaluated as polynomials of the reduced coefficients.
     One chord Jacobian serves all steps of the run."""
@@ -628,8 +681,7 @@ def integrate_rom(ops: RomOperators, initial: RomState, dt: float, num_steps: in
     chord = _ChordJacobian()
 
     def step(z, start):
-        return rom_avf_step(ops, z, dt, method=method, solver=solver, start=start,
-                            _chord=chord)
+        return rom_avf_step(ops, z, dt, method=method, start=start, _chord=chord)
 
     z0 = np.asarray(initial.z_r, dtype=np.float64)
     red = np.stack(list(march(step, z0, num_steps)), axis=1)

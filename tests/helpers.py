@@ -253,6 +253,13 @@ def reduced_poisson_matrix(basis, z, physics, ops):
     return vblk.T @ apply_poisson(z, physics, ops, vblk)
 
 
+def central_difference_jacobian(residual, z, step):
+    """Oracle dR/dz of a residual on flat states by central differences, one
+    column per unknown, column i at step[i]."""
+    cols = [(residual(z + e) - residual(z - e)) / (2.0 * h) for e, h in zip(np.diag(step), step)]
+    return np.stack(cols, axis=1)
+
+
 def dense_newton_avf_step(z_old, dt, physics, ops):
     """Reference AVF step: Newton on the full finite-difference Jacobian of
     the fused residual, one column per unknown, to the full model's Newton

@@ -126,7 +126,7 @@ def test_criterion_4_reduced_conservation_at_production_scale(production_pipelin
 def test_criterion_5_full_rank_reduction_recovers_full_order():
     # With at least as many snapshots as grid unknowns the singular bases
     # are square orthonormal matrices: V V^T = I and the interpolation is
-    # exact, so both reduced solvers must reproduce the full-order
+    # exact, so both reduced models must reproduce the full-order
     # trajectory in reduced coordinates.
     start = time.perf_counter()
     cfg = DoubleVortexConfig(n=16, num_steps=280, dt=486.0)
@@ -153,8 +153,7 @@ def test_criterion_5_full_rank_reduction_recovers_full_order():
     zr0 = restrict(basis, z0)
     coeff_err = {}
     for method in ("pod", "pod-deim"):
-        run = integrate_rom(ops, RomState(z_r=zr0), cfg.dt, steps,
-                            method=method, solver="krylov")
+        run = integrate_rom(ops, RomState(z_r=zr0), cfg.dt, steps, method=method)
         coeff_err[method] = float(np.abs(run.reduced - reference).max())
     wall = time.perf_counter() - start
 

@@ -396,8 +396,14 @@ def test_guess_used_or_rejected(vortex16, monkeypatch):
     bad[:N] = -2.0 * z[:N]
     fallback = avf_step(z, dt, phys, ops, start=bad)
     np.testing.assert_array_equal(fallback, plain)
-    with pytest.raises(ValueError):
+    # a start of the wrong shape is refused before any residual
+    residuals = []
+    real = fom_mod._AvfResidual.__call__
+    monkeypatch.setattr(fom_mod._AvfResidual, "__call__",
+                        lambda self, state: residuals.append(1) or real(self, state))
+    with pytest.raises(ValueError, match=rf"^start shape \({z.size - 1},\) != state shape"):
         avf_step(z, dt, phys, ops, start=plain[:-1])
+    assert not residuals
 
 
 def test_stalled_step_fails_fast_and_names_it(monkeypatch):
@@ -522,12 +528,13 @@ def _toy_residual(calls, c):
 
 
 def _toy_corrections(residual):
-    """The two correction rules of newton on a flat toy residual."""
-    def batched(cols):
-        return np.stack([residual(col) for col in cols.T], axis=1)
+    """The two correction rules of newton on the flat toy residual, the
+    chord rule with its exact Jacobian I + 0.3 diag(z^2)."""
+    def jacobian(z):
+        return np.eye(z.size) + 0.3 * np.diag(z**2)
 
     return {"krylov": krylov_correction(residual, 1.0, 1e-12),
-            "chord": partial(_ChordJacobian().correct, batched)}
+            "chord": partial(_ChordJacobian().correct, jacobian)}
 
 
 @pytest.mark.parametrize("rule", ["krylov", "chord"])
@@ -576,8 +583,9 @@ def test_newton_rules_share_non_finite_and_max_iter_exits(rule):
                                            r"last residual .* > tol 1\.000e-30$"):
         newton(residual, np.array([0.9, 0.4]), 1e-30, 1, "toy", correct)
 
-    # a residual that turns NaN away from the start (its finite-difference
-    # probes stay near it) stops at the first NaN, after one correction
+    # a residual that turns NaN away from the start (the Krylov rule's
+    # finite-difference probes stay near it) stops at the first NaN, after
+    # one correction
     def poisoned(z):
         return residual(z) if abs(z[1] - 0.4) < 0.01 else np.full_like(z, np.nan)
 

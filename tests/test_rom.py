@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from helpers import (SEED, apply_poisson, dense_poisson_matrix, einsum_quadratic,
-                     nonlinearity, random_physics, random_state, reduced_poisson_matrix,
-                     rhs, rom_rhs_pod_only, small_setup)
+from helpers import (SEED, apply_poisson, central_difference_jacobian,
+                     dense_poisson_matrix, einsum_quadratic, nonlinearity, random_physics,
+                     random_state, reduced_poisson_matrix, rhs, rom_rhs_pod_only,
+                     small_setup)
 
 from tswrom import rom as rom_mod
 from tswrom.deim import NUM_NONLIN, build_deim, collect_nonlin_snapshots
@@ -143,8 +144,8 @@ def test_reduced_poisson_is_exactly_skew(mini_pipeline, rng):
 
 def test_galerkin_poisson_is_projected_full_operator(mini_pipeline, rng):
     # the matrix-free Galerkin J_r applied to the identity is V^T J(lift m) V,
-    # skew to round-off, both in one batched call (the chord Jacobian's) and
-    # one column at a time (every chord Newton iteration's)
+    # skew to round-off, both for one midpoint and many columns (the chord
+    # Jacobian's call) and one column at a time (every residual's)
     basis, phys, dops = mini_pipeline.basis, mini_pipeline.physics, mini_pipeline.diffops
     ops = RomOperators(basis, phys, dops)
     z = _mini_states(mini_pipeline, rng)
@@ -152,15 +153,15 @@ def test_galerkin_poisson_is_projected_full_operator(mini_pipeline, rng):
     eye = np.eye(4 * basis.r)
     poisson = rom_mod._galerkin_poisson(ops, z_old)
     for mid in z.T:
-        # increments whose midpoints z_old + dz/2 are mid
-        dz = np.repeat(2.0 * (mid - z_old)[:, None], eye.shape[1], axis=1)
-        jr = poisson(z_old[:, None] + 0.5 * dz, dz, eye)
+        # the increment whose midpoint z_old + dz/2 is mid
+        dz = 2.0 * (mid - z_old)[:, None]
+        jr = poisson(mid[:, None], dz, eye)
         expected = reduced_poisson_matrix(basis, basis.lift_array(mid), phys, dops)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(jr - expected)) <= 1e-12 * scale
         assert np.max(np.abs(jr + jr.T)) <= 1e-13 * scale
         for j in range(eye.shape[1]):
-            col = poisson(mid[:, None], dz[:, :1], eye[:, j : j + 1])
+            col = poisson(mid[:, None], dz, eye[:, j : j + 1])
             assert col.shape == (eye.shape[0], 1)
             assert np.max(np.abs(col[:, 0] - jr[:, j])) <= 1e-12 * scale, j
             assert np.max(np.abs(col[:, 0] - expected[:, j])) <= 1e-12 * scale, j
@@ -177,7 +178,7 @@ def test_residuals_at_zero_increment_are_scaled_rhs(mini_pipeline, rng):
         cases = [("pod-deim", rom_rhs(ops, z)),
                  ("pod", rom_rhs_pod_only(basis, z, phys, dops))]
         for method, rhs_value in cases:
-            res = rom_mod._avf_residual(ops, z, dt, method)(z[:, None])[:, 0]
+            res = rom_mod._avf_residual(ops, z, dt, method)[0](z)
             scale = np.max(np.abs(dt * rhs_value))
             assert np.max(np.abs(res + dt * rhs_value)) <= 1e-12 * scale, method
 
@@ -303,45 +304,83 @@ def test_pod_step_conserves_lifted_energy(mini_pipeline):
     assert abs(h1 - h0) / abs(h0) <= 1e-12
 
 
-def test_reduced_newton_solvers_agree(mini_pipeline):
+def _jacobian_error(residual, jacobian, z):
+    """max |J - J_fd| / max |J - I| for the closed-form Jacobian J at z and
+    its central differences J_fd at steps 1e-5 max(1, |z|)."""
+    jac = jacobian(z)
+    oracle = central_difference_jacobian(residual, z, 1e-5 * np.maximum(1.0, np.abs(z)))
+    return np.max(np.abs(jac - oracle)) / np.max(np.abs(jac - np.eye(z.size))), jac
+
+
+@pytest.mark.parametrize("method", ["pod", "pod-deim"])
+def test_jacobian_matches_central_differences(mini_pipeline, method):
+    # the step from the model's own state after 3 steps, at its next state
     ops = mini_pipeline.romops
-    z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.trajectory[:, 0])
-    dt = mini_pipeline.config.dt
-    dense = rom_avf_step(ops, z0, dt, method="pod-deim", solver="dense")
-    krylov = rom_avf_step(ops, z0, dt, method="pod-deim", solver="krylov")
-    scale = max(1.0, float(np.max(np.abs(dense))))
-    assert np.max(np.abs(dense - krylov)) <= 1e-7 * scale
+    run = mini_pipeline.rom_pod if method == "pod" else mini_pipeline.rom_deim
+    z_old, z = run.reduced[:, 3], run.reduced[:, 4]
+    err, _ = _jacobian_error(*rom_mod._avf_residual(ops, z_old, mini_pipeline.config.dt,
+                                                    method), z)
+    assert err <= 1e-7
 
 
-@pytest.mark.parametrize("solver", ["dense", "krylov"])
-def test_reduced_newton_stall_raises(mini_pipeline, solver, monkeypatch):
+def test_full_rank_jacobians_match_central_differences_and_agree():
+    # with r = p = N the Galerkin and tensor residuals are the same function,
+    # so their closed-form Jacobians must agree to round-off
+    rng = np.random.default_rng(SEED + 1)
+    grid, _, _, basis, _, ops = _random_reduction(6, 45, 36, 36, rng)
+    z_old = restrict(basis, random_state(grid, rng))
+    z = z_old + 1e-2 * rng.normal(size=z_old.size)
+    jacs = []
+    for method in ("pod", "pod-deim"):
+        # a step long enough that dt dR/dz, not I, dominates the Jacobian
+        err, jac = _jacobian_error(*rom_mod._avf_residual(ops, z_old, 100.0, method), z)
+        assert err <= 1e-8, method
+        jacs.append(jac)
+    scale = np.max(np.abs(jacs[0] - np.eye(z.size)))
+    assert np.max(np.abs(jacs[0] - jacs[1])) <= 1e-12 * scale
+
+
+def test_hessian_is_the_symmetric_derivative_of_q(mini_pipeline, rng):
+    # H(x) x = 2 Q(x) and, Q being quadratic, H(x) y = Q(x + y) - Q(x) - Q(y)
+    grad = mini_pipeline.romops.grad
+    x, y = 10.0 * rng.normal(size=(2, 4 * mini_pipeline.basis.r))
+    hess = grad.hessian(x)
+    q = grad.quadratic(np.stack([x, y, x + y], axis=1))
+    scale = np.max(np.abs(q))
+    assert np.max(np.abs(hess - hess.T)) <= 1e-14 * np.max(np.abs(hess))
+    assert np.max(np.abs(hess @ x - 2.0 * q[:, 0])) <= 1e-14 * scale
+    assert np.max(np.abs(hess @ y - (q[:, 2] - q[:, 0] - q[:, 1]))) <= 1e-14 * scale
+
+
+def test_reduced_newton_stall_raises(mini_pipeline, monkeypatch):
     ops = mini_pipeline.romops
     z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.trajectory[:, 0])
     monkeypatch.setattr(rom_mod, "_ROM_NEWTON_TOL", 1e-30)
     monkeypatch.setattr(rom_mod, "_ROM_NEWTON_MAXITER", 1)
     with pytest.raises(NumericError, match="stalled after 1 iterations"):
-        rom_avf_step(ops, z0, mini_pipeline.config.dt, solver=solver)
+        rom_avf_step(ops, z0, mini_pipeline.config.dt)
 
 
 def _count_residuals(monkeypatch):
-    """Wrap the residual factory; count all evaluations, and the batched
-    (width > 1) ones, each of which builds one finite-difference Jacobian."""
+    """Wrap the residual factory; count the residual evaluations and the
+    Jacobian builds."""
     counts = {"calls": 0, "builds": 0}
     make = rom_mod._avf_residual
 
     def counting(ops, z_old, dt, method):
-        residual = make(ops, z_old, dt, method)
+        residual, jacobian = make(ops, z_old, dt, method)
 
-        def wrapped(cols):
-            counts["calls"] += 1
-            if cols.shape[1] > 1:
-                counts["builds"] += 1
-            return residual(cols)
+        def counted(key, fn):
+            def wrapped(z):
+                counts[key] += 1
+                return fn(z)
+            return wrapped
 
-        return wrapped
+        return counted("calls", residual), counted("builds", jacobian)
 
     monkeypatch.setattr(rom_mod, "_avf_residual", counting)
     return counts
+
 
 
 @pytest.mark.parametrize("method", ["pod", "pod-deim"])
@@ -422,7 +461,8 @@ def test_sampler_names_a_nan_height_non_finite(mini_pipeline):
 
 
 @pytest.mark.parametrize("method", ["pod", "pod-deim"])
-def test_start_with_nonpositive_midpoint_height_falls_back(mini_pipeline, method):
+def test_start_with_nonpositive_midpoint_height_falls_back(mini_pipeline, monkeypatch,
+                                                           method):
     # mode 0 of the height is its normalized mean, so moving the start far
     # down along it puts the midpoint height below zero everywhere
     ops, basis = mini_pipeline.romops, mini_pipeline.basis
@@ -431,9 +471,14 @@ def test_start_with_nonpositive_midpoint_height_falls_back(mini_pipeline, method
     start[0] -= 4.0 * np.linalg.norm(basis.means[0])
     dt = mini_pipeline.config.dt
     with pytest.raises(NumericError, match="nonpositive"):
-        rom_mod._avf_residual(ops, z0, dt, method)(start[:, None])
+        rom_mod._avf_residual(ops, z0, dt, method)[0](start)
     np.testing.assert_array_equal(rom_avf_step(ops, z0, dt, method=method, start=start),
                                   rom_avf_step(ops, z0, dt, method=method))
+    # a start of the wrong shape is refused before any residual
+    counts = _count_residuals(monkeypatch)
+    with pytest.raises(ValueError, match=r"^start shape \(1,\) != state shape"):
+        rom_avf_step(ops, z0, dt, method=method, start=np.ones(1))
+    assert counts == {"calls": 0, "builds": 0}
 
 
 def test_tensor_residuals_per_step_at_n32(monkeypatch):
@@ -452,17 +497,13 @@ def test_tensor_residuals_per_step_at_n32(monkeypatch):
 
 
 def test_singular_reduced_jacobian_raises(rng):
-    # a zero column keeps the finite-difference Jacobian exactly rank
-    # deficient, so its LU factorization meets an exactly zero pivot
+    # a zero column makes the Jacobian exactly rank deficient, so its LU
+    # factorization meets an exactly zero pivot
     a = rng.normal(size=(4, 4))
     a[:, 2] = 0.0
-
-    def residual(cols):
-        return a @ cols - 1.0
-
     with pytest.raises(NumericError, match="singular reduced Newton Jacobian"):
-        newton(lambda z: residual(z[:, None])[:, 0], np.zeros(4), 1e-12, 10,
-               "reduced Newton", partial(rom_mod._ChordJacobian().correct, residual))
+        newton(lambda z: a @ z - 1.0, np.zeros(4), 1e-12, 10, "reduced Newton",
+               partial(rom_mod._ChordJacobian().correct, lambda z: a))
 
 
 def test_method_and_solver_validation(mini_pipeline):
@@ -470,8 +511,9 @@ def test_method_and_solver_validation(mini_pipeline):
     z0 = restrict(mini_pipeline.basis, mini_pipeline.fom.trajectory[:, 0])
     with pytest.raises(ConfigError):
         rom_avf_step(ops, z0, 1.0, method="bogus")
-    with pytest.raises(ConfigError):
-        rom_avf_step(ops, z0, 1.0, solver="bogus")
+    # one correction rule: there is no solver option to choose another
+    with pytest.raises(TypeError, match="solver"):
+        rom_avf_step(ops, z0, 1.0, solver="dense")
     with pytest.raises(ConfigError):
         integrate_rom(ops, RomState(z_r=z0), 1.0, 1, method="bogus")
 
