@@ -21,9 +21,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     # grid
-    "Grid": ".grid", "DiffOps": ".grid",
-    "build_grid": ".grid", "build_diff_ops": ".grid",
-    "apply_dx": ".grid", "apply_dy": ".grid",
+    "Grid": ".grid", "build_grid": ".grid", "apply_dx": ".grid", "apply_dy": ".grid",
     # full-order model
     "Physics": ".fom", "FomResult": ".fom",
     "potential_vorticity": ".fom", "grad_hamiltonian": ".fom", "hamiltonian": ".fom",

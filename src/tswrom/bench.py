@@ -34,11 +34,11 @@ import numpy as np
 # Stage code calls the functions of these modules through the module, so a
 # name rebound on the module after import (a tracer's wrapper) is the one
 # that runs.
-from . import deim, fileio, fom, grid, pod, rom
-from .deim import NUM_NONLIN, DeimSet
+from . import deim, fileio, fom, pod, rom
+from .deim import DeimSet
 from .errors import ConfigError, FormatError, NumericError
 from .fom import FomResult, Physics, potential_vorticity
-from .grid import DiffOps, Grid, build_grid
+from .grid import Grid, build_grid
 from .pod import VARIABLES, PodBasis
 from .rom import RomOperators, RomResult, RomState
 
@@ -134,7 +134,7 @@ class DoubleVortexConfig:
                 raise ConfigError(f"{name} must be a positive integer, got {val}")
 
     def make_grid(self) -> Grid:
-        return build_grid(self.n, (0.0, self.length, 0.0, self.length))
+        return build_grid(self.n, self.length)
 
 
 def make_physics(cfg: DoubleVortexConfig, N: int) -> Physics:
@@ -248,19 +248,18 @@ def invariant_errors(invariants: np.ndarray):
 
 @dataclass(frozen=True)
 class Case:
-    """A validated config with the grid, difference operators and physics it
-    builds; every stage runs on one."""
+    """A validated config with the grid and physics it builds; every stage
+    runs on one."""
 
     config: DoubleVortexConfig
     grid: Grid
-    diffops: DiffOps
     physics: Physics
 
     @classmethod
     def build(cls, cfg: DoubleVortexConfig) -> Case:
         cfg.validate()
-        mesh = cfg.make_grid()
-        return cls(cfg, mesh, grid.build_diff_ops(mesh), make_physics(cfg, mesh.N))
+        grid = cfg.make_grid()
+        return cls(cfg, grid, make_physics(cfg, grid.N))
 
 
 @contextmanager
@@ -381,7 +380,7 @@ def stage_fom(case: Case, meta: dict, out: Path | None = None,
 
     _log.info("full model: n=%d, %d steps, dt=%g s", cfg.n, cfg.num_steps, cfg.dt)
     t0 = time.perf_counter()
-    full = fom.integrate_fom(z0, cfg.dt, cfg.num_steps, physics, case.diffops,
+    full = fom.integrate_fom(z0, cfg.dt, cfg.num_steps, physics, case.grid,
                              snapshot_path=None if out is None else out / "snapshots.bin",
                              log_every=log_every)
     wall = time.perf_counter() - t0
@@ -413,19 +412,19 @@ def stage_reduce(case: Case, snaps: pod.SnapshotSet, collect_s: float, meta: dic
 
     Adds the ranks, the thresholds and the offline timings to meta, with
     collect_s counted in both. With out, writes basis.bin, deim.bin,
-    romops.bin, the spectra CSVs and run_meta.json there.
+    romops.bin and run_meta.json there.
     """
-    cfg, physics, dops = case.config, case.physics, case.diffops
+    cfg, physics, grid = case.config, case.physics, case.grid
     t0 = time.perf_counter()
     basis = pod.build_pod_basis(snaps, kappa=cfg.kappa_pod, r_override=cfg.r_override)
     wall_pod = collect_s + time.perf_counter() - t0
     _log.info("basis: r=%d (per-variable energy ranks %s)", basis.r, basis.ranks)
 
     t0 = time.perf_counter()
-    nonlin = deim.collect_nonlin_snapshots(snaps, basis, physics, dops,
+    nonlin = deim.collect_nonlin_snapshots(snaps, basis, physics, grid,
                                            projected=cfg.projected_nonlin)
     dset = deim.build_deim(nonlin, kappa=cfg.kappa_deim, p_override=cfg.p_override)
-    romops = rom.precompute_rom(basis, dset, physics, dops)
+    romops = rom.precompute_rom(basis, dset, physics, grid)
     wall_deim = time.perf_counter() - t0
     _log.info("interpolation: p=%d (per-nonlinearity energy ranks %s)", dset.p, dset.ranks)
 
@@ -437,10 +436,6 @@ def stage_reduce(case: Case, snaps: pod.SnapshotSet, collect_s: float, meta: dic
         fileio.write_basis(out / "basis.bin", basis, _input_prints(out, "basis.bin"))
         fileio.write_deim(out / "deim.bin", dset, _input_prints(out, "deim.bin"))
         fileio.write_romops(out / "romops.bin", romops, _input_prints(out, "romops.bin"))
-        fileio.write_spectra_csv(out / "pod_spectra.csv", VARIABLES, basis.singular_values)
-        fileio.write_spectra_csv(out / "deim_spectra.csv",
-                                 [f"F{j}" for j in range(1, NUM_NONLIN + 1)],
-                                 dset.singular_values)
         _write_meta(out, meta)
     _log.info("done in %.2f s; r = %d (energy rank %d), p = %d (energy rank %d)",
               wall_pod + wall_deim, basis.r, meta["r_criterion"], dset.p, meta["p_criterion"])
@@ -486,8 +481,8 @@ def stage_report(case: Case, meta: dict, full: FomResult, basis: PodBasis,
     invariant drifts of every trajectory, keyed by method tag (pod, pod_deim).
 
     A wall time of the speedups that is not positive and finite raises
-    FormatError naming its key. With out, writes errors.csv, report.json
-    and field dumps at the first, middle and last step there.
+    FormatError naming its key. With out, writes report.json and field
+    dumps at the first, middle and last step there.
     """
     missing = [key for key in _REPORT_ENTRIES if key not in meta]
     if missing:
@@ -512,7 +507,6 @@ def stage_report(case: Case, meta: dict, full: FomResult, basis: PodBasis,
         report[f"speedup_{tag}"] = report["wall_fom_s"] / report[f"wall_{tag}_online_s"]
 
     if out is not None:
-        fileio.write_errors_csv(out / "errors.csv", error_table_rows(report))
         fileio.write_report_json(out / "report.json", report)
         steps = sorted({0, case.config.num_steps // 2, case.config.num_steps})
         _dump_fields(out, case, "fom", full.trajectory[:, steps], steps)
@@ -521,25 +515,12 @@ def stage_report(case: Case, meta: dict, full: FomResult, basis: PodBasis,
     return report
 
 
-def error_table_rows(report: dict):
-    """errors.csv rows (metric, method, name, value) from a report dict."""
-    rows = []
-    for tag in _METHOD_TAGS:
-        for var in VARIABLES:
-            rows.append(("l2", tag, var, report[f"l2_{tag}_{var}"]))
-    for src in ("fom", *_METHOD_TAGS):
-        for name in INVARIANT_NAMES:
-            rows.append(("invariant_mean", src, name, report[f"inv_{src}_{name}"]))
-            rows.append(("invariant_max", src, name, report[f"inv_max_{src}_{name}"]))
-    return rows
-
-
 def _dump_fields(out: Path, case: Case, tag: str, states: np.ndarray, steps) -> None:
     """fields_{tag}_{step}.csv for each packed state column and its step."""
     for k, z in zip(steps, states.T):
         h, u, v, s = z.reshape(4, -1)
         fields = {"h": h, "u": u, "v": v, "s": s,
-                  "q": potential_vorticity(z, case.physics, case.diffops)}
+                  "q": potential_vorticity(z, case.physics, case.grid)}
         fileio.write_fields_csv(out / f"fields_{tag}_{k:04d}.csv", case.grid, fields)
 
 
@@ -554,7 +535,6 @@ class PipelineResult:
     config: DoubleVortexConfig
     grid: Grid
     physics: Physics
-    diffops: DiffOps
     fom: FomResult
     basis: PodBasis
     deim: DeimSet
@@ -588,7 +568,7 @@ def run_pipeline(cfg: DoubleVortexConfig, outdir=None, verbose: bool = False) ->
         if out is not None:
             _log.info("artifacts written to %s", out)
     return PipelineResult(
-        config=cfg, grid=case.grid, physics=case.physics, diffops=case.diffops, fom=full,
+        config=cfg, grid=case.grid, physics=case.physics, fom=full,
         basis=basis, deim=dset, romops=romops,
         rom_pod=roms["pod"], rom_deim=roms["pod_deim"], report=report,
     )

@@ -5,12 +5,12 @@ Four subcommands share one working directory of artifacts:
     tswrom fom     --out DIR    full-order solve -> snapshots.bin,
                                 fom_invariants.csv
     tswrom reduce  --out DIR    basis + interpolation training ->
-                                basis.bin, deim.bin, romops.bin, spectra CSVs
+                                basis.bin, deim.bin, romops.bin
     tswrom rom     --out DIR --method {pod,pod-deim}
                                 reduced solve -> rom_pod.bin or
                                 rom_pod_deim.bin, rom_invariants_*.csv
-    tswrom compare --out DIR    errors.csv, report.json, field dumps, and
-                                printed accuracy/conservation/timing tables
+    tswrom compare --out DIR    report.json, field dumps, and printed
+                                accuracy/conservation/timing tables
 
 Each subcommand reads its stage's inputs from DIR and calls the stage
 function of tswrom.bench that run_pipeline chains in memory, so both write
@@ -220,11 +220,11 @@ def cmd_rom(args) -> int:
     out, z0, case, meta = _inputs(args, (needs,), initial_only=True)
     basis = fileio.read_basis(out / "basis.bin")
     if args.method == "pod":
-        ops = RomOperators(basis, case.physics, case.diffops)
+        ops = RomOperators(basis, case.physics, case.grid)
     else:
         dset = fileio.read_deim(out / "deim.bin")
         mats, _, _ = fileio.read_romops(out / "romops.bin")
-        ops = rom_operators_from_parts(mats, basis, dset, case.physics, case.diffops)
+        ops = rom_operators_from_parts(mats, basis, dset, case.physics, case.grid)
     with progress_to_stdout(True):
         stage_rom(case, ops, z0, args.method, meta, out)
     return _EXIT_OK

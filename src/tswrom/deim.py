@@ -32,7 +32,7 @@ import scipy.linalg
 
 from .errors import ConfigError, NumericError
 from .fom import Physics, _coefficients
-from .grid import DiffOps
+from .grid import Grid
 from .pod import PodBasis, SnapshotSet, _shared_rank
 
 __all__ = [
@@ -53,14 +53,14 @@ _COND_WARN = 1e8
 _CHUNK = 16
 
 
-def _eval_all(zcols: np.ndarray, physics: Physics, ops: DiffOps) -> np.ndarray:
+def _eval_all(zcols: np.ndarray, physics: Physics, grid: Grid) -> np.ndarray:
     """F1, F2, F3 on packed states (4N,) or (4N, m) -> (3, N[, m])."""
-    coef = _coefficients(zcols, physics.f, ops.grid)
-    return coef.reshape((NUM_NONLIN, ops.grid.N) + zcols.shape[1:])
+    coef = _coefficients(zcols, physics.f, grid)
+    return coef.reshape((NUM_NONLIN, grid.N) + zcols.shape[1:])
 
 
 def collect_nonlin_snapshots(snapshots: SnapshotSet, basis: PodBasis,
-                             physics: Physics, ops: DiffOps,
+                             physics: Physics, grid: Grid,
                              projected: bool = True) -> np.ndarray:
     """Evaluate the three nonlinearities along the stored snapshots ->
     (3, N, K), row j - 1 for F_j.
@@ -87,7 +87,7 @@ def collect_nonlin_snapshots(snapshots: SnapshotSet, basis: PodBasis,
         cols = slice(c, c + _CHUNK)
         zcols = (basis.lift_array(coef[:, cols]) if projected
                  else dev[:, cols] + snapshots.means.reshape(-1, 1))
-        out[:, :, cols] = _eval_all(zcols, physics, ops)
+        out[:, :, cols] = _eval_all(zcols, physics, grid)
     return out
 
 

@@ -25,7 +25,11 @@ A read fails with FormatError on a bad member CRC-32, a missing member or
 meta entry, bytes after the zip's end record, or another kind or version.
 Each file is written as <name>.part and renamed into place when complete.
 
-CSV artifacts are plain comma-separated text with a header row.
+The text artifacts are report.json and comma-separated tables with a
+header row: the invariant logs fom_invariants.csv and rom_invariants_*.csv
+(plain text for plotting, and what perfbench's cli-disk check reads with
+np.loadtxt) and the field dumps fields_*.csv. No other copy of a container
+member is written: the singular values stay in basis.bin and deim.bin.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from .rom import RomResult
 
 __all__ = ["SnapshotWriter", "read_snapshots", "read_initial_snapshot", "write_basis",
            "read_basis", "write_deim", "read_deim", "write_romops", "read_romops",
-           "write_rom", "read_rom", "write_invariants_csv", "write_spectra_csv",
-           "write_errors_csv", "write_fields_csv", "write_report_json"]
+           "write_rom", "read_rom", "write_invariants_csv", "write_fields_csv",
+           "write_report_json"]
 
 FORMAT_VERSION = 5
 # the meta entries each kind must carry besides kind, version and inputs
@@ -246,23 +250,6 @@ def write_invariants_csv(path, times: np.ndarray, invariants: np.ndarray) -> Non
         for k in range(len(times)):
             H, M, Q, B = invariants[k]
             fh.write(f"{k},{times[k]:.17g},{H:.17g},{M:.17g},{Q:.17g},{B:.17g}\n")
-
-
-def write_spectra_csv(path, names, spectra) -> None:
-    """Long-format singular value table: name, mode index (1-based), sigma."""
-    with open(path, "w") as fh:
-        fh.write("name,index,sigma\n")
-        for name, sig in zip(names, spectra):
-            for i, val in enumerate(sig, start=1):
-                fh.write(f"{name},{i},{val:.17g}\n")
-
-
-def write_errors_csv(path, rows) -> None:
-    """Long-format metric table: rows of (metric, method, name, value)."""
-    with open(path, "w") as fh:
-        fh.write("metric,method,name,value\n")
-        for metric, method, name, value in rows:
-            fh.write(f"{metric},{method},{name},{value:.17g}\n")
 
 
 def write_fields_csv(path, grid, fields: dict[str, np.ndarray]) -> None:

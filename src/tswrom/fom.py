@@ -50,7 +50,7 @@ from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import LinearOperator
 
 from .errors import NumericError
-from .grid import DiffOps, Grid, apply_dx, apply_dy, centered_x, centered_y
+from .grid import Grid, apply_dx, apply_dy, centered_x, centered_y
 
 __all__ = [
     "Physics",
@@ -163,43 +163,44 @@ def _chord_gradient(mid, dz, b, out, tmp):
     return out
 
 
-def _poisson_coefficients(mid, f, sx, sy, out, tmp, scale=1.0):
+def _poisson_coefficients(mid, f, sc, out, tmp, scale=1.0):
     """out = scale (q, c2, c3) of J(mid) on (n, n[, m]) views:
-    q = (v_x - u_y + f)/h, c2 = s_x/h, c3 = s_y/h, with stencil scales
-    sx = 1/(2dx), sy = 1/(2dy). Caller guarantees positive h; tmp is scratch
+    q = (v_x - u_y + f)/h, c2 = s_x/h, c3 = s_y/h, with the stencil scale
+    sc = 1/(2dx) of both axes. Caller guarantees positive h; tmp is scratch
     of one field's shape."""
     h, u, v, s = mid
     q, c2, c3 = out
-    centered_x(v, q, sx)
-    centered_y(u, c3, sy)
+    centered_x(v, q, sc)
+    centered_y(u, c3, sc)
     q -= c3
     q += f
-    centered_x(s, c2, sx)
-    centered_y(s, c3, sy)
+    centered_x(s, c2, sc)
+    centered_y(s, c3, sc)
     np.divide(scale, h, out=tmp)
     out *= tmp
     return out
 
 
-def _apply_j(coef, g, out, sx, sy, tmp):
+def _apply_j(coef, g, out, sc, tmp):
     """out = J g on (4, n, n[, m]) blocks, J given by its coefficients
     coef = (q, c2, c3), (3, n, n) and shared by all m columns, and the
-    stencil scales sx, sy. Coefficients and scales that carry a common
-    factor give that multiple of J g. tmp is scratch of one block's shape."""
+    stencil scale sc of both axes. Coefficients and a scale that carry a
+    common factor give that multiple of J g. tmp is scratch of one block's
+    shape."""
     if coef.ndim < g.ndim:
         coef = coef[..., None]
     q, c2, c3 = coef
     gh, gu, gv, gs = g
     oh, ou, ov, os_ = out
-    centered_x(gu, oh, sx)
-    centered_y(gv, tmp, sy)
+    centered_x(gu, oh, sc)
+    centered_y(gv, tmp, sc)
     oh += tmp
-    centered_x(gh, ou, sx)
+    centered_x(gh, ou, sc)
     np.multiply(q, gv, out=tmp)
     ou -= tmp
     np.multiply(c2, gs, out=tmp)
     ou -= tmp
-    centered_y(gh, ov, sy)
+    centered_y(gh, ov, sc)
     np.multiply(q, gu, out=tmp)
     ov += tmp
     np.multiply(c3, gs, out=tmp)
@@ -216,8 +217,8 @@ def _coefficients(z: np.ndarray, f: float, grid: Grid, scale: float = 1.0,
     or batch (4N, m); raises on nonpositive height, naming it what."""
     z4 = _blocks(z, grid.n)
     _require_positive(z4[0], what)
-    return _poisson_coefficients(z4, f, 0.5 / grid.dx, 0.5 / grid.dy,
-                                 np.empty((3,) + z4.shape[1:]), np.empty(z4.shape[1:]), scale)
+    return _poisson_coefficients(z4, f, 0.5 / grid.dx, np.empty((3,) + z4.shape[1:]),
+                                 np.empty(z4.shape[1:]), scale)
 
 
 class _AvfResidual:
@@ -227,7 +228,7 @@ class _AvfResidual:
         gbar = grad H(m) + Q(z - z_old)/12,
 
     evaluated on (4, n, n) views into buffers this object owns. dt is folded
-    into the coefficients and stencil scales of J. Every call checks the
+    into the coefficients and stencil scale of J. Every call checks the
     midpoint height."""
 
     def __init__(self, z_old: np.ndarray, dt: float, physics: Physics, grid: Grid):
@@ -237,8 +238,7 @@ class _AvfResidual:
         self.dt = dt
         self.f = physics.f
         self.b = physics.b.reshape(n, n)
-        self.sx = 0.5 / grid.dx
-        self.sy = 0.5 / grid.dy
+        self.sc = 0.5 / grid.dx
         self._mid = np.empty(z_old.shape)
         self._dz = np.empty(z_old.shape)
         self._grad = np.empty((4, n, n))
@@ -254,11 +254,11 @@ class _AvfResidual:
         np.subtract(z, self.z_old, out=dz)
         mid4 = _blocks(mid, n)
         _require_positive(mid4[0], "midpoint height")
-        _poisson_coefficients(mid4, self.f, self.sx, self.sy, self._coef, tmp[0], dt)
+        _poisson_coefficients(mid4, self.f, self.sc, self._coef, tmp[0], dt)
         _chord_gradient(mid4, _blocks(dz, n), self.b, self._grad, tmp)
         out = np.empty(z.shape)
         # dz/dt = -J grad H, so the AVF update is z = z_old - dt J(m) gbar
-        _apply_j(self._coef, self._grad, _blocks(out, n), dt * self.sx, dt * self.sy, tmp[0])
+        _apply_j(self._coef, self._grad, _blocks(out, n), dt * self.sc, tmp[0])
         out += dz
         return out
 
@@ -267,10 +267,10 @@ class _AvfResidual:
 # public operators
 # ---------------------------------------------------------------------------
 
-def potential_vorticity(z: np.ndarray, physics: Physics, ops: DiffOps) -> np.ndarray:
+def potential_vorticity(z: np.ndarray, physics: Physics, grid: Grid) -> np.ndarray:
     """q = (v_x - u_y + f) / h of a packed state (4N,); raises NumericError
     on nonpositive h."""
-    return _coefficients(z, physics.f, ops.grid)[0].reshape(-1)
+    return _coefficients(z, physics.f, grid)[0].reshape(-1)
 
 
 def grad_hamiltonian(z: np.ndarray, physics: Physics) -> np.ndarray:
@@ -291,15 +291,14 @@ def hamiltonian(z: np.ndarray, physics: Physics, grid: Grid) -> float:
     return float(np.sum(density) * grid.cell_area)
 
 
-def invariants(z: np.ndarray, physics: Physics, ops: DiffOps) -> np.ndarray:
+def invariants(z: np.ndarray, physics: Physics, grid: Grid) -> np.ndarray:
     """Discrete energy, mass, total vorticity and total buoyancy of a packed
     state, as (4,)."""
     h, u, v, s = z.reshape(4, -1)
-    grid = ops.grid
     area = grid.cell_area
     energy = hamiltonian(z, physics, grid)
     mass = np.sum(h) * area
-    vort = (np.sum(apply_dx(ops, v)) - np.sum(apply_dy(ops, u)) + physics.f * grid.N) * area
+    vort = (np.sum(apply_dx(grid, v)) - np.sum(apply_dy(grid, u)) + physics.f * grid.N) * area
     buoy = np.sum(h * s) * area
     return np.array([energy, mass, vort, buoy])
 
@@ -498,7 +497,7 @@ def march(step, z0: np.ndarray, num_steps: int):
 # implicit AVF step
 # ---------------------------------------------------------------------------
 
-def avf_step(z: np.ndarray, dt: float, physics: Physics, ops: DiffOps, *,
+def avf_step(z: np.ndarray, dt: float, physics: Physics, grid: Grid, *,
              start: np.ndarray | None = None) -> np.ndarray:
     """One implicit AVF step of size dt from the packed state z (4N,);
     returns the new packed state and conserves the discrete energy.
@@ -511,14 +510,14 @@ def avf_step(z: np.ndarray, dt: float, physics: Physics, ops: DiffOps, *,
     """
     _require_finite(z, "state")
     start, fallback = (z, None) if start is None else (np.asarray(start, dtype=np.float64), z)
-    residual = _AvfResidual(z, dt, physics, ops.grid)
+    residual = _AvfResidual(z, dt, physics, grid)
     correct = krylov_correction(residual, max(1.0, float(np.linalg.norm(z))), _NEWTON_TOL)
     return newton(residual, start, _NEWTON_TOL, _NEWTON_MAXITER, "Newton-Krylov", correct,
                   fallback)
 
 
 def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
-                  ops: DiffOps, snapshot_path=None, log_every: int = 0) -> FomResult:
+                  grid: Grid, snapshot_path=None, log_every: int = 0) -> FomResult:
     """March num_steps AVF steps from the packed state z0 (4N,) with march,
     recording the trajectory, the invariants and the times k dt.
 
@@ -532,7 +531,6 @@ def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
     records, such as logging.basicConfig(level=logging.INFO) or
     bench.progress_to_stdout.
     """
-    grid = ops.grid
     z = np.array(z0, dtype=np.float64)
     if z.shape != (4 * grid.N,):
         raise ValueError(f"state shape {z.shape} does not fit grid N={grid.N}")
@@ -547,15 +545,15 @@ def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
         from .fileio import SnapshotWriter
 
         writer = SnapshotWriter(snapshot_path, n=grid.n, num_steps=num_steps, dt=dt,
-                                length=grid.lx, coriolis=physics.f, gravity=physics.g)
+                                length=grid.length, coriolis=physics.f, gravity=physics.g)
 
     def step(z, start):
-        return avf_step(z, dt, physics, ops, start=start)
+        return avf_step(z, dt, physics, grid, start=start)
 
     try:
         for k, z in enumerate(march(step, z, num_steps)):
             traj[:, k] = z
-            invs[k] = invariants(z, physics, ops)
+            invs[k] = invariants(z, physics, grid)
             if writer is not None:
                 writer.append(z, invs[k])
             if log_every and k and (k % log_every == 0 or k == num_steps):

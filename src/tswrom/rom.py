@@ -74,7 +74,7 @@ from .errors import ConfigError, NumericError
 # perfbench/spans.py wraps rom.invariants by name, so it must stay bound here
 from .fom import (Physics, _coefficients, _require_finite, grad_hamiltonian, invariants,
                   march, newton)
-from .grid import DiffOps, apply_dx, apply_dy
+from .grid import Grid, apply_dx, apply_dy
 from .pod import PodBasis
 
 __all__ = [
@@ -132,10 +132,13 @@ class FlopCounter:
 # offline precompute
 # ---------------------------------------------------------------------------
 
-def _three_way(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _three_way(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """t[i, j, k] = sum_n a[n, i] b[n, j] c[n, k], one GEMM per i, so the
-    largest temporary is one (N, c columns) block."""
-    out = np.empty((a.shape[1], b.shape[1], c.shape[1]))
+    largest temporary is one (N, c columns) block. Written into out, a
+    C-order array of t's shape, when given."""
+    if out is None:
+        out = np.empty((a.shape[1], b.shape[1], c.shape[1]))
     for i in range(a.shape[1]):
         np.matmul(b.T, a[:, i : i + 1] * c, out=out[i])
     return out
@@ -246,12 +249,12 @@ class _Gradient:
         return out.T
 
 
-def _gradient_data(basis: PodBasis, physics: Physics, ops: DiffOps) -> _Gradient:
+def _gradient_data(basis: PodBasis, physics: Physics, grid: Grid) -> _Gradient:
     """The exact reduced gradient and the polynomial invariants of a basis."""
     vh, vu, vv, vs = basis.modes
     mh, mu, mv, ms = basis.means
     r = basis.r
-    area = ops.grid.cell_area
+    area = grid.cell_area
     hb = (mh + physics.b)[:, None]
 
     lin = np.zeros((4, r, 4, r))
@@ -266,8 +269,8 @@ def _gradient_data(basis: PodBasis, physics: Physics, ops: DiffOps) -> _Gradient
 
     inv_lin = np.zeros((3, 4, r))
     inv_lin[0, 0] = vh.sum(axis=0)
-    inv_lin[1, 1] = -apply_dy(ops, vu).sum(axis=0)
-    inv_lin[1, 2] = apply_dx(ops, vv).sum(axis=0)
+    inv_lin[1, 1] = -apply_dy(grid, vu).sum(axis=0)
+    inv_lin[1, 2] = apply_dx(grid, vv).sum(axis=0)
     inv_lin[2, 0] = vh.T @ ms
     inv_lin[2, 3] = vs.T @ mh
     return _Gradient(
@@ -276,7 +279,7 @@ def _gradient_data(basis: PodBasis, physics: Physics, ops: DiffOps) -> _Gradient
         t_uu=_three_way(vh, vu, vu),
         t_vv=_three_way(vh, vv, vv),
         t_hs=_three_way(vh, vh, vs),
-        inv0=invariants(basis.mean_z, physics, ops)[:, None],
+        inv0=invariants(basis.mean_z, physics, grid)[:, None],
         inv_lin=area * inv_lin.reshape(3, 4 * r),
         b_hs=area * (vh.T @ vs),
         area=area,
@@ -347,7 +350,7 @@ class RomOperators:
 
     basis: PodBasis
     physics: Physics
-    diffops: DiffOps
+    grid: Grid
     deim: DeimSet | None = None
     k: np.ndarray | None = None
     grad: _Gradient = field(init=False, repr=False)
@@ -355,25 +358,25 @@ class RomOperators:
     sampler: _Sampler | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        basis, ops, r = self.basis, self.diffops, self.basis.r
-        if basis.N != ops.grid.N:
-            raise ConfigError(f"basis N={basis.N} does not match grid N={ops.grid.N}")
+        basis, grid, r = self.basis, self.grid, self.basis.r
+        if basis.N != grid.N:
+            raise ConfigError(f"basis N={basis.N} does not match grid N={grid.N}")
         shape = None if self.k is None else self.k.shape
         expected = None if self.deim is None else (NUM_NONLIN, self.deim.p, r * r)
         if shape != expected:
             raise ConfigError(f"reduced operator k has shape {shape}, expected {expected} "
                               f"for r={r}")
         vh, vu, vv, _ = basis.modes
-        a1, a2 = vh.T @ apply_dx(ops, vu), vh.T @ apply_dy(ops, vv)
+        a1, a2 = vh.T @ apply_dx(grid, vu), vh.T @ apply_dy(grid, vv)
         j0 = np.zeros((4, r, 4, r))
         j0[0, :, 1] = a1
         j0[0, :, 2] = a2
         j0[1, :, 0] = -a1.T
         j0[2, :, 0] = -a2.T
         self.j0 = j0.reshape(4 * r, 4 * r)
-        self.grad = _gradient_data(basis, self.physics, ops)
+        self.grad = _gradient_data(basis, self.physics, grid)
         self.sampler = (None if self.deim is None
-                        else _build_sampler(basis, self.deim.indices, self.physics, ops))
+                        else _build_sampler(basis, self.deim.indices, self.physics, grid))
 
     @property
     def r(self) -> int:
@@ -381,11 +384,11 @@ class RomOperators:
 
 
 def _build_sampler(basis: PodBasis, indices: np.ndarray, physics: Physics,
-                   ops: DiffOps) -> _Sampler:
+                   grid: Grid) -> _Sampler:
     """The sampler of F1..F3 at the nodes indices[j - 1] of each F_j, (3, p)."""
     vh, vu, vv, vs = basis.modes
     mh, mu, mv, ms = basis.means
-    dx, dy = partial(apply_dx, ops), partial(apply_dy, ops)
+    dx, dy = partial(apply_dx, grid), partial(apply_dy, grid)
     r = basis.r
     # primitive -> {block of z_r: (modes, mean)}, the affine lift of its field
     fields = {
@@ -393,34 +396,37 @@ def _build_sampler(basis: PodBasis, indices: np.ndarray, physics: Physics,
         "curl": {1: (-dy(vu), -dy(mu)), 2: (dx(vv), dx(mv))},
         "sx": {3: (dx(vs), dx(ms))}, "sy": {3: (dy(vs), dy(ms))},
     }
-    rows, offset, nnz = [], [], 0
-    for name in _SAMPLED:
+    p = indices.shape[1]
+    # blocks are written into the one result, not stacked from copies: the
+    # Galerkin Jacobian's sampler of every node is (6N, 4r)
+    rows = np.zeros((len(_SAMPLED) * p, 4 * r))
+    offset = np.zeros((len(_SAMPLED) * p, 1))
+    nnz = 0
+    for i, name in enumerate(_SAMPLED):
         idx = indices[int(name[-1]) - 1]
-        block = np.zeros((idx.size, 4 * r))
-        const = np.zeros(idx.size)
+        block, const = rows[i * p : (i + 1) * p], offset[i * p : (i + 1) * p, 0]
         for k, (modes, mean) in fields[name[:-1]].items():
             block[:, k * r : (k + 1) * r] = modes[idx]
             const += mean[idx]
-            nnz += idx.size * r
-        rows.append(block)
-        offset.append(const)
-    return _Sampler(f=physics.f, rows=np.vstack(rows), offset=np.concatenate(offset)[:, None],
-                    nnz=nnz)
+            nnz += p * r
+    return _Sampler(f=physics.f, rows=rows, offset=offset, nnz=nnz)
 
 
-def precompute_rom(basis: PodBasis, deim: DeimSet, physics: Physics, ops: DiffOps) -> RomOperators:
+def precompute_rom(basis: PodBasis, deim: DeimSet, physics: Physics, grid: Grid) -> RomOperators:
     """The tensor model's operator set: the K_j tensors k (offline,
-    O(N p r^2) work), with everything else derived by RomOperators."""
+    O(N p r^2) work), with everything else derived by RomOperators. Each
+    K_j is written in place into the one (3, p, r, r) result."""
     if deim.psi.shape[1] != basis.N:
         raise ConfigError("DEIM operators were built on a different grid")
-    k = np.stack([_three_way(psi, basis.modes[a], basis.modes[b])
-                  for psi, (a, b) in zip(deim.psi, _SKEW_PAIRS)]
-                 ).reshape(NUM_NONLIN, deim.p, basis.r**2)
-    return RomOperators(basis, physics, ops, deim, k)
+    r = basis.r
+    k = np.empty((NUM_NONLIN, deim.p, r, r))
+    for kj, psi, (a, b) in zip(k, deim.psi, _SKEW_PAIRS):
+        _three_way(psi, basis.modes[a], basis.modes[b], out=kj)
+    return RomOperators(basis, physics, grid, deim, k.reshape(NUM_NONLIN, deim.p, r * r))
 
 
 def rom_operators_from_parts(matrices: dict[str, np.ndarray], basis: PodBasis,
-                             deim: DeimSet, physics: Physics, ops: DiffOps) -> RomOperators:
+                             deim: DeimSet, physics: Physics, grid: Grid) -> RomOperators:
     """Rebuild a RomOperators from deserialized matrices plus its ingredients.
 
     Only matrices["k"] is read, and RomOperators checks its shape against
@@ -428,7 +434,7 @@ def rom_operators_from_parts(matrices: dict[str, np.ndarray], basis: PodBasis,
     and a2 that older romops.bin files hold, are ignored."""
     if "k" not in matrices:
         raise ConfigError("missing reduced operator k")
-    return RomOperators(basis, physics, ops, deim, matrices["k"])
+    return RomOperators(basis, physics, grid, deim, matrices["k"])
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +480,7 @@ def _galerkin_poisson(ops: RomOperators, z_old: np.ndarray):
     products go into buffers kept per column count, so a step allocates them
     once for the residual's single column and once for the Jacobian's 4r
     columns."""
-    basis, grid, f = ops.basis, ops.diffops.grid, ops.physics.f
+    basis, grid, f = ops.basis, ops.grid, ops.physics.f
     N, r = basis.N, basis.r
     base = basis.lift_array(z_old)[:, None]
     modes_t = basis.modes[1:].transpose(0, 2, 1)
@@ -574,7 +580,7 @@ def _avf_residual(ops: RomOperators, z_old: np.ndarray, dt: float, method: str):
         if method == "pod":
             basis, modes = ops.basis, ops.basis.modes
             nodes = np.broadcast_to(np.arange(basis.N), (NUM_NONLIN, basis.N))
-            sampler = _build_sampler(basis, nodes, ops.physics, ops.diffops)
+            sampler = _build_sampler(basis, nodes, ops.physics, ops.grid)
             weights = [(modes[a] * (modes[b] @ gbar[b])[:, None],
                         modes[b] * (modes[a] @ gbar[a])[:, None]) for a, b in _SKEW_PAIRS]
         else:

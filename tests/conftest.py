@@ -7,7 +7,6 @@ from helpers import SEED
 
 from tswrom.bench import (DoubleVortexConfig, double_vortex_initial,
                           make_physics, run_pipeline)
-from tswrom.grid import build_diff_ops
 
 #: Criterion number -> (label, passed, detail), filled by test_acceptance.py.
 ACCEPTANCE_RESULTS = {}
@@ -49,7 +48,6 @@ class VortexCase:
     def __init__(self, cfg):
         self.cfg = cfg
         self.grid = cfg.make_grid()
-        self.diffops = build_diff_ops(self.grid)
         self.physics = make_physics(cfg, self.grid.N)
         self.initial = double_vortex_initial(self.grid, cfg)
 

@@ -29,28 +29,26 @@ from tswrom.deim import qdeim_select
 from tswrom.errors import NumericError
 from tswrom.fom import (_NEWTON_MAXITER, _NEWTON_TOL, Physics, _apply_j, _AvfResidual, _blocks,
                         _chord_gradient, _coefficients, grad_hamiltonian)
-from tswrom.grid import build_diff_ops, build_grid
+from tswrom.grid import build_grid
 from tswrom.pod import PodBasis, _mean_led_modes, truncate_rank
 
 SEED = 20260815
 
 
 def small_setup(n=8, length=2.0 * np.pi):
-    """Grid and difference operators on [0, length)^2."""
-    grid = build_grid(n, (0.0, length, 0.0, length))
-    return grid, build_diff_ops(grid)
+    """An n-by-n grid on [0, length)^2."""
+    return build_grid(n, length)
 
 
 def smooth_field(grid, rng, amplitude=1.0, modes=3):
     """Random band-limited doubly periodic field, O(amplitude)."""
     xx, yy = grid.meshcoords()
-    kx = 2.0 * np.pi / grid.lx
-    ky = 2.0 * np.pi / grid.ly
+    k = 2.0 * np.pi / grid.length
     out = np.zeros(grid.N)
     for _ in range(modes):
         ax, ay = rng.integers(1, 4, size=2)
         px, py = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        out += rng.normal() * np.cos(ax * kx * xx + px) * np.cos(ay * ky * yy + py)
+        out += rng.normal() * np.cos(ax * k * xx + px) * np.cos(ay * k * yy + py)
     return amplitude * out / modes
 
 
@@ -99,20 +97,20 @@ def csr_diff_ops(grid):
                             shape=(n, n))
     eye = sp.identity(n, format="csr")
     return ((sp.kron(stencil, eye) / (2.0 * grid.dx)).tocsr(),
-            (sp.kron(eye, stencil) / (2.0 * grid.dy)).tocsr())
+            (sp.kron(eye, stencil) / (2.0 * grid.dx)).tocsr())
 
 
-def plain_coefficients(z, physics, ops):
+def plain_coefficients(z, physics, grid):
     """Reference coefficients (F1, F2, F3) = ((v_x - u_y + f)/h, s_x/h, s_y/h)
     of J at a packed state (4N,), with CSR stencils."""
     h, u, v, s = np.split(z, 4)
-    dx, dy = csr_diff_ops(ops.grid)
+    dx, dy = csr_diff_ops(grid)
     return (dx @ v - dy @ u + physics.f) / h, (dx @ s) / h, (dy @ s) / h
 
 
-def nonlinearity(j, z, physics, ops):
+def nonlinearity(j, z, physics, grid):
     """Reference nonlinearity F_j (j = 1..3) at a packed full state."""
-    return plain_coefficients(z, physics, ops)[j - 1]
+    return plain_coefficients(z, physics, grid)[j - 1]
 
 
 def lift(basis, z_r):
@@ -148,10 +146,10 @@ def svd_deim(nonlin, kappa, p_override=None):
     return spectra, indices, phi, psi
 
 
-def plain_apply_j(mid, g, physics, ops):
+def plain_apply_j(mid, g, physics, grid):
     """Reference J(mid) g for packed (4N,) vectors, with CSR stencils."""
-    dx, dy = csr_diff_ops(ops.grid)
-    q, c2, c3 = plain_coefficients(mid, physics, ops)
+    dx, dy = csr_diff_ops(grid)
+    q, c2, c3 = plain_coefficients(mid, physics, grid)
     gh, gu, gv, gs = np.split(g, 4)
     return np.concatenate([dx @ gu + dy @ gv,
                            dx @ gh - q * gv - c2 * gs,
@@ -159,14 +157,14 @@ def plain_apply_j(mid, g, physics, ops):
                            c2 * gu + c3 * gv])
 
 
-def gauss_avf_residual(z_new, z_old, dt, physics, ops):
+def gauss_avf_residual(z_new, z_old, dt, physics, grid):
     """Reference AVF residual z_new - z_old + dt J(mid) gbar, with CSR
     stencils and the Gauss chord mean."""
     gbar = gauss_avf_gradient(z_old, z_new, physics.b)
-    return z_new - z_old + dt * plain_apply_j(0.5 * (z_old + z_new), gbar, physics, ops)
+    return z_new - z_old + dt * plain_apply_j(0.5 * (z_old + z_new), gbar, physics, grid)
 
 
-def rom_rhs_pod_only(basis, z_r, physics, ops):
+def rom_rhs_pod_only(basis, z_r, physics, grid):
     """Reference Galerkin reduced time derivative -V^T J(w) V V^T grad H(w)
     at the lift w of reduced coefficients z_r (4r,), with CSR stencils."""
     N = basis.N
@@ -174,7 +172,7 @@ def rom_rhs_pod_only(basis, z_r, physics, ops):
     g = plain_grad_h(lifted, physics.b)
     gproj = np.concatenate(
         [basis.modes[i] @ (basis.modes[i].T @ g[i * N : (i + 1) * N]) for i in range(4)])
-    jg = plain_apply_j(lifted, gproj, physics, ops)
+    jg = plain_apply_j(lifted, gproj, physics, grid)
     return -np.concatenate([basis.modes[i].T @ jg[i * N : (i + 1) * N] for i in range(4)])
 
 
@@ -194,7 +192,7 @@ def einsum_quadratic(grad, x):
     ])
 
 
-def deim_apply(dset, j, z, physics, ops):
+def deim_apply(dset, j, z, physics, grid):
     """Reference sampled coefficient P_j^T F_j(z), j = 1..3, of a packed
     state at the points of F_j in a DeimSet, from the CSR stencil rows of
     the selected nodes only."""
@@ -203,7 +201,7 @@ def deim_apply(dset, j, z, physics, ops):
     h = h[idx]
     if not h.min() > 0.0:
         raise NumericError(f"nonpositive sampled height for F{j}")
-    dx, dy = csr_diff_ops(ops.grid)
+    dx, dy = csr_diff_ops(grid)
     if j == 1:
         return (dx[idx, :] @ v - dy[idx, :] @ u + physics.f) / h
     if j == 2:
@@ -211,21 +209,21 @@ def deim_apply(dset, j, z, physics, ops):
     return (dy[idx, :] @ s) / h
 
 
-def apply_poisson(z, physics, ops, g, scale=1.0):
+def apply_poisson(z, physics, grid, g, scale=1.0):
     """scale J(z) g for a packed state z and a packed g of shape (4N,) or
     (4N, m), through the program's coefficient and stencil kernels."""
-    grid, n = ops.grid, ops.grid.n
+    n = grid.n
     coef = _coefficients(z, physics.f, grid, scale)
     g = np.ascontiguousarray(g, dtype=np.float64)
     out = np.empty(g.shape)
     _apply_j(coef, _blocks(g, n), _blocks(out, n), scale * 0.5 / grid.dx,
-             scale * 0.5 / grid.dy, np.empty((n, n) + g.shape[1:]))
+             np.empty((n, n) + g.shape[1:]))
     return out
 
 
-def rhs(z, physics, ops):
+def rhs(z, physics, grid):
     """Time derivative -J(z) grad H(z), packed (h, u, v, s)."""
-    return apply_poisson(z, physics, ops, grad_hamiltonian(z, physics), -1.0)
+    return apply_poisson(z, physics, grid, grad_hamiltonian(z, physics), -1.0)
 
 
 def avf_gradient(z_old, z_new, physics):
@@ -239,18 +237,18 @@ def avf_gradient(z_old, z_new, physics):
     return out
 
 
-def dense_poisson_matrix(z, physics, ops):
+def dense_poisson_matrix(z, physics, grid):
     """J(z) assembled densely (4N x 4N) as J applied to the identity."""
-    return apply_poisson(z, physics, ops, np.eye(z.size))
+    return apply_poisson(z, physics, grid, np.eye(z.size))
 
 
-def reduced_poisson_matrix(basis, z, physics, ops):
+def reduced_poisson_matrix(basis, z, physics, grid):
     """Dense reduced Poisson matrix V^T J(z) V (4r x 4r)."""
     N, r = basis.N, basis.r
     vblk = np.zeros((4 * N, 4 * r))
     for i in range(4):
         vblk[i * N : (i + 1) * N, i * r : (i + 1) * r] = basis.modes[i]
-    return vblk.T @ apply_poisson(z, physics, ops, vblk)
+    return vblk.T @ apply_poisson(z, physics, grid, vblk)
 
 
 def central_difference_jacobian(residual, z, step):
@@ -260,11 +258,11 @@ def central_difference_jacobian(residual, z, step):
     return np.stack(cols, axis=1)
 
 
-def dense_newton_avf_step(z_old, dt, physics, ops):
+def dense_newton_avf_step(z_old, dt, physics, grid):
     """Reference AVF step: Newton on the full finite-difference Jacobian of
     the fused residual, one column per unknown, to the full model's Newton
     tolerance. Only sensible for n <= 8."""
-    residual = _AvfResidual(z_old, dt, physics, ops.grid)
+    residual = _AvfResidual(z_old, dt, physics, grid)
     sqrt_eps = math.sqrt(np.finfo(np.float64).eps)
     z = z_old.copy()
     for _ in range(_NEWTON_MAXITER):

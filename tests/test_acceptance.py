@@ -20,7 +20,7 @@ from tswrom.bench import (DoubleVortexConfig, double_vortex_initial,
                           invariant_errors, make_physics, run_pipeline)
 from tswrom.deim import build_deim, collect_nonlin_snapshots
 from tswrom.fom import grad_hamiltonian, hamiltonian, integrate_fom, march
-from tswrom.grid import apply_dx, apply_dy, build_diff_ops
+from tswrom.grid import apply_dx, apply_dy
 from tswrom.pod import build_pod_basis, collect_snapshots, restrict
 from tswrom.rom import (FlopCounter, RomState, integrate_rom, precompute_rom,
                         rom_rhs)
@@ -39,11 +39,10 @@ def desk_fom():
     """Full-order n=32 run, small enough for an always-on gate."""
     cfg = DoubleVortexConfig(n=32, num_steps=100, dt=486.0)
     grid = cfg.make_grid()
-    dops = build_diff_ops(grid)
     physics = make_physics(cfg, grid.N)
     z0 = double_vortex_initial(grid, cfg)
     start = time.perf_counter()
-    result = integrate_fom(z0, cfg.dt, cfg.num_steps, physics, dops)
+    result = integrate_fom(z0, cfg.dt, cfg.num_steps, physics, grid)
     return result, time.perf_counter() - start
 
 
@@ -131,17 +130,16 @@ def test_criterion_5_full_rank_reduction_recovers_full_order():
     start = time.perf_counter()
     cfg = DoubleVortexConfig(n=16, num_steps=280, dt=486.0)
     grid = cfg.make_grid()
-    dops = build_diff_ops(grid)
     physics = make_physics(cfg, grid.N)
     z0 = double_vortex_initial(grid, cfg)
-    fom = integrate_fom(z0, cfg.dt, cfg.num_steps, physics, dops)
+    fom = integrate_fom(z0, cfg.dt, cfg.num_steps, physics, grid)
 
     N = grid.N
     snaps = collect_snapshots(fom.trajectory[:, 1:])
     basis = build_pod_basis(snaps, kappa=0.0, r_override=N)
-    nonlin = collect_nonlin_snapshots(snaps, basis, physics, dops)
+    nonlin = collect_nonlin_snapshots(snaps, basis, physics, grid)
     dset = build_deim(nonlin, kappa=0.0, p_override=N)
-    ops = precompute_rom(basis, dset, physics, dops)
+    ops = precompute_rom(basis, dset, physics, grid)
 
     eye = np.eye(N)
     projector_err = max(float(np.abs(v @ v.T - eye).max()) for v in basis.modes)
@@ -172,33 +170,33 @@ def test_criterion_5_full_rank_reduction_recovers_full_order():
 
 def _small_reduction(rng):
     """Random smooth states through the whole offline path, n=5, r=3, p=4."""
-    grid, dops = small_setup(n=5)
+    grid = small_setup(n=5)
     phys = random_physics(grid, rng)
     traj = np.stack([random_state(grid, rng) for _ in range(8)], axis=1)
     snaps = collect_snapshots(traj)
     basis = build_pod_basis(snaps, kappa=0.0, r_override=3)
-    nonlin = collect_nonlin_snapshots(snaps, basis, phys, dops)
+    nonlin = collect_nonlin_snapshots(snaps, basis, phys, grid)
     dset = build_deim(nonlin, kappa=0.0, p_override=4)
-    ops = precompute_rom(basis, dset, phys, dops)
-    return grid, dops, phys, basis, dset, ops
+    ops = precompute_rom(basis, dset, phys, grid)
+    return grid, phys, basis, dset, ops
 
 
 def test_criterion_6_structural_identities(rng):
     checks = {}
 
     # the difference stencils the solvers run, as matrices: D applied to I
-    grid, dops = small_setup(n=8)
+    grid = small_setup(n=8)
     eye = np.eye(grid.N)
     checks["operator skew"] = (
-        max(float(np.abs(d + d.T).max()) for d in (apply_dx(dops, eye), apply_dy(dops, eye))),
+        max(float(np.abs(d + d.T).max()) for d in (apply_dx(grid, eye), apply_dy(grid, eye))),
         1e-12)
 
     phys = random_physics(grid, rng)
     z = random_state(grid, rng)
     g = rng.normal(size=4 * grid.N)
-    dense = dense_poisson_matrix(z, phys, dops)
+    dense = dense_poisson_matrix(z, phys, grid)
     checks["dense vs matrix-free"] = (
-        float(np.abs(dense @ g - apply_poisson(z, phys, dops, g)).max()),
+        float(np.abs(dense @ g - apply_poisson(z, phys, grid, g)).max()),
         1e-12)
 
     # the averaged gradient equals a 10-point quadrature along the chord
@@ -223,9 +221,9 @@ def test_criterion_6_structural_identities(rng):
     checks["gradient vs finite differences (rel)"] = (
         float(np.abs(grad - fd).max() / np.abs(grad).max()), 1e-6)
 
-    sgrid, sdops, sphys, sbasis, sdset, sops = _small_reduction(rng)
+    sgrid, sphys, sbasis, sdset, sops = _small_reduction(rng)
     sstate = random_state(sgrid, rng)
-    jr = reduced_poisson_matrix(sbasis, sstate, sphys, sdops)
+    jr = reduced_poisson_matrix(sbasis, sstate, sphys, sgrid)
     checks["reduced skew"] = (float(np.abs(jr + jr.T).max()), 1e-12)
 
     eye = np.eye(sdset.p)
@@ -283,15 +281,14 @@ def _online_cost(n):
     cfg = DoubleVortexConfig(n=n, num_steps=40, dt=486.0,
                              r_override=5, p_override=35)
     grid = cfg.make_grid()
-    dops = build_diff_ops(grid)
     physics = make_physics(cfg, grid.N)
     z0 = double_vortex_initial(grid, cfg)
-    fom = integrate_fom(z0, cfg.dt, cfg.num_steps, physics, dops)
+    fom = integrate_fom(z0, cfg.dt, cfg.num_steps, physics, grid)
     snaps = collect_snapshots(fom.trajectory[:, 1:])
     basis = build_pod_basis(snaps, kappa=cfg.kappa_pod, r_override=5)
-    nonlin = collect_nonlin_snapshots(snaps, basis, physics, dops)
+    nonlin = collect_nonlin_snapshots(snaps, basis, physics, grid)
     dset = build_deim(nonlin, kappa=cfg.kappa_deim, p_override=35)
-    ops = precompute_rom(basis, dset, physics, dops)
+    ops = precompute_rom(basis, dset, physics, grid)
     zr0 = restrict(basis, z0)
     counter = FlopCounter()
     rom_rhs(ops, zr0, counter)

@@ -22,6 +22,18 @@ from tswrom.rom import RomOperators, rom_operators_from_parts
 
 _SMALL = ["--set", "n=16", "--set", "num_steps=12"]
 
+# the workspace after fom -> reduce -> rom (both methods)
+_CHAIN_FILES = {"snapshots.bin", "fom_invariants.csv", "basis.bin", "deim.bin", "romops.bin",
+                "rom_invariants_pod.csv", "rom_pod.bin", "rom_invariants_pod_deim.csv",
+                "rom_pod_deim.bin", "run_meta.json"}
+
+
+def _compare_files(num_steps):
+    """What compare adds: the report and the field dumps at the first,
+    middle and last step."""
+    return {"report.json", *(f"fields_{tag}_{step:04d}.csv" for tag in ("fom", "pod", "pod_deim")
+                             for step in (0, num_steps // 2, num_steps))}
+
 
 @pytest.fixture(scope="module")
 def chain_dir(tmp_path_factory):
@@ -36,12 +48,8 @@ def chain_dir(tmp_path_factory):
 
 
 def test_chain_artifacts_and_meta(chain_dir):
-    for name in ("snapshots.bin", "fom_invariants.csv", "basis.bin", "deim.bin",
-                 "romops.bin", "pod_spectra.csv", "deim_spectra.csv",
-                 "rom_invariants_pod.csv", "rom_pod.bin",
-                 "rom_invariants_pod_deim.csv", "rom_pod_deim.bin",
-                 "run_meta.json"):
-        assert (chain_dir / name).is_file(), name
+    # exactly these files: a copy of data another artifact holds is not written
+    assert {path.name for path in chain_dir.iterdir()} == _CHAIN_FILES
     meta = json.loads((chain_dir / "run_meta.json").read_text())
     assert meta["n"] == 16 and meta["num_steps"] == 12
     assert meta["r"] == 3 and meta["p"] == 6  # the explicit flags won
@@ -64,8 +72,7 @@ def test_compare_builds_report_and_tables(chain_dir, capsys):
                 "wall_fom_s"):
         assert key in report, key
     assert report["inv_fom_H"] <= 1e-11
-    assert (chain_dir / "errors.csv").is_file()
-    assert (chain_dir / "fields_pod_deim_0012.csv").is_file()
+    assert {path.name for path in chain_dir.iterdir()} == _CHAIN_FILES | _compare_files(12)
 
 
 def test_fom_verbose_logs_progress(tmp_path, capsys):
@@ -292,9 +299,9 @@ def test_rom_output_matches_a_solve_from_the_whole_trajectory(chain_dir, tmp_pat
     dset = fileio.read_deim(chain_dir / "deim.bin")
     mats, _, _ = fileio.read_romops(chain_dir / "romops.bin")
     for method, ops in (
-            ("pod", RomOperators(basis, case.physics, case.diffops)),
+            ("pod", RomOperators(basis, case.physics, case.grid)),
             ("pod-deim", rom_operators_from_parts(mats, basis, dset, case.physics,
-                                                  case.diffops))):
+                                                  case.grid))):
         stage_rom(case, ops, traj[:, 0], method, {}, tmp_path)
         tag = method.replace("-", "_")
         for name in (f"rom_{tag}.bin", f"rom_invariants_{tag}.csv"):
@@ -447,7 +454,7 @@ def test_romops_of_another_basis_size_exits_2(tmp_path, capsys):
                                           r"expected \(3, 2, 9\)"):
         rom_operators_from_parts(mats, fileio.read_basis(large / "basis.bin"),
                                  fileio.read_deim(large / "deim.bin"), case.physics,
-                                 case.diffops)
+                                 case.grid)
 
 
 def test_absurd_time_step_exits_3(tmp_path, capsys):
@@ -479,6 +486,23 @@ def test_compare_without_rom_exits_2(tmp_path, capsys):
     assert "holds no rom_pod.bin; run `tswrom rom --method pod`" in capsys.readouterr().err
 
 
+def test_parsing_arguments_loads_no_numerical_library():
+    # --threads pins the BLAS pools before numpy and scipy load, so importing
+    # the driver and parsing every subcommand's arguments must load neither
+    code = "\n".join([
+        "import sys",
+        "from tswrom.cli import build_parser",
+        "for argv in (['fom', '--n', '8', '--threads', '1'], ['reduce', '--r', '3'],",
+        "             ['rom', '--method', 'pod'], ['compare', '--set', 'n=8']):",
+        "    build_parser().parse_args([*argv, '--out', 'w'])",
+        "print(sorted(name for name in ('numpy', 'scipy') if name in sys.modules))",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_single_threaded_reruns_are_bit_identical(tmp_path):
     def run_chain(out):
         commands = [
@@ -500,6 +524,15 @@ def test_single_threaded_reruns_are_bit_identical(tmp_path):
     second = tmp_path / "b"
     run_chain(first)
     run_chain(second)
-    for name in ("snapshots.bin", "fom_invariants.csv", "basis.bin", "deim.bin", "romops.bin",
-                 "rom_pod.bin", "rom_pod_deim.bin", "errors.csv"):
+    names = {path.name for path in first.iterdir()}
+    assert names == {path.name for path in second.iterdir()}
+    assert names == _CHAIN_FILES | _compare_files(8)
+    # every file but the two that hold wall times is the same byte for byte
+    for name in names - {"run_meta.json", "report.json"}:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def untimed(out):
+        report = json.loads((out / "report.json").read_text())
+        return {k: v for k, v in report.items() if not k.startswith(("wall_", "speedup_"))}
+
+    assert untimed(first) == untimed(second)

@@ -28,50 +28,50 @@ def _crafted_phi():
     return phi
 
 
-def _raw_nonlinearities(states, phys, ops):
+def _raw_nonlinearities(states, phys, grid):
     """The program's F1..F3 on states, as unprojected nonlinear snapshots."""
     snaps = collect_snapshots(np.stack(states, axis=1))
-    return collect_nonlin_snapshots(snaps, None, phys, ops, projected=False)
+    return collect_nonlin_snapshots(snaps, None, phys, grid, projected=False)
 
 
 def test_nonlinearity_formulas(rng):
-    grid, ops = small_setup(n=7)
+    grid = small_setup(n=7)
     z = random_state(grid, rng)
     phys = random_physics(grid, rng)
     h, u, v, s = np.split(z, 4)
     expected = [
-        (apply_dx(ops, v) - apply_dy(ops, u) + phys.f) / h,
-        apply_dx(ops, s) / h,
-        apply_dy(ops, s) / h,
+        (apply_dx(grid, v) - apply_dy(grid, u) + phys.f) / h,
+        apply_dx(grid, s) / h,
+        apply_dy(grid, s) / h,
     ]
     assert NUM_NONLIN == 3
-    values = _raw_nonlinearities([z], phys, ops)
+    values = _raw_nonlinearities([z], phys, grid)
     for j in range(1, NUM_NONLIN + 1):
         np.testing.assert_allclose(values[j - 1][:, 0], expected[j - 1], rtol=1e-13, atol=1e-14)
         # the CSR oracle the other tests use agrees with the same formulas
-        np.testing.assert_allclose(nonlinearity(j, z, phys, ops), expected[j - 1],
+        np.testing.assert_allclose(nonlinearity(j, z, phys, grid), expected[j - 1],
                                    rtol=1e-13, atol=1e-14)
 
 
 def test_nonlinearity_requires_positive_height(rng):
-    grid, ops = small_setup(n=5)
+    grid = small_setup(n=5)
     z = random_state(grid, rng)
     phys = random_physics(grid, rng)
     z[2] = -0.5
     with pytest.raises(NumericError):
-        _raw_nonlinearities([z], phys, ops)
+        _raw_nonlinearities([z], phys, grid)
 
 
 def test_collect_nonlin_snapshots_projection_switch(rng):
-    grid, ops = small_setup(n=5)
+    grid = small_setup(n=5)
     phys = random_physics(grid, rng)
     traj = np.stack([random_state(grid, rng) for _ in range(6)], axis=1)
     snaps = collect_snapshots(traj)
     # a genuinely truncated basis, so reconstruction differs from the raw data
     basis = build_pod_basis(snaps, kappa=1e-2, r_override=2)
 
-    raw = collect_nonlin_snapshots(snaps, basis, phys, ops, projected=False)
-    proj = collect_nonlin_snapshots(snaps, basis, phys, ops, projected=True)
+    raw = collect_nonlin_snapshots(snaps, basis, phys, grid, projected=False)
+    proj = collect_nonlin_snapshots(snaps, basis, phys, grid, projected=True)
     assert raw.shape == proj.shape == (NUM_NONLIN, grid.N, 6)
 
     # raw trains on the snapshots themselves ...
@@ -79,22 +79,22 @@ def test_collect_nonlin_snapshots_projection_switch(rng):
     st = traj[:, k]
     for j in range(1, NUM_NONLIN + 1):
         np.testing.assert_allclose(raw[j - 1][:, k],
-                                   nonlinearity(j, st, phys, ops), rtol=1e-13, atol=1e-14)
+                                   nonlinearity(j, st, phys, grid), rtol=1e-13, atol=1e-14)
     # ... projected trains on their POD reconstructions
     rec = basis.lift_array(restrict(basis, traj[:, k]))
     for j in range(1, NUM_NONLIN + 1):
         np.testing.assert_allclose(proj[j - 1][:, k],
-                                   nonlinearity(j, rec, phys, ops), rtol=1e-13, atol=1e-14)
+                                   nonlinearity(j, rec, phys, grid), rtol=1e-13, atol=1e-14)
     assert np.max(np.abs(raw - proj)) > 1e-8  # the switch matters
 
     # a basis built on other snapshots has other means; the projection is
     # still z -> mean + V V^T (z - mean) with the basis' own mean
     other = build_pod_basis(collect_snapshots(traj[:, :4]), kappa=1e-2, r_override=2)
-    shifted = collect_nonlin_snapshots(snaps, other, phys, ops, projected=True)
+    shifted = collect_nonlin_snapshots(snaps, other, phys, grid, projected=True)
     rec = other.lift_array(restrict(other, traj[:, k]))
     for j in range(1, NUM_NONLIN + 1):
         np.testing.assert_allclose(shifted[j - 1][:, k],
-                                   nonlinearity(j, rec, phys, ops), rtol=1e-12, atol=1e-13)
+                                   nonlinearity(j, rec, phys, grid), rtol=1e-12, atol=1e-13)
 
 
 def _mixed_states(grid, rng, count):
@@ -107,7 +107,7 @@ def _mixed_states(grid, rng, count):
 @pytest.mark.parametrize("projected", [True, False])
 def test_collect_nonlin_snapshots_chunks_match_one_shot(rng, projected):
     # K is not a multiple of the chunk, so the last chunk is partial
-    grid, ops = small_setup(n=6)
+    grid = small_setup(n=6)
     phys = random_physics(grid, rng)
     traj = _mixed_states(grid, rng, 2 * _CHUNK + 5)
     snaps = collect_snapshots(traj)
@@ -116,8 +116,8 @@ def test_collect_nonlin_snapshots_chunks_match_one_shot(rng, projected):
     other = build_pod_basis(collect_snapshots(traj[:, :_CHUNK]), kappa=1e-2, r_override=3)
     for basis in (own, other):
         states = basis.lift_array(restrict(basis, traj)) if projected else traj
-        expected = _eval_all(states, phys, ops)
-        got = collect_nonlin_snapshots(snaps, basis, phys, ops, projected=projected)
+        expected = _eval_all(states, phys, grid)
+        got = collect_nonlin_snapshots(snaps, basis, phys, grid, projected=projected)
         for got_j, expected_j in zip(got, expected):
             np.testing.assert_allclose(got_j, expected_j, rtol=0.0,
                                        atol=1e-13 * np.abs(expected_j).max())
@@ -126,14 +126,14 @@ def test_collect_nonlin_snapshots_chunks_match_one_shot(rng, projected):
 def test_collect_nonlin_snapshots_holds_one_chunk_besides_the_result(rng):
     # n = 32: besides the (3, N, K) result only one chunk of states and of
     # fields is allocated; lifting every snapshot at once would add 4NK
-    grid, ops = small_setup(n=32)
+    grid = small_setup(n=32)
     phys = random_physics(grid, rng)
     snaps = collect_snapshots(_mixed_states(grid, rng, 300))
     basis = build_pod_basis(snaps, kappa=1e-2, r_override=3)
     for projected in (True, False):
         tracemalloc.start()
         try:
-            nonlin = collect_nonlin_snapshots(snaps, basis, phys, ops, projected=projected)
+            nonlin = collect_nonlin_snapshots(snaps, basis, phys, grid, projected=projected)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -193,28 +193,28 @@ def test_deim_set_indexing(mini_pipeline):
 
 def test_deim_apply_matches_full_evaluation(mini_pipeline):
     z = mini_pipeline.fom.trajectory[:, 5]
-    phys, ops, dset = mini_pipeline.physics, mini_pipeline.diffops, mini_pipeline.deim
+    phys, grid, dset = mini_pipeline.physics, mini_pipeline.grid, mini_pipeline.deim
     for j in range(1, NUM_NONLIN + 1):
-        sampled = deim_apply(dset, j, z, phys, ops)
-        full = nonlinearity(j, z, phys, ops)[dset.indices[j - 1]]
+        sampled = deim_apply(dset, j, z, phys, grid)
+        full = nonlinearity(j, z, phys, grid)[dset.indices[j - 1]]
         np.testing.assert_allclose(sampled, full, rtol=1e-11, atol=0.0)
 
 
 def test_deim_apply_requires_positive_sampled_height(mini_pipeline):
     z = mini_pipeline.fom.trajectory[:, 0].copy()
-    phys, ops = mini_pipeline.physics, mini_pipeline.diffops
+    phys, grid = mini_pipeline.physics, mini_pipeline.grid
     z[: mini_pipeline.grid.N] = -1.0
     with pytest.raises(NumericError):
-        deim_apply(mini_pipeline.deim, 2, z, phys, ops)
+        deim_apply(mini_pipeline.deim, 2, z, phys, grid)
 
 
 def test_build_deim_p_override(rng):
-    grid, ops = small_setup(n=5)
+    grid = small_setup(n=5)
     phys = random_physics(grid, rng)
     traj = np.stack([random_state(grid, rng) for _ in range(6)], axis=1)
     snaps = collect_snapshots(traj)
     basis = build_pod_basis(snaps, kappa=1e-6)
-    nonlin = collect_nonlin_snapshots(snaps, basis, phys, ops)
+    nonlin = collect_nonlin_snapshots(snaps, basis, phys, grid)
 
     dset = build_deim(nonlin, kappa=1e-8, p_override=4)
     assert dset.p == 4
@@ -231,7 +231,7 @@ def test_build_deim_matches_full_svd_oracle(mini_pipeline):
     cfg = mini_pipeline.config
     snaps = collect_snapshots(mini_pipeline.fom.trajectory[:, 1:])
     nonlin = collect_nonlin_snapshots(snaps, mini_pipeline.basis, mini_pipeline.physics,
-                                      mini_pipeline.diffops)
+                                      mini_pipeline.grid)
     dset = build_deim(nonlin, kappa=cfg.kappa_deim, p_override=cfg.p_override)
     spectra, indices, phi, psi = svd_deim(nonlin, kappa=cfg.kappa_deim,
                                           p_override=cfg.p_override)
@@ -248,7 +248,7 @@ def test_projected_nonlin_snapshots_memory(mini_pipeline):
     # the full snapshots first would add another 4NK.
     snaps = collect_snapshots(mini_pipeline.fom.trajectory[:, 1:])
     basis = mini_pipeline.basis
-    args = (snaps, basis, mini_pipeline.physics, mini_pipeline.diffops)
+    args = (snaps, basis, mini_pipeline.physics, mini_pipeline.grid)
     tracemalloc.start()
     try:
         nonlin = collect_nonlin_snapshots(*args, projected=True)

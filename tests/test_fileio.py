@@ -13,9 +13,8 @@ from helpers import flip_member_byte, rewrite_container
 from tswrom.errors import FormatError
 from tswrom.fileio import (SnapshotWriter, lineage, read_basis, read_deim,
                            read_initial_snapshot, read_rom, read_romops, read_snapshots,
-                           write_basis, write_deim, write_errors_csv, write_fields_csv,
-                           write_invariants_csv, write_report_json, write_rom,
-                           write_romops, write_spectra_csv)
+                           write_basis, write_deim, write_fields_csv, write_invariants_csv,
+                           write_report_json, write_rom, write_romops)
 from tswrom.grid import apply_dx, apply_dy, build_grid
 from tswrom.pod import PodBasis, restrict
 from tswrom.rom import rom_operators_from_parts, rom_rhs
@@ -284,14 +283,14 @@ def test_romops_with_stored_derivative_blocks_still_loads(mini_pipeline, tmp_pat
     # romops.bin once held a1 = V_h^T Dx V_u and a2 = V_h^T Dy V_v next to
     # k; such a file still loads, a1 and a2 unread, to the fresh set's rhs
     romops, basis, dset = mini_pipeline.romops, mini_pipeline.basis, mini_pipeline.deim
-    dops = mini_pipeline.diffops
+    grid = mini_pipeline.grid
     vh, vu, vv, _ = basis.modes
     path = tmp_path / "romops.bin"
     write_romops(path, romops, {})
-    rewrite_container(path, a1=vh.T @ apply_dx(dops, vu), a2=vh.T @ apply_dy(dops, vv))
+    rewrite_container(path, a1=vh.T @ apply_dx(grid, vu), a2=vh.T @ apply_dy(grid, vv))
     mats, r, p = read_romops(path)
     assert (r, p) == (basis.r, dset.p)
-    ops = rom_operators_from_parts(mats, basis, dset, mini_pipeline.physics, dops)
+    ops = rom_operators_from_parts(mats, basis, dset, mini_pipeline.physics, grid)
     z_r = restrict(basis, mini_pipeline.fom.trajectory[:, 4])
     np.testing.assert_array_equal(rom_rhs(ops, z_r), rom_rhs(romops, z_r))
 
@@ -397,7 +396,7 @@ def test_fields_csv_structure(mini_pipeline):
 def test_fields_csv_bytes_equal_savetxt(tmp_path):
     # the one-operation table format writes np.savetxt's exact bytes,
     # negative, huge, tiny, subnormal, signed-zero and non-finite values too
-    grid = build_grid(3, (0.0, 1.0, 0.0, 2.0))
+    grid = build_grid(3, 1.0)
     values = np.array([-1.5, 1e300, -2.5e-310, 0.1, -0.0, 123456789.12345679,
                        5e-324, -1e-300, np.nan])
     fields = {"h": values, "q": -values[::-1] * 3.0, "s": np.full(9, -np.inf)}
@@ -409,19 +408,5 @@ def test_fields_csv_bytes_equal_savetxt(tmp_path):
         np.savetxt(fh, np.column_stack([*grid.meshcoords(), *fields.values()]),
                    delimiter=",", fmt="%.17g")
     assert path.read_bytes() == expected.read_bytes()
-
-
-def test_spectra_and_errors_csv(rng, tmp_path):
-    spectra = [np.array([3.0, 1.0]), np.array([2.0, 0.5])]
-    spath = tmp_path / "spectra.csv"
-    write_spectra_csv(spath, ["h", "u"], spectra)
-    lines = spath.read_text().splitlines()
-    assert lines[0] == "name,index,sigma"
-    assert lines[1] == "h,1,3"
-    assert len(lines) == 5
-
-    epath = tmp_path / "errors.csv"
-    write_errors_csv(epath, [("l2", "pod", "h", 1.5e-2)])
-    lines = epath.read_text().splitlines()
-    assert lines[0] == "metric,method,name,value"
-    assert lines[1].startswith("l2,pod,h,")
+    # node 1 is (x_0, y_1): y runs fastest, and x comes first
+    assert path.read_text().splitlines()[2].startswith("0,0.33333333333333331,")

@@ -32,7 +32,7 @@ def _dense_j(z, physics, grid):
     """Independent dense Poisson assembly straight from the block formula."""
     n = grid.n
     dxm = np.kron(_dense_stencil(n), np.eye(n)) / (2.0 * grid.dx)
-    dym = np.kron(np.eye(n), _dense_stencil(n)) / (2.0 * grid.dy)
+    dym = np.kron(np.eye(n), _dense_stencil(n)) / (2.0 * grid.dx)
     h, u, v, s = np.split(z, 4)
     q = np.diag((dxm @ v - dym @ u + physics.f) / h)
     c2 = np.diag((dxm @ s) / h)
@@ -47,26 +47,20 @@ def _dense_j(z, physics, grid):
 
 
 def test_hamiltonian_uniform_state_by_hand():
-    grid, _ = small_setup(n=6)
+    grid = small_setup(n=6)
     N = grid.N
     z = np.concatenate([np.full(N, 2.0), np.zeros(N), np.zeros(N), np.full(N, 3.0)])
     phys = random_physics(grid, np.random.default_rng(0), flat=True)
     # density 0.5 h^2 s = 6 at rest over a flat bottom
-    np.testing.assert_allclose(hamiltonian(z, phys, grid), 6.0 * grid.lx * grid.ly,
-                               rtol=1e-14)
-    _, mass, _, buoyancy = invariants(z, phys, _make_ops(grid))
-    np.testing.assert_allclose(mass, 2.0 * grid.lx * grid.ly, rtol=1e-14)
-    np.testing.assert_allclose(buoyancy, 6.0 * grid.lx * grid.ly, rtol=1e-14)
-
-
-def _make_ops(grid):
-    from tswrom.grid import build_diff_ops
-
-    return build_diff_ops(grid)
+    area = grid.length ** 2
+    np.testing.assert_allclose(hamiltonian(z, phys, grid), 6.0 * area, rtol=1e-14)
+    _, mass, _, buoyancy = invariants(z, phys, grid)
+    np.testing.assert_allclose(mass, 2.0 * area, rtol=1e-14)
+    np.testing.assert_allclose(buoyancy, 6.0 * area, rtol=1e-14)
 
 
 def test_grad_hamiltonian_matches_finite_differences(rng):
-    grid, _ = small_setup(n=6)
+    grid = small_setup(n=6)
     z = random_state(grid, rng)
     phys = random_physics(grid, rng)
     grad = grad_hamiltonian(z, phys)
@@ -85,74 +79,74 @@ def test_grad_hamiltonian_matches_finite_differences(rng):
 
 
 def test_apply_poisson_matches_dense(rng):
-    grid, ops = small_setup(n=6)
+    grid = small_setup(n=6)
     z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    jdense = dense_poisson_matrix(z, phys, ops)
+    jdense = dense_poisson_matrix(z, phys, grid)
     for _ in range(3):
         g = rng.normal(size=4 * grid.N)
-        np.testing.assert_allclose(apply_poisson(z, phys, ops, g), jdense @ g,
+        np.testing.assert_allclose(apply_poisson(z, phys, grid, g), jdense @ g,
                                    rtol=1e-12, atol=1e-13)
 
 
 def test_dense_poisson_matches_independent_assembly(rng):
-    grid, ops = small_setup(n=5)
+    grid = small_setup(n=5)
     z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    np.testing.assert_allclose(dense_poisson_matrix(z, phys, ops),
+    np.testing.assert_allclose(dense_poisson_matrix(z, phys, grid),
                                _dense_j(z, phys, grid), rtol=0.0, atol=1e-14)
 
 
 def test_poisson_operator_skew_symmetric(rng):
-    grid, ops = small_setup(n=6)
+    grid = small_setup(n=6)
     z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    jdense = dense_poisson_matrix(z, phys, ops)
+    jdense = dense_poisson_matrix(z, phys, grid)
     assert np.max(np.abs(jdense + jdense.T)) <= 1e-13
     # same fact through the matrix-free route: a.(J b) = -b.(J a)
     for _ in range(3):
         a = rng.normal(size=4 * grid.N)
         b = rng.normal(size=4 * grid.N)
-        left = a @ apply_poisson(z, phys, ops, b)
-        right = -b @ apply_poisson(z, phys, ops, a)
+        left = a @ apply_poisson(z, phys, grid, b)
+        right = -b @ apply_poisson(z, phys, grid, a)
         np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-12)
 
 
 def test_rhs_primitive_identities(rng):
     # row 1 of -J grad H is the mass flux divergence, row 4 the buoyancy
     # advection; both must come out of the packed evaluation verbatim
-    grid, ops = small_setup(n=8)
+    grid = small_setup(n=8)
     z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    f = rhs(z, phys, ops)
+    f = rhs(z, phys, grid)
     N = grid.N
     h, u, v, s = np.split(z, 4)
     np.testing.assert_allclose(
-        f[:N], -(apply_dx(ops, h * u) + apply_dy(ops, h * v)), rtol=0.0, atol=1e-13)
+        f[:N], -(apply_dx(grid, h * u) + apply_dy(grid, h * v)), rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(
-        f[3 * N:], -(u * apply_dx(ops, s) + v * apply_dy(ops, s)), rtol=0.0, atol=1e-13)
+        f[3 * N:], -(u * apply_dx(grid, s) + v * apply_dy(grid, s)), rtol=0.0, atol=1e-13)
 
 
 def test_rhs_equals_negated_dense_product(rng):
-    grid, ops = small_setup(n=6)
+    grid = small_setup(n=6)
     z = random_state(grid, rng)
     phys = random_physics(grid, rng)
     expected = -(_dense_j(z, phys, grid) @ grad_hamiltonian(z, phys))
-    np.testing.assert_allclose(rhs(z, phys, ops), expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(rhs(z, phys, grid), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_potential_vorticity_formula(rng):
-    grid, ops = small_setup(n=7)
+    grid = small_setup(n=7)
     z = random_state(grid, rng)
     phys = random_physics(grid, rng)
     h, u, v, _ = np.split(z, 4)
-    expected = (apply_dx(ops, v) - apply_dy(ops, u) + phys.f) / h
-    np.testing.assert_allclose(potential_vorticity(z, phys, ops), expected,
+    expected = (apply_dx(grid, v) - apply_dy(grid, u) + phys.f) / h
+    np.testing.assert_allclose(potential_vorticity(z, phys, grid), expected,
                                rtol=1e-14, atol=0.0)
 
 
 def test_avf_gradient_matches_high_order_quadrature(rng):
-    grid, _ = small_setup(n=6)
+    grid = small_setup(n=6)
     phys = random_physics(grid, rng)
     z_old = random_state(grid, rng)
     z_new = random_state(grid, rng)
@@ -175,88 +169,88 @@ def test_avf_gradient_matches_high_order_quadrature(rng):
 
 
 def test_avf_step_zero_dt_is_identity(rng):
-    grid, ops = small_setup(n=6)
+    grid = small_setup(n=6)
     z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    out = avf_step(z, 0.0, phys, ops)
+    out = avf_step(z, 0.0, phys, grid)
     np.testing.assert_array_equal(out, z)
 
 
 def test_newton_variants_agree(rng):
-    grid, ops = small_setup(n=6)
+    grid = small_setup(n=6)
     z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    zk = avf_step(z, 0.05, phys, ops)
-    zd = dense_newton_avf_step(z, 0.05, phys, ops)
+    zk = avf_step(z, 0.05, phys, grid)
+    zd = dense_newton_avf_step(z, 0.05, phys, grid)
     np.testing.assert_allclose(zk, zd, rtol=0.0, atol=1e-8)
 
 
 def test_avf_step_time_reversible(rng):
-    grid, ops = small_setup(n=8)
+    grid = small_setup(n=8)
     z = random_state(grid, rng)
     phys = random_physics(grid, rng)
-    fwd = avf_step(z, 0.05, phys, ops)
-    back = avf_step(fwd, -0.05, phys, ops)
+    fwd = avf_step(z, 0.05, phys, grid)
+    back = avf_step(fwd, -0.05, phys, grid)
     np.testing.assert_allclose(back, z, rtol=0.0, atol=1e-8)
 
 
 def test_single_step_conserves_invariants_production_scale(vortex16):
     z = vortex16.initial
-    phys, ops = vortex16.physics, vortex16.diffops
-    before = invariants(z, phys, ops)
-    after = invariants(avf_step(z, vortex16.cfg.dt, phys, ops), phys, ops)
+    phys, grid = vortex16.physics, vortex16.grid
+    before = invariants(z, phys, grid)
+    after = invariants(avf_step(z, vortex16.cfg.dt, phys, grid), phys, grid)
     rel = np.abs(after - before) / np.abs(before)
     assert np.all(rel <= 1e-12), rel
 
 
 def test_total_vorticity_telescopes(rng):
     # sum over nodes of the discrete curl cancels exactly, leaving f * area
-    grid, ops = small_setup(n=8)
+    grid = small_setup(n=8)
     phys = random_physics(grid, rng)
     for _ in range(3):
         z = random_state(grid, rng)
-        vort = invariants(z, phys, ops)[2]
-        np.testing.assert_allclose(vort, phys.f * grid.lx * grid.ly, rtol=1e-13)
+        vort = invariants(z, phys, grid)[2]
+        np.testing.assert_allclose(vort, phys.f * grid.length ** 2, rtol=1e-13)
 
 
 def test_nonpositive_height_rejected(rng):
-    grid, ops = small_setup(n=5)
+    grid = small_setup(n=5)
     phys = random_physics(grid, rng)
     bad = random_state(grid, rng)
     bad[3] = -0.1
     with pytest.raises(NumericError):
-        rhs(bad, phys, ops)
+        rhs(bad, phys, grid)
     with pytest.raises(NumericError):
-        potential_vorticity(bad, phys, ops)
+        potential_vorticity(bad, phys, grid)
     with pytest.raises(NumericError):
-        apply_poisson(bad, phys, ops, np.ones(4 * grid.N))
+        apply_poisson(bad, phys, grid, np.ones(4 * grid.N))
     with pytest.raises(NumericError, match=r"nonpositive initial height \(min .* at node 3\)"):
-        integrate_fom(bad, 0.05, 1, phys, ops)
+        integrate_fom(bad, 0.05, 1, phys, grid)
 
 
 def test_newton_stall_raises(rng, monkeypatch):
-    grid, ops = small_setup(n=5)
+    grid = small_setup(n=5)
     z = random_state(grid, rng)
     phys = random_physics(grid, rng)
     monkeypatch.setattr(fom_mod, "_NEWTON_TOL", 1e-30)
     monkeypatch.setattr(fom_mod, "_NEWTON_MAXITER", 1)
     with pytest.raises(NumericError, match="Newton-Krylov stalled after 1 iterations"):
-        avf_step(z, 0.05, phys, ops)
+        avf_step(z, 0.05, phys, grid)
 
 
 def test_integrate_fom_shapes_and_snapshot_stream(rng, tmp_path):
-    grid, ops = small_setup(n=6)
+    grid = small_setup(n=6)
     z = random_state(grid, rng)
     phys = random_physics(grid, rng)
     path = tmp_path / "snapshots.bin"
-    res = integrate_fom(z, 0.02, 3, phys, ops, snapshot_path=path)
+    res = integrate_fom(z, 0.02, 3, phys, grid, snapshot_path=path)
     assert res.trajectory.shape == (4 * grid.N, 4)
     assert res.invariants.shape == (4, 4)
     np.testing.assert_array_equal(res.times, 0.02 * np.arange(4))
 
     full, meta = read_snapshots(path)
     assert (meta["n"], meta["dt"], meta["num_steps"]) == (grid.n, 0.02, 3)
-    assert (meta["length"], meta["coriolis"], meta["gravity"]) == (grid.lx, phys.f, phys.g)
+    assert (meta["length"], meta["coriolis"], meta["gravity"]) == (grid.length, phys.f, phys.g)
     np.testing.assert_array_equal(full.trajectory, res.trajectory)
     np.testing.assert_array_equal(full.invariants, res.invariants)
 
@@ -264,32 +258,32 @@ def test_integrate_fom_shapes_and_snapshot_stream(rng, tmp_path):
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("field", range(4))
 def test_non_finite_input_names_field_and_node(vortex16, monkeypatch, field, value):
-    phys, ops, dt = vortex16.physics, vortex16.diffops, vortex16.cfg.dt
+    phys, grid, dt = vortex16.physics, vortex16.grid, vortex16.cfg.dt
     z = vortex16.initial.copy()
     z[field * vortex16.grid.N + 37] = value
     with pytest.raises(NumericError, match=f"non-finite initial {'huvs'[field]} .* at node 37$"):
-        integrate_fom(z, dt, 1, phys, ops)
+        integrate_fom(z, dt, 1, phys, grid)
     # a single step stops before its first residual instead of iterating on it
     calls = _count_newton_iterations(monkeypatch)
     with pytest.raises(NumericError, match=f"^non-finite state {'huvs'[field]} .* at node 37$"):
-        avf_step(z, dt, phys, ops)
+        avf_step(z, dt, phys, grid)
     assert not calls
 
 
 def test_integrate_fom_rejects_mismatched_state(rng):
-    grid, ops = small_setup(n=6)
-    other_grid, _ = small_setup(n=5)
+    grid = small_setup(n=6)
+    other_grid = small_setup(n=5)
     z = random_state(other_grid, rng)
     phys = random_physics(grid, rng)
     with pytest.raises(ValueError):
-        integrate_fom(z, 0.02, 2, phys, ops)
+        integrate_fom(z, 0.02, 2, phys, grid)
 
 
 def test_fused_residual_and_gradient_match_gauss_reference(rng):
     # the closed-form chord mean grad H(m) + Q(dz)/12 on slice stencils
     # against 2-point Gauss on CSR stencils
     for n in (5, 8):
-        grid, ops = small_setup(n=n)
+        grid = small_setup(n=n)
         phys = random_physics(grid, rng)
         for _ in range(3):
             z_old = random_state(grid, rng)
@@ -298,13 +292,13 @@ def test_fused_residual_and_gradient_match_gauss_reference(rng):
             got = avf_gradient(z_old, z_new, phys)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
             for dt in (0.05, 1.3):
-                ref = gauss_avf_residual(z_new, z_old, dt, phys, ops)
+                ref = gauss_avf_residual(z_new, z_old, dt, phys, grid)
                 got = _AvfResidual(z_old, dt, phys, grid)(z_new)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_residual_checks_midpoint_height(rng):
-    grid, _ = small_setup(n=5)
+    grid = small_setup(n=5)
     phys = random_physics(grid, rng)
     z = random_state(grid, rng)
     residual = _AvfResidual(z, 0.05, phys, grid)
@@ -367,34 +361,34 @@ def _count_newton_iterations(monkeypatch):
 
 
 def test_extrapolated_guess_matches_plain_start(vortex16, monkeypatch):
-    phys, ops = vortex16.physics, vortex16.diffops
+    phys, grid = vortex16.physics, vortex16.grid
     steps = 6
     calls = _count_newton_iterations(monkeypatch)
-    result = integrate_fom(vortex16.initial, vortex16.cfg.dt, steps, phys, ops)
+    result = integrate_fom(vortex16.initial, vortex16.cfg.dt, steps, phys, grid)
     extrapolated = len(calls)
     calls.clear()
     z = vortex16.initial
     for _ in range(steps):
-        z = avf_step(z, vortex16.cfg.dt, phys, ops)
+        z = avf_step(z, vortex16.cfg.dt, phys, grid)
     final = result.trajectory[:, -1]
     assert np.linalg.norm(final - z) <= 1e-9 * np.linalg.norm(z)
     assert extrapolated < len(calls)
 
 
 def test_guess_used_or_rejected(vortex16, monkeypatch):
-    phys, ops, dt = vortex16.physics, vortex16.diffops, vortex16.cfg.dt
+    phys, grid, dt = vortex16.physics, vortex16.grid, vortex16.cfg.dt
     z = vortex16.initial
-    plain = avf_step(z, dt, phys, ops)
+    plain = avf_step(z, dt, phys, grid)
     # a converged start is returned as it is, without a Newton iteration
     calls = _count_newton_iterations(monkeypatch)
-    again = avf_step(z, dt, phys, ops, start=plain)
+    again = avf_step(z, dt, phys, grid, start=plain)
     assert not calls
     np.testing.assert_array_equal(again, plain)
     # a start whose midpoint height is nonpositive falls back to the input
     bad = plain.copy()
     N = z.size // 4
     bad[:N] = -2.0 * z[:N]
-    fallback = avf_step(z, dt, phys, ops, start=bad)
+    fallback = avf_step(z, dt, phys, grid, start=bad)
     np.testing.assert_array_equal(fallback, plain)
     # a start of the wrong shape is refused before any residual
     residuals = []
@@ -402,7 +396,7 @@ def test_guess_used_or_rejected(vortex16, monkeypatch):
     monkeypatch.setattr(fom_mod._AvfResidual, "__call__",
                         lambda self, state: residuals.append(1) or real(self, state))
     with pytest.raises(ValueError, match=rf"^start shape \({z.size - 1},\) != state shape"):
-        avf_step(z, dt, phys, ops, start=plain[:-1])
+        avf_step(z, dt, phys, grid, start=plain[:-1])
     assert not residuals
 
 
@@ -410,7 +404,6 @@ def test_stalled_step_fails_fast_and_names_it(monkeypatch):
     # at dt=1e9 no GMRES solve converges and max |R| levels off near 1.6e4
     # after four corrections; the step stops there, not after max_iter
     from tswrom.bench import DoubleVortexConfig, double_vortex_initial, make_physics
-    from tswrom.grid import build_diff_ops
 
     cfg = DoubleVortexConfig(n=8, num_steps=1, dt=1e9)
     grid = cfg.make_grid()
@@ -418,7 +411,7 @@ def test_stalled_step_fails_fast_and_names_it(monkeypatch):
     with pytest.raises(NumericError, match=r"^step 1: Newton-Krylov stalled at iteration \d+: "
                                            r"GMRES did not converge in \d+ matvecs"):
         integrate_fom(double_vortex_initial(grid, cfg), cfg.dt, cfg.num_steps,
-                      make_physics(cfg, grid.N), build_diff_ops(grid))
+                      make_physics(cfg, grid.N), grid)
     assert len(calls) <= 5
 
 
@@ -447,7 +440,7 @@ def test_forcing_floor_keeps_the_last_correction_from_oversolving(vortex16, monk
     # every correction is asked for no more than half of the way from max|R|
     # down to tol, however small the Eisenstat-Walker term gets
     calls = _record_gmres_calls(monkeypatch)
-    integrate_fom(vortex16.initial, vortex16.cfg.dt, 3, vortex16.physics, vortex16.diffops)
+    integrate_fom(vortex16.initial, vortex16.cfg.dt, 3, vortex16.physics, vortex16.grid)
     assert calls
     for rtol, bmax, _ in calls:
         assert rtol >= min(0.5, 0.5 * fom_mod._NEWTON_TOL / bmax)
@@ -457,13 +450,12 @@ def test_krylov_matvecs_per_step_at_n32(monkeypatch):
     # regression guard on the full-order Krylov work; without the forcing
     # floor this run spends 19 matvecs per step
     from tswrom.bench import DoubleVortexConfig, double_vortex_initial, make_physics
-    from tswrom.grid import build_diff_ops
 
     cfg = DoubleVortexConfig(n=32, num_steps=40)
     grid = cfg.make_grid()
     calls = _record_gmres_calls(monkeypatch)
     integrate_fom(double_vortex_initial(grid, cfg), cfg.dt, cfg.num_steps,
-                  make_physics(cfg, grid.N), build_diff_ops(grid))
+                  make_physics(cfg, grid.N), grid)
     assert sum(m for _, _, m in calls) / cfg.num_steps <= 15.0
 
 
@@ -472,7 +464,6 @@ def test_residuals_per_step_at_n32(monkeypatch):
     # start; with the linear start 2 z^k - z^{k-1} on every step this run
     # spends 16.05 residual evaluations per step, with march's 14.72
     from tswrom.bench import DoubleVortexConfig, double_vortex_initial, make_physics
-    from tswrom.grid import build_diff_ops
 
     calls = []
     real = _AvfResidual.__call__
@@ -485,7 +476,7 @@ def test_residuals_per_step_at_n32(monkeypatch):
     cfg = DoubleVortexConfig(n=32, num_steps=100, dt=486.0)
     grid = cfg.make_grid()
     integrate_fom(double_vortex_initial(grid, cfg), cfg.dt, cfg.num_steps,
-                  make_physics(cfg, grid.N), build_diff_ops(grid))
+                  make_physics(cfg, grid.N), grid)
     assert len(calls) / cfg.num_steps <= 15.5
 
 

@@ -134,7 +134,7 @@ def test_modes_orthonormal(mini_pipeline):
 
 
 def test_r_override(rng):
-    grid, _ = small_setup(n=4)
+    grid = small_setup(n=4)
     traj = np.stack([random_state(grid, rng) for _ in range(6)], axis=1)
     snaps = collect_snapshots(traj)
     basis = build_pod_basis(snaps, kappa=1e-3, r_override=3)
@@ -149,7 +149,7 @@ def test_r_override(rng):
 
 
 def test_full_rank_basis_reproduces_snapshots(rng):
-    grid, _ = small_setup(n=4)
+    grid = small_setup(n=4)
     traj = np.stack([random_state(grid, rng) for _ in range(5)], axis=1)
     snaps = collect_snapshots(traj)
     basis = build_pod_basis(snaps, kappa=0.0, r_override=5)
@@ -158,7 +158,7 @@ def test_full_rank_basis_reproduces_snapshots(rng):
 
 
 def test_restrict_lift_state_interface(rng):
-    grid, _ = small_setup(n=4)
+    grid = small_setup(n=4)
     traj = np.stack([random_state(grid, rng) for _ in range(5)], axis=1)
     # five columns hold the mean direction plus the full rank-4 deviation
     # span of five snapshots, so reconstruction of the snapshots is exact
@@ -174,13 +174,13 @@ def test_restrict_lift_state_interface(rng):
     np.testing.assert_allclose(basis.lift_array(restrict(basis, traj))[:, 2], lifted,
                                rtol=0.0, atol=1e-14)
 
-    other = random_state(small_setup(n=5)[0], rng)
+    other = random_state(small_setup(n=5), rng)
     with pytest.raises(ConfigError):
         restrict(basis, other)
 
 
 def test_mean_direction_lies_in_default_span(rng):
-    grid, _ = small_setup(n=4)
+    grid = small_setup(n=4)
     traj = np.stack([random_state(grid, rng) for _ in range(6)], axis=1)
     snaps = collect_snapshots(traj)
     basis = build_pod_basis(snaps, kappa=1e-3, r_override=3)
@@ -198,7 +198,7 @@ def test_plain_svd_projection_is_least_squares_optimal(rng):
     # the stored spectra are those of the deviations: projecting onto the
     # leading r plain singular vectors leaves || S - U_r U_r^T S ||_F^2 equal
     # to the tail energy sum_{j>r} sigma_j^2 of the stored singular values
-    grid, _ = small_setup(n=4)
+    grid = small_setup(n=4)
     traj = np.stack([random_state(grid, rng) for _ in range(8)], axis=1)
     snaps = collect_snapshots(traj)
     r = 3
@@ -214,7 +214,7 @@ def test_plain_svd_projection_is_least_squares_optimal(rng):
 def test_mean_led_projection_error_sandwich(rng):
     # Spending one of r columns on the mean costs at most one mode of energy:
     # the optimal rank-r and rank-(r-1) tails bracket the projection error.
-    grid, _ = small_setup(n=4)
+    grid = small_setup(n=4)
     traj = np.stack([random_state(grid, rng) for _ in range(8)], axis=1)
     snaps = collect_snapshots(traj)
     r = 4

@@ -1,5 +1,6 @@
 """Reduced models: tensor assembly, sampled evaluation, implicit stepping."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -24,15 +25,15 @@ from tswrom.rom import (FlopCounter, RomOperators, RomState, integrate_rom,
 
 def _random_reduction(n, num_snaps, r, p, rng, flat=False):
     """Basis, interpolation, and tensor operators from random smooth states."""
-    grid, dops = small_setup(n=n)
+    grid = small_setup(n=n)
     phys = random_physics(grid, rng, flat=flat)
     traj = np.stack([random_state(grid, rng) for _ in range(num_snaps)], axis=1)
     snaps = collect_snapshots(traj)
     basis = build_pod_basis(snaps, kappa=0.0, r_override=r)
-    nonlin = collect_nonlin_snapshots(snaps, basis, phys, dops)
+    nonlin = collect_nonlin_snapshots(snaps, basis, phys, grid)
     dset = build_deim(nonlin, kappa=0.0, p_override=p)
-    ops = precompute_rom(basis, dset, phys, dops)
-    return grid, dops, phys, basis, dset, ops
+    ops = precompute_rom(basis, dset, phys, grid)
+    return grid, phys, basis, dset, ops
 
 
 def _blockwise_project(basis, w):
@@ -53,7 +54,7 @@ def test_three_way_tensor_matches_dense_einsum(rng):
 def test_tensor_identity_against_hadamard_products(rng):
     # each K_j applied to samples must give V_a^T diag(psi_j f) V_b, and each
     # gradient tensor its two pointwise products of lifted modes
-    grid, dops, phys, basis, dset, ops = _random_reduction(5, 8, 3, 4, rng)
+    grid, phys, basis, dset, ops = _random_reduction(5, 8, 3, 4, rng)
     vh, vu, vv, vs = basis.modes
     r, p = basis.r, dset.p
     f = rng.normal(size=(p, 2))
@@ -95,7 +96,7 @@ def _mini_states(mini_pipeline, rng):
 def _operator_sets(mini_pipeline):
     return {"tensor": mini_pipeline.romops,
             "galerkin": RomOperators(mini_pipeline.basis, mini_pipeline.physics,
-                                     mini_pipeline.diffops)}
+                                     mini_pipeline.grid)}
 
 
 def test_reduced_gradient_matches_projected_full_gradient(mini_pipeline, rng):
@@ -120,14 +121,14 @@ def test_reduced_gradient_matches_projected_full_gradient(mini_pipeline, rng):
 
 def test_polynomial_invariants_match_lifted_invariants(mini_pipeline, rng):
     basis, phys = mini_pipeline.basis, mini_pipeline.physics
-    dops = mini_pipeline.diffops
+    grid = mini_pipeline.grid
     z = _mini_states(mini_pipeline, rng)
     for name, ops in _operator_sets(mini_pipeline).items():
         poly = ops.grad.invariants(z)
         assert poly.shape == (z.shape[1], 4)
         for k in range(z.shape[1]):
             lifted = basis.lift_array(z[:, k])
-            expected = invariants(lifted, phys, dops)
+            expected = invariants(lifted, phys, grid)
             err = np.abs(poly[k] - expected) / np.abs(expected)
             assert np.all(err <= 1e-13), (name, k, err)
 
@@ -146,8 +147,8 @@ def test_galerkin_poisson_is_projected_full_operator(mini_pipeline, rng):
     # the matrix-free Galerkin J_r applied to the identity is V^T J(lift m) V,
     # skew to round-off, both for one midpoint and many columns (the chord
     # Jacobian's call) and one column at a time (every residual's)
-    basis, phys, dops = mini_pipeline.basis, mini_pipeline.physics, mini_pipeline.diffops
-    ops = RomOperators(basis, phys, dops)
+    basis, phys, grid = mini_pipeline.basis, mini_pipeline.physics, mini_pipeline.grid
+    ops = RomOperators(basis, phys, grid)
     z = _mini_states(mini_pipeline, rng)
     z_old = z[:, 0]
     eye = np.eye(4 * basis.r)
@@ -156,7 +157,7 @@ def test_galerkin_poisson_is_projected_full_operator(mini_pipeline, rng):
         # the increment whose midpoint z_old + dz/2 is mid
         dz = 2.0 * (mid - z_old)[:, None]
         jr = poisson(mid[:, None], dz, eye)
-        expected = reduced_poisson_matrix(basis, basis.lift_array(mid), phys, dops)
+        expected = reduced_poisson_matrix(basis, basis.lift_array(mid), phys, grid)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(jr - expected)) <= 1e-12 * scale
         assert np.max(np.abs(jr + jr.T)) <= 1e-13 * scale
@@ -172,11 +173,11 @@ def test_residuals_at_zero_increment_are_scaled_rhs(mini_pipeline, rng):
     # is dt J_r g_r = -dt rhs: the tensor model's own rhs, and the Galerkin
     # rhs of the CSR oracle
     ops = mini_pipeline.romops
-    basis, phys, dops = mini_pipeline.basis, mini_pipeline.physics, mini_pipeline.diffops
+    basis, phys, grid = mini_pipeline.basis, mini_pipeline.physics, mini_pipeline.grid
     dt = mini_pipeline.config.dt
     for z in _mini_states(mini_pipeline, rng).T:
         cases = [("pod-deim", rom_rhs(ops, z)),
-                 ("pod", rom_rhs_pod_only(basis, z, phys, dops))]
+                 ("pod", rom_rhs_pod_only(basis, z, phys, grid))]
         for method, rhs_value in cases:
             res = rom_mod._avf_residual(ops, z, dt, method)[0](z)
             scale = np.max(np.abs(dt * rhs_value))
@@ -199,7 +200,7 @@ def test_full_rank_rom_rhs_matches_projected_full_model():
     # plain Galerkin evaluation must agree with both
     rng = np.random.default_rng(SEED + 1)
     n, K = 6, 45
-    grid, dops, phys, basis, dset, ops = _random_reduction(n, K, grid_rank := n * n,
+    grid, phys, basis, dset, ops = _random_reduction(n, K, grid_rank := n * n,
                                                            grid_rank, rng)
     assert basis.r == grid.N and dset.p == grid.N
     for i in range(4):
@@ -207,10 +208,10 @@ def test_full_rank_rom_rhs_matches_projected_full_model():
                                    np.eye(grid.N), atol=1e-12)
     z_r = restrict(basis, random_state(grid, rng))
     lifted = basis.lift_array(z_r)
-    expected = _blockwise_project(basis, rhs(lifted, phys, dops))
+    expected = _blockwise_project(basis, rhs(lifted, phys, grid))
 
     tensor_route = rom_rhs(ops, z_r)
-    galerkin_route = rom_rhs_pod_only(basis, z_r, phys, dops)
+    galerkin_route = rom_rhs_pod_only(basis, z_r, phys, grid)
     assert np.max(np.abs(tensor_route - expected)) <= 1e-9
     assert np.max(np.abs(galerkin_route - expected)) <= 1e-9
 
@@ -219,15 +220,15 @@ def test_rom_rhs_pod_only_matches_projected_poisson_oracle(mini_pipeline):
     # truncated production basis: the Galerkin field is J at the lifted state
     # applied to the reprojected energy gradient, then projected back
     basis = mini_pipeline.basis
-    phys, dops = mini_pipeline.physics, mini_pipeline.diffops
+    phys, grid = mini_pipeline.physics, mini_pipeline.grid
     N = basis.N
     z_r = restrict(basis, mini_pipeline.fom.trajectory[:, 9])
     lifted = basis.lift_array(z_r)
     g = grad_hamiltonian(lifted, phys)
     gproj = np.concatenate(
         [basis.modes[i] @ (basis.modes[i].T @ g[i * N : (i + 1) * N]) for i in range(4)])
-    expected = -_blockwise_project(basis, apply_poisson(lifted, phys, dops, gproj))
-    actual = rom_rhs_pod_only(basis, z_r, phys, dops)
+    expected = -_blockwise_project(basis, apply_poisson(lifted, phys, grid, gproj))
+    actual = rom_rhs_pod_only(basis, z_r, phys, grid)
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert np.max(np.abs(actual - expected)) <= 1e-12 * scale
 
@@ -235,12 +236,12 @@ def test_rom_rhs_pod_only_matches_projected_poisson_oracle(mini_pipeline):
 def test_sampler_matches_full_nonlinearities(mini_pipeline):
     ops = mini_pipeline.romops
     basis, dset = mini_pipeline.basis, mini_pipeline.deim
-    phys, dops = mini_pipeline.physics, mini_pipeline.diffops
+    phys, grid = mini_pipeline.physics, mini_pipeline.grid
     z_r = restrict(basis, mini_pipeline.fom.trajectory[:, 7])
     sampled = ops.sampler.sample(z_r[:, None])
     lifted = basis.lift_array(z_r)
     for j in range(1, NUM_NONLIN + 1):
-        full = nonlinearity(j, lifted, phys, dops)[dset.indices[j - 1]]
+        full = nonlinearity(j, lifted, phys, grid)[dset.indices[j - 1]]
         np.testing.assert_allclose(sampled[j - 1][:, 0], full, rtol=1e-9, atol=0.0)
 
 
@@ -248,7 +249,7 @@ def test_flop_counts_independent_of_grid_size():
     counts = []
     for i, n in enumerate((10, 14)):
         rng = np.random.default_rng(SEED + 10 + i)
-        _, _, _, basis, _, ops = _random_reduction(n, 12, 3, 5, rng)
+        _, _, basis, _, ops = _random_reduction(n, 12, 3, 5, rng)
         counter = FlopCounter()
         rom_rhs(ops, np.zeros(4 * basis.r), counter)
         counts.append((counter.core, counter.sampling))
@@ -257,7 +258,7 @@ def test_flop_counts_independent_of_grid_size():
 
 
 def test_flop_counter_core_formula(rng):
-    _, _, _, basis, dset, ops = _random_reduction(5, 8, 3, 4, rng)
+    _, _, basis, dset, ops = _random_reduction(5, 8, 3, 4, rng)
     r, p = basis.r, dset.p
     counter = FlopCounter()
     rom_rhs(ops, np.zeros(4 * r), counter)
@@ -273,14 +274,14 @@ def test_flop_counter_core_formula(rng):
 
 
 def test_reduced_poisson_matrix_projection_and_skewness(rng):
-    grid, dops, phys, basis, _, _ = _random_reduction(5, 8, 3, 4, rng)
+    grid, phys, basis, _, _ = _random_reduction(5, 8, 3, 4, rng)
     z = random_state(grid, rng)
-    jr = reduced_poisson_matrix(basis, z, phys, dops)
+    jr = reduced_poisson_matrix(basis, z, phys, grid)
     N, r = grid.N, basis.r
     vblk = np.zeros((4 * N, 4 * r))
     for i in range(4):
         vblk[i * N : (i + 1) * N, i * r : (i + 1) * r] = basis.modes[i]
-    expected = vblk.T @ dense_poisson_matrix(z, phys, dops) @ vblk
+    expected = vblk.T @ dense_poisson_matrix(z, phys, grid) @ vblk
     np.testing.assert_allclose(jr, expected, rtol=1e-11, atol=1e-12)
     assert np.max(np.abs(jr + jr.T)) <= 1e-12 * max(1.0, float(np.max(np.abs(jr))))
 
@@ -327,7 +328,7 @@ def test_full_rank_jacobians_match_central_differences_and_agree():
     # with r = p = N the Galerkin and tensor residuals are the same function,
     # so their closed-form Jacobians must agree to round-off
     rng = np.random.default_rng(SEED + 1)
-    grid, _, _, basis, _, ops = _random_reduction(6, 45, 36, 36, rng)
+    grid, _, basis, _, ops = _random_reduction(6, 45, 36, 36, rng)
     z_old = restrict(basis, random_state(grid, rng))
     z = z_old + 1e-2 * rng.normal(size=z_old.size)
     jacs = []
@@ -520,8 +521,8 @@ def test_method_and_solver_validation(mini_pipeline):
 
 def test_galerkin_operators_drive_pod_only(mini_pipeline, tmp_path):
     basis = mini_pipeline.basis
-    phys, dops = mini_pipeline.physics, mini_pipeline.diffops
-    ops = RomOperators(basis, phys, dops)
+    phys, grid = mini_pipeline.physics, mini_pipeline.grid
+    ops = RomOperators(basis, phys, grid)
     z0 = restrict(basis, mini_pipeline.fom.trajectory[:, 0])
     dt = mini_pipeline.config.dt
 
@@ -542,14 +543,14 @@ def test_galerkin_operators_drive_pod_only(mini_pipeline, tmp_path):
     with pytest.raises(ConfigError):
         write_romops(tmp_path / "romops.bin", ops, {})
     with pytest.raises(ConfigError, match="reduced operator k has shape"):
-        RomOperators(basis, phys, dops, k=full_ops.k)
+        RomOperators(basis, phys, grid, k=full_ops.k)
 
 
 def test_rom_operators_from_parts_roundtrip(mini_pipeline):
     ops = mini_pipeline.romops
     rebuilt = rom_operators_from_parts({"k": ops.k}, mini_pipeline.basis,
                                        mini_pipeline.deim, mini_pipeline.physics,
-                                       mini_pipeline.diffops)
+                                       mini_pipeline.grid)
     np.testing.assert_array_equal(rebuilt.k, ops.k)
     np.testing.assert_array_equal(rebuilt.j0, ops.j0)
     z_r = restrict(mini_pipeline.basis, mini_pipeline.fom.trajectory[:, 4])
@@ -557,18 +558,38 @@ def test_rom_operators_from_parts_roundtrip(mini_pipeline):
 
     with pytest.raises(ConfigError, match="missing reduced operator k"):
         rom_operators_from_parts({}, mini_pipeline.basis, mini_pipeline.deim,
-                                 mini_pipeline.physics, mini_pipeline.diffops)
+                                 mini_pipeline.physics, mini_pipeline.grid)
     wrong = {"k": ops.k[:, :, :-1]}
     with pytest.raises(ConfigError, match="reduced operator k has shape"):
         rom_operators_from_parts(wrong, mini_pipeline.basis, mini_pipeline.deim,
-                                 mini_pipeline.physics, mini_pipeline.diffops)
+                                 mini_pipeline.physics, mini_pipeline.grid)
+
+
+def test_precompute_rom_writes_each_tensor_into_its_result(rng):
+    # each K_j is written into the one (3, p, r, r) result, with the bits of
+    # a K_j built alone, so the traced peak stays within 1.25x of the operator
+    # set returned; stacking three separate K_j held 2x k at once (1.40x here)
+    grid, phys, basis, dset, _ = _random_reduction(16, 300, 32, 240, rng)
+    tracemalloc.start()
+    try:
+        ops = precompute_rom(basis, dset, phys, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = [ops.k, ops.j0, ops.sampler.rows, ops.sampler.offset,
+            *(v for v in vars(ops.grad).values() if isinstance(v, np.ndarray))]
+    held_bytes = sum(a.nbytes for a in held)
+    assert peak <= 1.25 * held_bytes, (peak, held_bytes, ops.k.nbytes)
+    for kj, psi, (a, b) in zip(ops.k, dset.psi, rom_mod._SKEW_PAIRS):
+        alone = rom_mod._three_way(psi, basis.modes[a], basis.modes[b])
+        np.testing.assert_array_equal(kj, alone.reshape(kj.shape))
 
 
 def test_precompute_rejects_mismatched_grid(rng, mini_pipeline):
-    _, dops, phys, basis, dset, _ = _random_reduction(5, 8, 3, 4, rng)
+    grid, phys, basis, dset, _ = _random_reduction(5, 8, 3, 4, rng)
     with pytest.raises(ConfigError):
-        precompute_rom(basis, dset, phys, mini_pipeline.diffops)
+        precompute_rom(basis, dset, phys, mini_pipeline.grid)
     with pytest.raises(ConfigError):
-        RomOperators(basis, phys, mini_pipeline.diffops)
+        RomOperators(basis, phys, mini_pipeline.grid)
     with pytest.raises(ConfigError):
-        precompute_rom(mini_pipeline.basis, dset, phys, dops)
+        precompute_rom(mini_pipeline.basis, dset, phys, grid)

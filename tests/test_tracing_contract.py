@@ -90,7 +90,7 @@ def test_traced_steps_are_recorded_through_the_time_loop(vortex16, mini_pipeline
     tracer.install()
     try:
         fom.integrate_fom(vortex16.initial, vortex16.cfg.dt, 2, vortex16.physics,
-                          vortex16.diffops)
+                          vortex16.grid)
         for method in rom.METHODS:
             rom.integrate_rom(mini_pipeline.romops, rom.RomState(z_r=z_r0),
                               mini_pipeline.config.dt, 2, method=method)
