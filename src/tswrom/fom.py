@@ -114,6 +114,12 @@ def _require_positive(h: np.ndarray, what: str) -> None:
         raise NumericError(f"{kind} {what} (min {hmin:.6e} at node {i * h.shape[1] + j})")
 
 
+def _require_shape(z: np.ndarray, size: int, fits: str) -> None:
+    """Refuse a state whose shape is not (size,), naming both shapes."""
+    if np.shape(z) != (size,):
+        raise ValueError(f"state shape {np.shape(z)} does not fit {fits}: expected ({size},)")
+
+
 def _require_finite(z: np.ndarray, what: str, index: str = "node") -> None:
     """Name the block (h, u, v or s) and the index within it of the first
     non-finite entry of a packed state, full (index "node") or reduced."""
@@ -502,12 +508,14 @@ def avf_step(z: np.ndarray, dt: float, physics: Physics, grid: Grid, *,
     """One implicit AVF step of size dt from the packed state z (4N,);
     returns the new packed state and conserves the discrete energy.
 
-    A non-finite entry of z raises NumericError naming its field and node.
-    Newton starts from start, a packed state such as march's, when given and
-    the residual's midpoint height check passes there; otherwise it starts
-    from z. A dt of exactly zero returns a copy of z (the residual vanishes
+    A z of another shape raises ValueError, and a non-finite entry of z
+    NumericError naming its field and node, before any residual. Newton
+    starts from start, a packed state such as march's, when given and the
+    residual's midpoint height check passes there; otherwise it starts from
+    z. A dt of exactly zero returns a copy of z (the residual vanishes
     at that start).
     """
+    _require_shape(z, 4 * grid.N, f"grid N={grid.N}")
     _require_finite(z, "state")
     start, fallback = (z, None) if start is None else (np.asarray(start, dtype=np.float64), z)
     residual = _AvfResidual(z, dt, physics, grid)
@@ -521,7 +529,8 @@ def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
     """March num_steps AVF steps from the packed state z0 (4N,) with march,
     recording the trajectory, the invariants and the times k dt.
 
-    A non-finite entry of z0 or a nonpositive height raises NumericError
+    A z0 of another shape raises ValueError naming both shapes. A
+    non-finite entry of z0 or a nonpositive height raises NumericError
     naming its field and node. When snapshot_path is given,
     fileio.SnapshotWriter streams the K+1 states and invariants there, with
     the run's grid size, dt, step count, domain length, f and g; the file
@@ -532,8 +541,7 @@ def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
     bench.progress_to_stdout.
     """
     z = np.array(z0, dtype=np.float64)
-    if z.shape != (4 * grid.N,):
-        raise ValueError(f"state shape {z.shape} does not fit grid N={grid.N}")
+    _require_shape(z, 4 * grid.N, f"grid N={grid.N}")
     _require_finite(z, "initial")
     _require_positive(_blocks(z, grid.n)[0], "initial height")
     traj = np.empty((4 * grid.N, num_steps + 1))

@@ -123,14 +123,9 @@ class PodBasis:
         """Packed mean state of length 4N."""
         return self.means.reshape(-1)
 
-    def apply_modes(self, z_r: np.ndarray) -> np.ndarray:
-        """Blockwise modes product V z_r, the lift without the means:
-        reduced coefficients (4r,) or (4r, m) to packed arrays (4N, m)."""
-        return (self.modes @ z_r.reshape(4, self.r, -1)).reshape(4 * self.N, -1)
-
     def project_modes(self, w: np.ndarray) -> np.ndarray:
-        """Blockwise V^T w, the adjoint of apply_modes: packed arrays (4N,)
-        or (4N, m) to reduced columns (4r, m)."""
+        """Blockwise V^T w: packed arrays (4N,) or (4N, m) to reduced
+        columns (4r, m)."""
         return (self.modes.transpose(0, 2, 1) @ w.reshape(4, self.N, -1)).reshape(4 * self.r, -1)
 
     def lift_array(self, z_r: np.ndarray) -> np.ndarray:

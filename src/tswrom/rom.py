@@ -25,8 +25,9 @@ skew by construction, so the AVF step conserves the lifted energy up to the
 Newton tolerance. The models differ only in how the Q_j are obtained:
 
 * pod: the Galerkin model evaluates F_j at all N nodes of the lifted
-  midpoint and applies Q_j = V_a^T diag(F_j) V_b without forming it: O(N r)
-  per column, no interpolation.
+  midpoint, with no interpolation. Its residual applies
+  Q_j = V_a^T diag(F_j) V_b to one column without forming it, O(N r); its
+  Jacobian forms Q_j, O(N r^2) once per build.
 * pod-deim: the tensor model interpolates F_j by DEIM. With the p-by-r-by-r
   tensors K_1 = sum_n psi_1 x V_u x V_v, K_2 = sum_n psi_2 x V_u x V_s and
   K_3 = sum_n psi_3 x V_v x V_s, stacked as one (3, p, r^2) array, the
@@ -72,8 +73,8 @@ from scipy.linalg.lapack import dgetrs
 from .deim import NUM_NONLIN, DeimSet
 from .errors import ConfigError, NumericError
 # perfbench/spans.py wraps rom.invariants by name, so it must stay bound here
-from .fom import (Physics, _coefficients, _require_finite, grad_hamiltonian, invariants,
-                  march, newton)
+from .fom import (Physics, _coefficients, _require_finite, _require_shape, grad_hamiltonian,
+                  invariants, march, newton)
 from .grid import Grid, apply_dx, apply_dy
 from .pod import PodBasis
 
@@ -305,16 +306,14 @@ class _Sampler:
 
     f: float
     rows: np.ndarray    # (len(_SAMPLED) p, 4r)
-    offset: np.ndarray  # (len(_SAMPLED) p, 1)
+    offset: np.ndarray  # (len(_SAMPLED) p,)
     nnz: int            # entries of rows outside its all-zero (p, r) blocks
 
-    def sample(self, z_cols: np.ndarray) -> np.ndarray:
-        """The sampled F1, F2, F3 for reduced columns (4r, m) -> (3, p, m)."""
-        m = z_cols.shape[1]
-        p = self.rows.shape[0] // len(_SAMPLED)
-        prim = self.rows @ z_cols
+    def sample(self, z: np.ndarray) -> np.ndarray:
+        """The sampled F1, F2, F3 at a reduced state z (4r,), as (3, p)."""
+        prim = self.rows @ z
         prim += self.offset
-        height, num = prim.reshape(2, NUM_NONLIN, p, m)
+        height, num = prim.reshape(2, NUM_NONLIN, -1)
         hmin = height.min()
         if not hmin > 0.0:
             kind = "nonpositive" if hmin <= 0.0 else "non-finite"
@@ -326,9 +325,9 @@ class _Sampler:
         """The sampled F1, F2, F3 at a reduced state z (4r,), (3, p), and
         their derivative in z, (3, p, 4r): F = num / height with num and
         height affine in z, so dF/dz = (num' - F height') / height."""
-        f = self.sample(z[:, None])[:, :, 0]
+        f = self.sample(z)
         height_rows, num_rows = self.rows.reshape(2, NUM_NONLIN, f.shape[1], -1)
-        height = height_rows @ z + self.offset[: f.size, 0].reshape(f.shape)
+        height = height_rows @ z + self.offset[: f.size].reshape(f.shape)
         return f, (num_rows - f[:, :, None] * height_rows) / height[:, :, None]
 
 
@@ -400,11 +399,11 @@ def _build_sampler(basis: PodBasis, indices: np.ndarray, physics: Physics,
     # blocks are written into the one result, not stacked from copies: the
     # Galerkin Jacobian's sampler of every node is (6N, 4r)
     rows = np.zeros((len(_SAMPLED) * p, 4 * r))
-    offset = np.zeros((len(_SAMPLED) * p, 1))
+    offset = np.zeros(len(_SAMPLED) * p)
     nnz = 0
     for i, name in enumerate(_SAMPLED):
         idx = indices[int(name[-1]) - 1]
-        block, const = rows[i * p : (i + 1) * p], offset[i * p : (i + 1) * p, 0]
+        block, const = rows[i * p : (i + 1) * p], offset[i * p : (i + 1) * p]
         for k, (modes, mean) in fields[name[:-1]].items():
             block[:, k * r : (k + 1) * r] = modes[idx]
             const += mean[idx]
@@ -442,101 +441,83 @@ def rom_operators_from_parts(matrices: dict[str, np.ndarray], basis: PodBasis,
 # ---------------------------------------------------------------------------
 
 def _reduced_poisson(ops: RomOperators, q) -> np.ndarray:
-    """J_r for coefficient blocks q (3, m, r, r), Q_1..Q_3, as (m, 4r, 4r):
-    the constant part j0 with each Q_j set next to its negated transpose,
-    skew by construction."""
+    """J_r (4r, 4r) for coefficient blocks q, Q_1..Q_3 of shape (r, r): the
+    constant part j0 with each Q_j set next to its negated transpose, skew
+    by construction."""
     r = ops.r
-    m = q[0].shape[0]
-    jr = np.empty((m, 4 * r, 4 * r))
-    jr[:] = ops.j0
-    blocks = jr.reshape(m, 4, r, 4, r)
+    jr = ops.j0.copy()
+    blocks = jr.reshape(4, r, 4, r)
     for qj, (a, b) in zip(q, _SKEW_PAIRS):
-        np.negative(qj, out=blocks[:, a, :, b])
-        blocks[:, b, :, a] = qj.transpose(0, 2, 1)
+        np.negative(qj, out=blocks[a, :, b])
+        blocks[b, :, a] = qj.T
     return jr
 
 
+def _tensor_blocks(ops: RomOperators, f: np.ndarray) -> np.ndarray:
+    """Tensor model: Q_j = K_j f_j (3, r, r) from the DEIM samples f (3, p)
+    of F1..F3."""
+    return np.matmul(f[:, None, :], ops.k).reshape(NUM_NONLIN, ops.r, ops.r)
+
+
 def _apply_reduced_poisson(ops: RomOperators, mid: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Tensor model: J_r(mid) g for reduced columns g (4r, m) and midpoints
-    mid, one column for all of g or one per column, with Q_j = K_j f_j from
-    the DEIM samples f_j of F1..F3 at mid."""
+    """Tensor model: J_r(mid) g for one midpoint mid and one column g, both
+    (4r, 1), with Q_j = K_j f_j from the DEIM samples f_j of F1..F3 at mid."""
     if ops.sampler is None:
         raise ConfigError("tensor operators not available; build with precompute_rom")
-    r, m = ops.r, mid.shape[1]
-    f = ops.sampler.sample(mid)
-    q = np.matmul(f.transpose(0, 2, 1), ops.k).reshape(NUM_NONLIN, m, r, r)
-    jr = _reduced_poisson(ops, q)
-    return jr[0] @ g if m == 1 else np.matmul(jr, g.T[:, :, None])[:, :, 0].T
+    return _reduced_poisson(ops, _tensor_blocks(ops, ops.sampler.sample(mid[:, 0]))) @ g
 
 
-def _galerkin_poisson(ops: RomOperators, z_old: np.ndarray):
-    """Galerkin model: J_r(m) g = V^T J(lift m) V g for steps from z_old, as a
-    function of reduced midpoints mid, increments dz and columns g (4r, m),
-    with one midpoint for all of g or one per column. The derivative blocks
-    are J_r's constant part j0; Q_j = V_a^T diag(F_j) V_b, F_j exact at all
-    N nodes of lift m, is applied unformed as V_a^T (F_j V_b g_b) and
-    V_b^T (F_j V_a g_a): O(N r) per column. lift m = lift(z_old) + V dz / 2,
-    so z_old is lifted once and each call needs V dz only. The grid-sized
-    products go into buffers kept per column count, so a step allocates them
-    once for the residual's single column and once for the Jacobian's 4r
-    columns."""
-    basis, grid, f = ops.basis, ops.grid, ops.physics.f
+def _galerkin_poisson(ops: RomOperators, mid: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Galerkin model: J_r(mid) g = V^T J(lift mid) V g for one midpoint mid
+    and one column g, both (4r, 1). The derivative blocks are J_r's constant
+    part j0; Q_j = V_a^T diag(F_j) V_b, F_j exact at all N nodes of lift mid,
+    is applied unformed as V_a^T (F_j V_b g_b) and V_b^T (F_j V_a g_a):
+    O(N r)."""
+    basis = ops.basis
     N, r = basis.N, basis.r
-    base = basis.lift_array(z_old)[:, None]
-    modes_t = basis.modes[1:].transpose(0, 2, 1)
-    buffers = {}
-
-    def apply(mid: np.ndarray, dz: np.ndarray, g: np.ndarray) -> np.ndarray:
-        m = g.shape[1]
-        if m not in buffers:
-            buffers[m] = np.empty((3, N, m)), np.empty((N, m))
-        w, prod = buffers[m]
-        lifted = basis.apply_modes(0.5 * dz)
-        lifted += base
-        f1, f2, f3 = _coefficients(lifted, f, grid, 1.0, "midpoint height").reshape(3, N, -1)
-        # blocks u, v, s of V g, and J's coupling terms on the grid, the u
-        # block with its sign flipped: -w_u = F1 V_v g_v + F2 V_s g_s
-        vu, vv, vs = basis.modes[1:] @ g.reshape(4, r, m)[1:]
-        np.multiply(f1, vv, out=w[0])
-        w[0] += np.multiply(f2, vs, out=prod)
-        np.multiply(f1, vu, out=w[1])
-        w[1] -= np.multiply(f3, vs, out=prod)
-        np.multiply(f2, vu, out=w[2])
-        w[2] += np.multiply(f3, vv, out=prod)
-        proj = modes_t @ w
-        out = ops.j0 @ g
-        out[r : 2 * r] -= proj[0]
-        out[2 * r :] += proj[1:].reshape(2 * r, m)
-        return out
-
-    return apply
+    f1, f2, f3 = _coefficients(basis.lift_array(mid), ops.physics.f, ops.grid, 1.0,
+                               "midpoint height").reshape(3, N, 1)
+    # blocks u, v, s of V g, and J's coupling terms on the grid, the u block
+    # with its sign flipped: -w_u = F1 V_v g_v + F2 V_s g_s
+    vu, vv, vs = basis.modes[1:] @ g.reshape(4, r, 1)[1:]
+    w, prod = np.empty((3, N, 1)), np.empty((N, 1))
+    np.multiply(f1, vv, out=w[0])
+    w[0] += np.multiply(f2, vs, out=prod)
+    np.multiply(f1, vu, out=w[1])
+    w[1] -= np.multiply(f3, vs, out=prod)
+    np.multiply(f2, vu, out=w[2])
+    w[2] += np.multiply(f3, vv, out=prod)
+    proj = basis.modes[1:].transpose(0, 2, 1) @ w
+    out = ops.j0 @ g
+    out[r : 2 * r] -= proj[0]
+    out[2 * r :] += proj[1:].reshape(2 * r, 1)
+    return out
 
 
 def rom_rhs(ops: RomOperators, z_r: np.ndarray,
             counter: FlopCounter | None = None) -> np.ndarray:
-    """Tensor-form reduced time derivative -J_r g_r at a reduced state (4r,)
-    or columns (4r, m).
+    """Tensor-form reduced time derivative -J_r g_r at a reduced state (4r,);
+    a state of any other shape raises ValueError.
 
     Everything is sampled or precomputed: the cost is O(r^2 p + r^3),
     independent of the grid size N. A counter is charged the flops.
     """
-    z_r = np.asarray(z_r, dtype=np.float64)
-    single = z_r.ndim == 1
-    zc = z_r[:, None] if single else z_r
-    out = _apply_reduced_poisson(ops, zc, ops.grad.gradient(zc))
+    z = np.asarray(z_r, dtype=np.float64)
+    _require_shape(z, 4 * ops.r, f"r={ops.r}")
+    out = _apply_reduced_poisson(ops, z[:, None], ops.grad.gradient(z[:, None]))
     out *= -1.0
     if counter is not None:
-        r, m = ops.r, zc.shape[1]
-        # per column: c + L z (the 9 nonzero (r, r) blocks of L and the
-        # constant), Q(z) (three r^3 and six r^2 contractions, the scalings
-        # and adds) and their sum; the Q_j = K_j f_j, the 10 nonzero (r, r)
-        # blocks of J_r and the sign
+        r = ops.r
+        # c + L z (the 9 nonzero (r, r) blocks of L and the constant), Q(z)
+        # (three r^3 and six r^2 contractions, the scalings and adds) and
+        # their sum; the Q_j = K_j f_j, the 10 nonzero (r, r) blocks of J_r
+        # and the sign
         counter.core += (9 * 2 * r * r + 4 * r + 3 * 2 * r**3 + 6 * 2 * r**2 + 5 * r + 4 * r
-                         + 2 * ops.k.size + 10 * 2 * r * r + 4 * r) * m
+                         + 2 * ops.k.size + 10 * 2 * r * r + 4 * r)
         # the sampling GEMM's nonzero blocks, the 6p offset adds, f and the
         # 3p divisions
-        counter.sampling += (2 * ops.sampler.nnz + 10 * ops.deim.p) * m
-    return out[:, 0] if single else out
+        counter.sampling += 2 * ops.sampler.nnz + 10 * ops.deim.p
+    return out[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -552,14 +533,16 @@ def _avf_residual(ops: RomOperators, z_old: np.ndarray, dt: float, method: str):
 
     G is d gbar_r / dz, with H = dQ/dx. D = d(J_r(m) gbar_r)/dm at fixed
     gbar_r: for each pair (a, b) of _SKEW_PAIRS, D_a -= (K_j gbar_b) dF_j and
-    D_b += (K_j^T gbar_a) dF_j, with dF_j the derivative of the samples of
-    F_j. The Galerkin model is the tensor model with every node sampled and
-    K_j[n] = V_a[n] x V_b[n], so its Jacobian builds that all-node sampler,
-    (6N, 4r). The method chooses only how J_r's coefficient blocks Q_j are
-    obtained."""
+    D_b += (K_j^T gbar_a) dF_j, with dF_j the derivative of the samples f_j
+    of F_j. The Galerkin model is the tensor model with every node sampled
+    and K_j[n] = V_a[n] x V_b[n], so its Jacobian builds that all-node
+    sampler, (6N, 4r). The method chooses only how J_r's blocks Q_j are
+    obtained. The residual applies J_r(m) to one column (the Galerkin product
+    unformed, skew to round-off); the Jacobian forms J_r(m), exactly skew,
+    with _reduced_poisson from the f_j that the sampler's derivative returns:
+    Q_j = K_j f_j, or V_a^T diag(F_j) V_b in O(N r^2) once per build."""
     grad, r = ops.grad, ops.r
-    poisson = (_galerkin_poisson(ops, z_old) if method == "pod"
-               else lambda mid, dz, g: _apply_reduced_poisson(ops, mid, g))
+    poisson = _galerkin_poisson if method == "pod" else _apply_reduced_poisson
 
     def split(z):
         dz = (z - z_old)[:, None]
@@ -567,34 +550,31 @@ def _avf_residual(ops: RomOperators, z_old: np.ndarray, dt: float, method: str):
 
     def residual(z):
         dz, mid = split(z)
-        out = poisson(mid, dz, grad.chord_mean(mid, dz))[:, 0]
-        out *= dt
-        out += dz[:, 0]
-        return out
+        return dz[:, 0] + dt * poisson(ops, mid, grad.chord_mean(mid, dz))[:, 0]
 
     def jacobian(z):
         dz, mid = split(z)
         gbar = grad.chord_mean(mid, dz).reshape(4, r)
-        jac = poisson(mid, dz, 0.5 * (grad.lin + grad.hessian((mid + dz / 6.0)[:, 0])))
-        # rows i of K_j gbar_b and K_j^T gbar_a for each pair
+        # Q_j, and rows i of K_j gbar_b and K_j^T gbar_a for each pair
         if method == "pod":
             basis, modes = ops.basis, ops.basis.modes
             nodes = np.broadcast_to(np.arange(basis.N), (NUM_NONLIN, basis.N))
-            sampler = _build_sampler(basis, nodes, ops.physics, ops.grid)
+            f, df = _build_sampler(basis, nodes, ops.physics, ops.grid).derivative(mid[:, 0])
+            q = [modes[a].T @ (fj[:, None] * modes[b]) for fj, (a, b) in zip(f, _SKEW_PAIRS)]
             weights = [(modes[a] * (modes[b] @ gbar[b])[:, None],
                         modes[b] * (modes[a] @ gbar[a])[:, None]) for a, b in _SKEW_PAIRS]
         else:
-            sampler, p = ops.sampler, ops.deim.p
+            p = ops.deim.p
+            f, df = ops.sampler.derivative(mid[:, 0])
+            q = _tensor_blocks(ops, f)
             weights = [((kj.reshape(p * r, r) @ gbar[b]).reshape(p, r),
                         gbar[a] @ kj.reshape(p, r, r)) for kj, (a, b) in zip(ops.k, _SKEW_PAIRS)]
+        jac = _reduced_poisson(ops, q) @ (0.5 * (grad.lin + grad.hessian((mid + dz / 6.0)[:, 0])))
         d = np.zeros((4, r, 4 * r))
-        for (kb, ka), dfj, (a, b) in zip(weights, sampler.derivative(mid[:, 0])[1], _SKEW_PAIRS):
+        for (kb, ka), dfj, (a, b) in zip(weights, df, _SKEW_PAIRS):
             d[a] -= kb.T @ dfj
             d[b] += ka.T @ dfj
-        jac += 0.5 * d.reshape(4 * r, 4 * r)
-        jac *= dt
-        jac += np.eye(4 * r)
-        return jac
+        return np.eye(4 * r) + dt * (jac + 0.5 * d.reshape(4 * r, 4 * r))
 
     return residual, jacobian
 
@@ -647,16 +627,17 @@ def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
     chord mean of the exact reduced gradient, solved by fom.newton with the
     chord rule of the residual's exact Jacobian, LU-factored.
 
-    A non-finite entry of z_r raises NumericError naming its block and
-    coefficient. Newton starts from start, such as fom.march's, when given
-    and the model's own height check passes there; otherwise from z_r. A
-    stand-alone call builds a fresh Jacobian; integrate_rom passes its
-    factorization through the private _chord argument instead, so one
-    factorization is kept across steps and rebuilt only when the residual
-    stops halving."""
+    A z_r not of shape (4r,) raises ValueError, and a non-finite entry
+    NumericError naming its block and coefficient, before any residual. Newton
+    starts from start, such as fom.march's, when given and the model's own
+    height check passes there; otherwise from z_r. A stand-alone call builds a
+    fresh Jacobian; integrate_rom passes its factorization through the private
+    _chord argument instead, so one factorization is kept across steps and
+    rebuilt only when the residual stops halving."""
     if method not in METHODS:
         raise ConfigError(f"unknown reduced model {method!r}, expected one of {METHODS}")
     z_old = np.asarray(z_r, dtype=np.float64)
+    _require_shape(z_old, 4 * ops.r, f"r={ops.r}")
     _require_finite(z_old, "reduced state", "coefficient")
     tol_eff = _ROM_NEWTON_TOL * max(1.0, float(np.max(np.abs(z_old))))
     residual, jacobian = _avf_residual(ops, z_old, dt, method)
@@ -680,16 +661,18 @@ def integrate_rom(ops: RomOperators, initial: RomState, dt: float, num_steps: in
                   method: str = "pod-deim") -> RomResult:
     """March the reduced model with fom.march and record the invariants of
     the lifted states, evaluated as polynomials of the reduced coefficients.
-    One chord Jacobian serves all steps of the run."""
+    One chord Jacobian serves all steps of the run. An initial state not of
+    shape (4r,) raises ValueError."""
     if method not in METHODS:
         raise ConfigError(f"unknown reduced model {method!r}, expected one of {METHODS}")
+    z0 = np.asarray(initial.z_r, dtype=np.float64)
+    _require_shape(z0, 4 * ops.r, f"r={ops.r}")
     times = initial.t + dt * np.arange(num_steps + 1)
     chord = _ChordJacobian()
 
     def step(z, start):
         return rom_avf_step(ops, z, dt, method=method, start=start, _chord=chord)
 
-    z0 = np.asarray(initial.z_r, dtype=np.float64)
     red = np.stack(list(march(step, z0, num_steps)), axis=1)
     return RomResult(reduced=red, invariants=ops.grad.invariants(red), times=times,
                      method=method)

@@ -1,5 +1,6 @@
 """Reduced models: tensor assembly, sampled evaluation, implicit stepping."""
 
+import re
 import tracemalloc
 from functools import partial
 
@@ -12,10 +13,11 @@ from helpers import (SEED, apply_poisson, central_difference_jacobian,
                      random_state, reduced_poisson_matrix, rhs, rom_rhs_pod_only,
                      small_setup)
 
+from tswrom import fom as fom_mod
 from tswrom import rom as rom_mod
 from tswrom.deim import NUM_NONLIN, build_deim, collect_nonlin_snapshots
 from tswrom.errors import ConfigError, NumericError
-from tswrom.fom import grad_hamiltonian, hamiltonian, invariants, newton
+from tswrom.fom import avf_step, grad_hamiltonian, hamiltonian, invariants, newton
 from tswrom.pod import build_pod_basis, collect_snapshots, restrict
 from tswrom.fileio import write_romops
 from tswrom.rom import (FlopCounter, RomOperators, RomState, integrate_rom,
@@ -134,38 +136,63 @@ def test_polynomial_invariants_match_lifted_invariants(mini_pipeline, rng):
 
 
 def test_reduced_poisson_is_exactly_skew(mini_pipeline, rng):
-    ops = mini_pipeline.romops
-    f = ops.sampler.sample(_mini_states(mini_pipeline, rng))
-    q = [(fj.T @ kj).reshape(-1, ops.r, ops.r) for fj, kj in zip(f, ops.k)]
-    jr = rom_mod._reduced_poisson(ops, q)
-    assert jr.shape == (3, 4 * ops.r, 4 * ops.r)
-    assert np.all(jr + jr.transpose(0, 2, 1) == 0.0)
-    assert np.max(np.abs(jr)) > 0.0
+    # J_r from the tensor Q_j = K_j f_j and from the Galerkin
+    # Q_j = V_a^T diag(F_j) V_b of the all-node F_j, as the two Jacobians
+    # form it; the Galerkin J_r is also the projected full operator
+    ops, basis = mini_pipeline.romops, mini_pipeline.basis
+    phys, grid = mini_pipeline.physics, mini_pipeline.grid
+    nodes = np.broadcast_to(np.arange(basis.N), (NUM_NONLIN, basis.N))
+    every_node = rom_mod._build_sampler(basis, nodes, phys, grid)
+    for mid in _mini_states(mini_pipeline, rng).T:
+        tensor = rom_mod._tensor_blocks(ops, ops.sampler.sample(mid))
+        galerkin = [np.einsum("n,ni,nk->ik", fj, basis.modes[a], basis.modes[b])
+                    for fj, (a, b) in zip(every_node.derivative(mid)[0], rom_mod._SKEW_PAIRS)]
+        for q in (tensor, galerkin):
+            jr = rom_mod._reduced_poisson(ops, q)
+            assert jr.shape == (4 * ops.r, 4 * ops.r)
+            assert np.all(jr + jr.T == 0.0)
+            assert np.max(np.abs(jr)) > 0.0
+        expected = reduced_poisson_matrix(basis, basis.lift_array(mid), phys, grid)
+        assert np.max(np.abs(jr - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_galerkin_poisson_is_projected_full_operator(mini_pipeline, rng):
-    # the matrix-free Galerkin J_r applied to the identity is V^T J(lift m) V,
-    # skew to round-off, both for one midpoint and many columns (the chord
-    # Jacobian's call) and one column at a time (every residual's)
+    # the matrix-free Galerkin J_r, applied one column at a time as every
+    # residual applies it, is V^T J(lift m) V, skew to round-off
     basis, phys, grid = mini_pipeline.basis, mini_pipeline.physics, mini_pipeline.grid
     ops = RomOperators(basis, phys, grid)
-    z = _mini_states(mini_pipeline, rng)
-    z_old = z[:, 0]
     eye = np.eye(4 * basis.r)
-    poisson = rom_mod._galerkin_poisson(ops, z_old)
-    for mid in z.T:
-        # the increment whose midpoint z_old + dz/2 is mid
-        dz = 2.0 * (mid - z_old)[:, None]
-        jr = poisson(mid[:, None], dz, eye)
+    for mid in _mini_states(mini_pipeline, rng).T:
+        cols = [rom_mod._galerkin_poisson(ops, mid[:, None], e[:, None]) for e in eye]
+        assert all(col.shape == (eye.shape[0], 1) for col in cols)
+        jr = np.concatenate(cols, axis=1)
         expected = reduced_poisson_matrix(basis, basis.lift_array(mid), phys, grid)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(jr - expected)) <= 1e-12 * scale
         assert np.max(np.abs(jr + jr.T)) <= 1e-13 * scale
-        for j in range(eye.shape[1]):
-            col = poisson(mid[:, None], dz, eye[:, j : j + 1])
-            assert col.shape == (eye.shape[0], 1)
-            assert np.max(np.abs(col[:, 0] - jr[:, j])) <= 1e-12 * scale, j
-            assert np.max(np.abs(col[:, 0] - expected[:, j])) <= 1e-12 * scale, j
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("name", ["avf_step", "rom_avf_step", "integrate_rom", "rom_rhs"])
+def test_wrong_shaped_state_is_refused_naming_both_shapes(mini_pipeline, monkeypatch, name,
+                                                          batch):
+    # a longer state, or a batch of states (4r, 3) that the (4r,) products
+    # would silently misread, is refused before any residual is built
+    ops, grid, phys = mini_pipeline.romops, mini_pipeline.grid, mini_pipeline.physics
+    dt = mini_pipeline.config.dt
+    size = 4 * grid.N if name == "avf_step" else 4 * ops.r
+    bad = np.ones((size, 3) if batch else size + 4)
+    calls = []
+    monkeypatch.setattr(fom_mod, "_AvfResidual", lambda *args: calls.append(args))
+    monkeypatch.setattr(rom_mod, "_avf_residual", lambda *args: calls.append(args))
+    call = {"avf_step": lambda: avf_step(bad, dt, phys, grid),
+            "rom_avf_step": lambda: rom_avf_step(ops, bad, dt),
+            "integrate_rom": lambda: integrate_rom(ops, RomState(z_r=bad), dt, 2),
+            "rom_rhs": lambda: rom_rhs(ops, bad)}[name]
+    with pytest.raises(ValueError, match=re.escape(f"state shape {bad.shape}") + ".*"
+                       + re.escape(f"expected ({size},)")):
+        call()
+    assert not calls
 
 
 def test_residuals_at_zero_increment_are_scaled_rhs(mini_pipeline, rng):
@@ -238,11 +265,11 @@ def test_sampler_matches_full_nonlinearities(mini_pipeline):
     basis, dset = mini_pipeline.basis, mini_pipeline.deim
     phys, grid = mini_pipeline.physics, mini_pipeline.grid
     z_r = restrict(basis, mini_pipeline.fom.trajectory[:, 7])
-    sampled = ops.sampler.sample(z_r[:, None])
+    sampled = ops.sampler.sample(z_r)
     lifted = basis.lift_array(z_r)
     for j in range(1, NUM_NONLIN + 1):
         full = nonlinearity(j, lifted, phys, grid)[dset.indices[j - 1]]
-        np.testing.assert_allclose(sampled[j - 1][:, 0], full, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(sampled[j - 1], full, rtol=1e-9, atol=0.0)
 
 
 def test_flop_counts_independent_of_grid_size():
@@ -450,9 +477,9 @@ def test_non_finite_reduced_state_stops_at_once(mini_pipeline, monkeypatch, meth
 def test_sampler_names_a_nan_height_non_finite(mini_pipeline):
     # mode 0 of the height is its normalized mean (see the next test)
     sampler, basis = mini_pipeline.romops.sampler, mini_pipeline.basis
-    z = restrict(basis, mini_pipeline.fom.trajectory[:, 0])[:, None]
+    z = restrict(basis, mini_pipeline.fom.trajectory[:, 0])
     sampler.sample(z)
-    low = z[0, 0] - 4.0 * np.linalg.norm(basis.means[0])
+    low = z[0] - 4.0 * np.linalg.norm(basis.means[0])
     z[0] = np.nan
     with pytest.raises(NumericError, match=r"^non-finite sampled height .*\(min nan\)$"):
         sampler.sample(z)
