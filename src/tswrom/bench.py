@@ -139,7 +139,7 @@ class DoubleVortexConfig:
 
 def make_physics(cfg: DoubleVortexConfig, N: int) -> Physics:
     """Flat-bottom physics for the benchmark."""
-    return Physics.flat_bottom(cfg.coriolis, cfg.gravity, N)
+    return Physics(f=float(cfg.coriolis), b=np.zeros(N))
 
 
 def double_vortex_initial(grid: Grid, cfg: DoubleVortexConfig) -> np.ndarray:
@@ -371,23 +371,28 @@ def stage_fom(case: Case, meta: dict, out: Path | None = None,
               log_every: int = 0) -> FomResult:
     """Full-order solve from the double-vortex initial state.
 
-    Adds the discretization and wall_fom_s to meta. With out, streams
-    snapshots.bin and writes fom_invariants.csv and run_meta.json there.
+    Adds the discretization and wall_fom_s, the time of the solve alone, to
+    meta. With out, writes snapshots.bin (with the config's length, f and
+    g), fom_invariants.csv and run_meta.json there.
     """
-    cfg, physics = case.config, case.physics
+    cfg = case.config
     z0 = double_vortex_initial(case.grid, cfg)
     _check_initial(z0, cfg)
 
     _log.info("full model: n=%d, %d steps, dt=%g s", cfg.n, cfg.num_steps, cfg.dt)
     t0 = time.perf_counter()
-    full = fom.integrate_fom(z0, cfg.dt, cfg.num_steps, physics, case.grid,
-                             snapshot_path=None if out is None else out / "snapshots.bin",
+    full = fom.integrate_fom(z0, cfg.dt, cfg.num_steps, case.physics, case.grid,
                              log_every=log_every)
     wall = time.perf_counter() - t0
 
     meta.update(n=cfg.n, num_steps=cfg.num_steps, dt=cfg.dt, wall_fom_s=wall)
     if out is not None:
-        fileio.write_invariants_csv(out / "fom_invariants.csv", full.times, full.invariants)
+        with fileio.SnapshotWriter(out / "snapshots.bin", n=cfg.n, num_steps=cfg.num_steps,
+                                   dt=cfg.dt, length=cfg.length, coriolis=cfg.coriolis,
+                                   gravity=cfg.gravity) as writer:
+            for z, invs in zip(full.trajectory.T, full.invariants):
+                writer.append(z, invs)
+        fileio.write_invariants_csv(out / "fom_invariants.csv", cfg.dt, full.invariants)
         _write_meta(out, meta)
     _log.info("done in %.2f s; final relative energy drift %.3e",
               wall, _energy_drift(full.invariants))
@@ -465,8 +470,8 @@ def stage_rom(case: Case, ops: RomOperators, z0: np.ndarray, method: str, meta: 
     tag = method.replace("-", "_")
     meta[f"wall_{tag}_online_s"] = wall
     if out is not None:
-        fileio.write_invariants_csv(out / f"rom_invariants_{tag}.csv",
-                                    result.times, result.invariants)
+        fileio.write_invariants_csv(out / f"rom_invariants_{tag}.csv", cfg.dt,
+                                    result.invariants)
         fileio.write_rom(out / f"rom_{tag}.bin", result, _input_prints(out, f"rom_{tag}.bin"))
         _write_meta(out, meta)
     _log.info("done in %.2f s; final relative energy drift %.3e",

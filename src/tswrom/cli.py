@@ -31,7 +31,7 @@ DIR/run_meta.json logs each stage's timings and ranks for compare's report.
 `--set projected_nonlin=false` trains the interpolation on raw snapshots.
 
 The binary artifacts are checksummed containers (see tswrom.fileio). A
-corrupted, truncated, foreign or older-version artifact exits 5.
+corrupted, truncated, misshapen, foreign or older-version artifact exits 5.
 
 Exit codes: 0 success, 2 configuration errors, 3 numerical failures,
 4 I/O errors, 5 malformed artifact files.

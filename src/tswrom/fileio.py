@@ -2,15 +2,16 @@
 
 Each binary artifact is an uncompressed zip of .npy members as np.savez
 writes it, its arrays stored bit for bit. Its `meta` member is a JSON object
-with the kind, FORMAT_VERSION = 5 (1 and 2 were raw formats), scalars and
+with the kind, FORMAT_VERSION = 6 (1 and 2 were raw formats), scalars and
 `inputs`, the fingerprints of the artifacts the file was derived from.
+State k of every trajectory is at time k dt.
 
     snapshots.bin  trajectory (K+1, 4N), the packed (h, u, v, s) states in
                    time order; z0 (4N,); invariants (K+1, 4); meta n, dt,
                    num_steps and the length, coriolis and gravity of the run
-    basis.bin      means (4, N), modes (4, N, r) in C order (PodBasis holds
-                   them mode-major in memory and copies on read),
-                   singular_values (4, K); meta ranks, kappa
+    basis.bin      stack (4, r + 1, N), PodBasis's mode-major [V | mean]^T,
+                   read back without a copy; singular_values (4, K); meta
+                   ranks, kappa
     deim.bin       indices (3, p) and psi (3, N, p), row j - 1 for F_j;
                    singular_values (3, K); meta ranks, kappa
     romops.bin     k (3, p, r^2), k[j - 1, i] the r x r block of
@@ -18,11 +19,12 @@ with the kind, FORMAT_VERSION = 5 (1 and 2 were raw formats), scalars and
                    set is rebuilt from basis.bin and deim.bin on load, and
                    the a1 and a2 members of older files are ignored
     rom_pod.bin, rom_pod_deim.bin
-                   reduced (4r, K+1), invariants (K+1, 4) and times (K+1,)
-                   of one reduced solve; kind rom_pod or rom_pod_deim
+                   reduced (4r, K+1) and invariants (K+1, 4) of one reduced
+                   solve; kind rom_pod or rom_pod_deim
 
 A read fails with FormatError on a bad member CRC-32, a missing member or
-meta entry, bytes after the zip's end record, or another kind or version.
+meta entry, members whose shapes disagree, bytes after the zip's end
+record, or another kind or version.
 Each file is written as <name>.part and renamed into place when complete.
 
 The text artifacts are report.json and comma-separated tables with a
@@ -53,7 +55,7 @@ __all__ = ["SnapshotWriter", "read_snapshots", "read_initial_snapshot", "write_b
            "write_rom", "read_rom", "write_invariants_csv", "write_fields_csv",
            "write_report_json"]
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 # the meta entries each kind must carry besides kind, version and inputs
 _META_KEYS = {"snapshots": ("n", "dt", "num_steps", "length", "coriolis", "gravity"),
               "basis": ("ranks", "kappa"), "deim": ("ranks", "kappa")}
@@ -109,7 +111,7 @@ def lineage(path, kind: str) -> tuple[str, dict[str, str]]:
 
 
 class SnapshotWriter:
-    """Streams packed states and invariants to a snapshot file as produced.
+    """Writes a snapshot file record by record, z0 and the invariants at close.
 
     The file appears only when all num_steps + 1 records were appended and the
     writer closes without an exception; otherwise close deletes what was written.
@@ -171,29 +173,37 @@ class SnapshotWriter:
 
 def read_snapshots(path):
     """Read a snapshot file -> (FomResult with the C-ordered trajectory
-    (4N, K+1) and times k dt, meta)."""
+    (4N, K+1), meta)."""
     meta, arrays = _load(path, "snapshots", ("trajectory", "invariants"))
-    traj = arrays["trajectory"]
+    traj, invs = arrays["trajectory"], arrays["invariants"]
     if traj.shape != (meta["num_steps"] + 1, 4 * meta["n"] ** 2):
         raise FormatError(f"{path}: a {traj.shape} trajectory disagrees with meta n and num_steps")
-    times = meta["dt"] * np.arange(traj.shape[0])
-    return FomResult(np.ascontiguousarray(traj.T), arrays["invariants"], times), meta
+    if invs.shape != (traj.shape[0], 4):
+        raise FormatError(f"{path}: invariants {invs.shape} are not ({traj.shape[0]}, 4)")
+    return FomResult(np.ascontiguousarray(traj.T), invs), meta
 
 
 def read_initial_snapshot(path):
     """Read only the first state of a snapshot file -> (z0 (4N,), meta)."""
     meta, arrays = _load(path, "snapshots", ("z0",))
-    return arrays["z0"], meta
+    z0 = arrays["z0"]
+    if z0.shape != (4 * meta["n"] ** 2,):
+        raise FormatError(f"{path}: z0 {z0.shape} disagrees with meta n={meta['n']}")
+    return z0, meta
 
 
 def write_basis(path, basis, inputs: dict[str, str]) -> None:
     _save(path, "basis", {"ranks": basis.ranks, "kappa": basis.kappa, "inputs": inputs},
-          {"means": basis.means, "modes": basis.modes,
-           "singular_values": basis.singular_values})
+          {"stack": basis.stack, "singular_values": basis.singular_values})
 
 
 def read_basis(path):
-    meta, arrays = _load(path, "basis", ("means", "modes", "singular_values"))
+    meta, arrays = _load(path, "basis", ("stack", "singular_values"))
+    stack, svals = arrays["stack"], arrays["singular_values"]
+    if not (stack.ndim == 3 and len(stack) == 4 and stack.shape[1] >= 2
+            and svals.ndim == 2 and len(svals) == 4):
+        raise FormatError(f"{path}: stack {stack.shape} and singular_values {svals.shape} are "
+                          f"not (4, r + 1, N) with r >= 1 and (4, K)")
     return PodBasis(**arrays, ranks=tuple(meta["ranks"]), kappa=meta["kappa"])
 
 
@@ -232,24 +242,28 @@ def read_romops(path):
 def write_rom(path, result, inputs: dict[str, str]) -> None:
     """Write one reduced solve, a RomResult, as kind rom_{pod,pod_deim}."""
     _save(path, "rom_" + result.method.replace("-", "_"), {"inputs": inputs},
-          {"reduced": result.reduced, "invariants": result.invariants, "times": result.times})
+          {"reduced": result.reduced, "invariants": result.invariants})
 
 
 def read_rom(path, method: str):
     """Read the reduced solve of this method (pod or pod-deim) -> RomResult."""
-    _, arrays = _load(path, "rom_" + method.replace("-", "_"), ("reduced", "invariants", "times"))
+    _, arrays = _load(path, "rom_" + method.replace("-", "_"), ("reduced", "invariants"))
+    reduced, invs = arrays["reduced"], arrays["invariants"]
+    if not (reduced.ndim == 2 and len(reduced) > 0 and len(reduced) % 4 == 0
+            and invs.shape == (reduced.shape[1], 4)):
+        raise FormatError(f"{path}: reduced {reduced.shape} and invariants {invs.shape} are "
+                          f"not (4r, K+1) and (K+1, 4) for one K")
     return RomResult(**arrays, method=method)
 
 
 # CSV / JSON artifacts
 
-def write_invariants_csv(path, times: np.ndarray, invariants: np.ndarray) -> None:
-    """Columns step, time, H, M, Q, B; one row per stored state."""
+def write_invariants_csv(path, dt: float, invariants: np.ndarray) -> None:
+    """Columns step, time k dt, H, M, Q, B; one row per stored state."""
     with open(path, "w") as fh:
         fh.write("step,time,H,M,Q,B\n")
-        for k in range(len(times)):
-            H, M, Q, B = invariants[k]
-            fh.write(f"{k},{times[k]:.17g},{H:.17g},{M:.17g},{Q:.17g},{B:.17g}\n")
+        for k, (H, M, Q, B) in enumerate(invariants):
+            fh.write(f"{k},{k * dt:.17g},{H:.17g},{M:.17g},{Q:.17g},{B:.17g}\n")
 
 
 def write_fields_csv(path, grid, fields: dict[str, np.ndarray]) -> None:

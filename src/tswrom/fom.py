@@ -35,8 +35,8 @@ past the Newton tolerance tol. One residual object per step holds z^k and
 evaluates the residual on (4, n, n) views with periodic slice-difference
 stencils, writing into its own buffers.
 
-J's coefficients also evaluate at a batch of states (4N, m): the Galerkin
-reduced model and the DEIM snapshots take F1..F3 from them.
+J's coefficients also evaluate at a batch of states (4N, m): the DEIM
+snapshots take F1..F3 from them, and so do the tests' oracles.
 """
 
 from __future__ import annotations
@@ -76,24 +76,19 @@ _NEWTON_MAXITER = 50
 
 @dataclass(frozen=True)
 class Physics:
-    """Coriolis parameter f, gravity g, and bottom topography b (length N)."""
+    """Coriolis parameter f and bottom topography b (length N)."""
 
     f: float
-    g: float
     b: np.ndarray
-
-    @classmethod
-    def flat_bottom(cls, f: float, g: float, N: int) -> "Physics":
-        return cls(f=float(f), g=float(g), b=np.zeros(N))
 
 
 @dataclass
 class FomResult:
-    """Trajectory (4N, K+1), per-step invariants (K+1, 4), and times (K+1,)."""
+    """Trajectory (4N, K+1) and per-step invariants (K+1, 4); state k is
+    at time k dt."""
 
     trajectory: np.ndarray
     invariants: np.ndarray
-    times: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -525,20 +520,16 @@ def avf_step(z: np.ndarray, dt: float, physics: Physics, grid: Grid, *,
 
 
 def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
-                  grid: Grid, snapshot_path=None, log_every: int = 0) -> FomResult:
+                  grid: Grid, log_every: int = 0) -> FomResult:
     """March num_steps AVF steps from the packed state z0 (4N,) with march,
-    recording the trajectory, the invariants and the times k dt.
+    recording the trajectory and the invariants.
 
     A z0 of another shape raises ValueError naming both shapes. A
     non-finite entry of z0 or a nonpositive height raises NumericError
-    naming its field and node. When snapshot_path is given,
-    fileio.SnapshotWriter streams the K+1 states and invariants there, with
-    the run's grid size, dt, step count, domain length, f and g; the file
-    appears only once all of them are written. With log_every > 0, every
-    log_every-th step and the last are logged at INFO level to the
-    tswrom.fom logger; they are shown only where a handler takes INFO
-    records, such as logging.basicConfig(level=logging.INFO) or
-    bench.progress_to_stdout.
+    naming its field and node. With log_every > 0, every log_every-th step
+    and the last are logged at INFO level to the tswrom.fom logger; they are
+    shown only where a handler takes INFO records, such as
+    logging.basicConfig(level=logging.INFO) or bench.progress_to_stdout.
     """
     z = np.array(z0, dtype=np.float64)
     _require_shape(z, 4 * grid.N, f"grid N={grid.N}")
@@ -546,29 +537,14 @@ def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
     _require_positive(_blocks(z, grid.n)[0], "initial height")
     traj = np.empty((4 * grid.N, num_steps + 1))
     invs = np.empty((num_steps + 1, 4))
-    times = dt * np.arange(num_steps + 1)
-
-    writer = None
-    if snapshot_path is not None:
-        from .fileio import SnapshotWriter
-
-        writer = SnapshotWriter(snapshot_path, n=grid.n, num_steps=num_steps, dt=dt,
-                                length=grid.length, coriolis=physics.f, gravity=physics.g)
 
     def step(z, start):
         return avf_step(z, dt, physics, grid, start=start)
 
-    try:
-        for k, z in enumerate(march(step, z, num_steps)):
-            traj[:, k] = z
-            invs[k] = invariants(z, physics, grid)
-            if writer is not None:
-                writer.append(z, invs[k])
-            if log_every and k and (k % log_every == 0 or k == num_steps):
-                drift = abs(invs[k, 0] - invs[0, 0]) / abs(invs[0, 0])
-                _log.info("  step %5d/%d  t=%12.1f  |dH|/H = %.3e",
-                          k, num_steps, times[k], drift)
-    finally:
-        if writer is not None:
-            writer.close()
-    return FomResult(trajectory=traj, invariants=invs, times=times)
+    for k, z in enumerate(march(step, z, num_steps)):
+        traj[:, k] = z
+        invs[k] = invariants(z, physics, grid)
+        if log_every and k and (k % log_every == 0 or k == num_steps):
+            drift = abs(invs[k, 0] - invs[0, 0]) / abs(invs[0, 0])
+            _log.info("  step %5d/%d  t=%12.1f  |dH|/H = %.3e", k, num_steps, k * dt, drift)
+    return FomResult(trajectory=traj, invariants=invs)

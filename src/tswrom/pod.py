@@ -72,17 +72,12 @@ class PodBasis:
 
     Attributes
     ----------
-    means : ndarray of shape (4, N)
-    modes : ndarray of shape (4, N, r)
-        Orthonormal columns, variable order (h, u, v, s). In memory the
-        modes and the means are stored mode-major, as one C-order
-        (4, r + 1, N) array [V | mean]^T: modes is the transposed view of
-        its first r rows and means the view of its last row. Every
+    stack : ndarray of shape (4, r + 1, N), C order
+        Mode-major [V | mean]^T per variable, variable order (h, u, v, s):
+        rows 0..r-1 are the orthonormal modes and row r is the mean. Every
         projection V^T w reads one contiguous row per mode, and a lift
-        mean + V z is the one product [V | mean] [z; 1]. __post_init__
-        copies the arrays into that layout when they arrive in another one
-        (as from np.load); np.save still writes them in C order of (4, N)
-        and (4, N, r).
+        mean + V z is the one product [V | mean] [z; 1]. basis.bin stores
+        this array as it is.
     singular_values : ndarray of shape (4, min(N, K))
         Full spectra, kept for decay diagnostics.
     ranks : tuple of int
@@ -91,32 +86,28 @@ class PodBasis:
         Energy threshold the ranks were computed with.
     """
 
-    means: np.ndarray
-    modes: np.ndarray
+    stack: np.ndarray
     singular_values: np.ndarray
     ranks: tuple[int, int, int, int]
     kappa: float
 
-    def __post_init__(self) -> None:
-        N, r = self.modes.shape[1:]
-        stack = self.modes.base
-        if not (isinstance(stack, np.ndarray) and stack.shape == (4, r + 1, N)
-                and stack.flags.c_contiguous
-                and all(a.__array_interface__ == b.__array_interface__
-                        for a, b in zip((self.modes, self.means), _views(stack)))):
-            stack = np.empty((4, r + 1, N))
-            stack[:, :r] = self.modes.transpose(0, 2, 1)
-            stack[:, r] = self.means
-        self._stack = stack
-        self.modes, self.means = _views(stack)
+    @property
+    def modes(self) -> np.ndarray:
+        """The modes V as a (4, N, r) view of stack."""
+        return self.stack[:, :-1].transpose(0, 2, 1)
+
+    @property
+    def means(self) -> np.ndarray:
+        """The means as a (4, N) view of stack."""
+        return self.stack[:, -1]
 
     @property
     def N(self) -> int:
-        return self.modes.shape[1]
+        return self.stack.shape[2]
 
     @property
     def r(self) -> int:
-        return self.modes.shape[2]
+        return self.stack.shape[1] - 1
 
     @property
     def mean_z(self) -> np.ndarray:
@@ -126,7 +117,7 @@ class PodBasis:
     def project_modes(self, w: np.ndarray) -> np.ndarray:
         """Blockwise V^T w: packed arrays (4N,) or (4N, m) to reduced
         columns (4r, m)."""
-        return (self.modes.transpose(0, 2, 1) @ w.reshape(4, self.N, -1)).reshape(4 * self.r, -1)
+        return (self.stack[:, :-1] @ w.reshape(4, self.N, -1)).reshape(4 * self.r, -1)
 
     def lift_array(self, z_r: np.ndarray) -> np.ndarray:
         """Map reduced coefficients (4r,) or (4r, m) to packed full states
@@ -134,14 +125,8 @@ class PodBasis:
         cols = z_r.reshape(4, self.r, -1)
         aug = np.ones((4, self.r + 1, cols.shape[2]))
         aug[:, : self.r] = cols
-        out = (self._stack.transpose(0, 2, 1) @ aug).reshape(4 * self.N, -1)
+        out = (self.stack.transpose(0, 2, 1) @ aug).reshape(4 * self.N, -1)
         return out[:, 0] if z_r.ndim == 1 else out
-
-
-def _views(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The modes (4, N, r) and means (4, N) views of a mode-major
-    (4, r + 1, N) stack [V | mean]^T."""
-    return stack[:, :-1].transpose(0, 2, 1), stack[:, -1]
 
 
 def collect_snapshots(states: np.ndarray) -> SnapshotSet:
@@ -293,15 +278,11 @@ def build_pod_basis(snapshots: SnapshotSet, kappa: float,
     # orthonormal vectors sum to at most 1, so the Gram-Schmidt drops at most
     # one of them, and only when it keeps the mean.
     k = min(r, svals.shape[1])
-    modes = np.stack([_mean_led_modes(mean, lead(k), r)
-                      for mean, lead in zip(snapshots.means, leading)])
-    return PodBasis(
-        means=snapshots.means.copy(),
-        modes=modes,
-        singular_values=svals,
-        ranks=ranks,
-        kappa=float(kappa),
-    )
+    stack = np.empty((4, r + 1, snapshots.N))
+    for i, (mean, lead) in enumerate(zip(snapshots.means, leading)):
+        stack[i, :r] = _mean_led_modes(mean, lead(k), r).T
+        stack[i, r] = mean
+    return PodBasis(stack=stack, singular_values=svals, ranks=ranks, kappa=float(kappa))
 
 
 def restrict(basis: PodBasis, z: np.ndarray) -> np.ndarray:

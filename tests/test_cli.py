@@ -333,7 +333,7 @@ def reduced_dir(tmp_path_factory):
 
 # each binary artifact, a member of it, and the first stage that reads it
 _READERS = {"snapshots.bin": ("trajectory", ["reduce"]),
-            "basis.bin": ("modes", ["rom", "--method", "pod"]),
+            "basis.bin": ("stack", ["rom", "--method", "pod"]),
             "deim.bin": ("psi", ["rom", "--method", "pod-deim"]),
             "romops.bin": ("k", ["rom", "--method", "pod-deim"]),
             "rom_pod.bin": ("reduced", ["compare"]),
@@ -354,6 +354,36 @@ def test_flipped_or_truncated_artifacts_exit_5(reduced_dir, tmp_path, capsys, na
         capsys.readouterr()
         assert main([*stage, "--out", str(out)]) == 5, damage
         assert f"{name}: not a readable" in capsys.readouterr().err
+
+
+_ROM_POD = ["rom", "--method", "pod"]
+
+# an artifact, a member, a cut that leaves its shape disagreeing with the
+# other members or the meta, and the stages to run after the cut
+_MISSHAPEN = {"basis-stack-rows": ("basis.bin", "stack", lambda a: a[:3], [_ROM_POD]),
+              "basis-no-mode": ("basis.bin", "stack", lambda a: a[:, -1:], [_ROM_POD]),
+              "basis-spectra": ("basis.bin", "singular_values", np.ravel, [_ROM_POD]),
+              "rom-columns": ("rom_pod.bin", "reduced", lambda a: a[:, :2], [["compare"]]),
+              "rom-rows": ("rom_pod_deim.bin", "reduced", lambda a: a[:-1], [["compare"]]),
+              "snapshot-invariants": ("snapshots.bin", "invariants", lambda a: a[:-1],
+                                      [["reduce"]]),
+              "snapshot-z0": ("snapshots.bin", "z0", lambda a: a[:-1], [["reduce"], _ROM_POD])}
+
+
+@pytest.mark.parametrize("case", sorted(_MISSHAPEN))
+def test_misshapen_members_exit_5(reduced_dir, tmp_path, capsys, case):
+    name, member, cut, stages = _MISSHAPEN[case]
+    out = tmp_path / "ws"
+    shutil.copytree(reduced_dir, out)
+    with np.load(out / name) as npz:
+        value = cut(npz[member])
+    rewrite_container(out / name, **{member: value})
+    for stage in stages[:-1]:
+        assert main([*stage, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main([*stages[-1], "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert f"{name}: " in err and member in err
 
 
 def test_foreign_or_raw_artifacts_exit_5(reduced_dir, tmp_path, capsys):

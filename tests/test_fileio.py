@@ -53,7 +53,6 @@ def test_snapshot_roundtrip(rng, tmp_path):
     assert meta["inputs"] == {}
     np.testing.assert_array_equal(full.trajectory, traj)
     np.testing.assert_array_equal(full.invariants, _invariants(traj))
-    np.testing.assert_array_equal(full.times, 0.5 * np.arange(traj.shape[1]))
     z0, meta_z0 = read_initial_snapshot(path)
     assert meta_z0 == meta
     np.testing.assert_array_equal(z0, traj[:, 0])
@@ -166,13 +165,12 @@ def test_basis_roundtrip(mini_pipeline, tmp_path):
     write_basis(path, basis, inputs)
     loaded = read_basis(path)
     assert lineage(path, "basis")[1] == inputs
-    np.testing.assert_array_equal(loaded.means, basis.means)
-    np.testing.assert_array_equal(loaded.modes, basis.modes)
+    np.testing.assert_array_equal(loaded.stack, basis.stack)
     np.testing.assert_array_equal(loaded.singular_values, basis.singular_values)
     assert loaded.ranks == basis.ranks and loaded.kappa == basis.kappa
 
     raw = path.read_bytes()
-    flip_member_byte(path, "modes")
+    flip_member_byte(path, "stack")
     with pytest.raises(FormatError, match="Bad CRC-32"):
         read_basis(path)
     path.write_bytes(raw)
@@ -182,18 +180,18 @@ def test_basis_roundtrip(mini_pipeline, tmp_path):
 
 
 def _mode_major(basis):
-    """modes and means are the views [:r] and [r] of one C-order
-    (4, r + 1, N) array, so each mode and each mean is one contiguous row."""
-    stack = basis.modes.base
+    """The stack is one C-order (4, r + 1, N) array, and modes and means are
+    its views [:r] and [r], so each mode and each mean is one contiguous row."""
+    stack = basis.stack
     return (stack.shape == (4, basis.r + 1, basis.N) and stack.flags.c_contiguous
             and basis.modes.__array_interface__
             == stack[:, : basis.r].transpose(0, 2, 1).__array_interface__
             and basis.means.__array_interface__ == stack[:, basis.r].__array_interface__)
 
 
-def test_basis_modes_are_mode_major_in_memory_and_c_order_on_disk(mini_pipeline, tmp_path):
-    # every way to get a basis stores the modes and the means as one C-order
-    # (4, r + 1, N) array
+def test_basis_stack_is_mode_major_in_memory_and_on_disk(mini_pipeline, tmp_path):
+    # every way to get a basis holds the modes and the means as one C-order
+    # (4, r + 1, N) stack, and basis.bin stores that stack as it is
     basis = mini_pipeline.basis
     assert _mode_major(basis)
     copy = dataclasses.replace(basis)
@@ -202,18 +200,19 @@ def test_basis_modes_are_mode_major_in_memory_and_c_order_on_disk(mini_pipeline,
     path = tmp_path / "basis.bin"
     write_basis(path, basis, {})
     assert _mode_major(read_basis(path))
-    # the container holds the C-order (4, N, r) bytes: fixed values give the
-    # member CRC-32s of that byte order, whatever the layout in memory
-    fixed = PodBasis(means=np.arange(24.0).reshape(4, 6) / 8,
-                     modes=np.arange(48.0).reshape(4, 6, 2) / 16,
-                     singular_values=np.arange(12.0)[::-1].reshape(4, 3),
+    # fixed values give the member CRC-32s of the stack's C-order bytes
+    stack = np.arange(72.0).reshape(4, 3, 6) / 16
+    fixed = PodBasis(stack=stack, singular_values=np.arange(12.0)[::-1].reshape(4, 3),
                      ranks=(1, 2, 2, 1), kappa=1e-3)
-    assert _mode_major(fixed)
+    assert _mode_major(fixed) and fixed.r == 2 and fixed.N == 6
+    np.testing.assert_array_equal(fixed.modes[1, :, 0], stack[1, 0])
+    np.testing.assert_array_equal(fixed.means[2], stack[2, 2])
     write_basis(path, fixed, {"snapshots.bin": "0a1b2c3d"})
-    assert lineage(path, "basis")[0] == "6250393d-0831dcda-1646ed88-fab6e096"
-    np.testing.assert_array_equal(read_basis(path).modes,
-                                  np.arange(48.0).reshape(4, 6, 2) / 16)
-    np.testing.assert_array_equal(read_basis(path).means, np.arange(24.0).reshape(4, 6) / 8)
+    assert lineage(path, "basis")[0] == "46f553b0-99c67376-fab6e096"
+    with zipfile.ZipFile(path) as zf:
+        assert zf.namelist() == ["meta.npy", "stack.npy", "singular_values.npy"]
+        assert zf.read("stack.npy")[-stack.nbytes:] == stack.tobytes()
+    np.testing.assert_array_equal(read_basis(path).stack, stack)
 
 
 def test_deim_roundtrip(mini_pipeline, tmp_path):
@@ -322,14 +321,13 @@ def test_version_1_files_rejected(mini_pipeline, rng, tmp_path):
 
 
 def test_invariants_csv_roundtrip(rng, tmp_path):
-    times = np.linspace(0.0, 97.2, 5)
     invs = rng.normal(size=(5, 4)) * np.array([1e10, 1e9, 1e9, 1e10])
     path = tmp_path / "invariants.csv"
-    write_invariants_csv(path, times, invs)
+    write_invariants_csv(path, 24.3, invs)
     back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     # %.17g is a lossless float64 round trip
     np.testing.assert_array_equal(back[:, 0], np.arange(5))
-    np.testing.assert_array_equal(back[:, 1], times)
+    np.testing.assert_array_equal(back[:, 1], 24.3 * np.arange(5))
     np.testing.assert_array_equal(back[:, 2:], invs)
     assert path.read_text().splitlines()[0] == "step,time,H,M,Q,B"
 
@@ -341,7 +339,7 @@ def test_rom_roundtrip(mini_pipeline, tmp_path):
         write_rom(path, result, inputs)
         loaded = read_rom(path, result.method)
         assert loaded.method == result.method
-        for key in ("reduced", "invariants", "times"):
+        for key in ("reduced", "invariants"):
             np.testing.assert_array_equal(getattr(loaded, key), getattr(result, key))
         tag = result.method.replace("-", "_")
         assert lineage(path, f"rom_{tag}")[1] == inputs
@@ -364,7 +362,7 @@ def test_lineage_fingerprint_is_the_member_crcs(mini_pipeline, tmp_path):
     with zipfile.ZipFile(first) as zf:
         assert fingerprint == "-".join(f"{info.CRC:08x}" for info in zf.infolist())
     # the fingerprint is read from the zip directory, not from the payload
-    flip_member_byte(second, "modes")
+    flip_member_byte(second, "stack")
     assert lineage(second, "basis")[0] == fingerprint
     # other contents or other recorded inputs give another fingerprint
     write_basis(second, mini_pipeline.basis, {"snapshots.bin": "0a1b2c3d"})

@@ -2,8 +2,8 @@
 patches must exist, and every public fileio function must take the
 artifact path first, since the tracer records os.path.getsize(args[0]).
 It also reloads the cli-disk model from the workspace files and counts the
-flops of one reduced right-hand side, and sees every step of both
-integrators."""
+flops of one reduced right-hand side, sees every step of both integrators
+and every snapshot record the fom stage writes."""
 
 import dataclasses
 import importlib.util
@@ -107,3 +107,19 @@ def test_traced_steps_are_recorded_through_the_time_loop(vortex16, mini_pipeline
     assert [s[attrs]["method"] for s in steps] == ["pod", "pod", "pod-deim", "pod-deim"]
     assert [spans[s[parent]][attrs]["method"] for s in steps] == [s[attrs]["method"]
                                                                   for s in steps]
+
+
+def test_traced_fom_stage_records_every_snapshot_append(tmp_path):
+    # the fom stage appends each state of the finished solve to the snapshot
+    # writer, so the traced appends still give the bytes of snapshots.bin's
+    # trajectory: one span per state, 4N float64 values each
+    spans_module = _load("spans")
+    tracer = spans_module.Tracer()
+    tracer.install()
+    try:
+        assert main(["fom", "--out", str(tmp_path), "--set", "n=8", "--set", "num_steps=3"]) == 0
+    finally:
+        tracer.uninstall()
+    appends = [s for s in tracer.spans if s[spans_module.NAME] == "fileio.SnapshotWriter.append"]
+    assert len(appends) == 3 + 1
+    assert sum(s[spans_module.ATTRS]["bytes"] for s in appends) == (3 + 1) * 4 * 64 * 8
