@@ -218,7 +218,7 @@ def cmd_rom(args) -> int:
 
     needs = "basis.bin" if args.method == "pod" else "romops.bin"
     out, z0, case, meta = _inputs(args, (needs,), initial_only=True)
-    basis = fileio.read_basis(out / "basis.bin")
+    basis = fileio.read_basis(out / "basis.bin", case.grid.N)
     if args.method == "pod":
         ops = RomOperators(basis, case.physics, case.grid)
     else:
@@ -248,8 +248,9 @@ def cmd_compare(args) -> int:
 
     tags = {method: method.replace("-", "_") for method in METHODS}
     out, full, case, meta = _inputs(args, [f"rom_{tag}.bin" for tag in tags.values()])
-    basis = fileio.read_basis(out / "basis.bin")
-    roms = {tag: fileio.read_rom(out / f"rom_{tag}.bin", method) for method, tag in tags.items()}
+    basis = fileio.read_basis(out / "basis.bin", case.grid.N)
+    roms = {tag: fileio.read_rom(out / f"rom_{tag}.bin", method, basis.r)
+            for method, tag in tags.items()}
     report = stage_report(case, meta, full, basis, roms, out)
 
     _print_table("time-averaged relative l2 error",

@@ -23,8 +23,9 @@ State k of every trajectory is at time k dt.
                    solve; kind rom_pod or rom_pod_deim
 
 A read fails with FormatError on a bad member CRC-32, a missing member or
-meta entry, members whose shapes disagree, bytes after the zip's end
-record, or another kind or version.
+meta entry, members whose shapes disagree with each other (or with the
+grid's N or the basis r where the reader is given them), bytes after the
+zip's end record, or another kind or version.
 Each file is written as <name>.part and renamed into place when complete.
 
 The text artifacts are report.json and comma-separated tables with a
@@ -197,13 +198,17 @@ def write_basis(path, basis, inputs: dict[str, str]) -> None:
           {"stack": basis.stack, "singular_values": basis.singular_values})
 
 
-def read_basis(path):
+def read_basis(path, N: int | None = None):
+    """Read a basis file -> PodBasis; with N, a stack of another N is
+    malformed too."""
     meta, arrays = _load(path, "basis", ("stack", "singular_values"))
     stack, svals = arrays["stack"], arrays["singular_values"]
     if not (stack.ndim == 3 and len(stack) == 4 and stack.shape[1] >= 2
             and svals.ndim == 2 and len(svals) == 4):
         raise FormatError(f"{path}: stack {stack.shape} and singular_values {svals.shape} are "
                           f"not (4, r + 1, N) with r >= 1 and (4, K)")
+    if N is not None and stack.shape[2] != N:
+        raise FormatError(f"{path}: stack {stack.shape} is not (4, r + 1, N) for the grid's N={N}")
     return PodBasis(**arrays, ranks=tuple(meta["ranks"]), kappa=meta["kappa"])
 
 
@@ -245,14 +250,18 @@ def write_rom(path, result, inputs: dict[str, str]) -> None:
           {"reduced": result.reduced, "invariants": result.invariants})
 
 
-def read_rom(path, method: str):
-    """Read the reduced solve of this method (pod or pod-deim) -> RomResult."""
+def read_rom(path, method: str, r: int | None = None):
+    """Read the reduced solve of this method (pod or pod-deim) -> RomResult;
+    with r, the basis size, a reduced array of another row count than 4r is
+    malformed too."""
     _, arrays = _load(path, "rom_" + method.replace("-", "_"), ("reduced", "invariants"))
     reduced, invs = arrays["reduced"], arrays["invariants"]
     if not (reduced.ndim == 2 and len(reduced) > 0 and len(reduced) % 4 == 0
             and invs.shape == (reduced.shape[1], 4)):
         raise FormatError(f"{path}: reduced {reduced.shape} and invariants {invs.shape} are "
                           f"not (4r, K+1) and (K+1, 4) for one K")
+    if r is not None and len(reduced) != 4 * r:
+        raise FormatError(f"{path}: reduced {reduced.shape} is not (4r, K+1) for the basis r={r}")
     return RomResult(**arrays, method=method)
 
 

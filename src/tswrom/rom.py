@@ -48,8 +48,11 @@ from the same data (_avf_residual), is LU-factored, kept across the steps
 of an integrate_rom run and rebuilt, at the current iterate, only when the
 residual stops halving. The chord iteration converges linearly, so a close
 start saves iterations: integrate_rom marches with fom.march, whose
-extrapolated start each step takes unless the residual's own height check
-(at all N nodes for pod, at the DEIM points for pod-deim) refuses it. A
+degree-8 extrapolation through the last nine states each step takes unless
+the residual's own height check (at all N nodes for pod, at the DEIM points
+for pod-deim) refuses it. From that start one chord correction mostly
+reaches the tolerance: at the production configuration both models spend
+2.02 residuals per step, against 4.22 from a quadratic extrapolation. A
 non-finite state or residual stops the iteration at once.
 
 The invariants of lift z_r are polynomials of z_r built from the same data:

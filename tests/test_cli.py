@@ -14,7 +14,7 @@ import pytest
 from helpers import flip_member_byte, rewrite_container
 
 from tswrom import fileio
-from tswrom.bench import Case, DoubleVortexConfig, stage_rom
+from tswrom.bench import Case, DoubleVortexConfig, _input_prints, stage_rom
 from tswrom.cli import main
 from tswrom.errors import ConfigError
 from tswrom.fileio import read_initial_snapshot, read_snapshots
@@ -364,7 +364,11 @@ _MISSHAPEN = {"basis-stack-rows": ("basis.bin", "stack", lambda a: a[:3], [_ROM_
               "basis-no-mode": ("basis.bin", "stack", lambda a: a[:, -1:], [_ROM_POD]),
               "basis-spectra": ("basis.bin", "singular_values", np.ravel, [_ROM_POD]),
               "rom-columns": ("rom_pod.bin", "reduced", lambda a: a[:, :2], [["compare"]]),
+              "basis-nodes": ("basis.bin", "stack", lambda a: a[..., :-1], [_ROM_POD]),
               "rom-rows": ("rom_pod_deim.bin", "reduced", lambda a: a[:-1], [["compare"]]),
+              # 4 (r + 1) rows: a whole number of states, but not of the basis r
+              "rom-basis-size": ("rom_pod.bin", "reduced", lambda a: np.vstack([a, a[:4]]),
+                                 [["compare"]]),
               "snapshot-invariants": ("snapshots.bin", "invariants", lambda a: a[:-1],
                                       [["reduce"]]),
               "snapshot-z0": ("snapshots.bin", "z0", lambda a: a[:-1], [["reduce"], _ROM_POD])}
@@ -384,6 +388,21 @@ def test_misshapen_members_exit_5(reduced_dir, tmp_path, capsys, case):
     assert main([*stages[-1], "--out", str(out)]) == 5
     err = capsys.readouterr().err
     assert f"{name}: " in err and member in err
+
+
+def test_compare_refuses_a_basis_of_another_grid(reduced_dir, tmp_path, capsys):
+    # basis.bin cut to N - 1 nodes, and the lineage of every artifact derived
+    # from it recorded again, so only the shape is wrong
+    out = tmp_path / "ws"
+    shutil.copytree(reduced_dir, out)
+    with np.load(out / "basis.bin") as npz:
+        stack = npz["stack"][..., :-1]
+    rewrite_container(out / "basis.bin", stack=stack)
+    for name in ("deim.bin", "romops.bin", "rom_pod.bin", "rom_pod_deim.bin"):
+        rewrite_container(out / name, meta={"inputs": _input_prints(out, name)})
+    capsys.readouterr()
+    assert main(["compare", "--out", str(out)]) == 5
+    assert f"basis.bin: stack {stack.shape} is not" in capsys.readouterr().err
 
 
 def test_foreign_or_raw_artifacts_exit_5(reduced_dir, tmp_path, capsys):

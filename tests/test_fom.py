@@ -1,5 +1,7 @@
 """Full-order solver: Hamiltonian structure, Poisson operator, AVF stepping."""
 
+import math
+import weakref
 from functools import partial
 
 import numpy as np
@@ -453,9 +455,10 @@ def test_krylov_matvecs_per_step_at_n32(monkeypatch):
 
 
 def test_residuals_per_step_at_n32(monkeypatch):
-    # regression guard on the full-order Newton work of march's quadratic
-    # start; with the linear start 2 z^k - z^{k-1} on every step this run
-    # spends 16.05 residual evaluations per step, with march's 14.72
+    # regression guard on the full-order Newton work of march's start; this
+    # run spends 16.05 residual evaluations per step with the linear start
+    # 2 z^k - z^{k-1} on every step, 14.72 with the quadratic one and 10.95
+    # with march's degree-8 extrapolation
     from tswrom.bench import DoubleVortexConfig, double_vortex_initial, make_physics
 
     calls = []
@@ -470,7 +473,7 @@ def test_residuals_per_step_at_n32(monkeypatch):
     grid = cfg.make_grid()
     integrate_fom(double_vortex_initial(grid, cfg), cfg.dt, cfg.num_steps,
                   make_physics(cfg, grid.N), grid)
-    assert len(calls) / cfg.num_steps <= 15.5
+    assert len(calls) / cfg.num_steps <= 11.5
 
 
 def test_march_starts_and_names_the_failing_step():
@@ -497,6 +500,31 @@ def test_march_starts_and_names_the_failing_step():
     with pytest.raises(NumericError, match="^step 4: toy failure$"):
         for _ in march(step, z0, 5):
             pass
+
+
+def test_march_extrapolates_from_at_most_nine_states():
+    # a toy step whose states are no polynomial in k, so every weight of the
+    # start shows; integer entries keep the arithmetic exact
+    starts, alive = [], []
+
+    def step(z, start):
+        starts.append(start.copy() if start is not None else None)
+        k = len(starts)
+        return z + np.array([k * k, (-2.0) ** k])
+
+    states = []
+    for z in march(step, np.array([1.0, -2.0]), 12):
+        states.append(z.copy())
+        alive.append(weakref.ref(z))
+        # besides its argument z^0, march holds only z^k .. z^{k-8}, the
+        # states of the next start
+        assert all(ref() is None for ref in alive[1:-9])
+    assert starts[0] is None
+    for k in range(1, 12):
+        d = min(k, 8)
+        expected = sum((-1) ** j * math.comb(d + 1, j + 1) * states[k - j]
+                       for j in range(d + 1))
+        np.testing.assert_array_equal(starts[k], expected)
 
 
 def _toy_residual(calls, c):
