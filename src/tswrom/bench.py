@@ -263,25 +263,26 @@ class Case:
 
 
 @contextmanager
-def progress_to_stdout(enabled: bool):
-    """While enabled, print the INFO records of the tswrom loggers (the stage
-    lines and integrate_fom's progress lines) on standard output, and only
-    there: they do not also propagate to the root logger's handlers."""
-    if not enabled:
+def progress_to_stdout(level: int | None):
+    """Unless level is None, print the records of the tswrom loggers at
+    level and above on standard output, and only there: they do not also
+    propagate to the root logger's handlers. The stage lines are INFO
+    records and integrate_fom's progress lines DEBUG records."""
+    if level is None:
         yield
         return
     logger = logging.getLogger("tswrom")
     handler = logging.StreamHandler(sys.stdout)
     handler.setFormatter(logging.Formatter("%(message)s"))
-    level, propagate = logger.level, logger.propagate
+    saved_level, propagate = logger.level, logger.propagate
     logger.addHandler(handler)
-    logger.setLevel(logging.INFO)
+    logger.setLevel(level)
     logger.propagate = False
     try:
         yield
     finally:
         logger.removeHandler(handler)
-        logger.setLevel(level)
+        logger.setLevel(saved_level)
         logger.propagate = propagate
 
 
@@ -367,8 +368,7 @@ def _energy_drift(invariants: np.ndarray) -> float:
     return abs(invariants[-1, 0] - invariants[0, 0]) / abs(invariants[0, 0])
 
 
-def stage_fom(case: Case, meta: dict, out: Path | None = None,
-              log_every: int = 0) -> FomResult:
+def stage_fom(case: Case, meta: dict, out: Path | None = None) -> FomResult:
     """Full-order solve from the double-vortex initial state.
 
     Adds the discretization and wall_fom_s, the time of the solve alone, to
@@ -381,8 +381,7 @@ def stage_fom(case: Case, meta: dict, out: Path | None = None,
 
     _log.info("full model: n=%d, %d steps, dt=%g s", cfg.n, cfg.num_steps, cfg.dt)
     t0 = time.perf_counter()
-    full = fom.integrate_fom(z0, cfg.dt, cfg.num_steps, case.physics, case.grid,
-                             log_every=log_every)
+    full = fom.integrate_fom(z0, cfg.dt, cfg.num_steps, case.physics, case.grid)
     wall = time.perf_counter() - t0
 
     meta.update(n=cfg.n, num_steps=cfg.num_steps, dt=cfg.dt, wall_fom_s=wall)
@@ -555,6 +554,8 @@ def run_pipeline(cfg: DoubleVortexConfig, outdir=None, verbose: bool = False) ->
 
     When outdir is given, every stage writes its artifacts there, so the
     directory is the workspace the command-line stages would have left.
+    With verbose, the stage lines and the full model's progress lines are
+    printed on standard output.
     """
     case = Case.build(cfg)
     out = None
@@ -563,8 +564,8 @@ def run_pipeline(cfg: DoubleVortexConfig, outdir=None, verbose: bool = False) ->
         out.mkdir(parents=True, exist_ok=True)
 
     meta: dict = {}
-    with progress_to_stdout(verbose):
-        full = stage_fom(case, meta, out, log_every=50 if verbose else 0)
+    with progress_to_stdout(logging.DEBUG if verbose else None):
+        full = stage_fom(case, meta, out)
         basis, dset, romops = stage_reduce(case, *snapshot_set(full.trajectory), meta, out)
         roms = {method.replace("-", "_"): stage_rom(case, romops, full.trajectory[:, 0],
                                                     method, meta, out)

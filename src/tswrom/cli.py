@@ -16,8 +16,8 @@ Each subcommand reads its stage's inputs from DIR and calls the stage
 function of tswrom.bench that run_pipeline chains in memory, so both write
 the same artifacts, time the same work and build the same report; a
 run_pipeline output directory can be continued here. Stage lines go to
-standard output through logging; --verbose adds the full model's per-step
-lines.
+standard output through logging at INFO level; fom --verbose lowers it to
+DEBUG, which adds the full model's progress lines.
 
 Parameters come from an optional config file of `key = value` lines (keys
 mirror DoubleVortexConfig fields, `#` starts a comment), overridden by
@@ -43,6 +43,7 @@ linear-algebra thread pools before they spin up.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from pathlib import Path
@@ -55,22 +56,15 @@ _EXIT_NUMERIC = 3
 _EXIT_OS = 4
 _EXIT_FORMAT = 5
 
-# kept alive on purpose: releasing it would restore the previous pool sizes
-_THREAD_LIMITER = None
-
 
 def _pin_threads(threads: int | None) -> None:
-    global _THREAD_LIMITER
+    """Size the thread pools of the linear-algebra libraries, which read
+    these variables when they load: main calls this before importing any."""
     if threads is None:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(threads)
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return
-    _THREAD_LIMITER = threadpool_limits(limits=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +117,6 @@ def _coerce(name: str, text: str, default):
     raise ConfigError(f"config key {name} has unsupported type")
 
 
-# explicit flags that override config-file values (flag dest -> config field)
-_FLAG_FIELDS = {
-    "n": "n",
-    "num_steps": "num_steps",
-    "dt": "dt",
-    "kappa_pod": "kappa_pod",
-    "kappa_deim": "kappa_deim",
-    "r": "r_override",
-    "p": "p_override",
-}
-
-
 def _build_config(args):
     """Defaults <- config file <- --set pairs <- explicit flags."""
     import dataclasses
@@ -158,16 +140,10 @@ def _build_config(args):
             raise ConfigError(
                 f"unknown config key {key!r}; valid keys: {', '.join(sorted(defaults))}")
         kwargs[key] = _coerce(key, value, defaults[key])
-    cfg = DoubleVortexConfig(**kwargs)
-
-    overrides = {}
-    for dest, name in _FLAG_FIELDS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    for key in defaults:  # each explicit flag's dest is the field it sets
+        if getattr(args, key, None) is not None:
+            kwargs[key] = getattr(args, key)
+    return DoubleVortexConfig(**kwargs)
 
 
 def _inputs(args, needs, initial_only: bool = False):
@@ -195,8 +171,8 @@ def cmd_fom(args) -> int:
     case = Case.build(_build_config(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with progress_to_stdout(True):
-        stage_fom(case, read_run_meta(out), out, log_every=50 if args.verbose else 0)
+    with progress_to_stdout(logging.DEBUG if args.verbose else logging.INFO):
+        stage_fom(case, read_run_meta(out), out)
     return _EXIT_OK
 
 
@@ -206,7 +182,7 @@ def cmd_reduce(args) -> int:
     out, full, case, meta = _inputs(args, ("snapshots.bin",))
     snaps = snapshot_set(full.trajectory)
     del full  # the trajectory is not needed past its snapshot set
-    with progress_to_stdout(True):
+    with progress_to_stdout(logging.INFO):
         stage_reduce(case, *snaps, meta, out)
     return _EXIT_OK
 
@@ -225,7 +201,7 @@ def cmd_rom(args) -> int:
         dset = fileio.read_deim(out / "deim.bin")
         mats, _, _ = fileio.read_romops(out / "romops.bin")
         ops = rom_operators_from_parts(mats, basis, dset, case.physics, case.grid)
-    with progress_to_stdout(True):
+    with progress_to_stdout(logging.INFO):
         stage_rom(case, ops, z0, args.method, meta, out)
     return _EXIT_OK
 
@@ -310,8 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="energy threshold for the state basis")
     p_red.add_argument("--kappa-deim", dest="kappa_deim", type=float,
                        help="energy threshold for the interpolation bases")
-    p_red.add_argument("--r", type=int, help="pin the basis size")
-    p_red.add_argument("--p", type=int, help="pin the interpolation point count")
+    p_red.add_argument("--r", dest="r_override", metavar="R", type=int,
+                       help="pin the basis size")
+    p_red.add_argument("--p", dest="p_override", metavar="P", type=int,
+                       help="pin the interpolation point count")
     p_red.set_defaults(func=cmd_reduce)
 
     p_rom = sub.add_parser("rom", parents=[common], help="run a reduced model")

@@ -53,12 +53,6 @@ _COND_WARN = 1e8
 _CHUNK = 16
 
 
-def _eval_all(zcols: np.ndarray, physics: Physics, grid: Grid) -> np.ndarray:
-    """F1, F2, F3 on packed states (4N,) or (4N, m) -> (3, N[, m])."""
-    coef = _coefficients(zcols, physics.f, grid)
-    return coef.reshape((NUM_NONLIN, grid.N) + zcols.shape[1:])
-
-
 def collect_nonlin_snapshots(snapshots: SnapshotSet, basis: PodBasis,
                              physics: Physics, grid: Grid,
                              projected: bool = True) -> np.ndarray:
@@ -87,7 +81,8 @@ def collect_nonlin_snapshots(snapshots: SnapshotSet, basis: PodBasis,
         cols = slice(c, c + _CHUNK)
         zcols = (basis.lift_array(coef[:, cols]) if projected
                  else dev[:, cols] + snapshots.means.reshape(-1, 1))
-        out[:, :, cols] = _eval_all(zcols, physics, grid)
+        out[:, :, cols] = _coefficients(zcols, physics.f, grid).reshape(
+            NUM_NONLIN, grid.N, -1)
     return out
 
 

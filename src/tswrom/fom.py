@@ -76,6 +76,9 @@ _log = logging.getLogger(__name__)
 _NEWTON_TOL = 1e-11
 _NEWTON_MAXITER = 50
 
+# integrate_fom's progress interval in steps
+_LOG_EVERY = 50
+
 # degree of march's extrapolated Newton start, the measured floor of the
 # residuals per step (see march), and the weights of the degree-d start
 _START_DEGREE = 8
@@ -221,14 +224,13 @@ def _apply_j(coef, g, out, sc, tmp):
     return out
 
 
-def _coefficients(z: np.ndarray, f: float, grid: Grid, scale: float = 1.0,
-                  what: str = "height") -> np.ndarray:
-    """scale (q, c2, c3) of J(z) as (3, n, n[, m]) for a packed state (4N,)
-    or batch (4N, m); raises on nonpositive height, naming it what."""
+def _coefficients(z: np.ndarray, f: float, grid: Grid, what: str = "height") -> np.ndarray:
+    """(q, c2, c3) of J(z) as (3, n, n[, m]) for a packed state (4N,) or
+    batch (4N, m); raises on nonpositive height, naming it what."""
     z4 = _blocks(z, grid.n)
     _require_positive(z4[0], what)
     return _poisson_coefficients(z4, f, 0.5 / grid.dx, np.empty((3,) + z4.shape[1:]),
-                                 np.empty(z4.shape[1:]), scale)
+                                 np.empty(z4.shape[1:]))
 
 
 class _AvfResidual:
@@ -534,16 +536,16 @@ def avf_step(z: np.ndarray, dt: float, physics: Physics, grid: Grid, *,
 
 
 def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
-                  grid: Grid, log_every: int = 0) -> FomResult:
+                  grid: Grid) -> FomResult:
     """March num_steps AVF steps from the packed state z0 (4N,) with march,
     recording the trajectory and the invariants.
 
     A z0 of another shape raises ValueError naming both shapes. A
     non-finite entry of z0 or a nonpositive height raises NumericError
-    naming its field and node. With log_every > 0, every log_every-th step
-    and the last are logged at INFO level to the tswrom.fom logger; they are
-    shown only where a handler takes INFO records, such as
-    logging.basicConfig(level=logging.INFO) or bench.progress_to_stdout.
+    naming its field and node. Every _LOG_EVERY-th step and the last are
+    logged with their energy drift at DEBUG level to the tswrom.fom logger,
+    such as bench.progress_to_stdout(logging.DEBUG) shows; while that level
+    is off, no drift is computed.
     """
     z = np.array(z0, dtype=np.float64)
     _require_shape(z, 4 * grid.N, f"grid N={grid.N}")
@@ -555,10 +557,11 @@ def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
     def step(z, start):
         return avf_step(z, dt, physics, grid, start=start)
 
+    debug = _log.isEnabledFor(logging.DEBUG)
     for k, z in enumerate(march(step, z, num_steps)):
         traj[:, k] = z
         invs[k] = invariants(z, physics, grid)
-        if log_every and k and (k % log_every == 0 or k == num_steps):
+        if debug and k and (k % _LOG_EVERY == 0 or k == num_steps):
             drift = abs(invs[k, 0] - invs[0, 0]) / abs(invs[0, 0])
-            _log.info("  step %5d/%d  t=%12.1f  |dH|/H = %.3e", k, num_steps, k * dt, drift)
+            _log.debug("  step %5d/%d  t=%12.1f  |dH|/H = %.3e", k, num_steps, k * dt, drift)
     return FomResult(trajectory=traj, invariants=invs)

@@ -479,7 +479,7 @@ def _galerkin_poisson(ops: RomOperators, mid: np.ndarray, g: np.ndarray) -> np.n
     O(N r)."""
     basis = ops.basis
     N, r = basis.N, basis.r
-    f1, f2, f3 = _coefficients(basis.lift_array(mid), ops.physics.f, ops.grid, 1.0,
+    f1, f2, f3 = _coefficients(basis.lift_array(mid), ops.physics.f, ops.grid,
                                "midpoint height").reshape(3, N, 1)
     # blocks u, v, s of V g, and J's coupling terms on the grid, the u block
     # with its sign flipped: -w_u = F1 V_v g_v + F2 V_s g_s

@@ -212,7 +212,7 @@ def apply_poisson(z, physics, grid, g, scale=1.0):
     """scale J(z) g for a packed state z and a packed g of shape (4N,) or
     (4N, m), through the program's coefficient and stencil kernels."""
     n = grid.n
-    coef = _coefficients(z, physics.f, grid, scale)
+    coef = scale * _coefficients(z, physics.f, grid)
     g = np.ascontiguousarray(g, dtype=np.float64)
     out = np.empty(g.shape)
     _apply_j(coef, _blocks(g, n), _blocks(out, n), scale * 0.5 / grid.dx,

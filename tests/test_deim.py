@@ -9,9 +9,9 @@ import pytest
 from helpers import (deim_apply, nonlinearity, random_physics, random_state, small_setup,
                      svd_deim)
 
-from tswrom.deim import (_CHUNK, NUM_NONLIN, _eval_all, build_deim, collect_nonlin_snapshots,
-                         qdeim_select)
+from tswrom.deim import _CHUNK, NUM_NONLIN, build_deim, collect_nonlin_snapshots, qdeim_select
 from tswrom.errors import ConfigError, NumericError
+from tswrom.fom import _coefficients
 from tswrom.grid import apply_dx, apply_dy
 from tswrom.pod import build_pod_basis, collect_snapshots, restrict
 
@@ -116,7 +116,7 @@ def test_collect_nonlin_snapshots_chunks_match_one_shot(rng, projected):
     other = build_pod_basis(collect_snapshots(traj[:, :_CHUNK]), kappa=1e-2, r_override=3)
     for basis in (own, other):
         states = basis.lift_array(restrict(basis, traj)) if projected else traj
-        expected = _eval_all(states, phys, grid)
+        expected = _coefficients(states, phys.f, grid).reshape(NUM_NONLIN, grid.N, -1)
         got = collect_nonlin_snapshots(snaps, basis, phys, grid, projected=projected)
         for got_j, expected_j in zip(got, expected):
             np.testing.assert_allclose(got_j, expected_j, rtol=0.0,
