@@ -2,7 +2,7 @@
 
 Each binary artifact is an uncompressed zip of .npy members as np.savez
 writes it, its arrays stored bit for bit. Its `meta` member is a JSON object
-with the kind, FORMAT_VERSION = 6 (1 and 2 were raw formats), scalars and
+with the kind, FORMAT_VERSION = 7 (1 and 2 were raw formats), scalars and
 `inputs`, the fingerprints of the artifacts the file was derived from.
 State k of every trajectory is at time k dt.
 
@@ -16,8 +16,7 @@ State k of every trajectory is at time k dt.
                    singular_values (3, K); meta ranks, kappa
     romops.bin     k (3, p, r^2), k[j - 1, i] the r x r block of
                    interpolation point i of F_j; the rest of the operator
-                   set is rebuilt from basis.bin and deim.bin on load, and
-                   the a1 and a2 members of older files are ignored
+                   set is rebuilt from basis.bin and deim.bin on load
     rom_pod.bin, rom_pod_deim.bin
                    reduced (4r, K+1) and invariants (K+1, 4) of one reduced
                    solve; kind rom_pod or rom_pod_deim
@@ -56,7 +55,7 @@ __all__ = ["SnapshotWriter", "read_snapshots", "read_initial_snapshot", "write_b
            "write_rom", "read_rom", "write_invariants_csv", "write_fields_csv",
            "write_report_json"]
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 # the meta entries each kind must carry besides kind, version and inputs
 _META_KEYS = {"snapshots": ("n", "dt", "num_steps", "length", "coriolis", "gravity"),
               "basis": ("ranks", "kappa"), "deim": ("ranks", "kappa")}

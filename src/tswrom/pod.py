@@ -19,6 +19,16 @@ snapshots is (nearly) orthogonal to the mean direction, so it filters
 leading-order forces out of the reduced vector field at any rank. Keeping
 the mean direction in the span removes that error while leaving the skew
 structure — and therefore exact energy conservation — untouched.
+
+The depth basis is led by the constant field 1/sqrt(N) before its mean.
+A reduced step changes the mass 1^T h by -dt 1^T V_h V_h^T (D_x V_u g_u +
+D_y V_v g_v), g the reduced chord gradient, in both reduced models: J's
+depth rows hold only the difference operators. With the constant field in
+span(V_h), 1^T V_h V_h^T = 1^T, and the change vanishes because 1^T D_x =
+1^T D_y = 0. So both reduced models conserve mass to rounding (Carlberg,
+Choi & Sargsyan, "Conservative model reduction for finite-volume models",
+J. Comput. Phys. 371, 2018), which also keeps them alive well past the
+training window. The price is one singular vector of the depth basis.
 """
 
 from __future__ import annotations
@@ -185,10 +195,12 @@ def _thin_svd(a: np.ndarray):
     Householder QR a = Q R, then the SVD R = U_R S W^T of the small factor,
     so the left singular vectors are Q U_R. The spectrum needs only R; the k
     leading vectors are the stored reflectors applied to k columns of U_R,
-    so neither Q nor the other min(m, n) - k vectors are formed. For tall a
-    (m >= 11n/6) np.linalg.svd takes this same path inside LAPACK and gives
-    the same values and vectors, signs included, to rounding. A non-finite
-    entry raises LinAlgError from the SVD of R, as from np.linalg.svd.
+    so neither Q nor the other min(m, n) - k vectors are formed. The values
+    and vectors are np.linalg.svd's to rounding, but each vector's sign is
+    fixed so that its largest-magnitude entry is positive: a rounding-level
+    change of a does not flip a vector, as LAPACK's own choice may. A
+    non-finite entry raises LinAlgError from the SVD of R, as from
+    np.linalg.svd.
     """
     m = a.shape[0]
     (qr, tau), rfac = scipy.linalg.qr(a, mode="raw", check_finite=False)
@@ -203,6 +215,8 @@ def _thin_svd(a: np.ndarray):
         out, _, info = dormqr("L", "N", reflectors, tau, c, lwork, overwrite_c=1)
         if info:
             raise NumericError(f"applying the QR reflectors failed (dormqr info={info})")
+        peaks = out[np.argmax(np.abs(out), axis=0), np.arange(k)]
+        out[:, peaks < 0.0] *= -1.0
         return out
 
     return sig, leading
@@ -224,19 +238,19 @@ def _shared_rank(blocks, kappa: float, override: int | None, what: str, spare: i
     return [leading for _, leading in svds], svals, ranks, rank
 
 
-def _mean_led_modes(mean: np.ndarray, umat: np.ndarray, r: int) -> np.ndarray:
-    """Orthonormal columns led by the mean direction, completed by SVD modes.
+def _led_modes(leads, umat: np.ndarray, r: int) -> np.ndarray:
+    """Orthonormal columns led by the directions leads, completed by SVD
+    modes.
 
-    Gram-Schmidt down the priority list (normalized mean first, then the
-    left singular vectors in order) keeps the first r independent
-    directions, so a mean parallel to the leading mode costs nothing and a
-    zero mean reduces to the plain SVD basis.
+    Gram-Schmidt down the priority list (the nonzero leads normalized, in
+    order, then the left singular vectors in order) keeps the first r
+    independent directions, so a lead in the span of earlier ones costs
+    nothing and zero leads reduce to the plain SVD basis.
     """
     N, avail = umat.shape
     out = np.empty((N, r))
     count = 0
-    mean_norm = np.linalg.norm(mean)
-    candidates = [] if mean_norm == 0.0 else [mean / mean_norm]
+    candidates = [lead / np.linalg.norm(lead) for lead in leads if np.any(lead)]
     candidates.extend(umat[:, j] for j in range(avail))
     for cand in candidates:
         w = cand.copy()
@@ -259,8 +273,9 @@ def build_pod_basis(snapshots: SnapshotSet, kappa: float,
     per-variable ranks.
 
     Each variable's basis starts with its normalized mean field and the
-    leading singular vectors fill the remaining r - 1 columns (the module
-    docstring says why the mean direction must be in the span).
+    leading singular vectors fill the remaining columns; the depth basis
+    starts with the constant field 1/sqrt(N) before its mean (the module
+    docstring says why both directions must be in the span).
 
     Parameters
     ----------
@@ -271,16 +286,18 @@ def build_pod_basis(snapshots: SnapshotSet, kappa: float,
         Pin the common reduced dimension instead of using the criterion
         (the criterion ranks are still computed and stored for reporting).
     """
-    # the mean direction is the one spare column
+    # every variable's mean is a spare column beyond the K singular vectors,
+    # so the shared rank may exceed K by one; the depth basis's constant is
+    # a second spare, but only there
     leading, svals, ranks, r = _shared_rank(snapshots.deviations, kappa, r_override,
                                             "reduced dimension r", spare=1)
-    # r singular vectors always suffice: the unit mean's squared overlaps with
-    # orthonormal vectors sum to at most 1, so the Gram-Schmidt drops at most
-    # one of them, and only when it keeps the mean.
+    # min(r, K) singular vectors always suffice: for r <= K they alone are r
+    # independent directions, and for r > K every one of them is formed.
     k = min(r, svals.shape[1])
     stack = np.empty((4, r + 1, snapshots.N))
     for i, (mean, lead) in enumerate(zip(snapshots.means, leading)):
-        stack[i, :r] = _mean_led_modes(mean, lead(k), r).T
+        leads = [np.ones(snapshots.N), mean] if i == 0 else [mean]
+        stack[i, :r] = _led_modes(leads, lead(k), r).T
         stack[i, r] = mean
     return PodBasis(stack=stack, singular_values=svals, ranks=ranks, kappa=float(kappa))
 

@@ -433,8 +433,7 @@ def rom_operators_from_parts(matrices: dict[str, np.ndarray], basis: PodBasis,
     """Rebuild a RomOperators from deserialized matrices plus its ingredients.
 
     Only matrices["k"] is read, and RomOperators checks its shape against
-    the basis size r and the sample count p; other members, such as the a1
-    and a2 that older romops.bin files hold, are ignored."""
+    the basis size r and the sample count p."""
     if "k" not in matrices:
         raise ConfigError("missing reduced operator k")
     return RomOperators(basis, physics, grid, deim, matrices["k"])

@@ -30,7 +30,7 @@ from tswrom.errors import NumericError
 from tswrom.fom import (_NEWTON_MAXITER, _NEWTON_TOL, Physics, _apply_j, _AvfResidual, _blocks,
                         _chord_gradient, _coefficients, grad_hamiltonian)
 from tswrom.grid import build_grid
-from tswrom.pod import PodBasis, _mean_led_modes, truncate_rank
+from tswrom.pod import PodBasis, _led_modes, truncate_rank
 
 SEED = 20260815
 
@@ -124,10 +124,13 @@ def lift(basis, z_r):
 def svd_pod_basis(snapshots, kappa, r_override=None):
     """Reference build_pod_basis from full np.linalg.svd factors."""
     usv = [np.linalg.svd(dev, full_matrices=False) for dev in snapshots.deviations]
+    for u, _, _ in usv:  # the sign rule of _thin_svd: largest entry positive
+        u *= np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
     ranks = tuple(truncate_rank(sig, kappa) for _, sig, _ in usv)
     r = max(ranks) if r_override is None else r_override
-    stack = np.stack([np.vstack([_mean_led_modes(mean, u, r).T, mean])
-                      for mean, (u, _, _) in zip(snapshots.means, usv)])
+    leads = [[np.ones(snapshots.N), snapshots.means[0]], *([m] for m in snapshots.means[1:])]
+    stack = np.stack([np.vstack([_led_modes(lead, u, r).T, mean])
+                      for lead, mean, (u, _, _) in zip(leads, snapshots.means, usv)])
     return PodBasis(stack=stack, singular_values=np.stack([sig for _, sig, _ in usv]),
                     ranks=ranks, kappa=kappa)
 

@@ -19,6 +19,7 @@ from tswrom import rom
 from tswrom.bench import (DoubleVortexConfig, double_vortex_initial,
                           invariant_errors, make_physics, run_pipeline)
 from tswrom.deim import build_deim, collect_nonlin_snapshots
+from tswrom.errors import NumericError
 from tswrom.fom import grad_hamiltonian, hamiltonian, integrate_fom, march
 from tswrom.grid import apply_dx, apply_dy
 from tswrom.pod import build_pod_basis, collect_snapshots, restrict
@@ -93,15 +94,25 @@ def test_criterion_3_reduced_accuracy_at_production_scale(production_pipeline):
             f"{REFERENCE_L2[var] * 3.0:.3e}]")
 
 
+#: Criterion 4's long horizon: ten training windows of the production run.
+LONG_HORIZON_STEPS = 2500
+
+
 def test_criterion_4_reduced_conservation_at_production_scale(production_pipeline):
+    # Over the training window both reduced models conserve energy,
+    # vorticity and, with the constant field in the depth basis, mass to
+    # rounding, and the buoyancy drift is bounded and flat. Marched ten
+    # windows on the same operators, both must keep positive depth and the
+    # same conservation; the buoyancy drift measured 6.1e-3 (Galerkin) and
+    # 7.4e-3 (tensor) there, against the bound 1e-2.
     rep = production_pipeline.report
     fragments = []
     ok = True
     for tag in ("pod", "pod_deim"):
         mean = {name: rep[f"inv_{tag}_{name}"] for name in "HMQB"}
         peak = {name: rep[f"inv_max_{tag}_{name}"] for name in "HMQB"}
-        bounded = (mean["H"] <= 1e-3 and mean["M"] <= 1e-3
-                   and mean["B"] <= 1e-3 and mean["Q"] <= 1e-12)
+        bounded = (mean["H"] <= 1e-3 and mean["B"] <= 1e-3
+                   and max(mean["M"], peak["M"], mean["Q"]) <= 1e-12)
         # flat in time: the worst drift may not exceed ten times the mean,
         # unless it already sits at the rounding floor
         steady = all(peak[name] <= 10.0 * mean[name] or peak[name] <= 1e-13
@@ -109,17 +120,41 @@ def test_criterion_4_reduced_conservation_at_production_scale(production_pipelin
         ok = ok and bounded and steady
         ratio = max(peak[name] / mean[name] for name in "HMB" if mean[name] > 0)
         fragments.append(
-            f"{tag}: H={mean['H']:.1e} M={mean['M']:.1e} Q={mean['Q']:.1e} "
+            f"{tag}: H={mean['H']:.1e} M={mean['M']:.1e}/{peak['M']:.1e} Q={mean['Q']:.1e} "
             f"B={mean['B']:.1e}, worst peak/mean {ratio:.1f}")
+
+    cfg, ops = production_pipeline.config, production_pipeline.romops
+    start = rom.RomState(z_r=restrict(ops.basis, production_pipeline.fom.trajectory[:, 0]))
+    long_peaks, failures = {}, {}
+    for method in rom.METHODS:
+        try:
+            result = integrate_rom(ops, start, cfg.dt, LONG_HORIZON_STEPS, method=method)
+        except NumericError as exc:
+            failures[method] = str(exc)
+            ok = False
+            fragments.append(f"{method} x{LONG_HORIZON_STEPS} steps: {exc}")
+            continue
+        peak = dict(zip("HMQB", invariant_errors(result.invariants)[2]))
+        long_peaks[method] = peak
+        ok = ok and (peak["H"] <= 1e-11 and max(peak["M"], peak["Q"]) <= 1e-12
+                     and peak["B"] <= 1e-2)
+        fragments.append(f"{method} x{LONG_HORIZON_STEPS} steps peak: H={peak['H']:.1e} "
+                         f"M={peak['M']:.1e} Q={peak['Q']:.1e} B={peak['B']:.1e}")
     _record(4, "reduced conservation without secular drift", ok,
             "; ".join(fragments))
     for tag in ("pod", "pod_deim"):
-        for name in "HMB":
+        for name in "HB":
             assert rep[f"inv_{tag}_{name}"] <= 1e-3, (tag, name)
         assert rep[f"inv_{tag}_Q"] <= 1e-12, tag
+        assert rep[f"inv_{tag}_M"] <= 1e-12 and rep[f"inv_max_{tag}_M"] <= 1e-12, tag
         for name in "HMB":
             mean, peak = rep[f"inv_{tag}_{name}"], rep[f"inv_max_{tag}_{name}"]
             assert peak <= 10.0 * mean or peak <= 1e-13, (tag, name, peak, mean)
+    assert not failures, failures
+    for method, peak in long_peaks.items():
+        assert peak["H"] <= 1e-11, (method, peak)
+        assert peak["M"] <= 1e-12 and peak["Q"] <= 1e-12, (method, peak)
+        assert peak["B"] <= 1e-2, (method, peak)
 
 
 def test_criterion_5_full_rank_reduction_recovers_full_order():

@@ -487,6 +487,17 @@ def test_deim_of_format_version_4_exits_5(reduced_dir, tmp_path, capsys):
     assert "unsupported format version 4" in capsys.readouterr().err
 
 
+def test_basis_of_format_version_6_exits_5(reduced_dir, tmp_path, capsys):
+    # version 6 led the depth basis with its mean, without the constant
+    # field, so its reduced models did not conserve mass
+    out = tmp_path / "ws"
+    shutil.copytree(reduced_dir, out)
+    rewrite_container(out / "basis.bin", meta={"version": 6})
+    capsys.readouterr()
+    assert main(["rom", "--out", str(out), "--method", "pod"]) == 5
+    assert "unsupported format version 6" in capsys.readouterr().err
+
+
 def test_romops_of_another_basis_size_exits_2(tmp_path, capsys):
     small, large = tmp_path / "r2", tmp_path / "r3"
     for out, r in ((small, "2"), (large, "3")):

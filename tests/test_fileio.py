@@ -208,7 +208,8 @@ def test_basis_stack_is_mode_major_in_memory_and_on_disk(mini_pipeline, tmp_path
     np.testing.assert_array_equal(fixed.modes[1, :, 0], stack[1, 0])
     np.testing.assert_array_equal(fixed.means[2], stack[2, 2])
     write_basis(path, fixed, {"snapshots.bin": "0a1b2c3d"})
-    assert lineage(path, "basis")[0] == "46f553b0-99c67376-fab6e096"
+    # the first CRC-32 is the meta member's, which holds FORMAT_VERSION
+    assert lineage(path, "basis")[0] == "5a9675cb-99c67376-fab6e096"
     with zipfile.ZipFile(path) as zf:
         assert zf.namelist() == ["meta.npy", "stack.npy", "singular_values.npy"]
         assert zf.read("stack.npy")[-stack.nbytes:] == stack.tobytes()

@@ -34,17 +34,24 @@ def test_collect_snapshots_worked_example():
 
 
 def test_build_pod_basis_worked_example():
-    basis = build_pod_basis(collect_snapshots(_tiny_snapshots()), kappa=0.0)
+    traj = _tiny_snapshots()
+    basis = build_pod_basis(collect_snapshots(traj), kappa=0.0)
     assert basis.r == 1
     assert basis.ranks == (1, 1, 1, 1)
     np.testing.assert_allclose(basis.singular_values[0][0], np.sqrt(2.0), rtol=1e-14)
-    np.testing.assert_allclose(np.abs(basis.modes[0][:, 0]), [1.0, 0, 0, 0], atol=1e-14)
-    # lift(restrict(.)) reproduces both snapshots: deviations lie in the basis
-    traj = _tiny_snapshots()
+    # the depth basis leads with the constant field
+    np.testing.assert_allclose(basis.modes[0][:, 0], np.full(4, 0.5), rtol=1e-14)
+    # at r = 2 the h mean and mode, both along e1, complete the depth span,
+    # so lift(restrict(.)) reproduces both snapshots
+    basis = build_pod_basis(collect_snapshots(traj), kappa=0.0, r_override=2)
+    np.testing.assert_allclose(basis.modes[0][:, 1], np.array([3.0, -1, -1, -1]) / np.sqrt(12),
+                               rtol=0.0, atol=1e-14)
     rebuilt = basis.lift_array(restrict(basis, traj))
     np.testing.assert_allclose(rebuilt, traj, rtol=0.0, atol=1e-13)
     # two snapshots offer two singular directions and the mean a third, but
-    # the h mean is parallel to the h mode, so h spans only two
+    # when the u block varies like h, its mean is parallel to its mode, so
+    # u spans only two
+    traj[4:8] = traj[:4]
     with pytest.raises(ConfigError, match=r"^snapshots support only 2 independent "
                                           r"directions, need r=3$"):
         build_pod_basis(collect_snapshots(traj), kappa=0.0, r_override=3)
@@ -70,15 +77,27 @@ def test_thin_svd_matches_numpy(shape):
     k = int(np.sum(exact >= 1e-3))
     vecs = leading(k)
     assert vecs.shape == (shape[0], k)
-    ref = u[:, :k]
-    if shape[0] < 11 * shape[1] / 6:
-        # np.linalg.svd bidiagonalizes these directly, not by QR first, so
-        # its sign choice per vector differs; the vectors agree up to sign
-        ref = ref * np.sign(np.sum(ref * vecs, axis=0))
+    # np.linalg.svd leaves each vector's sign to LAPACK, which _thin_svd
+    # fixes (see the next test); the vectors agree up to sign
+    ref = u[:, :k] * np.sign(np.sum(u[:, :k] * vecs, axis=0))
     assert np.max(np.abs(vecs - ref)) <= 1e-12
     # all min(m, n) vectors are formed orthonormal when asked for
     full = leading(min(shape))
     np.testing.assert_allclose(full.T @ full, np.eye(min(shape)), rtol=0.0, atol=1e-13)
+
+
+def test_thin_svd_vector_signs_follow_the_largest_entry():
+    # each vector's largest-magnitude entry is positive, so a rounding-level
+    # change of the matrix, or its negation, leaves every vector's sign
+    a, exact = _graded(400, 30, np.random.default_rng(SEED))
+    k = int(np.sum(exact >= 1e-3))
+    vecs = _thin_svd(a)[1](k)
+    assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)] > 0.0)
+    assert np.max(np.abs(_thin_svd(-a)[1](k) - vecs)) <= 1e-12
+    # the perturbation moves the vectors by about 1e-14 / 1e-3; a flipped
+    # one would move by twice its largest entry
+    noise = 1e-14 * np.random.default_rng(SEED + 1).standard_normal(a.shape)
+    assert np.max(np.abs(_thin_svd(a + noise)[1](k) - vecs)) <= 1e-9
 
 
 def test_build_pod_basis_matches_full_svd_oracle(mini_pipeline):
@@ -152,7 +171,9 @@ def test_full_rank_basis_reproduces_snapshots(rng):
     grid = small_setup(n=4)
     traj = np.stack([random_state(grid, rng) for _ in range(5)], axis=1)
     snaps = collect_snapshots(traj)
-    basis = build_pod_basis(snaps, kappa=0.0, r_override=5)
+    # r = K + 1: the depth basis holds the constant field, its mean and the
+    # rank-4 deviation span, the others their mean and that span
+    basis = build_pod_basis(snaps, kappa=0.0, r_override=6)
     rebuilt = basis.lift_array(restrict(basis, traj))
     np.testing.assert_allclose(rebuilt, traj, rtol=0.0, atol=1e-10)
 
@@ -160,9 +181,10 @@ def test_full_rank_basis_reproduces_snapshots(rng):
 def test_restrict_lift_state_interface(rng):
     grid = small_setup(n=4)
     traj = np.stack([random_state(grid, rng) for _ in range(5)], axis=1)
-    # five columns hold the mean direction plus the full rank-4 deviation
-    # span of five snapshots, so reconstruction of the snapshots is exact
-    basis = build_pod_basis(collect_snapshots(traj), kappa=1e-8, r_override=5)
+    # six columns hold the mean direction (and the depth basis's constant
+    # field) plus the full rank-4 deviation span of five snapshots, so
+    # reconstruction of the snapshots is exact
+    basis = build_pod_basis(collect_snapshots(traj), kappa=1e-8, r_override=6)
     z = traj[:, 2]
     z_r = restrict(basis, z)
     assert z_r.shape == (4 * basis.r,)
@@ -214,6 +236,8 @@ def test_plain_svd_projection_is_least_squares_optimal(rng):
 def test_mean_led_projection_error_sandwich(rng):
     # Spending one of r columns on the mean costs at most one mode of energy:
     # the optimal rank-r and rank-(r-1) tails bracket the projection error.
+    # The depth basis spends two, on the constant field and the mean, so
+    # there the rank-(r-2) tail is the upper bound.
     grid = small_setup(n=4)
     traj = np.stack([random_state(grid, rng) for _ in range(8)], axis=1)
     snaps = collect_snapshots(traj)
@@ -224,7 +248,8 @@ def test_mean_led_projection_error_sandwich(rng):
         sig2 = basis.singular_values[i] ** 2
         err2 = np.linalg.norm(s - basis.modes[i] @ (basis.modes[i].T @ s)) ** 2
         slack = 1e-10 * sig2.sum()
-        assert sig2[r:].sum() - slack <= err2 <= sig2[r - 1 :].sum() + slack
+        leads = 2 if i == 0 else 1
+        assert sig2[r:].sum() - slack <= err2 <= sig2[r - leads :].sum() + slack
 
 
 def test_constant_trajectory_mean_led_basis():
