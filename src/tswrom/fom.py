@@ -544,7 +544,7 @@ def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
     non-finite entry of z0 or a nonpositive height raises NumericError
     naming its field and node. Every _LOG_EVERY-th step and the last are
     logged with their energy drift at DEBUG level to the tswrom.fom logger,
-    such as bench.progress_to_stdout(logging.DEBUG) shows; while that level
+    which bench.progress_to_stdout(logging.DEBUG) prints; while that level
     is off, no drift is computed.
     """
     z = np.array(z0, dtype=np.float64)
