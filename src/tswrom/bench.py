@@ -66,8 +66,6 @@ INVARIANT_NAMES = ("H", "M", "Q", "B")
 
 _log = logging.getLogger(__name__)
 
-_METHOD_TAGS = ("pod", "pod_deim")
-
 
 @dataclass(frozen=True)
 class DoubleVortexConfig:
@@ -186,9 +184,9 @@ def _check_initial(z: np.ndarray, cfg: DoubleVortexConfig) -> None:
 # error metrics
 # ---------------------------------------------------------------------------
 
-# Grid nodes per block of rows that relative_l2_error squares at a time: a
-# block of a 250-column trajectory fits in a core's L2 cache.
-_L2_ROWS = 128
+# States per chunk that relative_l2_error squares at a time: at N = 10^4
+# the buffer and both input chunks take 1.9 MB, within a core's L2 cache.
+_L2_STATES = 2
 
 
 def relative_l2_error(reference: np.ndarray, trial: np.ndarray) -> np.ndarray:
@@ -198,10 +196,10 @@ def relative_l2_error(reference: np.ndarray, trial: np.ndarray) -> np.ndarray:
     1..K (the initial state is not a training snapshot, so it is skipped).
     Returns four values ordered (h, u, v, s).
 
-    One sweep over blocks of _L2_ROWS rows accumulates the per-column sums
-    of squares of the reference and of the difference, each block squared
-    in one reused C-order buffer, so the result does not depend on the
-    memory layout of the inputs and no full-size temporary is formed.
+    One sweep over chunks of _L2_STATES states squares the reference, then
+    the difference, of each chunk in one reused C-order (c, 4, N) buffer and
+    sums over N, so the result does not depend on the memory layout of the
+    inputs and no full-size temporary is formed.
     """
     if reference.shape != trial.shape:
         raise ConfigError(
@@ -210,22 +208,20 @@ def relative_l2_error(reference: np.ndarray, trial: np.ndarray) -> np.ndarray:
     K = reference.shape[1] - 1
     if K < 1:
         raise ConfigError("no columns to average over")
-    buf = np.empty((_L2_ROWS, K))
-    out = np.zeros(4)
-    for i in range(4):
-        ref2, err2 = np.zeros(K), np.zeros(K)
-        for a in range(i * N, (i + 1) * N, _L2_ROWS):
-            b = min(a + _L2_ROWS, (i + 1) * N)
-            ref, block = reference[a:b, 1:], buf[: b - a]
-            np.multiply(ref, ref, out=block)
-            ref2 += np.add.reduce(block, axis=0)
-            np.subtract(ref, trial[a:b, 1:], out=block)
-            block *= block
-            err2 += np.add.reduce(block, axis=0)
-        if not ref2.min() > 0.0:
-            raise NumericError(f"zero reference norm for variable {VARIABLES[i]}")
-        out[i] = float(np.mean(np.sqrt(err2) / np.sqrt(ref2)))
-    return out
+    buf = np.empty((_L2_STATES, 4, N))
+    ref2, err2 = np.empty((2, K, 4))
+    for a in range(1, K + 1, _L2_STATES):
+        b = min(a + _L2_STATES, K + 1)
+        ref, block = reference[:, a:b].T.reshape(b - a, 4, N), buf[: b - a]
+        np.multiply(ref, ref, out=block)
+        np.add.reduce(block, axis=2, out=ref2[a - 1 : b - 1])
+        np.subtract(ref, trial[:, a:b].T.reshape(b - a, 4, N), out=block)
+        block *= block
+        np.add.reduce(block, axis=2, out=err2[a - 1 : b - 1])
+    for i, var in enumerate(VARIABLES):
+        if not ref2[:, i].min() > 0.0:
+            raise NumericError(f"zero reference norm for variable {var}")
+    return np.mean(np.sqrt(err2) / np.sqrt(ref2), axis=0)
 
 
 def invariant_errors(invariants: np.ndarray):
@@ -303,9 +299,9 @@ _DERIVATION = {
 _CASE_FIELDS = ("length", "coriolis", "gravity")
 
 # the run_meta.json entries the report copies
-_REPORT_ENTRIES = ("n", "num_steps", "dt", "wall_fom_s", "r", "p", "r_criterion",
-                   "p_criterion", "kappa_pod", "kappa_deim", "wall_pod_offline_s",
-                   "wall_pod_deim_offline_s", *(f"wall_{tag}_online_s" for tag in _METHOD_TAGS))
+_REPORT_ENTRIES = ("n", "num_steps", "dt", "wall_fom_s", "r", "p", "r_criterion", "p_criterion",
+                   "kappa_pod", "kappa_deim", "wall_pod_offline_s", "wall_pod_deim_offline_s",
+                   *(f"wall_{tag}_online_s" for tag in rom.TAGS.values()))
 
 
 def check_lineage(out: Path, needs) -> None:
@@ -359,10 +355,6 @@ def read_run_meta(out: Path) -> dict:
     return meta
 
 
-def _write_meta(out: Path, meta: dict) -> None:
-    (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
 def _energy_drift(invariants: np.ndarray) -> float:
     """Relative energy change from the first to the last stored state."""
     return abs(invariants[-1, 0] - invariants[0, 0]) / abs(invariants[0, 0])
@@ -392,7 +384,7 @@ def stage_fom(case: Case, meta: dict, out: Path | None = None) -> FomResult:
             for z, invs in zip(full.trajectory.T, full.invariants):
                 writer.append(z, invs)
         fileio.write_invariants_csv(out / "fom_invariants.csv", cfg.dt, full.invariants)
-        _write_meta(out, meta)
+        fileio.write_json(out / "run_meta.json", meta)
     _log.info("done in %.2f s; final relative energy drift %.3e",
               wall, _energy_drift(full.invariants))
     return full
@@ -440,7 +432,7 @@ def stage_reduce(case: Case, snaps: pod.SnapshotSet, collect_s: float, meta: dic
         fileio.write_basis(out / "basis.bin", basis, _input_prints(out, "basis.bin"))
         fileio.write_deim(out / "deim.bin", dset, _input_prints(out, "deim.bin"))
         fileio.write_romops(out / "romops.bin", romops, _input_prints(out, "romops.bin"))
-        _write_meta(out, meta)
+        fileio.write_json(out / "run_meta.json", meta)
     _log.info("done in %.2f s; r = %d (energy rank %d), p = %d (energy rank %d)",
               wall_pod + wall_deim, basis.r, meta["r_criterion"], dset.p, meta["p_criterion"])
     return basis, dset, romops
@@ -466,13 +458,13 @@ def stage_rom(case: Case, ops: RomOperators, z0: np.ndarray, method: str, meta: 
                                method=method)
     wall = time.perf_counter() - t0
 
-    tag = method.replace("-", "_")
+    tag = rom.TAGS[method]
     meta[f"wall_{tag}_online_s"] = wall
     if out is not None:
         fileio.write_invariants_csv(out / f"rom_invariants_{tag}.csv", cfg.dt,
                                     result.invariants)
         fileio.write_rom(out / f"rom_{tag}.bin", result, _input_prints(out, f"rom_{tag}.bin"))
-        _write_meta(out, meta)
+        fileio.write_json(out / "run_meta.json", meta)
     _log.info("done in %.2f s; final relative energy drift %.3e",
               wall, _energy_drift(result.invariants))
     return result
@@ -511,7 +503,7 @@ def stage_report(case: Case, meta: dict, full: FomResult, basis: PodBasis,
         report[f"speedup_{tag}"] = report["wall_fom_s"] / report[f"wall_{tag}_online_s"]
 
     if out is not None:
-        fileio.write_report_json(out / "report.json", report)
+        fileio.write_json(out / "report.json", report)
         steps = sorted({0, case.config.num_steps // 2, case.config.num_steps})
         _dump_fields(out, case, "fom", full.trajectory[:, steps], steps)
         for tag, res in roms.items():
@@ -567,9 +559,8 @@ def run_pipeline(cfg: DoubleVortexConfig, outdir=None, verbose: bool = False) ->
     with progress_to_stdout(logging.DEBUG if verbose else None):
         full = stage_fom(case, meta, out)
         basis, dset, romops = stage_reduce(case, *snapshot_set(full.trajectory), meta, out)
-        roms = {method.replace("-", "_"): stage_rom(case, romops, full.trajectory[:, 0],
-                                                    method, meta, out)
-                for method in rom.METHODS}
+        roms = {tag: stage_rom(case, romops, full.trajectory[:, 0], method, meta, out)
+                for method, tag in rom.TAGS.items()}
         report = stage_report(case, meta, full, basis, roms, out)
         if out is not None:
             _log.info("artifacts written to %s", out)

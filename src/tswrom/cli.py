@@ -220,13 +220,12 @@ def cmd_compare(args) -> int:
     from . import fileio
     from .bench import INVARIANT_NAMES, stage_report
     from .pod import VARIABLES
-    from .rom import METHODS
+    from .rom import TAGS
 
-    tags = {method: method.replace("-", "_") for method in METHODS}
-    out, full, case, meta = _inputs(args, [f"rom_{tag}.bin" for tag in tags.values()])
+    out, full, case, meta = _inputs(args, [f"rom_{tag}.bin" for tag in TAGS.values()])
     basis = fileio.read_basis(out / "basis.bin", case.grid.N)
     roms = {tag: fileio.read_rom(out / f"rom_{tag}.bin", method, basis.r)
-            for method, tag in tags.items()}
+            for method, tag in TAGS.items()}
     report = stage_report(case, meta, full, basis, roms, out)
 
     _print_table("time-averaged relative l2 error",

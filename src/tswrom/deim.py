@@ -57,7 +57,7 @@ def collect_nonlin_snapshots(snapshots: SnapshotSet, basis: PodBasis,
                              physics: Physics, grid: Grid,
                              projected: bool = True) -> np.ndarray:
     """Evaluate the three nonlinearities along the stored snapshots ->
-    (3, N, K), row j - 1 for F_j.
+    (3, N, K), row j - 1 for F_j, the view of a state-major (K, 3, N) array.
 
     With projected=True (the default) the states are first reconstructed
     through the POD basis, z -> mean + V V^T (z - mean), so the
@@ -76,7 +76,7 @@ def collect_nonlin_snapshots(snapshots: SnapshotSet, basis: PodBasis,
         offset = (snapshots.means - basis.means).reshape(-1)
         if np.any(offset):
             coef += basis.project_modes(offset)
-    out = np.empty((NUM_NONLIN, snapshots.N, snapshots.num_snapshots))
+    out = np.empty((snapshots.num_snapshots, NUM_NONLIN, snapshots.N)).transpose(1, 2, 0)
     for c in range(0, snapshots.num_snapshots, _CHUNK):
         cols = slice(c, c + _CHUNK)
         zcols = (basis.lift_array(coef[:, cols]) if projected

@@ -6,9 +6,10 @@ with the kind, FORMAT_VERSION = 7 (1 and 2 were raw formats), scalars and
 `inputs`, the fingerprints of the artifacts the file was derived from.
 State k of every trajectory is at time k dt.
 
-    snapshots.bin  trajectory (K+1, 4N), the packed (h, u, v, s) states in
-                   time order; z0 (4N,); invariants (K+1, 4); meta n, dt,
-                   num_steps and the length, coriolis and gravity of the run
+    snapshots.bin  trajectory (K+1, 4N), the packed states in time order,
+                   read back as the (4N, K+1) view without a copy; z0 (4N,);
+                   invariants (K+1, 4); meta n, dt, num_steps and the
+                   length, coriolis and gravity of the run
     basis.bin      stack (4, r + 1, N), PodBasis's mode-major [V | mean]^T,
                    read back without a copy; singular_values (4, K); meta
                    ranks, kappa
@@ -25,13 +26,14 @@ A read fails with FormatError on a bad member CRC-32, a missing member or
 meta entry, members whose shapes disagree with each other (or with the
 grid's N or the basis r where the reader is given them), bytes after the
 zip's end record, or another kind or version.
-Each file is written as <name>.part and renamed into place when complete.
 
-The text artifacts are report.json and comma-separated tables with a
-header row: the invariant logs fom_invariants.csv and rom_invariants_*.csv
-(plain text for plotting, and what perfbench's cli-disk check reads with
-np.loadtxt) and the field dumps fields_*.csv. No other copy of a container
-member is written: the singular values stay in basis.bin and deim.bin.
+The text artifacts are report.json, run_meta.json and comma-separated
+tables with a header row: the invariant logs fom_invariants.csv and
+rom_invariants_*.csv (plain text for plotting, and what perfbench's
+cli-disk check reads with np.loadtxt) and the field dumps fields_*.csv. No
+other copy of a container member is written: the singular values stay in
+basis.bin and deim.bin. Every file, binary or text, is written as
+<name>.part and renamed into place when complete.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import json
 import math
 import os
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -48,12 +51,11 @@ from .deim import NUM_NONLIN, DeimSet
 from .errors import ConfigError, FormatError
 from .fom import FomResult
 from .pod import PodBasis
-from .rom import RomResult
+from .rom import TAGS, RomResult
 
 __all__ = ["SnapshotWriter", "read_snapshots", "read_initial_snapshot", "write_basis",
            "read_basis", "write_deim", "read_deim", "write_romops", "read_romops",
-           "write_rom", "read_rom", "write_invariants_csv", "write_fields_csv",
-           "write_report_json"]
+           "write_rom", "read_rom", "write_invariants_csv", "write_fields_csv", "write_json"]
 
 FORMAT_VERSION = 7
 # the meta entries each kind must carry besides kind, version and inputs
@@ -65,15 +67,23 @@ def _meta_member(kind: str, meta: dict) -> np.ndarray:
     return np.array(json.dumps({"kind": kind, "version": FORMAT_VERSION, **meta}))
 
 
-def _save(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write a container of this kind to path through path.part."""
+@contextmanager
+def _replacing(path, mode: str = "w"):
+    """A file writing path.part, renamed onto path when the block completes;
+    on an exception path keeps what it held and path.part is deleted."""
     part = Path(f"{path}.part")
     try:
-        with open(part, "wb") as fh:
-            np.savez(fh, meta=_meta_member(kind, meta), **arrays)
+        with open(part, mode) as fh:
+            yield fh
         os.replace(part, path)
     finally:
         part.unlink(missing_ok=True)
+
+
+def _save(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write a container of this kind to path through path.part."""
+    with _replacing(path, "wb") as fh:
+        np.savez(fh, meta=_meta_member(kind, meta), **arrays)
 
 
 def _load(path, kind: str, names) -> tuple[dict, dict[str, np.ndarray]]:
@@ -172,15 +182,15 @@ class SnapshotWriter:
 
 
 def read_snapshots(path):
-    """Read a snapshot file -> (FomResult with the C-ordered trajectory
-    (4N, K+1), meta)."""
+    """Read a snapshot file -> (FomResult, meta); the trajectory (4N, K+1)
+    is the transposed view of the stored records, as integrate_fom's."""
     meta, arrays = _load(path, "snapshots", ("trajectory", "invariants"))
     traj, invs = arrays["trajectory"], arrays["invariants"]
     if traj.shape != (meta["num_steps"] + 1, 4 * meta["n"] ** 2):
         raise FormatError(f"{path}: a {traj.shape} trajectory disagrees with meta n and num_steps")
     if invs.shape != (traj.shape[0], 4):
         raise FormatError(f"{path}: invariants {invs.shape} are not ({traj.shape[0]}, 4)")
-    return FomResult(np.ascontiguousarray(traj.T), invs), meta
+    return FomResult(traj.T, invs), meta
 
 
 def read_initial_snapshot(path):
@@ -245,7 +255,7 @@ def read_romops(path):
 
 def write_rom(path, result, inputs: dict[str, str]) -> None:
     """Write one reduced solve, a RomResult, as kind rom_{pod,pod_deim}."""
-    _save(path, "rom_" + result.method.replace("-", "_"), {"inputs": inputs},
+    _save(path, "rom_" + TAGS[result.method], {"inputs": inputs},
           {"reduced": result.reduced, "invariants": result.invariants})
 
 
@@ -253,7 +263,7 @@ def read_rom(path, method: str, r: int | None = None):
     """Read the reduced solve of this method (pod or pod-deim) -> RomResult;
     with r, the basis size, a reduced array of another row count than 4r is
     malformed too."""
-    _, arrays = _load(path, "rom_" + method.replace("-", "_"), ("reduced", "invariants"))
+    _, arrays = _load(path, "rom_" + TAGS[method], ("reduced", "invariants"))
     reduced, invs = arrays["reduced"], arrays["invariants"]
     if not (reduced.ndim == 2 and len(reduced) > 0 and len(reduced) % 4 == 0
             and invs.shape == (reduced.shape[1], 4)):
@@ -268,7 +278,7 @@ def read_rom(path, method: str, r: int | None = None):
 
 def write_invariants_csv(path, dt: float, invariants: np.ndarray) -> None:
     """Columns step, time k dt, H, M, Q, B; one row per stored state."""
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write("step,time,H,M,Q,B\n")
         for k, (H, M, Q, B) in enumerate(invariants):
             fh.write(f"{k},{k * dt:.17g},{H:.17g},{M:.17g},{Q:.17g},{B:.17g}\n")
@@ -281,12 +291,13 @@ def write_fields_csv(path, grid, fields: dict[str, np.ndarray]) -> None:
     # np.savetxt's bytes (fmt "%.17g", delimiter ","), formatted in one
     # operation instead of one per row
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write("x,y," + ",".join(fields) + "\n")
         fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
 
 
-def write_report_json(path, values: dict) -> None:
-    with open(path, "w") as fh:
+def write_json(path, values: dict) -> None:
+    """report.json and run_meta.json: an indented object, keys sorted."""
+    with _replacing(path) as fh:
         json.dump(values, fh, indent=2, sort_keys=True)
         fh.write("\n")

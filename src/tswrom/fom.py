@@ -96,8 +96,8 @@ class Physics:
 
 @dataclass
 class FomResult:
-    """Trajectory (4N, K+1) and per-step invariants (K+1, 4); state k is
-    at time k dt."""
+    """Trajectory (4N, K+1), the view of a C-order (K+1, 4N) array, and
+    per-step invariants (K+1, 4); state k is at time k dt."""
 
     trajectory: np.ndarray
     invariants: np.ndarray
@@ -225,12 +225,12 @@ def _apply_j(coef, g, out, sc, tmp):
 
 
 def _coefficients(z: np.ndarray, f: float, grid: Grid, what: str = "height") -> np.ndarray:
-    """(q, c2, c3) of J(z) as (3, n, n[, m]) for a packed state (4N,) or
-    batch (4N, m); raises on nonpositive height, naming it what."""
+    """(q, c2, c3) of J(z), (3, n, n[, m]) in z's memory order, for a packed
+    state (4N,) or batch (4N, m); raises on nonpositive height, naming it what."""
     z4 = _blocks(z, grid.n)
     _require_positive(z4[0], what)
-    return _poisson_coefficients(z4, f, 0.5 / grid.dx, np.empty((3,) + z4.shape[1:]),
-                                 np.empty(z4.shape[1:]))
+    return _poisson_coefficients(z4, f, 0.5 / grid.dx, np.empty_like(z4[:3]),
+                                 np.empty_like(z4[0]))
 
 
 class _AvfResidual:
@@ -551,7 +551,7 @@ def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
     _require_shape(z, 4 * grid.N, f"grid N={grid.N}")
     _require_finite(z, "initial")
     _require_positive(_blocks(z, grid.n)[0], "initial height")
-    traj = np.empty((4 * grid.N, num_steps + 1))
+    traj = np.empty((num_steps + 1, 4 * grid.N))
     invs = np.empty((num_steps + 1, 4))
 
     def step(z, start):
@@ -559,9 +559,9 @@ def integrate_fom(z0: np.ndarray, dt: float, num_steps: int, physics: Physics,
 
     debug = _log.isEnabledFor(logging.DEBUG)
     for k, z in enumerate(march(step, z, num_steps)):
-        traj[:, k] = z
+        traj[k] = z
         invs[k] = invariants(z, physics, grid)
         if debug and k and (k % _LOG_EVERY == 0 or k == num_steps):
             drift = abs(invs[k, 0] - invs[0, 0]) / abs(invs[0, 0])
             _log.debug("  step %5d/%d  t=%12.1f  |dH|/H = %.3e", k, num_steps, k * dt, drift)
-    return FomResult(trajectory=traj, invariants=invs)
+    return FomResult(trajectory=traj.T, invariants=invs)

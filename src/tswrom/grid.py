@@ -83,8 +83,8 @@ def _checked(grid: Grid, w: np.ndarray) -> np.ndarray:
 def centered_x(w: np.ndarray, out: np.ndarray, scale: float) -> np.ndarray:
     """out = scale (w[i+1] - w[i-1]) along axis 0 (x), periodic in i.
 
-    w and out are (n, n[, m]) views of flat fields; out must be C-contiguous
-    and must not overlap w. With scale = 1/(2 dx) this is Dx."""
+    w and out are (n, n[, m]) views of flat fields; out must not overlap w.
+    With scale = 1/(2 dx) this is Dx."""
     np.subtract(w[2:], w[:-2], out=out[1:-1])
     np.subtract(w[1], w[-1], out=out[0])
     np.subtract(w[0], w[-2], out=out[-1])
@@ -93,9 +93,10 @@ def centered_x(w: np.ndarray, out: np.ndarray, scale: float) -> np.ndarray:
 
 
 def centered_y(w: np.ndarray, out: np.ndarray, scale: float) -> np.ndarray:
-    """centered_x along axis 1 (y); with scale = 1/(2 dx) this is Dy."""
-    if not out.flags.c_contiguous:
-        raise ValueError("centered_y writes through a flat view: out must be C-contiguous")
+    """centered_x along axis 1 (y); with scale = 1/(2 dx) this is Dy. out's
+    two grid axes must merge into one, as in C order or a state-major batch."""
+    if out.strides[0] != out.shape[1] * out.strides[1]:
+        raise ValueError("centered_y writes through a flat view: out's grid axes must merge")
     n = w.shape[0]
     flat_w = np.reshape(w, (n * n,) + w.shape[2:])
     flat_out = out.reshape(flat_w.shape)

@@ -59,7 +59,7 @@ class SnapshotSet:
     Attributes
     ----------
     deviations : ndarray of shape (4, N, K)
-        Columns are w^k - mean for the stored snapshots k = 1..K.
+        Columns w^k - mean, k = 1..K: the view of a C-order (K, 4, N) array.
     means : ndarray of shape (4, N)
         Per-variable temporal means over the same K snapshots.
     """
@@ -131,37 +131,33 @@ class PodBasis:
 
     def lift_array(self, z_r: np.ndarray) -> np.ndarray:
         """Map reduced coefficients (4r,) or (4r, m) to packed full states
-        mean + V z_r, one GEMM [V | mean] [z_r; 1] per variable."""
+        mean + V z_r, (4N,) or (4N, m) as the view of a state-major (m, 4, N)
+        array, by one product [z_r; 1]^T [V | mean]^T batched over variables."""
         cols = z_r.reshape(4, self.r, -1)
-        aug = np.ones((4, self.r + 1, cols.shape[2]))
-        aug[:, : self.r] = cols
-        out = (self.stack.transpose(0, 2, 1) @ aug).reshape(4 * self.N, -1)
+        aug = np.ones((4, cols.shape[2], self.r + 1))
+        aug[:, :, : self.r] = cols.transpose(0, 2, 1)
+        res = np.empty((cols.shape[2], 4, self.N))
+        np.matmul(aug, self.stack, out=res.transpose(1, 0, 2))
+        out = res.reshape(len(res), 4 * self.N).T
         return out[:, 0] if z_r.ndim == 1 else out
 
 
 def collect_snapshots(states: np.ndarray) -> SnapshotSet:
-    """Build mean-subtracted snapshot matrices from stored states.
+    """Mean-subtracted snapshot matrices of the stored states (4N, K), the
+    snapshots z^1..z^K (the initial state is not a snapshot).
 
-    Parameters
-    ----------
-    states : ndarray of shape (4N, K)
-        The K stored snapshots z^1..z^K (the initial state is not a
-        snapshot and must not be included).
-
-    Returns
-    -------
-    SnapshotSet
-        Means over the K columns (divided by K) and the deviations.
+    The means over the K states and the deviations are computed on the
+    (K, 4, N) rows of a C-order view of states, a copy unless states is
+    state-major, so their bits do not depend on its layout.
     """
     z = np.asarray(states, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] == 0:
         raise ConfigError(f"snapshot array must be (4N, K) with K >= 1, got shape {z.shape}")
     if z.shape[0] % 4:
         raise ConfigError(f"packed snapshot length {z.shape[0]} is not divisible by 4")
-    N = z.shape[0] // 4
-    blocks = z.reshape(4, N, z.shape[1])
-    means = blocks.mean(axis=2)
-    return SnapshotSet(deviations=blocks - means[:, :, None], means=means)
+    rows = np.ascontiguousarray(z.T).reshape(z.shape[1], 4, -1)
+    means = rows.mean(axis=0)
+    return SnapshotSet(deviations=(rows - means).transpose(1, 2, 0), means=means)
 
 
 def truncate_rank(singular_values: np.ndarray, kappa: float) -> int:

@@ -94,6 +94,8 @@ __all__ = [
 ]
 
 METHODS = ("pod", "pod-deim")
+# each method's tag in artifact names and kinds and in report keys
+TAGS = {method: method.replace("-", "_") for method in METHODS}
 
 # Reduced Newton: tolerance is scaled by max(1, ||z_r||_inf) because POD
 # coefficients of geophysical fields reach O(1e3), putting an absolute

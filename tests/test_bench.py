@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tswrom.bench import (_L2_ROWS, Case, DoubleVortexConfig, INVARIANT_NAMES,
+from tswrom.bench import (_L2_STATES, Case, DoubleVortexConfig, INVARIANT_NAMES,
                           double_vortex_initial, invariant_errors, make_physics,
                           relative_l2_error, run_pipeline, stage_fom)
 from tswrom.errors import ConfigError, NumericError
@@ -111,8 +111,8 @@ def _norm_formula(reference, trial):
 
 
 def test_relative_l2_error_streams_to_the_norm_formula(rng):
-    # N is not a multiple of the row blocks, so the last block is partial
-    N, K = 2 * _L2_ROWS + 37, 9
+    # K spans two chunks of states and a partial third one
+    N, K = 37, 2 * _L2_STATES + 1
     reference = rng.normal(size=(4 * N, K + 1)) + 3.0
     trial = reference + 1e-3 * rng.normal(size=reference.shape)
     expected = _norm_formula(reference, trial)
@@ -134,7 +134,7 @@ def test_relative_l2_error_streams_to_the_norm_formula(rng):
 
 
 def test_relative_l2_error_holds_no_full_size_temporary(rng):
-    # n = 32: the sweep's buffer is one block of rows, far below a quarter
+    # n = 32: the sweep's buffer is one chunk of states, far below a quarter
     # of one input; a full difference or a full square would exceed it
     N, K = 32 * 32, 250
     reference = rng.normal(size=(4 * N, K + 1)) + 3.0

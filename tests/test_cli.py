@@ -214,7 +214,8 @@ def test_compare_continues_a_run_pipeline_directory(mini_pipeline, tmp_path, cap
     shutil.copytree(mini_pipeline.outdir, out)
     assert main(["compare", "--out", str(out)]) == 0
     assert "report written to" in capsys.readouterr().out
-    # the same arrays in the same memory layout give the same report, bit for bit
+    # the stages compute on the same values in both paths, so the report
+    # is the same, bit for bit
     assert json.loads((out / "report.json").read_text()) == mini_pipeline.report
 
 

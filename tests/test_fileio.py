@@ -14,7 +14,7 @@ from tswrom.errors import FormatError
 from tswrom.fileio import (SnapshotWriter, lineage, read_basis, read_deim,
                            read_initial_snapshot, read_rom, read_romops, read_snapshots,
                            write_basis, write_deim, write_fields_csv, write_invariants_csv,
-                           write_report_json, write_rom, write_romops)
+                           write_json, write_rom, write_romops)
 from tswrom.grid import apply_dx, apply_dy, build_grid
 from tswrom.pod import PodBasis, restrict
 from tswrom.rom import rom_operators_from_parts, rom_rhs
@@ -52,6 +52,8 @@ def test_snapshot_roundtrip(rng, tmp_path):
         "n": 4, "dt": 0.5, "num_steps": traj.shape[1] - 1, **_CASE}
     assert meta["inputs"] == {}
     np.testing.assert_array_equal(full.trajectory, traj)
+    # the trajectory is the transposed view of the loaded records, not a copy
+    assert full.trajectory.T.flags.c_contiguous and full.trajectory.base.flags.owndata
     np.testing.assert_array_equal(full.invariants, _invariants(traj))
     z0, meta_z0 = read_initial_snapshot(path)
     assert meta_z0 == meta
@@ -378,8 +380,25 @@ def test_lineage_fingerprint_is_the_member_crcs(mini_pipeline, tmp_path):
 def test_report_json_roundtrip(tmp_path):
     report = {"n": 24, "dt": 486.0, "l2_pod_h": 1.25e-3}
     path = tmp_path / "report.json"
-    write_report_json(path, report)
+    write_json(path, report)
     assert json.loads(path.read_text()) == report
+
+
+def test_text_artifacts_are_replaced_whole(tmp_path):
+    # a write that fails midway leaves the earlier file as it was and no
+    # .part file behind
+    meta, table = tmp_path / "run_meta.json", tmp_path / "fom_invariants.csv"
+    write_json(meta, {"wall_fom_s": 1.5})
+    write_invariants_csv(table, 2.0, np.ones((3, 4)))
+    before = {path: path.read_bytes() for path in (meta, table)}
+    with pytest.raises(TypeError):
+        write_json(meta, {"a": 1.0, "b": object()})
+    bad = np.ones((3, 4), dtype=object)
+    bad[2, 1] = "x"
+    with pytest.raises(ValueError):
+        write_invariants_csv(table, 2.0, bad)
+    assert {path: path.read_bytes() for path in (meta, table)} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [table.name, meta.name]
 
 
 def test_fields_csv_structure(mini_pipeline):

@@ -245,6 +245,8 @@ def test_integrate_fom_shapes(rng):
     phys = random_physics(grid, rng)
     res = integrate_fom(z, 0.02, 3, phys, grid)
     assert res.trajectory.shape == (4 * grid.N, 4)
+    # stored state by state: the trajectory is the view of a C-order (K+1, 4N)
+    assert res.trajectory.T.flags.c_contiguous
     assert res.invariants.shape == (4, 4)
     np.testing.assert_array_equal(res.trajectory[:, 0], z)
     np.testing.assert_array_equal(res.invariants[0], fom_mod.invariants(z, phys, grid))

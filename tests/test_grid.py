@@ -5,7 +5,7 @@ import pytest
 
 from helpers import csr_diff_ops, small_setup
 
-from tswrom.grid import apply_dx, apply_dy, build_grid
+from tswrom.grid import apply_dx, apply_dy, build_grid, centered_y
 
 # Frozen oracle: on a 4-node periodic grid over [0, 2pi) the centered
 # difference of sin(x) is (sin(x + pi/2) - sin(x - pi/2)) / pi, which equals
@@ -40,6 +40,17 @@ def test_grid_ordering_y_fastest():
     # a field that is not symmetric in x and y: row i of its (n, n) view is x_i
     w = (xx + 10.0 * yy).reshape(3, 3)
     np.testing.assert_allclose(w, [[0, 10, 20], [1, 11, 21], [2, 12, 22]])
+
+
+def test_centered_y_on_a_state_major_batch():
+    # a batch stored one state after another, an (n, n, m) view with the
+    # state axis outermost, gets the bits of C order; an out whose grid axes
+    # do not merge is refused, as the flat write would go to a copy
+    w = np.random.default_rng(0).normal(size=(3, 5, 5)).transpose(1, 2, 0)
+    out = centered_y(w, np.empty((3, 5, 5)).transpose(1, 2, 0), 0.25)
+    np.testing.assert_array_equal(out, centered_y(w.copy(), np.empty((5, 5, 3)), 0.25))
+    with pytest.raises(ValueError, match="grid axes"):
+        centered_y(w, np.empty((5, 5, 3)).transpose(1, 0, 2), 0.25)
 
 
 def test_build_grid_rejects_bad_input():

@@ -33,6 +33,14 @@ def test_collect_snapshots_worked_example():
     assert np.max(np.abs(snaps.deviations[1:])) == 0.0
 
 
+def test_collect_snapshots_ignores_the_input_layout(rng):
+    # a C array and its Fortran-ordered copy give the same bits
+    states = 1e3 * rng.normal(size=(4 * 37, 29))
+    c, f = collect_snapshots(states), collect_snapshots(np.asfortranarray(states))
+    np.testing.assert_array_equal(f.means, c.means)
+    np.testing.assert_array_equal(f.deviations, c.deviations)
+
+
 def test_build_pod_basis_worked_example():
     traj = _tiny_snapshots()
     basis = build_pod_basis(collect_snapshots(traj), kappa=0.0)
