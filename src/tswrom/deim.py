@@ -14,7 +14,9 @@ Each F_j gets its own interpolation basis Phi_j, the p leading left singular
 vectors of its snapshot matrix (evaluated on POD reconstructions by default),
 from the QR-based thin SVD of pod.py, which forms only those p vectors. The
 three share the number of interpolation points p (max of the per-j energy
-ranks, or an override). Point sets are chosen by Q-DEIM: the first p column
+ranks, or an override). A pinned p forms each Phi_j right after its QR, so
+one field's QR factors are held at a time; the energy ranks hold all three
+until the last QR. Point sets are chosen by Q-DEIM: the first p column
 pivots of a pivoted QR of Phi_j^T. The oblique reconstruction factor
 Psi_j = Phi_j (P_j^T Phi_j)^{-1} is formed with an LU solve, never an
 explicit inverse, and satisfies the interpolation property P_j^T Psi_j = I.
@@ -139,12 +141,10 @@ def build_deim(nonlin: np.ndarray, kappa: float,
     p_override : int, optional
         Pin the shared number of interpolation points.
     """
-    leading, svals, ranks, p = _shared_rank(nonlin, kappa, p_override,
-                                            "interpolation count p")
+    phis, svals, ranks, p = _shared_rank(nonlin, kappa, p_override, "interpolation count p")
     indices = np.empty((NUM_NONLIN, p), dtype=np.int64)
     psi = np.empty((NUM_NONLIN, nonlin.shape[1], p))
-    for jm1, lead in enumerate(leading):
-        phi = lead(p)
+    for jm1, phi in enumerate(phis):
         indices[jm1] = qdeim_select(phi, p)
         square = phi[indices[jm1], :]
         cond = np.linalg.cond(square)

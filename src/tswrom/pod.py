@@ -8,8 +8,11 @@ of the per-variable energy-criterion ranks (or an explicit override).
 
 The thin SVD is QR based (Chan's R-SVD, as LAPACK's gesdd does for tall
 matrices): all singular values come from the small triangular factor, and
-only the left singular vectors the basis keeps are ever formed. The
-interpolation bases of deim.py come from the same routine.
+only the left singular vectors the basis keeps are ever formed. Each
+variable's block is copied once, into the array its QR overwrites; a pinned
+r frees those factors before the next variable's QR, while the energy
+criterion holds all four. The interpolation bases of deim.py come from the
+same routine.
 
 Each basis is led by the variable's normalized mean field, with the
 singular vectors filling the remaining columns. The reduced dynamics sees
@@ -191,15 +194,17 @@ def _thin_svd(a: np.ndarray):
     Householder QR a = Q R, then the SVD R = U_R S W^T of the small factor,
     so the left singular vectors are Q U_R. The spectrum needs only R; the k
     leading vectors are the stored reflectors applied to k columns of U_R,
-    so neither Q nor the other min(m, n) - k vectors are formed. The values
-    and vectors are np.linalg.svd's to rounding, but each vector's sign is
-    fixed so that its largest-magnitude entry is positive: a rounding-level
-    change of a does not flip a vector, as LAPACK's own choice may. A
-    non-finite entry raises LinAlgError from the SVD of R, as from
-    np.linalg.svd.
+    so neither Q nor the other min(m, n) - k vectors are formed. a is
+    copied once, into a Fortran-order array the QR overwrites with its
+    factors; a itself is never written. The values and vectors are
+    np.linalg.svd's to rounding, but each vector's sign is fixed so that
+    its largest-magnitude entry is positive: a rounding-level change of a
+    does not flip a vector, as LAPACK's own choice may. A non-finite entry
+    raises LinAlgError from the SVD of R, as from np.linalg.svd.
     """
     m = a.shape[0]
-    (qr, tau), rfac = scipy.linalg.qr(a, mode="raw", check_finite=False)
+    (qr, tau), rfac = scipy.linalg.qr(np.array(a, dtype=np.float64, order="F"), mode="raw",
+                                      overwrite_a=True, check_finite=False)
     u_r, sig, _ = np.linalg.svd(rfac, full_matrices=False)
     reflectors = qr[:, : tau.size]
 
@@ -219,19 +224,28 @@ def _thin_svd(a: np.ndarray):
 
 
 def _shared_rank(blocks, kappa: float, override: int | None, what: str, spare: int = 0):
-    """The leading-vector functions (see _thin_svd) and spectra of the
-    (N, K) blocks, their energy ranks (1 for an all-zero block) and the rank
-    they share: the largest, or override, in [1, min(N, min(N, K) + spare)].
-    The shared rank needs every spectrum, so no singular vector is formed
-    here; the caller forms only the leading ones it keeps."""
-    svds = [_thin_svd(block) for block in blocks]
-    svals = np.stack([sig for sig, _ in svds])
-    ranks = tuple(truncate_rank(sig, kappa) if sig[0] > 0 else 1 for sig in svals)
-    rank = max(ranks) if override is None else int(override)
-    limit = min(blocks[0].shape[0], svals.shape[1] + spare)
-    if not 1 <= rank <= limit:
+    """The kept left singular vectors and the spectra of the (N, K) blocks,
+    their energy ranks (1 for an all-zero block) and the rank they share:
+    the largest, or override, in [1, min(N, min(N, K) + spare)]. Each block
+    keeps min(rank, N, K) vectors. A pinned rank is checked before the first
+    QR and forms each block's vectors right after its QR, so one block's
+    factors are held at a time; the energy rule needs every spectrum first,
+    so it holds every block's factors until the last QR."""
+    n, m = blocks.shape[1:]
+    rank = None if override is None else int(override)
+    limit = min(n, min(n, m) + spare)
+    if rank is not None and not 1 <= rank <= limit:
         raise ConfigError(f"{what}={rank} outside [1, {limit}]")
-    return [leading for _, leading in svds], svals, ranks, rank
+    svals, vecs = np.empty((len(blocks), min(n, m))), []
+    for i, block in enumerate(blocks):
+        svals[i], lead = _thin_svd(block)
+        vecs.append(lead if rank is None else lead(min(rank, n, m)))
+        del lead  # a pinned rank's factors go before the next QR
+    ranks = tuple(truncate_rank(sig, kappa) if sig[0] > 0 else 1 for sig in svals)
+    if rank is None:
+        rank = max(ranks)  # at most min(N, K), so within the limit
+        vecs = [lead(rank) for lead in vecs]
+    return vecs, svals, ranks, rank
 
 
 def _led_modes(leads, umat: np.ndarray, r: int) -> np.ndarray:
@@ -283,17 +297,14 @@ def build_pod_basis(snapshots: SnapshotSet, kappa: float,
         (the criterion ranks are still computed and stored for reporting).
     """
     # every variable's mean is a spare column beyond the K singular vectors,
-    # so the shared rank may exceed K by one; the depth basis's constant is
-    # a second spare, but only there
-    leading, svals, ranks, r = _shared_rank(snapshots.deviations, kappa, r_override,
-                                            "reduced dimension r", spare=1)
-    # min(r, K) singular vectors always suffice: for r <= K they alone are r
-    # independent directions, and for r > K every one of them is formed.
-    k = min(r, svals.shape[1])
+    # so the shared rank may exceed K by one, and then every one of them is
+    # kept; the depth basis's constant is a second spare, but only there
+    modes, svals, ranks, r = _shared_rank(snapshots.deviations, kappa, r_override,
+                                          "reduced dimension r", spare=1)
     stack = np.empty((4, r + 1, snapshots.N))
-    for i, (mean, lead) in enumerate(zip(snapshots.means, leading)):
+    for i, (mean, umat) in enumerate(zip(snapshots.means, modes)):
         leads = [np.ones(snapshots.N), mean] if i == 0 else [mean]
-        stack[i, :r] = _led_modes(leads, lead(k), r).T
+        stack[i, :r] = _led_modes(leads, umat, r).T
         stack[i, r] = mean
     return PodBasis(stack=stack, singular_values=svals, ranks=ranks, kappa=float(kappa))
 

@@ -140,6 +140,21 @@ def test_collect_nonlin_snapshots_holds_one_chunk_besides_the_result(rng):
         assert peak <= 1.25 * nonlin.nbytes
 
 
+def test_build_deim_holds_one_block_besides_the_result(rng):
+    # n = 64, K = 250, pinned p: each Phi_j is formed right after its QR,
+    # whose factors go before the next one, so one copy of an (N, K) block
+    # is held at a time; holding all three took almost four
+    N, K = 64 * 64, 250
+    nonlin = rng.standard_normal((K, NUM_NONLIN, N)).transpose(1, 2, 0)
+    tracemalloc.start()
+    try:
+        dset = build_deim(nonlin, kappa=1e-8, p_override=35)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * N * K * 8 + dset.psi.nbytes
+
+
 def test_qdeim_matches_brute_force_and_greedy():
     phi = _crafted_phi()
     picked = qdeim_select(phi)
@@ -221,6 +236,11 @@ def test_build_deim_p_override(rng):
     assert dset.indices.shape == (NUM_NONLIN, 4) and dset.psi.shape == (NUM_NONLIN, grid.N, 4)
     default = build_deim(nonlin, kappa=1e-8)
     assert default.p == max(default.ranks)
+    # pinning the count the energy rule picks changes no bit
+    pinned = build_deim(nonlin, kappa=1e-8, p_override=default.p)
+    np.testing.assert_array_equal(pinned.indices, default.indices)
+    np.testing.assert_array_equal(pinned.psi, default.psi)
+    np.testing.assert_array_equal(pinned.singular_values, default.singular_values)
     with pytest.raises(ConfigError, match=r"^interpolation count p=0 outside \[1, 6\]$"):
         build_deim(nonlin, kappa=1e-8, p_override=0)
     with pytest.raises(ConfigError, match=r"^interpolation count p=7 outside \[1, 6\]$"):

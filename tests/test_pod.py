@@ -1,5 +1,7 @@
 """Snapshot collection, energy-rank truncation, and the POD basis maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,19 +81,26 @@ def _graded(m, n, rng):
 def test_thin_svd_matches_numpy(shape):
     a, exact = _graded(*shape, np.random.default_rng(SEED))
     u, sig, _ = np.linalg.svd(a, full_matrices=False)
-    values, leading = _thin_svd(a)
-    assert np.max(np.abs(values - sig)) <= 1e-14 * sig[0]
     # vectors of singular values >= 1e-3 are determined to about 1e-13
     k = int(np.sum(exact >= 1e-3))
-    vecs = leading(k)
-    assert vecs.shape == (shape[0], k)
-    # np.linalg.svd leaves each vector's sign to LAPACK, which _thin_svd
-    # fixes (see the next test); the vectors agree up to sign
-    ref = u[:, :k] * np.sign(np.sum(u[:, :k] * vecs, axis=0))
-    assert np.max(np.abs(vecs - ref)) <= 1e-12
-    # all min(m, n) vectors are formed orthonormal when asked for
-    full = leading(min(shape))
-    np.testing.assert_allclose(full.T @ full, np.eye(min(shape)), rtol=0.0, atol=1e-13)
+    wide = np.zeros((shape[0], 2 * shape[1]))
+    wide[:, ::2] = a
+    # C order, Fortran order and a strided view: the QR overwrites its own
+    # copy, never the given array
+    for given in (a, np.asfortranarray(a), wide[:, ::2]):
+        before = given.copy()
+        values, leading = _thin_svd(given)
+        assert np.max(np.abs(values - sig)) <= 1e-14 * sig[0]
+        vecs = leading(k)
+        assert vecs.shape == (shape[0], k)
+        # np.linalg.svd leaves each vector's sign to LAPACK, which _thin_svd
+        # fixes (see the next test); the vectors agree up to sign
+        ref = u[:, :k] * np.sign(np.sum(u[:, :k] * vecs, axis=0))
+        assert np.max(np.abs(vecs - ref)) <= 1e-12
+        # all min(m, n) vectors are formed orthonormal when asked for
+        full = leading(min(shape))
+        np.testing.assert_allclose(full.T @ full, np.eye(min(shape)), rtol=0.0, atol=1e-13)
+        np.testing.assert_array_equal(given, before)
 
 
 def test_thin_svd_vector_signs_follow_the_largest_entry():
@@ -173,6 +182,40 @@ def test_r_override(rng):
     # six snapshots offer six singular directions; the mean adds a seventh
     with pytest.raises(ConfigError, match=r"^reduced dimension r=8 outside \[1, 7\]$"):
         build_pod_basis(snaps, kappa=1e-3, r_override=8)
+    # pinning the rank the energy rule picks changes no bit
+    default = build_pod_basis(snaps, kappa=1e-3)
+    pinned = build_pod_basis(snaps, kappa=1e-3, r_override=default.r)
+    np.testing.assert_array_equal(pinned.stack, default.stack)
+    np.testing.assert_array_equal(pinned.singular_values, default.singular_values)
+    assert pinned.ranks == default.ranks
+
+
+def test_out_of_range_r_is_refused_before_any_qr(rng):
+    # the range check comes first, so the NaN never reaches an SVD
+    grid = small_setup(n=4)
+    traj = np.stack([random_state(grid, rng) for _ in range(6)], axis=1)
+    traj[0, 2] = np.nan
+    snaps = collect_snapshots(traj)
+    with pytest.raises(ConfigError, match=r"^reduced dimension r=0 outside \[1, 7\]$"):
+        build_pod_basis(snaps, kappa=0.0, r_override=0)
+    with pytest.raises(np.linalg.LinAlgError):
+        build_pod_basis(snaps, kappa=0.0, r_override=1)
+
+
+def test_build_pod_basis_holds_one_block_besides_the_result(rng):
+    # n = 64, K = 250, pinned r: each variable's vectors are formed right
+    # after its QR, whose factors go before the next one, so one copy of an
+    # (N, K) block is held at a time; holding all four took five. At n = 32
+    # the K x K factors R, U_R and W^T alone would be 0.7 of a block.
+    N, K = 64 * 64, 250
+    snaps = collect_snapshots(rng.standard_normal((K, 4 * N)).T)
+    tracemalloc.start()
+    try:
+        basis = build_pod_basis(snaps, kappa=1e-3, r_override=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * N * K * 8 + basis.stack.nbytes
 
 
 def test_full_rank_basis_reproduces_snapshots(rng):
