@@ -26,7 +26,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -294,12 +294,12 @@ _DERIVATION = {
                          "rom --method pod-deim"),
 }
 
-# the fields besides n, dt and num_steps that the grid and the physics of a
-# Case are built from
-_CASE_FIELDS = ("length", "coriolis", "gravity")
+# the offline config fields; the others, the fom run's, snapshots.bin records
+_OFFLINE_FIELDS = ("kappa_pod", "kappa_deim", "r_override", "p_override", "projected_nonlin")
+_RUN_FIELDS = tuple(f.name for f in fields(DoubleVortexConfig) if f.name not in _OFFLINE_FIELDS)
 
 # the run_meta.json entries the report copies
-_REPORT_ENTRIES = ("n", "num_steps", "dt", "wall_fom_s", "r", "p", "r_criterion", "p_criterion",
+_REPORT_ENTRIES = ("wall_fom_s", "r", "p", "r_criterion", "p_criterion",
                    "kappa_pod", "kappa_deim", "wall_pod_offline_s", "wall_pod_deim_offline_s",
                    *(f"wall_{tag}_online_s" for tag in rom.TAGS.values()))
 
@@ -330,25 +330,26 @@ def _input_prints(out: Path, name: str) -> dict[str, str]:
             for source in _DERIVATION[name][0]}
 
 
-def fom_case(cfg: DoubleVortexConfig, snapshot_meta: dict, out: Path) -> Case:
-    """cfg with the discretization pinned to the fom run in out, given its
-    snapshots.bin meta; the domain length and the physics must be the run's."""
-    for key in _CASE_FIELDS:
-        if getattr(cfg, key) != snapshot_meta[key]:
-            raise ConfigError(
-                f"{key}={getattr(cfg, key)!r} differs from {key}={snapshot_meta[key]!r} of "
-                f"the fom run in {out}; pass every stage the same --set/--config values")
-    return Case.build(replace(cfg, n=snapshot_meta["n"], dt=snapshot_meta["dt"],
-                              num_steps=snapshot_meta["num_steps"]))
+def fom_case(keys: dict, snapshot_meta: dict, out: Path) -> Case:
+    """The case of the fom run in out, given its snapshots.bin meta, with the
+    offline fields set in keys; a run field set in keys must equal the run's."""
+    run = snapshot_meta["config"]
+    if not (isinstance(run, dict) and run.keys() == set(_RUN_FIELDS)):
+        raise FormatError(f"{out / 'snapshots.bin'}: config records not exactly the run fields")
+    for key, value in keys.items():
+        if key in run and value != run[key]:
+            raise ConfigError(f"{key}={value!r} differs from {key}={run[key]!r} of the fom run "
+                              f"in {out}; a later stage takes the run's value, so leave it unset")
+    return Case.build(DoubleVortexConfig(**{**keys, **run}))
 
 
 def read_run_meta(out: Path) -> dict:
     """The timing and rank log run_meta.json in out, {} before the first
-    stage; a FormatError unless it is a JSON object of numbers."""
+    stage; a FormatError unless it is a UTF-8 JSON object of numbers."""
     path = out / "run_meta.json"
     try:
-        meta = json.loads(path.read_text()) if path.exists() else {}
-    except json.JSONDecodeError as exc:
+        meta = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not (isinstance(meta, dict) and all(type(v) in (int, float) for v in meta.values())):
         raise FormatError(f"{path}: not a JSON object of numbers")
@@ -363,9 +364,9 @@ def _energy_drift(invariants: np.ndarray) -> float:
 def stage_fom(case: Case, meta: dict, out: Path | None = None) -> FomResult:
     """Full-order solve from the double-vortex initial state.
 
-    Adds the discretization and wall_fom_s, the time of the solve alone, to
-    meta. With out, writes snapshots.bin (with the config's length, f and
-    g), fom_invariants.csv and run_meta.json there.
+    Adds wall_fom_s, the time of the solve alone, to meta. With out, writes
+    snapshots.bin (recording the config's run fields), fom_invariants.csv
+    and run_meta.json there.
     """
     cfg = case.config
     z0 = double_vortex_initial(case.grid, cfg)
@@ -376,11 +377,10 @@ def stage_fom(case: Case, meta: dict, out: Path | None = None) -> FomResult:
     full = fom.integrate_fom(z0, cfg.dt, cfg.num_steps, case.physics, case.grid)
     wall = time.perf_counter() - t0
 
-    meta.update(n=cfg.n, num_steps=cfg.num_steps, dt=cfg.dt, wall_fom_s=wall)
+    meta["wall_fom_s"] = wall
     if out is not None:
-        with fileio.SnapshotWriter(out / "snapshots.bin", n=cfg.n, num_steps=cfg.num_steps,
-                                   dt=cfg.dt, length=cfg.length, coriolis=cfg.coriolis,
-                                   gravity=cfg.gravity) as writer:
+        run = {key: getattr(cfg, key) for key in _RUN_FIELDS}
+        with fileio.SnapshotWriter(out / "snapshots.bin", run) as writer:
             for z, invs in zip(full.trajectory.T, full.invariants):
                 writer.append(z, invs)
         fileio.write_invariants_csv(out / "fom_invariants.csv", cfg.dt, full.invariants)
@@ -472,9 +472,9 @@ def stage_rom(case: Case, ops: RomOperators, z0: np.ndarray, method: str, meta: 
 
 def stage_report(case: Case, meta: dict, full: FomResult, basis: PodBasis,
                  roms: dict[str, RomResult], out: Path | None = None) -> dict:
-    """The report: discretization, ranks and timings from meta, then the
-    time-averaged relative L2 error of each lifted reduced trajectory and the
-    invariant drifts of every trajectory, keyed by method tag (pod, pod_deim).
+    """The report: the case's discretization, ranks and timings from meta,
+    the time-averaged relative L2 error of each lifted reduced trajectory and
+    the invariant drifts of every trajectory, keyed by method tag (pod, pod_deim).
 
     A wall time of the speedups that is not positive and finite raises
     FormatError naming its key. With out, writes report.json and field
@@ -483,7 +483,8 @@ def stage_report(case: Case, meta: dict, full: FomResult, basis: PodBasis,
     missing = [key for key in _REPORT_ENTRIES if key not in meta]
     if missing:
         raise FormatError(f"run_meta.json records no {', '.join(missing)}")
-    report = {key: meta[key] for key in _REPORT_ENTRIES}
+    report = {**{key: getattr(case.config, key) for key in ("n", "num_steps", "dt")},
+              **{key: meta[key] for key in _REPORT_ENTRIES}}
     for key in ("wall_fom_s", *(f"wall_{tag}_online_s" for tag in roms)):
         if not (math.isfinite(report[key]) and report[key] > 0.0):
             raise FormatError(f"run_meta.json records {key}={report[key]}; a speedup needs "

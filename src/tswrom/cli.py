@@ -21,12 +21,13 @@ DEBUG, which adds the full model's progress lines.
 
 Parameters come from an optional config file of `key = value` lines (keys
 mirror DoubleVortexConfig fields, `#` starts a comment), overridden by
-`--set key=value` and by the explicit flags. A stage reads an artifact only
-while the fingerprints it records of the artifacts it was derived from match
-the files in DIR (tswrom.bench.check_lineage); a missing or stale input
-exits 2 and names the command that rebuilds it. Later stages take the
-discretization from snapshots.bin and exit 2 when the domain length or the
-physics they build from their own parameters differs from the fom run's.
+`--set key=value` and by the explicit flags. fom records its run keys in
+snapshots.bin, and each later stage builds its case from that record and its
+own offline keys; a run key set on a later stage that differs from the
+record exits 2 naming the key. A stage reads an artifact only while the
+fingerprints it records of the artifacts it was derived from match the files
+in DIR (tswrom.bench.check_lineage); a missing or stale input exits 2 and
+names the command that rebuilds it.
 DIR/run_meta.json logs each stage's timings and ranks for compare's report.
 `--set projected_nonlin=false` trains the interpolation on raw snapshots.
 
@@ -75,7 +76,10 @@ def _parse_config_file(path) -> dict[str, str]:
     from .errors import ConfigError
 
     raw: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -88,37 +92,29 @@ def _parse_config_file(path) -> dict[str, str]:
 
 
 def _coerce(name: str, text: str, default):
+    """text as a value of the config field with this default; a None default
+    marks an integer field that `none` clears."""
     from .errors import ConfigError
 
     low = text.lower()
-    if name in ("r_override", "p_override"):
-        if low in ("none", ""):
-            return None
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"config key {name} must be an integer or `none`, got {text!r}")
+    if default is None and low in ("none", ""):
+        return None
     if isinstance(default, bool):
         if low in ("true", "yes", "on", "1"):
             return True
         if low in ("false", "no", "off", "0"):
             return False
         raise ConfigError(f"config key {name} must be a boolean, got {text!r}")
-    if isinstance(default, int):
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"config key {name} must be an integer, got {text!r}")
-    if isinstance(default, float):
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"config key {name} must be a number, got {text!r}")
-    raise ConfigError(f"config key {name} has unsupported type")
+    kind, what = ((float, "a number") if isinstance(default, float) else
+                  (int, "an integer or `none`" if default is None else "an integer"))
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"config key {name} must be {what}, got {text!r}")
 
 
-def _build_config(args):
-    """Defaults <- config file <- --set pairs <- explicit flags."""
+def _build_config(args) -> dict:
+    """The config keys the arguments set: config file <- --set pairs <- explicit flags."""
     import dataclasses
 
     from .bench import DoubleVortexConfig
@@ -134,22 +130,22 @@ def _build_config(args):
         raw[key.strip()] = value.strip()
 
     defaults = {f.name: f.default for f in dataclasses.fields(DoubleVortexConfig)}
-    kwargs = {}
+    keys = {}
     for key, value in raw.items():
         if key not in defaults:
             raise ConfigError(
                 f"unknown config key {key!r}; valid keys: {', '.join(sorted(defaults))}")
-        kwargs[key] = _coerce(key, value, defaults[key])
+        keys[key] = _coerce(key, value, defaults[key])
     for key in defaults:  # each explicit flag's dest is the field it sets
         if getattr(args, key, None) is not None:
-            kwargs[key] = getattr(args, key)
-    return DoubleVortexConfig(**kwargs)
+            keys[key] = getattr(args, key)
+    return keys
 
 
 def _inputs(args, needs, initial_only: bool = False):
     """The working directory, its fom run (only the initial state when
-    initial_only), the case of the arguments pinned to that run and the
-    run log, once bench.check_lineage(needs) passed there."""
+    initial_only), the case of that run with the arguments' offline keys and
+    the run log, once bench.check_lineage(needs) passed there."""
     from . import fileio
     from .bench import check_lineage, fom_case, read_run_meta
 
@@ -166,9 +162,9 @@ def _inputs(args, needs, initial_only: bool = False):
 # ---------------------------------------------------------------------------
 
 def cmd_fom(args) -> int:
-    from .bench import Case, progress_to_stdout, read_run_meta, stage_fom
+    from .bench import Case, DoubleVortexConfig, progress_to_stdout, read_run_meta, stage_fom
 
-    case = Case.build(_build_config(args))
+    case = Case.build(DoubleVortexConfig(**_build_config(args)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with progress_to_stdout(logging.DEBUG if args.verbose else logging.INFO):

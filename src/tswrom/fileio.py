@@ -2,14 +2,14 @@
 
 Each binary artifact is an uncompressed zip of .npy members as np.savez
 writes it, its arrays stored bit for bit. Its `meta` member is a JSON object
-with the kind, FORMAT_VERSION = 7 (1 and 2 were raw formats), scalars and
+with the kind, FORMAT_VERSION = 8 (1 and 2 were raw formats), scalars and
 `inputs`, the fingerprints of the artifacts the file was derived from.
 State k of every trajectory is at time k dt.
 
     snapshots.bin  trajectory (K+1, 4N), the packed states in time order,
                    read back as the (4N, K+1) view without a copy; z0 (4N,);
-                   invariants (K+1, 4); meta n, dt, num_steps and the
-                   length, coriolis and gravity of the run
+                   invariants (K+1, 4); meta config, the run's
+                   configuration, whose n and num_steps give those shapes
     basis.bin      stack (4, r + 1, N), PodBasis's mode-major [V | mean]^T,
                    read back without a copy; singular_values (4, K); meta
                    ranks, kappa
@@ -57,10 +57,9 @@ __all__ = ["SnapshotWriter", "read_snapshots", "read_initial_snapshot", "write_b
            "read_basis", "write_deim", "read_deim", "write_romops", "read_romops",
            "write_rom", "read_rom", "write_invariants_csv", "write_fields_csv", "write_json"]
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 # the meta entries each kind must carry besides kind, version and inputs
-_META_KEYS = {"snapshots": ("n", "dt", "num_steps", "length", "coriolis", "gravity"),
-              "basis": ("ranks", "kappa"), "deim": ("ranks", "kappa")}
+_META_KEYS = {"snapshots": ("config",), "basis": ("ranks", "kappa"), "deim": ("ranks", "kappa")}
 
 
 def _meta_member(kind: str, meta: dict) -> np.ndarray:
@@ -127,13 +126,10 @@ class SnapshotWriter:
     writer closes without an exception; otherwise close deletes what was written.
     """
 
-    def __init__(self, path, n: int, num_steps: int, dt: float, length: float,
-                 coriolis: float, gravity: float):
+    def __init__(self, path, config: dict):
         self.path = Path(path)
-        self.shape = (int(num_steps) + 1, 4 * int(n) ** 2)
-        self.meta = {"n": int(n), "dt": float(dt), "num_steps": int(num_steps),
-                     "length": float(length), "coriolis": float(coriolis),
-                     "gravity": float(gravity), "inputs": {}}
+        self.shape = (int(config["num_steps"]) + 1, 4 * int(config["n"]) ** 2)
+        self.meta = {"config": dict(config), "inputs": {}}
         self.count = 0
         self._z0 = None
         self._invariants = np.empty((self.shape[0], 4))
@@ -181,25 +177,31 @@ class SnapshotWriter:
         self._finish(exc_type is None and self.count == self.shape[0])
 
 
+def _snapshot_members(path, names) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta and named members of a snapshot file, of the shapes its config gives."""
+    meta, arrays = _load(path, "snapshots", names)
+    try:
+        states, size = meta["config"]["num_steps"] + 1, 4 * meta["config"]["n"] ** 2
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: meta config records no integer n and num_steps") from exc
+    shapes = {"trajectory": (states, size), "invariants": (states, 4), "z0": (size,)}
+    for name, arr in arrays.items():
+        if arr.shape != shapes[name]:
+            raise FormatError(f"{path}: {name} {arr.shape} disagrees with config n and num_steps")
+    return meta, arrays
+
+
 def read_snapshots(path):
     """Read a snapshot file -> (FomResult, meta); the trajectory (4N, K+1)
     is the transposed view of the stored records, as integrate_fom's."""
-    meta, arrays = _load(path, "snapshots", ("trajectory", "invariants"))
-    traj, invs = arrays["trajectory"], arrays["invariants"]
-    if traj.shape != (meta["num_steps"] + 1, 4 * meta["n"] ** 2):
-        raise FormatError(f"{path}: a {traj.shape} trajectory disagrees with meta n and num_steps")
-    if invs.shape != (traj.shape[0], 4):
-        raise FormatError(f"{path}: invariants {invs.shape} are not ({traj.shape[0]}, 4)")
-    return FomResult(traj.T, invs), meta
+    meta, arrays = _snapshot_members(path, ("trajectory", "invariants"))
+    return FomResult(arrays["trajectory"].T, arrays["invariants"]), meta
 
 
 def read_initial_snapshot(path):
     """Read only the first state of a snapshot file -> (z0 (4N,), meta)."""
-    meta, arrays = _load(path, "snapshots", ("z0",))
-    z0 = arrays["z0"]
-    if z0.shape != (4 * meta["n"] ** 2,):
-        raise FormatError(f"{path}: z0 {z0.shape} disagrees with meta n={meta['n']}")
-    return z0, meta
+    meta, arrays = _snapshot_members(path, ("z0",))
+    return arrays["z0"], meta
 
 
 def write_basis(path, basis, inputs: dict[str, str]) -> None:
@@ -248,9 +250,10 @@ def read_romops(path):
     """Read the precomputed operator matrices -> ({"k": k}, r, p)."""
     _, mats = _load(path, "romops", ("k",))
     k = mats["k"]
-    if k.ndim != 3:
-        raise FormatError(f"{path}: k {k.shape} is not (3, p, r^2)")
-    return mats, math.isqrt(k.shape[2]), k.shape[1]
+    r = math.isqrt(k.shape[-1]) if k.ndim else 0
+    if not (k.ndim == 3 and len(k) == NUM_NONLIN and r >= 1 and k.shape[2] == r * r):
+        raise FormatError(f"{path}: k {k.shape} is not (3, p, r^2) with r >= 1")
+    return mats, r, k.shape[1]
 
 
 def write_rom(path, result, inputs: dict[str, str]) -> None:

@@ -163,18 +163,18 @@ def test_invariant_errors_worked_example():
 
 
 def test_stage_fom_writes_the_config_to_snapshots(tmp_path):
-    # the stage writes the finished solve and records the config's domain and
-    # physics, which later stages check their own against
+    # the stage writes the finished solve and records every config field but
+    # the offline ones, which later stages build their case from
     cfg = DoubleVortexConfig(n=6, num_steps=3, dt=300.0, length=4.0e6, coriolis=7e-5,
-                             gravity=9.5)
+                             gravity=9.5, depth_drop=80.0, kappa_pod=0.01, r_override=2)
     meta = {}
     full = stage_fom(Case.build(cfg), meta, tmp_path)
     assert full.trajectory.shape == (4 * 36, 4) and full.invariants.shape == (4, 4)
-    assert meta["wall_fom_s"] > 0.0
+    assert meta == {"wall_fom_s": meta["wall_fom_s"]} and meta["wall_fom_s"] > 0.0
     back, snap_meta = read_snapshots(tmp_path / "snapshots.bin")
-    assert (snap_meta["n"], snap_meta["dt"], snap_meta["num_steps"]) == (6, 300.0, 3)
-    assert ((snap_meta["length"], snap_meta["coriolis"], snap_meta["gravity"])
-            == (4.0e6, 7e-5, 9.5))
+    offline = {"kappa_pod", "kappa_deim", "r_override", "p_override", "projected_nonlin"}
+    assert snap_meta["config"] == {key: value for key, value in vars(cfg).items()
+                                   if key not in offline}
     np.testing.assert_array_equal(back.trajectory, full.trajectory)
     np.testing.assert_array_equal(back.invariants, full.invariants)
     csv = np.loadtxt(tmp_path / "fom_invariants.csv", delimiter=",", skiprows=1)

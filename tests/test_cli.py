@@ -14,7 +14,7 @@ import pytest
 from helpers import flip_member_byte, rewrite_container
 
 from tswrom import fileio
-from tswrom.bench import Case, DoubleVortexConfig, _input_prints, stage_rom
+from tswrom.bench import Case, DoubleVortexConfig, _input_prints, run_pipeline, stage_rom
 from tswrom.cli import main
 from tswrom.errors import ConfigError
 from tswrom.fileio import read_initial_snapshot, read_snapshots
@@ -50,8 +50,11 @@ def chain_dir(tmp_path_factory):
 def test_chain_artifacts_and_meta(chain_dir):
     # exactly these files: a copy of data another artifact holds is not written
     assert {path.name for path in chain_dir.iterdir()} == _CHAIN_FILES
+    config = read_initial_snapshot(chain_dir / "snapshots.bin")[1]["config"]
+    assert config["n"] == 16 and config["num_steps"] == 12
+    # the run log holds the timings and ranks; the discretization is the config's
     meta = json.loads((chain_dir / "run_meta.json").read_text())
-    assert meta["n"] == 16 and meta["num_steps"] == 12
+    assert not meta.keys() & {"n", "num_steps", "dt"}
     assert meta["r"] == 3 and meta["p"] == 6  # the explicit flags won
     for key in ("wall_fom_s", "wall_pod_offline_s", "wall_pod_deim_offline_s",
                 "wall_pod_online_s", "wall_pod_deim_online_s"):
@@ -107,43 +110,62 @@ def test_fom_verbose_prints_each_line_once_under_a_root_handler(tmp_path, capsys
     assert logging.getLogger("tswrom").propagate
 
 
-def test_stages_refuse_physics_other_than_the_fom_run(tmp_path, capsys):
+# the later stages of a chain, each with the keys it needs besides the run's
+_LATER_STAGES = (["reduce", "--r", "3", "--p", "6"], ["rom", "--method", "pod"],
+                 ["rom", "--method", "pod-deim"], ["compare"])
+
+
+@pytest.fixture(scope="module")
+def fom_keyed_dir(tmp_path_factory):
+    """Workspace of a whole chain whose coriolis and length are set on fom
+    alone."""
+    out = tmp_path_factory.mktemp("fom_keyed")
+    assert main(["fom", "--out", str(out), "--n", "16", "--num-steps", "12",
+                 "--set", "coriolis=1e-3", "--set", "length=4e6"]) == 0
+    for stage in _LATER_STAGES:
+        assert main([*stage, "--out", str(out)]) == 0, stage
+    return out
+
+
+def test_run_keys_set_only_on_fom_reach_every_later_stage(fom_keyed_dir):
+    # the chain computes what run_pipeline computes from the same config,
+    # so the stages took the recorded f and domain length
+    config = read_initial_snapshot(fom_keyed_dir / "snapshots.bin")[1]["config"]
+    assert config["coriolis"] == 1e-3 and config["length"] == 4e6
+    cfg = DoubleVortexConfig(n=16, num_steps=12, coriolis=1e-3, length=4e6,
+                             r_override=3, p_override=6)
+
+    def untimed(report):
+        return {k: v for k, v in report.items() if not k.startswith(("wall_", "speedup_"))}
+
+    report = json.loads((fom_keyed_dir / "report.json").read_text())
+    assert untimed(report) == untimed(run_pipeline(cfg).report)
+
+
+def test_stages_refuse_run_keys_other_than_the_fom_run(fom_keyed_dir, tmp_path, capsys):
     out = tmp_path / "ws"
-    ws = ["--out", str(out)]
-    same = ["--set", "coriolis=1e-3"]
-    assert main(["fom", *ws, "--n", "16", "--num-steps", "20", *same]) == 0
-    _, meta = read_initial_snapshot(out / "snapshots.bin")
-    assert meta["coriolis"] == 1e-3 and meta["gravity"] == 9.80616
-    capsys.readouterr()
-    # a stage without the flag would silently run with the default f
-    assert main(["reduce", *ws, "--r", "3", "--p", "8"]) == 2
-    assert "coriolis" in capsys.readouterr().err
-    assert main(["reduce", *ws, "--r", "3", "--p", "8", "--set", "gravity=9.8", *same]) == 2
-    assert "gravity" in capsys.readouterr().err
-    # repeating the fom stage's values on every stage runs the chain
-    assert main(["reduce", *ws, "--r", "3", "--p", "8", *same]) == 0
-    for method in ("pod", "pod-deim"):
-        assert main(["rom", *ws, "--method", method]) == 2
-        assert main(["rom", *ws, "--method", method, *same]) == 0
-    assert main(["compare", *ws]) == 2
-    assert main(["compare", *ws, *same]) == 0
-    # a snapshot file that records no physics is malformed
-    rewrite_container(out / "snapshots.bin", drop=("coriolis",))
-    capsys.readouterr()
-    assert main(["compare", *ws, *same]) == 5
-    assert "meta lacks one of" in capsys.readouterr().err
-
-
-def test_stages_refuse_a_domain_length_other_than_the_fom_run(tmp_path, capsys):
-    ws = ["--out", str(tmp_path)]
-    length = ["--set", "length=4e6"]
-    assert main(["fom", *ws, "--n", "16", "--num-steps", "20", *length]) == 0
-    assert read_initial_snapshot(tmp_path / "snapshots.bin")[1]["length"] == 4e6
-    capsys.readouterr()
-    # the default length would build a grid spacing 25% too large
-    assert main(["reduce", *ws]) == 2
-    assert "length=5000000.0 differs from length=4000000.0" in capsys.readouterr().err
-    assert main(["reduce", *ws, *length]) == 0
+    shutil.copytree(fom_keyed_dir, out)
+    # one key of each way the stages once treated the run's keys: replaced
+    # from snapshots.bin, required again, and ignored
+    for stage in _LATER_STAGES:
+        for pair, named in (("n=8", "n=8 differs from n=16"),
+                            ("coriolis=2e-3", "coriolis=0.002 differs from coriolis=0.001"),
+                            ("depth_drop=80", "depth_drop=80.0 differs from depth_drop=75.0")):
+            capsys.readouterr()
+            assert main([*stage, "--out", str(out), "--set", pair]) == 2, stage
+            assert f"error: {named} of the fom run in {out}" in capsys.readouterr().err
+        # the recorded values themselves are accepted
+        assert main([*stage, "--out", str(out), "--set", "n=16", "--set", "coriolis=0.001",
+                     "--set", "depth_drop=75"]) == 0, stage
+    # a snapshot file whose config lacks a run field, or records an offline
+    # one, is malformed
+    config = read_initial_snapshot(out / "snapshots.bin")[1]["config"]
+    for bad in ({k: v for k, v in config.items() if k != "gravity"}, {**config, "kappa_pod": 0.1}):
+        rewrite_container(out / "snapshots.bin", meta={"config": bad})
+        capsys.readouterr()
+        assert main(["reduce", "--out", str(out)]) == 5
+        assert "snapshots.bin: config records not exactly the run fields" in (
+            capsys.readouterr().err)
 
 
 def test_rom_refuses_a_basis_of_an_earlier_fom_run(tmp_path, capsys):
@@ -231,12 +253,10 @@ def test_config_precedence(tmp_path, capsys):
                "--set", "dt=200", "--set", "num_steps=4", "--dt", "300"])
     assert rc == 0
     capsys.readouterr()
-    meta = json.loads((out / "run_meta.json").read_text())
-    assert meta["n"] == 12          # file value
-    assert meta["num_steps"] == 4   # --set beats the file
-    assert meta["dt"] == 300.0      # explicit flag beats --set
-    _, meta = read_snapshots(out / "snapshots.bin")
-    assert meta["n"] == 12 and meta["dt"] == 300.0
+    config = read_snapshots(out / "snapshots.bin")[1]["config"]
+    assert config["n"] == 12          # file value
+    assert config["num_steps"] == 4   # --set beats the file
+    assert config["dt"] == 300.0      # explicit flag beats --set
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -272,6 +292,14 @@ def test_threads_below_one_exits_2(tmp_path, capsys, threads):
     assert not list(tmp_path.iterdir())
 
 
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"n = 8  # \xff\n")
+    assert main(["fom", "--out", str(tmp_path / "ws"), "--config", str(cfg)]) == 2
+    assert "run.cfg: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "ws").exists()
+
+
 def test_missing_config_file_exits_4(tmp_path, capsys):
     rc = main(["fom", "--out", str(tmp_path), "--config", str(tmp_path / "nope.cfg")])
     assert rc == 4
@@ -293,7 +321,7 @@ def test_rom_output_matches_a_solve_from_the_whole_trajectory(chain_dir, tmp_pat
     # are bit for bit those of a solve started from the fully read trajectory
     full, meta = read_snapshots(chain_dir / "snapshots.bin")
     traj = full.trajectory
-    case = Case.build(DoubleVortexConfig(n=meta["n"], dt=meta["dt"], num_steps=meta["num_steps"]))
+    case = Case.build(DoubleVortexConfig(**meta["config"]))
     for name in ("snapshots.bin", "basis.bin", "deim.bin", "romops.bin"):
         shutil.copyfile(chain_dir / name, tmp_path / name)
     basis = fileio.read_basis(chain_dir / "basis.bin")
@@ -370,6 +398,9 @@ _MISSHAPEN = {"basis-stack-rows": ("basis.bin", "stack", lambda a: a[:3], [_ROM_
               # 4 (r + 1) rows: a whole number of states, but not of the basis r
               "rom-basis-size": ("rom_pod.bin", "reduced", lambda a: np.vstack([a, a[:4]]),
                                  [["compare"]]),
+              # (3, p, r^2 - 1): a last dimension that is no square
+              "romops-k": ("romops.bin", "k", lambda a: a[..., :-1],
+                           [["rom", "--method", "pod-deim"]]),
               "snapshot-invariants": ("snapshots.bin", "invariants", lambda a: a[:-1],
                                       [["reduce"]]),
               "snapshot-z0": ("snapshots.bin", "z0", lambda a: a[:-1], [["reduce"], _ROM_POD])}
@@ -429,6 +460,15 @@ def test_truncated_run_meta_exits_5(tmp_path, capsys):
     capsys.readouterr()
     assert main(["reduce", "--out", str(out)]) == 5
     assert "run_meta.json: not valid JSON" in capsys.readouterr().err
+
+
+def test_run_meta_that_is_not_utf8_exits_5(tmp_path, capsys):
+    out = tmp_path / "ws"
+    assert main(["fom", "--out", str(out), "--set", "n=8", "--set", "num_steps=3"]) == 0
+    (out / "run_meta.json").write_bytes(b"\xff{}")
+    capsys.readouterr()
+    assert main(["reduce", "--out", str(out)]) == 5
+    assert "run_meta.json: not valid JSON ('utf-8' codec can't decode" in capsys.readouterr().err
 
 
 def test_run_meta_that_is_not_an_object_exits_5_before_the_solve(tmp_path, capsys):

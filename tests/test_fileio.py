@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import struct
 import zipfile
 
@@ -19,8 +20,10 @@ from tswrom.grid import apply_dx, apply_dy, build_grid
 from tswrom.pod import PodBasis, restrict
 from tswrom.rom import rom_operators_from_parts, rom_rhs
 
-# the domain length and physics a snapshot file records
-_CASE = {"length": 5.0e6, "coriolis": 6.147e-5, "gravity": 9.80616}
+
+def _config(num_steps, n=4, dt=0.5):
+    """A run configuration to record; fileio reads only its n and num_steps."""
+    return {"n": n, "num_steps": num_steps, "dt": dt, "coriolis": 6.147e-5}
 
 
 def _random_traj(rng, n=4, cols=5):
@@ -38,7 +41,7 @@ def _invariants(traj):
 
 def _write_snapshots(path, traj, n, dt):
     invs = _invariants(traj)
-    with SnapshotWriter(path, n=n, num_steps=traj.shape[1] - 1, dt=dt, **_CASE) as w:
+    with SnapshotWriter(path, _config(traj.shape[1] - 1, n, dt)) as w:
         for k in range(traj.shape[1]):
             w.append(traj[:, k], invs[k])
 
@@ -48,8 +51,7 @@ def test_snapshot_roundtrip(rng, tmp_path):
     path = tmp_path / "snap.bin"
     _write_snapshots(path, traj, n=4, dt=0.5)
     full, meta = read_snapshots(path)
-    assert {key: meta[key] for key in ("n", "dt", "num_steps", *_CASE)} == {
-        "n": 4, "dt": 0.5, "num_steps": traj.shape[1] - 1, **_CASE}
+    assert meta["config"] == _config(traj.shape[1] - 1)
     assert meta["inputs"] == {}
     np.testing.assert_array_equal(full.trajectory, traj)
     # the trajectory is the transposed view of the loaded records, not a copy
@@ -74,7 +76,7 @@ def test_snapshot_writer_streams_identically(rng, tmp_path):
 
 def test_snapshot_writer_rejects_wrong_record(tmp_path):
     path = tmp_path / "x.bin"
-    with SnapshotWriter(path, n=4, num_steps=1, dt=1.0, **_CASE) as w:
+    with SnapshotWriter(path, _config(1)) as w:
         with pytest.raises(ValueError):
             w.append(np.zeros(63), np.ones(4))
         w.append(np.zeros(64), np.ones(4))
@@ -88,14 +90,14 @@ def test_snapshot_writer_keeps_only_complete_files(rng, tmp_path):
     traj = _random_traj(rng)
     path = tmp_path / "snap.bin"
     # closed one record short
-    w = SnapshotWriter(path, n=4, num_steps=traj.shape[1] - 1, dt=0.5, **_CASE)
+    w = SnapshotWriter(path, _config(traj.shape[1] - 1))
     for k in range(traj.shape[1] - 1):
         w.append(traj[:, k], np.ones(4))
     w.close()
     assert list(tmp_path.iterdir()) == []
     # left by an exception after every record was appended
     with pytest.raises(RuntimeError):
-        with SnapshotWriter(path, n=4, num_steps=traj.shape[1] - 1, dt=0.5, **_CASE) as w:
+        with SnapshotWriter(path, _config(traj.shape[1] - 1)) as w:
             for k in range(traj.shape[1]):
                 w.append(traj[:, k], np.ones(4))
             raise RuntimeError("solver failed")
@@ -103,7 +105,7 @@ def test_snapshot_writer_keeps_only_complete_files(rng, tmp_path):
     # a failed rewrite leaves the earlier complete file as it was
     _write_snapshots(path, traj, n=4, dt=0.5)
     before = path.read_bytes()
-    with SnapshotWriter(path, n=4, num_steps=traj.shape[1] - 1, dt=0.5, **_CASE) as w:
+    with SnapshotWriter(path, _config(traj.shape[1] - 1)) as w:
         w.append(traj[:, 0], np.ones(4))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["snap.bin"]
@@ -140,7 +142,7 @@ def test_snapshot_corruption_detected(rng, tmp_path):
     rewrite_container(not_object, meta_member='["snapshots", 3]')
     with pytest.raises(FormatError, match="not a JSON object"):
         read_snapshots(not_object)
-    for key in ("n", "dt", "num_steps", *_CASE, "inputs"):
+    for key in ("config", "inputs"):
         missing = tmp_path / f"no_{key}.bin"
         missing.write_bytes(raw)
         rewrite_container(missing, drop=(key,))
@@ -148,11 +150,19 @@ def test_snapshot_corruption_detected(rng, tmp_path):
             read_snapshots(missing)
         with pytest.raises(FormatError, match="meta lacks"):
             read_initial_snapshot(missing)
-    for meta in ({"n": 2}, {"num_steps": traj.shape[1]}):
+    # a config without the integers the shapes are checked against
+    for config in ({"dt": 0.5, "num_steps": traj.shape[1] - 1}, {**_config(4), "n": "4"}, []):
+        shapeless = tmp_path / "shapeless.bin"
+        shapeless.write_bytes(raw)
+        rewrite_container(shapeless, meta={"config": config})
+        for read in (read_snapshots, read_initial_snapshot):
+            with pytest.raises(FormatError, match="config records no integer n and num_steps"):
+                read(shapeless)
+    for config in (_config(traj.shape[1] - 1, n=2), _config(traj.shape[1])):
         mismatch = tmp_path / "mismatch.bin"
         mismatch.write_bytes(raw)
-        rewrite_container(mismatch, meta=meta)
-        with pytest.raises(FormatError, match="trajectory disagrees"):
+        rewrite_container(mismatch, meta={"config": config})
+        with pytest.raises(FormatError, match=r"trajectory \(\d+, \d+\) disagrees"):
             read_snapshots(mismatch)
 
     flip_member_byte(path, "z0")
@@ -211,7 +221,7 @@ def test_basis_stack_is_mode_major_in_memory_and_on_disk(mini_pipeline, tmp_path
     np.testing.assert_array_equal(fixed.means[2], stack[2, 2])
     write_basis(path, fixed, {"snapshots.bin": "0a1b2c3d"})
     # the first CRC-32 is the meta member's, which holds FORMAT_VERSION
-    assert lineage(path, "basis")[0] == "5a9675cb-99c67376-fab6e096"
+    assert lineage(path, "basis")[0] == "eca6b572-99c67376-fab6e096"
     with zipfile.ZipFile(path) as zf:
         assert zf.namelist() == ["meta.npy", "stack.npy", "singular_values.npy"]
         assert zf.read("stack.npy")[-stack.nbytes:] == stack.tobytes()
@@ -275,10 +285,15 @@ def test_romops_roundtrip(mini_pipeline, tmp_path):
     _append_bytes(path)
     with pytest.raises(FormatError, match="zip end record"):
         read_romops(path)
-    path.write_bytes(raw)
-    rewrite_container(path, k=np.zeros((3, 4)))
-    with pytest.raises(FormatError, match=r"k \(3, 4\) is not \(3, p, r\^2\)"):
-        read_romops(path)
+    # another rank, another first dimension than 3, or a last one that is
+    # not r^2 for some r >= 1
+    p, r = romops.deim.p, romops.r
+    for shape in ((3, 4), (), (2, p, r * r), (3, p, r * r - 1), (3, p, 0)):
+        path.write_bytes(raw)
+        rewrite_container(path, k=np.zeros(shape))
+        with pytest.raises(FormatError,
+                           match=re.escape(f"k {shape} is not (3, p, r^2) with r >= 1")):
+            read_romops(path)
 
 
 def test_romops_with_stored_derivative_blocks_still_loads(mini_pipeline, tmp_path):
