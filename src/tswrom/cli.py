@@ -22,12 +22,12 @@ DEBUG, which adds the full model's progress lines.
 Parameters come from an optional config file of `key = value` lines (keys
 mirror DoubleVortexConfig fields, `#` starts a comment), overridden by
 `--set key=value` and by the explicit flags. fom records its run keys in
-snapshots.bin, and each later stage builds its case from that record and its
-own offline keys; a run key set on a later stage that differs from the
-record exits 2 naming the key. A stage reads an artifact only while the
-fingerprints it records of the artifacts it was derived from match the files
-in DIR (tswrom.bench.check_lineage); a missing or stale input exits 2 and
-names the command that rebuilds it.
+snapshots.bin, and each later stage builds its case from that record; a run
+key set on a later stage that differs from the record, or an offline key set
+on any stage but reduce, exits 2 naming the key. A stage reads an artifact
+only while the fingerprints it records of the artifacts it was derived from
+match the files in DIR (tswrom.bench.check_lineage); a missing or stale
+input exits 2 and names the command that rebuilds it.
 DIR/run_meta.json logs each stage's timings and ranks for compare's report.
 `--set projected_nonlin=false` trains the interpolation on raw snapshots.
 
@@ -117,7 +117,7 @@ def _build_config(args) -> dict:
     """The config keys the arguments set: config file <- --set pairs <- explicit flags."""
     import dataclasses
 
-    from .bench import DoubleVortexConfig
+    from .bench import _OFFLINE_FIELDS, DoubleVortexConfig
     from .errors import ConfigError
 
     raw: dict[str, str] = {}
@@ -135,6 +135,8 @@ def _build_config(args) -> dict:
         if key not in defaults:
             raise ConfigError(
                 f"unknown config key {key!r}; valid keys: {', '.join(sorted(defaults))}")
+        if key in _OFFLINE_FIELDS and args.command != "reduce":
+            raise ConfigError(f"config key {key} is an offline key; only `tswrom reduce` takes it")
         keys[key] = _coerce(key, value, defaults[key])
     for key in defaults:  # each explicit flag's dest is the field it sets
         if getattr(args, key, None) is not None:
@@ -149,11 +151,11 @@ def _inputs(args, needs, initial_only: bool = False):
     from . import fileio
     from .bench import check_lineage, fom_case, read_run_meta
 
-    out = Path(args.out)
+    out, keys = Path(args.out), _build_config(args)
     check_lineage(out, needs)
     read = fileio.read_initial_snapshot if initial_only else fileio.read_snapshots
     snaps, snapshot_meta = read(out / "snapshots.bin")
-    return out, snaps, fom_case(_build_config(args), snapshot_meta, out), read_run_meta(out)
+    return out, snaps, fom_case(keys, snapshot_meta, out), read_run_meta(out)
 
 
 # ---------------------------------------------------------------------------

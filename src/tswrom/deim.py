@@ -14,12 +14,12 @@ Each F_j gets its own interpolation basis Phi_j, the p leading left singular
 vectors of its snapshot matrix (evaluated on POD reconstructions by default),
 from the QR-based thin SVD of pod.py, which forms only those p vectors. The
 three share the number of interpolation points p (max of the per-j energy
-ranks, or an override). A pinned p forms each Phi_j right after its QR, so
-one field's QR factors are held at a time; the energy ranks hold all three
-until the last QR. Point sets are chosen by Q-DEIM: the first p column
-pivots of a pivoted QR of Phi_j^T. The oblique reconstruction factor
-Psi_j = Phi_j (P_j^T Phi_j)^{-1} is formed with an LU solve, never an
-explicit inverse, and satisfies the interpolation property P_j^T Psi_j = I.
+ranks, or an override), known before the first QR, so each Phi_j is formed
+right after its QR and one field's QR factors are held at a time. Point
+sets are chosen by Q-DEIM: the first p column pivots of a pivoted QR of
+Phi_j^T. The oblique reconstruction factor Psi_j = Phi_j (P_j^T Phi_j)^{-1}
+is formed with an LU solve, never an explicit inverse, and satisfies the
+interpolation property P_j^T Psi_j = I.
 Phi_j is not kept: DeimSet stacks the points and the Psi_j of F1..F3, like
 the POD basis stacks its four variables.
 """

@@ -8,11 +8,10 @@ of the per-variable energy-criterion ranks (or an explicit override).
 
 The thin SVD is QR based (Chan's R-SVD, as LAPACK's gesdd does for tall
 matrices): all singular values come from the small triangular factor, and
-only the left singular vectors the basis keeps are ever formed. Each
-variable's block is copied once, into the array its QR overwrites; a pinned
-r frees those factors before the next variable's QR, while the energy
-criterion holds all four. The interpolation bases of deim.py come from the
-same routine.
+only the left singular vectors the basis keeps are ever formed, each
+variable's before the next variable's QR. The energy criterion reads r first
+off the K x K Gram matrices, whose eigenvalues are the squared spectra
+(Sirovich's method of snapshots). deim.py uses the same routine.
 
 Each basis is led by the variable's normalized mean field, with the
 singular vectors filling the remaining columns. The reduced dynamics sees
@@ -187,65 +186,64 @@ def truncate_rank(singular_values: np.ndarray, kappa: float) -> int:
     return int(keep[0]) + 1
 
 
-def _thin_svd(a: np.ndarray):
-    """All singular values of a (m, n), and a function forming its k
-    leading left singular vectors as an (m, k) array.
+def _thin_svd(a: np.ndarray, k: int):
+    """All singular values of a (m, n), and its k leading left singular
+    vectors as an (m, k) array.
 
-    Householder QR a = Q R, then the SVD R = U_R S W^T of the small factor,
-    so the left singular vectors are Q U_R. The spectrum needs only R; the k
-    leading vectors are the stored reflectors applied to k columns of U_R,
-    so neither Q nor the other min(m, n) - k vectors are formed. a is
-    copied once, into a Fortran-order array the QR overwrites with its
-    factors; a itself is never written. The values and vectors are
-    np.linalg.svd's to rounding, but each vector's sign is fixed so that
-    its largest-magnitude entry is positive: a rounding-level change of a
-    does not flip a vector, as LAPACK's own choice may. A non-finite entry
-    raises LinAlgError from the SVD of R, as from np.linalg.svd.
+    Householder QR a = Q R, then the SVD R = U_R S W^T of the small factor.
+    The k leading vectors Q U_R are the stored reflectors applied to k
+    columns of U_R, so neither Q nor the other vectors are formed. a is
+    copied once, into the Fortran-order array the QR overwrites; a itself is
+    never written. The values and vectors are np.linalg.svd's to rounding,
+    but each vector's sign is fixed so that its largest-magnitude entry is
+    positive: a rounding-level change of a does not flip a vector, as
+    LAPACK's own choice may. A non-finite entry raises LinAlgError from the
+    SVD of R, as from np.linalg.svd.
     """
-    m = a.shape[0]
     (qr, tau), rfac = scipy.linalg.qr(np.array(a, dtype=np.float64, order="F"), mode="raw",
                                       overwrite_a=True, check_finite=False)
-    u_r, sig, _ = np.linalg.svd(rfac, full_matrices=False)
+    u_r, sig = np.linalg.svd(rfac, full_matrices=False)[:2]
+    del rfac  # R and W^T go before the vectors are formed
+    c = np.zeros((a.shape[0], k), order="F")
+    c[: u_r.shape[0]] = u_r[:, :k]
+    dormqr = scipy.linalg.lapack.dormqr
     reflectors = qr[:, : tau.size]
+    lwork = int(dormqr("L", "N", reflectors, tau, c, -1)[1][0])
+    out, _, info = dormqr("L", "N", reflectors, tau, c, lwork, overwrite_c=1)
+    if info:
+        raise NumericError(f"applying the QR reflectors failed (dormqr info={info})")
+    peaks = out[np.argmax(np.abs(out), axis=0), np.arange(k)]
+    out[:, peaks < 0.0] *= -1.0
+    return sig, out
 
-    def leading(k: int) -> np.ndarray:
-        c = np.zeros((m, k), order="F")
-        c[: u_r.shape[0]] = u_r[:, :k]
-        dormqr = scipy.linalg.lapack.dormqr
-        lwork = int(dormqr("L", "N", reflectors, tau, c, -1)[1][0])
-        out, _, info = dormqr("L", "N", reflectors, tau, c, lwork, overwrite_c=1)
-        if info:
-            raise NumericError(f"applying the QR reflectors failed (dormqr info={info})")
-        peaks = out[np.argmax(np.abs(out), axis=0), np.arange(k)]
-        out[:, peaks < 0.0] *= -1.0
-        return out
 
-    return sig, leading
+def _gram_rank(block: np.ndarray, kappa: float) -> int:
+    """The energy rank of the (N, K) block, 1 if it is all zero, from the
+    leading min(N, K) eigenvalues lambda of block.T @ block (which reads a
+    state-major block in place). Those below min(N, K) * eps * lambda_1, their
+    rounding floor, count as zero: for kappa above that, it is the QR's rank."""
+    lam = np.linalg.eigvalsh(block.T @ block)[::-1][: min(block.shape)]
+    if lam[0] <= 0.0:
+        return 1
+    lam[lam < lam.size * np.finfo(np.float64).eps * lam[0]] = 0.0
+    return truncate_rank(np.sqrt(lam), kappa)
 
 
 def _shared_rank(blocks, kappa: float, override: int | None, what: str, spare: int = 0):
     """The kept left singular vectors and the spectra of the (N, K) blocks,
     their energy ranks (1 for an all-zero block) and the rank they share:
     the largest, or override, in [1, min(N, min(N, K) + spare)]. Each block
-    keeps min(rank, N, K) vectors. A pinned rank is checked before the first
-    QR and forms each block's vectors right after its QR, so one block's
-    factors are held at a time; the energy rule needs every spectrum first,
-    so it holds every block's factors until the last QR."""
+    keeps min(rank, N, K) vectors. The rank is known before the first QR,
+    read off the Gram matrices under the energy rule, so each block's vectors
+    are formed right after its QR, and one block's factors are held at a time."""
     n, m = blocks.shape[1:]
-    rank = None if override is None else int(override)
     limit = min(n, min(n, m) + spare)
-    if rank is not None and not 1 <= rank <= limit:
+    rank = max(_gram_rank(b, kappa) for b in blocks) if override is None else int(override)
+    if not 1 <= rank <= limit:
         raise ConfigError(f"{what}={rank} outside [1, {limit}]")
-    svals, vecs = np.empty((len(blocks), min(n, m))), []
-    for i, block in enumerate(blocks):
-        svals[i], lead = _thin_svd(block)
-        vecs.append(lead if rank is None else lead(min(rank, n, m)))
-        del lead  # a pinned rank's factors go before the next QR
+    svals, vecs = zip(*(_thin_svd(block, min(rank, n, m)) for block in blocks))
     ranks = tuple(truncate_rank(sig, kappa) if sig[0] > 0 else 1 for sig in svals)
-    if rank is None:
-        rank = max(ranks)  # at most min(N, K), so within the limit
-        vecs = [lead(rank) for lead in vecs]
-    return vecs, svals, ranks, rank
+    return vecs, np.array(svals), ranks, rank
 
 
 def _led_modes(leads, umat: np.ndarray, r: int) -> np.ndarray:

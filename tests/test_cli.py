@@ -241,6 +241,27 @@ def test_compare_continues_a_run_pipeline_directory(mini_pipeline, tmp_path, cap
     assert json.loads((out / "report.json").read_text()) == mini_pipeline.report
 
 
+@pytest.mark.parametrize("stage, key, value", [
+    (["fom", *_SMALL], "kappa_pod", "0.5"), (["rom", "--method", "pod"], "p_override", "3"),
+    (["compare"], "r_override", "3"), (["rom"], "projected_nonlin", "false")],
+    ids=["fom", "rom-pod", "compare", "rom-pod-deim"])
+def test_offline_keys_exit_2_on_every_stage_but_reduce(chain_dir, tmp_path, capsys, stage,
+                                                       key, value):
+    # only reduce reads the offline keys, so another stage would drop them
+    out = tmp_path / "ws"
+    shutil.copytree(chain_dir, out)
+    stamps = {path.name: path.stat().st_mtime_ns for path in out.iterdir()}
+    cfg = tmp_path / "offline.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    for given in (["--set", f"{key}={value}"], ["--config", str(cfg)]):
+        capsys.readouterr()
+        assert main([*stage, "--out", str(out), *given]) == 2
+        assert (f"error: config key {key} is an offline key; only `tswrom reduce` takes it"
+                in capsys.readouterr().err)
+    # refused before the stage ran: the workspace is as it was
+    assert {path.name: path.stat().st_mtime_ns for path in out.iterdir()} == stamps
+
+
 def test_config_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -140,18 +140,22 @@ def test_collect_nonlin_snapshots_holds_one_chunk_besides_the_result(rng):
         assert peak <= 1.25 * nonlin.nbytes
 
 
-def test_build_deim_holds_one_block_besides_the_result(rng):
-    # n = 64, K = 250, pinned p: each Phi_j is formed right after its QR,
-    # whose factors go before the next one, so one copy of an (N, K) block
-    # is held at a time; holding all three took almost four
+@pytest.mark.parametrize("p_override", [35, None], ids=["pinned", "energy"])
+def test_build_deim_holds_one_block_besides_the_result(rng, p_override):
+    # n = 64, K = 250, and snapshots of halving size, so the energy rule
+    # keeps fewer points than the pinned p: each Phi_j is formed right after
+    # its QR, whose factors go before the next one, so one copy of an (N, K)
+    # block is held at a time; holding all three took almost four
     N, K = 64 * 64, 250
-    nonlin = rng.standard_normal((K, NUM_NONLIN, N)).transpose(1, 2, 0)
+    nonlin = (rng.standard_normal((K, NUM_NONLIN, N))
+              * 0.5 ** np.arange(K)[:, None, None]).transpose(1, 2, 0)
     tracemalloc.start()
     try:
-        dset = build_deim(nonlin, kappa=1e-8, p_override=35)
+        dset = build_deim(nonlin, kappa=1e-8, p_override=p_override)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert dset.p <= 35
     assert peak <= 1.5 * N * K * 8 + dset.psi.nbytes
 
 
@@ -241,6 +245,7 @@ def test_build_deim_p_override(rng):
     np.testing.assert_array_equal(pinned.indices, default.indices)
     np.testing.assert_array_equal(pinned.psi, default.psi)
     np.testing.assert_array_equal(pinned.singular_values, default.singular_values)
+    assert pinned.ranks == default.ranks
     with pytest.raises(ConfigError, match=r"^interpolation count p=0 outside \[1, 6\]$"):
         build_deim(nonlin, kappa=1e-8, p_override=0)
     with pytest.raises(ConfigError, match=r"^interpolation count p=7 outside \[1, 6\]$"):

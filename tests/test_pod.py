@@ -8,7 +8,8 @@ import pytest
 from helpers import SEED, lift, random_state, small_setup, svd_pod_basis
 
 from tswrom.errors import ConfigError
-from tswrom.pod import _thin_svd, build_pod_basis, collect_snapshots, restrict, truncate_rank
+from tswrom.pod import (_gram_rank, _thin_svd, build_pod_basis, collect_snapshots, restrict,
+                        truncate_rank)
 
 
 def _tiny_snapshots():
@@ -89,16 +90,15 @@ def test_thin_svd_matches_numpy(shape):
     # copy, never the given array
     for given in (a, np.asfortranarray(a), wide[:, ::2]):
         before = given.copy()
-        values, leading = _thin_svd(given)
+        values, vecs = _thin_svd(given, k)
         assert np.max(np.abs(values - sig)) <= 1e-14 * sig[0]
-        vecs = leading(k)
         assert vecs.shape == (shape[0], k)
         # np.linalg.svd leaves each vector's sign to LAPACK, which _thin_svd
         # fixes (see the next test); the vectors agree up to sign
         ref = u[:, :k] * np.sign(np.sum(u[:, :k] * vecs, axis=0))
         assert np.max(np.abs(vecs - ref)) <= 1e-12
         # all min(m, n) vectors are formed orthonormal when asked for
-        full = leading(min(shape))
+        full = _thin_svd(given, min(shape))[1]
         np.testing.assert_allclose(full.T @ full, np.eye(min(shape)), rtol=0.0, atol=1e-13)
         np.testing.assert_array_equal(given, before)
 
@@ -108,13 +108,13 @@ def test_thin_svd_vector_signs_follow_the_largest_entry():
     # change of the matrix, or its negation, leaves every vector's sign
     a, exact = _graded(400, 30, np.random.default_rng(SEED))
     k = int(np.sum(exact >= 1e-3))
-    vecs = _thin_svd(a)[1](k)
+    vecs = _thin_svd(a, k)[1]
     assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)] > 0.0)
-    assert np.max(np.abs(_thin_svd(-a)[1](k) - vecs)) <= 1e-12
+    assert np.max(np.abs(_thin_svd(-a, k)[1] - vecs)) <= 1e-12
     # the perturbation moves the vectors by about 1e-14 / 1e-3; a flipped
     # one would move by twice its largest entry
     noise = 1e-14 * np.random.default_rng(SEED + 1).standard_normal(a.shape)
-    assert np.max(np.abs(_thin_svd(a + noise)[1](k) - vecs)) <= 1e-9
+    assert np.max(np.abs(_thin_svd(a + noise, k)[1] - vecs)) <= 1e-9
 
 
 def test_build_pod_basis_matches_full_svd_oracle(mini_pipeline):
@@ -184,6 +184,7 @@ def test_r_override(rng):
         build_pod_basis(snaps, kappa=1e-3, r_override=8)
     # pinning the rank the energy rule picks changes no bit
     default = build_pod_basis(snaps, kappa=1e-3)
+    assert default.r == max(default.ranks)
     pinned = build_pod_basis(snaps, kappa=1e-3, r_override=default.r)
     np.testing.assert_array_equal(pinned.stack, default.stack)
     np.testing.assert_array_equal(pinned.singular_values, default.singular_values)
@@ -202,20 +203,43 @@ def test_out_of_range_r_is_refused_before_any_qr(rng):
         build_pod_basis(snaps, kappa=0.0, r_override=1)
 
 
-def test_build_pod_basis_holds_one_block_besides_the_result(rng):
-    # n = 64, K = 250, pinned r: each variable's vectors are formed right
-    # after its QR, whose factors go before the next one, so one copy of an
-    # (N, K) block is held at a time; holding all four took five. At n = 32
-    # the K x K factors R, U_R and W^T alone would be 0.7 of a block.
+@pytest.mark.parametrize("r_override", [5, None], ids=["pinned", "energy"])
+def test_build_pod_basis_holds_one_block_besides_the_result(rng, r_override):
+    # n = 64, K = 250, and snapshots of halving size, so the energy rule
+    # keeps about as few modes as the pinned r: the rank is known before the
+    # first QR, each variable's vectors are formed right after it, and its
+    # factors go before the next one, so one copy of an (N, K) block is held
+    # at a time; holding all four took five. At n = 32 the K x K factors R,
+    # U_R and W^T alone would be 0.7 of a block.
     N, K = 64 * 64, 250
-    snaps = collect_snapshots(rng.standard_normal((K, 4 * N)).T)
+    snaps = collect_snapshots((rng.standard_normal((K, 4 * N)) * 0.5 ** np.arange(K)[:, None]).T)
     tracemalloc.start()
     try:
-        basis = build_pod_basis(snaps, kappa=1e-3, r_override=5)
+        basis = build_pod_basis(snaps, kappa=1e-3, r_override=r_override)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert basis.r <= 8
     assert peak <= 1.5 * N * K * 8 + basis.stack.nbytes
+
+
+def test_energy_rank_at_kappa_0_counts_exactly_the_independent_snapshots(rng):
+    # K = 40 snapshots repeating 8, 13, 20 and 27 distinct ones: the
+    # deviations have exact ranks 7, 12, 19 and 26. One direction 100x
+    # stronger than the rest dominates the energy, so the Gram eigenvalues
+    # of the repeated directions, at rounding level of the first, would add
+    # to the energy sum unless counted as zero, as the QR's values are
+    N, K = 300, 40
+    rows = np.empty((K, 4, N))
+    for i, distinct in enumerate((8, 13, 20, 27)):
+        base = rng.standard_normal((distinct, N))
+        base += 100.0 * rng.standard_normal((distinct, 1)) * rng.standard_normal(N)
+        rows[:, i] = base[np.arange(K) % distinct]
+    snaps = collect_snapshots(rows.reshape(K, 4 * N).T)
+    basis = build_pod_basis(snaps, kappa=0.0)
+    assert basis.ranks == (7, 12, 19, 26) and basis.r == 26
+    for block, sig in zip(snaps.deviations, basis.singular_values):
+        assert _gram_rank(block, 0.0) == truncate_rank(sig, 0.0)
 
 
 def test_full_rank_basis_reproduces_snapshots(rng):
